@@ -3,7 +3,7 @@ algebras: block-diagonal operator algebra, superoperators with channel-state
 calculus, a family of state-over-time assignments with randomized property
 certification, closed-form and generic Bayes solvers, and physics scenarios
 (measurement reversal, state update, weak values, correlators)."""
-from . import algebra, axioms, bayes, cli, errors, io, maps, sampling, scenarios, sot
+from . import algebra, axioms, bayes, errors, io, maps, sampling, scenarios, sot
 from .algebra import (AlgebraElement, AlgebraShape, classical_algebra,
                       matrix_algebra, partial_trace, power, tensor)
 from .axioms import CertifyConfig, PropertyVerdict, certify, check_associativity, table_report

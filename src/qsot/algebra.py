@@ -206,10 +206,7 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
 
 def basis_vector(shape: AlgebraShape, label: Label) -> AlgebraElement:
     """Indicator element: identity on one block, zero elsewhere (δ_x for C^X)."""
-    mats = [np.zeros((d, d), dtype=complex) for d in shape.dims]
-    i = shape.index(label)
-    mats[i] = np.eye(shape.dims[i], dtype=complex)
-    return AlgebraElement(shape, tuple(mats))
+    return from_blocks(shape, {label: np.eye(shape.dim_of(label))})
 
 
 def from_blocks(shape: AlgebraShape, blocks: dict) -> AlgebraElement:
@@ -342,6 +339,19 @@ def spectral_decompose(a: AlgebraElement, group_tol: float = GROUP_TOL,
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
 
 
+def apply_function(a: AlgebraElement, fn) -> AlgebraElement:
+    """Blockwise functional calculus on the hermitian part of ``a``.
+
+    ``fn`` receives each block's eigenvalues in ascending order and returns
+    the values to put in their place; it may raise to reject a block.
+    """
+    mats = []
+    for mat in a.data:
+        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+        mats.append((vecs * fn(vals)) @ vecs.conj().T)
+    return AlgebraElement(a.shape, tuple(mats))
+
+
 def power(a: AlgebraElement, r: complex, strict: bool = False,
           faithfulness_tol: float = FAITHFULNESS_TOL,
           atol: float = ATOL) -> AlgebraElement:
@@ -353,32 +363,31 @@ def power(a: AlgebraElement, r: complex, strict: bool = False,
     """
     if not a.is_hermitian(1e2 * HERM_TOL):
         raise NotHermitianError("power requires a hermitian element")
-    mats = []
-    for mat in a.data:
-        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-        if vals.size and vals[0] < -atol:
+
+    def powered(vals: np.ndarray) -> np.ndarray:
+        if vals[0] < -atol:
             raise NotAStateError(f"negative eigenvalue {vals[0]:.3e} in power()")
-        if strict and vals.size and np.min(vals) < faithfulness_tol:
+        if strict and vals[0] < faithfulness_tol:
             raise FaithfulnessError(
-                f"eigenvalue {np.min(vals):.3e} below faithfulness tolerance")
+                f"eigenvalue {vals[0]:.3e} below faithfulness tolerance")
+        out = np.zeros(vals.shape, dtype=complex)
         support = vals > faithfulness_tol
-        powered = np.zeros(vals.shape, dtype=complex)
-        powered[support] = vals[support].astype(complex) ** r
-        mats.append((vecs * powered) @ vecs.conj().T)
-    return AlgebraElement(a.shape, tuple(mats))
+        out[support] = vals[support].astype(complex) ** r
+        return out
+
+    return apply_function(a, powered)
 
 
 def support_unitary(a: AlgebraElement, t: float,
                     faithfulness_tol: float = FAITHFULNESS_TOL) -> AlgebraElement:
     """a^{it} on the support, identity off the support (a commuting unitary)."""
-    mats = []
-    for mat in a.data:
-        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-        phases = np.ones(vals.shape, dtype=complex)
+    def phases(vals: np.ndarray) -> np.ndarray:
+        out = np.ones(vals.shape, dtype=complex)
         support = vals > faithfulness_tol
-        phases[support] = vals[support].astype(complex) ** (1j * t)
-        mats.append((vecs * phases) @ vecs.conj().T)
-    return AlgebraElement(a.shape, tuple(mats))
+        out[support] = vals[support].astype(complex) ** (1j * t)
+        return out
+
+    return apply_function(a, phases)
 
 
 def jordan(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

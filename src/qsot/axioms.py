@@ -111,19 +111,9 @@ def _shapes(family: sot.SotFamily, trial: int, d: int) -> tuple[AlgebraShape, Al
         return single_a, single_b
     blocky_a = AlgebraShape((("a0", d), ("a1", 1)))
     blocky_b = AlgebraShape((("b0", d), ("b1", 1)))
-    if isinstance(family, sot.OhyaCompound):
+    if family.compound:
         return single_a, blocky_b
     return blocky_a, blocky_b
-
-
-def _needs_psd(family: sot.SotFamily) -> bool:
-    return not sot.is_state_linear(family)
-
-
-def _sample_instance(family: sot.SotFamily, trial: int, d: int,
-                     rng: np.random.Generator) -> tuple[LinearMap, AlgebraElement]:
-    sa, sb = _shapes(family, trial, d)
-    return sampling.random_cptp(sa, sb, rng), sampling.random_state(sa, rng)
 
 
 # -------------------------------------------------------- product-vector search
@@ -212,10 +202,10 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
     def star(channel: LinearMap, arg: AlgebraElement) -> AlgebraElement:
         # State-linear families extend linearly to arbitrary second
         # arguments; the others must pass full domain validation.
-        if sot.is_state_linear(family):
+        if family.state_linear:
             if not channel.is_tp:
                 raise InapplicableError("intermediate map is not trace-preserving")
-            return sot._evaluate_value(family, channel, arg)
+            return family.value(channel, arg)
         return sot.evaluate(family, channel, arg).value
 
     try:
@@ -229,19 +219,19 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
     return (alg.reassociate_left_to_right(rhs) - lhs).norm()
 
 
-def _sample_associativity(family: sot.SotFamily, d: int, rng: np.random.Generator):
+def _sample_associativity(family: sot.SotFamily, d: int,
+                          rng: np.random.Generator) -> dict:
     shape_a = AlgebraShape((("a", d),))
     shape_b = AlgebraShape((("b", d),))
     shape_c = AlgebraShape((("c", d),))
-    if _needs_psd(family):
+    if not family.state_linear:
         # Entanglement-breaking first legs keep every intermediate second
         # argument PSD, so non-state-linear families stay evaluable.
         e = sampling.random_measure_prepare(shape_a, shape_b, d * d, rng)
     else:
         e = sampling.random_cptp(shape_a, shape_b, rng)
     f = sampling.random_cptp(shape_b, shape_c, rng)
-    rho = sampling.random_state(shape_a, rng)
-    return e, f, rho
+    return {"e": e, "f": f, "rho": sampling.random_state(shape_a, rng)}
 
 
 # ----------------------------------------------------------- violation functions
@@ -294,19 +284,16 @@ def _sample_for(family: sot.SotFamily, prop: str, trial: int,
                 config: CertifyConfig, rng: np.random.Generator) -> dict:
     d = config.dims[0]
     if prop == "A":
-        e, f, rho = _sample_associativity(family, d, rng)
-        return {"e": e, "f": f, "rho": rho}
+        return _sample_associativity(family, d, rng)
+    sa, sb = _shapes(family, trial, d)
     if prop == "P7":
-        sa, sb = _shapes(family, trial, d)
-        restricted = isinstance(family, sot.OhyaCompound)
         stream = sot.classical_limit_pairs(sa, sb, rng,
-                                           nondegenerate_prior=restricted)
+                                           nondegenerate_prior=family.compound)
         for _ in range(trial % 4):
             next(stream)
         e, rho = next(stream)
         return {"e": e, "rho": rho}
-    e, rho = _sample_instance(family, trial, d, rng)
-    return {"e": e, "rho": rho}
+    return {"e": sampling.random_cptp(sa, sb, rng), "rho": sampling.random_state(sa, rng)}
 
 
 def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
@@ -401,7 +388,7 @@ def certify(family: sot.SotFamily, prop: str,
     if max_residual < PASS_THRESHOLD:
         status = "holds"
         note = ""
-        if prop == "P7" and isinstance(family, sot.OhyaCompound):
+        if prop == "P7" and family.compound:
             status, note = "holds-restricted", "verified on non-degenerate faithful priors only"
         return PropertyVerdict(tag, prop, status, evaluated, config.seed,
                                max_residual=max_residual, note=note)
@@ -477,7 +464,7 @@ def table_report(config: CertifyConfig | None = None,
         row = {}
         for prop in properties:
             verdict = certify(family, prop, config)
-            if prop == "A" and isinstance(family, sot.OhyaCompound) and \
+            if prop == "A" and family.compound and \
                     verdict.status in ("holds", "fails"):
                 observed = verdict.status
                 verdict = PropertyVerdict(

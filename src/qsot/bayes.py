@@ -1,8 +1,9 @@
 """Bayes maps: solutions X of  E⋆ρ = τ(~X ⋆ E(ρ)).
 
-Closed forms are implemented per family (Petz and its rotated/STH variants,
-the bloom one-sided formulas, the spectral-basis symmetric-bloom and (r,s)
-formulas, and generalized conditional expectations for state-rendering maps).
+Closed forms come from the family's own terms: one product formula for the
+one-term families (Petz and its rotated/STH variants, the one-sided blooms),
+one spectral-basis formula for the two-term families (symmetric bloom and
+(r,s)), and generalized conditional expectations for state-rendering maps.
 ``generic_bayes`` solves the defining condition directly as a constrained
 linear least-squares problem and measures uniqueness, which is the
 cross-check oracle for everything else.
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import algebra as alg, maps, sot
 from .algebra import AlgebraElement
-from .config import ATOL, FAITHFULNESS_TOL
 from .errors import SingularityError, UnsupportedFamilyError
 from .maps import LinearMap
 
@@ -34,32 +34,43 @@ class StateRenderingMap:
     linear_in_state: bool = False
 
 
+def _multiplier(terms, shape) -> LinearMap:
+    """Σ w L_f∘R_g on ``shape``; a None side is the identity."""
+    def one(f, g) -> LinearMap:
+        if f is None:
+            return maps.right_mult(g)
+        if g is None:
+            return maps.left_mult(f)
+        return maps.left_mult(f).compose(maps.right_mult(g))
+    return LinearMap(shape, shape, sum(w * one(f, g).matrix for w, f, g in terms))
+
+
+def _rendering(name: str, family: sot.SotFamily) -> StateRenderingMap:
+    """Θ_ρ = Σ w L_{f(ρ)}∘R_{g(ρ)} over the terms of a sandwich family; the
+    SOT it derives is that family's."""
+    return StateRenderingMap(
+        name, lambda rho: _multiplier(family.terms(rho), rho.shape),
+        family.state_linear)
+
+
 def theta_right() -> StateRenderingMap:
-    return StateRenderingMap("right", lambda rho: maps.left_mult(rho), True)
+    return _rendering("right", sot.RightBloom())
 
 
 def theta_left() -> StateRenderingMap:
-    return StateRenderingMap("left", lambda rho: maps.right_mult(rho), True)
+    return _rendering("left", sot.LeftBloom())
 
 
 def theta_jordan() -> StateRenderingMap:
-    return StateRenderingMap(
-        "jordan",
-        lambda rho: 0.5 * (maps.left_mult(rho) + maps.right_mult(rho)),
-        True)
+    return _rendering("jordan", sot.SymmetricBloom())
 
 
 def theta_ls() -> StateRenderingMap:
-    return StateRenderingMap(
-        "ls", lambda rho: maps.ad_map(alg.power(rho, 0.5)), False)
+    return _rendering("ls", sot.LeiferSpekkens())
 
 
 def theta_rs(r: float, s: float) -> StateRenderingMap:
-    def recipe(rho: AlgebraElement) -> LinearMap:
-        a, b = alg.power(rho, r), alg.power(rho, 1.0 - r)
-        return (s * maps.left_mult(a).compose(maps.right_mult(b))
-                + (1.0 - s) * maps.left_mult(b).compose(maps.right_mult(a)))
-    return StateRenderingMap(f"rs({r},{s})", recipe, False)
+    return _rendering(f"rs({r},{s})", sot.RSFamily(r, s))
 
 
 # -------------------------------------------------------------- Bayes residual
@@ -89,12 +100,51 @@ class BayesSolution:
 
 
 # ---------------------------------------------------------------- closed forms
+def _product_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
+                   strict: bool) -> LinearMap:
+    """L_{f(ρ)}R_{g(ρ)} ∘ E* ∘ L_{f(σ)^{−†}}R_{g(σ)^{−†}} for a one-term family.
+
+    With σ = E(ρ), this is the unique solution of the Bayes condition for
+    (f(ρ)⊗1)D[E](g(ρ)⊗1); inverses act on the support of σ unless ``strict``.
+    """
+    outer = _multiplier(family.terms(rho), e.source)
+    inner = _multiplier(family.terms(e(rho), inverse=True, strict=strict), e.target)
+    return outer.compose(e.hs_adjoint()).compose(inner)
+
+
+def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
+                    strict: bool) -> LinearMap:
+    """X(e_kl) = Σ w f(ρ) E*(e_kl) g(ρ) / Γ_kl on the eigen-units e_kl = |w_k⟩⟨w_l|
+    of σ = E(ρ), with Γ_kl = ``family.denominator(q_k, q_l)``.
+
+    Per block of σ with eigenvectors W, the columns of (outer∘E*)·(W⊗W̄) are
+    divided by Γ and rotated back by (W⊗W̄)†.
+    """
+    image = _multiplier(family.terms(rho), e.source).compose(e.hs_adjoint()).matrix
+    sigma = e(rho)
+    if strict:
+        alg.power(sigma, 1.0, strict=True)  # trigger the faithfulness check
+    matrix = np.empty_like(image)
+    off = 0
+    for (label, d), mat in zip(e.target.blocks, sigma.data):
+        vals, vecs = np.linalg.eigh(mat)
+        gamma = family.denominator(vals[:, None], vals[None, :])
+        singular = np.argwhere(np.abs(gamma) <= family.spectral_tol)
+        if singular.size:
+            k, l = singular[0]
+            raise SingularityError(
+                f"vanishing denominator at spectral unit ({k},{l}) "
+                f"of block {alg.label_text(label)}")
+        units = np.kron(vecs, vecs.conj())  # column k·d+l is vec(e_kl)
+        cols = slice(off, off + d * d)
+        matrix[:, cols] = (image[:, cols] @ units / gamma.reshape(-1)) @ units.conj().T
+        off += d * d
+    return LinearMap(e.target, e.source, matrix)
+
+
 def petz(e: LinearMap, rho: AlgebraElement, strict: bool = False) -> LinearMap:
     """Ad_{ρ^{1/2}} ∘ E* ∘ Ad_{E(ρ)^{−1/2}}."""
-    sigma = e(rho)
-    outer = maps.ad_map(alg.power(rho, 0.5))
-    inner = maps.ad_map(alg.power(sigma, -0.5, strict=strict))
-    return outer.compose(e.hs_adjoint()).compose(inner)
+    return _product_bayes(sot.LeiferSpekkens(), e, rho, strict)
 
 
 def rotated_petz(e: LinearMap, rho: AlgebraElement, t: float,
@@ -104,10 +154,7 @@ def rotated_petz(e: LinearMap, rho: AlgebraElement, t: float,
     This is the unique solution of the Bayes condition for the rotated
     family (ρ^{1/2−it}⊗1)D[E](ρ^{1/2+it}⊗1); at t=0 it is the Petz map.
     """
-    sigma = e(rho)
-    outer = maps.ad_map(alg.power(rho, 0.5 - 1j * t))
-    inner = maps.ad_map(alg.power(sigma, -0.5 - 1j * t, strict=strict))
-    return outer.compose(e.hs_adjoint()).compose(inner)
+    return _product_bayes(sot.TRotated(t), e, rho, strict)
 
 
 def sth_inverse(e: LinearMap, rho: AlgebraElement,
@@ -117,133 +164,56 @@ def sth_inverse(e: LinearMap, rho: AlgebraElement,
     Solves the Bayes condition for the family
     (U_ρ†ρ^{1/2}⊗1)D[E](ρ^{1/2}U_ρ⊗1); with the trivial chooser it is Petz.
     """
-    family = family or sot.STH()
-    sigma = e(rho)
-    u_rho = family.unitary_for(rho)
-    u_sig = family.unitary_for(sigma)
-    outer = maps.ad_map(u_rho.dagger() @ alg.power(rho, 0.5))
-    inner = maps.ad_map(u_sig.dagger() @ alg.power(sigma, -0.5, strict=strict))
-    return outer.compose(e.hs_adjoint()).compose(inner)
+    return _product_bayes(family or sot.STH(), e, rho, strict)
 
 
 def bloom_bayes(side: str, e: LinearMap, rho: AlgebraElement,
                 strict: bool = False) -> LinearMap:
     """Right: B ↦ ρE*(E(ρ)^{−1}B); left: B ↦ E*(BE(ρ)^{−1})ρ."""
-    inv = alg.power(e(rho), -1.0, strict=strict)
-    adjoint = e.hs_adjoint()
-    if side == "right":
-        return maps.left_mult(rho).compose(adjoint).compose(maps.left_mult(inv))
-    if side == "left":
-        return maps.right_mult(rho).compose(adjoint).compose(maps.right_mult(inv))
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def _spectral_basis_solver(e: LinearMap, rho: AlgebraElement,
-                           image_of, denominator,
-                           strict: bool = False,
-                           faithfulness_tol: float = FAITHFULNESS_TOL) -> LinearMap:
-    """Assemble X from its action on the eigenbasis units of E(ρ).
-
-    ``image_of(unit)`` produces the unnormalized image of the basis unit
-    e_kl = |w_k><w_l| and ``denominator(q_k, q_l)`` the scalar it is divided
-    by.  Both spectral-basis Bayes formulas share this skeleton.
-    """
-    sigma = e(rho)
-    if strict:
-        alg.power(sigma, 1.0, strict=True)  # trigger the faithfulness check
-    b_shape, a_shape = e.target, e.source
-    matrix = np.zeros((a_shape.vector_dim, b_shape.vector_dim), dtype=complex)
-    for bi, (label, d) in enumerate(b_shape.blocks):
-        vals, vecs = np.linalg.eigh(sigma.data[bi])
-        for k in range(d):
-            for l in range(d):
-                denom = denominator(vals[k], vals[l])
-                if abs(denom) <= faithfulness_tol:
-                    raise SingularityError(
-                        f"vanishing denominator at spectral unit ({k},{l}) "
-                        f"of block {alg.label_text(label)}")
-                unit_mats = [np.zeros((dd, dd), dtype=complex) for dd in b_shape.dims]
-                unit_mats[bi] = np.outer(vecs[:, k], vecs[:, l].conj())
-                unit = AlgebraElement(b_shape, tuple(unit_mats))
-                col = maps.vec((1.0 / denom) * image_of(unit))
-                matrix += np.outer(col, maps.vec(unit).conj())
-    return LinearMap(b_shape, a_shape, matrix)
+    families = {"right": sot.RightBloom(), "left": sot.LeftBloom()}
+    if side not in families:
+        raise ValueError("side must be 'left' or 'right'")
+    return _product_bayes(families[side], e, rho, strict)
 
 
 def symmetric_bloom_bayes(e: LinearMap, rho: AlgebraElement,
                           strict: bool = False) -> LinearMap:
     """X(e_kl) = (q_k+q_l)^{−1} {ρ, E*(e_kl)} in the eigenbasis of E(ρ)."""
-    adjoint = e.hs_adjoint()
-    return _spectral_basis_solver(
-        e, rho,
-        image_of=lambda unit: alg.jordan(rho, adjoint(unit)),
-        denominator=lambda qk, ql: qk + ql,
-        strict=strict)
+    return _spectral_bayes(sot.SymmetricBloom(), e, rho, strict)
 
 
 def rs_bayes(r: float, s: float, e: LinearMap, rho: AlgebraElement,
              strict: bool = False) -> LinearMap:
     """Spectral-basis Bayes map for the (r,s) family."""
-    adjoint = e.hs_adjoint()
-    rho_r, rho_1r = alg.power(rho, r), alg.power(rho, 1.0 - r)
-
-    def image_of(unit: AlgebraElement) -> AlgebraElement:
-        img = adjoint(unit)
-        return s * (rho_r @ img @ rho_1r) + (1.0 - s) * (rho_1r @ img @ rho_r)
-
-    def denominator(qk: float, ql: float) -> float:
-        qk, ql = max(qk, 0.0), max(ql, 0.0)
-        return s * qk ** r * ql ** (1.0 - r) + (1.0 - s) * qk ** (1.0 - r) * ql ** r
-
-    return _spectral_basis_solver(e, rho, image_of, denominator, strict=strict)
+    return _spectral_bayes(sot.RSFamily(r, s), e, rho, strict)
 
 
 def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                       strict: bool = False) -> LinearMap:
-    """Dispatch to the closed-form solver for the given family."""
-    if isinstance(family, sot.LeiferSpekkens):
-        return petz(e, rho, strict)
-    if isinstance(family, sot.TRotated):
-        return rotated_petz(e, rho, family.t, strict)
-    if isinstance(family, sot.STH):
-        return sth_inverse(e, rho, family, strict)
-    if isinstance(family, sot.SymmetricBloom):
-        return symmetric_bloom_bayes(e, rho, strict)
-    if isinstance(family, sot.RightBloom):
-        return bloom_bayes("right", e, rho, strict)
-    if isinstance(family, sot.LeftBloom):
-        return bloom_bayes("left", e, rho, strict)
-    if isinstance(family, sot.RSFamily):
-        return rs_bayes(family.r, family.s, e, rho, strict)
+    """The closed-form Bayes map of the family: the product formula for
+    one-term sandwich families, the spectral formula for the two-term ones,
+    and the generalized conditional expectation for Θ-derived families."""
     if isinstance(family, sot.ThetaDerived):
         return gce_solve(family.theta, e, rho)
+    if hasattr(family, "denominator"):
+        return _spectral_bayes(family, e, rho, strict)
+    if hasattr(family, "terms"):
+        return _product_bayes(family, e, rho, strict)
     raise UnsupportedFamilyError(
         f"no closed-form Bayes map for family {getattr(family, 'tag', family)}")
 
 
 # --------------------------------------------------------------- generic solve
-def _trace_row(shape) -> np.ndarray:
-    row = np.zeros(shape.vector_dim)
-    off = 0
-    for d in shape.dims:
-        for i in range(d):
-            row[off + i * d + i] = 1.0
-        off += d * d
-    return row
-
-
 def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                   rank_tol: float = 1e-8) -> BayesSolution:
     """Solve E⋆ρ = τ(~X ⋆ E(ρ)) for trace-preserving X by least squares.
 
-    The map X ↦ τ(~X ⋆ σ) is complex-linear for every process-linear family
-    (two conjugations cancel), so the condition is a linear system in the
+    Every family is linear in the channel and the two conjugations cancel, so
+    X ↦ τ(~X ⋆ σ) is complex-linear and the condition is a linear system in the
     entries of X; trace preservation enters as affine constraints, handled by
     restriction to the constraint nullspace.  Uniqueness is read off the rank
     of the restricted system.
     """
-    if not sot.is_process_linear(family):
-        raise UnsupportedFamilyError("generic solver needs a process-linear family")
     sigma = e(rho)
     a_shape, b_shape = e.source, e.target
     n_a, n_b = a_shape.vector_dim, b_shape.vector_dim
@@ -254,7 +224,7 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
 
     def response(x_matrix: np.ndarray) -> np.ndarray:
         x = LinearMap(b_shape, a_shape, x_matrix.copy())
-        value = sot._evaluate_value(family, x.tilde(), sigma)
+        value = family.value(x.tilde(), sigma)
         return maps.vec(maps.time_reversal_tau(value))
 
     g = np.zeros((b_vec.size, n_x), dtype=complex)
@@ -266,10 +236,8 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
             basis[p, u] = 0.0
 
     # Trace-preservation constraints: t_A @ X[:, u] = t_B[u] for every unit u.
-    t_a, t_b = _trace_row(a_shape), _trace_row(b_shape)
-    constraints = np.zeros((n_b, n_x))
-    for u in range(n_b):
-        constraints[u, u::n_b] = t_a
+    t_a, t_b = maps.trace_row(a_shape), maps.trace_row(b_shape)
+    constraints = np.kron(t_a, np.eye(n_b))
     x_part = np.linalg.lstsq(constraints, t_b, rcond=None)[0].astype(complex)
 
     _, svals, vt = np.linalg.svd(constraints, full_matrices=True)

@@ -53,18 +53,18 @@ def _family_from_args(args) -> sot.SotFamily:
     return io.parse_family(doc)
 
 
-def _load_map(path: str) -> LinearMap:
+def _load(path: str, kind: type, what: str):
     obj = io.load(path)
-    if not isinstance(obj, LinearMap):
-        raise ValidationError(f"{path} does not contain a channel document")
+    if not isinstance(obj, kind):
+        raise ValidationError(f"{path} does not contain {what} document")
     return obj
 
 
-def _load_element(path: str) -> AlgebraElement:
-    obj = io.load(path)
-    if not isinstance(obj, AlgebraElement):
-        raise ValidationError(f"{path} does not contain an element document")
-    return obj
+def _sot_inputs(args) -> tuple[sot.SotFamily, LinearMap, AlgebraElement]:
+    """The family, channel and state that `sot` and `bayes` act on."""
+    return (_family_from_args(args),
+            _load(args.channel_file, LinearMap, "a channel"),
+            _load(args.state_file, AlgebraElement, "an element"))
 
 
 def _emit(doc: dict, out_file: str | None) -> None:
@@ -78,9 +78,7 @@ def _emit(doc: dict, out_file: str | None) -> None:
 
 # ------------------------------------------------------------------ commands
 def cmd_sot(args) -> int:
-    family = _family_from_args(args)
-    channel = _load_map(args.channel_file)
-    state = _load_element(args.state_file)
+    family, channel, state = _sot_inputs(args)
     result = sot.evaluate(family, channel, state)
     res_a, res_b = result.marginal_residuals()
     doc = {"kind": "sot_result", "schema_version": io.SCHEMA_VERSION,
@@ -94,9 +92,7 @@ def cmd_sot(args) -> int:
 
 
 def cmd_bayes(args) -> int:
-    family = _family_from_args(args)
-    channel = _load_map(args.channel_file)
-    state = _load_element(args.state_file)
+    family, channel, state = _sot_inputs(args)
     uniqueness = None
     try:
         solution_map = bayes.closed_form_bayes(family, channel, state,

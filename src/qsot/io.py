@@ -10,6 +10,7 @@ so matrices ship verbatim.  Every document carries ``schema_version``.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from importlib import resources
 from typing import Any
@@ -115,22 +116,27 @@ _THETA_BUILTINS = {"ls": bayes.theta_ls, "jordan": bayes.theta_jordan,
                    "right": bayes.theta_right, "left": bayes.theta_left}
 
 
+def _parameters(family) -> list[dataclasses.Field]:
+    """The constructor fields that travel on the wire (callables such as the
+    STH chooser are compare=False and stay behind)."""
+    return [f for f in dataclasses.fields(family) if f.init and f.compare]
+
+
+def _serialize_theta(theta) -> str:
+    name = getattr(theta, "name", "")
+    if name.startswith("rs("):
+        raise ValidationError("serialize (r,s) recipes as the rs family tag")
+    if name not in _THETA_BUILTINS:
+        raise ValidationError(f"state-rendering recipe {name!r} is not serializable")
+    return name
+
+
 def serialize_family(family: sot.SotFamily) -> dict:
     doc: dict = {"kind": "sot_family", "schema_version": SCHEMA_VERSION,
                  "tag": family.tag}
-    if isinstance(family, (sot.TRotated, sot.STH)):
-        doc["t"] = family.t
-    if isinstance(family, sot.RSFamily):
-        doc["r"], doc["s"] = family.r, family.s
-    if isinstance(family, sot.OhyaCompound):
-        doc["group_tol"] = family.group_tol
-    if isinstance(family, sot.ThetaDerived):
-        name = getattr(family.theta, "name", "")
-        if name.startswith("rs("):
-            raise ValidationError("serialize (r,s) recipes as the rs family tag")
-        if name not in _THETA_BUILTINS:
-            raise ValidationError(f"state-rendering recipe {name!r} is not serializable")
-        doc["theta"] = name
+    for f in _parameters(family):
+        value = getattr(family, f.name)
+        doc[f.name] = _serialize_theta(value) if f.name == "theta" else value
     return doc
 
 
@@ -138,33 +144,25 @@ def parse_family(doc: dict | str) -> sot.SotFamily:
     if isinstance(doc, str):
         doc = {"tag": doc}
     tag = doc.get("tag")
-    if tag == "uncorrelated":
-        return sot.Uncorrelated()
-    if tag == "ohya":
-        return sot.OhyaCompound(group_tol=float(doc.get("group_tol", sot.OhyaCompound().group_tol)))
-    if tag == "leifer-spekkens":
-        return sot.LeiferSpekkens()
-    if tag == "t-rotated":
-        return sot.TRotated(t=float(doc.get("t", sot.TRotated().t)))
-    if tag == "sth":
-        return sot.STH(t=float(doc.get("t", sot.STH().t)))
-    if tag == "symmetric-bloom":
-        return sot.SymmetricBloom()
-    if tag == "right-bloom":
-        return sot.RightBloom()
-    if tag == "left-bloom":
-        return sot.LeftBloom()
-    if tag == "rs":
-        try:
-            return sot.RSFamily(float(doc["r"]), float(doc["s"]))
-        except KeyError as exc:
-            raise ParseError("rs family needs r and s") from exc
-    if tag == "theta":
-        name = doc.get("theta")
-        if name not in _THETA_BUILTINS:
-            raise ParseError(f"unknown state-rendering recipe {name!r}")
-        return sot.ThetaDerived(_THETA_BUILTINS[name]())
-    raise ParseError(f"unknown family tag {tag!r}")
+    cls = sot.FAMILIES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ParseError(f"unknown family tag {tag!r}")
+    kwargs = {}
+    for f in _parameters(cls):
+        if f.name == "theta":
+            name = doc.get("theta")
+            if name not in _THETA_BUILTINS:
+                raise ParseError(f"unknown state-rendering recipe {name!r}")
+            kwargs["theta"] = _THETA_BUILTINS[name]()
+        elif f.name in doc:
+            try:
+                kwargs[f.name] = float(doc[f.name])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{tag} family parameter {f.name} must be a number, "
+                                 f"got {doc[f.name]!r}") from exc
+        elif f.default is dataclasses.MISSING:
+            raise ParseError(f"{tag} family needs {f.name}")
+    return cls(**kwargs)
 
 
 # ------------------------------------------------------------------ documents

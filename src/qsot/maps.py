@@ -46,27 +46,15 @@ def unvec(shape: AlgebraShape, v: np.ndarray) -> AlgebraElement:
     return AlgebraElement(shape, tuple(mats))
 
 
-def matrix_units(shape: AlgebraShape):
-    """Yield (block_index, i, j, element) over the matrix-unit basis in order."""
-    for bi, (label, d) in enumerate(shape.blocks):
-        for i in range(d):
-            for j in range(d):
-                mats = [np.zeros((dd, dd), dtype=complex) for dd in shape.dims]
-                mats[bi][i, j] = 1.0
-                yield bi, i, j, AlgebraElement(shape, tuple(mats))
+def trace_row(shape: AlgebraShape) -> np.ndarray:
+    """The trace functional as a row: tr(A) = trace_row(shape) @ vec(A)."""
+    return np.concatenate([np.eye(d).reshape(-1) for d in shape.dims])
 
 
-def _dagger_permutation(shape: AlgebraShape) -> np.ndarray:
-    """Permutation P with vec(A†) = P @ conj(vec(A))."""
-    n = shape.vector_dim
-    perm = np.zeros((n, n))
-    off = 0
-    for d in shape.dims:
-        for i in range(d):
-            for j in range(d):
-                perm[off + i * d + j, off + j * d + i] = 1.0
-        off += d * d
-    return perm
+def _dagger_index(shape: AlgebraShape) -> np.ndarray:
+    """Index permutation p with vec(A†) = conj(vec(A))[p]."""
+    return np.concatenate([off + np.arange(d * d).reshape(d, d).T.reshape(-1)
+                           for off, d in zip(_offsets(shape), shape.dims)])
 
 
 class LinearMap:
@@ -126,25 +114,16 @@ class LinearMap:
 
     def tilde(self) -> "LinearMap":
         """†∘E∘†, the conjugated map appearing in the Bayes condition."""
-        pt = _dagger_permutation(self.target)
-        ps = _dagger_permutation(self.source)
-        return LinearMap(self.source, self.target, pt @ self.matrix.conj() @ ps)
+        rows, cols = _dagger_index(self.target), _dagger_index(self.source)
+        return LinearMap(self.source, self.target,
+                         self.matrix.conj()[np.ix_(rows, cols)])
 
     # ------------------------------------------------------------ classification
-    def _trace_functional(self, shape: AlgebraShape) -> np.ndarray:
-        row = np.zeros(shape.vector_dim)
-        off = 0
-        for d in shape.dims:
-            for i in range(d):
-                row[off + i * d + i] = 1.0
-            off += d * d
-        return row
-
     @property
     def is_tp(self) -> bool:
         if "tp" not in self._cache:
-            lhs = self._trace_functional(self.target) @ self.matrix
-            rhs = self._trace_functional(self.source)
+            lhs = trace_row(self.target) @ self.matrix
+            rhs = trace_row(self.source)
             self._cache["tp"] = bool(np.max(np.abs(lhs - rhs)) <= 1e3 * HERM_TOL)
         return self._cache["tp"]
 
@@ -194,10 +173,9 @@ def classify(e: LinearMap) -> dict:
 def from_action(source: AlgebraShape, target: AlgebraShape,
                 action: Callable[[AlgebraElement], AlgebraElement]) -> LinearMap:
     """Build the matrix of a map from its action on the matrix-unit basis."""
-    cols = []
-    for _, _, _, unit in matrix_units(source):
-        cols.append(vec(action(unit)))
-    return LinearMap(source, target, np.column_stack(cols))
+    units = np.eye(source.vector_dim)
+    return LinearMap(source, target,
+                     np.column_stack([vec(action(unvec(source, u))) for u in units]))
 
 
 # ------------------------------------------------------------ basic constructors
@@ -277,16 +255,13 @@ def channel_from_state(j: AlgebraElement, source: AlgebraShape,
     tshape = source.tensor(target)
     if j.shape != tshape:
         raise ShapeMismatchError("element does not live on source⊗target")
-    matrix = np.zeros((target.vector_dim, source.vector_dim), dtype=complex)
-    so, to = _offsets(source), _offsets(target)
-    for label in tshape.labels:
-        lx, ly = label
-        xi, yi = source.index(lx), target.index(ly)
-        mx, ny = source.dims[xi], target.dims[yi]
-        block = j.block(label).reshape(mx, ny, mx, ny)
-        comp = np.ascontiguousarray(block.transpose(1, 3, 2, 0)).reshape(ny * ny, mx * mx)
-        matrix[to[yi]:to[yi] + ny * ny, so[xi]:so[xi] + mx * mx] = comp
-    return LinearMap(source, target, matrix)
+    chois = {}
+    for (lx, ly), block in zip(tshape.labels, j.data):
+        mx, ny = source.dim_of(lx), target.dim_of(ly)
+        # D[E] is the Choi matrix with its two source indices swapped
+        chois[(lx, ly)] = (block.reshape(mx, ny, mx, ny).transpose(2, 1, 0, 3)
+                           .reshape(mx * ny, mx * ny))
+    return map_from_choi(chois, source, target)
 
 
 def choi_blocks(e: LinearMap) -> dict:
@@ -364,35 +339,24 @@ def apply_to_factor(m: LinearMap, t: AlgebraElement, which: str) -> AlgebraEleme
     tshape = t.shape
     if tshape.factors is None:
         raise ShapeMismatchError("apply_to_factor needs a tensor-shaped element")
-    left, right = tshape.factors
-    if which == "right":
-        if right != m.source:
-            raise ShapeMismatchError("right factor does not match map source")
-        target = left.tensor(m.target)
-    elif which == "left":
-        if left != m.source:
-            raise ShapeMismatchError("left factor does not match map source")
-        target = m.target.tensor(right)
-    else:
+    if which == "left":  # m⊗id = γ∘(id⊗m)∘γ
+        return swap_gamma(apply_to_factor(m, swap_gamma(t), "right"))
+    if which != "right":
         raise ValueError("which must be 'left' or 'right'")
+    left, right = tshape.factors
+    if right != m.source:
+        raise ShapeMismatchError("the factor acted on does not match map source")
+    target = left.tensor(m.target)
     acc = {alg.label_key(l): np.zeros((d, d), dtype=complex)
            for (l, d) in target.blocks}
-    for label, mat in zip(tshape.labels, t.data):
-        la, lb = label
+    for (la, lb), mat in zip(tshape.labels, t.data):
         da, db = left.dim_of(la), right.dim_of(lb)
         four = mat.reshape(da, db, da, db)
-        if which == "right":
-            xi = m.source.index(lb)
-            for yi, (ly, ny) in enumerate(m.target.blocks):
-                comp = _component(m, xi, yi).reshape(ny, ny, db, db)
-                out = np.einsum("iajb,klab->ikjl", four, comp)
-                acc[alg.label_key((la, ly))] += out.reshape(da * ny, da * ny)
-        else:
-            xi = m.source.index(la)
-            for yi, (ly, ny) in enumerate(m.target.blocks):
-                comp = _component(m, xi, yi).reshape(ny, ny, da, da)
-                out = np.einsum("akbl,ijab->ikjl", four, comp)
-                acc[alg.label_key((ly, lb))] += out.reshape(ny * db, ny * db)
+        xi = m.source.index(lb)
+        for yi, (ly, ny) in enumerate(m.target.blocks):
+            comp = _component(m, xi, yi).reshape(ny, ny, db, db)
+            out = np.einsum("iajb,klab->ikjl", four, comp)
+            acc[alg.label_key((la, ly))] += out.reshape(da * ny, da * ny)
     return AlgebraElement(target, tuple(acc[alg.label_key(l)] for l in target.labels))
 
 
@@ -481,13 +445,7 @@ def replace_channel(sigma: AlgebraElement, source: AlgebraShape,
                     atol: float = ATOL) -> LinearMap:
     """The replacement channel A ↦ tr(A)·σ."""
     alg.assert_state(sigma, atol)
-    row = np.zeros(source.vector_dim, dtype=complex)
-    off = 0
-    for d in source.dims:
-        for i in range(d):
-            row[off + i * d + i] = 1.0
-        off += d * d
-    return LinearMap(source, sigma.shape, np.outer(vec(sigma), row))
+    return LinearMap(source, sigma.shape, np.outer(vec(sigma), trace_row(source)))
 
 
 def partial_trace_channel(tshape: AlgebraShape, side: str) -> LinearMap:

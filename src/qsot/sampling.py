@@ -40,8 +40,7 @@ def random_hermitian(shape: AlgebraShape, rng: np.random.Generator,
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(ginibre(rng, d))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return random_isometry(rng, d, d)
 
 
 def random_unitary_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:

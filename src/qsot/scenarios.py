@@ -351,15 +351,6 @@ def _tensor_block(t: AlgebraElement, right_label: object) -> np.ndarray:
 
 
 # ------------------------------------------------------------- correlators
-def _unitary_exponential(h: AlgebraElement, scalar: complex) -> AlgebraElement:
-    """e^{scalar·H} blockwise via the hermitian eigendecomposition."""
-    mats = []
-    for m in h.data:
-        vals, vecs = np.linalg.eigh(m)
-        mats.append((vecs * np.exp(scalar * vals)) @ vecs.conj().T)
-    return AlgebraElement(h.shape, tuple(mats))
-
-
 def two_time_correlator(rho: AlgebraElement, h: AlgebraElement, t: float,
                         a: AlgebraElement, b: AlgebraElement,
                         via: str = "direct") -> complex:
@@ -371,7 +362,7 @@ def two_time_correlator(rho: AlgebraElement, h: AlgebraElement, t: float,
     for name, x in (("H", h), ("A", a), ("B", b)):
         if not x.is_hermitian():
             raise ConstraintError(f"{name} must be hermitian")
-    u = _unitary_exponential(h, -1j * t)
+    u = alg.apply_function(h, lambda vals: np.exp(-1j * t * vals))  # e^{−iHt}
     if via == "direct":
         total = 0.0 + 0.0j
         for u_m, b_m, a_m, r_m in zip(u.data, b.data, a.data, rho.data):
@@ -409,7 +400,7 @@ def ls_linearization_check(e: LinearMap, a: AlgebraElement,
         raise ConstraintError("direction does not live on the channel's source")
     dim = e.source.total_dim
     rho0 = (1.0 / dim) * alg.identity(e.source)
-    target = sot._evaluate_value(sot.SymmetricBloom(), e, a)
+    target = sot.SymmetricBloom().value(e, a)
 
     def quotient_error(eps: float) -> float:
         plus, minus = rho0 + eps * a, rho0 - eps * a

@@ -10,7 +10,7 @@ anything that is not PSD.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
@@ -22,30 +22,78 @@ from .maps import LinearMap
 
 
 # -------------------------------------------------------------------- families
-@dataclass(frozen=True)
-class Uncorrelated:
-    tag: str = field(default="uncorrelated", init=False)
+class SotFamily:
+    """Base of every family: ``value(e, ρ)`` is its formula for E⋆ρ, and the
+    class attributes below say where that formula applies."""
+    tag: ClassVar[str]
+    # Linear in the state: evaluates any hermitian unit-trace argument.
+    state_linear: ClassVar[bool] = False
+    # Built from ρ's spectral projectors: defined on single-block sources
+    # only, its classical limit holds on non-degenerate faithful priors only,
+    # and its associativity is an open question.
+    compound: ClassVar[bool] = False
+
+
+class _Sandwich(SotFamily):
+    """Σₖ wₖ (fₖ(ρ)⊗1) D[E] (gₖ(ρ)⊗1) for the weighted sides of ``terms``.
+
+    ``terms(x)`` returns ``((w, f, g), ...)`` with ``None`` for an identity
+    side.  One-term families also give ``terms(σ, inverse=True, strict=...)``:
+    the sides f(σ)^{−†} and g(σ)^{−†} (support pseudo-inverses) that their
+    Bayes map puts behind E*.  Two-term families instead give
+    ``denominator(q_k, q_l)`` = Σ w f(q_k) g(q_l) and the ``spectral_tol`` at
+    or below which their spectral Bayes map is singular.
+    """
+
+    def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
+        return _sandwich(self.terms(rho), e)
 
 
 @dataclass(frozen=True)
-class OhyaCompound:
-    tag: str = field(default="ohya", init=False)
+class Uncorrelated(SotFamily):
+    tag: ClassVar[str] = "uncorrelated"
+
+    def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
+        return alg.tensor(rho, e(rho))
+
+
+@dataclass(frozen=True)
+class OhyaCompound(SotFamily):
     group_tol: float = GROUP_TOL
+    tag: ClassVar[str] = "ohya"
+    compound: ClassVar[bool] = True
+
+    def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
+        sd = alg.spectral_decompose(rho, group_tol=self.group_tol)
+        out = alg.zero(e.source.tensor(e.target))
+        for lam, proj in zip(sd.eigenvalues, sd.projectors):
+            tr_p = proj.trace().real
+            out = out + lam * alg.tensor(proj, e((1.0 / tr_p) * proj))
+        return out
 
 
 @dataclass(frozen=True)
-class LeiferSpekkens:
-    tag: str = field(default="leifer-spekkens", init=False)
+class LeiferSpekkens(_Sandwich):
+    tag: ClassVar[str] = "leifer-spekkens"
+
+    def terms(self, x, inverse=False, strict=False):
+        root = alg.power(x, -0.5 if inverse else 0.5, strict=strict)
+        return ((1.0, root, root),)
 
 
 @dataclass(frozen=True)
-class TRotated:
+class TRotated(_Sandwich):
     t: float = 0.3
-    tag: str = field(default="t-rotated", init=False)
+    tag: ClassVar[str] = "t-rotated"
+
+    def terms(self, x, inverse=False, strict=False):
+        sign = -1.0 if inverse else 1.0
+        return ((1.0, alg.power(x, sign * 0.5 - 1j * self.t, strict=strict),
+                 alg.power(x, sign * 0.5 + 1j * self.t, strict=strict)),)
 
 
 @dataclass(frozen=True)
-class STH:
+class STH(_Sandwich):
     """Sutter–Tomamichel–Harrow style family.
 
     ``chooser`` maps a state to a commuting unitary U_ρ; the default is
@@ -54,73 +102,94 @@ class STH:
     t: float = 0.3
     chooser: Callable[[AlgebraElement], AlgebraElement] | None = field(
         default=None, compare=False)
-    tag: str = field(default="sth", init=False)
+    tag: ClassVar[str] = "sth"
 
     def unitary_for(self, state: AlgebraElement) -> AlgebraElement:
         if self.chooser is not None:
             return self.chooser(state)
         return alg.support_unitary(state, self.t)
 
-
-@dataclass(frozen=True)
-class SymmetricBloom:
-    tag: str = field(default="symmetric-bloom", init=False)
-
-
-@dataclass(frozen=True)
-class RightBloom:
-    tag: str = field(default="right-bloom", init=False)
+    def terms(self, x, inverse=False, strict=False):
+        u = self.unitary_for(x)
+        root = alg.power(x, -0.5 if inverse else 0.5, strict=strict)
+        return ((1.0, u.dagger() @ root, root @ u),)
 
 
 @dataclass(frozen=True)
-class LeftBloom:
-    tag: str = field(default="left-bloom", init=False)
+class SymmetricBloom(_Sandwich):
+    tag: ClassVar[str] = "symmetric-bloom"
+    state_linear: ClassVar[bool] = True
+    # The spectral Bayes map divides by ½(q_k+q_l): singular exactly where
+    # q_k+q_l is at most FAITHFULNESS_TOL.
+    spectral_tol: ClassVar[float] = 0.5 * FAITHFULNESS_TOL
+
+    def terms(self, x):
+        return ((0.5, x, None), (0.5, None, x))
+
+    def denominator(self, qk, ql):
+        return 0.5 * (qk + ql)
 
 
 @dataclass(frozen=True)
-class RSFamily:
+class RightBloom(_Sandwich):
+    tag: ClassVar[str] = "right-bloom"
+    state_linear: ClassVar[bool] = True
+
+    def terms(self, x, inverse=False, strict=False):
+        return ((1.0, alg.power(x, -1.0, strict=strict) if inverse else x, None),)
+
+
+@dataclass(frozen=True)
+class LeftBloom(_Sandwich):
+    tag: ClassVar[str] = "left-bloom"
+    state_linear: ClassVar[bool] = True
+
+    def terms(self, x, inverse=False, strict=False):
+        return ((1.0, None, alg.power(x, -1.0, strict=strict) if inverse else x),)
+
+
+@dataclass(frozen=True)
+class RSFamily(_Sandwich):
     r: float
     s: float
-    tag: str = field(default="rs", init=False)
+    tag: ClassVar[str] = "rs"
+    spectral_tol: ClassVar[float] = FAITHFULNESS_TOL
 
     def __post_init__(self):
         if not (0.0 <= self.r <= 1.0 and 0.0 <= self.s <= 1.0):
             raise ConstraintError("RSFamily needs r, s in [0, 1]")
 
+    def terms(self, x):
+        a, b = alg.power(x, self.r), alg.power(x, 1.0 - self.r)
+        return ((self.s, a, b), (1.0 - self.s, b, a))
+
+    def denominator(self, qk, ql):
+        qk, ql = np.maximum(qk, 0.0), np.maximum(ql, 0.0)
+        return (self.s * qk ** self.r * ql ** (1.0 - self.r)
+                + (1.0 - self.s) * qk ** (1.0 - self.r) * ql ** self.r)
+
 
 @dataclass(frozen=True)
-class ThetaDerived:
+class ThetaDerived(SotFamily):
     """SOT generated by a state-rendering map: (Θ_ρ ⊗ id)(D[E])."""
     theta: object  # StateRenderingMap (duck-typed: .recipe, .linear_in_state)
-    tag: str = field(default="theta", init=False)
+    tag: ClassVar[str] = "theta"
+
+    @property
+    def state_linear(self) -> bool:
+        return bool(getattr(self.theta, "linear_in_state", False))
+
+    def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
+        return maps.apply_to_factor(self.theta.recipe(rho), maps.channel_state(e), "left")
 
 
-SotFamily = (Uncorrelated | OhyaCompound | LeiferSpekkens | TRotated | STH
-             | SymmetricBloom | RightBloom | LeftBloom | RSFamily | ThetaDerived)
+# Wire tag → family class; the dataclass init fields are the parameters.
+FAMILIES: dict[str, type[SotFamily]] = {cls.tag: cls for cls in (
+    Uncorrelated, OhyaCompound, LeiferSpekkens, TRotated, STH,
+    SymmetricBloom, RightBloom, LeftBloom, RSFamily, ThetaDerived)}
 
 TABLE_FAMILIES: dict[str, SotFamily] = {
-    "uncorrelated": Uncorrelated(),
-    "ohya": OhyaCompound(),
-    "leifer-spekkens": LeiferSpekkens(),
-    "t-rotated": TRotated(),
-    "sth": STH(),
-    "symmetric-bloom": SymmetricBloom(),
-    "right-bloom": RightBloom(),
-    "left-bloom": LeftBloom(),
-}
-
-
-def is_state_linear(family: SotFamily) -> bool:
-    if isinstance(family, (SymmetricBloom, RightBloom, LeftBloom)):
-        return True
-    if isinstance(family, ThetaDerived):
-        return bool(getattr(family.theta, "linear_in_state", False))
-    return False
-
-
-def is_process_linear(family: SotFamily) -> bool:
-    # Every implemented family is linear in the channel argument.
-    return True
+    tag: cls() for tag, cls in FAMILIES.items() if tag not in ("rs", "theta")}
 
 
 @dataclass(frozen=True)
@@ -136,9 +205,27 @@ class StateOverTime:
         return res_a, res_b
 
 
-def _lift(a: AlgebraElement, target: AlgebraShape) -> AlgebraElement:
-    """a ⊗ 1_B on the tensor shape."""
-    return alg.tensor(a, alg.identity(target))
+def _sandwich(terms, e: LinearMap) -> AlgebraElement:
+    """Σ w (f⊗1) D[E] (g⊗1), block by block of D[E] without building lifts.
+
+    On a block (x, y) of D[E], f⊗1 multiplies the (m, n·m·n) view from the
+    left and g⊗1 the (m·n, m, n) view from the right, with f, g taken on
+    source block x of dimension m.
+    """
+    d = maps.channel_state(e)
+    blocks = []
+    for ((lx, _), mn), block in zip(d.shape.blocks, d.data):
+        xi = e.source.index(lx)
+        m = e.source.dims[xi]
+
+        def side(f, g):
+            out = block if f is None else (f.data[xi] @ block.reshape(m, -1)).reshape(mn, mn)
+            if g is not None:
+                out = (g.data[xi].T @ out.reshape(mn, m, mn // m)).reshape(mn, mn)
+            return out
+
+        blocks.append(sum(w * side(f, g) for w, f, g in terms))
+    return AlgebraElement(d.shape, tuple(blocks))
 
 
 def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement,
@@ -156,60 +243,14 @@ def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement,
         raise ConstraintError("second argument must be hermitian")
     if abs(rho.trace() - 1.0) > 1e4 * atol:
         raise ConstraintError("second argument must have unit trace")
-    if not is_state_linear(family) and rho.min_eigenvalue() < -1e3 * atol:
+    if not family.state_linear and rho.min_eigenvalue() < -1e3 * atol:
         raise ExtensionError(
-            f"family {getattr(family, 'tag', family)} is not linear in the state "
+            f"family {family.tag} is not linear in the state "
             "and only evaluates density matrices")
-    if isinstance(family, OhyaCompound) and len(e.source.blocks) != 1:
+    if family.compound and len(e.source.blocks) != 1:
         raise UnsupportedFamilyError(
             "the compound construction is only defined on single-block algebras")
-
-    value = _evaluate_value(family, e, rho)
-    return StateOverTime(value, e, rho, family)
-
-
-def _evaluate_value(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
-    if isinstance(family, Uncorrelated):
-        return alg.tensor(rho, e(rho))
-
-    if isinstance(family, OhyaCompound):
-        sd = alg.spectral_decompose(rho, group_tol=family.group_tol)
-        out = alg.zero(e.source.tensor(e.target))
-        for lam, proj in zip(sd.eigenvalues, sd.projectors):
-            tr_p = proj.trace().real
-            out = out + lam * alg.tensor(proj, e((1.0 / tr_p) * proj))
-        return out
-
-    d = maps.channel_state(e)
-    target = e.target
-    if isinstance(family, LeiferSpekkens):
-        s = _lift(alg.power(rho, 0.5), target)
-        return s @ d @ s
-    if isinstance(family, TRotated):
-        lft = _lift(alg.power(rho, 0.5 - 1j * family.t), target)
-        rgt = _lift(alg.power(rho, 0.5 + 1j * family.t), target)
-        return lft @ d @ rgt
-    if isinstance(family, STH):
-        u = family.unitary_for(rho)
-        root = alg.power(rho, 0.5)
-        lft = _lift(u.dagger() @ root, target)
-        rgt = _lift(root @ u, target)
-        return lft @ d @ rgt
-    if isinstance(family, SymmetricBloom):
-        lifted = _lift(rho, target)
-        return 0.5 * (lifted @ d + d @ lifted)
-    if isinstance(family, RightBloom):
-        return _lift(rho, target) @ d
-    if isinstance(family, LeftBloom):
-        return d @ _lift(rho, target)
-    if isinstance(family, RSFamily):
-        a = _lift(alg.power(rho, family.r), target)
-        b = _lift(alg.power(rho, 1.0 - family.r), target)
-        return family.s * (a @ d @ b) + (1.0 - family.s) * (b @ d @ a)
-    if isinstance(family, ThetaDerived):
-        theta_rho = family.theta.recipe(rho)
-        return maps.apply_to_factor(theta_rho, d, "left")
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
+    return StateOverTime(family.value(e, rho), e, rho, family)
 
 
 def reverse_orientation(family: SotFamily, e: LinearMap,
@@ -221,7 +262,7 @@ def reverse_orientation(family: SotFamily, e: LinearMap,
 # --------------------------------------------------------- classical-limit pairs
 def commutation_residual(e: LinearMap, rho: AlgebraElement) -> float:
     """‖[D[E], ρ⊗1]‖ — zero exactly on classical-limit pairs."""
-    lifted = _lift(rho, e.target)
+    lifted = alg.tensor(rho, alg.identity(e.target))
     return alg.commutator(maps.channel_state(e), lifted).norm()
 
 

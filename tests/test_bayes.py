@@ -6,7 +6,8 @@ import pytest
 
 from qsot import algebra as alg, bayes, maps, sampling, sot
 from qsot.algebra import AlgebraShape
-from qsot.errors import SingularityError, UnsupportedFamilyError
+from qsot.errors import (FaithfulnessError, SingularityError,
+                         UnsupportedFamilyError)
 from qsot.maps import LinearMap
 
 RESIDUAL_TOL = 1e-10
@@ -222,3 +223,48 @@ def test_modular_covariance_detects_covariant_pairs(rng):
     e = maps.unitary_channel(u)
     rho = sampling.random_state(shape, rng)
     assert bayes.modular_covariance_residual(e, rho) < 1e-9
+
+
+def rank_deficient_pair(rng):
+    """A replacement channel onto a pure state: E(ρ) has rank one."""
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi /= np.linalg.norm(psi)
+    pure = alg.from_blocks(alg.matrix_algebra(3, "b"), {"b": np.outer(psi, psi.conj())})
+    e = maps.replace_channel(pure, alg.matrix_algebra(3, "a"))
+    return e, sampling.random_state(e.source, rng)
+
+
+def test_one_term_maps_on_rank_deficient_outputs_use_pseudo_inverses(rng):
+    e, rho = rank_deficient_pair(rng)
+    sigma, adj, t = e(rho), e.hs_adjoint(), 0.3
+    p, q = (lambda r: alg.power(rho, r)), (lambda r: alg.power(sigma, r))
+    u_rho, u_sig = sot.STH(t).unitary_for(rho), sot.STH(t).unitary_for(sigma)
+    formulas = {
+        sot.LeiferSpekkens(): lambda b: p(0.5) @ adj(q(-0.5) @ b @ q(-0.5)) @ p(0.5),
+        sot.TRotated(t): lambda b: (p(0.5 - 1j * t) @ adj(q(-0.5 - 1j * t) @ b
+                                                           @ q(-0.5 + 1j * t))
+                                    @ p(0.5 + 1j * t)),
+        sot.STH(t): lambda b: (u_rho.dagger() @ p(0.5)
+                               @ adj(u_sig.dagger() @ q(-0.5) @ b @ q(-0.5) @ u_sig)
+                               @ p(0.5) @ u_rho),
+        sot.RightBloom(): lambda b: rho @ adj(q(-1.0) @ b),
+        sot.LeftBloom(): lambda b: adj(b @ q(-1.0)) @ rho,
+    }
+    for family, formula in formulas.items():
+        x = bayes.closed_form_bayes(family, e, rho)
+        for _ in range(3):
+            b = sampling.random_hermitian(e.target, rng)
+            b = b + 1j * sampling.random_hermitian(e.target, rng)
+            assert (x(b) - formula(b)).norm() < RESIDUAL_TOL, family.tag
+        with pytest.raises(FaithfulnessError):
+            bayes.closed_form_bayes(family, e, rho, strict=True)
+
+
+def test_spectral_maps_on_rank_deficient_outputs_are_singular(rng):
+    e, rho = rank_deficient_pair(rng)
+    for family in (sot.SymmetricBloom(), sot.RSFamily(0.3, 0.7)):
+        with pytest.raises(SingularityError):
+            bayes.closed_form_bayes(family, e, rho)
+        # strict mode refuses the unfaithful E(ρ) before any denominator
+        with pytest.raises(FaithfulnessError):
+            bayes.closed_form_bayes(family, e, rho, strict=True)

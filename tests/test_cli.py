@@ -188,6 +188,35 @@ def test_certify_malformed_seed_env_var_is_validation(fixtures, monkeypatch,
                 fixtures["channel"], fixtures["state"]]) == cli.EXIT_OK
 
 
+# ------------------------------------------------------------------ schemas
+def test_outputs_validate_against_shipped_schemas_by_id(fixtures, capsys):
+    """Every shipped schema is registered under its own $id, so the $refs
+    between them must resolve relative to that id."""
+    from importlib import resources
+
+    import jsonschema
+    from referencing import Registry, Resource
+    schemas = {path.name.removesuffix(".schema.json"): json.loads(path.read_text())
+               for path in resources.files("qsot.schemas").iterdir()
+               if path.name.endswith(".schema.json")}
+    registry = Registry().with_resources(
+        (schema["$id"], Resource.from_contents(schema)) for schema in schemas.values())
+    runs = {"sot_result": ["sot", "--family", "t-rotated", "--t", "0.2"],
+            "bayes_solution": ["bayes", "--family", "rs", "--r", "0.3", "--s", "0.7"]}
+    for kind, args in runs.items():
+        out = str(fixtures["dir"] / f"{kind}.json")
+        assert run([*args, fixtures["channel"], fixtures["state"], out]) == cli.EXIT_OK
+        runs[kind] = json.loads(open(out).read())
+    out = str(fixtures["dir"] / "certify.json")
+    assert run(["certify", "--families", "uncorrelated", "--properties", "P1,P7",
+                "--trials", "4", "--format", "json", "-o", out]) == cli.EXIT_OK
+    runs["certify_report"] = json.loads(open(out).read())
+    assert any("witness" in cell for cell in runs["certify_report"]["cells"])
+    for kind, doc in runs.items():
+        jsonschema.Draft202012Validator(schemas[kind], registry=registry).validate(doc)
+    assert set(schemas["sot_family"]["properties"]["tag"]["enum"]) == set(sot.FAMILIES)
+
+
 # ----------------------------------------------------------------- scenario
 def scenario_doc_pem(rng):
     shape = alg.matrix_algebra(2)
@@ -284,6 +313,8 @@ def test_console_script_entry_point(fixtures):
         [sys.executable, "-m", "qsot.cli"], capture_output=True, text=True,
         env=env)
     assert proc.returncode == 2  # argparse: missing subcommand
+    # the package must not import qsot.cli before runpy executes it
+    assert "RuntimeWarning" not in proc.stderr
     # run the declared target as the installer-generated `qsot` script does
     module, _, attr = _console_script_target("qsot").partition(":")
     wrapper = (f"import sys\nfrom {module} import {attr}\n"

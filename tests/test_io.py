@@ -105,6 +105,10 @@ def test_family_parse_errors():
         io.parse_family({"tag": "rs"})  # missing r, s
     with pytest.raises(ParseError):
         io.parse_family({"tag": "theta", "theta": "unknown"})
+    for bad in ({"tag": "t-rotated", "t": "abc"}, {"tag": "ohya", "group_tol": None},
+                {"tag": ["rs"]}):
+        with pytest.raises(ParseError):
+            io.parse_family(bad)
 
 
 def test_family_string_shorthand():

@@ -100,6 +100,61 @@ def test_sth_matches_dense_oracle(rng):
     np.testing.assert_allclose(got, want, atol=ATOL)
 
 
+def dense_block_channel_state(e, xi: int, yi: int) -> np.ndarray:
+    """Kron-sum oracle for the (x, y) block of D[E]: Σ_ij E_ij ⊗ E(E_ji)_y."""
+    m, n = e.source.dims[xi], e.target.dims[yi]
+    out = np.zeros((m * n, m * n), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            mats = [np.zeros((d, d), dtype=complex) for d in e.source.dims]
+            mats[xi][j, i] = 1.0
+            image = e(AlgebraElement(e.source, tuple(mats))).data[yi]
+            unit = np.zeros((m, m))
+            unit[i, j] = 1.0
+            out += np.kron(unit, image)
+    return out
+
+
+def dense_sides(family, rho, xi):
+    """Weighted sides (w, f, g) of the sandwich on source block x, spelled
+    out per family from alg.power."""
+    p = lambda r: alg.power(rho, r).data[xi]
+    rx, eye = rho.data[xi], np.eye(rho.shape.dims[xi])
+    if family.tag == "sth":
+        u = family.unitary_for(rho).data[xi]
+        return [(1.0, u.conj().T @ p(0.5), p(0.5) @ u)]
+    return {
+        "leifer-spekkens": lambda: [(1.0, p(0.5), p(0.5))],
+        "t-rotated": lambda: [(1.0, p(0.5 - 1j * family.t), p(0.5 + 1j * family.t))],
+        "symmetric-bloom": lambda: [(0.5, rx, eye), (0.5, eye, rx)],
+        "right-bloom": lambda: [(1.0, rx, eye)],
+        "left-bloom": lambda: [(1.0, eye, rx)],
+        "rs": lambda: [(family.s, p(family.r), p(1 - family.r)),
+                       (1 - family.s, p(1 - family.r), p(family.r))],
+    }[family.tag]()
+
+
+SANDWICH_FAMILIES = (sot.LeiferSpekkens(), sot.TRotated(0.45), sot.STH(0.3),
+                     sot.SymmetricBloom(), sot.RightBloom(), sot.LeftBloom(),
+                     sot.RSFamily(0.3, 0.7))
+
+
+@pytest.mark.parametrize("family", SANDWICH_FAMILIES, ids=lambda f: f.tag)
+def test_sandwich_families_match_dense_oracle_on_blocky_shapes(family, rng):
+    source = AlgebraShape([("a0", 3), ("a1", 1)])
+    target = AlgebraShape([("b0", 2), ("b1", 1)])
+    e = sampling.random_cptp(source, target, rng)
+    rho = sampling.random_state(source, rng)
+    value = sot.evaluate(family, e, rho).value
+    for xi, (la, _) in enumerate(source.blocks):
+        for yi, (lb, n) in enumerate(target.blocks):
+            d = dense_block_channel_state(e, xi, yi)
+            eye = np.eye(n)
+            want = sum(w * np.kron(f, eye) @ d @ np.kron(g, eye)
+                       for w, f, g in dense_sides(family, rho, xi))
+            np.testing.assert_allclose(value.block((la, lb)), want, atol=ATOL)
+
+
 def test_rs_family_interpolates_the_blooms(rng):
     e, rho = qubit_pair(rng)
     right = sot.evaluate(sot.RSFamily(1.0, 1.0), e, rho).value
