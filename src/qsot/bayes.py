@@ -4,9 +4,11 @@ Closed forms come from the family's own terms: one product formula for the
 one-term families (Petz and its rotated/STH variants, the one-sided blooms),
 one spectral-basis formula for the two-term families (symmetric bloom and
 (r,s)), and generalized conditional expectations for state-rendering maps.
-``generic_bayes`` solves the defining condition directly as a constrained
-linear least-squares problem and measures uniqueness, which is the
-cross-check oracle for everything else.
+``generic_bayes`` solves the defining condition directly and measures
+uniqueness, which is the cross-check oracle for everything else.  It uses
+only that every family is local in the source factor, ~X⋆σ = (Φ_σ⊗id)(D[~X]):
+the condition becomes X·Φ_σ* = Y, with Φ_σ read off one evaluation of the
+family on the identity channel, and a dense probe checks that premise.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra as alg, maps, sot
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, AlgebraShape
 from .errors import SingularityError, UnsupportedFamilyError
 from .maps import LinearMap
 
@@ -208,63 +210,60 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                   rank_tol: float = 1e-8) -> BayesSolution:
     """Solve E⋆ρ = τ(~X ⋆ E(ρ)) for trace-preserving X by least squares.
 
-    Every family is linear in the channel and the two conjugations cancel, so
-    X ↦ τ(~X ⋆ σ) is complex-linear and the condition is a linear system in the
-    entries of X; trace preservation enters as affine constraints, handled by
-    restriction to the constraint nullspace.  Uniqueness is read off the rank
-    of the restricted system.
+    Every family is local in the source factor: for fixed σ = E(ρ) there is a
+    superoperator Φ_σ on B with ~X⋆σ = (Φ_σ⊗id)(D[~X]).  Then γ(τ(~X⋆σ)) is
+    the channel state of X∘Φ_σ*, so with Y the map whose channel state is
+    γ(E⋆ρ) the condition reads X·Φ_σ* = Y, one n_B×n_B system shared by the
+    rows of X.  Φ_σ comes from one evaluation, γ(id⋆σ) = D[Φ_σ], and the
+    premise is checked on a fixed dense probe: a family that fails it raises
+    ``UnsupportedFamilyError``.  Trace preservation t_A·X = t_B fixes the
+    t_A-component of X; the rest is the least-squares solution truncated at
+    lstsq's default cutoff, and each null direction of Φ_σ* gives n_A − 1
+    null directions of X, which measures uniqueness.
     """
     sigma = e(rho)
     a_shape, b_shape = e.source, e.target
     n_a, n_b = a_shape.vector_dim, b_shape.vector_dim
-    n_x = n_a * n_b
 
-    forward = sot.evaluate(family, e, rho).value
-    b_vec = maps.vec(forward)
+    def reversed_map(value: AlgebraElement, target: AlgebraShape) -> np.ndarray:
+        """The matrix of the map B → target whose channel state is γ(value)."""
+        return maps.channel_from_state(maps.swap_gamma(value), b_shape, target).matrix
 
-    def response(x_matrix: np.ndarray) -> np.ndarray:
-        x = LinearMap(b_shape, a_shape, x_matrix.copy())
-        value = family.value(x.tilde(), sigma)
-        return maps.vec(maps.time_reversal_tau(value))
+    y = reversed_map(sot.evaluate(family, e, rho).value, a_shape)
+    phi_adj = reversed_map(family.value(maps.identity_map(b_shape), sigma),
+                           b_shape).conj().T
 
-    g = np.zeros((b_vec.size, n_x), dtype=complex)
-    basis = np.zeros((n_a, n_b), dtype=complex)
-    for p in range(n_a):
-        for u in range(n_b):
-            basis[p, u] = 1.0
-            g[:, p * n_b + u] = response(basis)
-            basis[p, u] = 0.0
+    parts = np.random.default_rng(0).standard_normal((2, n_a, n_b))
+    probe = LinearMap(b_shape, a_shape, parts[0] + 1j * parts[1])
+    want = probe.matrix @ phi_adj
+    got = reversed_map(maps.time_reversal_tau(family.value(probe.tilde(), sigma)),
+                       a_shape)
+    if np.max(np.abs(got - want)) > 1e-10 * max(1.0, np.max(np.abs(want))):
+        raise UnsupportedFamilyError(
+            f"family {getattr(family, 'tag', family)} is not local in the source "
+            "factor, which the generic solver assumes")
 
-    # Trace-preservation constraints: t_A @ X[:, u] = t_B[u] for every unit u.
     t_a, t_b = maps.trace_row(a_shape), maps.trace_row(b_shape)
-    constraints = np.kron(t_a, np.eye(n_b))
-    x_part = np.linalg.lstsq(constraints, t_b, rcond=None)[0].astype(complex)
-
-    _, svals, vt = np.linalg.svd(constraints, full_matrices=True)
-    rank = int(np.sum(svals > rank_tol * max(1.0, svals[0])))
-    null_basis = vt[rank:].conj().T  # columns span the constraint nullspace
-
-    g_null = g @ null_basis
-    rhs = b_vec - g @ x_part
-    z, *_ = np.linalg.lstsq(g_null, rhs, rcond=None)
-    x_vec = x_part + null_basis @ z
-    x_map = LinearMap(b_shape, a_shape, x_vec.reshape(n_a, n_b))
+    t_hat = t_a / np.linalg.norm(t_a)
+    x = np.outer(t_hat, t_b) / np.linalg.norm(t_a)  # t_A·x = t_B
+    rhs = y - x @ phi_adj
+    rhs -= np.outer(t_hat, t_hat @ rhs)  # the t_A-component of X is fixed
+    u, svals, vh = np.linalg.svd(phi_adj)
+    keep = svals > np.finfo(float).eps * n_a * n_b * svals[0]
+    x = x + (rhs @ vh[keep].conj().T / svals[keep]) @ u[:, keep].conj().T
+    x_map = LinearMap(b_shape, a_shape, x)
 
     residual = bayes_residual(family, x_map, e, rho)
+    nullity = (n_a - 1) * int(np.sum(svals <= rank_tol * max(1.0, svals[0])))
     if residual > 1e-6:
         uniqueness, witnesses = "none-found", ()
+    elif nullity == 0:
+        uniqueness, witnesses = "unique", ()
     else:
-        sv = np.linalg.svd(g_null, compute_uv=False) if g_null.size else np.zeros(0)
-        top = max(1.0, float(sv[0])) if sv.size else 1.0
-        nullity = g_null.shape[1] - int(np.sum(sv > rank_tol * top))
-        if nullity == 0:
-            uniqueness, witnesses = "unique", ()
-        else:
-            _, _, vt2 = np.linalg.svd(g_null)
-            direction = null_basis @ vt2[-1].conj()
-            alt = LinearMap(b_shape, a_shape,
-                            (x_vec + direction).reshape(n_a, n_b))
-            uniqueness, witnesses = "non-unique-witness", (alt,)
+        free = np.eye(n_a)[0] - t_hat[0] * t_hat  # ⊥ t_A, nonzero as n_A > 1
+        direction = np.outer(free / np.linalg.norm(free), u[:, -1].conj())
+        uniqueness = "non-unique-witness"
+        witnesses = (LinearMap(b_shape, a_shape, x + direction),)
     return BayesSolution(x_map, residual, classify_solution(x_map),
                          uniqueness, witnesses)
 

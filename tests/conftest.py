@@ -3,13 +3,17 @@
 The oracle helpers deliberately avoid the library's own vectorization and
 blockwise machinery: they work on plain numpy arrays for single full matrix
 blocks, so any agreement with the library is a genuine cross-check.
+``dense_generic_bayes`` is the exception: it is the probe-loop generic Bayes
+solver the structured ``bayes.generic_bayes`` replaced, kept as its reference.
 """
 import zlib
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
-from qsot import algebra as alg, maps, sampling
+from qsot import algebra as alg, bayes, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.maps import LinearMap
 
@@ -79,3 +83,81 @@ def random_traceless_direction(shape: AlgebraShape, rng: np.random.Generator,
     a = sampling.random_hermitian(shape, rng)
     a = a - (a.trace().real / shape.total_dim) * alg.identity(shape)
     return (norm / a.norm()) * a
+
+
+def dense_generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
+                        rank_tol: float = 1e-8) -> bayes.BayesSolution:
+    """Oracle for ``bayes.generic_bayes``: the probe-loop least-squares solver.
+
+    It builds the matrix of X ↦ τ(~X ⋆ E(ρ)) column by column from n_A·n_B
+    SOT evaluations on matrix units, restricts it to the nullspace of the
+    trace constraints by SVD, and reads uniqueness off the rank of the
+    restricted system, assuming nothing about the family's structure.
+    """
+    sigma = e(rho)
+    a_shape, b_shape = e.source, e.target
+    n_a, n_b = a_shape.vector_dim, b_shape.vector_dim
+    n_x = n_a * n_b
+
+    forward = sot.evaluate(family, e, rho).value
+    b_vec = maps.vec(forward)
+
+    def response(x_matrix: np.ndarray) -> np.ndarray:
+        x = LinearMap(b_shape, a_shape, x_matrix.copy())
+        value = family.value(x.tilde(), sigma)
+        return maps.vec(maps.time_reversal_tau(value))
+
+    g = np.zeros((b_vec.size, n_x), dtype=complex)
+    basis = np.zeros((n_a, n_b), dtype=complex)
+    for p in range(n_a):
+        for u in range(n_b):
+            basis[p, u] = 1.0
+            g[:, p * n_b + u] = response(basis)
+            basis[p, u] = 0.0
+
+    # Trace-preservation constraints: t_A @ X[:, u] = t_B[u] for every unit u.
+    t_a, t_b = maps.trace_row(a_shape), maps.trace_row(b_shape)
+    constraints = np.kron(t_a, np.eye(n_b))
+    x_part = np.linalg.lstsq(constraints, t_b, rcond=None)[0].astype(complex)
+
+    _, svals, vt = np.linalg.svd(constraints, full_matrices=True)
+    rank = int(np.sum(svals > rank_tol * max(1.0, svals[0])))
+    null_basis = vt[rank:].conj().T  # columns span the constraint nullspace
+
+    g_null = g @ null_basis
+    rhs = b_vec - g @ x_part
+    z, *_ = np.linalg.lstsq(g_null, rhs, rcond=None)
+    x_vec = x_part + null_basis @ z
+    x_map = LinearMap(b_shape, a_shape, x_vec.reshape(n_a, n_b))
+
+    residual = bayes.bayes_residual(family, x_map, e, rho)
+    if residual > 1e-6:
+        uniqueness, witnesses = "none-found", ()
+    else:
+        sv = np.linalg.svd(g_null, compute_uv=False) if g_null.size else np.zeros(0)
+        top = max(1.0, float(sv[0])) if sv.size else 1.0
+        nullity = g_null.shape[1] - int(np.sum(sv > rank_tol * top))
+        if nullity == 0:
+            uniqueness, witnesses = "unique", ()
+        else:
+            _, _, vt2 = np.linalg.svd(g_null)
+            direction = null_basis @ vt2[-1].conj()
+            alt = LinearMap(b_shape, a_shape,
+                            (x_vec + direction).reshape(n_a, n_b))
+            uniqueness, witnesses = "non-unique-witness", (alt,)
+    return bayes.BayesSolution(x_map, residual, bayes.classify_solution(x_map),
+                               uniqueness, witnesses)
+
+
+@dataclass(frozen=True)
+class TransposedTarget(sot.SotFamily):
+    """Leifer–Spekkens followed by the transpose on the target factor.
+
+    (id⊗T)∘(Φ⊗id) is not of the form Φ'⊗id, so this family is not local in
+    the source factor and the generic Bayes solver must refuse it."""
+    tag: ClassVar[str] = "transposed-target"
+
+    def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
+        transpose = maps.from_action(
+            e.target, e.target, lambda a: AlgebraElement(a.shape, tuple(m.T for m in a.data)))
+        return maps.apply_to_factor(transpose, sot.LeiferSpekkens().value(e, rho), "right")

@@ -6,9 +6,11 @@ import pytest
 
 from qsot import algebra as alg, bayes, maps, sampling, sot
 from qsot.algebra import AlgebraShape
-from qsot.errors import (FaithfulnessError, SingularityError,
+from qsot.errors import (FaithfulnessError, QsotError, SingularityError,
                          UnsupportedFamilyError)
 from qsot.maps import LinearMap
+
+from conftest import TransposedTarget, dense_generic_bayes, rng_for
 
 RESIDUAL_TOL = 1e-10
 MATCH_TOL = 1e-8
@@ -141,6 +143,103 @@ def test_generic_solver_finds_uncorrelated_non_uniqueness(rng):
     alt = solution.witnesses[0]
     assert np.max(np.abs(alt.matrix - solution.map.matrix)) > 1e-6
     assert bayes.bayes_residual(sot.Uncorrelated(), alt, e, rho) < 1e-6
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=lambda f: f.tag)
+@pytest.mark.parametrize("shapes", [
+    (AlgebraShape([("a", 3), ("x", 1)]), AlgebraShape([("b", 2), ("y", 1)])),
+    (alg.matrix_algebra(6, "a"), alg.matrix_algebra(6, "b")),
+], ids=["3+1-2+1", "6-6"])
+def test_generic_solver_matches_closed_form_at_larger_sizes(family, shapes, rng):
+    e = sampling.random_cptp(*shapes, rng)
+    rho = sampling.random_state(shapes[0], rng)
+    generic = bayes.generic_bayes(family, e, rho)
+    assert generic.uniqueness == "unique"
+    closed = bayes.closed_form_bayes(family, e, rho)
+    assert np.max(np.abs(generic.map.matrix - closed.matrix)) < MATCH_TOL
+
+
+def test_generic_solver_refuses_a_family_that_is_not_local(rng):
+    e, rho = qubit_pair(rng)
+    sot.evaluate(TransposedTarget(), e, rho)  # the family itself evaluates
+    with pytest.raises(UnsupportedFamilyError):
+        bayes.generic_bayes(TransposedTarget(), e, rho)
+
+
+# ------------------------------------------------ generic solver vs dense oracle
+def oracle_families():
+    """One instance per registered tag, with two Θ recipes for ``theta``."""
+    params = {"rs": [sot.RSFamily(0.3, 0.7)],
+              "theta": [sot.ThetaDerived(bayes.theta_jordan()),
+                        sot.ThetaDerived(bayes.theta_ls())]}
+    return [f for tag, cls in sot.FAMILIES.items()
+            for f in (params[tag] if tag in params else [cls()])]
+
+
+def family_id(family):
+    return f"theta-{family.theta.name}" if family.tag == "theta" else family.tag
+
+
+def blocks(prefix, *dims):
+    return AlgebraShape([(f"{prefix}{i}", d) for i, d in enumerate(dims)])
+
+
+ORACLE_SHAPES = {
+    "2-2": ((2,), (2,)), "3-2": ((3,), (2,)), "2-3": ((2,), (3,)),
+    "3+1-2+1": ((3, 1), (2, 1)), "2+2-2+1+1": ((2, 2), (2, 1, 1)),
+    "1-2": ((1,), (2,)), "2-1": ((2,), (1,)),
+    "classical": ((1, 1, 1), (1, 1)), "classical-quantum": ((1, 1), (2,)),
+}
+
+
+def phi_conditioning(family, e, rho, n_x):
+    """κ of Φ_σ over the singular values the solvers keep."""
+    sigma, b = e(rho), e.target
+    phi = maps.channel_from_state(
+        maps.swap_gamma(family.value(maps.identity_map(b), sigma)), b, b).matrix
+    svals = np.linalg.svd(phi, compute_uv=False)
+    kept = svals[svals > np.finfo(float).eps * n_x * svals[0]]
+    return kept[0] / kept[-1]
+
+
+def assert_matches_oracle(family, e, rho):
+    try:
+        want = dense_generic_bayes(family, e, rho)
+    except QsotError as exc:
+        with pytest.raises(QsotError) as info:
+            bayes.generic_bayes(family, e, rho)
+        assert type(info.value) is type(exc)
+        return
+    got = bayes.generic_bayes(family, e, rho)
+    assert got.uniqueness == want.uniqueness
+    kappa = phi_conditioning(family, e, rho, e.source.vector_dim * e.target.vector_dim)
+    scale = max(1.0, np.max(np.abs(want.map.matrix)))
+    tol = 1e-10 * scale if kappa < 1e6 else kappa * 1e-14 * scale
+    assert np.max(np.abs(got.map.matrix - want.map.matrix)) < tol
+    for alt in got.witnesses:
+        assert np.max(np.abs(alt.matrix - got.map.matrix)) > 1e-6
+        assert bayes.bayes_residual(family, alt, e, rho) < 1e-6
+
+
+@pytest.mark.parametrize("family", oracle_families(), ids=family_id)
+@pytest.mark.parametrize("dims", ORACLE_SHAPES.values(), ids=ORACLE_SHAPES.keys())
+def test_generic_solver_matches_dense_oracle(family, dims):
+    source, target = blocks("a", *dims[0]), blocks("b", *dims[1])
+    for seed in range(3):
+        rng = rng_for(f"oracle-{family_id(family)}-{dims}", seed)
+        e = sampling.random_cptp(source, target, rng)
+        assert_matches_oracle(family, e, sampling.random_state(source, rng))
+
+
+@pytest.mark.parametrize("family", oracle_families(), ids=family_id)
+def test_generic_solver_matches_dense_oracle_on_singular_inputs(family):
+    rng = rng_for(f"oracle-singular-{family_id(family)}")
+    shape = alg.matrix_algebra(4, "a")
+    u = sampling.random_unitary_element(shape, rng)
+    near_singular = u @ alg.diagonal_element(shape, [1 - 3e-9, 1e-9, 1e-9, 1e-9]) @ u.dagger()
+    assert_matches_oracle(family, sampling.random_cptp(shape, alg.matrix_algebra(4, "b"), rng),
+                          near_singular)
+    assert_matches_oracle(family, *rank_deficient_pair(rng))
 
 
 # ---------------------------------------------------------------------- GCE

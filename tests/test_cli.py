@@ -11,7 +11,7 @@ import pytest
 
 from qsot import algebra as alg, cli, io, maps, sampling, sot
 
-from conftest import rng_for
+from conftest import TransposedTarget, rng_for
 
 
 @pytest.fixture
@@ -105,6 +105,21 @@ def test_bayes_generic_fallback_reports_uniqueness(fixtures, capsys):
     assert code == cli.EXIT_OK
     doc = json.loads(open(out).read())
     assert doc["uniqueness"] == "non-unique-witness"
+
+
+def test_bayes_generic_fallback_for_ohya(fixtures, capsys):
+    out = str(fixtures["dir"] / "bayes.json")
+    code = run(["bayes", "--family", "ohya", fixtures["channel"], fixtures["state"], out])
+    assert code == cli.EXIT_OK
+    assert json.loads(open(out).read())["uniqueness"] == "none-found"
+
+
+def test_bayes_generic_fallback_refuses_non_local_family(fixtures, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_family_from_args", lambda args: TransposedTarget())
+    code = run(["bayes", "--family", "leifer-spekkens",
+                fixtures["channel"], fixtures["state"]])
+    assert code == cli.EXIT_VALIDATION
+    assert "not local" in capsys.readouterr().err
 
 
 def test_bayes_rs_family_requires_parameters(fixtures, capsys):
@@ -201,18 +216,23 @@ def test_outputs_validate_against_shipped_schemas_by_id(fixtures, capsys):
                if path.name.endswith(".schema.json")}
     registry = Registry().with_resources(
         (schema["$id"], Resource.from_contents(schema)) for schema in schemas.values())
-    runs = {"sot_result": ["sot", "--family", "t-rotated", "--t", "0.2"],
-            "bayes_solution": ["bayes", "--family", "rs", "--r", "0.3", "--s", "0.7"]}
-    for kind, args in runs.items():
-        out = str(fixtures["dir"] / f"{kind}.json")
+    # (schema, command): the uncorrelated bayes run is the generic fallback,
+    # the only output that carries ``uniqueness``
+    runs = [("sot_result", ["sot", "--family", "t-rotated", "--t", "0.2"]),
+            ("bayes_solution", ["bayes", "--family", "rs", "--r", "0.3", "--s", "0.7"]),
+            ("bayes_solution", ["bayes", "--family", "uncorrelated"])]
+    docs = []
+    for i, (kind, args) in enumerate(runs):
+        out = str(fixtures["dir"] / f"{kind}-{i}.json")
         assert run([*args, fixtures["channel"], fixtures["state"], out]) == cli.EXIT_OK
-        runs[kind] = json.loads(open(out).read())
+        docs.append((kind, json.loads(open(out).read())))
+    assert "uniqueness" in docs[-1][1]
     out = str(fixtures["dir"] / "certify.json")
     assert run(["certify", "--families", "uncorrelated", "--properties", "P1,P7",
                 "--trials", "4", "--format", "json", "-o", out]) == cli.EXIT_OK
-    runs["certify_report"] = json.loads(open(out).read())
-    assert any("witness" in cell for cell in runs["certify_report"]["cells"])
-    for kind, doc in runs.items():
+    docs.append(("certify_report", json.loads(open(out).read())))
+    assert any("witness" in cell for cell in docs[-1][1]["cells"])
+    for kind, doc in docs:
         jsonschema.Draft202012Validator(schemas[kind], registry=registry).validate(doc)
     assert set(schemas["sot_family"]["properties"]["tag"]["enum"]) == set(sot.FAMILIES)
 
