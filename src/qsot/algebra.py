@@ -7,10 +7,11 @@ special case where every block has dimension 1, so classical probability
 distributions and stochastic maps live in the same representation as density
 matrices and channels.
 
-Tensor products of shapes carry their two factors as metadata so that partial
-traces know how to split each block.  Block labels of a tensor shape are
-``(label_left, label_right)`` pairs, kept in lexicographic order of the
-flattened label tuples.
+Tensor products of shapes carry their two factors, and for each block the
+indices of the factor blocks it is made of, so that partial traces, swaps and
+channel states know how to split each block without looking labels up.  Block
+labels of a tensor shape are ``(label_left, label_right)`` pairs, kept in
+lexicographic order of the flattened label tuples.
 """
 from __future__ import annotations
 
@@ -49,10 +50,13 @@ class AlgebraShape:
     """Block structure of a multi-matrix algebra.
 
     Immutable.  ``factors`` is ``None`` for plain shapes and a pair of shapes
-    for tensor-product shapes.
+    for tensor-product shapes; a tensor shape also records ``pairs``, the
+    indices (i, j) of the left and right factor blocks that make up each of
+    its blocks, so tensor bookkeeping walks indices instead of labels.
     """
 
-    __slots__ = ("blocks", "factors", "_index")
+    __slots__ = ("blocks", "labels", "dims", "factors", "pairs", "_keys", "_index",
+                 "_blocks_of")
 
     def __init__(self, blocks: Iterable[tuple[Label, int]],
                  factors: tuple["AlgebraShape", "AlgebraShape"] | None = None):
@@ -61,30 +65,33 @@ class AlgebraShape:
             raise ShapeMismatchError("a shape needs at least one block")
         if any(dim < 1 for _, dim in blocks):
             raise ShapeMismatchError("every block dimension must be >= 1")
-        labels = [label for label, _ in blocks]
-        if len(set(map(label_key, labels))) != len(labels):
+        labels, dims = zip(*blocks)
+        keys = tuple(map(label_key, labels))
+        index = {key: i for i, key in enumerate(keys)}
+        if len(index) != len(keys):
             raise ShapeMismatchError("block labels must be unique within a shape")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_index",
-                           {label_key(label): i for i, (label, _) in enumerate(blocks)})
+        pairs = None
+        if factors is not None:
+            left, right = factors
+            pairs = tuple((left.index(la), right.index(lb)) for la, lb in labels)
+        blocks_of = None if pairs is None else {p: k for k, p in enumerate(pairs)}
+        for name, value in (("blocks", blocks), ("labels", labels), ("dims", dims),
+                            ("factors", factors), ("pairs", pairs), ("_keys", keys),
+                            ("_index", index), ("_blocks_of", blocks_of)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("AlgebraShape is immutable")
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(label for label, _ in self.blocks)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.blocks)
 
     def index(self, label: Label) -> int:
         return self._index[label_key(label)]
 
     def dim_of(self, label: Label) -> int:
-        return self.blocks[self.index(label)][1]
+        return self.dims[self.index(label)]
+
+    def block_of(self, i: int, j: int) -> int:
+        """The block of a tensor shape made of left factor block i and right j."""
+        return self._blocks_of[(i, j)]
 
     # Total dimension of the underlying Hilbert space (sum of block dims) and
     # of the algebra as a vector space (sum of squared block dims).
@@ -97,23 +104,25 @@ class AlgebraShape:
         return sum(d * d for d in self.dims)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, AlgebraShape):
             return NotImplemented
-        return (tuple((label_key(l), d) for l, d in self.blocks)
-                == tuple((label_key(l), d) for l, d in other.blocks))
+        return self._keys == other._keys and self.dims == other.dims
 
     def __hash__(self):
-        return hash(tuple((label_key(l), d) for l, d in self.blocks))
+        return hash((self._keys, self.dims))
 
     def __repr__(self):
         inner = " ⊕ ".join(f"M{d}[{label_text(l)}]" for l, d in self.blocks)
         return f"AlgebraShape({inner})"
 
     def tensor(self, other: "AlgebraShape") -> "AlgebraShape":
-        pairs = sorted(
-            (((la, lb), da * db) for la, da in self.blocks for lb, db in other.blocks),
-            key=lambda item: label_key(item[0]))
-        return AlgebraShape(pairs, factors=(self, other))
+        # label_key((la, lb)) is the concatenation of the factors' keys
+        order = sorted(((i, j) for i in range(len(self.dims)) for j in range(len(other.dims))),
+                       key=lambda p: self._keys[p[0]] + other._keys[p[1]])
+        return AlgebraShape((((self.labels[i], other.labels[j]), self.dims[i] * other.dims[j])
+                             for i, j in order), factors=(self, other))
 
 
 def matrix_algebra(dim: int, label: Label = "q0") -> AlgebraShape:
@@ -239,16 +248,7 @@ def classical_state(probs: Sequence[float], prefix: str = "x") -> AlgebraElement
 def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Kronecker product of elements on the tensor shape of their shapes."""
     tshape = a.shape.tensor(b.shape)
-    mats = {}
-    for la, ma in zip(a.shape.labels, a.data):
-        for lb, mb in zip(b.shape.labels, b.data):
-            mats[(la, lb)] = np.kron(ma, mb)
-    return AlgebraElement(tshape, tuple(mats[label] for label in tshape.labels))
-
-
-def _factor_dims(tshape: AlgebraShape, label: tuple) -> tuple[int, int]:
-    left, right = tshape.factors
-    return left.dim_of(label[0]), right.dim_of(label[1])
+    return AlgebraElement(tshape, tuple(np.kron(a.data[i], b.data[j]) for i, j in tshape.pairs))
 
 
 def partial_trace(t: AlgebraElement, side: str) -> AlgebraElement:
@@ -264,13 +264,12 @@ def partial_trace(t: AlgebraElement, side: str) -> AlgebraElement:
         raise ValueError("side must be 'A' or 'B'")
     out_shape = left if side == "B" else right
     mats = [np.zeros((d, d), dtype=complex) for d in out_shape.dims]
-    for label, mat in zip(tshape.labels, t.data):
-        da, db = _factor_dims(tshape, label)
-        four = mat.reshape(da, db, da, db)
+    for (i, j), mat in zip(tshape.pairs, t.data):
+        four = mat.reshape(left.dims[i], right.dims[j], left.dims[i], right.dims[j])
         if side == "B":
-            mats[out_shape.index(label[0])] += np.einsum("ibjb->ij", four)
+            mats[i] += np.einsum("ibjb->ij", four)
         else:
-            mats[out_shape.index(label[1])] += np.einsum("aiaj->ij", four)
+            mats[j] += np.einsum("aiaj->ij", four)
     return AlgebraElement(out_shape, tuple(mats))
 
 
@@ -285,12 +284,13 @@ def reassociate_left_to_right(t: AlgebraElement) -> AlgebraElement:
         raise ShapeMismatchError("expected an ((A⊗B)⊗C)-shaped element")
     ab, c = tshape.factors
     a, b = ab.factors
-    target = a.tensor(b.tensor(c))
-    mats = {}
-    for label, mat in zip(tshape.labels, t.data):
-        (la, lb), lc = label
-        mats[label_key((la, (lb, lc)))] = mat
-    return AlgebraElement(target, tuple(mats[label_key(l)] for l in target.labels))
+    bc = b.tensor(c)
+    target = a.tensor(bc)
+    mats = [None] * len(target.dims)
+    for (p, k), mat in zip(tshape.pairs, t.data):
+        i, j = ab.pairs[p]
+        mats[target.block_of(i, bc.block_of(j, k))] = mat
+    return AlgebraElement(target, tuple(mats))
 
 
 # -------------------------------------------------------------------- spectral

@@ -159,12 +159,9 @@ def block_positivity_violation(t: AlgebraElement, starts: int,
     if tshape.factors is None:
         raise InapplicableError("local positivity needs a tensor-shaped element")
     factor_a, factor_b = tshape.factors
-    dims_a = dict(zip([alg.label_key(l) for l in factor_a.labels], factor_a.dims))
-    dims_b = dict(zip([alg.label_key(l) for l in factor_b.labels], factor_b.dims))
     violation, witness = 0.0, {}
-    for label, mat in zip(tshape.labels, t.data):
-        la, lb = label
-        m, n = dims_a[alg.label_key(la)], dims_b[alg.label_key(lb)]
+    for label, (i, j), mat in zip(tshape.labels, tshape.pairs, t.data):
+        m, n = factor_a.dims[i], factor_b.dims[j]
         skew = (mat - mat.conj().T) / 2j
         if np.linalg.norm(skew) > herm_tol:
             val, a, b = _product_extremum(skew, m, n, starts, rng, "absmax")

@@ -68,12 +68,10 @@ def _sot_inputs(args) -> tuple[sot.SotFamily, LinearMap, AlgebraElement]:
 
 
 def _emit(doc: dict, out_file: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if out_file:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        io.dump(doc, out_file)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 # ------------------------------------------------------------------ commands
@@ -167,7 +165,7 @@ def _scenario_pem(doc: dict) -> tuple[dict, bool]:
     prep = _parse_sub(doc, "prep")
     evo = _parse_sub(doc, "evo")
     meas = _parse_sub(doc, "meas")
-    p = alg.diagonal_element(prep.source, [float(v) for v in doc["p"]])
+    p = alg.diagonal_element(prep.source, io.parse_real(doc["p"], "p", listed=True))
     scenario = scenarios.PemScenario(p, prep, evo, meas)
     _, residuals = scenarios.pem_reverse(scenario, strict=doc.get("strict", True))
     ok = (residuals["classical_inverse"] < 1e-9
@@ -193,7 +191,7 @@ def _scenario_state_update(doc: dict) -> tuple[dict, bool]:
 
 def _scenario_jeffrey(doc: dict) -> tuple[dict, bool]:
     s = _instrument_from_doc(doc)
-    posterior = scenarios.jeffrey_update(s, [float(v) for v in doc["r"]])
+    posterior = scenarios.jeffrey_update(s, io.parse_real(doc["r"], "r", listed=True))
     try:
         alg.assert_state(posterior)
         ok = True
@@ -235,7 +233,7 @@ def _scenario_correlator(doc: dict) -> tuple[dict, bool]:
     h = _parse_sub(doc, "h")
     a = _parse_sub(doc, "a")
     b = _parse_sub(doc, "b")
-    t = float(doc.get("t", 0.0))
+    t = io.parse_real(doc.get("t", 0.0), "t")
     direct = scenarios.two_time_correlator(rho, h, t, a, b)
     via_sot = scenarios.two_time_correlator(rho, h, t, a, b, via="sot")
     gap = abs(direct - via_sot)
@@ -248,7 +246,8 @@ def _scenario_correlator(doc: dict) -> tuple[dict, bool]:
 def _scenario_linearization(doc: dict) -> tuple[dict, bool]:
     channel = _parse_sub(doc, "channel")
     direction = _parse_sub(doc, "direction")
-    epsilons = [float(v) for v in doc.get("epsilons", [1e-2, 5e-3, 2.5e-3])]
+    epsilons = io.parse_real(doc.get("epsilons", [1e-2, 5e-3, 2.5e-3]), "epsilons",
+                             listed=True)
     report = scenarios.ls_linearization_check(channel, direction, epsilons)
     ok = all(3.5 <= r <= 4.5 for r in report.ratios)
     return ({"scenario": "ls-linearization", "epsilons": list(report.epsilons),

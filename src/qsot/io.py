@@ -38,6 +38,16 @@ def parse_complex(v: Any) -> complex:
     raise ParseError(f"expected a number or an [re, im] pair, got {v!r}")
 
 
+def parse_real(v: Any, what: str, listed: bool = False) -> float | list[float]:
+    """A JSON number as a float, or with ``listed`` a JSON list of them."""
+    if listed and isinstance(v, list):
+        return [parse_real(x, what) for x in v]
+    if listed or isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"{what} must be {'a list of numbers' if listed else 'a number'}, "
+                         f"got {v!r}")
+    return float(v)
+
+
 def serialize_matrix(m: np.ndarray) -> list:
     return [[serialize_complex(z) for z in row] for row in np.asarray(m)]
 
@@ -62,9 +72,14 @@ def parse_shape(payload: Any) -> AlgebraShape:
     blocks = []
     for entry in payload:
         try:
-            blocks.append((str(entry["label"]), int(entry["dim"])))
+            label, dim = str(entry["label"]), entry["dim"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad shape block {entry!r}") from exc
+        # the schema's integer: an int, or a float with no fractional part
+        if isinstance(dim, bool) or not (isinstance(dim, int)
+                                         or isinstance(dim, float) and dim.is_integer()):
+            raise ParseError(f"shape block dim must be an integer, got {dim!r}")
+        blocks.append((label, int(dim)))
     return AlgebraShape(blocks)
 
 

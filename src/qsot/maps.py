@@ -15,7 +15,7 @@ loops cheap.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -178,6 +178,23 @@ def from_action(source: AlgebraShape, target: AlgebraShape,
                      np.column_stack([vec(action(unvec(source, u))) for u in units]))
 
 
+def from_kraus(source: AlgebraShape, target: AlgebraShape,
+               kraus: Iterable[tuple[int, int, np.ndarray]]) -> LinearMap:
+    """The map A ↦ ⊕_y Σ K A_x K† from (x, y, K) triples: source block index
+    x, target block index y and an n_y×m_x operator K.  vec(KAK†) = (K⊗K̄)·vec(A)
+    row-major, so each K⊗K̄ is added into the (n, n, m, m) view of the component.
+    """
+    matrix = np.zeros((target.vector_dim, source.vector_dim), dtype=complex)
+    so, to = _offsets(source), _offsets(target)
+    for xi, yi, k in kraus:
+        n, m = target.dims[yi], source.dims[xi]
+        if k.shape != (n, m):
+            raise ShapeMismatchError(f"Kraus operator is {k.shape}, expected ({n},{m})")
+        view = matrix[to[yi]:to[yi] + n * n, so[xi]:so[xi] + m * m].reshape(n, n, m, m)
+        view += k[:, None, :, None] * k.conj()[None, :, None, :]
+    return LinearMap(source, target, matrix)
+
+
 # ------------------------------------------------------------ basic constructors
 def identity_map(shape: AlgebraShape) -> LinearMap:
     return LinearMap(shape, shape, np.eye(shape.vector_dim, dtype=complex))
@@ -213,19 +230,8 @@ def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 # -------------------------------------------------------------- channel states
 def mu_adjoint_unit(shape: AlgebraShape) -> AlgebraElement:
-    """μ*(1): per-block swap operators in the diagonal label-pair blocks."""
-    tshape = shape.tensor(shape)
-    mats = []
-    for (lx, ly) in tshape.labels:
-        dx, dy = shape.dim_of(lx), shape.dim_of(ly)
-        block = np.zeros((dx * dy, dx * dy), dtype=complex)
-        if alg.label_key(lx) == alg.label_key(ly):
-            d = dx
-            for i in range(d):
-                for k in range(d):
-                    block[i * d + k, k * d + i] = 1.0
-        mats.append(block)
-    return AlgebraElement(tshape, tuple(mats))
+    """μ*(1) = D[id]: the swap operator in each diagonal block pair, zero elsewhere."""
+    return channel_state(identity_map(shape))
 
 
 def _component(e: LinearMap, xi: int, yi: int) -> np.ndarray:
@@ -239,8 +245,7 @@ def channel_state(e: LinearMap) -> AlgebraElement:
     """D[E] = (id⊗E)(μ*(1)) = Σ_{ij} E_ij ⊗ E(E_ji), blockwise."""
     tshape = e.source.tensor(e.target)
     mats = []
-    for (lx, ly) in tshape.labels:
-        xi, yi = e.source.index(lx), e.target.index(ly)
+    for xi, yi in tshape.pairs:
         mx, ny = e.source.dims[xi], e.target.dims[yi]
         comp = _component(e, xi, yi).reshape(ny, ny, mx, mx)
         # block[(i,k),(j,l)] = E(E_ji)[k,l] = comp[k,l,j,i]
@@ -256,31 +261,32 @@ def channel_from_state(j: AlgebraElement, source: AlgebraShape,
     if j.shape != tshape:
         raise ShapeMismatchError("element does not live on source⊗target")
     chois = {}
-    for (lx, ly), block in zip(tshape.labels, j.data):
-        mx, ny = source.dim_of(lx), target.dim_of(ly)
+    for (xi, yi), block in zip(tshape.pairs, j.data):
+        mx, ny = source.dims[xi], target.dims[yi]
         # D[E] is the Choi matrix with its two source indices swapped
-        chois[(lx, ly)] = (block.reshape(mx, ny, mx, ny).transpose(2, 1, 0, 3)
+        chois[(xi, yi)] = (block.reshape(mx, ny, mx, ny).transpose(2, 1, 0, 3)
                            .reshape(mx * ny, mx * ny))
     return map_from_choi(chois, source, target)
 
 
 def choi_blocks(e: LinearMap) -> dict:
-    """Blockwise (unnormalized) Choi matrices Σ_ij E_ij ⊗ E(E_ij)."""
+    """Blockwise (unnormalized) Choi matrices Σ_ij E_ij ⊗ E(E_ij), keyed by
+    (source block index, target block index)."""
     out = {}
-    for xi, (lx, mx) in enumerate(e.source.blocks):
-        for yi, (ly, ny) in enumerate(e.target.blocks):
+    for xi, mx in enumerate(e.source.dims):
+        for yi, ny in enumerate(e.target.dims):
             comp = _component(e, xi, yi).reshape(ny, ny, mx, mx)
             # choi[(a,k),(b,l)] = E(E_ab)[k,l] = comp[k,l,a,b]
-            out[(lx, ly)] = (np.ascontiguousarray(comp.transpose(2, 0, 3, 1))
+            out[(xi, yi)] = (np.ascontiguousarray(comp.transpose(2, 0, 3, 1))
                              .reshape(mx * ny, mx * ny))
     return out
 
 
 def map_from_choi(chois: dict, source: AlgebraShape, target: AlgebraShape) -> LinearMap:
+    """Inverse of choi_blocks; missing (source index, target index) keys are zero."""
     matrix = np.zeros((target.vector_dim, source.vector_dim), dtype=complex)
     so, to = _offsets(source), _offsets(target)
-    for (lx, ly), choi in chois.items():
-        xi, yi = source.index(lx), target.index(ly)
+    for (xi, yi), choi in chois.items():
         mx, ny = source.dims[xi], target.dims[yi]
         block = np.asarray(choi, dtype=complex).reshape(mx, ny, mx, ny)
         comp = np.ascontiguousarray(block.transpose(1, 3, 0, 2)).reshape(ny * ny, mx * mx)
@@ -315,14 +321,13 @@ def swap_gamma(t: AlgebraElement) -> AlgebraElement:
         raise ShapeMismatchError("swap_gamma needs a tensor-shaped element")
     left, right = tshape.factors
     target = right.tensor(left)
-    mats = {}
-    for label, mat in zip(tshape.labels, t.data):
-        la, lb = label
-        da, db = left.dim_of(la), right.dim_of(lb)
+    mats = [None] * len(target.dims)
+    for (i, j), mat in zip(tshape.pairs, t.data):
+        da, db = left.dims[i], right.dims[j]
         four = mat.reshape(da, db, da, db)
-        mats[alg.label_key((lb, la))] = (np.ascontiguousarray(four.transpose(1, 0, 3, 2))
-                                         .reshape(db * da, db * da))
-    return AlgebraElement(target, tuple(mats[alg.label_key(l)] for l in target.labels))
+        mats[target.block_of(j, i)] = (np.ascontiguousarray(four.transpose(1, 0, 3, 2))
+                                       .reshape(db * da, db * da))
+    return AlgebraElement(target, tuple(mats))
 
 
 def time_reversal_tau(t: AlgebraElement) -> AlgebraElement:
@@ -347,17 +352,15 @@ def apply_to_factor(m: LinearMap, t: AlgebraElement, which: str) -> AlgebraEleme
     if right != m.source:
         raise ShapeMismatchError("the factor acted on does not match map source")
     target = left.tensor(m.target)
-    acc = {alg.label_key(l): np.zeros((d, d), dtype=complex)
-           for (l, d) in target.blocks}
-    for (la, lb), mat in zip(tshape.labels, t.data):
-        da, db = left.dim_of(la), right.dim_of(lb)
+    acc = [np.zeros((d, d), dtype=complex) for d in target.dims]
+    for (i, j), mat in zip(tshape.pairs, t.data):
+        da, db = left.dims[i], right.dims[j]
         four = mat.reshape(da, db, da, db)
-        xi = m.source.index(lb)
-        for yi, (ly, ny) in enumerate(m.target.blocks):
-            comp = _component(m, xi, yi).reshape(ny, ny, db, db)
+        for yi, ny in enumerate(m.target.dims):
+            comp = _component(m, j, yi).reshape(ny, ny, db, db)
             out = np.einsum("iajb,klab->ikjl", four, comp)
-            acc[alg.label_key((la, ly))] += out.reshape(da * ny, da * ny)
-    return AlgebraElement(target, tuple(acc[alg.label_key(l)] for l in target.labels))
+            acc[target.block_of(i, yi)] += out.reshape(da * ny, da * ny)
+    return AlgebraElement(target, tuple(acc))
 
 
 # ---------------------------------------------------------- channel constructors
@@ -417,20 +420,14 @@ def instrument(cp_parts: Sequence[LinearMap], atol: float = ATOL,
                outcome_prefix: str = "x") -> LinearMap:
     """A quantum instrument {F_x} as the channel A → B⊗C^X, A ↦ Σ_x F_x(A)⊗δ_x."""
     source, b_shape = cp_parts[0].source, cp_parts[0].target
-    total = cp_parts[0]
-    for f in cp_parts[1:]:
-        total = total + f
-    if not total.is_tp:
+    if not sum(cp_parts[1:], cp_parts[0]).is_tp:
         raise ConstraintError("the sum of instrument parts must be trace-preserving")
     outcomes = alg.classical_algebra(len(cp_parts), outcome_prefix)
-
-    def act(a: AlgebraElement) -> AlgebraElement:
-        out = alg.zero(b_shape.tensor(outcomes))
-        for x, f in enumerate(cp_parts):
-            out = out + alg.tensor(f(a), alg.basis_vector(outcomes, f"{outcome_prefix}{x}"))
-        return out
-
-    return from_action(source, b_shape.tensor(outcomes), act)
+    target = b_shape.tensor(outcomes)
+    # block (i, x) of B⊗C^X holds F_x(A)'s block i: F_x's rows for that block
+    offs = _offsets(b_shape)
+    return LinearMap(source, target, np.vstack(
+        [cp_parts[x].matrix[offs[i]:offs[i] + b_shape.dims[i] ** 2] for i, x in target.pairs]))
 
 
 def unitary_channel(u: AlgebraElement, atol: float = ATOL) -> LinearMap:
@@ -449,9 +446,18 @@ def replace_channel(sigma: AlgebraElement, source: AlgebraShape,
 
 
 def partial_trace_channel(tshape: AlgebraShape, side: str) -> LinearMap:
-    """tr_A or tr_B as a channel from a tensor shape onto the kept factor."""
+    """tr_A or tr_B as a channel from a tensor shape onto the kept factor, with
+    Kraus operators 1⊗⟨b| (tr_B) or ⟨a|⊗1 (tr_A) on each block."""
     if tshape.factors is None:
         raise ShapeMismatchError("partial_trace_channel needs a tensor shape")
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
     left, right = tshape.factors
-    target = left if side == "B" else right
-    return from_action(tshape, target, lambda t: alg.partial_trace(t, side))
+    kraus = []
+    for k, (i, j) in enumerate(tshape.pairs):
+        da, db = left.dims[i], right.dims[j]
+        if side == "B":
+            kraus += [(k, i, np.kron(np.eye(da), bra)) for bra in np.eye(db)]
+        else:
+            kraus += [(k, j, np.kron(bra, np.eye(db))) for bra in np.eye(da)]
+    return from_kraus(tshape, left if side == "B" else right, kraus)

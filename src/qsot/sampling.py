@@ -62,29 +62,17 @@ def random_cptp(source: AlgebraShape, target: AlgebraShape,
     sampled channel has generically full support across all components.
     """
     d_out = target.total_dim
-    cols_per_block: dict = {}
-    for lx, mx in source.blocks:
+    kraus = []
+    for xi, mx in enumerate(source.dims):
         # an isometry needs at least as many rows as columns
         env_x = max(env, -(-mx // d_out))
         v = random_isometry(rng, d_out * env_x, mx)
-        kraus: dict = {alg.label_key(ly): [] for ly, _ in target.blocks}
         row = 0
         for _ in range(env_x):
-            for ly, ny in target.blocks:
-                kraus[alg.label_key(ly)].append(v[row:row + ny, :])
+            for yi, ny in enumerate(target.dims):
+                kraus.append((xi, yi, v[row:row + ny, :]))
                 row += ny
-        cols_per_block[alg.label_key(lx)] = kraus
-
-    def act(a: AlgebraElement) -> AlgebraElement:
-        out_mats = [np.zeros((ny, ny), dtype=complex) for ny in target.dims]
-        for xi, (lx, mx) in enumerate(source.blocks):
-            kraus = cols_per_block[alg.label_key(lx)]
-            for yi, (ly, ny) in enumerate(target.blocks):
-                for k in kraus[alg.label_key(ly)]:
-                    out_mats[yi] += k @ a.data[xi] @ k.conj().T
-        return AlgebraElement(target, tuple(out_mats))
-
-    return maps.from_action(source, target, act)
+    return maps.from_kraus(source, target, kraus)
 
 
 def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator,
@@ -140,10 +128,8 @@ def random_decohering_channel(source: AlgebraShape, target: AlgebraShape,
     """
     n_in, n_out = source.total_dim, target.total_dim
     f = rng.dirichlet(np.ones(n_out), size=n_in).T  # columns sum to 1
-
-    def act(a: AlgebraElement) -> AlgebraElement:
-        diag_in = np.concatenate([np.diag(m) for m in a.data])
-        diag_out = f @ diag_in
-        return alg.diagonal_element(target, diag_out)
-
-    return maps.from_action(source, target, act)
+    # the diagonal units are the entries where the trace row is 1
+    rows, cols = np.flatnonzero(maps.trace_row(target)), np.flatnonzero(maps.trace_row(source))
+    matrix = np.zeros((target.vector_dim, source.vector_dim), dtype=complex)
+    matrix[np.ix_(rows, cols)] = f
+    return LinearMap(source, target, matrix)

@@ -322,7 +322,7 @@ def two_state(psi: np.ndarray, povm: LinearMap,
         if phi is not None:
             phi1 = u21.conj().T @ phi
             expected = (psi1.conj() @ phi1) * np.outer(psi1, phi1.conj())
-            block = _tensor_block(propagated, label)
+            block = propagated.data[propagated.shape.block_of(0, x)]
             prop_res = float(np.linalg.norm(block - expected))
         if p_x < overlap_tol:
             entries.append(TwoStateEntry(label, p_x, False, None, None, prop_res))
@@ -341,13 +341,6 @@ def _weak_value_functional(state: AlgebraElement) -> Callable[[np.ndarray], comp
         return complex(np.trace(mat.conj().T @ arr))
 
     return weak_value
-
-
-def _tensor_block(t: AlgebraElement, right_label: object) -> np.ndarray:
-    for label, mat in zip(t.shape.labels, t.data):
-        if alg.label_key(label[1]) == alg.label_key(right_label):
-            return mat
-    raise ConstraintError(f"no tensor block with outcome label {right_label!r}")
 
 
 # ------------------------------------------------------------- correlators

@@ -214,8 +214,7 @@ def _sandwich(terms, e: LinearMap) -> AlgebraElement:
     """
     d = maps.channel_state(e)
     blocks = []
-    for ((lx, _), mn), block in zip(d.shape.blocks, d.data):
-        xi = e.source.index(lx)
+    for (xi, _), mn, block in zip(d.shape.pairs, d.shape.dims, d.data):
         m = e.source.dims[xi]
 
         def side(f, g):

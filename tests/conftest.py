@@ -1,8 +1,11 @@
 """Shared fixtures and independent dense oracles for the test suite.
 
 The oracle helpers deliberately avoid the library's own vectorization and
-blockwise machinery: they work on plain numpy arrays for single full matrix
-blocks, so any agreement with the library is a genuine cross-check.
+blockwise machinery: they work on plain numpy arrays, either for single full
+matrix blocks or on the dense embedding of a multi-block element (each block
+placed at its Hilbert-space indices, found from labels rather than from the
+library's tensor bookkeeping), so any agreement with the library is a
+genuine cross-check.
 ``dense_generic_bayes`` is the exception: it is the probe-loop generic Bayes
 solver the structured ``bayes.generic_bayes`` replaced, kept as its reference.
 """
@@ -45,16 +48,70 @@ def apply_dense(e: LinearMap, mat: np.ndarray) -> np.ndarray:
     return as_matrix(e(AlgebraElement(e.source, (mat,))))
 
 
+def hilbert_indices(shape: AlgebraShape) -> list[np.ndarray]:
+    """For each block of a shape, the indices it occupies in the Hilbert space.
+
+    A plain shape acts on ⊕ C^{d_i}, block i at its offset.  A tensor shape
+    acts on the product of its factors' spaces, and block (la, lb) occupies
+    the product of la's and lb's index sets.  Factor blocks are found by
+    comparing raw labels, not through the library's tensor bookkeeping.
+    """
+    if shape.factors is None:
+        offsets = np.cumsum((0,) + shape.dims[:-1])
+        return [off + np.arange(d) for off, d in zip(offsets, shape.dims)]
+    left, right = shape.factors
+    rows_l, rows_r = hilbert_indices(left), hilbert_indices(right)
+    return [(rows_l[left.labels.index(la)][:, None] * right.total_dim
+             + rows_r[right.labels.index(lb)][None, :]).reshape(-1)
+            for la, lb in shape.labels]
+
+
+def dense_embedding(a: AlgebraElement) -> np.ndarray:
+    """An element as one dense operator, each block at its Hilbert-space indices."""
+    n = a.shape.total_dim
+    out = np.zeros((n, n), dtype=complex)
+    for rows, mat in zip(hilbert_indices(a.shape), a.data):
+        out[np.ix_(rows, rows)] = mat
+    return out
+
+
+def element_from_dense(shape: AlgebraShape, mat: np.ndarray) -> AlgebraElement:
+    """Inverse of dense_embedding on block-diagonal operators."""
+    return AlgebraElement(shape, tuple(mat[np.ix_(r, r)] for r in hilbert_indices(shape)))
+
+
+def dense_swap(mat: np.ndarray, da: int, db: int) -> np.ndarray:
+    """The operator on H_A⊗H_B conjugated by the swap onto H_B⊗H_A."""
+    return mat.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+
+
+def dense_apply_to_factor(m: LinearMap, mat: np.ndarray, other: int, which: str) -> np.ndarray:
+    """(m⊗id) or (id⊗m) on a dense operator, m acting on every operator slice
+    of the named factor; ``other`` is the dimension of the other factor."""
+    n_s, n_t = m.source.total_dim, m.target.total_dim
+    four = mat.reshape(other, n_s, other, n_s) if which == "right" else \
+        mat.reshape(n_s, other, n_s, other).transpose(1, 0, 3, 2)
+    out = np.zeros((other, n_t, other, n_t), dtype=complex)
+    for p in range(other):
+        for q in range(other):
+            out[p, :, q, :] = dense_embedding(m(element_from_dense(m.source, four[p, :, q, :])))
+    if which == "left":
+        out = out.transpose(1, 0, 3, 2)
+    return out.reshape(other * n_t, other * n_t)
+
+
 def dense_channel_state(e: LinearMap) -> np.ndarray:
-    """Kron-sum oracle for D[E] = sum_ij E_ij (x) E(E_ji), single blocks."""
-    m = e.source.dims[0]
+    """Kron-sum oracle for D[E] = sum_ij E_ij (x) E(E_ji) on H_A⊗H_B, with
+    i, j running over the index pairs inside each block of A."""
+    n = e.source.total_dim
     out = 0
-    for i in range(m):
-        for j in range(m):
-            unit = np.zeros((m, m), dtype=complex)
-            unit[i, j] = 1.0
-            image = apply_dense(e, unit.conj().T.copy())  # E(E_ji)
-            out = out + np.kron(unit, image)
+    for rows in hilbert_indices(e.source):
+        for i in rows:
+            for j in rows:
+                unit = np.zeros((n, n), dtype=complex)
+                unit[i, j] = 1.0
+                image = e(element_from_dense(e.source, unit.T.copy()))  # E(E_ji)
+                out = out + np.kron(unit, dense_embedding(image))
     return out
 
 

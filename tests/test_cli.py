@@ -80,6 +80,25 @@ def test_sot_malformed_json_is_a_parse_error(fixtures, tmp_path, capsys):
     assert code == cli.EXIT_PARSE
 
 
+def test_sot_non_integer_shape_dim_is_a_parse_error(fixtures, tmp_path, capsys):
+    doc = io.serialize_map(fixtures["e"])
+    doc["source"][0]["dim"] = "x"
+    bad = tmp_path / "bad_dim.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["sot", "--family", "leifer-spekkens", str(bad), fixtures["state"]])
+    assert code == cli.EXIT_PARSE
+    assert "shape block dim must be an integer" in capsys.readouterr().err
+
+
+def test_output_files_are_written_by_io_dump(fixtures, monkeypatch, capsys):
+    written = []
+    monkeypatch.setattr(io, "dump", lambda doc, path: written.append((doc["kind"], path)))
+    out = str(fixtures["dir"] / "out.json")
+    assert run(["sot", "--family", "leifer-spekkens",
+                fixtures["channel"], fixtures["state"], out]) == cli.EXIT_OK
+    assert written == [("sot_result", out)]
+
+
 def test_sot_wrong_document_kind_is_validation(fixtures, capsys):
     code = run(["sot", "--family", "leifer-spekkens",
                 fixtures["state"], fixtures["state"]])
@@ -278,15 +297,26 @@ def test_scenario_two_state_weak_value(tmp_path, capsys):
     np.testing.assert_allclose(entry["weak_value"], [1.0, 0.0], atol=1e-10)
 
 
-def test_scenario_correlator_equal_time(tmp_path, capsys):
-    rng = rng_for("cli-correlator")
+def scenario_doc_correlator(rng):
     shape = alg.matrix_algebra(2)
-    doc = {"kind": "scenario", "name": "correlator", "schema_version": 1,
-           "t": 0.0,
-           "rho": io.serialize_element(sampling.random_state(shape, rng), "state"),
-           "h": io.serialize_element(sampling.random_hermitian(shape, rng)),
-           "a": io.serialize_element(sampling.random_hermitian(shape, rng)),
-           "b": io.serialize_element(sampling.random_hermitian(shape, rng))}
+    return {"kind": "scenario", "name": "correlator", "schema_version": 1,
+            "t": 0.0,
+            "rho": io.serialize_element(sampling.random_state(shape, rng), "state"),
+            "h": io.serialize_element(sampling.random_hermitian(shape, rng)),
+            "a": io.serialize_element(sampling.random_hermitian(shape, rng)),
+            "b": io.serialize_element(sampling.random_hermitian(shape, rng))}
+
+
+def scenario_doc_jeffrey(rng):
+    shape = alg.matrix_algebra(2)
+    half = io.serialize_map(0.5 * maps.identity_map(shape))
+    return {"kind": "scenario", "name": "jeffrey", "schema_version": 1,
+            "sigma": io.serialize_element(sampling.random_state(shape, rng), "state"),
+            "cp_parts": [half, half], "r": [0.5, 0.5]}
+
+
+def test_scenario_correlator_equal_time(tmp_path, capsys):
+    doc = scenario_doc_correlator(rng_for("cli-correlator"))
     path = tmp_path / "corr.json"
     path.write_text(json.dumps(doc))
     assert run(["scenario", "correlator", str(path)]) == cli.EXIT_OK
@@ -297,6 +327,22 @@ def test_scenario_missing_field_is_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["scenario", "correlator", str(path)]) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("pem", "p", ["x", 0.5, 0.5]), ("pem", "p", 3),
+    ("correlator", "t", "soon"), ("jeffrey", "r", ["a"])])
+def test_scenario_bad_numbers_are_parse_errors(name, field, value, tmp_path, capsys):
+    docs = {"pem": scenario_doc_pem, "correlator": scenario_doc_correlator,
+            "jeffrey": scenario_doc_jeffrey}
+    doc = docs[name](rng_for(f"cli-bad-{name}"))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert run(["scenario", name, str(path)]) == cli.EXIT_OK  # the document is sound
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    assert run(["scenario", name, str(path)]) == cli.EXIT_PARSE
+    assert f"parse error: {field} must be" in capsys.readouterr().err
 
 
 def test_scenario_name_mismatch_is_validation(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from qsot import algebra as alg, bayes, io, maps, sampling, sot
 from qsot.algebra import AlgebraShape
-from qsot.errors import ParseError, ValidationError
+from qsot.errors import ParseError, ShapeMismatchError, ValidationError
 
 from conftest import rng_for
 
@@ -31,6 +31,36 @@ def test_complex_wire_format():
         io.parse_complex("nope")
     with pytest.raises(ParseError):
         io.parse_complex([1.0])
+
+
+SHAPE_SCHEMA = jsonschema.Draft202012Validator(io.load_schema("defs")["$defs"]["shape"])
+
+
+@pytest.mark.parametrize("dim", ["x", "2", 2.5, True, None, [2]])
+def test_shape_dim_the_schema_rejects_is_a_parse_error(dim):
+    payload = [{"label": "a", "dim": dim}]
+    assert not SHAPE_SCHEMA.is_valid(payload)
+    with pytest.raises(ParseError):
+        io.parse_shape(payload)
+
+
+def test_shape_dim_integers_parse_and_small_dims_stay_validation_errors():
+    for dim in (2, 2.0):
+        payload = [{"label": "a", "dim": dim}]
+        assert SHAPE_SCHEMA.is_valid(payload)
+        assert io.parse_shape(payload).dims == (2,)
+    for dim in (0, -1):
+        with pytest.raises(ShapeMismatchError):
+            io.parse_shape([{"label": "a", "dim": dim}])
+
+
+def test_parse_real_accepts_numbers_only():
+    assert io.parse_real(3, "t") == 3.0
+    assert io.parse_real([1, 0.5], "p", listed=True) == [1.0, 0.5]
+    for value, listed in (("soon", False), (True, False), ([1.0], False),
+                          (3, True), (["a"], True), ([None], True)):
+        with pytest.raises(ParseError):
+            io.parse_real(value, "x", listed=listed)
 
 
 def test_matrix_roundtrip_and_shape_errors(rng):

@@ -1,5 +1,7 @@
 """Superoperators and the channel-state calculus, cross-checked against
 dense kron-sum oracles on single-block algebras."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,9 @@ from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.errors import ConstraintError, ShapeMismatchError
 from qsot.maps import LinearMap
 
-from conftest import (apply_dense, dense_channel_state, dense_hs_adjoint_check,
-                      dense_partial_trace)
+from conftest import (apply_dense, dense_apply_to_factor, dense_channel_state,
+                      dense_embedding, dense_hs_adjoint_check, dense_partial_trace,
+                      dense_swap, rng_for)
 
 ATOL = 1e-11
 
@@ -297,3 +300,155 @@ def test_random_unital_channel_fixes_identity(dim, seed):
     assert e.is_cptp and e.is_unital
     one = alg.identity(shape)
     assert (e(one) - one).norm() < 1e-9
+
+
+# ------------------------------------- block bookkeeping on unsorted shapes
+# Labels out of sorted order, so a tensor shape's block order (sorted by
+# label) differs from the order of its factor-block index pairs.
+SHAPE_A = AlgebraShape([("b", 2), ("a", 1), ("c", 2)])
+SHAPE_B = AlgebraShape([("z", 2), ("y", 1)])
+SHAPE_C = AlgebraShape([("q", 1), ("p", 2)])
+
+
+def test_unsorted_shapes_reorder_tensor_blocks():
+    tshape = SHAPE_A.tensor(SHAPE_B)
+    assert tshape.pairs != tuple(itertools.product(range(3), range(2)))
+    for k, (i, j) in enumerate(tshape.pairs):
+        assert tshape.labels[k] == (SHAPE_A.labels[i], SHAPE_B.labels[j])
+        assert tshape.dims[k] == SHAPE_A.dims[i] * SHAPE_B.dims[j]
+        assert tshape.block_of(i, j) == k
+
+
+def test_tensor_matches_dense_embedding(rng):
+    x = sampling.random_hermitian(SHAPE_A, rng)
+    y = sampling.random_hermitian(SHAPE_B, rng)
+    np.testing.assert_allclose(dense_embedding(alg.tensor(x, y)),
+                               np.kron(dense_embedding(x), dense_embedding(y)), atol=ATOL)
+
+
+def test_partial_traces_match_dense_embedding(rng):
+    t = sampling.random_hermitian(SHAPE_A.tensor(SHAPE_B), rng)
+    for side in ("A", "B"):
+        want = dense_partial_trace(dense_embedding(t), 5, 3, side)
+        np.testing.assert_allclose(dense_embedding(alg.partial_trace(t, side)), want,
+                                   atol=ATOL)
+
+
+def test_swap_gamma_matches_dense_embedding(rng):
+    t = sampling.random_hermitian(SHAPE_A.tensor(SHAPE_B), rng)
+    swapped = maps.swap_gamma(t)
+    assert swapped.shape == SHAPE_B.tensor(SHAPE_A)
+    np.testing.assert_allclose(dense_embedding(swapped), dense_swap(dense_embedding(t), 5, 3),
+                               atol=ATOL)
+
+
+@pytest.mark.parametrize("which", ["left", "right"])
+def test_apply_to_factor_matches_dense_embedding(which, rng):
+    t = sampling.random_hermitian(SHAPE_A.tensor(SHAPE_B), rng)
+    acted, other = (SHAPE_A, 3) if which == "left" else (SHAPE_B, 5)
+    m = sampling.random_cptp(acted, SHAPE_C, rng)
+    got = maps.apply_to_factor(m, t, which)
+    np.testing.assert_allclose(dense_embedding(got),
+                               dense_apply_to_factor(m, dense_embedding(t), other, which),
+                               atol=ATOL)
+
+
+def test_channel_state_roundtrip_matches_dense_embedding(rng):
+    e = sampling.random_cptp(SHAPE_A, SHAPE_B, rng)
+    d = maps.channel_state(e)
+    np.testing.assert_allclose(dense_embedding(d), dense_channel_state(e), atol=ATOL)
+    back = maps.channel_from_state(d, SHAPE_A, SHAPE_B)
+    assert np.max(np.abs(back.matrix - e.matrix)) < ATOL
+
+
+def test_reassociation_matches_dense_embedding(rng):
+    t = sampling.random_hermitian(SHAPE_A.tensor(SHAPE_B).tensor(SHAPE_C), rng)
+    moved = alg.reassociate_left_to_right(t)
+    assert moved.shape == SHAPE_A.tensor(SHAPE_B.tensor(SHAPE_C))
+    # (a·n_B + b)·n_C + c = a·(n_B·n_C) + (b·n_C + c): the same dense operator
+    np.testing.assert_allclose(dense_embedding(moved), dense_embedding(t), atol=0)
+
+
+# ----------------------------------------------------------- Kraus assembly
+def kraus_action(source, target, kraus):
+    """A ↦ ⊕_y Σ K A_x K† applied block by block, for from_action."""
+    def act(a):
+        out = [np.zeros((n, n), dtype=complex) for n in target.dims]
+        for xi, yi, k in kraus:
+            out[yi] += k @ a.data[xi] @ k.conj().T
+        return AlgebraElement(target, tuple(out))
+    return act
+
+
+def test_from_kraus_matches_probed_action(rng):
+    kraus = [(xi, yi, sampling.ginibre(rng, SHAPE_B.dims[yi], SHAPE_A.dims[xi]))
+             for xi, yi in [(0, 0), (2, 1), (0, 0), (1, 0), (2, 0)]]
+    got = maps.from_kraus(SHAPE_A, SHAPE_B, kraus)
+    want = maps.from_action(SHAPE_A, SHAPE_B, kraus_action(SHAPE_A, SHAPE_B, kraus))
+    assert np.max(np.abs(got.matrix - want.matrix)) < ATOL
+    with pytest.raises(ShapeMismatchError):
+        maps.from_kraus(SHAPE_A, SHAPE_B, [(1, 0, np.ones((2, 2)))])
+
+
+def test_instrument_with_two_block_outputs_matches_probed_form(rng):
+    parts = [w * sampling.random_cptp(SHAPE_A, SHAPE_B, rng) for w in (0.25, 0.75)]
+    outcomes = alg.classical_algebra(2, "x")
+
+    def act(a):
+        out = alg.zero(SHAPE_B.tensor(outcomes))
+        for x, f in enumerate(parts):
+            out = out + alg.tensor(f(a), alg.basis_vector(outcomes, f"x{x}"))
+        return out
+
+    want = maps.from_action(SHAPE_A, SHAPE_B.tensor(outcomes), act)
+    got = maps.instrument(parts)
+    assert got.target == want.target
+    assert np.max(np.abs(got.matrix - want.matrix)) < ATOL
+
+
+def test_partial_trace_channel_on_unsorted_shapes(rng):
+    tshape = SHAPE_A.tensor(SHAPE_B)
+    t = sampling.random_hermitian(tshape, rng)
+    for side in ("A", "B"):
+        assert (maps.partial_trace_channel(tshape, side)(t)
+                - alg.partial_trace(t, side)).norm() < ATOL
+    with pytest.raises(ValueError):
+        maps.partial_trace_channel(tshape, "C")
+
+
+def probed_random_cptp(source, target, rng, env=2):
+    """random_cptp's isometry draws, assembled unit by unit through from_action."""
+    d_out = target.total_dim
+    kraus = []
+    for xi, mx in enumerate(source.dims):
+        env_x = max(env, -(-mx // d_out))
+        v = sampling.random_isometry(rng, d_out * env_x, mx)
+        row = 0
+        for _ in range(env_x):
+            for yi, ny in enumerate(target.dims):
+                kraus.append((xi, yi, v[row:row + ny, :]))
+                row += ny
+    return maps.from_action(source, target, kraus_action(source, target, kraus))
+
+
+@pytest.mark.parametrize("source, target", [
+    (SHAPE_A, SHAPE_B), (SHAPE_B, SHAPE_C), (alg.matrix_algebra(5, "a"), SHAPE_B),
+    (SHAPE_C, alg.classical_algebra(3)), (SHAPE_A, SHAPE_A.tensor(SHAPE_C))])
+def test_random_cptp_matches_probed_twin(source, target):
+    for seed in range(3):
+        got = sampling.random_cptp(source, target, rng_for("cptp-twin", seed))
+        want = probed_random_cptp(source, target, rng_for("cptp-twin", seed))
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-15
+        assert got.is_cptp
+
+
+def test_random_decohering_channel_matches_probed_twin():
+    got = sampling.random_decohering_channel(SHAPE_A, SHAPE_C, rng_for("deco-twin"))
+    f = rng_for("deco-twin").dirichlet(np.ones(3), size=5).T
+
+    def act(a):
+        return alg.diagonal_element(SHAPE_C, f @ np.concatenate([np.diag(m) for m in a.data]))
+
+    want = maps.from_action(SHAPE_A, SHAPE_C, act)
+    assert np.max(np.abs(got.matrix - want.matrix)) == 0.0
+    assert got.is_cptp
