@@ -9,8 +9,7 @@ refinement.  ``table_report`` assembles the full family × property matrix.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -36,22 +36,11 @@ class StateRenderingMap:
     linear_in_state: bool = False
 
 
-def _multiplier(terms, shape) -> LinearMap:
-    """Σ w L_f∘R_g on ``shape``; a None side is the identity."""
-    def one(f, g) -> LinearMap:
-        if f is None:
-            return maps.right_mult(g)
-        if g is None:
-            return maps.left_mult(f)
-        return maps.left_mult(f).compose(maps.right_mult(g))
-    return LinearMap(shape, shape, sum(w * one(f, g).matrix for w, f, g in terms))
-
-
 def _rendering(name: str, family: sot.SotFamily) -> StateRenderingMap:
     """Θ_ρ = Σ w L_{f(ρ)}∘R_{g(ρ)} over the terms of a sandwich family; the
     SOT it derives is that family's."""
     return StateRenderingMap(
-        name, lambda rho: _multiplier(family.terms(rho), rho.shape),
+        name, lambda rho: maps.multiplier(family.terms(rho), rho.shape),
         family.state_linear)
 
 
@@ -108,10 +97,13 @@ def _product_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
 
     With σ = E(ρ), this is the unique solution of the Bayes condition for
     (f(ρ)⊗1)D[E](g(ρ)⊗1); inverses act on the support of σ unless ``strict``.
+    The outer terms act on the rows of E*, then the inner ones on its columns,
+    which are the rows of the transpose.
     """
-    outer = _multiplier(family.terms(rho), e.source)
-    inner = _multiplier(family.terms(e(rho), inverse=True, strict=strict), e.target)
-    return outer.compose(e.hs_adjoint()).compose(inner)
+    inner = family.terms(e(rho), inverse=True, strict=strict)
+    image = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
+    rows = maps.sandwich_rows(inner, image.T, e.target, transpose=True)
+    return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))
 
 
 def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
@@ -119,17 +111,16 @@ def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     """X(e_kl) = Σ w f(ρ) E*(e_kl) g(ρ) / Γ_kl on the eigen-units e_kl = |w_k⟩⟨w_l|
     of σ = E(ρ), with Γ_kl = ``family.denominator(q_k, q_l)``.
 
-    Per block of σ with eigenvectors W, the columns of (outer∘E*)·(W⊗W̄) are
-    divided by Γ and rotated back by (W⊗W̄)†.
+    The outer terms act on the rows of E*; then, with W the eigenvectors of
+    σ block by block, its columns are composed with Ad_W, divided by Γ and
+    composed with Ad_{W†}.
     """
-    image = _multiplier(family.terms(rho), e.source).compose(e.hs_adjoint()).matrix
     sigma = e(rho)
     if strict:
         alg.power(sigma, 1.0, strict=True)  # trigger the faithfulness check
-    matrix = np.empty_like(image)
-    off = 0
-    for (label, d), mat in zip(e.target.blocks, sigma.data):
-        vals, vecs = np.linalg.eigh(mat)
+    eigen = [np.linalg.eigh(mat) for mat in sigma.data]
+    gammas = []
+    for (label, _), (vals, _) in zip(e.target.blocks, eigen):
         gamma = family.denominator(vals[:, None], vals[None, :])
         singular = np.argwhere(np.abs(gamma) <= family.spectral_tol)
         if singular.size:
@@ -137,11 +128,14 @@ def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
             raise SingularityError(
                 f"vanishing denominator at spectral unit ({k},{l}) "
                 f"of block {alg.label_text(label)}")
-        units = np.kron(vecs, vecs.conj())  # column k·d+l is vec(e_kl)
-        cols = slice(off, off + d * d)
-        matrix[:, cols] = (image[:, cols] @ units / gamma.reshape(-1)) @ units.conj().T
-        off += d * d
-    return LinearMap(e.target, e.source, matrix)
+        gammas.append(gamma.reshape(-1))
+    w = AlgebraElement(e.target, tuple(vecs for _, vecs in eigen))
+    image = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
+    # ∘Ad_W, ÷Γ and ∘Ad_{W†} act on the columns: the rows of the transpose
+    rows = maps.sandwich_rows(((1.0, w, w.dagger()),), image.T, e.target, transpose=True)
+    rows /= np.concatenate(gammas)[:, None]
+    rows = maps.sandwich_rows(((1.0, w.dagger(), w),), rows, e.target, transpose=True)
+    return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))
 
 
 def petz(e: LinearMap, rho: AlgebraElement, strict: bool = False) -> LinearMap:

@@ -72,9 +72,11 @@ def parse_shape(payload: Any) -> AlgebraShape:
     blocks = []
     for entry in payload:
         try:
-            label, dim = str(entry["label"]), entry["dim"]
+            label, dim = entry["label"], entry["dim"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad shape block {entry!r}") from exc
+        if not isinstance(label, str):
+            raise ParseError(f"shape block label must be a string, got {label!r}")
         # the schema's integer: an int, or a float with no fractional part
         if isinstance(dim, bool) or not (isinstance(dim, int)
                                          or isinstance(dim, float) and dim.is_integer()):

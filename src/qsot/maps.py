@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraElement, AlgebraShape, label_text
+from .algebra import AlgebraElement, AlgebraShape
 from .config import ATOL, CP_TOL, HERM_TOL
 from .errors import ConstraintError, ShapeMismatchError
 
@@ -202,30 +202,68 @@ def identity_map(shape: AlgebraShape) -> LinearMap:
 
 def left_mult(a: AlgebraElement) -> LinearMap:
     """L_a : B ↦ aB."""
-    mats = [np.kron(mat, np.eye(d)) for mat, d in zip(a.data, a.shape.dims)]
-    return LinearMap(a.shape, a.shape, _block_diag(mats))
+    return multiplier(((1.0, a, None),), a.shape)
 
 
 def right_mult(a: AlgebraElement) -> LinearMap:
     """R_a : B ↦ Ba."""
-    mats = [np.kron(np.eye(d), mat.T) for mat, d in zip(a.data, a.shape.dims)]
-    return LinearMap(a.shape, a.shape, _block_diag(mats))
+    return multiplier(((1.0, None, a),), a.shape)
 
 
 def ad_map(x: AlgebraElement) -> LinearMap:
-    """Ad_x : A ↦ x A x†  (x need not be unitary or hermitian)."""
-    return left_mult(x).compose(right_mult(x.dagger()))
+    """Ad_x : A ↦ x A x†  (x need not be unitary or hermitian), from the
+    Kraus operator x on each block."""
+    return from_kraus(x.shape, x.shape, [(i, i, mat) for i, mat in enumerate(x.data)])
 
 
-def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), dtype=complex)
-    off = 0
-    for m in mats:
-        n = m.shape[0]
-        out[off:off + n, off:off + n] = m
-        off += n
+# ------------------------------------------------------------------- sandwiches
+def sandwich(terms, x: np.ndarray, d: int, p: int = 1) -> np.ndarray:
+    """Σ w f·X·g over the d×d matrices X of ``x`` read as a (d, p, d, q) array:
+    f multiplies its (d, p·d·q) view from the left and gᵀ its (d·p, d, q)
+    view.  ``terms`` holds (w, f, g) with d×d arrays, None for an identity
+    side (not both), and w scales a side.  A block of a map matrix's rows has
+    p = 1; a block of a channel state has p = q = the target block's dimension.
+    """
+    def one(w, f, g):
+        if g is None:
+            return ((w * f) @ x.reshape(d, -1)).reshape(x.shape)
+        out = x if f is None else f @ x.reshape(d, -1)
+        return ((w * g).T @ out.reshape(d * p, d, -1)).reshape(x.shape)
+    first, *rest = terms
+    out = one(*first)
+    for term in rest:
+        out += one(*term)
     return out
+
+
+def block_terms(terms, i: int, transpose: bool = False) -> list:
+    """The (w, f, g) terms of elements (None for an identity side) as the
+    matrices of block ``i``, transposed if asked."""
+    def side(a):
+        return None if a is None else a.data[i].T if transpose else a.data[i]
+    return [(w, side(f), side(g)) for w, f, g in terms]
+
+
+def sandwich_rows(terms, matrix: np.ndarray, shape: AlgebraShape,
+                  transpose: bool = False) -> np.ndarray:
+    """(Σ w L_f∘R_g)·matrix for a matrix whose rows hold the coordinates of
+    ``shape``: the kernel on each block of rows, as a new C-ordered array.
+
+    With ``transpose`` the sides are fᵀ and gᵀ, which acts on columns:
+    M∘L_f∘R_g takes each row functional R of M to fᵀ·R·gᵀ, so its transpose
+    is this kernel on the rows of Mᵀ.
+    """
+    matrix = np.ascontiguousarray(matrix)
+    out = np.empty(matrix.shape, dtype=complex)
+    for i, (off, d) in enumerate(zip(_offsets(shape), shape.dims)):
+        rows = slice(off, off + d * d)
+        out[rows] = sandwich(block_terms(terms, i, transpose), matrix[rows], d)
+    return out
+
+
+def multiplier(terms, shape: AlgebraShape) -> LinearMap:
+    """Σ w L_f∘R_g on ``shape``: the kernel on the rows of the identity."""
+    return LinearMap(shape, shape, sandwich_rows(terms, np.eye(shape.vector_dim), shape))
 
 
 # -------------------------------------------------------------- channel states

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra as alg, bayes, maps, sot
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraElement
 from .config import ATOL
 from .errors import ConstraintError, FaithfulnessError, SingularityError
 from .maps import LinearMap

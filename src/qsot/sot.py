@@ -208,22 +208,15 @@ class StateOverTime:
 def _sandwich(terms, e: LinearMap) -> AlgebraElement:
     """Σ w (f⊗1) D[E] (g⊗1), block by block of D[E] without building lifts.
 
-    On a block (x, y) of D[E], f⊗1 multiplies the (m, n·m·n) view from the
-    left and g⊗1 the (m·n, m, n) view from the right, with f, g taken on
-    source block x of dimension m.
+    A block (x, y) of D[E] is an (m, n, m, n) array for source block x of
+    dimension m, and f⊗1, g⊗1 act on its two m-axes: the shared kernel with
+    f, g taken on block x.
     """
     d = maps.channel_state(e)
     blocks = []
     for (xi, _), mn, block in zip(d.shape.pairs, d.shape.dims, d.data):
         m = e.source.dims[xi]
-
-        def side(f, g):
-            out = block if f is None else (f.data[xi] @ block.reshape(m, -1)).reshape(mn, mn)
-            if g is not None:
-                out = (g.data[xi].T @ out.reshape(mn, m, mn // m)).reshape(mn, mn)
-            return out
-
-        blocks.append(sum(w * side(f, g) for w, f, g in terms))
+        blocks.append(maps.sandwich(maps.block_terms(terms, xi), block, m, mn // m))
     return AlgebraElement(d.shape, tuple(blocks))
 
 

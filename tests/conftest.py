@@ -206,6 +206,55 @@ def dense_generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement
                                uniqueness, witnesses)
 
 
+# ------------------------------------------------ dense Bayes closed forms
+def block_diagonal(mats) -> np.ndarray:
+    """Square blocks placed along the diagonal in the given order."""
+    n = sum(m.shape[0] for m in mats)
+    out = np.zeros((n, n), dtype=complex)
+    off = 0
+    for m in mats:
+        out[off:off + m.shape[0], off:off + m.shape[0]] = m
+        off += m.shape[0]
+    return out
+
+
+def dense_multiplier(terms, shape: AlgebraShape) -> np.ndarray:
+    """Σ w L_f∘R_g on ``shape`` as one dense matrix, built per block as
+    kron(f, 1)·kron(1, gᵀ) (vec(fXg) = (f⊗gᵀ)vec(X) row-major), with a
+    None side the identity and the blocks on the diagonal in shape order."""
+    mats = []
+    for i, d in enumerate(shape.dims):
+        one = np.eye(d)
+        def side(a):
+            return one if a is None else a.data[i]
+        mats.append(sum(w * (np.kron(side(f), one) @ np.kron(one, side(g).T))
+                        for w, f, g in terms))
+    return block_diagonal(mats)
+
+
+def dense_ad(x: AlgebraElement) -> np.ndarray:
+    """Ad_x as one dense matrix: kron(X, X̄) per block."""
+    return block_diagonal([np.kron(m, m.conj()) for m in x.data])
+
+
+def dense_product_bayes(family, e: LinearMap, rho: AlgebraElement, strict: bool) -> np.ndarray:
+    """Oracle for the one-term closed form: outer multiplier · E* · inner multiplier."""
+    outer = dense_multiplier(family.terms(rho), e.source)
+    inner = dense_multiplier(family.terms(e(rho), inverse=True, strict=strict), e.target)
+    return outer @ e.matrix.conj().T @ inner
+
+
+def dense_spectral_bayes(family, e: LinearMap, rho: AlgebraElement) -> np.ndarray:
+    """Oracle for the two-term closed form: the outer multiplier · E* in the
+    eigen-units of E(ρ) (Ad_W as kron(W, W̄)), divided by Γ, rotated back."""
+    eig = [np.linalg.eigh(m) for m in e(rho).data]
+    units = dense_ad(AlgebraElement(e.target, tuple(w for _, w in eig)))
+    gamma = np.concatenate([family.denominator(q[:, None], q[None, :]).reshape(-1)
+                            for q, _ in eig])
+    image = dense_multiplier(family.terms(rho), e.source) @ e.matrix.conj().T
+    return (image @ units / gamma) @ units.conj().T
+
+
 @dataclass(frozen=True)
 class TransposedTarget(sot.SotFamily):
     """Leifer–Spekkens followed by the transpose on the target factor.

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from qsot import algebra as alg, bayes, maps, sampling, sot
-from qsot.algebra import AlgebraShape
-from qsot.errors import (FaithfulnessError, QsotError, SingularityError,
-                         UnsupportedFamilyError)
+from qsot.algebra import AlgebraElement, AlgebraShape
+from qsot.config import PASS_THRESHOLD
+from qsot.errors import (ConstraintError, FaithfulnessError, QsotError,
+                         SingularityError, UnsupportedFamilyError)
 from qsot.maps import LinearMap
 
-from conftest import TransposedTarget, dense_generic_bayes, rng_for
+from conftest import (TransposedTarget, dense_generic_bayes, dense_multiplier,
+                      dense_product_bayes, dense_spectral_bayes, rng_for)
 
 RESIDUAL_TOL = 1e-10
 MATCH_TOL = 1e-8
@@ -46,6 +48,97 @@ def test_closed_form_on_blocky_shapes(family, rng):
     rho = sampling.random_state(source, rng)
     x = bayes.closed_form_bayes(family, e, rho)
     assert bayes.bayes_residual(family, x, e, rho) < RESIDUAL_TOL
+
+
+# Block order differs from label order, and block dims differ.
+CLOSED_FORM_SHAPES = (
+    (AlgebraShape([("b", 3), ("a", 1), ("c", 2)]), AlgebraShape([("z", 2), ("y", 3)])),
+    (AlgebraShape([("p", 3), ("o", 1)]), AlgebraShape([("u", 2), ("t", 1), ("s", 1)])),
+)
+ONE_TERM_FAMILIES = (sot.LeiferSpekkens(), sot.TRotated(0.3), sot.STH(0.3),
+                     sot.RightBloom(), sot.LeftBloom())
+TWO_TERM_FAMILIES = (sot.SymmetricBloom(), sot.RSFamily(0.3, 0.7), sot.RSFamily(1.0, 1.0))
+ORACLE_TOL = 1e-12
+
+
+def family_id(family):
+    return f"rs({family.r},{family.s})" if isinstance(family, sot.RSFamily) else family.tag
+
+
+def shapes_id(shapes):
+    return "->".join("+".join(str(label) for label in s.labels) for s in shapes)
+
+
+@pytest.mark.parametrize("strict", (False, True))
+@pytest.mark.parametrize("shapes", CLOSED_FORM_SHAPES, ids=shapes_id)
+@pytest.mark.parametrize("family", ONE_TERM_FAMILIES, ids=family_id)
+def test_product_bayes_matches_dense_oracle(family, shapes, strict, rng):
+    e = sampling.random_cptp(*shapes, rng)
+    rho = sampling.random_state(shapes[0], rng)
+    x = bayes.closed_form_bayes(family, e, rho, strict=strict)
+    want = dense_product_bayes(family, e, rho, strict)
+    assert np.max(np.abs(x.matrix - want)) < ORACLE_TOL * max(1.0, np.linalg.norm(want))
+    assert x.matrix.flags.c_contiguous
+
+
+@pytest.mark.parametrize("strict", (False, True))
+@pytest.mark.parametrize("shapes", CLOSED_FORM_SHAPES, ids=shapes_id)
+@pytest.mark.parametrize("family", TWO_TERM_FAMILIES, ids=family_id)
+def test_spectral_bayes_matches_dense_oracle(family, shapes, strict, rng):
+    e = sampling.random_cptp(*shapes, rng)
+    rho = sampling.random_state(shapes[0], rng)
+    x = bayes.closed_form_bayes(family, e, rho, strict=strict)
+    want = dense_spectral_bayes(family, e, rho)
+    assert np.max(np.abs(x.matrix - want)) < ORACLE_TOL * max(1.0, np.linalg.norm(want))
+    assert x.matrix.flags.c_contiguous
+
+
+THETA_FAMILIES = (
+    (bayes.theta_ls(), sot.LeiferSpekkens()), (bayes.theta_right(), sot.RightBloom()),
+    (bayes.theta_left(), sot.LeftBloom()), (bayes.theta_jordan(), sot.SymmetricBloom()),
+    (bayes.theta_rs(0.3, 0.7), sot.RSFamily(0.3, 0.7)))
+
+
+@pytest.mark.parametrize("theta, family", THETA_FAMILIES,
+                         ids=[theta.name for theta, _ in THETA_FAMILIES])
+def test_theta_multipliers_match_dense_oracle(theta, family, rng):
+    shape = CLOSED_FORM_SHAPES[0][0]
+    rho = sampling.random_state(shape, rng)
+    got = theta.recipe(rho).matrix
+    assert np.max(np.abs(got - dense_multiplier(family.terms(rho), shape))) < ORACLE_TOL
+
+
+def near_singular_prior(d, rng, tiny=1e-9):
+    """A prior on M_d whose d-1 smallest eigenvalues are ``tiny``."""
+    u = sampling.random_unitary(rng, d)
+    vals = np.full(d, tiny)
+    vals[0] = 1.0 - (d - 1) * tiny
+    return AlgebraElement(AlgebraShape((("a", d),)), ((u * vals) @ u.conj().T,))
+
+
+@pytest.mark.parametrize("family", (sot.LeiferSpekkens(), sot.STH(0.3), sot.TRotated(0.3)),
+                         ids=lambda f: f.tag)
+def test_one_term_closed_forms_stay_accurate_on_near_singular_priors(family):
+    """min eig E(ρ) is about 5e-10 here, above FAITHFULNESS_TOL.  A run whose
+    Bayes map fails the fixed TP test inside ``sot.evaluate`` is counted, not
+    hidden: that is the tolerance defect of ROADMAP item 1."""
+    inaccurate, tp_refused = [], 0
+    for k in range(20):
+        rng = np.random.default_rng([7, k])
+        rho = near_singular_prior(4, rng)
+        e = sampling.random_cptp(rho.shape, AlgebraShape((("b", 4),)), rng)
+        x = bayes.closed_form_bayes(family, e, rho)
+        try:
+            residual = bayes.bayes_residual(family, x, e, rho)
+        except ConstraintError as exc:
+            assert "trace-preserving" in str(exc)
+            tp_refused += 1
+            continue
+        if residual >= PASS_THRESHOLD:
+            inaccurate.append((k, residual))
+    note = f"{tp_refused} of 20 runs refused by the fixed TP test in LinearMap.is_tp"
+    assert not inaccurate, f"residual >= {PASS_THRESHOLD:.0e} at (k, residual) {inaccurate}; {note}"
+    assert tp_refused < 20, note
 
 
 def test_petz_matches_dense_textbook_formula(rng):

@@ -90,6 +90,16 @@ def test_sot_non_integer_shape_dim_is_a_parse_error(fixtures, tmp_path, capsys):
     assert "shape block dim must be an integer" in capsys.readouterr().err
 
 
+def test_sot_non_string_shape_label_is_a_parse_error(fixtures, tmp_path, capsys):
+    doc = io.serialize_map(fixtures["e"])
+    doc["source"][0]["label"] = 3
+    bad = tmp_path / "bad_label.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["sot", "--family", "leifer-spekkens", str(bad), fixtures["state"]])
+    assert code == cli.EXIT_PARSE
+    assert "shape block label must be a string" in capsys.readouterr().err
+
+
 def test_output_files_are_written_by_io_dump(fixtures, monkeypatch, capsys):
     written = []
     monkeypatch.setattr(io, "dump", lambda doc, path: written.append((doc["kind"], path)))

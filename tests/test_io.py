@@ -44,6 +44,14 @@ def test_shape_dim_the_schema_rejects_is_a_parse_error(dim):
         io.parse_shape(payload)
 
 
+@pytest.mark.parametrize("label", [3, None])
+def test_shape_label_the_schema_rejects_is_a_parse_error(label):
+    payload = [{"label": label, "dim": 2}]
+    assert not SHAPE_SCHEMA.is_valid(payload)
+    with pytest.raises(ParseError, match="label must be a string"):
+        io.parse_shape(payload)
+
+
 def test_shape_dim_integers_parse_and_small_dims_stay_validation_errors():
     for dim in (2, 2.0):
         payload = [{"label": "a", "dim": dim}]

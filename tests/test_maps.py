@@ -11,9 +11,9 @@ from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.errors import ConstraintError, ShapeMismatchError
 from qsot.maps import LinearMap
 
-from conftest import (apply_dense, dense_apply_to_factor, dense_channel_state,
-                      dense_embedding, dense_hs_adjoint_check, dense_partial_trace,
-                      dense_swap, rng_for)
+from conftest import (apply_dense, dense_ad, dense_apply_to_factor, dense_channel_state,
+                      dense_embedding, dense_hs_adjoint_check, dense_multiplier,
+                      dense_partial_trace, dense_swap, rng_for)
 
 ATOL = 1e-11
 
@@ -268,6 +268,22 @@ def test_unitary_channel_requires_unitary(rng):
                                atol=ATOL)
     with pytest.raises(ConstraintError):
         maps.unitary_channel(2.0 * u)
+
+
+def test_left_and_right_mult_match_dense_oracle(rng):
+    shape = AlgebraShape([("b", 3), ("a", 1), ("c", 2)])
+    a = sampling.random_hermitian(shape, rng) + sampling.random_hermitian(shape, rng) * 1j
+    assert np.array_equal(maps.left_mult(a).matrix, dense_multiplier(((1.0, a, None),), shape))
+    assert np.array_equal(maps.right_mult(a).matrix, dense_multiplier(((1.0, None, a),), shape))
+
+
+def test_ad_map_matches_left_and_right_multiplication(rng):
+    shape = AlgebraShape([("b", 3), ("a", 1), ("c", 2)])
+    x = sampling.random_hermitian(shape, rng) + sampling.random_hermitian(shape, rng) * 1j
+    got = maps.ad_map(x).matrix
+    want = maps.left_mult(x).compose(maps.right_mult(x.dagger())).matrix
+    assert np.max(np.abs(got - want)) < 1e-14
+    assert np.max(np.abs(got - dense_ad(x))) < 1e-14
 
 
 def test_replace_channel_outputs_sigma(rng):
