@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ATOL, FAITHFULNESS_TOL, GROUP_TOL, HERM_TOL
+from .config import (ATOL, FAITHFULNESS_TOL, GROUP_TOL, HERM_TOL, POWER_HERM_TOL,
+                     STATE_HERM_TOL, STATE_TOL)
 from .errors import (
     FaithfulnessError,
     NotAStateError,
@@ -308,14 +309,13 @@ class SpectralDecomposition:
         return out
 
 
-def spectral_decompose(a: AlgebraElement, group_tol: float = GROUP_TOL,
-                       herm_tol: float = HERM_TOL) -> SpectralDecomposition:
+def spectral_decompose(a: AlgebraElement, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
     """Eigendecomposition with eigenvalues grouped across all blocks.
 
     Eigenvalues closer than ``group_tol`` share one projector, so degenerate
     spectra yield the coarse projectors the compound constructions need.
     """
-    if not a.is_hermitian(herm_tol):
+    if not a.is_hermitian():
         raise NotHermitianError("spectral_decompose requires a hermitian element")
     entries = []  # (eigenvalue, block index, eigenvector)
     for bi, mat in enumerate(a.data):
@@ -352,38 +352,35 @@ def apply_function(a: AlgebraElement, fn) -> AlgebraElement:
     return AlgebraElement(a.shape, tuple(mats))
 
 
-def power(a: AlgebraElement, r: complex, strict: bool = False,
-          faithfulness_tol: float = FAITHFULNESS_TOL,
-          atol: float = ATOL) -> AlgebraElement:
+def power(a: AlgebraElement, r: complex, strict: bool = False) -> AlgebraElement:
     """Functional calculus a^r for PSD hermitian a, on the spectral support.
 
     Zero eigenvalues are dropped (pseudo-inverse convention), so a^0 is the
     support projector and negative/complex powers act on the support only.
-    In strict mode any eigenvalue below ``faithfulness_tol`` is an error.
+    In strict mode any eigenvalue below ``FAITHFULNESS_TOL`` is an error.
     """
-    if not a.is_hermitian(1e2 * HERM_TOL):
+    if not a.is_hermitian(POWER_HERM_TOL):
         raise NotHermitianError("power requires a hermitian element")
 
     def powered(vals: np.ndarray) -> np.ndarray:
-        if vals[0] < -atol:
+        if vals[0] < -ATOL:
             raise NotAStateError(f"negative eigenvalue {vals[0]:.3e} in power()")
-        if strict and vals[0] < faithfulness_tol:
+        if strict and vals[0] < FAITHFULNESS_TOL:
             raise FaithfulnessError(
                 f"eigenvalue {vals[0]:.3e} below faithfulness tolerance")
         out = np.zeros(vals.shape, dtype=complex)
-        support = vals > faithfulness_tol
+        support = vals > FAITHFULNESS_TOL
         out[support] = vals[support].astype(complex) ** r
         return out
 
     return apply_function(a, powered)
 
 
-def support_unitary(a: AlgebraElement, t: float,
-                    faithfulness_tol: float = FAITHFULNESS_TOL) -> AlgebraElement:
+def support_unitary(a: AlgebraElement, t: float) -> AlgebraElement:
     """a^{it} on the support, identity off the support (a commuting unitary)."""
     def phases(vals: np.ndarray) -> np.ndarray:
         out = np.ones(vals.shape, dtype=complex)
-        support = vals > faithfulness_tol
+        support = vals > FAITHFULNESS_TOL
         out[support] = vals[support].astype(complex) ** (1j * t)
         return out
 
@@ -399,12 +396,12 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a @ b - b @ a
 
 
-def assert_state(a: AlgebraElement, atol: float = ATOL) -> AlgebraElement:
+def assert_state(a: AlgebraElement) -> AlgebraElement:
     """Validate the density-matrix requirements and return the element."""
-    if not a.is_hermitian(1e3 * HERM_TOL):
+    if not a.is_hermitian(STATE_HERM_TOL):
         raise NotAStateError("state is not hermitian")
-    if abs(a.trace() - 1.0) > 1e3 * atol:
+    if abs(a.trace() - 1.0) > STATE_TOL:
         raise NotAStateError(f"state trace {a.trace():.6f} != 1")
-    if a.min_eigenvalue() < -1e3 * atol:
+    if a.min_eigenvalue() < -STATE_TOL:
         raise NotAStateError(f"state has eigenvalue {a.min_eigenvalue():.3e} < 0")
     return a

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra as alg, maps, sampling, sot
 from .algebra import AlgebraElement, AlgebraShape
-from .config import FAIL_THRESHOLD, PASS_THRESHOLD
+from .config import FAIL_THRESHOLD, HERM_TOL, PASS_THRESHOLD
 from .errors import (ConstraintError, ExtensionError, InapplicableError,
                      UnsupportedFamilyError)
 from .maps import LinearMap
@@ -147,8 +147,7 @@ def _product_extremum(block: np.ndarray, m: int, n: int, starts: int,
 
 
 def block_positivity_violation(t: AlgebraElement, starts: int,
-                               rng: np.random.Generator,
-                               herm_tol: float = 1e-10) -> tuple[float, dict]:
+                               rng: np.random.Generator) -> tuple[float, dict]:
     """Largest found violation of ⟨a⊗b|T|a⊗b⟩ being real and non-negative.
 
     A non-hermitian T is probed for product vectors with a non-real pairing
@@ -162,7 +161,7 @@ def block_positivity_violation(t: AlgebraElement, starts: int,
     for label, (i, j), mat in zip(tshape.labels, tshape.pairs, t.data):
         m, n = factor_a.dims[i], factor_b.dims[j]
         skew = (mat - mat.conj().T) / 2j
-        if np.linalg.norm(skew) > herm_tol:
+        if np.linalg.norm(skew) > HERM_TOL:
             val, a, b = _product_extremum(skew, m, n, starts, rng, "absmax")
             if abs(val) > violation:
                 violation = abs(val)

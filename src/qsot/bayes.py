@@ -19,6 +19,7 @@ import numpy as np
 
 from . import algebra as alg, maps, sot
 from .algebra import AlgebraElement, AlgebraShape
+from .config import COND_LIMIT, FAIL_THRESHOLD, LOCALITY_TOL, RANK_TOL
 from .errors import SingularityError, UnsupportedFamilyError
 from .maps import LinearMap
 
@@ -190,6 +191,8 @@ def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     one-term sandwich families, the spectral formula for the two-term ones,
     and the generalized conditional expectation for Θ-derived families."""
     if isinstance(family, sot.ThetaDerived):
+        if strict:
+            alg.power(e(rho), 1.0, strict=True)  # the faithfulness check
         return gce_solve(family.theta, e, rho)
     if hasattr(family, "denominator"):
         return _spectral_bayes(family, e, rho, strict)
@@ -200,8 +203,7 @@ def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
 
 
 # --------------------------------------------------------------- generic solve
-def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
-                  rank_tol: float = 1e-8) -> BayesSolution:
+def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement) -> BayesSolution:
     """Solve E⋆ρ = τ(~X ⋆ E(ρ)) for trace-preserving X by least squares.
 
     Every family is local in the source factor: for fixed σ = E(ρ) there is a
@@ -232,7 +234,7 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     want = probe.matrix @ phi_adj
     got = reversed_map(maps.time_reversal_tau(family.value(probe.tilde(), sigma)),
                        a_shape)
-    if np.max(np.abs(got - want)) > 1e-10 * max(1.0, np.max(np.abs(want))):
+    if np.max(np.abs(got - want)) > LOCALITY_TOL * max(1.0, np.max(np.abs(want))):
         raise UnsupportedFamilyError(
             f"family {getattr(family, 'tag', family)} is not local in the source "
             "factor, which the generic solver assumes")
@@ -248,8 +250,8 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     x_map = LinearMap(b_shape, a_shape, x)
 
     residual = bayes_residual(family, x_map, e, rho)
-    nullity = (n_a - 1) * int(np.sum(svals <= rank_tol * max(1.0, svals[0])))
-    if residual > 1e-6:
+    nullity = (n_a - 1) * int(np.sum(svals <= RANK_TOL * max(1.0, svals[0])))
+    if residual > FAIL_THRESHOLD:
         uniqueness, witnesses = "none-found", ()
     elif nullity == 0:
         uniqueness, witnesses = "unique", ()
@@ -270,7 +272,7 @@ def gce_solve(theta: StateRenderingMap, e: LinearMap,
     theta_sigma = theta.recipe(e(rho))
     lhs = e.matrix @ theta_rho.matrix
     cond = np.linalg.cond(theta_sigma.matrix)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularityError("Θ at E(ρ) is numerically singular")
     x = np.linalg.solve(theta_sigma.matrix, lhs)
     return LinearMap(e.source, e.target, x).hs_adjoint()

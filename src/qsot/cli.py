@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra as alg, axioms, bayes, io, maps, scenarios, sot
 from .algebra import AlgebraElement
-from .config import PASS_THRESHOLD
+from .config import ATOL, PASS_THRESHOLD, SCENARIO_TOL
 from .errors import (ConstraintError, ExtensionError, FaithfulnessError,
                      InapplicableError, NotAStateError, NotHermitianError,
                      ParseError, QsotError, ShapeMismatchError,
@@ -98,6 +98,9 @@ def cmd_bayes(args) -> int:
     except UnsupportedFamilyError:
         generic = bayes.generic_bayes(family, channel, state)
         solution_map, uniqueness = generic.map, generic.uniqueness
+    if not solution_map.is_tp:  # a numerical failure of the solver, not of the input
+        raise SingularityError(f"the computed Bayes map is not trace-preserving "
+                               f"(TP defect {solution_map.tp_defect():.2e})")
     residual = bayes.bayes_residual(family, solution_map, channel, state)
     classification = bayes.classify_solution(solution_map)
     doc = {"kind": "bayes_solution", "schema_version": io.SCHEMA_VERSION,
@@ -168,16 +171,19 @@ def _scenario_pem(doc: dict) -> tuple[dict, bool]:
     p = alg.diagonal_element(prep.source, io.parse_real(doc["p"], "p", listed=True))
     scenario = scenarios.PemScenario(p, prep, evo, meas)
     _, residuals = scenarios.pem_reverse(scenario, strict=doc.get("strict", True))
-    ok = (residuals["classical_inverse"] < 1e-9
-          and residuals["leifer_pairing"] < 1e-9)
+    ok = residuals["classical_inverse"] < ATOL and residuals["leifer_pairing"] < ATOL
     return {"scenario": "pem", "residuals": residuals}, ok
+
+
+def _listed(doc: dict, key: str) -> list:
+    if not isinstance(doc.get(key), list) or not doc[key]:
+        raise ParseError(f"{key} must be a non-empty list, got {doc.get(key)!r}")
+    return doc[key]
 
 
 def _instrument_from_doc(doc: dict) -> scenarios.InstrumentScenario:
     sigma = _parse_sub(doc, "sigma")
-    parts = tuple(io.parse_document(part) for part in doc.get("cp_parts", []))
-    if not parts:
-        raise ParseError("scenario document needs a non-empty cp_parts list")
+    parts = tuple(io.parse_document(part) for part in _listed(doc, "cp_parts"))
     return scenarios.InstrumentScenario(sigma, parts)
 
 
@@ -186,7 +192,7 @@ def _scenario_state_update(doc: dict) -> tuple[dict, bool]:
     family = io.parse_family(doc["family"]) if "family" in doc else None
     _, checks = scenarios.state_update(s, family)
     return ({"scenario": "state-update", "checks": checks},
-            all(v < 1e-10 for v in checks.values()))
+            all(v < SCENARIO_TOL for v in checks.values()))
 
 
 def _scenario_jeffrey(doc: dict) -> tuple[dict, bool]:
@@ -202,9 +208,9 @@ def _scenario_jeffrey(doc: dict) -> tuple[dict, bool]:
 
 
 def _scenario_two_state(doc: dict) -> tuple[dict, bool]:
-    effects = [io.parse_matrix(m) for m in doc["effects"]]
+    effects = [io.parse_matrix(m) for m in _listed(doc, "effects")]
     povm = maps.povm(effects)
-    psi = np.array([io.parse_complex(v) for v in doc["psi"]])
+    psi = np.array([io.parse_complex(v) for v in _listed(doc, "psi")])
     unitaries = None
     if "u10" in doc or "u21" in doc:
         dim = povm.source.dims[0]
@@ -221,7 +227,7 @@ def _scenario_two_state(doc: dict) -> tuple[dict, bool]:
                       "defined": entry.defined}
         if entry.propagated_residual is not None:
             item["propagated_residual"] = entry.propagated_residual
-            ok = ok and entry.propagated_residual < 1e-10
+            ok = ok and entry.propagated_residual < SCENARIO_TOL
         if entry.defined and observable is not None:
             item["weak_value"] = io.serialize_complex(entry.weak_value(observable))
         report.append(item)
@@ -240,7 +246,7 @@ def _scenario_correlator(doc: dict) -> tuple[dict, bool]:
     return ({"scenario": "correlator", "t": t,
              "direct": io.serialize_complex(direct),
              "via_sot": io.serialize_complex(via_sot),
-             "difference": gap}, gap < 1e-10)
+             "difference": gap}, gap < SCENARIO_TOL)
 
 
 def _scenario_linearization(doc: dict) -> tuple[dict, bool]:

@@ -1,29 +1,38 @@
-"""Numerical tolerances used across the library.
+"""Numerical tolerances: the one module that decides how close is close enough.
 
-All defaults are chosen for double precision at block dimensions <= 16.
-Functions accept individual overrides; these module constants are the single
-source of the default values.
+One constant per role, named in its comment; library functions read them and
+take no tolerance arguments, except ``AlgebraElement.is_hermitian(tol)`` (its
+callers test at different scales) and ``spectral_decompose(group_tol)`` (an
+Ohya wire parameter).  Values suit double precision at block dimensions <= 16.
 """
 
-# General identity / equality tolerance.
-ATOL = 1e-9
+ATOL = 1e-9  # identity / equality tests; the scale of the state and channel tests
+HERM_TOL = 1e-10  # entrywise hermiticity of an element; also of D[E]'s blocks in P2
+FAITHFULNESS_TOL = 1e-10  # eigenvalues at or below it are off the support; strict refuses below
+GROUP_TOL = 1e-8  # eigenvalues closer than this share one spectral projector
+CP_TOL = 1e-9  # a map is CP when no blockwise Choi eigenvalue is below −CP_TOL
 
-# Hermiticity test tolerance.
-HERM_TOL = 1e-10
-
-# Eigenvalues below this are treated as zero when deciding faithfulness;
-# strict-mode operations error if any eigenvalue is smaller than this.
-FAITHFULNESS_TOL = 1e-10
-
-# Eigenvalues closer than this are grouped into a single spectral projector.
-GROUP_TOL = 1e-8
-
-# A map counts as completely positive when every blockwise Choi eigenvalue
-# is >= -CP_TOL.
-CP_TOL = 1e-9
-
-# Certification thresholds: a property fails on a violation above
-# FAIL_THRESHOLD and holds when the worst residual stays below
-# PASS_THRESHOLD.  The gap is deliberate so verdicts do not flap.
+# Certification fails a property on a violation above FAIL_THRESHOLD and holds
+# it when the worst residual stays below PASS_THRESHOLD (the gap keeps verdicts
+# from flapping); the generic Bayes solver finds no solution above FAIL_THRESHOLD.
 FAIL_THRESHOLD = 1e-6
 PASS_THRESHOLD = 1e-8
+
+MAP_TOL = 1e3 * HERM_TOL  # a map's TP and †-preserving (entrywise), unital (norm) tests
+POWER_HERM_TOL = 1e2 * HERM_TOL  # hermiticity of an element raised to a power
+STATE_HERM_TOL = 1e3 * HERM_TOL  # hermiticity of a density matrix
+STATE_TOL = 1e3 * ATOL  # a density matrix's trace and lowest eigenvalue; a direction's trace
+CHANNEL_TOL = 1e3 * ATOL  # stochastic column sums, POVM effect sums, unitarity of blocks
+SOT_ARG_TOL = 1e4 * ATOL  # hermiticity and unit trace of a state over time's second argument
+STEP_TOL = 10 * ATOL  # lowest eigenvalue a finite-difference step may leave
+
+RANK_TOL = 1e-8  # generic Bayes: singular values <= RANK_TOL·max(1, s_max) are null
+LOCALITY_TOL = 1e-10  # generic Bayes: its locality premise, relative to the probe
+COND_LIMIT = 1e12  # gce_solve refuses a Θ_σ of larger condition number
+COMM_TOL = 1e-12  # classical-limit pairs: ‖[D[E], ρ⊗1]‖ at most this
+SPECTRAL_GAP = 1e-3  # a non-degenerate prior: eigenvalues and their gaps above this
+
+PROB_TOL = 1e-12  # scenarios: an outcome of lower probability is dead
+OVERLAP_TOL = 1e-9  # two-state: pre/post-selection of lower overlap is undefined
+RANK_ONE_TOL = 1e-10  # two-state: an effect is rank one when its other eigenvalues are below
+SCENARIO_TOL = 1e-10  # a scenario check passes below this (PEM and Jeffrey weights: ATOL)

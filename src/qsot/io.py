@@ -160,6 +160,8 @@ def serialize_family(family: sot.SotFamily) -> dict:
 def parse_family(doc: dict | str) -> sot.SotFamily:
     if isinstance(doc, str):
         doc = {"tag": doc}
+    if not isinstance(doc, dict):
+        raise ParseError(f"a family must be a tag or an object, got {doc!r}")
     tag = doc.get("tag")
     cls = sot.FAMILIES.get(tag) if isinstance(tag, str) else None
     if cls is None:
@@ -168,15 +170,11 @@ def parse_family(doc: dict | str) -> sot.SotFamily:
     for f in _parameters(cls):
         if f.name == "theta":
             name = doc.get("theta")
-            if name not in _THETA_BUILTINS:
+            if not isinstance(name, str) or name not in _THETA_BUILTINS:
                 raise ParseError(f"unknown state-rendering recipe {name!r}")
             kwargs["theta"] = _THETA_BUILTINS[name]()
         elif f.name in doc:
-            try:
-                kwargs[f.name] = float(doc[f.name])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{tag} family parameter {f.name} must be a number, "
-                                 f"got {doc[f.name]!r}") from exc
+            kwargs[f.name] = parse_real(doc[f.name], f"{tag} family parameter {f.name}")
         elif f.default is dataclasses.MISSING:
             raise ParseError(f"{tag} family needs {f.name}")
     return cls(**kwargs)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import AlgebraElement, AlgebraShape
-from .config import ATOL, CP_TOL, HERM_TOL
+from .config import CHANNEL_TOL, CP_TOL, MAP_TOL
 from .errors import ConstraintError, ShapeMismatchError
 
 
@@ -119,20 +119,20 @@ class LinearMap:
                          self.matrix.conj()[np.ix_(rows, cols)])
 
     # ------------------------------------------------------------ classification
+    def tp_defect(self) -> float:
+        """max |tr(E(e)) − tr(e)| over the matrix units e of the source."""
+        return float(np.max(np.abs(trace_row(self.target) @ self.matrix - trace_row(self.source))))
+
     @property
     def is_tp(self) -> bool:
         if "tp" not in self._cache:
-            lhs = trace_row(self.target) @ self.matrix
-            rhs = trace_row(self.source)
-            self._cache["tp"] = bool(np.max(np.abs(lhs - rhs)) <= 1e3 * HERM_TOL)
+            self._cache["tp"] = self.tp_defect() <= MAP_TOL
         return self._cache["tp"]
 
     @property
     def is_dagger_preserving(self) -> bool:
         if "dp" not in self._cache:
-            other = self.tilde()
-            self._cache["dp"] = bool(
-                np.max(np.abs(self.matrix - other.matrix)) <= 1e3 * HERM_TOL)
+            self._cache["dp"] = bool(np.max(np.abs(self.matrix - self.tilde().matrix)) <= MAP_TOL)
         return self._cache["dp"]
 
     @property
@@ -148,7 +148,7 @@ class LinearMap:
     def is_unital(self) -> bool:
         if "unital" not in self._cache:
             diff = self(alg.identity(self.source)) - alg.identity(self.target)
-            self._cache["unital"] = bool(diff.norm() <= 1e3 * HERM_TOL)
+            self._cache["unital"] = bool(diff.norm() <= MAP_TOL)
         return self._cache["unital"]
 
     @property
@@ -402,11 +402,11 @@ def apply_to_factor(m: LinearMap, t: AlgebraElement, which: str) -> AlgebraEleme
 
 
 # ---------------------------------------------------------- channel constructors
-def classical_channel(stochastic: np.ndarray, atol: float = ATOL,
-                      source_prefix: str = "x", target_prefix: str = "y") -> LinearMap:
+def classical_channel(stochastic: np.ndarray, source_prefix: str = "x",
+                      target_prefix: str = "y") -> LinearMap:
     """A column-stochastic matrix f_yx as a channel C^X → C^Y."""
     f = np.asarray(stochastic, dtype=float)
-    if np.max(np.abs(f.sum(axis=0) - 1.0)) > 1e3 * atol:
+    if np.max(np.abs(f.sum(axis=0) - 1.0)) > CHANNEL_TOL:
         raise ConstraintError("columns of a stochastic matrix must sum to 1")
     n_y, n_x = f.shape
     source = alg.classical_algebra(n_x, source_prefix)
@@ -416,8 +416,7 @@ def classical_channel(stochastic: np.ndarray, atol: float = ATOL,
 
 
 def povm(effects: Sequence[np.ndarray] | Sequence[AlgebraElement],
-         source: AlgebraShape | None = None, atol: float = ATOL,
-         target_prefix: str = "y") -> LinearMap:
+         source: AlgebraShape | None = None, target_prefix: str = "y") -> LinearMap:
     """A POVM {M_y} as the channel A ↦ ⊕_y tr(M_y A) into C^Y."""
     elems = []
     for m in effects:
@@ -431,7 +430,7 @@ def povm(effects: Sequence[np.ndarray] | Sequence[AlgebraElement],
     total = elems[0]
     for m in elems[1:]:
         total = total + m
-    if (total - alg.identity(source)).norm() > 1e3 * atol:
+    if (total - alg.identity(source)).norm() > CHANNEL_TOL:
         raise ConstraintError("POVM effects must sum to the identity")
     target = alg.classical_algebra(len(elems), target_prefix)
     rows = [vec(m.dagger()).conj() for m in elems]  # tr(M_y A) row functionals
@@ -444,18 +443,16 @@ def povm_effects(e: LinearMap) -> list[AlgebraElement]:
     return [adj(alg.basis_vector(e.target, label)) for label in e.target.labels]
 
 
-def ensemble(states: Sequence[AlgebraElement], atol: float = ATOL,
-             source_prefix: str = "x") -> LinearMap:
+def ensemble(states: Sequence[AlgebraElement], source_prefix: str = "x") -> LinearMap:
     """An ensemble {ρ_x} as the preparation channel C^X → A, δ_x ↦ ρ_x."""
     for rho in states:
-        alg.assert_state(rho, atol)
+        alg.assert_state(rho)
     source = alg.classical_algebra(len(states), source_prefix)
     cols = [vec(rho) for rho in states]
     return LinearMap(source, states[0].shape, np.column_stack(cols))
 
 
-def instrument(cp_parts: Sequence[LinearMap], atol: float = ATOL,
-               outcome_prefix: str = "x") -> LinearMap:
+def instrument(cp_parts: Sequence[LinearMap], outcome_prefix: str = "x") -> LinearMap:
     """A quantum instrument {F_x} as the channel A → B⊗C^X, A ↦ Σ_x F_x(A)⊗δ_x."""
     source, b_shape = cp_parts[0].source, cp_parts[0].target
     if not sum(cp_parts[1:], cp_parts[0]).is_tp:
@@ -468,18 +465,17 @@ def instrument(cp_parts: Sequence[LinearMap], atol: float = ATOL,
         [cp_parts[x].matrix[offs[i]:offs[i] + b_shape.dims[i] ** 2] for i, x in target.pairs]))
 
 
-def unitary_channel(u: AlgebraElement, atol: float = ATOL) -> LinearMap:
+def unitary_channel(u: AlgebraElement) -> LinearMap:
     """Ad_U for a blockwise unitary U."""
     for mat, d in zip(u.data, u.shape.dims):
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(d))) > 1e3 * atol:
+        if np.max(np.abs(mat @ mat.conj().T - np.eye(d))) > CHANNEL_TOL:
             raise ConstraintError("unitary_channel needs unitary blocks")
     return ad_map(u)
 
 
-def replace_channel(sigma: AlgebraElement, source: AlgebraShape,
-                    atol: float = ATOL) -> LinearMap:
+def replace_channel(sigma: AlgebraElement, source: AlgebraShape) -> LinearMap:
     """The replacement channel A ↦ tr(A)·σ."""
-    alg.assert_state(sigma, atol)
+    alg.assert_state(sigma)
     return LinearMap(source, sigma.shape, np.outer(vec(sigma), trace_row(source)))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra as alg, bayes, maps, sot
 from .algebra import AlgebraElement
-from .config import ATOL
+from .config import ATOL, OVERLAP_TOL, PROB_TOL, RANK_ONE_TOL, STATE_TOL, STEP_TOL
 from .errors import ConstraintError, FaithfulnessError, SingularityError
 from .maps import LinearMap
 
@@ -62,8 +62,7 @@ def _distribution(state: AlgebraElement) -> np.ndarray:
     return np.array([m[0, 0].real for m in state.data])
 
 
-def pem_reverse(s: PemScenario, strict: bool = True,
-                prob_tol: float = 1e-12) -> tuple[PemScenario, dict]:
+def pem_reverse(s: PemScenario, strict: bool = True) -> tuple[PemScenario, dict]:
     """Reverse a PEM scenario by inverting each stage at its input state.
 
     Returns the reverse scenario (prior q, preparation M⋆_σ, dynamics E⋆_ρ,
@@ -76,10 +75,10 @@ def pem_reverse(s: PemScenario, strict: bool = True,
     rho, sigma = s.rho, s.sigma
     q = _distribution(s.q)
     notices: list[str] = []
-    dead = [i for i, qy in enumerate(q) if qy < prob_tol]
+    dead = [i for i, qy in enumerate(q) if qy < PROB_TOL]
     if strict and dead:
         label = s.meas.target.labels[dead[0]]
-        raise FaithfulnessError(f"outcome {label} has probability below {prob_tol}")
+        raise FaithfulnessError(f"outcome {label} has probability below {PROB_TOL}")
     for i in dead:
         notices.append(f"outcome {s.meas.target.labels[i]} excluded "
                        f"(probability {q[i]:.2e})")
@@ -160,9 +159,8 @@ def eigenbasis_identities(s: PemScenario) -> dict:
 
 
 # ---------------------------------------------------------------- Fuchs rule
-def fuchs_rule(meas: LinearMap, rho: AlgebraElement,
-               prob_tol: float = 1e-12) -> tuple[list[tuple[object, float, AlgebraElement]],
-                                                 list[str]]:
+def fuchs_rule(meas: LinearMap, rho: AlgebraElement
+               ) -> tuple[list[tuple[object, float, AlgebraElement]], list[str]]:
     """Posterior states ρ_x = √ρ M_x √ρ / p_x for a POVM measurement.
 
     Returns (entries, notices); outcomes with vanishing probability are
@@ -172,7 +170,7 @@ def fuchs_rule(meas: LinearMap, rho: AlgebraElement,
     entries, notices = [], []
     for label, m_x in zip(meas.target.labels, maps.povm_effects(meas)):
         p_x = (m_x @ rho).trace().real
-        if p_x < prob_tol:
+        if p_x < PROB_TOL:
             notices.append(f"outcome {label} omitted (probability {p_x:.2e})")
             continue
         entries.append((label, p_x, (1.0 / p_x) * (root @ m_x @ root)))
@@ -205,10 +203,9 @@ DEFAULT_UPDATE_FAMILIES: tuple[sot.SotFamily, ...] = (
     sot.LeiferSpekkens(), sot.SymmetricBloom(), sot.RightBloom())
 
 
-def state_update(s: InstrumentScenario,
-                 family: sot.SotFamily | None = None,
-                 independence_families: Sequence[sot.SotFamily] = DEFAULT_UPDATE_FAMILIES,
-                 prob_tol: float = 1e-12) -> tuple[LinearMap, dict]:
+def state_update(s: InstrumentScenario, family: sot.SotFamily | None = None,
+                 independence_families: Sequence[sot.SotFamily] = DEFAULT_UPDATE_FAMILIES
+                 ) -> tuple[LinearMap, dict]:
     """The measurement state-update map as a Bayes map of the outcome readout.
 
     Inverting the partial trace E = tr_B at ρ = F(σ) sends each outcome to
@@ -220,7 +217,7 @@ def state_update(s: InstrumentScenario,
     family = family or sot.LeiferSpekkens()
     probs = s.outcome_probabilities()
     for x, p_x in enumerate(probs):
-        if p_x < prob_tol:
+        if p_x < PROB_TOL:
             raise SingularityError(f"outcome {x} has vanishing probability {p_x:.2e}")
     rho = s.rho
     e = maps.partial_trace_channel(rho.shape, "A")  # traces out B, keeps outcomes
@@ -247,18 +244,17 @@ def state_update(s: InstrumentScenario,
     return psi, checks
 
 
-def jeffrey_update(s: InstrumentScenario, r: Sequence[float],
-                   prob_tol: float = 1e-12) -> AlgebraElement:
+def jeffrey_update(s: InstrumentScenario, r: Sequence[float]) -> AlgebraElement:
     """Soft-evidence barycenter Σ_x r_x · F_x(σ)/tr(F_x(σ))."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (len(s.cp_parts),) or np.any(r < 0) or abs(r.sum() - 1.0) > 1e-9:
+    if r.shape != (len(s.cp_parts),) or np.any(r < 0) or abs(r.sum() - 1.0) > ATOL:
         raise ConstraintError("r must be a distribution over the outcomes")
     probs = s.outcome_probabilities()
     out = alg.zero(s.cp_parts[0].target)
     for x, (f_x, p_x) in enumerate(zip(s.cp_parts, probs)):
         if r[x] == 0.0:
             continue
-        if p_x < prob_tol:
+        if p_x < PROB_TOL:
             raise SingularityError(f"outcome {x} has vanishing probability {p_x:.2e}")
         out = out + (r[x] / p_x) * f_x(s.sigma)
     return out
@@ -275,16 +271,15 @@ class TwoStateEntry:
     propagated_residual: float | None
 
 
-def _rank_one_vector(m: np.ndarray, tol: float = 1e-10) -> np.ndarray | None:
+def _rank_one_vector(m: np.ndarray) -> np.ndarray | None:
     vals, vecs = np.linalg.eigh(m)
-    if vals[-1] > tol and np.all(np.abs(vals[:-1]) < tol * max(1.0, vals[-1])):
+    if vals[-1] > RANK_ONE_TOL and np.all(np.abs(vals[:-1]) < RANK_ONE_TOL * max(1.0, vals[-1])):
         return np.sqrt(vals[-1]) * vecs[:, -1]
     return None
 
 
 def two_state(psi: np.ndarray, povm: LinearMap,
-              unitaries: tuple[np.ndarray, np.ndarray] | None = None,
-              overlap_tol: float = 1e-9) -> list[TwoStateEntry]:
+              unitaries: tuple[np.ndarray, np.ndarray] | None = None) -> list[TwoStateEntry]:
     """Pre/post-selected two-states and weak values from a POVM readout.
 
     ``unitaries`` holds (U_{t1←t0}, U_{t2←t1}); the measurement acts at t2 on
@@ -324,7 +319,7 @@ def two_state(psi: np.ndarray, povm: LinearMap,
             expected = (psi1.conj() @ phi1) * np.outer(psi1, phi1.conj())
             block = propagated.data[propagated.shape.block_of(0, x)]
             prop_res = float(np.linalg.norm(block - expected))
-        if p_x < overlap_tol:
+        if p_x < OVERLAP_TOL:
             entries.append(TwoStateEntry(label, p_x, False, None, None, prop_res))
             continue
         state = AlgebraElement(shape, ((rho.data[0] @ m_back) / p_x,))
@@ -378,8 +373,7 @@ class LinearizationReport:
 
 
 def ls_linearization_check(e: LinearMap, a: AlgebraElement,
-                           epsilons: Sequence[float],
-                           atol: float = ATOL) -> LinearizationReport:
+                           epsilons: Sequence[float]) -> LinearizationReport:
     """Finite-difference check that the square-root family linearizes, at the
     maximally mixed state, to the symmetric-bloom evaluation of the direction.
 
@@ -387,7 +381,7 @@ def ls_linearization_check(e: LinearMap, a: AlgebraElement,
     compared against ½{A⊗1, D[E]}; the error is O(ε²), so halving ε should
     shrink it by ≈ 4.
     """
-    if not a.is_hermitian() or abs(a.trace()) > 1e3 * atol:
+    if not a.is_hermitian() or abs(a.trace()) > STATE_TOL:
         raise ConstraintError("direction must be hermitian and traceless")
     if a.shape != e.source:
         raise ConstraintError("direction does not live on the channel's source")
@@ -398,7 +392,7 @@ def ls_linearization_check(e: LinearMap, a: AlgebraElement,
     def quotient_error(eps: float) -> float:
         plus, minus = rho0 + eps * a, rho0 - eps * a
         for state in (plus, minus):
-            if state.min_eigenvalue() <= 10 * atol:
+            if state.min_eigenvalue() <= STEP_TOL:
                 raise ConstraintError(
                     f"step {eps} leaves the state set (direction too large)")
         diff = (sot.evaluate(sot.LeiferSpekkens(), e, plus).value

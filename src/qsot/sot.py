@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algebra as alg, maps, sampling
 from .algebra import AlgebraElement, AlgebraShape
-from .config import ATOL, FAITHFULNESS_TOL, GROUP_TOL
+from .config import COMM_TOL, FAITHFULNESS_TOL, GROUP_TOL, SOT_ARG_TOL, SPECTRAL_GAP, STATE_TOL
 from .errors import ConstraintError, ExtensionError, UnsupportedFamilyError
 from .maps import LinearMap
 
@@ -220,8 +220,7 @@ def _sandwich(terms, e: LinearMap) -> AlgebraElement:
     return AlgebraElement(d.shape, tuple(blocks))
 
 
-def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement,
-             atol: float = ATOL) -> StateOverTime:
+def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverTime:
     """E⋆ρ for the given family.
 
     ``rho`` may be any hermitian unit-trace element when the family is linear
@@ -231,11 +230,11 @@ def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement,
         raise ConstraintError("state over time requires a trace-preserving map")
     if rho.shape != e.source:
         raise ConstraintError("state does not live on the channel's source")
-    if not rho.is_hermitian(1e4 * atol):
+    if not rho.is_hermitian(SOT_ARG_TOL):
         raise ConstraintError("second argument must be hermitian")
-    if abs(rho.trace() - 1.0) > 1e4 * atol:
+    if abs(rho.trace() - 1.0) > SOT_ARG_TOL:
         raise ConstraintError("second argument must have unit trace")
-    if not family.state_linear and rho.min_eigenvalue() < -1e3 * atol:
+    if not family.state_linear and rho.min_eigenvalue() < -STATE_TOL:
         raise ExtensionError(
             f"family {family.tag} is not linear in the state "
             "and only evaluates density matrices")
@@ -268,15 +267,14 @@ def _diagonal_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraEle
     return alg.diagonal_element(shape, rng.dirichlet(np.ones(shape.total_dim)))
 
 
-def _has_nondegenerate_spectrum(rho: AlgebraElement, gap: float = 1e-3) -> bool:
+def _has_nondegenerate_spectrum(rho: AlgebraElement) -> bool:
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in rho.data]))
-    return bool(np.all(np.diff(vals) > gap)) and vals[0] > gap
+    return bool(np.all(np.diff(vals) > SPECTRAL_GAP)) and vals[0] > SPECTRAL_GAP
 
 
 def classical_limit_pairs(shape_a: AlgebraShape, shape_b: AlgebraShape,
-                          rng: np.random.Generator,
-                          nondegenerate_prior: bool = False,
-                          comm_tol: float = 1e-12) -> Iterator[tuple[LinearMap, AlgebraElement]]:
+                          rng: np.random.Generator, nondegenerate_prior: bool = False
+                          ) -> Iterator[tuple[LinearMap, AlgebraElement]]:
     """Endless stream of (E, ρ) with [D[E], ρ⊗1] = 0.
 
     Cycles through: (a) replacement channels with arbitrary priors,
@@ -284,7 +282,7 @@ def classical_limit_pairs(shape_a: AlgebraShape, shape_b: AlgebraShape,
     (c) central priors with arbitrary channels (covers every bistochastic
     instance since ρ = 1/m is central), and (d) fully classical pairs when
     both algebras are commutative.  Every emitted pair is checked against
-    ``comm_tol``; with ``nondegenerate_prior`` only priors with simple,
+    ``COMM_TOL``; with ``nondegenerate_prior`` only priors with simple,
     strictly positive spectrum are emitted (the central construction is then
     skipped unless the blocks are one-dimensional).
     """
@@ -308,6 +306,6 @@ def classical_limit_pairs(shape_a: AlgebraShape, shape_b: AlgebraShape,
             rho = _central_state(shape_a, rng)
         if nondegenerate_prior and not _has_nondegenerate_spectrum(rho):
             continue
-        if commutation_residual(e, rho) > comm_tol:
+        if commutation_residual(e, rho) > COMM_TOL:
             continue
         yield e, rho

@@ -460,3 +460,18 @@ def test_spectral_maps_on_rank_deficient_outputs_are_singular(rng):
         # strict mode refuses the unfaithful E(ρ) before any denominator
         with pytest.raises(FaithfulnessError):
             bayes.closed_form_bayes(family, e, rho, strict=True)
+
+
+def test_strict_mode_refuses_unfaithful_outputs_for_theta_families(rng):
+    # Θ_σ's condition number stays below the solver's limit at an eigenvalue
+    # of 1e-11, so only the faithfulness check can refuse this σ; the
+    # symmetric bloom's spectral formula refuses it in both modes
+    shape = alg.matrix_algebra(3)
+    u = sampling.random_unitary(rng, 3)
+    rho = AlgebraElement(shape, (u @ np.diag([0.6, 0.4 - 1e-11, 1e-11]) @ u.conj().T,))
+    e = maps.unitary_channel(sampling.random_unitary_element(shape, rng))
+    theta = sot.ThetaDerived(bayes.theta_jordan())
+    assert isinstance(bayes.closed_form_bayes(theta, e, rho), LinearMap)
+    for family in (sot.SymmetricBloom(), theta):
+        with pytest.raises(FaithfulnessError):
+            bayes.closed_form_bayes(family, e, rho, strict=True)

@@ -160,7 +160,8 @@ def test_bayes_rs_family_requires_parameters(fixtures, capsys):
     assert code == cli.EXIT_OK
 
 
-def test_bayes_strict_mode_singular_state_is_numerical(tmp_path, capsys):
+def _replacement_onto_zero(tmp_path) -> list[str]:
+    """Files of the replacement channel onto |0⟩⟨0| and a random qubit state."""
     shape = alg.matrix_algebra(2, "a")
     rng = rng_for("cli-singular")
     e = maps.replace_channel(alg.diagonal_element(alg.matrix_algebra(2, "b"),
@@ -168,9 +169,21 @@ def test_bayes_strict_mode_singular_state_is_numerical(tmp_path, capsys):
     io.dump(io.serialize_map(e), str(tmp_path / "c.json"))
     io.dump(io.serialize_element(sampling.random_state(shape, rng), kind="state"),
             str(tmp_path / "s.json"))
+    return [str(tmp_path / "c.json"), str(tmp_path / "s.json")]
+
+
+def test_bayes_strict_mode_singular_state_is_numerical(tmp_path, capsys):
     code = run(["bayes", "--family", "leifer-spekkens", "--strict",
-                str(tmp_path / "c.json"), str(tmp_path / "s.json")])
+                *_replacement_onto_zero(tmp_path)])
     assert code == cli.EXIT_NUMERICAL
+
+
+def test_bayes_non_trace_preserving_solution_is_numerical(tmp_path, capsys):
+    # the support pseudo-inverse of the rank-one E(ρ) gives a map that is not
+    # trace-preserving: a numerical failure, not an invalid input
+    code = run(["bayes", "--family", "leifer-spekkens", *_replacement_onto_zero(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    assert "not trace-preserving (TP defect" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ certify
@@ -353,6 +366,37 @@ def test_scenario_bad_numbers_are_parse_errors(name, field, value, tmp_path, cap
     path.write_text(json.dumps(doc))
     assert run(["scenario", name, str(path)]) == cli.EXIT_PARSE
     assert f"parse error: {field} must be" in capsys.readouterr().err
+
+
+def scenario_doc_state_update(rng):
+    doc = scenario_doc_jeffrey(rng)
+    del doc["r"]
+    return dict(doc, name="state-update")
+
+
+def scenario_doc_two_state(rng):
+    return {"kind": "scenario", "name": "two-state", "schema_version": 1,
+            "psi": [[1.0, 0.0], [0.0, 0.0]],
+            "effects": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]]}
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("state-update", "family", {"tag": "theta", "theta": ["ls"]}),
+    ("state-update", "family", 3), ("state-update", "family", ["ls"]),
+    ("state-update", "family", {"tag": "t-rotated", "t": True}),
+    ("state-update", "cp_parts", 3),
+    ("two-state", "effects", 3), ("two-state", "effects", []),
+    ("two-state", "psi", 3)])
+def test_scenario_malformed_fields_are_parse_errors(name, field, value, tmp_path, capsys):
+    docs = {"state-update": scenario_doc_state_update, "two-state": scenario_doc_two_state}
+    doc = docs[name](rng_for(f"cli-malformed-{name}"))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert run(["scenario", name, str(path)]) == cli.EXIT_OK  # the document is sound
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    assert run(["scenario", name, str(path)]) == cli.EXIT_PARSE
+    assert "parse error: " in capsys.readouterr().err
 
 
 def test_scenario_name_mismatch_is_validation(tmp_path, capsys):
