@@ -7,9 +7,8 @@ from . import algebra, axioms, bayes, errors, io, maps, sampling, scenarios, sot
 from .algebra import (AlgebraElement, AlgebraShape, classical_algebra,
                       matrix_algebra, partial_trace, power, tensor)
 from .axioms import CertifyConfig, PropertyVerdict, certify, check_associativity, table_report
-from .bayes import (BayesSolution, StateRenderingMap, bayes_residual,
-                    closed_form_bayes, gce_solve, generic_bayes, petz,
-                    rotated_petz, sth_inverse)
+from .bayes import (BayesSolution, bayes_residual, closed_form_bayes, gce_solve,
+                    generic_bayes, petz, rotated_petz, sth_inverse)
 from .maps import LinearMap, channel_state, channel_from_state, time_reversal_tau
 from .scenarios import (InstrumentScenario, PemScenario, fuchs_rule,
                         jeffrey_update, ls_linearization_check, pem_reverse,

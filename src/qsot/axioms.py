@@ -324,7 +324,7 @@ def certify(family: sot.SotFamily, prop: str,
     the pass threshold yields ``holds``.
     """
     config = config or CertifyConfig()
-    tag = getattr(family, "tag", str(family))
+    tag = family.tag
     if prop not in PROPERTIES:
         raise InapplicableError(f"unknown property {prop}")
     if config.trials <= 0:

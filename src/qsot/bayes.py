@@ -3,7 +3,7 @@
 Closed forms come from the family's own terms: one product formula for the
 one-term families (Petz and its rotated/STH variants, the one-sided blooms),
 one spectral-basis formula for the two-term families (symmetric bloom and
-(r,s)), and generalized conditional expectations for state-rendering maps.
+(r,s)), and generalized conditional expectations for Θ-derived families.
 ``generic_bayes`` solves the defining condition directly and measures
 uniqueness, which is the cross-check oracle for everything else.  It uses
 only that every family is local in the source factor, ~X⋆σ = (Φ_σ⊗id)(D[~X]):
@@ -13,7 +13,7 @@ family on the identity channel, and a dense probe checks that premise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,47 +22,6 @@ from .algebra import AlgebraElement, AlgebraShape
 from .config import COND_LIMIT, FAIL_THRESHOLD, LOCALITY_TOL, RANK_TOL
 from .errors import SingularityError, UnsupportedFamilyError
 from .maps import LinearMap
-
-
-# ------------------------------------------------------------ state rendering
-@dataclass(frozen=True)
-class StateRenderingMap:
-    """A state-indexed superoperator family ρ ↦ Θ_ρ.
-
-    ``linear_in_state`` marks recipes where Θ_ρ depends linearly on ρ, which
-    is what lets the derived SOT extend beyond density matrices.
-    """
-    name: str
-    recipe: Callable[[AlgebraElement], LinearMap]
-    linear_in_state: bool = False
-
-
-def _rendering(name: str, family: sot.SotFamily) -> StateRenderingMap:
-    """Θ_ρ = Σ w L_{f(ρ)}∘R_{g(ρ)} over the terms of a sandwich family; the
-    SOT it derives is that family's."""
-    return StateRenderingMap(
-        name, lambda rho: maps.multiplier(family.terms(rho), rho.shape),
-        family.state_linear)
-
-
-def theta_right() -> StateRenderingMap:
-    return _rendering("right", sot.RightBloom())
-
-
-def theta_left() -> StateRenderingMap:
-    return _rendering("left", sot.LeftBloom())
-
-
-def theta_jordan() -> StateRenderingMap:
-    return _rendering("jordan", sot.SymmetricBloom())
-
-
-def theta_ls() -> StateRenderingMap:
-    return _rendering("ls", sot.LeiferSpekkens())
-
-
-def theta_rs(r: float, s: float) -> StateRenderingMap:
-    return _rendering(f"rs({r},{s})", sot.RSFamily(r, s))
 
 
 # -------------------------------------------------------------- Bayes residual
@@ -193,13 +152,13 @@ def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     if isinstance(family, sot.ThetaDerived):
         if strict:
             alg.power(e(rho), 1.0, strict=True)  # the faithfulness check
-        return gce_solve(family.theta, e, rho)
+        return gce_solve(family, e, rho)
     if hasattr(family, "denominator"):
         return _spectral_bayes(family, e, rho, strict)
     if hasattr(family, "terms"):
         return _product_bayes(family, e, rho, strict)
     raise UnsupportedFamilyError(
-        f"no closed-form Bayes map for family {getattr(family, 'tag', family)}")
+        f"no closed-form Bayes map for family {family.tag}")
 
 
 # --------------------------------------------------------------- generic solve
@@ -236,7 +195,7 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement) -> B
                        a_shape)
     if np.max(np.abs(got - want)) > LOCALITY_TOL * max(1.0, np.max(np.abs(want))):
         raise UnsupportedFamilyError(
-            f"family {getattr(family, 'tag', family)} is not local in the source "
+            f"family {family.tag} is not local in the source "
             "factor, which the generic solver assumes")
 
     t_a, t_b = maps.trace_row(a_shape), maps.trace_row(b_shape)
@@ -265,11 +224,16 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement) -> B
 
 
 # ------------------------------------------------------------------------- GCE
-def gce_solve(theta: StateRenderingMap, e: LinearMap,
+def theta_jordan() -> sot.SymmetricBloom:
+    """The Jordan recipe: ``sot.ThetaDerived(theta_jordan())`` renders Θ_ρ = ½{ρ, ·}."""
+    return sot.SymmetricBloom()
+
+
+def gce_solve(family: sot.ThetaDerived, e: LinearMap,
               rho: AlgebraElement) -> LinearMap:
     """Solve E∘Θ_ρ = Θ_{E(ρ)}∘X for X and return its HS adjoint (a Bayes map)."""
-    theta_rho = theta.recipe(rho)
-    theta_sigma = theta.recipe(e(rho))
+    theta_rho = family.rendering(rho)
+    theta_sigma = family.rendering(e(rho))
     lhs = e.matrix @ theta_rho.matrix
     cond = np.linalg.cond(theta_sigma.matrix)
     if not np.isfinite(cond) or cond > COND_LIMIT:

@@ -252,8 +252,8 @@ def _scenario_correlator(doc: dict) -> tuple[dict, bool]:
 def _scenario_linearization(doc: dict) -> tuple[dict, bool]:
     channel = _parse_sub(doc, "channel")
     direction = _parse_sub(doc, "direction")
-    epsilons = io.parse_real(doc.get("epsilons", [1e-2, 5e-3, 2.5e-3]), "epsilons",
-                             listed=True)
+    epsilons = (io.parse_real(_listed(doc, "epsilons"), "epsilons", listed=True)
+                if "epsilons" in doc else [1e-2, 5e-3, 2.5e-3])
     report = scenarios.ls_linearization_check(channel, direction, epsilons)
     ok = all(3.5 <= r <= 4.5 for r in report.ratios)
     return ({"scenario": "ls-linearization", "epsilons": list(report.epsilons),
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=float, default=None, help="(r,s) exponent")
         p.add_argument("--s", type=float, default=None, help="(r,s) mixing weight")
         p.add_argument("--theta", default=None,
-                       help="state-rendering recipe: ls|jordan|right|left")
+                       help="state-rendering recipe: " + "|".join(sot.THETA_RECIPES))
 
     p_sot = sub.add_parser("sot", help="evaluate a state over time")
     add_family_options(p_sot)

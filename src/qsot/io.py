@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from . import algebra as alg, bayes, sot
+from . import algebra as alg, sot
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import ParseError, ValidationError
 from .maps import LinearMap
@@ -129,31 +129,23 @@ def parse_map(doc: dict) -> LinearMap:
 
 
 # ------------------------------------------------------------------- families
-_THETA_BUILTINS = {"ls": bayes.theta_ls, "jordan": bayes.theta_jordan,
-                   "right": bayes.theta_right, "left": bayes.theta_left}
-
-
 def _parameters(family) -> list[dataclasses.Field]:
     """The constructor fields that travel on the wire (callables such as the
     STH chooser are compare=False and stay behind)."""
     return [f for f in dataclasses.fields(family) if f.init and f.compare]
 
 
-def _serialize_theta(theta) -> str:
-    name = getattr(theta, "name", "")
-    if name.startswith("rs("):
-        raise ValidationError("serialize (r,s) recipes as the rs family tag")
-    if name not in _THETA_BUILTINS:
-        raise ValidationError(f"state-rendering recipe {name!r} is not serializable")
-    return name
-
-
 def serialize_family(family: sot.SotFamily) -> dict:
     doc: dict = {"kind": "sot_family", "schema_version": SCHEMA_VERSION,
                  "tag": family.tag}
     for f in _parameters(family):
-        value = getattr(family, f.name)
-        doc[f.name] = _serialize_theta(value) if f.name == "theta" else value
+        doc[f.name] = getattr(family, f.name)
+    if "theta" in doc:
+        recipes = {cls(): name for name, cls in sot.THETA_RECIPES.items()}
+        if doc["theta"] not in recipes:
+            raise ValidationError(
+                f"state-rendering recipe {doc['theta']!r} is not serializable")
+        doc["theta"] = recipes[doc["theta"]]
     return doc
 
 
@@ -170,9 +162,9 @@ def parse_family(doc: dict | str) -> sot.SotFamily:
     for f in _parameters(cls):
         if f.name == "theta":
             name = doc.get("theta")
-            if not isinstance(name, str) or name not in _THETA_BUILTINS:
+            if not isinstance(name, str) or name not in sot.THETA_RECIPES:
                 raise ParseError(f"unknown state-rendering recipe {name!r}")
-            kwargs["theta"] = _THETA_BUILTINS[name]()
+            kwargs["theta"] = sot.THETA_RECIPES[name]()
         elif f.name in doc:
             kwargs[f.name] = parse_real(doc[f.name], f"{tag} family parameter {f.name}")
         elif f.default is dataclasses.MISSING:

@@ -16,7 +16,7 @@ import numpy as np
 from . import algebra as alg, bayes, maps, sot
 from .algebra import AlgebraElement
 from .config import ATOL, OVERLAP_TOL, PROB_TOL, RANK_ONE_TOL, STATE_TOL, STEP_TOL
-from .errors import ConstraintError, FaithfulnessError, SingularityError
+from .errors import ConstraintError, FaithfulnessError, ShapeMismatchError, SingularityError
 from .maps import LinearMap
 
 
@@ -293,12 +293,20 @@ def two_state(psi: np.ndarray, povm: LinearMap,
     if len(shape.blocks) != 1:
         raise ConstraintError("two-state scenarios need a single-block algebra")
     dim = shape.dims[0]
-    psi = np.asarray(psi, dtype=complex).reshape(dim)
-    psi = psi / np.linalg.norm(psi)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.size != dim:
+        raise ShapeMismatchError(f"psi has {psi.size} entries, expected {dim}")
+    norm = np.linalg.norm(psi)
+    if norm == 0.0:
+        raise ConstraintError("psi must be nonzero")
+    psi = psi.reshape(dim) / norm
     if unitaries is None:
         u10 = u21 = np.eye(dim, dtype=complex)
     else:
         u10, u21 = (np.asarray(u, dtype=complex) for u in unitaries)
+        for name, u in (("u10", u10), ("u21", u21)):
+            if u.shape != (dim, dim):
+                raise ShapeMismatchError(f"{name} is {u.shape}, expected {(dim, dim)}")
     u20 = u21 @ u10
     rho = AlgebraElement(shape, (np.outer(psi, psi.conj()),))
     e_prime = povm.compose(maps.unitary_channel(AlgebraElement(shape, (u20,))))
@@ -348,6 +356,8 @@ def two_time_correlator(rho: AlgebraElement, h: AlgebraElement, t: float,
     E = Ad_{e^{−iHt}} and ⋆ the one-sided family D[E](ρ⊗1).
     """
     for name, x in (("H", h), ("A", a), ("B", b)):
+        if x.shape != rho.shape:
+            raise ShapeMismatchError(f"{name} does not live on the state's shape")
         if not x.is_hermitian():
             raise ConstraintError(f"{name} must be hermitian")
     u = alg.apply_function(h, lambda vals: np.exp(-1j * t * vals))  # e^{−iHt}

@@ -171,22 +171,32 @@ class RSFamily(_Sandwich):
 
 @dataclass(frozen=True)
 class ThetaDerived(SotFamily):
-    """SOT generated by a state-rendering map: (Θ_ρ ⊗ id)(D[E])."""
-    theta: object  # StateRenderingMap (duck-typed: .recipe, .linear_in_state)
+    """SOT generated by the state-rendering map of a sandwich family:
+    (Θ_ρ ⊗ id)(D[E]) with Θ_ρ = Σ w L_{f(ρ)}∘R_{g(ρ)} over ``theta``'s terms."""
+    theta: _Sandwich
     tag: ClassVar[str] = "theta"
 
     @property
     def state_linear(self) -> bool:
-        return bool(getattr(self.theta, "linear_in_state", False))
+        return self.theta.state_linear
+
+    def rendering(self, x: AlgebraElement) -> LinearMap:
+        """Θ_x as a superoperator on x's algebra."""
+        return maps.multiplier(self.theta.terms(x), x.shape)
 
     def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
-        return maps.apply_to_factor(self.theta.recipe(rho), maps.channel_state(e), "left")
+        return maps.apply_to_factor(self.rendering(rho), maps.channel_state(e), "left")
 
 
 # Wire tag → family class; the dataclass init fields are the parameters.
 FAMILIES: dict[str, type[SotFamily]] = {cls.tag: cls for cls in (
     Uncorrelated, OhyaCompound, LeiferSpekkens, TRotated, STH,
     SymmetricBloom, RightBloom, LeftBloom, RSFamily, ThetaDerived)}
+
+# Wire name of a Θ recipe → the sandwich family whose terms render it.
+THETA_RECIPES: dict[str, type[_Sandwich]] = {
+    "ls": LeiferSpekkens, "jordan": SymmetricBloom,
+    "right": RightBloom, "left": LeftBloom}
 
 TABLE_FAMILIES: dict[str, SotFamily] = {
     tag: cls() for tag, cls in FAMILIES.items() if tag not in ("rs", "theta")}

@@ -153,11 +153,13 @@ def test_05_generic_vs_closed_form():
 def test_06_gce_equivalence():
     rng = _rng(6)
     theta_pairs = (
-        (bayes.theta_ls(), lambda e, r: bayes.petz(e, r)),
-        (bayes.theta_jordan(), lambda e, r: bayes.symmetric_bloom_bayes(e, r)),
-        (bayes.theta_right(), lambda e, r: bayes.bloom_bayes("right", e, r)),
-        (bayes.theta_left(), lambda e, r: bayes.bloom_bayes("left", e, r)),
-        (bayes.theta_rs(0.3, 0.7), lambda e, r: bayes.rs_bayes(0.3, 0.7, e, r)),
+        (sot.ThetaDerived(sot.LeiferSpekkens()), lambda e, r: bayes.petz(e, r)),
+        (sot.ThetaDerived(sot.SymmetricBloom()),
+         lambda e, r: bayes.symmetric_bloom_bayes(e, r)),
+        (sot.ThetaDerived(sot.RightBloom()), lambda e, r: bayes.bloom_bayes("right", e, r)),
+        (sot.ThetaDerived(sot.LeftBloom()), lambda e, r: bayes.bloom_bayes("left", e, r)),
+        (sot.ThetaDerived(sot.RSFamily(0.3, 0.7)),
+         lambda e, r: bayes.rs_bayes(0.3, 0.7, e, r)),
     )
     worst = 0.0
     for theta, closed in theta_pairs:

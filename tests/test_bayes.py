@@ -4,7 +4,7 @@ expected."""
 import numpy as np
 import pytest
 
-from qsot import algebra as alg, bayes, maps, sampling, sot
+from qsot import algebra as alg, bayes, io, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.config import PASS_THRESHOLD
 from qsot.errors import (ConstraintError, FaithfulnessError, QsotError,
@@ -93,18 +93,16 @@ def test_spectral_bayes_matches_dense_oracle(family, shapes, strict, rng):
     assert x.matrix.flags.c_contiguous
 
 
-THETA_FAMILIES = (
-    (bayes.theta_ls(), sot.LeiferSpekkens()), (bayes.theta_right(), sot.RightBloom()),
-    (bayes.theta_left(), sot.LeftBloom()), (bayes.theta_jordan(), sot.SymmetricBloom()),
-    (bayes.theta_rs(0.3, 0.7), sot.RSFamily(0.3, 0.7)))
+THETA_FAMILIES = (sot.LeiferSpekkens(), sot.RightBloom(), sot.LeftBloom(),
+                  sot.SymmetricBloom(), sot.RSFamily(0.3, 0.7))
 
 
-@pytest.mark.parametrize("theta, family", THETA_FAMILIES,
-                         ids=[theta.name for theta, _ in THETA_FAMILIES])
-def test_theta_multipliers_match_dense_oracle(theta, family, rng):
+@pytest.mark.parametrize("family", THETA_FAMILIES,
+                         ids=["ls", "right", "left", "jordan", "rs(0.3,0.7)"])
+def test_theta_multipliers_match_dense_oracle(family, rng):
     shape = CLOSED_FORM_SHAPES[0][0]
     rho = sampling.random_state(shape, rng)
-    got = theta.recipe(rho).matrix
+    got = sot.ThetaDerived(family).rendering(rho).matrix
     assert np.max(np.abs(got - dense_multiplier(family.terms(rho), shape))) < ORACLE_TOL
 
 
@@ -263,14 +261,16 @@ def test_generic_solver_refuses_a_family_that_is_not_local(rng):
 def oracle_families():
     """One instance per registered tag, with two Θ recipes for ``theta``."""
     params = {"rs": [sot.RSFamily(0.3, 0.7)],
-              "theta": [sot.ThetaDerived(bayes.theta_jordan()),
-                        sot.ThetaDerived(bayes.theta_ls())]}
+              "theta": [sot.ThetaDerived(sot.SymmetricBloom()),
+                        sot.ThetaDerived(sot.LeiferSpekkens())]}
     return [f for tag, cls in sot.FAMILIES.items()
             for f in (params[tag] if tag in params else [cls()])]
 
 
 def family_id(family):
-    return f"theta-{family.theta.name}" if family.tag == "theta" else family.tag
+    if family.tag == "theta":
+        return f"theta-{io.serialize_family(family)['theta']}"
+    return family.tag
 
 
 def blocks(prefix, *dims):
@@ -338,14 +338,14 @@ def test_generic_solver_matches_dense_oracle_on_singular_inputs(family):
 # ---------------------------------------------------------------------- GCE
 def test_gce_matches_closed_forms(rng):
     e, rho = qubit_pair(rng)
-    pairs = [(bayes.theta_ls(), bayes.petz(e, rho)),
-             (bayes.theta_jordan(), bayes.symmetric_bloom_bayes(e, rho)),
-             (bayes.theta_right(), bayes.bloom_bayes("right", e, rho)),
-             (bayes.theta_left(), bayes.bloom_bayes("left", e, rho)),
-             (bayes.theta_rs(0.3, 0.7), bayes.rs_bayes(0.3, 0.7, e, rho))]
+    pairs = [(sot.LeiferSpekkens(), bayes.petz(e, rho)),
+             (sot.SymmetricBloom(), bayes.symmetric_bloom_bayes(e, rho)),
+             (sot.RightBloom(), bayes.bloom_bayes("right", e, rho)),
+             (sot.LeftBloom(), bayes.bloom_bayes("left", e, rho)),
+             (sot.RSFamily(0.3, 0.7), bayes.rs_bayes(0.3, 0.7, e, rho))]
     for theta, want in pairs:
-        got = bayes.gce_solve(theta, e, rho)
-        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-9, theta.name
+        got = bayes.gce_solve(sot.ThetaDerived(theta), e, rho)
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-9, theta.tag
 
 
 def test_gce_inverts_unitary_channels(rng):
@@ -354,8 +354,8 @@ def test_gce_inverts_unitary_channels(rng):
     e = maps.unitary_channel(u)
     inverse = maps.unitary_channel(u.dagger())
     rho = sampling.random_state(shape, rng)
-    for theta in (bayes.theta_ls(), bayes.theta_jordan(), bayes.theta_right()):
-        got = bayes.gce_solve(theta, e, rho)
+    for theta in (sot.LeiferSpekkens(), sot.SymmetricBloom(), sot.RightBloom()):
+        got = bayes.gce_solve(sot.ThetaDerived(theta), e, rho)
         assert np.max(np.abs(got.matrix - inverse.matrix)) < RESIDUAL_TOL
 
 
@@ -470,7 +470,7 @@ def test_strict_mode_refuses_unfaithful_outputs_for_theta_families(rng):
     u = sampling.random_unitary(rng, 3)
     rho = AlgebraElement(shape, (u @ np.diag([0.6, 0.4 - 1e-11, 1e-11]) @ u.conj().T,))
     e = maps.unitary_channel(sampling.random_unitary_element(shape, rng))
-    theta = sot.ThetaDerived(bayes.theta_jordan())
+    theta = sot.ThetaDerived(sot.SymmetricBloom())
     assert isinstance(bayes.closed_form_bayes(theta, e, rho), LinearMap)
     for family in (sot.SymmetricBloom(), theta):
         with pytest.raises(FaithfulnessError):

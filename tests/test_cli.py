@@ -11,7 +11,7 @@ import pytest
 
 from qsot import algebra as alg, cli, io, maps, sampling, sot
 
-from conftest import TransposedTarget, rng_for
+from conftest import TransposedTarget, random_traceless_direction, rng_for
 
 
 @pytest.fixture
@@ -276,7 +276,9 @@ def test_outputs_validate_against_shipped_schemas_by_id(fixtures, capsys):
     assert any("witness" in cell for cell in docs[-1][1]["cells"])
     for kind, doc in docs:
         jsonschema.Draft202012Validator(schemas[kind], registry=registry).validate(doc)
-    assert set(schemas["sot_family"]["properties"]["tag"]["enum"]) == set(sot.FAMILIES)
+    family_schema = schemas["sot_family"]["properties"]
+    assert set(family_schema["tag"]["enum"]) == set(sot.FAMILIES)
+    assert set(family_schema["theta"]["enum"]) == set(sot.THETA_RECIPES)
 
 
 # ----------------------------------------------------------------- scenario
@@ -380,15 +382,25 @@ def scenario_doc_two_state(rng):
             "effects": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]]}
 
 
+def scenario_doc_linearization(rng):
+    shape = alg.matrix_algebra(3)
+    e = sampling.random_cptp(shape, alg.matrix_algebra(3, "q1"), rng)
+    return {"kind": "scenario", "name": "ls-linearization", "schema_version": 1,
+            "channel": io.serialize_map(e),
+            "direction": io.serialize_element(random_traceless_direction(shape, rng)),
+            "epsilons": [1e-2, 5e-3]}
+
+
 @pytest.mark.parametrize("name, field, value", [
     ("state-update", "family", {"tag": "theta", "theta": ["ls"]}),
     ("state-update", "family", 3), ("state-update", "family", ["ls"]),
     ("state-update", "family", {"tag": "t-rotated", "t": True}),
     ("state-update", "cp_parts", 3),
     ("two-state", "effects", 3), ("two-state", "effects", []),
-    ("two-state", "psi", 3)])
+    ("two-state", "psi", 3), ("ls-linearization", "epsilons", [])])
 def test_scenario_malformed_fields_are_parse_errors(name, field, value, tmp_path, capsys):
-    docs = {"state-update": scenario_doc_state_update, "two-state": scenario_doc_two_state}
+    docs = {"state-update": scenario_doc_state_update, "two-state": scenario_doc_two_state,
+            "ls-linearization": scenario_doc_linearization}
     doc = docs[name](rng_for(f"cli-malformed-{name}"))
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
@@ -397,6 +409,27 @@ def test_scenario_malformed_fields_are_parse_errors(name, field, value, tmp_path
     path.write_text(json.dumps(doc))
     assert run(["scenario", name, str(path)]) == cli.EXIT_PARSE
     assert "parse error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("psi", [1.0], "psi has 1 entries"), ("psi", [1.0, 0.0, 0.0], "psi has 3 entries"),
+    ("u10", np.eye(3).tolist(), "u10 is (3, 3)"), ("psi", [0.0, 0.0], "psi must be nonzero")])
+def test_scenario_two_state_bad_sizes_are_validation(field, value, message, tmp_path, capsys):
+    doc = dict(scenario_doc_two_state(rng_for("cli-two-state-sizes")), **{field: value})
+    path = tmp_path / "ts.json"
+    path.write_text(json.dumps(doc))
+    assert run(["scenario", "two-state", str(path)]) == cli.EXIT_VALIDATION
+    assert f"validation error: {message}" in capsys.readouterr().err
+
+
+def test_scenario_correlator_operator_on_another_shape_is_validation(tmp_path, capsys):
+    rng = rng_for("cli-correlator-shapes")
+    doc = scenario_doc_correlator(rng)
+    doc["b"] = io.serialize_element(sampling.random_hermitian(alg.matrix_algebra(3), rng))
+    path = tmp_path / "corr.json"
+    path.write_text(json.dumps(doc))
+    assert run(["scenario", "correlator", str(path)]) == cli.EXIT_VALIDATION
+    assert "validation error: B does not live on the state's shape" in capsys.readouterr().err
 
 
 def test_scenario_name_mismatch_is_validation(tmp_path, capsys):

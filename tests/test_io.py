@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qsot import algebra as alg, bayes, io, maps, sampling, sot
+from qsot import algebra as alg, io, maps, sampling, sot
 from qsot.algebra import AlgebraShape
 from qsot.errors import ParseError, ShapeMismatchError, ValidationError
 
@@ -122,18 +122,16 @@ def test_map_roundtrip_and_dimension_check(rng):
 @pytest.mark.parametrize("family", [
     sot.Uncorrelated(), sot.OhyaCompound(), sot.LeiferSpekkens(),
     sot.TRotated(0.7), sot.STH(0.2), sot.SymmetricBloom(), sot.RightBloom(),
-    sot.LeftBloom(), sot.RSFamily(0.25, 0.5),
+    sot.LeftBloom(), sot.RSFamily(0.25, 0.5), sot.ThetaDerived(sot.SymmetricBloom()),
 ], ids=lambda f: f.tag)
 def test_family_roundtrip(family):
     back = io.parse_family(io.serialize_family(family))
     assert back == family
 
 
-def test_theta_family_roundtrip():
-    family = sot.ThetaDerived(bayes.theta_jordan())
-    back = io.parse_family(io.serialize_family(family))
-    assert isinstance(back, sot.ThetaDerived)
-    assert back.theta.name == "jordan"
+def test_theta_family_without_a_recipe_name_is_not_serializable():
+    with pytest.raises(ValidationError):
+        io.serialize_family(sot.ThetaDerived(sot.RSFamily(0.3, 0.7)))
 
 
 def test_family_parse_errors():
@@ -184,7 +182,7 @@ def test_serialized_documents_validate_against_schemas(rng):
     e = sampling.random_cptp(shape, alg.matrix_algebra(2, "c"), rng)
     referencing_validator("channel").validate(io.serialize_map(e))
     for family in (sot.LeiferSpekkens(), sot.RSFamily(0.3, 0.7),
-                   sot.ThetaDerived(bayes.theta_ls())):
+                   sot.ThetaDerived(sot.LeiferSpekkens())):
         referencing_validator("sot_family").validate(io.serialize_family(family))
 
 

@@ -1,10 +1,12 @@
 """Static checks on the library sources, standing in for a lint step."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "qsot").glob("*.py")
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "qsot").glob("*.py")
                  if p.name != "__init__.py")
 
 
@@ -92,3 +94,58 @@ def test_library_functions_take_no_tolerance_arguments(path):
                          ids=lambda p: p.name)
 def test_tolerances_are_scaled_only_in_config(path):
     assert scaled_tolerances(path.read_text(encoding="utf-8")) == []
+
+
+# The benchmark reaches into the library by name; a name it uses must not
+# disappear from the library unnoticed until the benchmark runs.
+def bench_names(workloads: str, tracer: str) -> list[tuple[str, str]]:
+    """(module, dotted path) pairs the benchmark uses: the workloads' imports
+    from ``qsot.<module>`` and ``<module alias>.<name>`` attributes, and the
+    tracer's ``TARGETS``."""
+    names, aliases = set(), {}
+    tree = ast.parse(workloads)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "qsot":
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qsot."):
+            names.update((node.module[len("qsot."):], a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add((aliases[node.value.id], node.attr))
+    for node in ast.walk(ast.parse(tracer)):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
+            names.update((row.elts[0].value, row.elts[1].value) for row in node.value.elts)
+    return sorted(names)
+
+
+def unresolved(names: list[tuple[str, str]]) -> list[str]:
+    """The ``module.path`` of each pair that does not resolve in qsot."""
+    missing = []
+    for module, path in names:
+        obj = importlib.import_module(f"qsot.{module}")
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{path}")
+    return missing
+
+
+def test_the_bench_scan_finds_attributes_imports_and_targets():
+    workloads = ("from qsot import bayes as b, sot\nfrom qsot.maps import LinearMap\n"
+                 "b.petz(sot.RightBloom(), x.petz)\n")
+    tracer = 'TARGETS = (("sot", "ThetaDerived.rendering", None, None),)\n'
+    assert bench_names(workloads, tracer) == [
+        ("bayes", "petz"), ("maps", "LinearMap"), ("sot", "RightBloom"),
+        ("sot", "ThetaDerived.rendering")]
+    assert unresolved([("bayes", "petz"), ("bayes", "theta_ls"),
+                       ("sot", "ThetaDerived.recipe")]) == [
+        "bayes.theta_ls", "sot.ThetaDerived.recipe"]
+
+
+def test_every_library_name_the_benchmark_uses_resolves():
+    names = bench_names((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"),
+                        (ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    assert ("bayes", "theta_jordan") in names and ("bayes", "gce_solve") in names
+    assert unresolved(names) == []

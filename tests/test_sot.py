@@ -3,7 +3,7 @@ marginal laws, linearity properties, and the classical-limit sampler."""
 import numpy as np
 import pytest
 
-from qsot import algebra as alg, bayes, maps, sampling, sot
+from qsot import algebra as alg, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.errors import (ConstraintError, ExtensionError,
                          UnsupportedFamilyError)
@@ -14,7 +14,7 @@ ATOL = 1e-10
 
 ALL_FAMILIES = tuple(sot.TABLE_FAMILIES.values()) + (
     sot.RSFamily(0.3, 0.7),
-    sot.ThetaDerived(bayes.theta_jordan()),
+    sot.ThetaDerived(sot.SymmetricBloom()),
 )
 
 
@@ -191,15 +191,11 @@ def test_ohya_refuses_blocky_sources(rng):
 
 def test_theta_derived_recovers_named_families(rng):
     e, rho = qubit_pair(rng)
-    pairs = [(bayes.theta_ls(), sot.LeiferSpekkens()),
-             (bayes.theta_right(), sot.RightBloom()),
-             (bayes.theta_left(), sot.LeftBloom()),
-             (bayes.theta_jordan(), sot.SymmetricBloom()),
-             (bayes.theta_rs(0.3, 0.7), sot.RSFamily(0.3, 0.7))]
-    for theta, family in pairs:
-        via_theta = sot.evaluate(sot.ThetaDerived(theta), e, rho).value
+    for family in (sot.LeiferSpekkens(), sot.RightBloom(), sot.LeftBloom(),
+                   sot.SymmetricBloom(), sot.RSFamily(0.3, 0.7)):
+        via_theta = sot.evaluate(sot.ThetaDerived(family), e, rho).value
         direct = sot.evaluate(family, e, rho).value
-        assert (via_theta - direct).norm() < ATOL, theta.name
+        assert (via_theta - direct).norm() < ATOL, family.tag
 
 
 # ------------------------------------------------------------- argument checks
