@@ -96,10 +96,6 @@ def _cell_index(family_tag: str, prop: str) -> int:
     return zlib.crc32(f"{family_tag}:{prop}".encode())
 
 
-def _trial_rng(seed: int, family_tag: str, prop: str, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, _cell_index(family_tag, prop), trial])
-
-
 # ------------------------------------------------------------------- sampling
 def _shapes(family: sot.SotFamily, trial: int, d: int) -> tuple[AlgebraShape, AlgebraShape]:
     """Alternate single-block and block-sum shapes; compound-family sources
@@ -231,67 +227,68 @@ def _sample_associativity(family: sot.SotFamily, d: int,
 
 # ----------------------------------------------------------- violation functions
 def _violation(family: sot.SotFamily, prop: str, instance: dict,
-               config: CertifyConfig, rng: np.random.Generator) -> tuple[float, dict]:
-    """Return (violation, extra-witness-data) for one sampled instance."""
-    if prop == "A":
-        res = check_associativity(family, instance["e"], instance["f"], instance["rho"])
-        return res, {}
+               config: CertifyConfig) -> tuple[float, dict]:
+    """Return (violation, extra-witness-data) for one instance; a pure
+    function of the instance, which holds every random input."""
     e, rho = instance["e"], instance["rho"]
+    if prop == "A":
+        return check_associativity(family, e, instance["f"], rho), {}
+    if prop in ("P4", "P5", "P6"):
+        lam, residuals = instance["lambda"], []
+        if prop != "P5":
+            rho2 = instance["rho2"]
+            mix = lam * rho + (1.0 - lam) * rho2
+            residuals.append((sot.evaluate(family, e, mix).value
+                              - lam * sot.evaluate(family, e, rho).value
+                              - (1.0 - lam) * sot.evaluate(family, e, rho2).value).norm())
+        if prop != "P4":
+            e2 = instance["e2"]
+            mixed = LinearMap(e.source, e.target, lam * e.matrix + (1.0 - lam) * e2.matrix)
+            residuals.append((sot.evaluate(family, mixed, rho).value
+                              - lam * sot.evaluate(family, e, rho).value
+                              - (1.0 - lam) * sot.evaluate(family, e2, rho).value).norm())
+        return max(residuals), {}
+    if prop == "M":
+        return max(sot.evaluate(family, e, rho).marginal_residuals()), {}
+    if prop not in ("P1", "P2", "P3", "P7"):
+        raise InapplicableError(f"unknown property {prop}")
+    t = sot.evaluate(family, e, rho).value
     if prop == "P1":
-        t = sot.evaluate(family, e, rho).value
         return (t - t.dagger()).norm(), {}
     if prop == "P2":
-        t = sot.evaluate(family, e, rho).value
-        return block_positivity_violation(t, config.starts, rng)
+        search = np.random.default_rng(instance["search_seed"])
+        return block_positivity_violation(t, config.starts, search)
     if prop == "P3":
-        t = sot.evaluate(family, e, rho).value
         return max(0.0, -t.min_eigenvalue()), {}
-    if prop in ("P4", "P6"):
-        lam = instance.get("lambda", rng.uniform(0.2, 0.8))
-        rho2 = instance.get("rho2") or sampling.random_state(rho.shape, rng)
-        mix = lam * rho + (1.0 - lam) * rho2
-        v4 = (sot.evaluate(family, e, mix).value
-              - lam * sot.evaluate(family, e, rho).value
-              - (1.0 - lam) * sot.evaluate(family, e, rho2).value).norm()
-        if prop == "P4":
-            return v4, {"lambda": lam, "rho2": rho2}
-    if prop in ("P5", "P6"):
-        lam = instance.get("lambda", rng.uniform(0.2, 0.8))
-        e2 = instance.get("e2") or sampling.random_cptp(e.source, e.target, rng)
-        mixed = LinearMap(e.source, e.target, lam * e.matrix + (1.0 - lam) * e2.matrix)
-        v5 = (sot.evaluate(family, mixed, rho).value
-              - lam * sot.evaluate(family, e, rho).value
-              - (1.0 - lam) * sot.evaluate(family, e2, rho).value).norm()
-        if prop == "P5":
-            return v5, {"lambda": lam, "e2": e2}
-        return max(v4, v5), {"lambda": lam, "rho2": rho2, "e2": e2}
-    if prop == "P7":
-        t = sot.evaluate(family, e, rho).value
-        target = maps.channel_state(e) @ alg.tensor(rho, alg.identity(e.target))
-        return (t - target).norm(), {}
-    if prop == "M":
-        res = sot.evaluate(family, e, rho).marginal_residuals()
-        return max(res), {}
-    raise InapplicableError(f"unknown property {prop}")
+    target = maps.channel_state(e) @ alg.tensor(rho, alg.identity(e.target))
+    return (t - target).norm(), {}
 
 
 def _sample_for(family: sot.SotFamily, prop: str, trial: int,
                 config: CertifyConfig, rng: np.random.Generator) -> dict:
+    """Every random input of one trial, drawn from ``rng`` in a fixed order."""
     d = config.dims[0]
     if prop == "A":
         return _sample_associativity(family, d, rng)
     sa, sb = _shapes(family, trial, d)
     if prop == "P7":
-        stream = sot.classical_limit_pairs(sa, sb, rng,
-                                           nondegenerate_prior=family.compound)
-        for _ in range(trial % 4):
-            next(stream)
-        e, rho = next(stream)
+        e, rho = sot.classical_limit_pair(sa, sb, rng, trial // 2,
+                                          nondegenerate_prior=family.compound)
         return {"e": e, "rho": rho}
-    return {"e": sampling.random_cptp(sa, sb, rng), "rho": sampling.random_state(sa, rng)}
+    instance = {"e": sampling.random_cptp(sa, sb, rng), "rho": sampling.random_state(sa, rng)}
+    if prop in ("P4", "P5", "P6"):
+        instance["lambda"] = rng.uniform(0.2, 0.8)
+        if prop != "P5":
+            instance["rho2"] = sampling.random_state(sa, rng)
+        if prop != "P4":
+            instance["e2"] = sampling.random_cptp(sa, sb, rng)
+    if prop == "P2":
+        instance["search_seed"] = int(rng.integers(2 ** 32))
+    return instance
 
 
 def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
+    """Mix fresh draws into ``e``/``f``/``rho``; the other inputs stay."""
     out = dict(instance)
     rho = instance["rho"]
     out["rho"] = (1.0 - scale) * rho + scale * sampling.random_state(rho.shape, rng)
@@ -307,10 +304,7 @@ def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
 def replay_violation(family: sot.SotFamily, prop: str, counterexample: dict,
                      config: CertifyConfig | None = None) -> float:
     """Recompute the violation of a stored counterexample."""
-    config = config or CertifyConfig()
-    rng = np.random.default_rng(counterexample.get("replay_seed", 0))
-    value, _ = _violation(family, prop, counterexample, config, rng)
-    return value
+    return _violation(family, prop, counterexample, config or CertifyConfig())[0]
 
 
 # ----------------------------------------------------------------- certification
@@ -321,7 +315,9 @@ def certify(family: sot.SotFamily, prop: str,
     Samples ``config.trials`` instances; a violation above the fail threshold
     (refined by local perturbation ascent when random search alone stays
     below it) yields a replayable ``fails`` verdict, and a clean sweep below
-    the pass threshold yields ``holds``.
+    the pass threshold yields ``holds``.  The compound family's classical
+    limit holds on non-degenerate faithful priors only ("∗"), and its
+    associativity is an open question reported as ``empirical`` ("?").
     """
     config = config or CertifyConfig()
     tag = family.tag
@@ -329,66 +325,57 @@ def certify(family: sot.SotFamily, prop: str,
         raise InapplicableError(f"unknown property {prop}")
     if config.trials <= 0:
         return PropertyVerdict(tag, prop, "insufficient", 0, config.seed)
+    cell = _cell_index(tag, prop)
 
-    max_residual = 0.0
-    best: tuple[float, dict, int] | None = None
-    evaluated = 0
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, tag, prop, trial)
+    def attempt(draw, *index: int) -> tuple[float, dict] | None:
+        """Draw an instance from the generator keyed [seed, cell, *index] and
+        evaluate it: (violation, witness), or None for a skipped trial."""
+        key = [config.seed, cell, *index]
         try:
-            instance = _sample_for(family, prop, trial, config, rng)
-            value, extra = _violation(family, prop, instance, config, rng)
+            instance = draw(np.random.default_rng(key))
+            value, extra = _violation(family, prop, instance, config)
         except (InapplicableError, ExtensionError, UnsupportedFamilyError):
+            return None
+        return value, {**instance, **extra, "replay_seed": key}
+
+    max_residual, best, evaluated = 0.0, None, 0
+    for trial in range(config.trials):
+        result = attempt(lambda rng: _sample_for(family, prop, trial, config, rng), trial)
+        if result is None:
             continue
         evaluated += 1
-        max_residual = max(max_residual, value)
-        if best is None or value > best[0]:
-            witness = dict(instance)
-            witness.update(extra)
-            witness["replay_seed"] = [config.seed, _cell_index(tag, prop), trial]
-            best = (value, witness, trial)
-        if value > FAIL_THRESHOLD:
+        max_residual = max(max_residual, result[0])
+        if best is None or result[0] > best[0]:
+            best, best_trial = result, trial
+        if result[0] > FAIL_THRESHOLD:
             break
-
-    if evaluated == 0:
+    if best is None:
         return PropertyVerdict(tag, prop, "inapplicable", 0, config.seed)
 
-    if best is not None and best[0] <= FAIL_THRESHOLD and best[0] > PASS_THRESHOLD:
+    value, witness = best
+    if PASS_THRESHOLD < value <= FAIL_THRESHOLD:
         # Ambiguous: sharpen the best candidate by local perturbation ascent.
-        value, witness, trial = best
-        rng = _trial_rng(config.seed, tag, prop, config.trials + trial)
-        instance = {k: witness[k] for k in ("e", "f", "rho") if k in witness}
         for step in range(config.ascent_steps):
             scale = 0.3 * (0.9 ** step)
-            candidate = _perturb(instance, scale, rng)
-            try:
-                cand_value, extra = _violation(family, prop, candidate, config, rng)
-            except (InapplicableError, ExtensionError, UnsupportedFamilyError):
-                continue
-            if cand_value > value:
-                value, instance = cand_value, candidate
-                witness = dict(candidate)
-                witness.update(extra)
-                witness["replay_seed"] = [config.seed, _cell_index(tag, prop),
-                                          config.trials + trial]
-            if value > FAIL_THRESHOLD:
-                break
-        best = (value, witness, trial)
+            result = attempt(lambda rng: _perturb(witness, scale, rng),
+                             config.trials + best_trial, step)
+            if result is not None and result[0] > value:
+                value, witness = result
+                if value > FAIL_THRESHOLD:
+                    break
         max_residual = max(max_residual, value)
 
-    if best is not None and best[0] > FAIL_THRESHOLD:
-        return PropertyVerdict(tag, prop, "fails", evaluated, config.seed,
-                               max_residual=max_residual, violation=best[0],
-                               counterexample=best[1])
-    if max_residual < PASS_THRESHOLD:
-        status = "holds"
-        note = ""
-        if prop == "P7" and family.compound:
-            status, note = "holds-restricted", "verified on non-degenerate faithful priors only"
-        return PropertyVerdict(tag, prop, status, evaluated, config.seed,
-                               max_residual=max_residual, note=note)
-    return PropertyVerdict(tag, prop, "undecided", evaluated, config.seed,
-                           max_residual=max_residual)
+    failed = value > FAIL_THRESHOLD
+    status = "fails" if failed else "holds" if max_residual < PASS_THRESHOLD else "undecided"
+    note = ""
+    if family.compound and prop == "A" and status != "undecided":
+        status, note = "empirical", f"open question; observed: {status}"
+    elif family.compound and prop == "P7" and status == "holds":
+        status, note = "holds-restricted", "verified on non-degenerate faithful priors only"
+    return PropertyVerdict(tag, prop, status, evaluated, config.seed,
+                           max_residual=max_residual,
+                           violation=value if failed else None,
+                           counterexample=witness if failed else None, note=note)
 
 
 # ------------------------------------------------------------------ the table
@@ -446,28 +433,8 @@ class TableReport:
 def table_report(config: CertifyConfig | None = None,
                  families: dict[str, sot.SotFamily] | None = None,
                  properties: tuple[str, ...] = TABLE_PROPERTIES) -> TableReport:
-    """Certify every family × property cell and collect the matrix.
-
-    The compound family's classical-limit cell runs on non-degenerate
-    faithful priors only and reports "∗"; its associativity cell is recorded
-    as an empirical observation with a "?" glyph.
-    """
+    """Certify every family × property cell and collect the matrix."""
     config = config or CertifyConfig()
     families = families or sot.TABLE_FAMILIES
-    verdicts: dict[str, dict[str, PropertyVerdict]] = {}
-    for tag, family in families.items():
-        row = {}
-        for prop in properties:
-            verdict = certify(family, prop, config)
-            if prop == "A" and family.compound and \
-                    verdict.status in ("holds", "fails"):
-                observed = verdict.status
-                verdict = PropertyVerdict(
-                    verdict.family, prop, "empirical", verdict.trials,
-                    verdict.seed, max_residual=verdict.max_residual,
-                    violation=verdict.violation,
-                    counterexample=verdict.counterexample,
-                    note=f"open question; observed: {observed}")
-            row[prop] = verdict
-        verdicts[tag] = row
-    return TableReport(verdicts, config)
+    return TableReport({tag: {prop: certify(family, prop, config) for prop in properties}
+                        for tag, family in families.items()}, config)

@@ -158,8 +158,12 @@ def parse_family(doc: dict | str) -> sot.SotFamily:
     cls = sot.FAMILIES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ParseError(f"unknown family tag {tag!r}")
+    params = _parameters(cls)
+    unknown = sorted(set(doc) - {"kind", "schema_version", "tag"} - {f.name for f in params})
+    if unknown:
+        raise ParseError(f"{tag} family has no parameter {', '.join(unknown)}")
     kwargs = {}
-    for f in _parameters(cls):
+    for f in params:
         if f.name == "theta":
             name = doc.get("theta")
             if not isinstance(name, str) or name not in sot.THETA_RECIPES:

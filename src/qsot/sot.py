@@ -10,14 +10,15 @@ anything that is not PSD.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from . import algebra as alg, maps, sampling
 from .algebra import AlgebraElement, AlgebraShape
 from .config import COMM_TOL, FAITHFULNESS_TOL, GROUP_TOL, SOT_ARG_TOL, SPECTRAL_GAP, STATE_TOL
-from .errors import ConstraintError, ExtensionError, UnsupportedFamilyError
+from .errors import (ConstraintError, ExtensionError, InapplicableError,
+                     UnsupportedFamilyError)
 from .maps import LinearMap
 
 
@@ -282,40 +283,40 @@ def _has_nondegenerate_spectrum(rho: AlgebraElement) -> bool:
     return bool(np.all(np.diff(vals) > SPECTRAL_GAP)) and vals[0] > SPECTRAL_GAP
 
 
-def classical_limit_pairs(shape_a: AlgebraShape, shape_b: AlgebraShape,
-                          rng: np.random.Generator, nondegenerate_prior: bool = False
-                          ) -> Iterator[tuple[LinearMap, AlgebraElement]]:
-    """Endless stream of (E, ρ) with [D[E], ρ⊗1] = 0.
+def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
+                         rng: np.random.Generator, index: int,
+                         nondegenerate_prior: bool = False
+                         ) -> tuple[LinearMap, AlgebraElement]:
+    """One (E, ρ) with [D[E], ρ⊗1] = 0, from construction ``index`` modulo
+    the constructions that apply.
 
-    Cycles through: (a) replacement channels with arbitrary priors,
+    The constructions: (a) replacement channels with arbitrary priors,
     (b) diagonal priors with diagonal-reading (decohering) channels,
     (c) central priors with arbitrary channels (covers every bistochastic
-    instance since ρ = 1/m is central), and (d) fully classical pairs when
-    both algebras are commutative.  Every emitted pair is checked against
-    ``COMM_TOL``; with ``nondegenerate_prior`` only priors with simple,
-    strictly positive spectrum are emitted (the central construction is then
-    skipped unless the blocks are one-dimensional).
+    instance since ρ = 1/m is central), and (d) arbitrary pairs when both
+    algebras are commutative.  With ``nondegenerate_prior`` the prior must
+    have a simple, strictly positive spectrum, and (c) applies only when the
+    source blocks are one-dimensional.  A pair that fails that filter or the
+    ``COMM_TOL`` check raises InapplicableError.
     """
-    both_classical = all(d == 1 for d in shape_a.dims + shape_b.dims)
-    kind = 0
-    while True:
-        kind = (kind + 1) % 4
-        if kind == 0:
-            e = sampling.random_cptp(shape_a, shape_b, rng)
-            rho = sampling.random_state(shape_a, rng)
-            if not both_classical:
-                continue
-        elif kind == 1:
-            e = maps.replace_channel(sampling.random_state(shape_b, rng), shape_a)
-            rho = sampling.random_state(shape_a, rng)
-        elif kind == 2:
-            e = sampling.random_decohering_channel(shape_a, shape_b, rng)
-            rho = _diagonal_state(shape_a, rng)
-        else:
-            e = sampling.random_cptp(shape_a, shape_b, rng)
-            rho = _central_state(shape_a, rng)
-        if nondegenerate_prior and not _has_nondegenerate_spectrum(rho):
-            continue
-        if commutation_residual(e, rho) > COMM_TOL:
-            continue
-        yield e, rho
+    kinds = ["replacement", "decohering"]
+    if not nondegenerate_prior or max(shape_a.dims) == 1:
+        kinds.append("central")
+    if all(d == 1 for d in shape_a.dims + shape_b.dims):
+        kinds.append("any")
+    kind = kinds[index % len(kinds)]
+    if kind == "replacement":
+        e = maps.replace_channel(sampling.random_state(shape_b, rng), shape_a)
+        rho = sampling.random_state(shape_a, rng)
+    elif kind == "decohering":
+        e = sampling.random_decohering_channel(shape_a, shape_b, rng)
+        rho = _diagonal_state(shape_a, rng)
+    else:
+        e = sampling.random_cptp(shape_a, shape_b, rng)
+        rho = (_central_state(shape_a, rng) if kind == "central"
+               else sampling.random_state(shape_a, rng))
+    if nondegenerate_prior and not _has_nondegenerate_spectrum(rho):
+        raise InapplicableError("the drawn prior has a degenerate spectrum")
+    if commutation_residual(e, rho) > COMM_TOL:
+        raise InapplicableError("the drawn pair is not a classical-limit pair")
+    return e, rho

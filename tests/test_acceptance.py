@@ -51,7 +51,7 @@ def test_01_certification_table_reproduction():
                 (fam_tag, prop, verdict.violation)
             replayed = axioms.replay_violation(
                 sot.TABLE_FAMILIES[fam_tag], prop, verdict.counterexample, config)
-            assert replayed > 1e-6, (fam_tag, prop, replayed)
+            assert replayed == verdict.violation, (fam_tag, prop, replayed)
             replays += 1
     _report("table reproduction",
             f"{elapsed:.1f}s, all cells as expected, {replays} witnesses replayed")

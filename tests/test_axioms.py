@@ -1,12 +1,33 @@
 """Randomized property certification: verdict logic, determinism, witness
 replay, and the expected family-by-property matrix at reduced trial counts."""
+import json
+from dataclasses import dataclass
+from typing import ClassVar
+
 import numpy as np
 import pytest
 
-from qsot import algebra as alg, axioms, maps, sampling, sot
+from qsot import algebra as alg, axioms, cli, io, maps, sampling, sot
 from qsot.errors import ConstraintError, InapplicableError
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
+
+
+def from_wire(witness: dict) -> dict:
+    """A witness read back from its JSON form, documents parsed through io."""
+    witness = json.loads(json.dumps(witness))
+    return {k: io.parse_document(v) if isinstance(v, dict) else v
+            for k, v in witness.items()}
+
+
+def assert_replays_exactly(family, verdict, config):
+    """The witness gives the recorded violation, in memory and from JSON."""
+    assert verdict.status == "fails"
+    assert axioms.replay_violation(family, verdict.property, verdict.counterexample,
+                                   config) == verdict.violation
+    doc = verdict.to_json()
+    assert axioms.replay_violation(family, verdict.property, from_wire(doc["witness"]),
+                                   config) == doc["violation"]
 
 
 def test_property_and_glyph_tables_are_consistent():
@@ -30,9 +51,7 @@ def test_certify_fails_with_replayable_witness():
     assert verdict.status == "fails"
     assert verdict.glyph == "✗"
     assert verdict.violation is not None and verdict.violation > 1e-6
-    replayed = axioms.replay_violation(sot.RightBloom(), "P1",
-                                       verdict.counterexample, FAST)
-    assert abs(replayed - verdict.violation) <= 0.1 * verdict.violation
+    assert_replays_exactly(sot.RightBloom(), verdict, FAST)
 
 
 def test_certify_is_deterministic():
@@ -163,3 +182,74 @@ def test_ohya_associativity_is_reported_as_empirical():
     assert verdict.status == "empirical"
     assert verdict.glyph == "?"
     assert "open question" in verdict.note
+    assert axioms.certify(sot.OhyaCompound(), "A", config).to_json() == verdict.to_json()
+
+
+# ------------------------------------------------------------------ replay
+def test_every_table_witness_replays_exactly_from_its_json(tmp_path):
+    out = tmp_path / "table.json"
+    assert cli.main(["certify", "--format", "json", "--seed", "0",
+                     "-o", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    config = axioms.CertifyConfig(trials=doc["trials"], seed=doc["seed"])
+    replayed = 0
+    for cell in doc["cells"]:
+        if "witness" not in cell:
+            continue
+        family = sot.TABLE_FAMILIES[cell["family"]]
+        witness = from_wire(cell["witness"])
+        assert axioms.replay_violation(family, cell["property"], witness,
+                                       config) == cell["violation"], cell["family"]
+        replayed += 1
+    assert replayed >= 20
+
+
+@pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
+def test_every_p6_witness_replays_exactly(tag):
+    # P6 (joint bilinearity) fails exactly where P4 or P5 does, on one λ
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=40, seed=0)
+    verdict = axioms.certify(family, "P6", config)
+    expected = axioms.EXPECTED_TABLE[tag]
+    assert (verdict.status == "fails") == ("✗" in (expected["P4"], expected["P5"]))
+    if verdict.status == "fails":
+        assert {"lambda", "rho2", "e2"} <= set(verdict.counterexample)
+        assert_replays_exactly(family, verdict, config)
+
+
+@dataclass(frozen=True)
+class SkewedLeiferSpekkens(sot.LeiferSpekkens):
+    """Leifer–Spekkens plus a small anti-hermitian term that grows as ρ
+    mixes: its P1 violation starts between the thresholds, and only the
+    ascent, which mixes fresh states into ρ, pushes it above FAIL_THRESHOLD."""
+    tag: ClassVar[str] = "skewed-leifer-spekkens"
+
+    def value(self, e, rho):
+        t = super().value(e, rho)
+        mixedness = 1.0 - (rho @ rho).trace().real
+        return t + (2.55e-7j * mixedness) * alg.identity(t.shape)
+
+
+def test_the_ascent_sharpens_an_ambiguous_candidate(monkeypatch):
+    perturbed = []
+    perturb = axioms._perturb
+    monkeypatch.setattr(axioms, "_perturb",
+                        lambda *args: perturbed.append(args) or perturb(*args))
+    family = SkewedLeiferSpekkens()
+    verdict = axioms.certify(family, "P1", FAST)
+    assert perturbed
+    assert verdict.status == "fails" and verdict.trials == FAST.trials
+    # the ascent's witness: step s of the ascent from the best sweep trial
+    seed, _, index, step = verdict.counterexample["replay_seed"]
+    assert seed == FAST.seed and index >= FAST.trials and step == len(perturbed) - 1
+    assert verdict.to_json() == axioms.certify(family, "P1", FAST).to_json()
+    assert_replays_exactly(family, verdict, FAST)
+
+
+def test_each_p7_trial_draws_and_checks_one_pair(monkeypatch):
+    checks = []
+    residual = sot.commutation_residual
+    monkeypatch.setattr(sot, "commutation_residual",
+                        lambda *args: checks.append(args) or residual(*args))
+    report = axioms.table_report(FAST, properties=("P7",))
+    evaluated = sum(row["P7"].trials for row in report.verdicts.values())
+    assert len(checks) == evaluated

@@ -72,6 +72,15 @@ def test_sot_rejects_unknown_family(fixtures, capsys):
     assert code == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("flags", [["--family", "leifer-spekkens", "--theta", "right",
+                                    "--t", "0.9"],
+                                   ["--family", "theta", "--theta", "ls", "--r", "0.3"]])
+def test_sot_rejects_a_parameter_the_family_lacks(fixtures, capsys, flags):
+    code = run(["sot", *flags, fixtures["channel"], fixtures["state"]])
+    assert code == cli.EXIT_PARSE
+    assert "has no parameter" in capsys.readouterr().err
+
+
 def test_sot_malformed_json_is_a_parse_error(fixtures, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -145,6 +145,13 @@ def test_family_parse_errors():
                 {"tag": ["rs"]}):
         with pytest.raises(ParseError):
             io.parse_family(bad)
+    # a key that is not a wire parameter of the family (STH's chooser is not)
+    for bad in ({"tag": "rs", "r": 0.3, "s": 0.5, "t": 1},
+                {"tag": "leifer-spekkens", "theta": "right"},
+                {"tag": "sth", "t": 0.3, "chooser": "support"},
+                {"kind": "sot_family", "tag": "uncorrelated", "params": {}}):
+        with pytest.raises(ParseError, match="has no parameter"):
+            io.parse_family(bad)
 
 
 def test_family_string_shorthand():

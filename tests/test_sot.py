@@ -267,9 +267,8 @@ def test_right_and_left_bloom_are_mutual_reverses(rng):
 # --------------------------------------------------------- classical limits
 def test_classical_limit_pairs_commute_and_agree_across_families(rng):
     shape_a, shape_b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")
-    stream = sot.classical_limit_pairs(shape_a, shape_b, rng)
-    for _ in range(6):
-        e, rho = next(stream)
+    for index in range(6):
+        e, rho = sot.classical_limit_pair(shape_a, shape_b, rng, index)
         assert sot.commutation_residual(e, rho) < 1e-12
         target = maps.channel_state(e) @ alg.tensor(rho, alg.identity(e.target))
         for family in ALL_FAMILIES:
@@ -281,12 +280,33 @@ def test_classical_limit_pairs_commute_and_agree_across_families(rng):
 
 def test_classical_limit_pairs_nondegenerate_prior_filter(rng):
     shape_a, shape_b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")
-    stream = sot.classical_limit_pairs(shape_a, shape_b, rng,
-                                       nondegenerate_prior=True)
-    for _ in range(4):
-        e, rho = next(stream)
+    for index in range(4):
+        e, rho = sot.classical_limit_pair(shape_a, shape_b, rng, index,
+                                          nondegenerate_prior=True)
         vals = np.linalg.eigvalsh(rho.data[0])
         assert vals[0] > 1e-3 and np.min(np.diff(vals)) > 1e-3
         value = sot.evaluate(sot.OhyaCompound(), e, rho).value
         reference = sot.evaluate(sot.LeiferSpekkens(), e, rho).value
         assert (value - reference).norm() < 1e-8
+
+
+def _construction(e, rho) -> str:
+    """Which classical-limit construction drew a qubit pair."""
+    if np.linalg.matrix_rank(e.matrix, tol=1e-10) == 1:
+        return "replacement"
+    if np.allclose(rho.data[0], np.eye(2) / 2, atol=1e-12):
+        return "central"
+    assert np.allclose(rho.data[0], np.diag(np.diag(rho.data[0])), atol=1e-12)
+    return "decohering"
+
+
+@pytest.mark.parametrize("nondegenerate_prior, kinds", [
+    (False, ["replacement", "decohering", "central"]),
+    (True, ["replacement", "decohering"])])
+def test_classical_limit_pair_cycles_through_the_applicable_constructions(
+        rng, nondegenerate_prior, kinds):
+    shape_a, shape_b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")
+    drawn = [_construction(*sot.classical_limit_pair(
+        shape_a, shape_b, rng, index, nondegenerate_prior=nondegenerate_prior))
+        for index in range(6)]
+    assert drawn == [kinds[i % len(kinds)] for i in range(6)]
