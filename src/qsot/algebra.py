@@ -53,11 +53,12 @@ class AlgebraShape:
     Immutable.  ``factors`` is ``None`` for plain shapes and a pair of shapes
     for tensor-product shapes; a tensor shape also records ``pairs``, the
     indices (i, j) of the left and right factor blocks that make up each of
-    its blocks, so tensor bookkeeping walks indices instead of labels.
+    its blocks, so tensor bookkeeping walks indices instead of labels.  The
+    tensor shapes built from a shape are kept on it (``tensor``).
     """
 
     __slots__ = ("blocks", "labels", "dims", "factors", "pairs", "_keys", "_index",
-                 "_blocks_of")
+                 "_blocks_of", "_hash", "_tensors")
 
     def __init__(self, blocks: Iterable[tuple[Label, int]],
                  factors: tuple["AlgebraShape", "AlgebraShape"] | None = None):
@@ -78,7 +79,8 @@ class AlgebraShape:
         blocks_of = None if pairs is None else {p: k for k, p in enumerate(pairs)}
         for name, value in (("blocks", blocks), ("labels", labels), ("dims", dims),
                             ("factors", factors), ("pairs", pairs), ("_keys", keys),
-                            ("_index", index), ("_blocks_of", blocks_of)):
+                            ("_index", index), ("_blocks_of", blocks_of),
+                            ("_hash", hash((keys, dims))), ("_tensors", {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -112,18 +114,28 @@ class AlgebraShape:
         return self._keys == other._keys and self.dims == other.dims
 
     def __hash__(self):
-        return hash((self._keys, self.dims))
+        return self._hash
 
     def __repr__(self):
         inner = " ⊕ ".join(f"M{d}[{label_text(l)}]" for l, d in self.blocks)
         return f"AlgebraShape({inner})"
 
     def tensor(self, other: "AlgebraShape") -> "AlgebraShape":
+        """The tensor shape self ⊗ other, built once per equal right shape.
+
+        Equal shapes can differ in how their labels nest, so a kept result
+        is reused only when its right factor is nested as ``other`` is.
+        """
+        kept = self._tensors.get(other)
+        if kept is not None and kept.factors[1].factors == other.factors:
+            return kept
         # label_key((la, lb)) is the concatenation of the factors' keys
         order = sorted(((i, j) for i in range(len(self.dims)) for j in range(len(other.dims))),
                        key=lambda p: self._keys[p[0]] + other._keys[p[1]])
-        return AlgebraShape((((self.labels[i], other.labels[j]), self.dims[i] * other.dims[j])
-                             for i, j in order), factors=(self, other))
+        kept = self._tensors[other] = AlgebraShape(
+            (((self.labels[i], other.labels[j]), self.dims[i] * other.dims[j])
+             for i, j in order), factors=(self, other))
+        return kept
 
 
 def matrix_algebra(dim: int, label: Label = "q0") -> AlgebraShape:
@@ -249,7 +261,13 @@ def classical_state(probs: Sequence[float], prefix: str = "x") -> AlgebraElement
 def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Kronecker product of elements on the tensor shape of their shapes."""
     tshape = a.shape.tensor(b.shape)
-    return AlgebraElement(tshape, tuple(np.kron(a.data[i], b.data[j]) for i, j in tshape.pairs))
+    mats = []
+    for i, j in tshape.pairs:
+        x, y = a.data[i], b.data[j]
+        mn = len(x) * len(y)
+        # the products np.kron forms, without its general-rank set-up
+        mats.append((x[:, None, :, None] * y[None, :, None, :]).reshape(mn, mn))
+    return AlgebraElement(tshape, tuple(mats))
 
 
 def partial_trace(t: AlgebraElement, side: str) -> AlgebraElement:

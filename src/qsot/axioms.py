@@ -9,7 +9,10 @@ refinement.  ``table_report`` assembles the full family × property matrix.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +25,9 @@ from .maps import LinearMap
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "A", "M")
 TABLE_PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P7", "A")
+
+# exceptions that skip a trial: the instance is outside the family's domain
+SKIPS = (InapplicableError, ExtensionError, UnsupportedFamilyError)
 
 GLYPHS = {"holds": "✓", "fails": "✗", "holds-restricted": "∗",
           "empirical": "?", "inapplicable": "n/a", "insufficient": "n/a",
@@ -68,6 +74,8 @@ class PropertyVerdict:
     violation: float | None = None
     counterexample: dict | None = None
     note: str = ""
+    skipped: dict[str, int] = field(default_factory=dict)  # sweep trials, by exception class
+    ascent_steps: int = 0
 
     @property
     def glyph(self) -> str:
@@ -81,7 +89,8 @@ class PropertyVerdict:
         out = {"family": self.family, "property": self.property,
                "status": self.status, "glyph": self.glyph,
                "trials": self.trials, "seed": self.seed,
-               "max_residual": self.max_residual}
+               "max_residual": self.max_residual, "skipped": dict(sorted(self.skipped.items())),
+               "ascent_steps": self.ascent_steps}
         if self.violation is not None:
             out["violation"] = self.violation
         if self.counterexample is not None:
@@ -97,79 +106,111 @@ def _cell_index(family_tag: str, prop: str) -> int:
 
 
 # ------------------------------------------------------------------- sampling
-def _shapes(family: sot.SotFamily, trial: int, d: int) -> tuple[AlgebraShape, AlgebraShape]:
+@cache
+def _interned_shapes(d_a: int, d_b: int) -> tuple[AlgebraShape, ...]:
+    """The certification shapes A = M_{d_a}, B = M_{d_b}, C = M_{d_b} and
+    the block sums A ⊕ M_1, B ⊕ M_1, built once, so the tensor shapes kept
+    on them are built once too."""
+    return (AlgebraShape((("a", d_a),)), AlgebraShape((("b", d_b),)),
+            AlgebraShape((("c", d_b),)), AlgebraShape((("a0", d_a), ("a1", 1))),
+            AlgebraShape((("b0", d_b), ("b1", 1))))
+
+
+def _shapes(family: sot.SotFamily, trial: int,
+            dims: tuple[int, int]) -> tuple[AlgebraShape, AlgebraShape]:
     """Alternate single-block and block-sum shapes; compound-family sources
     stay single-block."""
-    single_a = AlgebraShape((("a", d),))
-    single_b = AlgebraShape((("b", d),))
+    a, b, _, blocky_a, blocky_b = _interned_shapes(*dims)
     if trial % 2 == 0:
-        return single_a, single_b
-    blocky_a = AlgebraShape((("a0", d), ("a1", 1)))
-    blocky_b = AlgebraShape((("b0", d), ("b1", 1)))
-    if family.compound:
-        return single_a, blocky_b
-    return blocky_a, blocky_b
+        return a, b
+    return (a if family.compound else blocky_a), blocky_b
 
 
 # -------------------------------------------------------- product-vector search
-def _product_extremum(block: np.ndarray, m: int, n: int, starts: int,
-                      rng: np.random.Generator, mode: str,
-                      iters: int = 8) -> tuple[float, np.ndarray, np.ndarray]:
-    """Optimize ⟨a⊗b|block|a⊗b⟩ over unit product vectors by alternating
-    eigensolves (fixing one factor leaves a hermitian form in the other).
-
-    ``mode`` 'min' minimizes the (real) pairing of a hermitian block;
-    'absmax' maximizes |pairing| of a hermitian block.
-    """
-    t4 = block.reshape(m, n, m, n)
+def _unit_starts(rng: np.random.Generator, starts: int, m: int,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
     a = rng.normal(size=(starts, m)) + 1j * rng.normal(size=(starts, m))
     b = rng.normal(size=(starts, n)) + 1j * rng.normal(size=(starts, n))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    for _ in range(iters):
-        q_b = np.einsum("si,ikjl,sj->skl", a.conj(), t4, a)
-        w, v = np.linalg.eigh((q_b + q_b.conj().transpose(0, 2, 1)) / 2)
-        idx = (np.argmax(np.abs(w), axis=1) if mode == "absmax"
-               else np.zeros(starts, dtype=int))
-        b = v[np.arange(starts), :, idx]
-        q_a = np.einsum("sk,ikjl,sl->sij", b.conj(), t4, b)
-        w, v = np.linalg.eigh((q_a + q_a.conj().transpose(0, 2, 1)) / 2)
-        idx = (np.argmax(np.abs(w), axis=1) if mode == "absmax"
-               else np.zeros(starts, dtype=int))
-        a = v[np.arange(starts), :, idx]
-    vals = np.einsum("si,sk,ikjl,sj,sl->s", a.conj(), b.conj(), t4, a, b).real
-    pick = np.argmax(np.abs(vals)) if mode == "absmax" else np.argmin(vals)
-    return float(vals[pick]), a[pick], b[pick]
+    return a, b
 
 
-def block_positivity_violation(t: AlgebraElement, starts: int,
-                               rng: np.random.Generator) -> tuple[float, dict]:
-    """Largest found violation of ⟨a⊗b|T|a⊗b⟩ being real and non-negative.
+def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray, mode: str,
+                      iters: int = 8) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Optimize ⟨a⊗b|block|a⊗b⟩ over unit product vectors by alternating
+    eigensolves (fixing one factor leaves a hermitian form in the other),
+    for a stack of (m·n)×(m·n) blocks from start vectors a (jobs, starts, m)
+    and b (jobs, starts, n).  Returns each block's best value and vectors.
 
-    A non-hermitian T is probed for product vectors with a non-real pairing
-    first; the hermitian part is then minimized over product vectors.
+    ``mode`` 'min' minimizes the (real) pairing of a hermitian block;
+    'absmax' maximizes |pairing| of a hermitian block.
     """
-    tshape = t.shape
-    if tshape.factors is None:
+    jobs, starts, m = a.shape
+    n = b.shape[2]
+    t4 = blocks.reshape(jobs, m, n, m, n)
+    rows, cols = np.arange(jobs)[:, None], np.arange(starts)
+
+    def eigvec(q: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh((q + q.conj().transpose(0, 1, 3, 2)) / 2)
+        idx = (np.argmax(np.abs(w), axis=2) if mode == "absmax"
+               else np.zeros((jobs, starts), dtype=int))
+        return v[rows, cols, :, idx]
+
+    for _ in range(iters):
+        b = eigvec(np.einsum("rsi,rikjl,rsj->rskl", a.conj(), t4, a))
+        a = eigvec(np.einsum("rsk,rikjl,rsl->rsij", b.conj(), t4, b))
+    vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
+    pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
+    best = (rows[:, 0], pick)
+    return vals[best].tolist(), a[best], b[best]
+
+
+def _factors(t: AlgebraElement) -> tuple[AlgebraShape, AlgebraShape]:
+    if t.shape.factors is None:
         raise InapplicableError("local positivity needs a tensor-shaped element")
-    factor_a, factor_b = tshape.factors
-    violation, witness = 0.0, {}
-    for label, (i, j), mat in zip(tshape.labels, tshape.pairs, t.data):
-        m, n = factor_a.dims[i], factor_b.dims[j]
-        skew = (mat - mat.conj().T) / 2j
-        if np.linalg.norm(skew) > HERM_TOL:
-            val, a, b = _product_extremum(skew, m, n, starts, rng, "absmax")
-            if abs(val) > violation:
-                violation = abs(val)
-                witness = {"block": str(label), "kind": "non-real pairing",
-                           "value": val, "vector_a": a, "vector_b": b}
-        herm = (mat + mat.conj().T) / 2
-        val, a, b = _product_extremum(herm, m, n, starts, rng, "min")
-        if -val > violation:
-            violation = -val
-            witness = {"block": str(label), "kind": "negative pairing",
-                       "value": val, "vector_a": a, "vector_b": b}
-    return violation, witness
+    return t.shape.factors
+
+
+def block_positivity_violation(ts: Sequence[AlgebraElement], starts: int,
+                               rngs: Sequence[np.random.Generator]
+                               ) -> list[tuple[float, dict]]:
+    """For each element, the largest found violation of ⟨a⊗b|T|a⊗b⟩ being
+    real and non-negative, with its witness.
+
+    A non-hermitian block is probed for product vectors with a non-real
+    pairing first; the hermitian part is then minimized over product
+    vectors.  Each element draws its start vectors from its own generator,
+    block by block; the searches of all elements run as stacks, one per
+    (mode, m, n), and every stacked entry is computed as it would be alone,
+    so an element's result does not depend on the others in the call.
+    """
+    jobs = []  # (element, block label, mode, block, start vectors a, b)
+    for k, (t, rng) in enumerate(zip(ts, rngs)):
+        factor_a, factor_b = _factors(t)
+        for label, (i, j), mat in zip(t.shape.labels, t.shape.pairs, t.data):
+            m, n = factor_a.dims[i], factor_b.dims[j]
+            skew = (mat - mat.conj().T) / 2j
+            if np.linalg.norm(skew) > HERM_TOL:
+                jobs.append((k, label, "absmax", skew, *_unit_starts(rng, starts, m, n)))
+            herm = (mat + mat.conj().T) / 2
+            jobs.append((k, label, "min", herm, *_unit_starts(rng, starts, m, n)))
+    groups: dict[tuple, list[int]] = {}
+    for index, (_, _, mode, _, a, b) in enumerate(jobs):
+        groups.setdefault((mode, a.shape[1], b.shape[1]), []).append(index)
+    found = [None] * len(jobs)
+    for (mode, _, _), indices in groups.items():
+        stacks = [np.stack([jobs[i][f] for i in indices]) for f in (3, 4, 5)]
+        for i, result in zip(indices, zip(*_product_extremum(*stacks, mode))):
+            found[i] = result
+    out = [(0.0, {}) for _ in ts]
+    for (k, label, mode, *_), (val, a, b) in zip(jobs, found):
+        size, kind = ((abs(val), "non-real pairing") if mode == "absmax"
+                      else (-val, "negative pairing"))
+        if size > out[k][0]:
+            out[k] = (size, {"block": str(label), "kind": kind, "value": val,
+                             "vector_a": a, "vector_b": b})
+    return out
 
 
 # ---------------------------------------------------------------- associativity
@@ -210,15 +251,13 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
     return (alg.reassociate_left_to_right(rhs) - lhs).norm()
 
 
-def _sample_associativity(family: sot.SotFamily, d: int,
+def _sample_associativity(family: sot.SotFamily, dims: tuple[int, int],
                           rng: np.random.Generator) -> dict:
-    shape_a = AlgebraShape((("a", d),))
-    shape_b = AlgebraShape((("b", d),))
-    shape_c = AlgebraShape((("c", d),))
+    shape_a, shape_b, shape_c = _interned_shapes(*dims)[:3]
     if not family.state_linear:
         # Entanglement-breaking first legs keep every intermediate second
         # argument PSD, so non-state-linear families stay evaluable.
-        e = sampling.random_measure_prepare(shape_a, shape_b, d * d, rng)
+        e = sampling.random_measure_prepare(shape_a, shape_b, dims[0] ** 2, rng)
     else:
         e = sampling.random_cptp(shape_a, shape_b, rng)
     f = sampling.random_cptp(shape_b, shape_c, rng)
@@ -257,7 +296,7 @@ def _violation(family: sot.SotFamily, prop: str, instance: dict,
         return (t - t.dagger()).norm(), {}
     if prop == "P2":
         search = np.random.default_rng(instance["search_seed"])
-        return block_positivity_violation(t, config.starts, search)
+        return block_positivity_violation([t], config.starts, [search])[0]
     if prop == "P3":
         return max(0.0, -t.min_eigenvalue()), {}
     target = maps.channel_state(e) @ alg.tensor(rho, alg.identity(e.target))
@@ -267,10 +306,9 @@ def _violation(family: sot.SotFamily, prop: str, instance: dict,
 def _sample_for(family: sot.SotFamily, prop: str, trial: int,
                 config: CertifyConfig, rng: np.random.Generator) -> dict:
     """Every random input of one trial, drawn from ``rng`` in a fixed order."""
-    d = config.dims[0]
     if prop == "A":
-        return _sample_associativity(family, d, rng)
-    sa, sb = _shapes(family, trial, d)
+        return _sample_associativity(family, config.dims, rng)
+    sa, sb = _shapes(family, trial, config.dims)
     if prop == "P7":
         e, rho = sot.classical_limit_pair(sa, sb, rng, trial // 2,
                                           nondegenerate_prior=family.compound)
@@ -308,6 +346,49 @@ def replay_violation(family: sot.SotFamily, prop: str, counterexample: dict,
 
 
 # ----------------------------------------------------------------- certification
+def _search_chunk(chunk: list[tuple], starts: int) -> list[tuple]:
+    """Replace each (T, search seed) outcome of a P2 chunk by the result of
+    one stacked product-vector search over the chunk."""
+    pending = [outcome for _, _, outcome in chunk if not isinstance(outcome, str)]
+    found = iter(block_positivity_violation(
+        [t for t, _ in pending], starts, [np.random.default_rng(seed) for _, seed in pending]))
+    return [(trial, key, outcome if isinstance(outcome, str) else next(found))
+            for trial, key, outcome in chunk]
+
+
+def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
+           cell: int) -> Iterator[tuple[int, list[int], tuple[float, dict] | str]]:
+    """(trial, key, outcome) for every sweep trial in trial order, each
+    drawn from the generator keyed ``key`` = [seed, cell, trial].
+
+    ``outcome`` is (violation, witness data), or the exception class name
+    of a skipped trial.  Trials come in chunks of 1, 2, 4, … trials.  A P2
+    chunk evaluates each trial's T alone, then searches the whole chunk in
+    one call, holding only keys, search seeds and T's meanwhile, so its
+    witness data is the search's alone.  Other chunks are evaluated lazily,
+    so a consumer that stops early evaluates no later trial; their witness
+    data holds the instance too.
+    """
+    def draw(trial: int) -> tuple[int, list[int], object]:
+        key = [config.seed, cell, trial]
+        try:
+            instance = _sample_for(family, prop, trial, config, np.random.default_rng(key))
+            if prop != "P2":
+                value, extra = _violation(family, prop, instance, config)
+                return trial, key, (value, {**instance, **extra})
+            t = sot.evaluate(family, instance["e"], instance["rho"]).value
+            _factors(t)
+            return trial, key, (t, instance["search_seed"])
+        except SKIPS as exc:
+            return trial, key, type(exc).__name__
+
+    start, size = 0, 1
+    while start < config.trials:
+        chunk = map(draw, range(start, min(start + size, config.trials)))
+        yield from _search_chunk(list(chunk), config.starts) if prop == "P2" else chunk
+        start, size = start + size, 2 * size
+
+
 def certify(family: sot.SotFamily, prop: str,
             config: CertifyConfig | None = None) -> PropertyVerdict:
     """Randomized verdict for one family/property cell.
@@ -318,6 +399,8 @@ def certify(family: sot.SotFamily, prop: str,
     the pass threshold yields ``holds``.  The compound family's classical
     limit holds on non-degenerate faithful priors only ("∗"), and its
     associativity is an open question reported as ``empirical`` ("?").
+    The sweep stops at the first trial above the fail threshold; trials it
+    walked and skipped are counted by exception class.
     """
     config = config or CertifyConfig()
     tag = family.tag
@@ -327,40 +410,39 @@ def certify(family: sot.SotFamily, prop: str,
         return PropertyVerdict(tag, prop, "insufficient", 0, config.seed)
     cell = _cell_index(tag, prop)
 
-    def attempt(draw, *index: int) -> tuple[float, dict] | None:
-        """Draw an instance from the generator keyed [seed, cell, *index] and
-        evaluate it: (violation, witness), or None for a skipped trial."""
-        key = [config.seed, cell, *index]
-        try:
-            instance = draw(np.random.default_rng(key))
-            value, extra = _violation(family, prop, instance, config)
-        except (InapplicableError, ExtensionError, UnsupportedFamilyError):
-            return None
-        return value, {**instance, **extra, "replay_seed": key}
-
-    max_residual, best, evaluated = 0.0, None, 0
-    for trial in range(config.trials):
-        result = attempt(lambda rng: _sample_for(family, prop, trial, config, rng), trial)
-        if result is None:
+    max_residual, best, evaluated, skipped = 0.0, None, 0, Counter()
+    for trial, key, outcome in _sweep(family, prop, config, cell):
+        if isinstance(outcome, str):
+            skipped[outcome] += 1
             continue
         evaluated += 1
-        max_residual = max(max_residual, result[0])
-        if best is None or result[0] > best[0]:
-            best, best_trial = result, trial
-        if result[0] > FAIL_THRESHOLD:
+        max_residual = max(max_residual, outcome[0])
+        if best is None or outcome[0] > best[0]:
+            best = (outcome[0], trial, key, outcome[1])
+        if outcome[0] > FAIL_THRESHOLD:
             break
     if best is None:
-        return PropertyVerdict(tag, prop, "inapplicable", 0, config.seed)
+        return PropertyVerdict(tag, prop, "inapplicable", 0, config.seed,
+                               skipped=dict(skipped))
 
-    value, witness = best
+    value, best_trial, key, data = best
+    if prop == "P2" and value > PASS_THRESHOLD:
+        # a P2 chunk keeps no instance; it is a pure function of its key
+        data = {**_sample_for(family, prop, best_trial, config, np.random.default_rng(key)),
+                **data}
+    witness, steps = {**data, "replay_seed": key}, 0
     if PASS_THRESHOLD < value <= FAIL_THRESHOLD:
         # Ambiguous: sharpen the best candidate by local perturbation ascent.
         for step in range(config.ascent_steps):
-            scale = 0.3 * (0.9 ** step)
-            result = attempt(lambda rng: _perturb(witness, scale, rng),
-                             config.trials + best_trial, step)
-            if result is not None and result[0] > value:
-                value, witness = result
+            steps, scale = step + 1, 0.3 * (0.9 ** step)
+            key = [config.seed, cell, config.trials + best_trial, step]
+            try:
+                instance = _perturb(witness, scale, np.random.default_rng(key))
+                result, extra = _violation(family, prop, instance, config)
+            except SKIPS:
+                continue
+            if result > value:
+                value, witness = result, {**instance, **extra, "replay_seed": key}
                 if value > FAIL_THRESHOLD:
                     break
         max_residual = max(max_residual, value)
@@ -375,7 +457,8 @@ def certify(family: sot.SotFamily, prop: str,
     return PropertyVerdict(tag, prop, status, evaluated, config.seed,
                            max_residual=max_residual,
                            violation=value if failed else None,
-                           counterexample=witness if failed else None, note=note)
+                           counterexample=witness if failed else None, note=note,
+                           skipped=dict(skipped), ascent_steps=steps)
 
 
 # ------------------------------------------------------------------ the table

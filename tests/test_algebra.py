@@ -39,6 +39,26 @@ def test_tensor_shape_blocks_are_sorted_by_label():
     assert keys == sorted(keys)
 
 
+def test_tensor_shape_is_built_once_per_right_shape():
+    a = AlgebraShape([("a0", 2), ("a1", 1)])
+    b = AlgebraShape([("b0", 3), ("b1", 1)])
+    assert a.tensor(b) is a.tensor(b)
+    twin = AlgebraShape([("b0", 3), ("b1", 1)])
+    assert twin is not b and a.tensor(twin) == a.tensor(b)
+    assert a.tensor(twin).pairs == a.tensor(b).pairs
+    assert b.tensor(a) != a.tensor(b)
+
+
+def test_kept_tensor_shape_follows_the_right_factor_nesting():
+    # (x⊗y)⊗z and x⊗(y⊗z) are equal shapes whose factors split differently
+    x, y, z = (alg.matrix_algebra(2, label) for label in "xyz")
+    left_nested, right_nested = x.tensor(y).tensor(z), x.tensor(y.tensor(z))
+    assert left_nested == right_nested
+    q = alg.matrix_algebra(2, "q")
+    assert q.tensor(left_nested).factors[1].factors == (x.tensor(y), z)
+    assert q.tensor(right_nested).factors[1].factors == (x, y.tensor(z))
+
+
 def test_classical_algebra_is_all_one_dim_blocks():
     shape = alg.classical_algebra(4)
     assert shape.dims == (1, 1, 1, 1)
@@ -114,6 +134,15 @@ def test_tensor_is_kron_on_single_blocks(rng):
     b = sampling.random_hermitian(alg.matrix_algebra(3, "b"), rng)
     t = alg.tensor(a, b)
     np.testing.assert_allclose(t.data[0], np.kron(a.data[0], b.data[0]), atol=ATOL)
+
+
+def test_tensor_equals_kron_bit_for_bit_on_blocky_complex_elements(rng):
+    a = sampling.random_unitary_element(AlgebraShape([("a0", 3), ("a1", 1), ("a2", 2)]), rng)
+    b = sampling.random_state(AlgebraShape([("b0", 2), ("b1", 1)]), rng)
+    t = alg.tensor(a, b)
+    assert len(t.data) == 6
+    for (i, j), mat in zip(t.shape.pairs, t.data):
+        assert np.array_equal(mat, np.kron(a.data[i], b.data[j]))
 
 
 def test_partial_trace_matches_dense_oracle(rng):

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from qsot import algebra as alg, axioms, cli, io, maps, sampling, sot
-from qsot.errors import ConstraintError, InapplicableError
+from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
+                         UnsupportedFamilyError)
+
+from conftest import rng_for, sequential_certify
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
 
@@ -139,7 +142,7 @@ def test_block_positivity_violation_finds_planted_negative_pair(rng):
     # sigma_x (x) sigma_x has product eigenvector pairs at eigenvalue -1
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     t = alg.AlgebraElement(shape, (np.kron(sx, sx),))
-    violation, witness = axioms.block_positivity_violation(t, 20, rng)
+    [(violation, witness)] = axioms.block_positivity_violation([t], 20, [rng])
     assert violation > 0.99
     assert witness["kind"] == "negative pairing"
 
@@ -147,7 +150,7 @@ def test_block_positivity_violation_finds_planted_negative_pair(rng):
 def test_block_positivity_violation_zero_on_separable_states(rng):
     a = sampling.random_state(alg.matrix_algebra(2, "a"), rng)
     b = sampling.random_state(alg.matrix_algebra(2, "b"), rng)
-    violation, _ = axioms.block_positivity_violation(alg.tensor(a, b), 20, rng)
+    [(violation, _)] = axioms.block_positivity_violation([alg.tensor(a, b)], 20, [rng])
     assert violation < 1e-12
 
 
@@ -238,6 +241,8 @@ def test_the_ascent_sharpens_an_ambiguous_candidate(monkeypatch):
     verdict = axioms.certify(family, "P1", FAST)
     assert perturbed
     assert verdict.status == "fails" and verdict.trials == FAST.trials
+    assert verdict.ascent_steps == len(perturbed)
+    assert verdict.to_json()["ascent_steps"] == len(perturbed)
     # the ascent's witness: step s of the ascent from the best sweep trial
     seed, _, index, step = verdict.counterexample["replay_seed"]
     assert seed == FAST.seed and index >= FAST.trials and step == len(perturbed) - 1
@@ -253,3 +258,150 @@ def test_each_p7_trial_draws_and_checks_one_pair(monkeypatch):
     report = axioms.table_report(FAST, properties=("P7",))
     evaluated = sum(row["P7"].trials for row in report.verdicts.values())
     assert len(checks) == evaluated
+
+
+# ------------------------------------------------------- stacked P2 search
+def test_stacked_search_equals_singleton_searches():
+    """Each entry of one stacked call equals a call on that element alone,
+    bit for bit, over single-block and blocky shapes and non-hermitian T."""
+    families = (sot.LeiferSpekkens(), sot.RightBloom(), sot.SymmetricBloom(), sot.TRotated(0.3))
+    ts, seeds = [], []
+    for k in range(120):
+        rng = rng_for("stacked-search", k)
+        shape_a, shape_b = axioms._shapes(sot.LeiferSpekkens(), k, ((2, 3), (2, 2))[k % 3 == 0])
+        e = sampling.random_cptp(shape_a, shape_b, rng)
+        rho = sampling.random_state(shape_a, rng)
+        ts.append(families[k % len(families)].value(e, rho))
+        seeds.append(int(rng.integers(2 ** 32)))
+    stacked = axioms.block_positivity_violation(
+        ts, 20, [np.random.default_rng(seed) for seed in seeds])
+    assert len(stacked) == len(ts)
+    kinds = set()
+    for t, seed, (violation, witness) in zip(ts, seeds, stacked):
+        [(alone, alone_witness)] = axioms.block_positivity_violation(
+            [t], 20, [np.random.default_rng(seed)])
+        assert violation == alone
+        assert witness.keys() == alone_witness.keys()
+        if witness:
+            kinds.add(witness["kind"])
+            assert (witness["block"], witness["value"]) == (alone_witness["block"],
+                                                            alone_witness["value"])
+            assert np.array_equal(witness["vector_a"], alone_witness["vector_a"])
+            assert np.array_equal(witness["vector_b"], alone_witness["vector_b"])
+    assert any(len(t.data) > 1 for t in ts) and any(len(t.data) == 1 for t in ts)
+    # right bloom's T is not hermitian, so the non-real-pairing search ran
+    assert kinds == {"non-real pairing", "negative pairing"}
+    assert axioms.block_positivity_violation([], 20, []) == []
+
+
+# ---------------------------------------------- chunks against the reference
+NEW_KEYS = ("skipped", "ascent_steps")
+CHUNK_STARTS = (0, 1, 3, 7, 15, 31, 63, 127)
+
+
+def without_new_keys(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if k not in NEW_KEYS}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_chunked_table_equals_the_sequential_reference(seed):
+    config = axioms.CertifyConfig(trials=40, seed=seed)
+    report = axioms.table_report(config)
+    for tag, row in report.verdicts.items():
+        for prop, verdict in row.items():
+            want = sequential_certify(sot.TABLE_FAMILIES[tag], prop, config)
+            assert without_new_keys(verdict.to_json()) == without_new_keys(want.to_json()), \
+                (tag, prop)
+
+
+@dataclass(frozen=True)
+class TiltedLeiferSpekkens(sot.LeiferSpekkens):
+    """Leifer–Spekkens, shifted by −1 when ⟨0|ρ|0⟩ > 0.8: its P2 fails only
+    on such priors, so the first failure comes some trials into the sweep."""
+    tag: ClassVar[str] = "tilted-leifer-spekkens"
+
+    def value(self, e, rho):
+        t = super().value(e, rho)
+        return t - alg.identity(t.shape) if rho.data[0][0, 0].real > 0.8 else t
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_failure_inside_a_chunk_matches_the_reference(seed):
+    family, config = TiltedLeiferSpekkens(), axioms.CertifyConfig(trials=40, seed=seed)
+    verdict = axioms.certify(family, "P2", config)
+    want = sequential_certify(family, "P2", config)
+    assert verdict.status == "fails" and verdict.skipped == {}
+    first_failure = verdict.trials - 1
+    assert first_failure not in CHUNK_STARTS  # later trials of its chunk were searched
+    assert verdict.counterexample["replay_seed"] == [seed, axioms._cell_index(family.tag, "P2"),
+                                                     first_failure]
+    assert without_new_keys(verdict.to_json()) == without_new_keys(want.to_json())
+    assert_replays_exactly(family, verdict, config)
+
+
+# ---------------------------------------------------------- observability
+@dataclass(frozen=True)
+class PickyLeiferSpekkens(sot.LeiferSpekkens):
+    """Leifer–Spekkens that refuses block-sum sources and priors with
+    ⟨0|ρ|0⟩ > 0.7, with two different exceptions."""
+    tag: ClassVar[str] = "picky-leifer-spekkens"
+
+    def value(self, e, rho):
+        if len(e.source.blocks) > 1:
+            raise UnsupportedFamilyError("single-block sources only")
+        if rho.data[0][0, 0].real > 0.7:
+            raise ExtensionError("priors near |0⟩ refused")
+        return super().value(e, rho)
+
+
+@pytest.mark.parametrize("prop", ["P1", "P2"])
+def test_skipped_trials_are_counted_by_exception_class(prop):
+    family = PickyLeiferSpekkens()
+    verdict = axioms.certify(family, prop, FAST)
+    assert verdict.status == "holds"
+    assert verdict.skipped["UnsupportedFamilyError"] == FAST.trials // 2
+    assert verdict.skipped["ExtensionError"] >= 1
+    assert set(verdict.skipped) == {"UnsupportedFamilyError", "ExtensionError"}
+    assert verdict.trials + sum(verdict.skipped.values()) == FAST.trials
+    doc = verdict.to_json()
+    assert doc["skipped"] == verdict.skipped and doc["ascent_steps"] == 0
+    json.dumps(doc)
+    assert doc == axioms.certify(family, prop, FAST).to_json()
+    assert without_new_keys(doc) == without_new_keys(
+        sequential_certify(family, prop, FAST).to_json())
+
+
+def test_a_sweep_that_stops_early_counts_only_the_trials_it_walked():
+    verdict = axioms.certify(TiltedLeiferSpekkens(), "P2", FAST)
+    assert verdict.status == "fails" and verdict.trials < FAST.trials
+    assert verdict.skipped == {} and verdict.ascent_steps == 0
+    assert axioms.certify(sot.LeiferSpekkens(), "P2", FAST).to_json()["skipped"] == {}
+
+
+# ------------------------------------------------------------------ dims
+def test_dims_give_the_source_and_target_shapes():
+    config = axioms.CertifyConfig(trials=2, dims=(2, 3))
+    family = sot.LeiferSpekkens()
+    for trial, (source, target) in enumerate([((2,), (3,)), ((2, 1), (3, 1))]):
+        instance = axioms._sample_for(family, "P1", trial, config, rng_for("dims", trial))
+        assert (instance["e"].source.dims, instance["e"].target.dims) == (source, target)
+        assert instance["rho"].shape.dims == source
+    instance = axioms._sample_for(family, "A", 0, config, rng_for("dims"))
+    assert [m.dims for m in (instance["e"].source, instance["e"].target,
+                             instance["f"].target)] == [(2,), (3,), (3,)]
+
+
+def test_dims_2_3_certifies_on_m2_to_m3():
+    config = axioms.CertifyConfig(trials=40, seed=0, dims=(2, 3))
+    report = axioms.table_report(config)
+    assert report.mismatches() == []
+    witnessed = 0
+    for tag, row in report.verdicts.items():
+        for prop, verdict in row.items():
+            if verdict.status != "fails":
+                continue
+            e = verdict.counterexample["e"]
+            assert (e.source.total_dim, e.target.total_dim) in ((2, 3), (3, 4)), (tag, prop)
+            assert_replays_exactly(sot.TABLE_FAMILIES[tag], verdict, config)
+            witnessed += 1
+    assert witnessed >= 20
