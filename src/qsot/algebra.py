@@ -53,7 +53,8 @@ class AlgebraShape:
     Immutable.  ``factors`` is ``None`` for plain shapes and a pair of shapes
     for tensor-product shapes; a tensor shape also records ``pairs``, the
     indices (i, j) of the left and right factor blocks that make up each of
-    its blocks, so tensor bookkeeping walks indices instead of labels.  The
+    its blocks, so tensor bookkeeping walks indices instead of labels.  Equal
+    shapes have equal blocks and factors, so (x⊗y)⊗z != x⊗(y⊗z).  The
     tensor shapes built from a shape are kept on it (``tensor``).
     """
 
@@ -86,6 +87,9 @@ class AlgebraShape:
     def __setattr__(self, *_):
         raise AttributeError("AlgebraShape is immutable")
 
+    def __reduce__(self):  # rebuilt through __init__, as slots cannot be set
+        return AlgebraShape, (self.blocks, self.factors)
+
     def index(self, label: Label) -> int:
         return self._index[label_key(label)]
 
@@ -111,7 +115,8 @@ class AlgebraShape:
             return True
         if not isinstance(other, AlgebraShape):
             return NotImplemented
-        return self._keys == other._keys and self.dims == other.dims
+        return (self._keys == other._keys and self.dims == other.dims
+                and self.factors == other.factors)
 
     def __hash__(self):
         return self._hash
@@ -121,13 +126,9 @@ class AlgebraShape:
         return f"AlgebraShape({inner})"
 
     def tensor(self, other: "AlgebraShape") -> "AlgebraShape":
-        """The tensor shape self ⊗ other, built once per equal right shape.
-
-        Equal shapes can differ in how their labels nest, so a kept result
-        is reused only when its right factor is nested as ``other`` is.
-        """
+        """The tensor shape self ⊗ other, built once per equal right shape."""
         kept = self._tensors.get(other)
-        if kept is not None and kept.factors[1].factors == other.factors:
+        if kept is not None:
             return kept
         # label_key((la, lb)) is the concatenation of the factors' keys
         order = sorted(((i, j) for i in range(len(self.dims)) for j in range(len(other.dims))),
@@ -167,6 +168,9 @@ class AlgebraElement:
             mat.flags.writeable = False
             blocks.append(mat)
         object.__setattr__(self, "data", tuple(blocks))
+
+    def __reduce__(self):  # rebuilt through __init__, which freezes the copied blocks
+        return AlgebraElement, (self.shape, self.data)
 
     # ------------------------------------------------------------------ algebra
     def _check_same_shape(self, other: "AlgebraElement"):

@@ -3,7 +3,8 @@
 Closed forms come from the family's own terms: one product formula for the
 one-term families (Petz and its rotated/STH variants, the one-sided blooms),
 one spectral-basis formula for the two-term families (symmetric bloom and
-(r,s)), and generalized conditional expectations for Θ-derived families.
+(r,s)).  A Θ-derived family solves as its sandwich family, which gives its
+generalized conditional expectation.
 ``generic_bayes`` solves the defining condition directly and measures
 uniqueness, which is the cross-check oracle for everything else.  It uses
 only that every family is local in the source factor, ~X⋆σ = (Φ_σ⊗id)(D[~X]):
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import algebra as alg, maps, sot
 from .algebra import AlgebraElement, AlgebraShape
-from .config import COND_LIMIT, FAIL_THRESHOLD, LOCALITY_TOL, RANK_TOL
+from .config import FAIL_THRESHOLD, LOCALITY_TOL, RANK_TOL
 from .errors import SingularityError, UnsupportedFamilyError
 from .maps import LinearMap
 
@@ -147,12 +148,8 @@ def rs_bayes(r: float, s: float, e: LinearMap, rho: AlgebraElement,
 def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                       strict: bool = False) -> LinearMap:
     """The closed-form Bayes map of the family: the product formula for
-    one-term sandwich families, the spectral formula for the two-term ones,
-    and the generalized conditional expectation for Θ-derived families."""
-    if isinstance(family, sot.ThetaDerived):
-        if strict:
-            alg.power(e(rho), 1.0, strict=True)  # the faithfulness check
-        return gce_solve(family, e, rho)
+    one-term sandwich families (Θ-derived ones included) and the spectral
+    formula for the two-term ones."""
     if hasattr(family, "denominator"):
         return _spectral_bayes(family, e, rho, strict)
     if hasattr(family, "terms"):
@@ -231,15 +228,9 @@ def theta_jordan() -> sot.SymmetricBloom:
 
 def gce_solve(family: sot.ThetaDerived, e: LinearMap,
               rho: AlgebraElement) -> LinearMap:
-    """Solve E∘Θ_ρ = Θ_{E(ρ)}∘X for X and return its HS adjoint (a Bayes map)."""
-    theta_rho = family.rendering(rho)
-    theta_sigma = family.rendering(e(rho))
-    lhs = e.matrix @ theta_rho.matrix
-    cond = np.linalg.cond(theta_sigma.matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularityError("Θ at E(ρ) is numerically singular")
-    x = np.linalg.solve(theta_sigma.matrix, lhs)
-    return LinearMap(e.source, e.target, x).hs_adjoint()
+    """The Bayes map X with E∘Θ_ρ = Θ_{E(ρ)}∘X*, the generalized conditional
+    expectation of a Θ-derived family: its closed-form Bayes map."""
+    return closed_form_bayes(family, e, rho)
 
 
 # -------------------------------------------------------- Remark-4 style checks

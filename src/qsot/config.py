@@ -28,7 +28,6 @@ STEP_TOL = 10 * ATOL  # lowest eigenvalue a finite-difference step may leave
 
 RANK_TOL = 1e-8  # generic Bayes: singular values <= RANK_TOL·max(1, s_max) are null
 LOCALITY_TOL = 1e-10  # generic Bayes: its locality premise, relative to the probe
-COND_LIMIT = 1e12  # gce_solve refuses a Θ_σ of larger condition number
 COMM_TOL = 1e-12  # classical-limit pairs: ‖[D[E], ρ⊗1]‖ at most this
 SPECTRAL_GAP = 1e-3  # a non-degenerate prior: eigenvalues and their gaps above this
 

@@ -77,6 +77,9 @@ class LinearMap:
     def __setattr__(self, *_):
         raise AttributeError("LinearMap is immutable")
 
+    def __reduce__(self):  # rebuilt through __init__, as slots cannot be set
+        return LinearMap, (self.source, self.target, self.matrix)
+
     # ------------------------------------------------------------------- action
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         if a.shape != self.source:
@@ -200,16 +203,6 @@ def identity_map(shape: AlgebraShape) -> LinearMap:
     return LinearMap(shape, shape, np.eye(shape.vector_dim, dtype=complex))
 
 
-def left_mult(a: AlgebraElement) -> LinearMap:
-    """L_a : B ↦ aB."""
-    return multiplier(((1.0, a, None),), a.shape)
-
-
-def right_mult(a: AlgebraElement) -> LinearMap:
-    """R_a : B ↦ Ba."""
-    return multiplier(((1.0, None, a),), a.shape)
-
-
 def ad_map(x: AlgebraElement) -> LinearMap:
     """Ad_x : A ↦ x A x†  (x need not be unitary or hermitian), from the
     Kraus operator x on each block."""
@@ -259,11 +252,6 @@ def sandwich_rows(terms, matrix: np.ndarray, shape: AlgebraShape,
         rows = slice(off, off + d * d)
         out[rows] = sandwich(block_terms(terms, i, transpose), matrix[rows], d)
     return out
-
-
-def multiplier(terms, shape: AlgebraShape) -> LinearMap:
-    """Σ w L_f∘R_g on ``shape``: the kernel on the rows of the identity."""
-    return LinearMap(shape, shape, sandwich_rows(terms, np.eye(shape.vector_dim), shape))
 
 
 # -------------------------------------------------------------- channel states

@@ -171,9 +171,14 @@ class RSFamily(_Sandwich):
 
 
 @dataclass(frozen=True)
-class ThetaDerived(SotFamily):
+class ThetaDerived(_Sandwich):
     """SOT generated by the state-rendering map of a sandwich family:
-    (Θ_ρ ⊗ id)(D[E]) with Θ_ρ = Σ w L_{f(ρ)}∘R_{g(ρ)} over ``theta``'s terms."""
+    (Θ_ρ ⊗ id)(D[E]) with Θ_ρ = Σ w L_{f(ρ)}∘R_{g(ρ)} over ``theta``'s terms.
+
+    Term by term that is ``theta``'s own sandwich, so the family evaluates
+    and solves as ``theta`` under its own tag: its terms, denominator and
+    spectral_tol are theta's, and exist only where theta's do.
+    """
     theta: _Sandwich
     tag: ClassVar[str] = "theta"
 
@@ -181,12 +186,17 @@ class ThetaDerived(SotFamily):
     def state_linear(self) -> bool:
         return self.theta.state_linear
 
-    def rendering(self, x: AlgebraElement) -> LinearMap:
-        """Θ_x as a superoperator on x's algebra."""
-        return maps.multiplier(self.theta.terms(x), x.shape)
+    @property
+    def terms(self):
+        return self.theta.terms
 
-    def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
-        return maps.apply_to_factor(self.rendering(rho), maps.channel_state(e), "left")
+    @property
+    def denominator(self):
+        return self.theta.denominator
+
+    @property
+    def spectral_tol(self) -> float:
+        return self.theta.spectral_tol
 
 
 # Wire tag → family class; the dataclass init fields are the parameters.

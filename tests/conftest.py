@@ -258,6 +258,15 @@ def dense_spectral_bayes(family, e: LinearMap, rho: AlgebraElement) -> np.ndarra
     return (image @ units / gamma) @ units.conj().T
 
 
+def dense_gce(family: sot.ThetaDerived, e: LinearMap, rho: AlgebraElement) -> LinearMap:
+    """Oracle for a Θ-derived family's Bayes map: solve E∘Θ_ρ = Θ_{E(ρ)}∘X
+    for X with dense Θ multipliers and return X's HS adjoint."""
+    theta_rho = dense_multiplier(family.theta.terms(rho), e.source)
+    theta_sigma = dense_multiplier(family.theta.terms(e(rho)), e.target)
+    x = np.linalg.solve(theta_sigma, e.matrix @ theta_rho)
+    return LinearMap(e.source, e.target, x).hs_adjoint()
+
+
 @dataclass(frozen=True)
 class TransposedTarget(sot.SotFamily):
     """Leifer–Spekkens followed by the transpose on the target factor.

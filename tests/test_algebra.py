@@ -50,10 +50,10 @@ def test_tensor_shape_is_built_once_per_right_shape():
 
 
 def test_kept_tensor_shape_follows_the_right_factor_nesting():
-    # (x⊗y)⊗z and x⊗(y⊗z) are equal shapes whose factors split differently
+    # (x⊗y)⊗z and x⊗(y⊗z) have equal blocks but factors that split differently
     x, y, z = (alg.matrix_algebra(2, label) for label in "xyz")
     left_nested, right_nested = x.tensor(y).tensor(z), x.tensor(y.tensor(z))
-    assert left_nested == right_nested
+    assert left_nested != right_nested
     q = alg.matrix_algebra(2, "q")
     assert q.tensor(left_nested).factors[1].factors == (x.tensor(y), z)
     assert q.tensor(right_nested).factors[1].factors == (x, y.tensor(z))
@@ -175,6 +175,7 @@ def test_reassociate_left_to_right_on_kron(rng):
     right = alg.tensor(a, alg.tensor(b, c))
     moved = alg.reassociate_left_to_right(left)
     assert moved.shape == right.shape
+    assert moved.shape.factors == right.shape.factors
     assert (moved - right).norm() < 1e-10
 
 

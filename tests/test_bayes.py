@@ -4,14 +4,14 @@ expected."""
 import numpy as np
 import pytest
 
-from qsot import algebra as alg, bayes, io, maps, sampling, sot
+from qsot import algebra as alg, bayes, cli, io, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.config import PASS_THRESHOLD
 from qsot.errors import (ConstraintError, FaithfulnessError, QsotError,
                          SingularityError, UnsupportedFamilyError)
 from qsot.maps import LinearMap
 
-from conftest import (TransposedTarget, dense_generic_bayes, dense_multiplier,
+from conftest import (TransposedTarget, dense_gce, dense_generic_bayes, dense_multiplier,
                       dense_product_bayes, dense_spectral_bayes, rng_for)
 
 RESIDUAL_TOL = 1e-10
@@ -101,9 +101,45 @@ THETA_FAMILIES = (sot.LeiferSpekkens(), sot.RightBloom(), sot.LeftBloom(),
                          ids=["ls", "right", "left", "jordan", "rs(0.3,0.7)"])
 def test_theta_multipliers_match_dense_oracle(family, rng):
     shape = CLOSED_FORM_SHAPES[0][0]
+    e = sampling.random_cptp(*CLOSED_FORM_SHAPES[0], rng)
     rho = sampling.random_state(shape, rng)
-    got = sot.ThetaDerived(family).rendering(rho).matrix
-    assert np.max(np.abs(got - dense_multiplier(family.terms(rho), shape))) < ORACLE_TOL
+    got = sot.evaluate(sot.ThetaDerived(family), e, rho).value
+    theta = LinearMap(shape, shape, dense_multiplier(family.terms(rho), shape))
+    want = maps.apply_to_factor(theta, maps.channel_state(e), "left")
+    assert (got - want).norm() < ORACLE_TOL
+
+
+@pytest.mark.parametrize("shapes", ((alg.matrix_algebra(3, "a"), alg.matrix_algebra(2, "b")),)
+                         + CLOSED_FORM_SHAPES, ids=shapes_id)
+@pytest.mark.parametrize("family", THETA_FAMILIES, ids=family_id)
+def test_theta_derived_family_evaluates_and_solves_as_its_sandwich_family(family, shapes, rng):
+    e = sampling.random_cptp(*shapes, rng)
+    rho = sampling.random_state(shapes[0], rng)
+    theta = sot.ThetaDerived(family)
+    assert hasattr(theta, "denominator") == hasattr(family, "denominator")
+    got, want = sot.evaluate(theta, e, rho).value, sot.evaluate(family, e, rho).value
+    assert all(map(np.array_equal, got.data, want.data))
+    assert np.array_equal(bayes.closed_form_bayes(theta, e, rho).matrix,
+                          bayes.closed_form_bayes(family, e, rho).matrix)
+
+
+# `qsot bayes --verify` on the prior diag(1−q, q) under the identity channel:
+# every Θ recipe exits as its sandwich family does, across the singular band.
+SINGULAR_BAND_EXITS = {1e-13: cli.EXIT_NUMERICAL, 1e-11: cli.EXIT_NUMERICAL,
+                       1e-9: cli.EXIT_OK}
+
+
+@pytest.mark.parametrize("q", SINGULAR_BAND_EXITS)
+def test_theta_recipes_exit_as_their_sandwich_families_in_the_singular_band(q, tmp_path):
+    shape = alg.matrix_algebra(2, "a")
+    files = [str(tmp_path / "channel.json"), str(tmp_path / "state.json")]
+    io.dump(io.serialize_map(maps.identity_map(shape)), files[0])
+    io.dump(io.serialize_element(alg.diagonal_element(shape, [1 - q, q]), kind="state"),
+            files[1])
+    for name, cls in sot.THETA_RECIPES.items():
+        for family in (["--family", "theta", "--theta", name], ["--family", cls.tag]):
+            code = cli.main(["bayes", *family, "--verify", *files])
+            assert code == SINGULAR_BAND_EXITS[q], family
 
 
 def near_singular_prior(d, rng, tiny=1e-9):
@@ -344,7 +380,7 @@ def test_gce_matches_closed_forms(rng):
              (sot.LeftBloom(), bayes.bloom_bayes("left", e, rho)),
              (sot.RSFamily(0.3, 0.7), bayes.rs_bayes(0.3, 0.7, e, rho))]
     for theta, want in pairs:
-        got = bayes.gce_solve(sot.ThetaDerived(theta), e, rho)
+        got = dense_gce(sot.ThetaDerived(theta), e, rho)
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-9, theta.tag
 
 
@@ -355,7 +391,7 @@ def test_gce_inverts_unitary_channels(rng):
     inverse = maps.unitary_channel(u.dagger())
     rho = sampling.random_state(shape, rng)
     for theta in (sot.LeiferSpekkens(), sot.SymmetricBloom(), sot.RightBloom()):
-        got = bayes.gce_solve(sot.ThetaDerived(theta), e, rho)
+        got = dense_gce(sot.ThetaDerived(theta), e, rho)
         assert np.max(np.abs(got.matrix - inverse.matrix)) < RESIDUAL_TOL
 
 
@@ -463,15 +499,16 @@ def test_spectral_maps_on_rank_deficient_outputs_are_singular(rng):
 
 
 def test_strict_mode_refuses_unfaithful_outputs_for_theta_families(rng):
-    # Θ_σ's condition number stays below the solver's limit at an eigenvalue
-    # of 1e-11, so only the faithfulness check can refuse this σ; the
-    # symmetric bloom's spectral formula refuses it in both modes
+    # at an eigenvalue of 1e-11 the symmetric bloom's spectral formula is
+    # singular, and its Θ-derived family solves as it does: both refuse this
+    # σ, and strict mode refuses it at the faithfulness check first
     shape = alg.matrix_algebra(3)
     u = sampling.random_unitary(rng, 3)
     rho = AlgebraElement(shape, (u @ np.diag([0.6, 0.4 - 1e-11, 1e-11]) @ u.conj().T,))
     e = maps.unitary_channel(sampling.random_unitary_element(shape, rng))
     theta = sot.ThetaDerived(sot.SymmetricBloom())
-    assert isinstance(bayes.closed_form_bayes(theta, e, rho), LinearMap)
     for family in (sot.SymmetricBloom(), theta):
+        with pytest.raises(SingularityError):
+            bayes.closed_form_bayes(family, e, rho)
         with pytest.raises(FaithfulnessError):
             bayes.closed_form_bayes(family, e, rho, strict=True)

@@ -1,12 +1,14 @@
 """JSON document round-trips, wire-format conventions, schema validation,
 and parse/validation error classification."""
+import copy
 import json
+import pickle
 
 import jsonschema
 import numpy as np
 import pytest
 
-from qsot import algebra as alg, io, maps, sampling, sot
+from qsot import algebra as alg, axioms, bayes, io, maps, sampling, sot
 from qsot.algebra import AlgebraShape
 from qsot.errors import ParseError, ShapeMismatchError, ValidationError
 
@@ -179,6 +181,36 @@ def test_dump_load_roundtrip(tmp_path, rng):
     assert np.max(np.abs(back.matrix - e.matrix)) < 1e-12
     with pytest.raises(ParseError):
         io.load(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("copy_of", (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy),
+                         ids=("pickle", "deepcopy"))
+def test_library_objects_survive_pickle_and_deepcopy(copy_of, rng):
+    # shapes and maps are rebuilt through their constructors, elements keep
+    # read-only blocks, and a Θ-derived family's delegation survives the copy
+    source = AlgebraShape([("a", 2), ("x", 1)])
+    target = alg.matrix_algebra(2, "b")
+    element = sampling.random_state(source.tensor(target), rng)
+    back = copy_of(element)
+    assert back.shape == element.shape and back.shape.pairs == element.shape.pairs
+    assert all(map(np.array_equal, back.data, element.data))
+    assert not any(block.flags.writeable for block in back.data)
+
+    e = sampling.random_cptp(source, target, rng)
+    back = copy_of(e)
+    assert (back.source, back.target) == (e.source, e.target)
+    assert np.array_equal(back.matrix, e.matrix) and back.is_cptp
+
+    verdict = axioms.certify(sot.RightBloom(), "P1", axioms.CertifyConfig(trials=20))
+    assert verdict.status == "fails"
+    assert copy_of(verdict).to_json() == verdict.to_json()
+
+    rho = sampling.random_state(source, rng)
+    for theta in (sot.ThetaDerived(sot.LeiferSpekkens()), sot.ThetaDerived(sot.SymmetricBloom())):
+        back = copy_of(theta)
+        assert back == theta and hasattr(back, "denominator") == hasattr(theta, "denominator")
+        assert np.array_equal(bayes.closed_form_bayes(back, e, rho).matrix,
+                              bayes.closed_form_bayes(theta, e, rho).matrix)
 
 
 # ------------------------------------------------------------------ schemas

@@ -149,3 +149,11 @@ def test_every_library_name_the_benchmark_uses_resolves():
                         (ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
     assert ("bayes", "theta_jordan") in names and ("bayes", "gce_solve") in names
     assert unresolved(names) == []
+
+
+# A family says what it computes through its attributes (terms, denominator,
+# value); no library code dispatches on a family's class.
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "qsot").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_modules_do_not_dispatch_on_family_classes(path):
+    assert "isinstance(family" not in path.read_text(encoding="utf-8")
