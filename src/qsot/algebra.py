@@ -16,6 +16,7 @@ lexicographic order of the flattened label tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -149,12 +150,38 @@ def classical_algebra(n: int, prefix: str = "x") -> AlgebraShape:
     return AlgebraShape([(f"{prefix}{i}", 1) for i in range(n)])
 
 
+def _per_element(value, kind):
+    """A per-element result: a Python scalar for one element, an array over
+    the leading axes of a stack."""
+    return kind(value) if np.ndim(value) == 0 else value
+
+
+def _every(flags) -> bool:
+    """Whether a per-element flag holds, for every element of a stack."""
+    return bool(flags.all()) if isinstance(flags, np.ndarray) else flags
+
+
+def _some(flags) -> bool:
+    """Whether a per-element flag holds, for some element of a stack."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
-    """A block-diagonal complex matrix: one dense block per shape block."""
+    """A block-diagonal complex matrix: one dense block per shape block.
+
+    Library kernels may also hold a stack of elements of one shape: blocks
+    with leading axes (..., d, d), built through ``_of``.  The blockwise
+    operations (+, −, scalars, @, dagger, conj) act on each element of a
+    stack, a scalar factor may be an array over its leading axes padded by
+    two unit axes, and ``trace``, ``norm``, ``is_hermitian`` and
+    ``min_eigenvalue`` return one value per element.
+    """
 
     shape: AlgebraShape
     data: tuple[np.ndarray, ...]
+    # numpy defers arithmetic with an element to the element's own operators
+    __array_ufunc__ = None
 
     def __post_init__(self):
         if len(self.data) != len(self.shape.blocks):
@@ -169,6 +196,18 @@ class AlgebraElement:
             blocks.append(mat)
         object.__setattr__(self, "data", tuple(blocks))
 
+    @classmethod
+    def _of(cls, shape: AlgebraShape, data: Iterable[np.ndarray]) -> "AlgebraElement":
+        """An element, or a stack, from complex blocks the library built: they
+        are frozen, not checked again."""
+        data = tuple(data)
+        for mat in data:
+            mat.flags.writeable = False
+        element = object.__new__(cls)
+        object.__setattr__(element, "shape", shape)
+        object.__setattr__(element, "data", data)
+        return element
+
     def __reduce__(self):  # rebuilt through __init__, which freezes the copied blocks
         return AlgebraElement, (self.shape, self.data)
 
@@ -179,55 +218,71 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same_shape(other)
-        return AlgebraElement(self.shape, tuple(a + b for a, b in zip(self.data, other.data)))
+        return AlgebraElement._of(self.shape, (a + b for a, b in zip(self.data, other.data)))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same_shape(other)
-        return AlgebraElement(self.shape, tuple(a - b for a, b in zip(self.data, other.data)))
+        return AlgebraElement._of(self.shape, (a - b for a, b in zip(self.data, other.data)))
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, tuple(-a for a in self.data))
+        return AlgebraElement._of(self.shape, (-a for a in self.data))
 
     def __mul__(self, scalar: complex) -> "AlgebraElement":
-        return AlgebraElement(self.shape, tuple(scalar * a for a in self.data))
+        return AlgebraElement._of(self.shape, (scalar * a for a in self.data))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Blockwise (algebra) product."""
         self._check_same_shape(other)
-        return AlgebraElement(self.shape, tuple(a @ b for a, b in zip(self.data, other.data)))
+        return AlgebraElement._of(self.shape, (a @ b for a, b in zip(self.data, other.data)))
 
     def dagger(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, tuple(a.conj().T for a in self.data))
+        return AlgebraElement._of(self.shape, (a.conj().swapaxes(-1, -2) for a in self.data))
 
     def trace(self) -> complex:
-        return complex(sum(np.trace(a) for a in self.data))
+        return _per_element(sum(a.trace(axis1=-2, axis2=-1) for a in self.data), complex)
 
     def norm(self) -> float:
         """Hilbert–Schmidt (Frobenius) norm across all blocks."""
-        return float(np.sqrt(sum(np.sum(np.abs(a) ** 2) for a in self.data)))
+        return _per_element(np.sqrt(sum((np.abs(a) ** 2).sum(axis=(-2, -1))
+                                        for a in self.data)), float)
 
     def block(self, label: Label) -> np.ndarray:
         return self.data[self.shape.index(label)]
 
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return all(np.max(np.abs(a - a.conj().T)) <= tol for a in self.data)
+        return _per_element(reduce(np.logical_and, [
+            np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol
+            for a in self.data]), bool)
 
     def conj(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, tuple(a.conj() for a in self.data))
+        return AlgebraElement._of(self.shape, (a.conj() for a in self.data))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the hermitian part across blocks."""
-        return min(float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0]) for a in self.data)
+        return _per_element(reduce(np.minimum, [
+            np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)[..., 0]
+            for a in self.data]), float)
+
+
+def stack(elements: Sequence[AlgebraElement]) -> AlgebraElement:
+    """Elements of one shape as one stack, along a new first axis."""
+    return AlgebraElement._of(elements[0].shape,
+                              (np.stack(blocks) for blocks in zip(*(a.data for a in elements))))
+
+
+def unstack(a: AlgebraElement) -> list[AlgebraElement]:
+    """The elements of a stack along its first axis, as views of its blocks."""
+    return [AlgebraElement._of(a.shape, blocks) for blocks in zip(*a.data)]
 
 
 def identity(shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, tuple(np.eye(d, dtype=complex) for d in shape.dims))
+    return AlgebraElement._of(shape, (np.eye(d, dtype=complex) for d in shape.dims))
 
 
 def zero(shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, tuple(np.zeros((d, d), dtype=complex) for d in shape.dims))
+    return AlgebraElement._of(shape, (np.zeros((d, d), dtype=complex) for d in shape.dims))
 
 
 def basis_vector(shape: AlgebraShape, label: Label) -> AlgebraElement:
@@ -252,7 +307,7 @@ def diagonal_element(shape: AlgebraShape, values: Sequence[float]) -> AlgebraEle
     for d in shape.dims:
         mats.append(np.diag(values[off:off + d]))
         off += d
-    return AlgebraElement(shape, tuple(mats))
+    return AlgebraElement._of(shape, mats)
 
 
 def classical_state(probs: Sequence[float], prefix: str = "x") -> AlgebraElement:
@@ -271,7 +326,7 @@ def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         mn = len(x) * len(y)
         # the products np.kron forms, without its general-rank set-up
         mats.append((x[:, None, :, None] * y[None, :, None, :]).reshape(mn, mn))
-    return AlgebraElement(tshape, tuple(mats))
+    return AlgebraElement._of(tshape, mats)
 
 
 def partial_trace(t: AlgebraElement, side: str) -> AlgebraElement:
@@ -293,7 +348,7 @@ def partial_trace(t: AlgebraElement, side: str) -> AlgebraElement:
             mats[i] += np.einsum("ibjb->ij", four)
         else:
             mats[j] += np.einsum("aiaj->ij", four)
-    return AlgebraElement(out_shape, tuple(mats))
+    return AlgebraElement._of(out_shape, mats)
 
 
 def reassociate_left_to_right(t: AlgebraElement) -> AlgebraElement:
@@ -313,7 +368,7 @@ def reassociate_left_to_right(t: AlgebraElement) -> AlgebraElement:
     for (p, k), mat in zip(tshape.pairs, t.data):
         i, j = ab.pairs[p]
         mats[target.block_of(i, bc.block_of(j, k))] = mat
-    return AlgebraElement(target, tuple(mats))
+    return AlgebraElement._of(target, mats)
 
 
 # -------------------------------------------------------------------- spectral
@@ -357,21 +412,23 @@ def spectral_decompose(a: AlgebraElement, group_tol: float = GROUP_TOL) -> Spect
         mats = [np.zeros((d, d), dtype=complex) for d in a.shape.dims]
         for _, bi, vec in group:
             mats[bi] += np.outer(vec, vec.conj())
-        projectors.append(AlgebraElement(a.shape, tuple(mats)))
+        projectors.append(AlgebraElement._of(a.shape, mats))
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
 
 
 def apply_function(a: AlgebraElement, fn) -> AlgebraElement:
-    """Blockwise functional calculus on the hermitian part of ``a``.
+    """Blockwise functional calculus on the hermitian part of ``a``, or of
+    each element of a stack.
 
-    ``fn`` receives each block's eigenvalues in ascending order and returns
-    the values to put in their place; it may raise to reject a block.
+    ``fn`` receives each block's eigenvalues in ascending order along the
+    last axis and returns the values to put in their place; it may raise to
+    reject a block.
     """
     mats = []
     for mat in a.data:
-        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-        mats.append((vecs * fn(vals)) @ vecs.conj().T)
-    return AlgebraElement(a.shape, tuple(mats))
+        vals, vecs = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
+        mats.append((vecs * fn(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
+    return AlgebraElement._of(a.shape, mats)
 
 
 def power(a: AlgebraElement, r: complex, strict: bool = False) -> AlgebraElement:
@@ -380,16 +437,18 @@ def power(a: AlgebraElement, r: complex, strict: bool = False) -> AlgebraElement
     Zero eigenvalues are dropped (pseudo-inverse convention), so a^0 is the
     support projector and negative/complex powers act on the support only.
     In strict mode any eigenvalue below ``FAITHFULNESS_TOL`` is an error.
+    On a stack, any element that fails a check fails the call.
     """
-    if not a.is_hermitian(POWER_HERM_TOL):
+    if not _every(a.is_hermitian(POWER_HERM_TOL)):
         raise NotHermitianError("power requires a hermitian element")
 
     def powered(vals: np.ndarray) -> np.ndarray:
-        if vals[0] < -ATOL:
-            raise NotAStateError(f"negative eigenvalue {vals[0]:.3e} in power()")
-        if strict and vals[0] < FAITHFULNESS_TOL:
+        lowest = vals[..., 0].min()
+        if lowest < -ATOL:
+            raise NotAStateError(f"negative eigenvalue {lowest:.3e} in power()")
+        if strict and lowest < FAITHFULNESS_TOL:
             raise FaithfulnessError(
-                f"eigenvalue {vals[0]:.3e} below faithfulness tolerance")
+                f"eigenvalue {lowest:.3e} below faithfulness tolerance")
         out = np.zeros(vals.shape, dtype=complex)
         support = vals > FAITHFULNESS_TOL
         out[support] = vals[support].astype(complex) ** r

@@ -265,15 +265,34 @@ def _sample_associativity(family: sot.SotFamily, dims: tuple[int, int],
 
 
 # ----------------------------------------------------------- violation functions
-def _violation(family: sot.SotFamily, prop: str, instance: dict,
-               config: CertifyConfig) -> tuple[float, dict]:
-    """Return (violation, extra-witness-data) for one instance; a pure
-    function of the instance, which holds every random input."""
+# Properties whose trials are drawn one by one and then finished and
+# evaluated as stacks, one per shape.
+STACKED = ("P1", "P2", "P3", "P4", "P5", "P6")
+
+
+def _violations(family: sot.SotFamily, prop: str, stacks: list[dict],
+                config: CertifyConfig) -> list[list[tuple[float, dict]]]:
+    """(violation, extra witness data) of each trial of each stacked instance
+    of a STACKED property, whose maps and states are stacks and whose λ and
+    search seeds are lists.  P2 searches all the stacks' trials in one call.
+    Raises if any trial does."""
+    if prop != "P2":
+        return [_stack_violations(family, prop, instance) for instance in stacks]
+    ts = [alg.unstack(sot.evaluate(family, instance["e"], instance["rho"]).value)
+          for instance in stacks]
+    searches = [np.random.default_rng(seed) for instance in stacks
+                for seed in instance["search_seed"]]
+    found = iter(block_positivity_violation([t for group in ts for t in group],
+                                            config.starts, searches))
+    return [[next(found) for _ in group] for group in ts]
+
+
+def _stack_violations(family: sot.SotFamily, prop: str,
+                      instance: dict) -> list[tuple[float, dict]]:
+    """The violations of a stacked instance of a STACKED property other than P2."""
     e, rho = instance["e"], instance["rho"]
-    if prop == "A":
-        return check_associativity(family, e, instance["f"], rho), {}
     if prop in ("P4", "P5", "P6"):
-        lam, residuals = instance["lambda"], []
+        lam, residuals = np.array(instance["lambda"])[:, None, None], []
         if prop != "P5":
             rho2 = instance["rho2"]
             mix = lam * rho + (1.0 - lam) * rho2
@@ -282,30 +301,91 @@ def _violation(family: sot.SotFamily, prop: str, instance: dict,
                               - (1.0 - lam) * sot.evaluate(family, e, rho2).value).norm())
         if prop != "P4":
             e2 = instance["e2"]
-            mixed = LinearMap(e.source, e.target, lam * e.matrix + (1.0 - lam) * e2.matrix)
+            mixed = LinearMap._of(e.source, e.target, lam * e.matrix + (1.0 - lam) * e2.matrix)
             residuals.append((sot.evaluate(family, mixed, rho).value
                               - lam * sot.evaluate(family, e, rho).value
                               - (1.0 - lam) * sot.evaluate(family, e2, rho).value).norm())
-        return max(residuals), {}
-    if prop == "M":
-        return max(sot.evaluate(family, e, rho).marginal_residuals()), {}
-    if prop not in ("P1", "P2", "P3", "P7"):
-        raise InapplicableError(f"unknown property {prop}")
+        return [(max(values), {}) for values in zip(*(r.tolist() for r in residuals))]
     t = sot.evaluate(family, e, rho).value
     if prop == "P1":
-        return (t - t.dagger()).norm(), {}
-    if prop == "P2":
-        search = np.random.default_rng(instance["search_seed"])
-        return block_positivity_violation([t], config.starts, [search])[0]
-    if prop == "P3":
-        return max(0.0, -t.min_eigenvalue()), {}
+        return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
+    return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
+
+
+def _violation(family: sot.SotFamily, prop: str, instance: dict,
+               config: CertifyConfig) -> tuple[float, dict]:
+    """Return (violation, extra-witness-data) for one instance; a pure
+    function of the instance, which holds every random input."""
+    if prop in STACKED:
+        return _violations(family, prop, [_stack([instance])], config)[0][0]
+    e, rho = instance["e"], instance["rho"]
+    if prop == "A":
+        return check_associativity(family, e, instance["f"], rho), {}
+    if prop == "M":
+        return max(sot.evaluate(family, e, rho).marginal_residuals()), {}
+    if prop != "P7":
+        raise InapplicableError(f"unknown property {prop}")
+    t = sot.evaluate(family, e, rho).value
     target = maps.channel_state(e) @ alg.tensor(rho, alg.identity(e.target))
     return (t - target).norm(), {}
+
+
+def _draw(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
+          rng: np.random.Generator) -> tuple[tuple[AlgebraShape, AlgebraShape], dict]:
+    """The shapes and raw random inputs of one trial of a STACKED property,
+    drawn from ``rng`` in a fixed order."""
+    sa, sb = _shapes(family, trial, config.dims)
+    raw = {"e": sampling.draw_cptp(sa, sb, rng), "rho": sampling.draw_state(sa, rng)}
+    if prop in ("P4", "P5", "P6"):
+        raw["lambda"] = rng.uniform(0.2, 0.8)
+        if prop != "P5":
+            raw["rho2"] = sampling.draw_state(sa, rng)
+        if prop != "P4":
+            raw["e2"] = sampling.draw_cptp(sa, sb, rng)
+    if prop == "P2":
+        raw["search_seed"] = int(rng.integers(2 ** 32))
+    return (sa, sb), raw
+
+
+def _finish(shapes: tuple[AlgebraShape, AlgebraShape], raws: list[dict]) -> dict:
+    """The stacked instance of trials of one shape from their raw inputs."""
+    sa, sb = shapes
+    out = {}
+    for key in raws[0]:
+        draws = [raw[key] for raw in raws]
+        if key in ("e", "e2"):
+            out[key] = sampling.cptp(sa, sb, tuple(map(np.stack, zip(*draws))))
+        elif key in ("rho", "rho2"):
+            out[key] = sampling.state(sa, tuple(map(np.stack, zip(*draws))))
+        else:
+            out[key] = draws
+    return out
+
+
+def _stack(instances: list[dict]) -> dict:
+    """Instances of one shape as one stacked instance."""
+    out = {}
+    for key, value in instances[0].items():
+        column = [instance[key] for instance in instances]
+        out[key] = (maps.stack(column) if isinstance(value, LinearMap)
+                    else alg.stack(column) if isinstance(value, AlgebraElement) else column)
+    return out
+
+
+def _unstack(instance: dict) -> list[dict]:
+    """The instances of a stacked instance, their arrays views of its stacks."""
+    columns = {key: (maps.unstack(value) if isinstance(value, LinearMap)
+                     else alg.unstack(value) if isinstance(value, AlgebraElement) else value)
+               for key, value in instance.items()}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _sample_for(family: sot.SotFamily, prop: str, trial: int,
                 config: CertifyConfig, rng: np.random.Generator) -> dict:
     """Every random input of one trial, drawn from ``rng`` in a fixed order."""
+    if prop in STACKED:
+        shapes, raw = _draw(family, prop, trial, config, rng)
+        return _unstack(_finish(shapes, [raw]))[0]
     if prop == "A":
         return _sample_associativity(family, config.dims, rng)
     sa, sb = _shapes(family, trial, config.dims)
@@ -313,16 +393,7 @@ def _sample_for(family: sot.SotFamily, prop: str, trial: int,
         e, rho = sot.classical_limit_pair(sa, sb, rng, trial // 2,
                                           nondegenerate_prior=family.compound)
         return {"e": e, "rho": rho}
-    instance = {"e": sampling.random_cptp(sa, sb, rng), "rho": sampling.random_state(sa, rng)}
-    if prop in ("P4", "P5", "P6"):
-        instance["lambda"] = rng.uniform(0.2, 0.8)
-        if prop != "P5":
-            instance["rho2"] = sampling.random_state(sa, rng)
-        if prop != "P4":
-            instance["e2"] = sampling.random_cptp(sa, sb, rng)
-    if prop == "P2":
-        instance["search_seed"] = int(rng.integers(2 ** 32))
-    return instance
+    return {"e": sampling.random_cptp(sa, sb, rng), "rho": sampling.random_state(sa, rng)}
 
 
 def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
@@ -346,14 +417,41 @@ def replay_violation(family: sot.SotFamily, prop: str, counterexample: dict,
 
 
 # ----------------------------------------------------------------- certification
-def _search_chunk(chunk: list[tuple], starts: int) -> list[tuple]:
-    """Replace each (T, search seed) outcome of a P2 chunk by the result of
-    one stacked product-vector search over the chunk."""
-    pending = [outcome for _, _, outcome in chunk if not isinstance(outcome, str)]
-    found = iter(block_positivity_violation(
-        [t for t, _ in pending], starts, [np.random.default_rng(seed) for _, seed in pending]))
-    return [(trial, key, outcome if isinstance(outcome, str) else next(found))
-            for trial, key, outcome in chunk]
+def _alone(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
+           key: list[int]) -> tuple[float, dict] | Exception:
+    """(violation, witness data) of one trial drawn and evaluated alone, or
+    the exception it raised."""
+    try:
+        instance = _sample_for(family, prop, trial, config, np.random.default_rng(key))
+        value, extra = _violation(family, prop, instance, config)
+    except Exception as exc:  # settled when the sweep reaches the trial
+        return exc
+    return value, {**instance, **extra}
+
+
+def _stacked_chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfig,
+                   keys: list[list[int]]) -> list[tuple[float, dict] | Exception]:
+    """The outcome of each trial of a chunk of a STACKED property.
+
+    Each trial draws from its own generator; the trials of one shape are
+    then finished and evaluated as one stack.  If that raises, each trial
+    is evaluated alone, so every trial gets the outcome it has alone,
+    exception included.
+    """
+    groups: dict[tuple, list[tuple[int, dict]]] = {}
+    for index, (trial, key) in enumerate(zip(trials, keys)):
+        shapes, raw = _draw(family, prop, trial, config, np.random.default_rng(key))
+        groups.setdefault(shapes, []).append((index, raw))
+    stacks = [_finish(shapes, [raw for _, raw in members]) for shapes, members in groups.items()]
+    try:
+        results = _violations(family, prop, stacks, config)
+    except Exception:  # some trial raises: find which, one by one
+        return [_alone(family, prop, trial, config, key) for trial, key in zip(trials, keys)]
+    outcomes: list = [None] * len(keys)
+    for members, instance, found in zip(groups.values(), stacks, results):
+        for (index, _), trial_instance, (value, extra) in zip(members, _unstack(instance), found):
+            outcomes[index] = value, {**trial_instance, **extra}
+    return outcomes
 
 
 def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
@@ -361,31 +459,26 @@ def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
     """(trial, key, outcome) for every sweep trial in trial order, each
     drawn from the generator keyed ``key`` = [seed, cell, trial].
 
-    ``outcome`` is (violation, witness data), or the exception class name
-    of a skipped trial.  Trials come in chunks of 1, 2, 4, … trials.  A P2
-    chunk evaluates each trial's T alone, then searches the whole chunk in
-    one call, holding only keys, search seeds and T's meanwhile, so its
-    witness data is the search's alone.  Other chunks are evaluated lazily,
-    so a consumer that stops early evaluates no later trial; their witness
-    data holds the instance too.
+    ``outcome`` is (violation, witness data holding the instance), or the
+    exception class name of a skipped trial; any other exception of a trial
+    is raised when the sweep reaches that trial.  Trials come in chunks of
+    1, 2, 4, … trials.  A chunk of a STACKED property is drawn and evaluated
+    as a whole; other chunks are evaluated lazily, trial by trial, so a
+    consumer that stops early evaluates no later trial.
     """
-    def draw(trial: int) -> tuple[int, list[int], object]:
-        key = [config.seed, cell, trial]
-        try:
-            instance = _sample_for(family, prop, trial, config, np.random.default_rng(key))
-            if prop != "P2":
-                value, extra = _violation(family, prop, instance, config)
-                return trial, key, (value, {**instance, **extra})
-            t = sot.evaluate(family, instance["e"], instance["rho"]).value
-            _factors(t)
-            return trial, key, (t, instance["search_seed"])
-        except SKIPS as exc:
-            return trial, key, type(exc).__name__
-
     start, size = 0, 1
     while start < config.trials:
-        chunk = map(draw, range(start, min(start + size, config.trials)))
-        yield from _search_chunk(list(chunk), config.starts) if prop == "P2" else chunk
+        trials = range(start, min(start + size, config.trials))
+        keys = [[config.seed, cell, trial] for trial in trials]
+        outcomes = (_stacked_chunk(family, prop, trials, config, keys) if prop in STACKED
+                    else (_alone(family, prop, trial, config, key)
+                          for trial, key in zip(trials, keys)))
+        for trial, key, outcome in zip(trials, keys, outcomes):
+            if isinstance(outcome, SKIPS):
+                outcome = type(outcome).__name__
+            elif isinstance(outcome, Exception):
+                raise outcome
+            yield trial, key, outcome
         start, size = start + size, 2 * size
 
 
@@ -426,10 +519,6 @@ def certify(family: sot.SotFamily, prop: str,
                                skipped=dict(skipped))
 
     value, best_trial, key, data = best
-    if prop == "P2" and value > PASS_THRESHOLD:
-        # a P2 chunk keeps no instance; it is a pure function of its key
-        data = {**_sample_for(family, prop, best_trial, config, np.random.default_rng(key)),
-                **data}
     witness, steps = {**data, "replay_seed": key}, 0
     if PASS_THRESHOLD < value <= FAIL_THRESHOLD:
         # Ambiguous: sharpen the best candidate by local perturbation ascent.

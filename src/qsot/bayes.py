@@ -90,7 +90,7 @@ def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                 f"vanishing denominator at spectral unit ({k},{l}) "
                 f"of block {alg.label_text(label)}")
         gammas.append(gamma.reshape(-1))
-    w = AlgebraElement(e.target, tuple(vecs for _, vecs in eigen))
+    w = AlgebraElement._of(e.target, (vecs for _, vecs in eigen))
     image = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
     # ∘Ad_W, ÷Γ and ∘Ad_{W†} act on the columns: the rows of the transpose
     rows = maps.sandwich_rows(((1.0, w, w.dagger()),), image.T, e.target, transpose=True)

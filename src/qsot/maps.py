@@ -15,23 +15,32 @@ loops cheap.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraElement, AlgebraShape, _per_element
 from .config import CHANNEL_TOL, CP_TOL, MAP_TOL
 from .errors import ConstraintError, ShapeMismatchError
 
 
 # ----------------------------------------------------------------- vectorizing
-def _offsets(shape: AlgebraShape) -> list[int]:
+# The per-shape constants below are built once per shape and shared, so the
+# arrays among them are read-only.
+@lru_cache(maxsize=256)
+def _offsets(shape: AlgebraShape) -> tuple[int, ...]:
     offs, total = [], 0
     for d in shape.dims:
         offs.append(total)
         total += d * d
-    return offs
+    return tuple(offs)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def vec(a: AlgebraElement) -> np.ndarray:
@@ -39,26 +48,32 @@ def vec(a: AlgebraElement) -> np.ndarray:
 
 
 def unvec(shape: AlgebraShape, v: np.ndarray) -> AlgebraElement:
-    mats, off = [], 0
-    for d in shape.dims:
-        mats.append(np.array(v[off:off + d * d].reshape(d, d)))
-        off += d * d
-    return AlgebraElement(shape, tuple(mats))
+    v = np.asarray(v, dtype=complex)
+    return AlgebraElement._of(shape, (v[off:off + d * d].reshape(d, d).copy()
+                                      for off, d in zip(_offsets(shape), shape.dims)))
 
 
+@lru_cache(maxsize=256)
 def trace_row(shape: AlgebraShape) -> np.ndarray:
     """The trace functional as a row: tr(A) = trace_row(shape) @ vec(A)."""
-    return np.concatenate([np.eye(d).reshape(-1) for d in shape.dims])
+    return _frozen(np.concatenate([np.eye(d).reshape(-1) for d in shape.dims]))
 
 
+@lru_cache(maxsize=256)
 def _dagger_index(shape: AlgebraShape) -> np.ndarray:
     """Index permutation p with vec(A†) = conj(vec(A))[p]."""
-    return np.concatenate([off + np.arange(d * d).reshape(d, d).T.reshape(-1)
-                           for off, d in zip(_offsets(shape), shape.dims)])
+    return _frozen(np.concatenate([off + np.arange(d * d).reshape(d, d).T.reshape(-1)
+                                   for off, d in zip(_offsets(shape), shape.dims)]))
 
 
 class LinearMap:
-    """A linear superoperator with cached classification flags."""
+    """A linear superoperator with cached classification flags.
+
+    Library kernels may also hold a stack of maps of one source and target:
+    a matrix with leading axes, built through ``_of``.  ``tp_defect`` and
+    ``is_tp`` then give one value per map, and ``channel_state`` one
+    channel state per map; other methods take a single map.
+    """
 
     __slots__ = ("source", "target", "matrix", "_cache")
 
@@ -68,6 +83,17 @@ class LinearMap:
             raise ShapeMismatchError(
                 f"map matrix has shape {matrix.shape}, expected "
                 f"({target.vector_dim},{source.vector_dim})")
+        self._freeze(source, target, matrix)
+
+    @classmethod
+    def _of(cls, source: AlgebraShape, target: AlgebraShape, matrix: np.ndarray) -> "LinearMap":
+        """A map, or a stack, from a complex matrix the library built: it is
+        frozen, not checked again."""
+        m = object.__new__(cls)
+        m._freeze(source, target, matrix)
+        return m
+
+    def _freeze(self, source: AlgebraShape, target: AlgebraShape, matrix: np.ndarray):
         matrix.flags.writeable = False
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -123,8 +149,10 @@ class LinearMap:
 
     # ------------------------------------------------------------ classification
     def tp_defect(self) -> float:
-        """max |tr(E(e)) − tr(e)| over the matrix units e of the source."""
-        return float(np.max(np.abs(trace_row(self.target) @ self.matrix - trace_row(self.source))))
+        """max |tr(E(e)) − tr(e)| over the matrix units e of the source; one
+        per map of a stack."""
+        return _per_element(np.max(np.abs(trace_row(self.target) @ self.matrix
+                                          - trace_row(self.source)), axis=-1), float)
 
     @property
     def is_tp(self) -> bool:
@@ -186,16 +214,19 @@ def from_kraus(source: AlgebraShape, target: AlgebraShape,
     """The map A ↦ ⊕_y Σ K A_x K† from (x, y, K) triples: source block index
     x, target block index y and an n_y×m_x operator K.  vec(KAK†) = (K⊗K̄)·vec(A)
     row-major, so each K⊗K̄ is added into the (n, n, m, m) view of the component.
+    Operators with common leading axes (..., n, m) give the stack of maps.
     """
-    matrix = np.zeros((target.vector_dim, source.vector_dim), dtype=complex)
+    kraus = list(kraus)
+    lead = kraus[0][2].shape[:-2] if kraus else ()
+    matrix = np.zeros((*lead, target.vector_dim, source.vector_dim), dtype=complex)
     so, to = _offsets(source), _offsets(target)
     for xi, yi, k in kraus:
         n, m = target.dims[yi], source.dims[xi]
-        if k.shape != (n, m):
-            raise ShapeMismatchError(f"Kraus operator is {k.shape}, expected ({n},{m})")
-        view = matrix[to[yi]:to[yi] + n * n, so[xi]:so[xi] + m * m].reshape(n, n, m, m)
-        view += k[:, None, :, None] * k.conj()[None, :, None, :]
-    return LinearMap(source, target, matrix)
+        if k.shape != (*lead, n, m):
+            raise ShapeMismatchError(f"Kraus operator is {k.shape}, expected {(*lead, n, m)}")
+        view = matrix[..., to[yi]:to[yi] + n * n, so[xi]:so[xi] + m * m].reshape(*lead, n, n, m, m)
+        view += k[..., :, None, :, None] * k.conj()[..., None, :, None, :]
+    return LinearMap._of(source, target, matrix)
 
 
 # ------------------------------------------------------------ basic constructors
@@ -216,12 +247,16 @@ def sandwich(terms, x: np.ndarray, d: int, p: int = 1) -> np.ndarray:
     view.  ``terms`` holds (w, f, g) with d×d arrays, None for an identity
     side (not both), and w scales a side.  A block of a map matrix's rows has
     p = 1; a block of a channel state has p = q = the target block's dimension.
+    Sides with leading axes (..., d, d) act on an ``x`` with the same leading
+    axes: a stack, each member on its own.
     """
     def one(w, f, g):
+        lead = (g if f is None else f).shape[:-2]
         if g is None:
-            return ((w * f) @ x.reshape(d, -1)).reshape(x.shape)
-        out = x if f is None else f @ x.reshape(d, -1)
-        return ((w * g).T @ out.reshape(d * p, d, -1)).reshape(x.shape)
+            return ((w * f) @ x.reshape(*lead, d, -1)).reshape(x.shape)
+        out = x if f is None else f @ x.reshape(*lead, d, -1)
+        g_t = (w * g).swapaxes(-1, -2)[..., None, :, :]
+        return (g_t @ out.reshape(*lead, d * p, d, -1)).reshape(x.shape)
     first, *rest = terms
     out = one(*first)
     for term in rest:
@@ -233,7 +268,7 @@ def block_terms(terms, i: int, transpose: bool = False) -> list:
     """The (w, f, g) terms of elements (None for an identity side) as the
     matrices of block ``i``, transposed if asked."""
     def side(a):
-        return None if a is None else a.data[i].T if transpose else a.data[i]
+        return None if a is None else a.data[i].swapaxes(-1, -2) if transpose else a.data[i]
     return [(w, side(f), side(g)) for w, f, g in terms]
 
 
@@ -264,20 +299,33 @@ def _component(e: LinearMap, xi: int, yi: int) -> np.ndarray:
     """Submatrix of e.matrix mapping source block xi into target block yi."""
     so, to = _offsets(e.source), _offsets(e.target)
     mx, ny = e.source.dims[xi], e.target.dims[yi]
-    return e.matrix[to[yi]:to[yi] + ny * ny, so[xi]:so[xi] + mx * mx]
+    return e.matrix[..., to[yi]:to[yi] + ny * ny, so[xi]:so[xi] + mx * mx]
 
 
 def channel_state(e: LinearMap) -> AlgebraElement:
-    """D[E] = (id⊗E)(μ*(1)) = Σ_{ij} E_ij ⊗ E(E_ji), blockwise."""
+    """D[E] = (id⊗E)(μ*(1)) = Σ_{ij} E_ij ⊗ E(E_ji), blockwise; for a stack
+    of maps, the stack of their channel states."""
     tshape = e.source.tensor(e.target)
+    lead = e.matrix.shape[:-2]
+    k = len(lead)
     mats = []
     for xi, yi in tshape.pairs:
         mx, ny = e.source.dims[xi], e.target.dims[yi]
-        comp = _component(e, xi, yi).reshape(ny, ny, mx, mx)
+        comp = _component(e, xi, yi).reshape(*lead, ny, ny, mx, mx)
         # block[(i,k),(j,l)] = E(E_ji)[k,l] = comp[k,l,j,i]
-        mats.append(np.ascontiguousarray(comp.transpose(3, 0, 2, 1))
-                    .reshape(mx * ny, mx * ny))
-    return AlgebraElement(tshape, tuple(mats))
+        mats.append(np.ascontiguousarray(comp.transpose(*range(k), k + 3, k, k + 2, k + 1))
+                    .reshape(*lead, mx * ny, mx * ny))
+    return AlgebraElement._of(tshape, mats)
+
+
+def stack(es: Sequence[LinearMap]) -> LinearMap:
+    """Maps of one source and target as one stack, along a new first axis."""
+    return LinearMap._of(es[0].source, es[0].target, np.stack([e.matrix for e in es]))
+
+
+def unstack(e: LinearMap) -> list[LinearMap]:
+    """The maps of a stack along its first axis, as views of its matrix."""
+    return [LinearMap._of(e.source, e.target, matrix) for matrix in e.matrix]
 
 
 def channel_from_state(j: AlgebraElement, source: AlgebraShape,
@@ -353,7 +401,7 @@ def swap_gamma(t: AlgebraElement) -> AlgebraElement:
         four = mat.reshape(da, db, da, db)
         mats[target.block_of(j, i)] = (np.ascontiguousarray(four.transpose(1, 0, 3, 2))
                                        .reshape(db * da, db * da))
-    return AlgebraElement(target, tuple(mats))
+    return AlgebraElement._of(target, mats)
 
 
 def time_reversal_tau(t: AlgebraElement) -> AlgebraElement:
@@ -386,7 +434,7 @@ def apply_to_factor(m: LinearMap, t: AlgebraElement, which: str) -> AlgebraEleme
             comp = _component(m, j, yi).reshape(ny, ny, db, db)
             out = np.einsum("iajb,klab->ikjl", four, comp)
             acc[target.block_of(i, yi)] += out.reshape(da * ny, da * ny)
-    return AlgebraElement(target, tuple(acc))
+    return AlgebraElement._of(target, acc)
 
 
 # ---------------------------------------------------------- channel constructors

@@ -4,6 +4,12 @@ States are Ginibre-distributed blockwise (GG†, jointly normalized so block
 weights come out random); channels are sampled by Stinespring dilation with a
 random isometry and environment dimension twice the output dimension.  All
 functions take an explicit numpy Generator so every trial is replayable.
+
+States and channels come in two steps: ``draw_*`` takes the raw Gaussians
+from the generator, and ``state``/``cptp`` finish them.  The finishing steps
+take draws with common leading axes and return the stack of their results,
+each computed as it would be alone, so ``random_state`` and ``random_cptp``
+are the one-draw case.
 """
 from __future__ import annotations
 
@@ -19,21 +25,30 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
+def draw_state(shape: AlgebraShape, rng: np.random.Generator,
+               rank: int | None = None) -> tuple[np.ndarray, ...]:
+    """The Gaussians of a random state: one d×rank Ginibre matrix per block."""
+    return tuple(ginibre(rng, d, rank or d) for d in shape.dims)
+
+
+def state(shape: AlgebraShape, draws: tuple[np.ndarray, ...]) -> AlgebraElement:
+    """The density matrix ⊕ GG†/tr of ``draw_state``'s matrices."""
+    mats = [g @ g.conj().swapaxes(-1, -2) for g in draws]
+    total = sum(np.trace(m, axis1=-2, axis2=-1).real for m in mats)
+    total = np.asarray(total)[..., None, None]
+    return AlgebraElement._of(shape, (m / total for m in mats))
+
+
 def random_state(shape: AlgebraShape, rng: np.random.Generator,
                  rank: int | None = None) -> AlgebraElement:
     """Ginibre random density matrix; full rank (faithful) unless rank is given."""
-    mats = []
-    for d in shape.dims:
-        g = ginibre(rng, d, rank or d)
-        mats.append(g @ g.conj().T)
-    total = sum(np.trace(m).real for m in mats)
-    return AlgebraElement(shape, tuple(m / total for m in mats))
+    return state(shape, draw_state(shape, rng, rank))
 
 
 def random_hermitian(shape: AlgebraShape, rng: np.random.Generator,
                      traceless: bool = False) -> AlgebraElement:
     mats = [((g := ginibre(rng, d)) + g.conj().T) / 2 for d in shape.dims]
-    el = AlgebraElement(shape, tuple(mats))
+    el = AlgebraElement._of(shape, mats)
     if traceless:
         el = el - (el.trace() / shape.total_dim) * alg.identity(shape)
     return el
@@ -44,13 +59,45 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_unitary_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
-    return AlgebraElement(shape, tuple(random_unitary(rng, d) for d in shape.dims))
+    return AlgebraElement._of(shape, (random_unitary(rng, d) for d in shape.dims))
+
+
+def isometry(g: np.ndarray) -> np.ndarray:
+    """The orthonormal columns of a Ginibre matrix (rows >= cols), phases
+    fixed by R's diagonal so that they are Haar-distributed."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """rows x cols matrix with orthonormal columns (rows >= cols)."""
-    q, r = np.linalg.qr(ginibre(rng, rows, cols))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return isometry(ginibre(rng, rows, cols))
+
+
+def draw_cptp(source: AlgebraShape, target: AlgebraShape, rng: np.random.Generator,
+              env: int = 2) -> tuple[np.ndarray, ...]:
+    """The Gaussians of a random channel: one Ginibre matrix per source
+    block x, with (⊕_y n_y)·env_x rows and m_x columns."""
+    d_out = target.total_dim
+    # an isometry needs at least as many rows as columns
+    return tuple(ginibre(rng, d_out * max(env, -(-mx // d_out)), mx) for mx in source.dims)
+
+
+def cptp(source: AlgebraShape, target: AlgebraShape,
+         draws: tuple[np.ndarray, ...]) -> LinearMap:
+    """The channel of ``draw_cptp``'s matrices: each becomes an isometry
+    V_x : C^{m_x} → (⊕_y C^{n_y})⊗C^env_x, whose row-blocks are Kraus
+    operators into every target block."""
+    kraus = []
+    for xi, g in enumerate(draws):
+        v = isometry(g)
+        row = 0
+        for _ in range(g.shape[-2] // target.total_dim):
+            for yi, ny in enumerate(target.dims):
+                kraus.append((xi, yi, v[..., row:row + ny, :]))
+                row += ny
+    return maps.from_kraus(source, target, kraus)
 
 
 def random_cptp(source: AlgebraShape, target: AlgebraShape,
@@ -61,18 +108,7 @@ def random_cptp(source: AlgebraShape, target: AlgebraShape,
     drawn; its row-blocks give Kraus operators into every target block, so the
     sampled channel has generically full support across all components.
     """
-    d_out = target.total_dim
-    kraus = []
-    for xi, mx in enumerate(source.dims):
-        # an isometry needs at least as many rows as columns
-        env_x = max(env, -(-mx // d_out))
-        v = random_isometry(rng, d_out * env_x, mx)
-        row = 0
-        for _ in range(env_x):
-            for yi, ny in enumerate(target.dims):
-                kraus.append((xi, yi, v[row:row + ny, :]))
-                row += ny
-    return maps.from_kraus(source, target, kraus)
+    return cptp(source, target, draw_cptp(source, target, rng, env))
 
 
 def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator,
@@ -93,7 +129,7 @@ def random_povm(source: AlgebraShape, outcomes: int,
     raw = []
     for _ in range(outcomes):
         mats = [(g := ginibre(rng, d)) @ g.conj().T for d in source.dims]
-        raw.append(AlgebraElement(source, tuple(mats)))
+        raw.append(AlgebraElement._of(source, mats))
     total = raw[0]
     for m in raw[1:]:
         total = total + m

@@ -15,7 +15,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import algebra as alg, maps, sampling
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraElement, AlgebraShape, _every, _some
 from .config import COMM_TOL, FAITHFULNESS_TOL, GROUP_TOL, SOT_ARG_TOL, SPECTRAL_GAP, STATE_TOL
 from .errors import (ConstraintError, ExtensionError, InapplicableError,
                      UnsupportedFamilyError)
@@ -238,31 +238,41 @@ def _sandwich(terms, e: LinearMap) -> AlgebraElement:
     for (xi, _), mn, block in zip(d.shape.pairs, d.shape.dims, d.data):
         m = e.source.dims[xi]
         blocks.append(maps.sandwich(maps.block_terms(terms, xi), block, m, mn // m))
-    return AlgebraElement(d.shape, tuple(blocks))
+    return AlgebraElement._of(d.shape, blocks)
+
+
+def _value(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
+    """``family.value``, on a stack: in one pass when it is the sandwich
+    kernel, pair by pair for any other value."""
+    if e.matrix.ndim == 2 or type(family).value is _Sandwich.value:
+        return family.value(e, rho)
+    return alg.stack([family.value(*pair) for pair in zip(maps.unstack(e), alg.unstack(rho))])
 
 
 def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverTime:
     """E⋆ρ for the given family.
 
     ``rho`` may be any hermitian unit-trace element when the family is linear
-    in the state; otherwise it must be PSD (a density matrix).
+    in the state; otherwise it must be PSD (a density matrix).  ``e`` and
+    ``rho`` may also be stacks of one length: every pair must pass the
+    checks, and the value is the stack of the pairs' values.
     """
-    if not e.is_tp:
+    if not _every(e.is_tp):
         raise ConstraintError("state over time requires a trace-preserving map")
     if rho.shape != e.source:
         raise ConstraintError("state does not live on the channel's source")
-    if not rho.is_hermitian(SOT_ARG_TOL):
+    if not _every(rho.is_hermitian(SOT_ARG_TOL)):
         raise ConstraintError("second argument must be hermitian")
-    if abs(rho.trace() - 1.0) > SOT_ARG_TOL:
+    if _some(abs(rho.trace() - 1.0) > SOT_ARG_TOL):
         raise ConstraintError("second argument must have unit trace")
-    if not family.state_linear and rho.min_eigenvalue() < -STATE_TOL:
+    if not family.state_linear and _some(rho.min_eigenvalue() < -STATE_TOL):
         raise ExtensionError(
             f"family {family.tag} is not linear in the state "
             "and only evaluates density matrices")
     if family.compound and len(e.source.blocks) != 1:
         raise UnsupportedFamilyError(
             "the compound construction is only defined on single-block algebras")
-    return StateOverTime(family.value(e, rho), e, rho, family)
+    return StateOverTime(_value(family, e, rho), e, rho, family)
 
 
 def reverse_orientation(family: SotFamily, e: LinearMap,
@@ -281,7 +291,7 @@ def commutation_residual(e: LinearMap, rho: AlgebraElement) -> float:
 def _central_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
     weights = rng.dirichlet(np.ones(len(shape.blocks)))
     mats = [w / d * np.eye(d, dtype=complex) for w, d in zip(weights, shape.dims)]
-    return AlgebraElement(shape, tuple(mats))
+    return AlgebraElement._of(shape, mats)
 
 
 def _diagonal_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:

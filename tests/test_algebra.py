@@ -84,6 +84,79 @@ def test_element_block_dim_mismatch_rejected():
         AlgebraElement(shape, (np.eye(3, dtype=complex),))
 
 
+def test_public_construction_checks_and_library_blocks_are_read_only(rng):
+    shape = AlgebraShape([("a", 2), ("b", 1)])
+    with pytest.raises(ShapeMismatchError, match="block count"):
+        AlgebraElement(shape, (np.eye(2),))
+    with pytest.raises(ShapeMismatchError, match="has shape"):
+        AlgebraElement(shape, (np.eye(2), np.eye(2)))
+    with pytest.raises(ShapeMismatchError, match="has shape"):
+        AlgebraElement(shape, (np.eye(2)[None], np.eye(1)[None]))  # no stacks either
+    public = AlgebraElement(shape, (np.eye(2, dtype=int), [[3]]))
+    assert all(m.dtype == complex for m in public.data)
+    x = sampling.random_state(shape, rng)
+    y = sampling.random_hermitian(shape, rng)
+    built = [x, x + y, x - y, -x, 0.5 * x, x @ y, x.dagger(), x.conj(), alg.identity(shape),
+             alg.zero(shape), alg.power(x, 0.5), alg.support_unitary(x, 0.3),
+             alg.tensor(x, y), alg.partial_trace(alg.tensor(x, y), "A"),
+             alg.diagonal_element(shape, [0.5, 0.25, 0.25])]
+    for element in built:
+        for block in element.data:
+            assert block.dtype == complex and not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+
+def test_this_numpy_build_gives_stacked_linalg_equal_to_per_matrix_calls(rng):
+    """The premise of exact replay from stacks: numpy's stacked qr, eigh,
+    eigvalsh and @ equal per-matrix calls bit for bit, on the certification
+    table's shapes.  A numpy or LAPACK build that breaks it fails here."""
+    def ginibre(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for rows, cols in ((4, 2), (6, 2), (6, 1)):
+        stack = ginibre(64, rows, cols)
+        q, r = np.linalg.qr(stack)
+        for k, g in enumerate(stack):
+            qk, rk = np.linalg.qr(g)
+            assert np.array_equal(q[k], qk) and np.array_equal(r[k], rk), (rows, cols)
+    for d in (1, 2, 3, 4, 9):
+        g = ginibre(64, d, d)
+        herm = (g + g.conj().swapaxes(-1, -2)) / 2
+        vals, vecs = np.linalg.eigh(herm)
+        only = np.linalg.eigvalsh(herm)
+        product = g @ herm
+        for k in range(len(g)):
+            vk, wk = np.linalg.eigh(herm[k])
+            assert np.array_equal(vals[k], vk) and np.array_equal(vecs[k], wk), d
+            assert np.array_equal(only[k], np.linalg.eigvalsh(herm[k])), d
+            assert np.array_equal(product[k], g[k] @ herm[k]), d
+
+
+def test_stacks_are_elementwise(rng):
+    """A stack's blockwise operations, functional calculus and per-element
+    reductions equal those of its members, bit for bit."""
+    shape = AlgebraShape([("a", 3), ("b", 1)])
+    xs = [sampling.random_state(shape, rng) for _ in range(5)]
+    ys = [sampling.random_hermitian(shape, rng) for _ in range(5)]
+    x, y = alg.stack(xs), alg.stack(ys)
+    lam = np.linspace(0.2, 0.8, 5)
+    stacked = [x + y, x - y, lam[:, None, None] * x, x @ y, x.dagger(), alg.power(x, 0.5),
+               alg.power(x, 0.5 - 0.3j), alg.support_unitary(x, 0.3)]
+    alone = [[a + b, a - b, w * a, a @ b, a.dagger(), alg.power(a, 0.5),
+              alg.power(a, 0.5 - 0.3j), alg.support_unitary(a, 0.3)]
+             for a, b, w in zip(xs, ys, lam)]
+    for k, members in enumerate(zip(*alone)):
+        for got, want in zip(alg.unstack(stacked[k]), members):
+            assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data)), k
+    for method in ("trace", "norm", "min_eigenvalue"):
+        assert getattr(y, method)().tolist() == [getattr(b, method)() for b in ys], method
+    assert y.is_hermitian().tolist() == [True] * 5
+    assert (x @ y).is_hermitian().tolist() == [(a @ b).is_hermitian() for a, b in zip(xs, ys)]
+    with pytest.raises(NotAStateError):
+        alg.power(alg.stack([xs[0], -xs[1]]), 0.5)  # one bad member fails the stack
+
+
 def test_arithmetic_matches_numpy(rng):
     shape = AlgebraShape([("a", 2), ("b", 3)])
     x = sampling.random_hermitian(shape, rng)

@@ -1,6 +1,7 @@
 """Randomized property certification: verdict logic, determinism, witness
 replay, and the expected family-by-property matrix at reduced trial counts."""
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from qsot import algebra as alg, axioms, cli, io, maps, sampling, sot
+from qsot.algebra import AlgebraElement
+from qsot.maps import LinearMap
 from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
                          UnsupportedFamilyError)
 
@@ -405,3 +408,116 @@ def test_dims_2_3_certifies_on_m2_to_m3():
             assert_replays_exactly(sot.TABLE_FAMILIES[tag], verdict, config)
             witnessed += 1
     assert witnessed >= 20
+
+
+# ------------------------------------------------------------ stacked chunks
+STACKED = ("P1", "P2", "P3", "P4", "P5")
+
+
+def assert_same(got, want):
+    """Equal witness entries: maps and elements array by array."""
+    if isinstance(want, LinearMap):
+        assert (got.source, got.target) == (want.source, want.target)
+        assert np.array_equal(got.matrix, want.matrix)
+    elif isinstance(want, AlgebraElement):
+        assert got.shape == want.shape
+        assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("prop", STACKED)
+@pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
+def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop):
+    """Twelve trials walk the chunks [0], [1, 2], [3..6] and part of
+    [7..14], on both shape parities; each trial's outcome in its chunk
+    equals _sample_for and _violation on that trial alone."""
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
+    swept = list(axioms._sweep(family, prop, config, axioms._cell_index(tag, prop)))
+    assert [trial for trial, _, _ in swept] == list(range(config.trials))
+    for trial, key, (violation, data) in swept:
+        instance = axioms._sample_for(family, prop, trial, config, np.random.default_rng(key))
+        alone, extra = axioms._violation(family, prop, instance, config)
+        assert violation == alone, trial
+        want = {**instance, **extra}
+        assert list(data) == list(want)
+        for name, value in want.items():
+            assert_same(data[name], value)
+
+
+@pytest.mark.parametrize("prop", STACKED)
+def test_skips_are_counted_trial_by_trial_on_every_stacked_property(prop):
+    family = PickyLeiferSpekkens()
+    verdict = axioms.certify(family, prop, FAST)
+    cell = axioms._cell_index(family.tag, prop)
+    want = Counter()
+    for trial in range(verdict.trials + sum(verdict.skipped.values())):
+        rng = np.random.default_rng([FAST.seed, cell, trial])
+        try:
+            axioms._violation(family, prop, axioms._sample_for(family, prop, trial, FAST, rng),
+                              FAST)
+        except axioms.SKIPS as exc:
+            want[type(exc).__name__] += 1
+    assert verdict.skipped == dict(want)
+    if verdict.status == "holds":
+        assert set(verdict.skipped) == {"UnsupportedFamilyError", "ExtensionError"}
+    assert without_new_keys(verdict.to_json()) == without_new_keys(
+        sequential_certify(family, prop, FAST).to_json())
+
+
+@dataclass(frozen=True)
+class BrittleLeiferSpekkens(sot.LeiferSpekkens):
+    """Leifer–Spekkens that refuses priors with ⟨0|ρ|0⟩ < 0.15 by a
+    ConstraintError, which is no skip, and whose T is not hermitian where
+    ⟨0|ρ|0⟩ > 0.8, so that P1 fails there."""
+    tag: ClassVar[str] = "brittle-leifer-spekkens"
+
+    def value(self, e, rho):
+        weight = rho.data[0][0, 0].real
+        if weight < 0.15:
+            raise ConstraintError("priors far from |0⟩ refused")
+        t = super().value(e, rho)
+        return t + 1j * alg.identity(t.shape) if weight > 0.8 else t
+
+
+def test_an_error_after_the_first_failure_of_a_chunk_does_not_escape():
+    family = BrittleLeiferSpekkens()
+    cell = axioms._cell_index(family.tag, "P1")
+    chunk_of = np.searchsorted(np.array(CHUNK_STARTS), np.arange(40), side="right")
+
+    def first_events(seed: int) -> list[tuple[int, str]]:
+        """The trials that fail or raise, in trial order."""
+        config = axioms.CertifyConfig(trials=40, seed=seed)
+        events = []
+        for trial in range(40):
+            rng = np.random.default_rng([seed, cell, trial])
+            weight = axioms._sample_for(family, "P1", trial, config, rng)["rho"].data[0][0, 0].real
+            if weight < 0.15 or weight > 0.8:
+                events.append((trial, "raise" if weight < 0.15 else "fail"))
+        return events
+
+    seeds = {}
+    for seed in range(60):
+        (first, kind), *later = first_events(seed) or [(None, None)]
+        if kind == "raise" or any(chunk_of[trial] == chunk_of[first] and what == "raise"
+                                  for trial, what in later):
+            seeds.setdefault(kind, (seed, first))
+        if len(seeds) == 2:
+            break
+    assert set(seeds) == {"fail", "raise"}
+
+    # a raising trial later in the failing trial's chunk is never reached
+    seed, failing = seeds["fail"]
+    config = axioms.CertifyConfig(trials=40, seed=seed)
+    verdict = axioms.certify(family, "P1", config)
+    assert verdict.status == "fails" and verdict.trials == failing + 1
+    assert without_new_keys(verdict.to_json()) == without_new_keys(
+        sequential_certify(family, "P1", config).to_json())
+    assert_replays_exactly(family, verdict, config)
+
+    # one the sweep reaches first escapes, as it would trial by trial
+    seed, _ = seeds["raise"]
+    with pytest.raises(ConstraintError, match="far from"):
+        axioms.certify(family, "P1", axioms.CertifyConfig(trials=40, seed=seed))

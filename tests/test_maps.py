@@ -451,6 +451,44 @@ def test_random_cptp_matches_probed_twin(source, target):
         assert got.is_cptp
 
 
+@pytest.mark.parametrize("shape", [SHAPE_A, SHAPE_C, SHAPE_A.tensor(SHAPE_C),
+                                   alg.classical_algebra(3)])
+def test_per_shape_constants_are_built_once_and_read_only(shape):
+    twin = AlgebraShape(shape.blocks, shape.factors)  # equal, not the same object
+    for constant in (maps._offsets, maps.trace_row, maps._dagger_index):
+        kept = constant(shape)
+        assert constant(shape) is kept and constant(twin) is kept
+        fresh = constant.__wrapped__(twin)
+        assert np.array_equal(kept, fresh)
+        with pytest.raises((TypeError, ValueError)):
+            kept[0] = 1
+    assert maps._offsets(shape) == tuple(int(x) for x in np.cumsum(
+        [0] + [d * d for d in shape.dims[:-1]]))
+
+
+def test_stacked_maps_equal_their_members(rng):
+    """from_kraus, channel_state, tp_defect and the sampling steps on a
+    stack equal the same calls on each member, bit for bit."""
+    draws = [sampling.draw_cptp(SHAPE_A, SHAPE_C, rng) for _ in range(4)]
+    stacked = sampling.cptp(SHAPE_A, SHAPE_C, tuple(map(np.stack, zip(*draws))))
+    members = [sampling.cptp(SHAPE_A, SHAPE_C, draw) for draw in draws]
+    assert all(np.array_equal(m.matrix, s.matrix)
+               for m, s in zip(members, maps.unstack(stacked)))
+    assert np.array_equal(maps.stack(members).matrix, stacked.matrix)
+    assert stacked.tp_defect().tolist() == [m.tp_defect() for m in members]
+    assert stacked.is_tp.tolist() == [True] * 4
+    for got, member in zip(alg.unstack(maps.channel_state(stacked)), members):
+        want = maps.channel_state(member)
+        assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
+    states = [sampling.draw_state(SHAPE_A, rng) for _ in range(4)]
+    stacked_state = sampling.state(SHAPE_A, tuple(map(np.stack, zip(*states))))
+    for got, draw in zip(alg.unstack(stacked_state), states):
+        want = sampling.state(SHAPE_A, draw)
+        assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
+    with pytest.raises(ShapeMismatchError):
+        maps.from_kraus(SHAPE_A, SHAPE_C, [(0, 0, np.ones((2, 3, 2)))])
+
+
 def test_random_decohering_channel_matches_probed_twin():
     got = sampling.random_decohering_channel(SHAPE_A, SHAPE_C, rng_for("deco-twin"))
     f = rng_for("deco-twin").dirichlet(np.ones(3), size=5).T
