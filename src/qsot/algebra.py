@@ -318,14 +318,15 @@ def classical_state(probs: Sequence[float], prefix: str = "x") -> AlgebraElement
 
 # ---------------------------------------------------------------------- tensor
 def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Kronecker product of elements on the tensor shape of their shapes."""
+    """Kronecker product of elements on the tensor shape of their shapes;
+    stacks broadcast over their leading axes."""
     tshape = a.shape.tensor(b.shape)
     mats = []
     for i, j in tshape.pairs:
-        x, y = a.data[i], b.data[j]
-        mn = len(x) * len(y)
         # the products np.kron forms, without its general-rank set-up
-        mats.append((x[:, None, :, None] * y[None, :, None, :]).reshape(mn, mn))
+        kron = a.data[i][..., :, None, :, None] * b.data[j][..., None, :, None, :]
+        mn = kron.shape[-4] * kron.shape[-3]
+        mats.append(kron.reshape(*kron.shape[:-4], mn, mn))
     return AlgebraElement._of(tshape, mats)
 
 

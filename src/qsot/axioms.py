@@ -136,12 +136,13 @@ def _unit_starts(rng: np.random.Generator, starts: int, m: int,
     return a, b
 
 
-def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray, mode: str,
-                      iters: int = 8) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Optimize ⟨a⊗b|block|a⊗b⟩ over unit product vectors by alternating
-    eigensolves (fixing one factor leaves a hermitian form in the other),
-    for a stack of (m·n)×(m·n) blocks from start vectors a (jobs, starts, m)
-    and b (jobs, starts, n).  Returns each block's best value and vectors.
+def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      mode: str) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Optimize ⟨a⊗b|block|a⊗b⟩ over unit product vectors by eight rounds of
+    alternating eigensolves (fixing one factor leaves a hermitian form in
+    the other), for a stack of (m·n)×(m·n) blocks from start vectors a
+    (jobs, starts, m) and b (jobs, starts, n).  Returns each block's best
+    value and vectors.
 
     ``mode`` 'min' minimizes the (real) pairing of a hermitian block;
     'absmax' maximizes |pairing| of a hermitian block.
@@ -157,7 +158,7 @@ def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray, mode: st
                else np.zeros((jobs, starts), dtype=int))
         return v[rows, cols, :, idx]
 
-    for _ in range(iters):
+    for _ in range(8):
         b = eigvec(np.einsum("rsi,rikjl,rsj->rskl", a.conj(), t4, a))
         a = eigvec(np.einsum("rsk,rikjl,rsl->rsij", b.conj(), t4, b))
     vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
@@ -251,124 +252,57 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
     return (alg.reassociate_left_to_right(rhs) - lhs).norm()
 
 
-def _sample_associativity(family: sot.SotFamily, dims: tuple[int, int],
-                          rng: np.random.Generator) -> dict:
-    shape_a, shape_b, shape_c = _interned_shapes(*dims)[:3]
-    if not family.state_linear:
-        # Entanglement-breaking first legs keep every intermediate second
-        # argument PSD, so non-state-linear families stay evaluable.
-        e = sampling.random_measure_prepare(shape_a, shape_b, dims[0] ** 2, rng)
-    else:
-        e = sampling.random_cptp(shape_a, shape_b, rng)
-    f = sampling.random_cptp(shape_b, shape_c, rng)
-    return {"e": e, "f": f, "rho": sampling.random_state(shape_a, rng)}
-
-
-# ----------------------------------------------------------- violation functions
-# Properties whose trials are drawn one by one and then finished and
-# evaluated as stacks, one per shape.
-STACKED = ("P1", "P2", "P3", "P4", "P5", "P6")
-
-
-def _violations(family: sot.SotFamily, prop: str, stacks: list[dict],
-                config: CertifyConfig) -> list[list[tuple[float, dict]]]:
-    """(violation, extra witness data) of each trial of each stacked instance
-    of a STACKED property, whose maps and states are stacks and whose λ and
-    search seeds are lists.  P2 searches all the stacks' trials in one call.
-    Raises if any trial does."""
-    if prop != "P2":
-        return [_stack_violations(family, prop, instance) for instance in stacks]
-    ts = [alg.unstack(sot.evaluate(family, instance["e"], instance["rho"]).value)
-          for instance in stacks]
-    searches = [np.random.default_rng(seed) for instance in stacks
-                for seed in instance["search_seed"]]
-    found = iter(block_positivity_violation([t for group in ts for t in group],
-                                            config.starts, searches))
-    return [[next(found) for _ in group] for group in ts]
-
-
-def _stack_violations(family: sot.SotFamily, prop: str,
-                      instance: dict) -> list[tuple[float, dict]]:
-    """The violations of a stacked instance of a STACKED property other than P2."""
-    e, rho = instance["e"], instance["rho"]
-    if prop in ("P4", "P5", "P6"):
-        lam, residuals = np.array(instance["lambda"])[:, None, None], []
-        if prop != "P5":
-            rho2 = instance["rho2"]
-            mix = lam * rho + (1.0 - lam) * rho2
-            residuals.append((sot.evaluate(family, e, mix).value
-                              - lam * sot.evaluate(family, e, rho).value
-                              - (1.0 - lam) * sot.evaluate(family, e, rho2).value).norm())
-        if prop != "P4":
-            e2 = instance["e2"]
-            mixed = LinearMap._of(e.source, e.target, lam * e.matrix + (1.0 - lam) * e2.matrix)
-            residuals.append((sot.evaluate(family, mixed, rho).value
-                              - lam * sot.evaluate(family, e, rho).value
-                              - (1.0 - lam) * sot.evaluate(family, e2, rho).value).norm())
-        return [(max(values), {}) for values in zip(*(r.tolist() for r in residuals))]
-    t = sot.evaluate(family, e, rho).value
-    if prop == "P1":
-        return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
-    return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
-
-
-def _violation(family: sot.SotFamily, prop: str, instance: dict,
-               config: CertifyConfig) -> tuple[float, dict]:
-    """Return (violation, extra-witness-data) for one instance; a pure
-    function of the instance, which holds every random input."""
-    if prop in STACKED:
-        return _violations(family, prop, [_stack([instance])], config)[0][0]
-    e, rho = instance["e"], instance["rho"]
-    if prop == "A":
-        return check_associativity(family, e, instance["f"], rho), {}
-    if prop == "M":
-        return max(sot.evaluate(family, e, rho).marginal_residuals()), {}
-    if prop != "P7":
-        raise InapplicableError(f"unknown property {prop}")
-    t = sot.evaluate(family, e, rho).value
-    target = maps.channel_state(e) @ alg.tensor(rho, alg.identity(e.target))
-    return (t - target).norm(), {}
+# ----------------------------------------------------------------- trials
+# The second map or state each mixing property draws, in draw order.
+MIXED = {"P4": ("rho2",), "P5": ("e2",), "P6": ("rho2", "e2")}
 
 
 def _draw(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
           rng: np.random.Generator) -> tuple[tuple[AlgebraShape, AlgebraShape], dict]:
-    """The shapes and raw random inputs of one trial of a STACKED property,
-    drawn from ``rng`` in a fixed order."""
+    """The shapes and random inputs of one trial, drawn from ``rng`` in a
+    fixed order: the raw Gaussians of its maps and states, or, for P7 and A,
+    the finished maps and states.  Raises if the trial has no instance."""
+    if prop == "A":
+        a, b, c = _interned_shapes(*config.dims)[:3]
+        # Entanglement-breaking first legs keep every intermediate second
+        # argument PSD, so non-state-linear families stay evaluable.
+        e = (sampling.random_cptp(a, b, rng) if family.state_linear
+             else sampling.random_measure_prepare(a, b, config.dims[0] ** 2, rng))
+        return (a, b), {"e": e, "f": sampling.random_cptp(b, c, rng),
+                        "rho": sampling.random_state(a, rng)}
     sa, sb = _shapes(family, trial, config.dims)
+    if prop == "P7":
+        e, rho = sot.classical_limit_pair(sa, sb, rng, trial // 2,
+                                          nondegenerate_prior=family.compound)
+        return (sa, sb), {"e": e, "rho": rho}
     raw = {"e": sampling.draw_cptp(sa, sb, rng), "rho": sampling.draw_state(sa, rng)}
-    if prop in ("P4", "P5", "P6"):
+    if prop in MIXED:
         raw["lambda"] = rng.uniform(0.2, 0.8)
-        if prop != "P5":
-            raw["rho2"] = sampling.draw_state(sa, rng)
-        if prop != "P4":
-            raw["e2"] = sampling.draw_cptp(sa, sb, rng)
+        for key in MIXED[prop]:
+            raw[key] = (sampling.draw_state(sa, rng) if key == "rho2"
+                        else sampling.draw_cptp(sa, sb, rng))
     if prop == "P2":
         raw["search_seed"] = int(rng.integers(2 ** 32))
     return (sa, sb), raw
 
 
-def _finish(shapes: tuple[AlgebraShape, AlgebraShape], raws: list[dict]) -> dict:
-    """The stacked instance of trials of one shape from their raw inputs."""
-    sa, sb = shapes
+def _finish(raws: list[dict], shapes: tuple[AlgebraShape, AlgebraShape] | None = None) -> dict:
+    """The stacked instance of trials of one shape: maps and states are
+    stacked, raw draws finished as stacks on ``shapes``, and other inputs
+    kept as lists."""
     out = {}
     for key in raws[0]:
-        draws = [raw[key] for raw in raws]
-        if key in ("e", "e2"):
-            out[key] = sampling.cptp(sa, sb, tuple(map(np.stack, zip(*draws))))
+        column = [raw[key] for raw in raws]
+        if isinstance(column[0], LinearMap):
+            out[key] = maps.stack(column)
+        elif isinstance(column[0], AlgebraElement):
+            out[key] = alg.stack(column)
+        elif key in ("e", "e2"):
+            out[key] = sampling.cptp(*shapes, tuple(map(np.stack, zip(*column))))
         elif key in ("rho", "rho2"):
-            out[key] = sampling.state(sa, tuple(map(np.stack, zip(*draws))))
+            out[key] = sampling.state(shapes[0], tuple(map(np.stack, zip(*column))))
         else:
-            out[key] = draws
-    return out
-
-
-def _stack(instances: list[dict]) -> dict:
-    """Instances of one shape as one stacked instance."""
-    out = {}
-    for key, value in instances[0].items():
-        column = [instance[key] for instance in instances]
-        out[key] = (maps.stack(column) if isinstance(value, LinearMap)
-                    else alg.stack(column) if isinstance(value, AlgebraElement) else column)
+            out[key] = column
     return out
 
 
@@ -380,20 +314,60 @@ def _unstack(instance: dict) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
+def _violations(family: sot.SotFamily, prop: str, instance: dict,
+                config: CertifyConfig) -> list[tuple[float, dict]]:
+    """(violation, extra witness data) of each trial of a stacked instance;
+    a pure function of the instance, which holds every random input.  A and
+    M evaluate member by member, the others as stacks.  Raises if any trial
+    does."""
+    if prop == "A":
+        return [(check_associativity(family, m["e"], m["f"], m["rho"]), {})
+                for m in _unstack(instance)]
+    if prop == "M":
+        return [(max(sot.evaluate(family, m["e"], m["rho"]).marginal_residuals()), {})
+                for m in _unstack(instance)]
+    e, rho = instance["e"], instance["rho"]
+    if prop in MIXED:
+        lam, residuals = np.array(instance["lambda"])[:, None, None], []
+        for key in MIXED[prop]:
+            other = instance[key]
+            if key == "rho2":
+                mixed, alt = (e, lam * rho + (1.0 - lam) * other), (e, other)
+            else:
+                mixed = (LinearMap._of(e.source, e.target,
+                                       lam * e.matrix + (1.0 - lam) * other.matrix), rho)
+                alt = (other, rho)
+            residuals.append((sot.evaluate(family, *mixed).value
+                              - lam * sot.evaluate(family, e, rho).value
+                              - (1.0 - lam) * sot.evaluate(family, *alt).value).norm())
+        return [(max(values), {}) for values in zip(*(r.tolist() for r in residuals))]
+    t = sot.evaluate(family, e, rho).value
+    if prop == "P1":
+        return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
+    if prop == "P2":
+        return block_positivity_violation(
+            alg.unstack(t), config.starts,
+            [np.random.default_rng(seed) for seed in instance["search_seed"]])
+    if prop == "P3":
+        return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
+    if prop != "P7":
+        raise InapplicableError(f"unknown property {prop}")
+    target = maps.channel_state(e) @ alg.tensor(rho, alg.identity(e.target))
+    return [(value, {}) for value in (t - target).norm().tolist()]
+
+
+def _violation(family: sot.SotFamily, prop: str, instance: dict,
+               config: CertifyConfig) -> tuple[float, dict]:
+    """Return (violation, extra-witness-data) for one instance: the
+    violations of its stack of one."""
+    return _violations(family, prop, _finish([instance]), config)[0]
+
+
 def _sample_for(family: sot.SotFamily, prop: str, trial: int,
                 config: CertifyConfig, rng: np.random.Generator) -> dict:
     """Every random input of one trial, drawn from ``rng`` in a fixed order."""
-    if prop in STACKED:
-        shapes, raw = _draw(family, prop, trial, config, rng)
-        return _unstack(_finish(shapes, [raw]))[0]
-    if prop == "A":
-        return _sample_associativity(family, config.dims, rng)
-    sa, sb = _shapes(family, trial, config.dims)
-    if prop == "P7":
-        e, rho = sot.classical_limit_pair(sa, sb, rng, trial // 2,
-                                          nondegenerate_prior=family.compound)
-        return {"e": e, "rho": rho}
-    return {"e": sampling.random_cptp(sa, sb, rng), "rho": sampling.random_state(sa, rng)}
+    shapes, raw = _draw(family, prop, trial, config, rng)
+    return _unstack(_finish([raw], shapes))[0]
 
 
 def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
@@ -429,26 +403,33 @@ def _alone(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
     return value, {**instance, **extra}
 
 
-def _stacked_chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfig,
-                   keys: list[list[int]]) -> list[tuple[float, dict] | Exception]:
-    """The outcome of each trial of a chunk of a STACKED property.
+def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfig,
+           keys: list[list[int]]) -> list[tuple[float, dict] | Exception]:
+    """The outcome of each trial of a chunk.
 
-    Each trial draws from its own generator; the trials of one shape are
-    then finished and evaluated as one stack.  If that raises, each trial
-    is evaluated alone, so every trial gets the outcome it has alone,
+    Each trial draws from its own generator; a draw that raises is that
+    trial's outcome.  The trials of one shape are then finished and
+    evaluated as one stack.  If that raises, each trial of the stack is
+    evaluated alone, so every trial gets the outcome it has alone,
     exception included.
     """
+    outcomes: list = [None] * len(keys)
     groups: dict[tuple, list[tuple[int, dict]]] = {}
     for index, (trial, key) in enumerate(zip(trials, keys)):
-        shapes, raw = _draw(family, prop, trial, config, np.random.default_rng(key))
+        try:
+            shapes, raw = _draw(family, prop, trial, config, np.random.default_rng(key))
+        except Exception as exc:  # settled when the sweep reaches the trial
+            outcomes[index] = exc
+            continue
         groups.setdefault(shapes, []).append((index, raw))
-    stacks = [_finish(shapes, [raw for _, raw in members]) for shapes, members in groups.items()]
-    try:
-        results = _violations(family, prop, stacks, config)
-    except Exception:  # some trial raises: find which, one by one
-        return [_alone(family, prop, trial, config, key) for trial, key in zip(trials, keys)]
-    outcomes: list = [None] * len(keys)
-    for members, instance, found in zip(groups.values(), stacks, results):
+    for shapes, members in groups.items():
+        instance = _finish([raw for _, raw in members], shapes)
+        try:
+            found = _violations(family, prop, instance, config)
+        except Exception:  # some trial raises: find which, one by one
+            for index, _ in members:
+                outcomes[index] = _alone(family, prop, trials[index], config, keys[index])
+            continue
         for (index, _), trial_instance, (value, extra) in zip(members, _unstack(instance), found):
             outcomes[index] = value, {**trial_instance, **extra}
     return outcomes
@@ -462,18 +443,13 @@ def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
     ``outcome`` is (violation, witness data holding the instance), or the
     exception class name of a skipped trial; any other exception of a trial
     is raised when the sweep reaches that trial.  Trials come in chunks of
-    1, 2, 4, … trials.  A chunk of a STACKED property is drawn and evaluated
-    as a whole; other chunks are evaluated lazily, trial by trial, so a
-    consumer that stops early evaluates no later trial.
+    1, 2, 4, … trials, each drawn and evaluated as a whole.
     """
     start, size = 0, 1
     while start < config.trials:
         trials = range(start, min(start + size, config.trials))
         keys = [[config.seed, cell, trial] for trial in trials]
-        outcomes = (_stacked_chunk(family, prop, trials, config, keys) if prop in STACKED
-                    else (_alone(family, prop, trial, config, key)
-                          for trial, key in zip(trials, keys)))
-        for trial, key, outcome in zip(trials, keys, outcomes):
+        for trial, key, outcome in zip(trials, keys, _chunk(family, prop, trials, config, keys)):
             if isinstance(outcome, SKIPS):
                 outcome = type(outcome).__name__
             elif isinstance(outcome, Exception):
@@ -588,8 +564,7 @@ class TableReport:
 
     def render_text(self) -> str:
         width = max(len(f) for f in self.verdicts) + 2
-        props = [p for p in TABLE_PROPERTIES
-                 if all(p in row for row in self.verdicts.values())]
+        props = list(next(iter(self.verdicts.values())))
         lines = ["family".ljust(width) + "  ".join(p.ljust(3) for p in props)]
         for fam, row in self.verdicts.items():
             cells = "  ".join(row[p].glyph.ljust(3) for p in props)

@@ -34,14 +34,16 @@ _VALIDATION_ERRORS = (ValidationError, ConstraintError, ShapeMismatchError,
 _NUMERICAL_ERRORS = (SingularityError, FaithfulnessError)
 
 
-def _default_seed() -> int:
-    """The `certify --seed` default: `QSOT_SEED`, or 0 when it is unset."""
-    raw = os.environ.get("QSOT_SEED", "0")
+def _seed(arg: int | None) -> int:
+    """The `certify` seed: `--seed`, else `QSOT_SEED`, else 0."""
+    name, raw = (("--seed", str(arg)) if arg is not None
+                 else ("QSOT_SEED", os.environ.get("QSOT_SEED", "0")))
     try:
-        return int(raw)
+        if (seed := int(raw)) >= 0:
+            return seed
     except ValueError:
-        raise ValidationError(
-            f"QSOT_SEED must be an integer, got {raw!r}") from None
+        pass
+    raise ValidationError(f"{name} must be a non-negative integer, got {raw!r}")
 
 
 def _family_from_args(args) -> sot.SotFamily:
@@ -131,8 +133,7 @@ def cmd_certify(args) -> int:
     if unknown:
         raise ValidationError(f"unknown properties: {', '.join(unknown)}")
     families = {t: sot.TABLE_FAMILIES[t] for t in family_tags}
-    seed = _default_seed() if args.seed is None else args.seed
-    config = axioms.CertifyConfig(trials=args.trials, seed=seed)
+    config = axioms.CertifyConfig(trials=args.trials, seed=_seed(args.seed))
     report = axioms.table_report(config, families=families, properties=properties)
     mismatches = report.mismatches()
     if args.format == "json":

@@ -216,9 +216,12 @@ def load(path: str):
 
 
 def dump(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def load_schema(name: str) -> dict:

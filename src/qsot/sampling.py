@@ -25,10 +25,9 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
-def draw_state(shape: AlgebraShape, rng: np.random.Generator,
-               rank: int | None = None) -> tuple[np.ndarray, ...]:
-    """The Gaussians of a random state: one d×rank Ginibre matrix per block."""
-    return tuple(ginibre(rng, d, rank or d) for d in shape.dims)
+def draw_state(shape: AlgebraShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The Gaussians of a random state: one square Ginibre matrix per block."""
+    return tuple(ginibre(rng, d) for d in shape.dims)
 
 
 def state(shape: AlgebraShape, draws: tuple[np.ndarray, ...]) -> AlgebraElement:
@@ -39,10 +38,9 @@ def state(shape: AlgebraShape, draws: tuple[np.ndarray, ...]) -> AlgebraElement:
     return AlgebraElement._of(shape, (m / total for m in mats))
 
 
-def random_state(shape: AlgebraShape, rng: np.random.Generator,
-                 rank: int | None = None) -> AlgebraElement:
-    """Ginibre random density matrix; full rank (faithful) unless rank is given."""
-    return state(shape, draw_state(shape, rng, rank))
+def random_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
+    """Ginibre random density matrix, full rank (faithful)."""
+    return state(shape, draw_state(shape, rng))
 
 
 def random_hermitian(shape: AlgebraShape, rng: np.random.Generator,
@@ -75,13 +73,14 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return isometry(ginibre(rng, rows, cols))
 
 
-def draw_cptp(source: AlgebraShape, target: AlgebraShape, rng: np.random.Generator,
-              env: int = 2) -> tuple[np.ndarray, ...]:
+def draw_cptp(source: AlgebraShape, target: AlgebraShape,
+              rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """The Gaussians of a random channel: one Ginibre matrix per source
-    block x, with (⊕_y n_y)·env_x rows and m_x columns."""
+    block x, with (⊕_y n_y)·env_x rows and m_x columns, env_x = 2 unless
+    the block needs more."""
     d_out = target.total_dim
     # an isometry needs at least as many rows as columns
-    return tuple(ginibre(rng, d_out * max(env, -(-mx // d_out)), mx) for mx in source.dims)
+    return tuple(ginibre(rng, d_out * max(2, -(-mx // d_out)), mx) for mx in source.dims)
 
 
 def cptp(source: AlgebraShape, target: AlgebraShape,
@@ -101,20 +100,20 @@ def cptp(source: AlgebraShape, target: AlgebraShape,
 
 
 def random_cptp(source: AlgebraShape, target: AlgebraShape,
-                rng: np.random.Generator, env: int = 2) -> LinearMap:
+                rng: np.random.Generator) -> LinearMap:
     """Random CPTP map via isometry dilation, one Stinespring per source block.
 
-    For each source block x an isometry V_x : C^{m_x} → (⊕_y C^{n_y})⊗C^env is
-    drawn; its row-blocks give Kraus operators into every target block, so the
-    sampled channel has generically full support across all components.
+    For each source block x an isometry V_x : C^{m_x} → (⊕_y C^{n_y})⊗C^env_x
+    is drawn; its row-blocks give Kraus operators into every target block, so
+    the sampled channel has generically full support across all components.
     """
-    return cptp(source, target, draw_cptp(source, target, rng, env))
+    return cptp(source, target, draw_cptp(source, target, rng))
 
 
-def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator,
-                          terms: int = 4) -> LinearMap:
-    """Random mixed-unitary (hence unital and CPTP) channel on a shape."""
-    weights = rng.dirichlet(np.ones(terms))
+def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator) -> LinearMap:
+    """Random mixed-unitary (hence unital and CPTP) channel on a shape: four
+    random unitary channels with Dirichlet weights."""
+    weights = rng.dirichlet(np.ones(4))
     total = None
     for w in weights:
         u = random_unitary_element(shape, rng)

@@ -157,6 +157,24 @@ def test_stacks_are_elementwise(rng):
         alg.power(alg.stack([xs[0], -xs[1]]), 0.5)  # one bad member fails the stack
 
 
+def test_stacked_tensor_equals_per_element_tensors(rng):
+    """tensor on stacks broadcasts over the leading axes, and each member
+    equals the tensor of its factors, bit for bit."""
+    left, right = AlgebraShape([("a", 3), ("b", 1)]), AlgebraShape([("c", 2), ("d", 2)])
+    xs = [sampling.random_hermitian(left, rng) for _ in range(4)]
+    ys = [sampling.random_state(right, rng) for _ in range(4)]
+    one = sampling.random_hermitian(right, rng)
+    cases = [(alg.stack(xs), alg.stack(ys), zip(xs, ys)),
+             (alg.stack(xs), one, ((x, one) for x in xs)),
+             (one, alg.stack(xs), ((one, x) for x in xs))]
+    for a, b, pairs in cases:
+        stacked = alg.tensor(a, b)
+        assert stacked.shape == a.shape.tensor(b.shape)
+        for got, pair in zip(alg.unstack(stacked), pairs, strict=True):
+            want = alg.tensor(*pair)
+            assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
+
+
 def test_arithmetic_matches_numpy(rng):
     shape = AlgebraShape([("a", 2), ("b", 3)])
     x = sampling.random_hermitian(shape, rng)

@@ -428,7 +428,7 @@ def assert_same(got, want):
         assert got == want
 
 
-@pytest.mark.parametrize("prop", STACKED)
+@pytest.mark.parametrize("prop", axioms.PROPERTIES)
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
 def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop):
     """Twelve trials walk the chunks [0], [1, 2], [3..6] and part of
@@ -465,6 +465,31 @@ def test_skips_are_counted_trial_by_trial_on_every_stacked_property(prop):
         assert set(verdict.skipped) == {"UnsupportedFamilyError", "ExtensionError"}
     assert without_new_keys(verdict.to_json()) == without_new_keys(
         sequential_certify(family, prop, FAST).to_json())
+
+
+def test_a_draw_that_raises_is_its_trials_outcome_alone(monkeypatch):
+    """Ohya's P7 prior filter refuses one draw at seed 0: that trial is
+    skipped, and no trial of its chunk is evaluated one by one."""
+    alone = []
+    fallback = axioms._alone
+    monkeypatch.setattr(axioms, "_alone", lambda *args: alone.append(args) or fallback(*args))
+    verdict = axioms.certify(sot.OhyaCompound(), "P7", axioms.CertifyConfig(trials=200, seed=0))
+    assert verdict.status == "holds-restricted"
+    assert verdict.trials == 199 and verdict.skipped == {"InapplicableError": 1}
+    assert alone == []
+
+
+@pytest.mark.parametrize("props", [("P6", "M", "P1"), ("M",)])
+def test_table_text_renders_every_property_in_row_order(props):
+    families = {tag: sot.TABLE_FAMILIES[tag] for tag in ("uncorrelated", "ohya")}
+    report = axioms.table_report(axioms.CertifyConfig(trials=5, seed=0),
+                                 families=families, properties=props)
+    header, *rows = report.render_text().split("\n")
+    assert header.split() == ["family", *props]
+    # neither family is bilinear (P6 ✗); both have the right marginals (M ✓)
+    glyphs = {"P6": "✗", "M": "✓", "P1": "✓"}
+    assert [line.split() for line in rows] == [[tag, *(glyphs[p] for p in props)]
+                                               for tag in families]
 
 
 @dataclass(frozen=True)

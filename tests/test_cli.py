@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qsot import algebra as alg, cli, io, maps, sampling, sot
+from qsot.errors import ValidationError
 
 from conftest import TransposedTarget, random_traceless_direction, rng_for
 
@@ -244,14 +245,35 @@ def test_certify_seed_env_var_default(monkeypatch, capsys):
 
 def test_certify_malformed_seed_env_var_is_validation(fixtures, monkeypatch,
                                                        capsys):
-    monkeypatch.setenv("QSOT_SEED", "abc")
-    assert run(["certify", "--trials", "1"]) == cli.EXIT_VALIDATION
+    for raw in ("abc", "-3"):
+        monkeypatch.setenv("QSOT_SEED", raw)
+        assert run(["certify", "--trials", "1"]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "QSOT_SEED" in err and raw in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    # a negative --seed is refused the same way, and names the option
+    assert run(["certify", "--trials", "1", "--seed", "-1"]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("validation error: ") and "QSOT_SEED" in err
+    assert err.startswith("validation error: --seed") and "-1" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     # only certify reads QSOT_SEED
     assert run(["bayes", "--family", "leifer-spekkens",
                 fixtures["channel"], fixtures["state"]]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["sot", "bayes", "certify"])
+def test_an_unwritable_output_is_a_validation_error(command, fixtures, capsys):
+    out = str(fixtures["dir"] / "missing" / "out.json")
+    args = (["certify", "--trials", "1", "--families", "uncorrelated", "--properties", "P1",
+             "--format", "json", "-o", out] if command == "certify"
+            else [command, "--family", "leifer-spekkens", fixtures["channel"],
+                  fixtures["state"], out])
+    assert run(args) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write {out}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    with pytest.raises(ValidationError, match="cannot write"):
+        io.dump({}, out)
 
 
 # ------------------------------------------------------------------ schemas
