@@ -299,13 +299,16 @@ def from_blocks(shape: AlgebraShape, blocks: dict) -> AlgebraElement:
 
 
 def diagonal_element(shape: AlgebraShape, values: Sequence[float]) -> AlgebraElement:
-    """Element with the given values along the concatenated block diagonals."""
+    """Element with the given values along the concatenated block diagonals;
+    values with leading axes give the stack of such elements."""
     values = np.asarray(values, dtype=complex)
-    if values.size != shape.total_dim:
+    if values.shape[-1:] != (shape.total_dim,):
         raise ShapeMismatchError("diagonal length does not match total dimension")
     mats, off = [], 0
     for d in shape.dims:
-        mats.append(np.diag(values[off:off + d]))
+        mat = np.zeros((*values.shape[:-1], d, d), dtype=complex)
+        mat[..., range(d), range(d)] = values[..., off:off + d]
+        mats.append(mat)
         off += d
     return AlgebraElement._of(shape, mats)
 
@@ -479,11 +482,15 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def assert_state(a: AlgebraElement) -> AlgebraElement:
-    """Validate the density-matrix requirements and return the element."""
-    if not a.is_hermitian(STATE_HERM_TOL):
+    """Validate the density-matrix requirements and return the element.  A
+    stack passes when every member does; a message quotes the first member
+    that does not."""
+    if not _every(a.is_hermitian(STATE_HERM_TOL)):
         raise NotAStateError("state is not hermitian")
-    if abs(a.trace() - 1.0) > STATE_TOL:
-        raise NotAStateError(f"state trace {a.trace():.6f} != 1")
-    if a.min_eigenvalue() < -STATE_TOL:
-        raise NotAStateError(f"state has eigenvalue {a.min_eigenvalue():.3e} < 0")
+    trace = a.trace()
+    if _some(bad := abs(trace - 1.0) > STATE_TOL):
+        raise NotAStateError(f"state trace {np.extract(bad, trace)[0]:.6f} != 1")
+    low = a.min_eigenvalue()
+    if _some(bad := low < -STATE_TOL):
+        raise NotAStateError(f"state has eigenvalue {np.extract(bad, low)[0]:.3e} < 0")
     return a

@@ -146,9 +146,16 @@ def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
 
     ``mode`` 'min' minimizes the (real) pairing of a hermitian block;
     'absmax' maximizes |pairing| of a hermitian block.
+
+    A 1×1 ``eigh`` returns the eigenvector 1 exactly, so with a
+    one-dimensional factor every start reaches the same vectors within two
+    rounds; the first start, run for two rounds, then gives every bit of
+    the eight-round search over all starts.
     """
-    jobs, starts, m = a.shape
-    n = b.shape[2]
+    rounds, m, n = 8, a.shape[2], b.shape[2]
+    if min(m, n) == 1:
+        rounds, a, b = 2, a[:, :1], b[:, :1]
+    jobs, starts = a.shape[:2]
     t4 = blocks.reshape(jobs, m, n, m, n)
     rows, cols = np.arange(jobs)[:, None], np.arange(starts)
 
@@ -158,7 +165,7 @@ def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
                else np.zeros((jobs, starts), dtype=int))
         return v[rows, cols, :, idx]
 
-    for _ in range(8):
+    for _ in range(rounds):
         b = eigvec(np.einsum("rsi,rikjl,rsj->rskl", a.conj(), t4, a))
         a = eigvec(np.einsum("rsk,rikjl,rsl->rsij", b.conj(), t4, b))
     vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
@@ -258,23 +265,25 @@ MIXED = {"P4": ("rho2",), "P5": ("e2",), "P6": ("rho2", "e2")}
 
 
 def _draw(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
-          rng: np.random.Generator) -> tuple[tuple[AlgebraShape, AlgebraShape], dict]:
-    """The shapes and random inputs of one trial, drawn from ``rng`` in a
-    fixed order: the raw Gaussians of its maps and states, or, for P7 and A,
-    the finished maps and states.  Raises if the trial has no instance."""
+          rng: np.random.Generator) -> tuple[tuple, dict]:
+    """The group key and raw inputs of one trial, drawn from ``rng`` in a
+    fixed order: the raw Gaussians and Dirichlet weights of its maps and
+    states.  The key holds what they are finished on: the shapes A, B (and
+    C for A's second map) and, for P7, the construction and the prior
+    filter.  Raises if the trial has no instance."""
     if prop == "A":
         a, b, c = _interned_shapes(*config.dims)[:3]
         # Entanglement-breaking first legs keep every intermediate second
         # argument PSD, so non-state-linear families stay evaluable.
-        e = (sampling.random_cptp(a, b, rng) if family.state_linear
+        e = (sampling.draw_cptp(a, b, rng) if family.state_linear
              else sampling.random_measure_prepare(a, b, config.dims[0] ** 2, rng))
-        return (a, b), {"e": e, "f": sampling.random_cptp(b, c, rng),
-                        "rho": sampling.random_state(a, rng)}
+        return (a, b, c), {"e": e, "f": sampling.draw_cptp(b, c, rng),
+                           "rho": sampling.draw_state(a, rng)}
     sa, sb = _shapes(family, trial, config.dims)
     if prop == "P7":
-        e, rho = sot.classical_limit_pair(sa, sb, rng, trial // 2,
-                                          nondegenerate_prior=family.compound)
-        return (sa, sb), {"e": e, "rho": rho}
+        kind, draws = sot.draw_classical_limit(sa, sb, rng, trial // 2,
+                                               nondegenerate_prior=family.compound)
+        return (sa, sb, kind, family.compound), {"pair": draws}
     raw = {"e": sampling.draw_cptp(sa, sb, rng), "rho": sampling.draw_state(sa, rng)}
     if prop in MIXED:
         raw["lambda"] = rng.uniform(0.2, 0.8)
@@ -286,24 +295,31 @@ def _draw(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
     return (sa, sb), raw
 
 
-def _finish(raws: list[dict], shapes: tuple[AlgebraShape, AlgebraShape] | None = None) -> dict:
-    """The stacked instance of trials of one shape: maps and states are
-    stacked, raw draws finished as stacks on ``shapes``, and other inputs
-    kept as lists."""
-    out = {}
-    for key in raws[0]:
-        column = [raw[key] for raw in raws]
+def _finish(raws: list[dict], group: tuple = ()) -> tuple[dict, list[Exception | None]]:
+    """The stacked instance of trials of one group key, and each trial's
+    refusal (None if it has none): maps and states are stacked, raw draws
+    finished as stacks on what the key holds, and other inputs kept as
+    lists.  Only P7's classical-limit pairs can be refused."""
+    out, refusals = {}, [None] * len(raws)
+    for name in raws[0]:
+        column = [raw[name] for raw in raws]
         if isinstance(column[0], LinearMap):
-            out[key] = maps.stack(column)
+            out[name] = maps.stack(column)
         elif isinstance(column[0], AlgebraElement):
-            out[key] = alg.stack(column)
-        elif key in ("e", "e2"):
-            out[key] = sampling.cptp(*shapes, tuple(map(np.stack, zip(*column))))
-        elif key in ("rho", "rho2"):
-            out[key] = sampling.state(shapes[0], tuple(map(np.stack, zip(*column))))
+            out[name] = alg.stack(column)
+        elif name in ("e", "e2", "f", "rho", "rho2", "pair"):
+            draws = tuple(map(np.stack, zip(*column)))
+            if name == "pair":
+                sa, sb, kind, nondegenerate = group
+                out["e"], out["rho"], refusals = sot.classical_limits(sa, sb, kind, draws,
+                                                                      nondegenerate)
+            elif name in ("rho", "rho2"):
+                out[name] = sampling.state(group[0], draws)
+            else:
+                out[name] = sampling.cptp(*(group[1:3] if name == "f" else group[:2]), draws)
         else:
-            out[key] = column
-    return out
+            out[name] = column
+    return out, refusals
 
 
 def _unstack(instance: dict) -> list[dict]:
@@ -360,14 +376,17 @@ def _violation(family: sot.SotFamily, prop: str, instance: dict,
                config: CertifyConfig) -> tuple[float, dict]:
     """Return (violation, extra-witness-data) for one instance: the
     violations of its stack of one."""
-    return _violations(family, prop, _finish([instance]), config)[0]
+    return _violations(family, prop, _finish([instance])[0], config)[0]
 
 
 def _sample_for(family: sot.SotFamily, prop: str, trial: int,
                 config: CertifyConfig, rng: np.random.Generator) -> dict:
     """Every random input of one trial, drawn from ``rng`` in a fixed order."""
-    shapes, raw = _draw(family, prop, trial, config, rng)
-    return _unstack(_finish([raw], shapes))[0]
+    group, raw = _draw(family, prop, trial, config, rng)
+    instance, [refusal] = _finish([raw], group)
+    if refusal is not None:
+        raise refusal
+    return _unstack(instance)[0]
 
 
 def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
@@ -408,22 +427,31 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
     """The outcome of each trial of a chunk.
 
     Each trial draws from its own generator; a draw that raises is that
-    trial's outcome.  The trials of one shape are then finished and
-    evaluated as one stack.  If that raises, each trial of the stack is
-    evaluated alone, so every trial gets the outcome it has alone,
-    exception included.
+    trial's outcome.  The trials of one group key are then finished as one
+    stack, a refused trial's refusal is its outcome, and the others are
+    evaluated as one stack.  If that raises, each of them is evaluated
+    alone, so every trial gets the outcome it has alone, exception included.
     """
     outcomes: list = [None] * len(keys)
     groups: dict[tuple, list[tuple[int, dict]]] = {}
     for index, (trial, key) in enumerate(zip(trials, keys)):
         try:
-            shapes, raw = _draw(family, prop, trial, config, np.random.default_rng(key))
+            group, raw = _draw(family, prop, trial, config, np.random.default_rng(key))
         except Exception as exc:  # settled when the sweep reaches the trial
             outcomes[index] = exc
             continue
-        groups.setdefault(shapes, []).append((index, raw))
-    for shapes, members in groups.items():
-        instance = _finish([raw for _, raw in members], shapes)
+        groups.setdefault(group, []).append((index, raw))
+    for group, members in groups.items():
+        instance, refusals = _finish([raw for _, raw in members], group)
+        if any(refusals):
+            for (index, _), refusal in zip(members, refusals):
+                outcomes[index] = refusal
+            kept = [k for k, refusal in enumerate(refusals) if refusal is None]
+            if not kept:
+                continue
+            trial_instances = _unstack(instance)
+            instance = _finish([trial_instances[k] for k in kept])[0]
+            members = [members[k] for k in kept]
         try:
             found = _violations(family, prop, instance, config)
         except Exception:  # some trial raises: find which, one by one

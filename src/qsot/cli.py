@@ -143,11 +143,14 @@ def cmd_certify(args) -> int:
             doc["matches_expected"] = not mismatches
         _emit(doc, args.out_file)
     else:
-        print(report.render_text())
-        for fam, row in report.verdicts.items():
-            for prop, verdict in row.items():
-                if verdict.note:
-                    print(f"  note [{fam} {prop}]: {verdict.note}")
+        text = "\n".join([report.render_text()] + [
+            f"  note [{fam} {prop}]: {verdict.note}"
+            for fam, row in report.verdicts.items() for prop, verdict in row.items()
+            if verdict.note])
+        if args.out_file:
+            io.write_text(text + "\n", args.out_file)
+        else:
+            print(text)
     if args.expect_paper:
         if mismatches:
             for fam, prop, want, got in mismatches:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import contextmanager
 from importlib import resources
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
@@ -215,13 +216,26 @@ def load(path: str):
     return loads(text)
 
 
-def dump(doc: dict, path: str) -> None:
+@contextmanager
+def _writing(path: str) -> Iterator[TextIO]:
+    """``path`` open for writing; a path that cannot be written is a
+    ValidationError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            yield fh
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def dump(doc: dict, path: str) -> None:
+    with _writing(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_text(text: str, path: str) -> None:
+    with _writing(path) as fh:
+        fh.write(text)
 
 
 def load_schema(name: str) -> dict:

@@ -44,7 +44,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def vec(a: AlgebraElement) -> np.ndarray:
-    return np.concatenate([mat.reshape(-1) for mat in a.data])
+    """The coordinates of an element; of a stack, one row per member."""
+    return np.concatenate([mat.reshape(*mat.shape[:-2], -1) for mat in a.data], axis=-1)
 
 
 def unvec(shape: AlgebraShape, v: np.ndarray) -> AlgebraElement:
@@ -510,14 +511,17 @@ def unitary_channel(u: AlgebraElement) -> LinearMap:
 
 
 def replace_channel(sigma: AlgebraElement, source: AlgebraShape) -> LinearMap:
-    """The replacement channel A ↦ tr(A)·σ."""
+    """The replacement channel A ↦ tr(A)·σ; a stack of states gives the
+    stack of their channels."""
     alg.assert_state(sigma)
-    return LinearMap(source, sigma.shape, np.outer(vec(sigma), trace_row(source)))
+    return LinearMap._of(source, sigma.shape, vec(sigma)[..., :, None] * trace_row(source))
 
 
+@lru_cache(maxsize=256)
 def partial_trace_channel(tshape: AlgebraShape, side: str) -> LinearMap:
     """tr_A or tr_B as a channel from a tensor shape onto the kept factor, with
-    Kraus operators 1⊗⟨b| (tr_B) or ⟨a|⊗1 (tr_A) on each block."""
+    Kraus operators 1⊗⟨b| (tr_B) or ⟨a|⊗1 (tr_A) on each block; built once
+    per shape and side, with a read-only matrix."""
     if tshape.factors is None:
         raise ShapeMismatchError("partial_trace_channel needs a tensor shape")
     if side not in ("A", "B"):

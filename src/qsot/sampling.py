@@ -153,18 +153,26 @@ def random_measure_prepare(source: AlgebraShape, target: AlgebraShape,
     return LinearMap(source, target, matrix)
 
 
-def random_decohering_channel(source: AlgebraShape, target: AlgebraShape,
-                              rng: np.random.Generator) -> LinearMap:
+def decohering_channel(source: AlgebraShape, target: AlgebraShape,
+                       weights: np.ndarray) -> LinearMap:
     """A channel that reads only the block diagonals: a classical channel
-    sandwiched between the dephasing map and a diagonal re-embedding.
+    sandwiched between the dephasing map and a diagonal re-embedding.  Row i
+    of ``weights`` (source.total_dim × target.total_dim, rows summing to 1)
+    is the output distribution of the i-th diagonal unit; weights with
+    leading axes give the stack of channels.
 
     Kills every off-diagonal matrix unit, so it commutes with any diagonal
     prior in the classical-limit sense.
     """
-    n_in, n_out = source.total_dim, target.total_dim
-    f = rng.dirichlet(np.ones(n_out), size=n_in).T  # columns sum to 1
     # the diagonal units are the entries where the trace row is 1
     rows, cols = np.flatnonzero(maps.trace_row(target)), np.flatnonzero(maps.trace_row(source))
-    matrix = np.zeros((target.vector_dim, source.vector_dim), dtype=complex)
-    matrix[np.ix_(rows, cols)] = f
-    return LinearMap(source, target, matrix)
+    matrix = np.zeros((*weights.shape[:-2], target.vector_dim, source.vector_dim), dtype=complex)
+    matrix[..., rows[:, None], cols] = weights.swapaxes(-1, -2)
+    return LinearMap._of(source, target, matrix)
+
+
+def random_decohering_channel(source: AlgebraShape, target: AlgebraShape,
+                              rng: np.random.Generator) -> LinearMap:
+    """``decohering_channel`` with Dirichlet-distributed output distributions."""
+    return decohering_channel(
+        source, target, rng.dirichlet(np.ones(target.total_dim), size=source.total_dim))

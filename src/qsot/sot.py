@@ -283,24 +283,74 @@ def reverse_orientation(family: SotFamily, e: LinearMap,
 
 # --------------------------------------------------------- classical-limit pairs
 def commutation_residual(e: LinearMap, rho: AlgebraElement) -> float:
-    """‖[D[E], ρ⊗1]‖ — zero exactly on classical-limit pairs."""
+    """‖[D[E], ρ⊗1]‖ — zero exactly on classical-limit pairs; one value per
+    pair of a stack."""
     lifted = alg.tensor(rho, alg.identity(e.target))
     return alg.commutator(maps.channel_state(e), lifted).norm()
 
 
-def _central_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
-    weights = rng.dirichlet(np.ones(len(shape.blocks)))
-    mats = [w / d * np.eye(d, dtype=complex) for w, d in zip(weights, shape.dims)]
-    return AlgebraElement._of(shape, mats)
+def _central_state(shape: AlgebraShape, weights: np.ndarray) -> AlgebraElement:
+    """⊕ w_x·1/d_x for block weights w (a stack for weights with leading axes)."""
+    return AlgebraElement._of(shape, ((weights[..., x] / d)[..., None, None]
+                                      * np.eye(d, dtype=complex)
+                                      for x, d in enumerate(shape.dims)))
 
 
-def _diagonal_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
-    return alg.diagonal_element(shape, rng.dirichlet(np.ones(shape.total_dim)))
+def _has_nondegenerate_spectrum(rho: AlgebraElement) -> np.ndarray:
+    """Per state of a stack: a simple, strictly positive spectrum."""
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in rho.data], axis=-1), axis=-1)
+    return np.all(np.diff(vals, axis=-1) > SPECTRAL_GAP, axis=-1) & (vals[..., 0] > SPECTRAL_GAP)
 
 
-def _has_nondegenerate_spectrum(rho: AlgebraElement) -> bool:
-    vals = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in rho.data]))
-    return bool(np.all(np.diff(vals) > SPECTRAL_GAP)) and vals[0] > SPECTRAL_GAP
+def draw_classical_limit(shape_a: AlgebraShape, shape_b: AlgebraShape,
+                         rng: np.random.Generator, index: int,
+                         nondegenerate_prior: bool = False
+                         ) -> tuple[str, tuple[np.ndarray, ...]]:
+    """The construction ``index`` picks, modulo the constructions that apply
+    (see ``classical_limit_pair``), and its raw draws from ``rng``: the
+    channel's, then the prior's."""
+    kinds = ["replacement", "decohering"]
+    if not nondegenerate_prior or max(shape_a.dims) == 1:
+        kinds.append("central")
+    if all(d == 1 for d in shape_a.dims + shape_b.dims):
+        kinds.append("any")
+    kind = kinds[index % len(kinds)]
+    if kind == "replacement":
+        return kind, (*sampling.draw_state(shape_b, rng), *sampling.draw_state(shape_a, rng))
+    if kind == "decohering":
+        return kind, (rng.dirichlet(np.ones(shape_b.total_dim), size=shape_a.total_dim),
+                      rng.dirichlet(np.ones(shape_a.total_dim)))
+    channel = sampling.draw_cptp(shape_a, shape_b, rng)
+    if kind == "central":
+        return kind, (*channel, rng.dirichlet(np.ones(len(shape_a.blocks))))
+    return kind, (*channel, *sampling.draw_state(shape_a, rng))
+
+
+def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,
+                     draws: tuple[np.ndarray, ...], nondegenerate_prior: bool = False
+                     ) -> tuple[LinearMap, AlgebraElement, list[InapplicableError | None]]:
+    """The pairs (E, ρ) of one construction from ``draw_classical_limit``'s
+    draws stacked along a first axis: the stack of channels, the stack of
+    priors, and for each pair the InapplicableError that refuses it (the
+    prior filter, then the ``COMM_TOL`` check), or None."""
+    if kind == "replacement":
+        k = len(shape_b.dims)
+        e = maps.replace_channel(sampling.state(shape_b, draws[:k]), shape_a)
+        rho = sampling.state(shape_a, draws[k:])
+    elif kind == "decohering":
+        e = sampling.decohering_channel(shape_a, shape_b, draws[0])
+        rho = alg.diagonal_element(shape_a, draws[1])
+    else:
+        k = len(shape_a.dims)
+        e = sampling.cptp(shape_a, shape_b, draws[:k])
+        rho = (_central_state(shape_a, draws[k]) if kind == "central"
+               else sampling.state(shape_a, draws[k:]))
+    noncommuting = commutation_residual(e, rho) > COMM_TOL
+    degenerate = (~_has_nondegenerate_spectrum(rho) if nondegenerate_prior
+                  else np.zeros_like(noncommuting))
+    return e, rho, [InapplicableError("the drawn prior has a degenerate spectrum") if d
+                    else InapplicableError("the drawn pair is not a classical-limit pair") if c
+                    else None for d, c in zip(degenerate, noncommuting)]
 
 
 def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
@@ -317,26 +367,12 @@ def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
     algebras are commutative.  With ``nondegenerate_prior`` the prior must
     have a simple, strictly positive spectrum, and (c) applies only when the
     source blocks are one-dimensional.  A pair that fails that filter or the
-    ``COMM_TOL`` check raises InapplicableError.
+    ``COMM_TOL`` check raises InapplicableError.  This is the one-pair case
+    of ``draw_classical_limit`` and ``classical_limits``.
     """
-    kinds = ["replacement", "decohering"]
-    if not nondegenerate_prior or max(shape_a.dims) == 1:
-        kinds.append("central")
-    if all(d == 1 for d in shape_a.dims + shape_b.dims):
-        kinds.append("any")
-    kind = kinds[index % len(kinds)]
-    if kind == "replacement":
-        e = maps.replace_channel(sampling.random_state(shape_b, rng), shape_a)
-        rho = sampling.random_state(shape_a, rng)
-    elif kind == "decohering":
-        e = sampling.random_decohering_channel(shape_a, shape_b, rng)
-        rho = _diagonal_state(shape_a, rng)
-    else:
-        e = sampling.random_cptp(shape_a, shape_b, rng)
-        rho = (_central_state(shape_a, rng) if kind == "central"
-               else sampling.random_state(shape_a, rng))
-    if nondegenerate_prior and not _has_nondegenerate_spectrum(rho):
-        raise InapplicableError("the drawn prior has a degenerate spectrum")
-    if commutation_residual(e, rho) > COMM_TOL:
-        raise InapplicableError("the drawn pair is not a classical-limit pair")
-    return e, rho
+    kind, draws = draw_classical_limit(shape_a, shape_b, rng, index, nondegenerate_prior)
+    e, rho, [refusal] = classical_limits(shape_a, shape_b, kind,
+                                         tuple(d[None] for d in draws), nondegenerate_prior)
+    if refusal is not None:
+        raise refusal
+    return maps.unstack(e)[0], alg.unstack(rho)[0]

@@ -6,10 +6,12 @@ matrix blocks or on the dense embedding of a multi-block element (each block
 placed at its Hilbert-space indices, found from labels rather than from the
 library's tensor bookkeeping), so any agreement with the library is a
 genuine cross-check.
-``dense_generic_bayes`` and ``sequential_certify`` are the exceptions: the
-probe-loop generic Bayes solver the structured ``bayes.generic_bayes``
-replaced, and the one-trial-at-a-time certification loop the chunked
-``axioms.certify`` replaced, each kept as its reference.
+``dense_generic_bayes``, ``sequential_certify`` and ``full_product_extremum``
+are the exceptions: the probe-loop generic Bayes solver the structured
+``bayes.generic_bayes`` replaced, the one-trial-at-a-time certification loop
+the chunked ``axioms.certify`` replaced, and the product-vector search that
+runs eight rounds over every start whatever the factor dimensions, each kept
+as its reference.
 """
 import zlib
 from dataclasses import dataclass
@@ -339,3 +341,27 @@ def sequential_certify(family: sot.SotFamily, prop: str,
                                   max_residual=max_residual,
                                   violation=value if failed else None,
                                   counterexample=witness if failed else None, note=note)
+
+
+def full_product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
+                          mode: str) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Reference for ``axioms._product_extremum``: eight rounds of
+    alternating eigensolves from every start, for every factor dimension."""
+    jobs, starts, m = a.shape
+    n = b.shape[2]
+    t4 = blocks.reshape(jobs, m, n, m, n)
+    rows, cols = np.arange(jobs)[:, None], np.arange(starts)
+
+    def eigvec(q: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh((q + q.conj().transpose(0, 1, 3, 2)) / 2)
+        idx = (np.argmax(np.abs(w), axis=2) if mode == "absmax"
+               else np.zeros((jobs, starts), dtype=int))
+        return v[rows, cols, :, idx]
+
+    for _ in range(8):
+        b = eigvec(np.einsum("rsi,rikjl,rsj->rskl", a.conj(), t4, a))
+        a = eigvec(np.einsum("rsk,rikjl,rsl->rsij", b.conj(), t4, b))
+    vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
+    pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
+    best = (rows[:, 0], pick)
+    return vals[best].tolist(), a[best], b[best]

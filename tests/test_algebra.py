@@ -355,6 +355,16 @@ def test_assert_state_accepts_states_and_rejects_others(rng):
         alg.assert_state(alg.identity(shape))  # trace 2
 
 
+def test_assert_state_on_a_stack_quotes_its_first_bad_member(rng):
+    shape = alg.matrix_algebra(2)
+    good = sampling.random_state(shape, rng)
+    assert alg.assert_state(alg.stack([good, good])).data[0].shape == (2, 2, 2)
+    with pytest.raises(NotAStateError, match=r"trace 2\.000000\+0\.000000j != 1"):
+        alg.assert_state(alg.stack([good, alg.identity(shape), 3.0 * good]))
+    with pytest.raises(NotAStateError, match=r"eigenvalue -5\.000e-01 < 0"):
+        alg.assert_state(alg.diagonal_element(shape, [[0.5, 0.5], [1.5, -0.5]]))
+
+
 # ------------------------------------------------------------ property tests
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))

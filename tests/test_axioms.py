@@ -14,7 +14,7 @@ from qsot.maps import LinearMap
 from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
                          UnsupportedFamilyError)
 
-from conftest import rng_for, sequential_certify
+from conftest import full_product_extremum, rng_for, sequential_certify
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
 
@@ -254,10 +254,16 @@ def test_the_ascent_sharpens_an_ambiguous_candidate(monkeypatch):
 
 
 def test_each_p7_trial_draws_and_checks_one_pair(monkeypatch):
+    """The pairs of a chunk's construction are checked as one stack: each
+    trial's pair is one member of one call."""
     checks = []
     residual = sot.commutation_residual
-    monkeypatch.setattr(sot, "commutation_residual",
-                        lambda *args: checks.append(args) or residual(*args))
+
+    def counted(e, rho):
+        values = residual(e, rho)
+        checks.extend(np.atleast_1d(values))
+        return values
+    monkeypatch.setattr(sot, "commutation_residual", counted)
     report = axioms.table_report(FAST, properties=("P7",))
     evaluated = sum(row["P7"].trials for row in report.verdicts.values())
     assert len(checks) == evaluated
@@ -295,6 +301,34 @@ def test_stacked_search_equals_singleton_searches():
     # right bloom's T is not hermitian, so the non-real-pairing search ran
     assert kinds == {"non-real pairing", "negative pairing"}
     assert axioms.block_positivity_violation([], 20, []) == []
+
+
+@pytest.mark.parametrize("mode", ["min", "absmax"])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)])
+def test_a_search_with_a_one_dimensional_factor_equals_the_full_search(m, n, mode):
+    """Two rounds from the first start give the values and vectors of eight
+    rounds from every start, bit for bit."""
+    rng = rng_for("one-dimensional-factor", 10 * m + n)
+    g = rng.normal(size=(9, m * n, m * n)) + 1j * rng.normal(size=(9, m * n, m * n))
+    blocks = (g + g.conj().swapaxes(1, 2)) / 2
+    a, b = map(np.stack, zip(*(axioms._unit_starts(rng, 20, m, n) for _ in blocks)))
+    values, vectors_a, vectors_b = axioms._product_extremum(blocks, a, b, mode)
+    want_values, want_a, want_b = full_product_extremum(blocks, a, b, mode)
+    assert values == want_values
+    assert np.array_equal(vectors_a, want_a) and np.array_equal(vectors_b, want_b)
+
+
+def test_p2_at_dims_2_3_equals_the_sequential_full_search(monkeypatch):
+    """Blocky shapes at dims (2, 3) have factor blocks of dimension 1 on
+    both sides; the P2 cells equal the trial-by-trial reference run with
+    the eight-round search over every start."""
+    config = axioms.CertifyConfig(trials=30, seed=5, dims=(2, 3))
+    verdicts = {tag: axioms.certify(family, "P2", config)
+                for tag, family in sot.TABLE_FAMILIES.items()}
+    monkeypatch.setattr(axioms, "_product_extremum", full_product_extremum)
+    for tag, family in sot.TABLE_FAMILIES.items():
+        assert without_new_keys(verdicts[tag].to_json()) == without_new_keys(
+            sequential_certify(family, "P2", config).to_json()), tag
 
 
 # ---------------------------------------------- chunks against the reference
@@ -477,6 +511,70 @@ def test_a_draw_that_raises_is_its_trials_outcome_alone(monkeypatch):
     assert verdict.status == "holds-restricted"
     assert verdict.trials == 199 and verdict.skipped == {"InapplicableError": 1}
     assert alone == []
+
+
+def drawn_alone(family, prop, trial, config, rng) -> dict:
+    """The maps and states of one P7 or A trial from the per-trial samplers."""
+    if prop == "P7":
+        shape_a, shape_b = axioms._shapes(family, trial, config.dims)
+        e, rho = sot.classical_limit_pair(shape_a, shape_b, rng, trial // 2,
+                                          nondegenerate_prior=family.compound)
+        return {"e": e, "rho": rho}
+    a, b, c = (alg.matrix_algebra(d, label) for d, label in zip(
+        (config.dims[0], config.dims[1], config.dims[1]), "abc"))
+    e = (sampling.random_cptp(a, b, rng) if family.state_linear
+         else sampling.random_measure_prepare(a, b, config.dims[0] ** 2, rng))
+    return {"e": e, "f": sampling.random_cptp(b, c, rng), "rho": sampling.random_state(a, rng)}
+
+
+@pytest.mark.parametrize("prop", ["P7", "A"])
+@pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
+def test_stacked_p7_and_a_draws_equal_the_per_trial_samplers(tag, prop):
+    """Twelve trials give stacks of at least two per group key, over both
+    shape parities and every classical-limit construction that applies;
+    each finished member equals the trial drawn alone (==)."""
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
+    cell = axioms._cell_index(tag, prop)
+    groups = {}
+    for trial in range(config.trials):
+        key, raw = axioms._draw(family, prop, trial, config,
+                                np.random.default_rng([config.seed, cell, trial]))
+        groups.setdefault(key, []).append((trial, raw))
+    for key, members in groups.items():
+        instance, refusals = axioms._finish([raw for _, raw in members], key)
+        assert len(members) >= 2 and refusals == [None] * len(members)
+        for (trial, _), member in zip(members, axioms._unstack(instance)):
+            want = drawn_alone(family, prop, trial, config,
+                               np.random.default_rng([config.seed, cell, trial]))
+            assert list(member) == list(want)
+            for name, value in want.items():
+                assert_same(member[name], value)
+    if prop == "P7":
+        kinds = {"replacement", "decohering"} | (set() if family.compound else {"central"})
+        shapes = {(a.dims, b.dims) for a, b, *_ in groups}
+        assert {key[2] for key in groups} == kinds and len(shapes) == 2
+
+
+def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
+    """At seed 0 Ohya's prior filter refuses trial 13, which shares its
+    stack in chunk [7..14] with trial 9; trial 13 alone is skipped."""
+    family, config = sot.OhyaCompound(), axioms.CertifyConfig(trials=16, seed=0)
+    cell = axioms._cell_index(family.tag, "P7")
+    trials = range(7, 15)
+    keys = [[config.seed, cell, trial] for trial in trials]
+    outcomes = dict(zip(trials, axioms._chunk(family, "P7", trials, config, keys)))
+    assert isinstance(outcomes[13], InapplicableError)
+    assert "degenerate" in str(outcomes[13])
+    with pytest.raises(InapplicableError, match="degenerate"):
+        drawn_alone(family, "P7", 13, config, np.random.default_rng(keys[13 - 7]))
+    for trial, key in zip(trials, keys):
+        if trial != 13:
+            _, data = outcomes[trial]
+            for name, value in drawn_alone(family, "P7", trial, config,
+                                           np.random.default_rng(key)).items():
+                assert_same(data[name], value)
+    verdict = axioms.certify(family, "P7", config)
+    assert verdict.trials == 15 and verdict.skipped == {"InapplicableError": 1}
 
 
 @pytest.mark.parametrize("props", [("P6", "M", "P1"), ("M",)])

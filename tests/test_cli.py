@@ -276,6 +276,23 @@ def test_an_unwritable_output_is_a_validation_error(command, fixtures, capsys):
         io.dump({}, out)
 
 
+def test_certify_table_goes_to_the_output_file(fixtures, capsys):
+    """Without --format json, -o FILE receives the text table and its notes."""
+    args = ["certify", "--families", "ohya", "--properties", "P1,P7", "--trials", "3"]
+    assert run(args) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert "note [ohya P7]" in printed
+    out = fixtures["dir"] / "table.txt"
+    assert run(args + ["-o", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    missing = str(fixtures["dir"] / "missing" / "table.txt")
+    assert run(args + ["-o", missing]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write {missing}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # ------------------------------------------------------------------ schemas
 def test_outputs_validate_against_shipped_schemas_by_id(fixtures, capsys):
     """Every shipped schema is registered under its own $id, so the $refs

@@ -466,6 +466,41 @@ def test_per_shape_constants_are_built_once_and_read_only(shape):
         [0] + [d * d for d in shape.dims[:-1]]))
 
 
+def test_partial_trace_channel_is_built_once_per_shape_and_side(monkeypatch):
+    tshape = SHAPE_A.tensor(SHAPE_C)
+    twin = AlgebraShape(tshape.blocks, tshape.factors)  # equal, not the same object
+    maps.partial_trace_channel.cache_clear()
+    built = []
+    from_kraus = maps.from_kraus
+    monkeypatch.setattr(maps, "from_kraus", lambda *args: built.append(args) or from_kraus(*args))
+    for side in ("A", "B"):
+        kept = maps.partial_trace_channel(tshape, side)
+        assert maps.partial_trace_channel(tshape, side) is kept
+        assert maps.partial_trace_channel(twin, side) is kept
+        assert not kept.matrix.flags.writeable
+        fresh = maps.partial_trace_channel.__wrapped__(twin, side)
+        assert np.array_equal(kept.matrix, fresh.matrix)
+    assert len(built) == 4  # one cached and one fresh build per side
+
+
+def test_stacked_classical_limit_constructors_equal_their_members(rng):
+    """replace_channel, decohering_channel and diagonal_element on a stack
+    equal the same calls on each member, bit for bit."""
+    sigmas = [sampling.random_state(SHAPE_C, rng) for _ in range(3)]
+    for got, sigma in zip(maps.unstack(maps.replace_channel(alg.stack(sigmas), SHAPE_A)), sigmas):
+        assert np.array_equal(got.matrix, maps.replace_channel(sigma, SHAPE_A).matrix)
+    weights = rng.dirichlet(np.ones(3), size=(3, 5))
+    stacked = sampling.decohering_channel(SHAPE_A, SHAPE_C, weights)
+    for got, w in zip(maps.unstack(stacked), weights):
+        assert np.array_equal(got.matrix, sampling.decohering_channel(SHAPE_A, SHAPE_C, w).matrix)
+    values = rng.dirichlet(np.ones(5), size=3)
+    for got, v in zip(alg.unstack(alg.diagonal_element(SHAPE_A, values)), values):
+        assert all(np.array_equal(g, w) for g, w in
+                   zip(got.data, alg.diagonal_element(SHAPE_A, v).data))
+    with pytest.raises(ShapeMismatchError):
+        alg.diagonal_element(SHAPE_A, values[:, :4])
+
+
 def test_stacked_maps_equal_their_members(rng):
     """from_kraus, channel_state, tp_defect and the sampling steps on a
     stack equal the same calls on each member, bit for bit."""

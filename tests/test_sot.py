@@ -8,7 +8,7 @@ from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.errors import (ConstraintError, ExtensionError,
                          UnsupportedFamilyError)
 
-from conftest import dense_channel_state, random_traceless_direction
+from conftest import dense_channel_state, random_traceless_direction, rng_for
 
 ATOL = 1e-10
 
@@ -310,3 +310,31 @@ def test_classical_limit_pair_cycles_through_the_applicable_constructions(
         shape_a, shape_b, rng, index, nondegenerate_prior=nondegenerate_prior))
         for index in range(6)]
     assert drawn == [kinds[i % len(kinds)] for i in range(6)]
+
+
+def pair_from_samplers(shape_a, shape_b, rng, kind):
+    """A classical-limit construction from the finished samplers, drawn from
+    ``rng`` in the order ``classical_limit_pair`` draws."""
+    if kind == "replacement":
+        e = maps.replace_channel(sampling.random_state(shape_b, rng), shape_a)
+        return e, sampling.random_state(shape_a, rng)
+    if kind == "decohering":
+        e = sampling.random_decohering_channel(shape_a, shape_b, rng)
+        return e, alg.diagonal_element(shape_a, rng.dirichlet(np.ones(shape_a.total_dim)))
+    e = sampling.random_cptp(shape_a, shape_b, rng)
+    weights = rng.dirichlet(np.ones(len(shape_a.blocks)))
+    return e, AlgebraElement(shape_a, tuple(w / d * np.eye(d, dtype=complex)
+                                            for w, d in zip(weights, shape_a.dims)))
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    (alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")),
+    (AlgebraShape([("a0", 2), ("a1", 1)]), AlgebraShape([("b0", 2), ("b1", 1)]))])
+def test_classical_limit_pair_equals_the_finished_samplers(shape_a, shape_b):
+    kinds = ["replacement", "decohering", "central"]
+    for index in range(6):
+        e, rho = sot.classical_limit_pair(shape_a, shape_b, rng_for("limit", index), index)
+        want_e, want_rho = pair_from_samplers(shape_a, shape_b, rng_for("limit", index),
+                                              kinds[index % 3])
+        assert np.array_equal(e.matrix, want_e.matrix)
+        assert all(np.array_equal(g, w) for g, w in zip(rho.data, want_rho.data))
