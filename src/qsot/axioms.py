@@ -428,9 +428,10 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
 
     Each trial draws from its own generator; a draw that raises is that
     trial's outcome.  The trials of one group key are then finished as one
-    stack, a refused trial's refusal is its outcome, and the others are
-    evaluated as one stack.  If that raises, each of them is evaluated
-    alone, so every trial gets the outcome it has alone, exception included.
+    stack, and a refused trial's refusal is its outcome.  The other trials
+    of one shape pair (for P7, of every construction) are evaluated as one
+    stack.  If that raises, each of them is evaluated alone, so every trial
+    gets the outcome it has alone, exception included.
     """
     outcomes: list = [None] * len(keys)
     groups: dict[tuple, list[tuple[int, dict]]] = {}
@@ -441,24 +442,31 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
             outcomes[index] = exc
             continue
         groups.setdefault(group, []).append((index, raw))
+    stacks: dict[tuple, list[tuple[list[int], dict]]] = {}
     for group, members in groups.items():
         instance, refusals = _finish([raw for _, raw in members], group)
+        indices = [index for index, _ in members]
         if any(refusals):
-            for (index, _), refusal in zip(members, refusals):
+            for index, refusal in zip(indices, refusals):
                 outcomes[index] = refusal
             kept = [k for k, refusal in enumerate(refusals) if refusal is None]
             if not kept:
                 continue
             trial_instances = _unstack(instance)
             instance = _finish([trial_instances[k] for k in kept])[0]
-            members = [members[k] for k in kept]
+            indices = [indices[k] for k in kept]
+        stacks.setdefault(group[:2], []).append((indices, instance))
+    for parts in stacks.values():
+        indices = [index for part, _ in parts for index in part]
+        instance = (parts[0][1] if len(parts) == 1 else
+                    _finish([trial for _, part in parts for trial in _unstack(part)])[0])
         try:
             found = _violations(family, prop, instance, config)
         except Exception:  # some trial raises: find which, one by one
-            for index, _ in members:
+            for index in indices:
                 outcomes[index] = _alone(family, prop, trials[index], config, keys[index])
             continue
-        for (index, _), trial_instance, (value, extra) in zip(members, _unstack(instance), found):
+        for index, trial_instance, (value, extra) in zip(indices, _unstack(instance), found):
             outcomes[index] = value, {**trial_instance, **extra}
     return outcomes
 

@@ -7,7 +7,6 @@ failure (singularities, faithfulness, verification misses), 5 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -73,7 +72,7 @@ def _emit(doc: dict, out_file: str | None) -> None:
     if out_file:
         io.dump(doc, out_file)
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        io.write_json(doc, sys.stdout)
 
 
 # ------------------------------------------------------------------ commands

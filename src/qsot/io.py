@@ -7,13 +7,22 @@ object without the in-memory tensor factorization).  Superoperator matrices
 are indexed by matrix units ordered lexicographically by (block label, row,
 column), row-major within each block — identical to the in-memory ordering,
 so matrices ship verbatim.  Every document carries ``schema_version``.
+
+Matrices convert as wholes: ``serialize_matrix`` reads the real and imaginary
+planes out with ``tolist``, ``parse_matrix`` turns a matrix of float pairs
+into one float64 array viewed as complex, and ``write_json`` streams a
+document with the bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)``,
+writing each matrix row from its floats' reprs.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from contextlib import contextmanager
 from importlib import resources
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator, TextIO
 
 import numpy as np
@@ -31,10 +40,15 @@ def serialize_complex(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _is_number(v: Any) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def parse_complex(v: Any) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
         return complex(v[0], v[1])
     raise ParseError(f"expected a number or an [re, im] pair, got {v!r}")
 
@@ -43,14 +57,25 @@ def parse_real(v: Any, what: str, listed: bool = False) -> float | list[float]:
     """A JSON number as a float, or with ``listed`` a JSON list of them."""
     if listed and isinstance(v, list):
         return [parse_real(x, what) for x in v]
-    if listed or isinstance(v, bool) or not isinstance(v, (int, float)):
+    if listed or not _is_number(v):
         raise ParseError(f"{what} must be {'a list of numbers' if listed else 'a number'}, "
                          f"got {v!r}")
     return float(v)
 
 
 def serialize_matrix(m: np.ndarray) -> list:
-    return [[serialize_complex(z) for z in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=complex)
+    return [list(map(list, zip(re, im))) for re, im in zip(m.real.tolist(), m.imag.tolist())]
+
+
+def _float_pairs(rows: list) -> list[float] | None:
+    """The floats of a list of rows of [float, float] pairs in row-major
+    order, or None if any entry is not such a pair."""
+    entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    floats = list(chain.from_iterable(entries))
+    return floats if set(map(type, floats)) == {float} else None
 
 
 def parse_matrix(rows: Any) -> np.ndarray:
@@ -59,6 +84,9 @@ def parse_matrix(rows: Any) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix rows have inconsistent lengths")
+    floats = _float_pairs(rows)
+    if floats is not None:  # one conversion; the view keeps the sign of a zero
+        return np.array(floats, dtype=np.float64).view(complex).reshape(len(rows), width)
     return np.array([[parse_complex(v) for v in row] for row in rows], dtype=complex)
 
 
@@ -227,10 +255,112 @@ def _writing(path: str) -> Iterator[TextIO]:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+# --------------------------------------------------------------------- writer
+def _is_matrix(rows: list) -> bool:
+    """Whether ``rows`` is a non-empty list of equal-length, non-empty lists
+    of [float, float] pairs."""
+    return (bool(rows) and set(map(type, rows)) == {list}
+            and set(map(len, rows)) == {len(rows[0])} and _float_pairs(rows) is not None)
+
+
+def _plain(value: Any, matrices: set[int], path: set[int]) -> bool:
+    """Whether ``value`` holds only what ``json`` writes with no ``default``
+    and str keys: dicts, lists, tuples, str, int, float, bool and None, with
+    no container inside itself.  Adds the id of each matrix to ``matrices``."""
+    if value is None or isinstance(value, (str, int, float)):
+        return True
+    if not isinstance(value, (list, tuple, dict)) or id(value) in path:
+        return False
+    if type(value) is list and _is_matrix(value):
+        matrices.add(id(value))
+        return True
+    path.add(id(value))
+    if isinstance(value, dict):
+        plain = (all(isinstance(key, str) for key in value)
+                 and all(_plain(item, matrices, path) for item in value.values()))
+    else:
+        plain = all(_plain(item, matrices, path) for item in value)
+    path.discard(id(value))
+    return plain
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it: NaN and ±Infinity for the non-finite."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _matrix_chunks(rows: list, newline: str) -> Iterator[str]:
+    """A matrix as ``_chunks`` writes it, one chunk per row, each from its
+    floats' reprs set into one precomputed row template."""
+    row_line, pair_line, float_line = newline + "  ", newline + "    ", newline + "      "
+    pair = f"{pair_line}[{float_line}%s,{float_line}%s{pair_line}]"
+    row = "[" + ",".join([pair] * len(rows[0])) + row_line + "]"
+    for k, entries in enumerate(rows):
+        floats = tuple(chain.from_iterable(entries))
+        text = row % tuple(map(float.__repr__, floats))
+        if "n" in text:  # a nan or an inf, which JSON writes as NaN and ±Infinity
+            text = row % tuple(map(_float_text, floats))
+        yield ("[" if k == 0 else ",") + row_line + text
+    yield newline + "]"
+
+
+def _chunks(value: Any, newline: str, matrices: set[int]) -> Iterator[str]:
+    """``value`` as ``json`` writes it with indent=2 and sorted keys, where
+    ``newline`` is the line break and indentation of the line it starts on.
+    ``matrices`` holds the ids of the lists to write as matrices."""
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None:
+        yield "null"
+    elif value is True:
+        yield "true"
+    elif value is False:
+        yield "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, float):
+        yield _float_text(value)
+    elif not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+    elif id(value) in matrices:
+        yield from _matrix_chunks(value, newline)
+    else:
+        inner = newline + "  "
+        if isinstance(value, dict):
+            opening, closing = "{", "}"
+            items = [(encode_basestring_ascii(key) + ": ", item)
+                     for key, item in sorted(value.items())]
+        else:
+            opening, closing = "[", "]"
+            items = [("", item) for item in value]
+        for k, (key, item) in enumerate(items):
+            yield ("," if k else opening) + inner + key
+            yield from _chunks(item, inner, matrices)
+        yield newline + closing
+
+
+def write_json(doc: Any, fh: TextIO) -> None:
+    """Write ``doc`` and a newline to ``fh``, the bytes of
+    ``json.dump(doc, fh, indent=2, sort_keys=True)`` then ``"\n"``, streamed
+    chunk by chunk.  A document holding anything else than dicts with str
+    keys, lists, tuples, str, int, float, bool and None goes to ``json.dump``
+    whole, which writes it or raises as it does."""
+    matrices: set[int] = set()
+    if _plain(doc, matrices, set()):
+        for chunk in _chunks(doc, "\n", matrices):
+            fh.write(chunk)
+    else:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def dump(doc: dict, path: str) -> None:
     with _writing(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(doc, fh)
 
 
 def write_text(text: str, path: str) -> None:

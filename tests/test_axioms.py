@@ -577,6 +577,30 @@ def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
     assert verdict.trials == 15 and verdict.skipped == {"InapplicableError": 1}
 
 
+@pytest.mark.parametrize("tag", ["uncorrelated", "ohya"])
+def test_a_p7_chunk_evaluates_one_stack_per_shape_pair(tag, monkeypatch):
+    """Chunk [7..14] holds every construction on both shape parities; the
+    finished pairs of one shape pair are evaluated together, and each trial
+    keeps the violation it has alone."""
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=16, seed=0)
+    cell = axioms._cell_index(tag, "P7")
+    trials = range(7, 15)
+    keys = [[config.seed, cell, trial] for trial in trials]
+    stacks = []
+    violations = axioms._violations
+    monkeypatch.setattr(axioms, "_violations", lambda family, prop, instance, config: (
+        stacks.append(instance["e"].matrix.shape[0]) or violations(family, prop, instance,
+                                                                   config)))
+    outcomes = axioms._chunk(family, "P7", trials, config, keys)
+    evaluated = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
+    assert len(stacks) == 2 and sum(stacks) == len(evaluated)
+    for trial, key, outcome in zip(trials, keys, outcomes):
+        if not isinstance(outcome, Exception):
+            instance = axioms._sample_for(family, "P7", trial, config,
+                                          np.random.default_rng(key))
+            assert outcome[0] == axioms._violation(family, "P7", instance, config)[0]
+
+
 @pytest.mark.parametrize("props", [("P6", "M", "P1"), ("M",)])
 def test_table_text_renders_every_property_in_row_order(props):
     families = {tag: sot.TABLE_FAMILIES[tag] for tag in ("uncorrelated", "ohya")}

@@ -119,6 +119,32 @@ def test_output_files_are_written_by_io_dump(fixtures, monkeypatch, capsys):
     assert written == [("sot_result", out)]
 
 
+def test_a_boolean_matrix_entry_is_a_parse_error(fixtures, tmp_path, capsys):
+    doc = io.serialize_element(fixtures["rho"], kind="state")
+    doc["blocks"]["a"][1][1] = [True, False]
+    bad = tmp_path / "bool_state.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["sot", "--family", "leifer-spekkens", fixtures["channel"], str(bad)])
+    assert code == cli.EXIT_PARSE
+    assert "expected a number or an [re, im] pair, got [True, False]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["sot", "--family", "leifer-spekkens"], ["bayes", "--family", "right-bloom", "--verify"],
+    ["certify", "--families", "uncorrelated,leifer-spekkens", "--properties", "P1,P7",
+     "--trials", "8", "--format", "json"]], ids=["sot", "bayes", "certify"])
+def test_stdout_and_the_output_file_get_the_same_bytes(command, fixtures, capsys):
+    inputs = [] if command[0] == "certify" else [fixtures["channel"], fixtures["state"]]
+    assert run([*command, *inputs]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    out = fixtures["dir"] / "out.json"
+    assert run([*command, *inputs, *(["-o"] if command[0] == "certify" else []),
+                str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+    assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
+
+
 def test_sot_wrong_document_kind_is_validation(fixtures, capsys):
     code = run(["sot", "--family", "leifer-spekkens",
                 fixtures["state"], fixtures["state"]])

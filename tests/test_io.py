@@ -1,12 +1,14 @@
 """JSON document round-trips, wire-format conventions, schema validation,
 and parse/validation error classification."""
 import copy
+import io as stdio
 import json
 import pickle
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsot import algebra as alg, axioms, bayes, io, maps, sampling, sot
 from qsot.algebra import AlgebraShape
@@ -73,6 +75,17 @@ def test_parse_real_accepts_numbers_only():
             io.parse_real(value, "x", listed=listed)
 
 
+@pytest.mark.parametrize("value", [True, False, [True, False], [1.0, True], [False, 0.5]])
+def test_booleans_are_not_numbers(value):
+    with pytest.raises(ParseError, match="expected a number or an"):
+        io.parse_complex(value)
+    with pytest.raises(ParseError, match="expected a number or an"):
+        io.parse_matrix([[value]])
+    # a float matrix with one boolean leaf leaves the one-conversion path too
+    with pytest.raises(ParseError, match="expected a number or an"):
+        io.parse_matrix([[[0.5, 0.0], value if isinstance(value, list) else [value, 0.0]]])
+
+
 def test_matrix_roundtrip_and_shape_errors(rng):
     m = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     np.testing.assert_allclose(io.parse_matrix(io.serialize_matrix(m)), m)
@@ -80,6 +93,147 @@ def test_matrix_roundtrip_and_shape_errors(rng):
         io.parse_matrix([[1.0, 2.0], [3.0]])
     with pytest.raises(ParseError):
         io.parse_matrix([])
+
+
+def test_matrix_serialization_keeps_every_float(rng):
+    m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    m[0, 0], m[1, 1], m[2, 2] = complex(-0.0, 5e-324), complex(np.nan, np.inf), -0.0
+    want = [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in m]
+    got = io.serialize_matrix(m)
+    assert json.dumps(got) == json.dumps(want)
+    assert all(type(x) is float for row in got for pair in row for x in pair)
+    back = io.parse_matrix(got)
+    assert np.array_equal(back.view(float), m.view(float), equal_nan=True)
+    assert json.dumps(io.serialize_matrix(np.eye(2))) == json.dumps(
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+
+
+def _per_entry(rows):
+    """The entry-by-entry reading parse_matrix falls back to."""
+    return np.array([[io.parse_complex(v) for v in row] for row in rows], dtype=complex)
+
+
+def _parsed(parse, rows):
+    try:
+        return parse(rows)
+    except ParseError as exc:
+        return str(exc)
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                  float("nan"), float("inf"), float("-inf")])
+FLOATS = st.floats() | SPECIAL_FLOATS
+# leaves a JSON document can hold, booleans and strings included
+LEAVES = (FLOATS | st.integers(-2 ** 60, 2 ** 60) | st.booleans() | st.none()
+          | st.text(max_size=2))
+
+
+def _grids(entries):
+    """Lists of equal-length rows of ``entries``."""
+    return st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(entries, min_size=width, max_size=width),
+                               min_size=1, max_size=4))
+
+
+FLOAT_MATRICES = _grids(st.lists(FLOATS, min_size=2, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_MATRICES | _grids(st.lists(FLOATS | LEAVES, min_size=2, max_size=2))
+       | _grids(LEAVES | st.lists(LEAVES, max_size=3)))
+def test_parse_matrix_in_one_conversion_equals_the_per_entry_reading(rows):
+    got, want = _parsed(io.parse_matrix, rows), _parsed(_per_entry, rows)
+    if isinstance(want, str):
+        assert got == want
+    else:  # signed zeros and NaNs compared bit for bit through the float view
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+@given(FLOAT_MATRICES)
+def test_float_matrices_take_the_one_conversion_path(rows):
+    assert io._float_pairs(rows) is not None
+
+
+# --------------------------------------------------------------- the writer
+def _written(doc) -> str:
+    out = stdio.StringIO()
+    io.write_json(doc, out)
+    return out.getvalue()
+
+
+def _json_outcome(write, doc):
+    """What ``write`` leaves in a buffer, or the exception it raises."""
+    out = stdio.StringIO()
+    try:
+        write(doc, out)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc), out.getvalue()
+    return out.getvalue()
+
+
+def _json_dump(doc, out):
+    json.dump(doc, out, indent=2, sort_keys=True)
+    out.write("\n")
+
+
+NEAR_MATRICES = (_grids(st.lists(FLOATS | st.integers(-5, 5), min_size=2, max_size=2))
+                 | st.lists(st.lists(st.lists(FLOATS, min_size=2, max_size=2),
+                                     max_size=3), min_size=1, max_size=3)
+                 | _grids(st.lists(FLOATS, min_size=1, max_size=3)))
+SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS | FLOATS.map(np.float64)
+           | st.text())
+DOCUMENTS = st.recursive(
+    SCALARS | FLOAT_MATRICES | NEAR_MATRICES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_the_writer_writes_the_bytes_of_json_dump(doc):
+    assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_writer_on_documents_the_library_writes(rng):
+    e = sampling.random_cptp(AlgebraShape([("a", 2), ("x", 1)]), alg.matrix_algebra(2, "b"), rng)
+    x = sampling.random_hermitian(e.source.tensor(e.target), rng)
+    for doc in (io.serialize_map(e), io.serialize_element(x), io.serialize_family(sot.RSFamily(0.3, 0.7)),
+                {"kind": "certify_report", "cells": [{"value": -0.0, "status": "holds"}] * 2}):
+        assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_writer_streams_a_matrix_row_by_row(rng):
+    chunks = []
+
+    class Sink:
+        write = chunks.append
+
+    doc = {"matrix": io.serialize_matrix(rng.normal(size=(40, 40)))}
+    io.write_json(doc, Sink())
+    whole = "".join(chunks)
+    assert whole == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert max(map(len, chunks)) < len(whole) / 20
+
+
+class Opaque:
+    pass
+
+
+cycle: list = []
+cycle.append(cycle)
+
+
+@pytest.mark.parametrize("doc", [
+    {1: [1.0, 2.0], 2.5: None, None: "x", True: 0},  # keys json turns into strings
+    {"a": np.int64(3)}, {"a": [[[1.0, 2.0]], Opaque()]}, {"a": {1, 2}},
+    {1: 0, "b": 1}, {"a": cycle}, [{"a": {"b": ()}}, {("k",): 1}],
+], ids=["non-str keys", "numpy int", "object", "set", "mixed keys", "cycle", "tuple key"])
+def test_a_document_json_writes_otherwise_goes_to_json_dump(doc):
+    assert _json_outcome(io.write_json, doc) == _json_outcome(_json_dump, doc)
 
 
 def test_element_roundtrip_on_blocky_shape(rng):
@@ -231,3 +385,14 @@ def test_schema_rejects_malformed_complex():
            "blocks": {"a": [["oops"]]}}
     with pytest.raises(jsonschema.ValidationError):
         referencing_validator("element").validate(doc)
+
+
+@pytest.mark.parametrize("entry", [[True, False], True, [0.5, False]])
+def test_schema_and_parser_both_reject_a_boolean_complex(entry):
+    doc = {"kind": "element", "schema_version": 1,
+           "shape": [{"label": "a", "dim": 1}],
+           "blocks": {"a": [[entry]]}}
+    with pytest.raises(jsonschema.ValidationError):
+        referencing_validator("element").validate(doc)
+    with pytest.raises(ParseError):
+        io.parse_document(doc)
