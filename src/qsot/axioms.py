@@ -129,11 +129,58 @@ def _shapes(family: sot.SotFamily, trial: int,
 # -------------------------------------------------------- product-vector search
 def _unit_starts(rng: np.random.Generator, starts: int, m: int,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    a = rng.normal(size=(starts, m)) + 1j * rng.normal(size=(starts, m))
-    b = rng.normal(size=(starts, n)) + 1j * rng.normal(size=(starts, n))
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    return a, b
+    # one draw: the real, then imaginary parts of a, then those of b
+    z = rng.normal(size=2 * starts * (m + n))
+    a, b = z[:2 * starts * m].reshape(2, starts, m), z[2 * starts * m:].reshape(2, starts, n)
+    a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
+    return (a / np.linalg.norm(a, axis=1, keepdims=True),
+            b / np.linalg.norm(b, axis=1, keepdims=True))
+
+
+def _form_maps(blocks: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (m·n)×(m·n) blocks as the maps from v̄⊗v in one factor to the
+    form ⟨v|block|v⟩ in the other: (jobs, m², n, n) and (jobs, n², m, m)."""
+    t5 = blocks.reshape(-1, m, n, m, n)  # [job, i, k, j, l] for ⟨i k|block|j l⟩
+    return (t5.transpose(0, 1, 3, 2, 4).reshape(-1, m * m, n, n),
+            t5.transpose(0, 2, 4, 1, 3).reshape(-1, n * n, m, m))
+
+
+def _product_forms(form_map: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The forms (jobs, starts, d, d) a ``_form_maps`` map leaves in the free
+    factor for fixed vectors v (jobs, starts, e): one batched matmul."""
+    jobs, e2, d, _ = form_map.shape
+    outer = (v.conj()[..., :, None] * v[..., None, :]).reshape(jobs, -1, e2)
+    return (outer @ form_map.reshape(jobs, e2, d * d)).reshape(*outer.shape[:2], d, d)
+
+
+def _extreme_eigvecs(q: np.ndarray, mode: str) -> np.ndarray:
+    """A unit eigenvector of the hermitian part of each form q (..., d, d)
+    for its lowest eigenvalue ('min'), or for its eigenvalue of largest
+    modulus, the lower one on a tie ('absmax').  d = 1 gives 1 exactly;
+    d = 2 is closed-form and elementwise, from the row of H − λ with the
+    larger diagonal entry, and gives e₁ on a multiple of the identity;
+    larger d takes a stacked ``eigh``."""
+    d = q.shape[-1]
+    if d == 1:
+        return np.ones(q.shape[:-1], dtype=complex)
+    if d > 2:
+        w, v = np.linalg.eigh((q + q.conj().swapaxes(-1, -2)) / 2)
+        idx = (np.argmax(np.abs(w), axis=-1) if mode == "absmax"
+               else np.zeros(w.shape[:-1], dtype=int))
+        return np.take_along_axis(v, idx[..., None, None], axis=-1)[..., 0]
+    top, bottom = q[..., 0, 0].real, q[..., 1, 1].real
+    off = (q[..., 1, 0] + q[..., 0, 1].conj()) / 2
+    mean, half, size = (top + bottom) / 2, (top - bottom) / 2, np.abs(off)
+    radius = np.hypot(half, size)  # λ = mean + sign·radius
+    sign = (np.where(np.abs(mean + radius) > np.abs(mean - radius), 1.0, -1.0)
+            if mode == "absmax" else -1.0)
+    pivot = radius + np.abs(half)  # the larger of |top − λ| and |bottom − λ|
+    identity = pivot == 0          # pivot and norm become 1, so v = e₁
+    pivot, norm = pivot + identity, np.hypot(pivot, size) + identity
+    first_row = sign * half < 0    # top − λ = −sign·pivot there
+    other = sign * off.conj()
+    return np.stack([np.where(first_row, other, pivot),
+                     np.where(first_row, pivot, other.conj())], axis=-1) / norm[..., None]
 
 
 def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -147,30 +194,23 @@ def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
     ``mode`` 'min' minimizes the (real) pairing of a hermitian block;
     'absmax' maximizes |pairing| of a hermitian block.
 
-    A 1×1 ``eigh`` returns the eigenvector 1 exactly, so with a
-    one-dimensional factor every start reaches the same vectors within two
-    rounds; the first start, run for two rounds, then gives every bit of
-    the eight-round search over all starts.
+    ``_extreme_eigvecs`` returns the eigenvector 1 of a 1×1 form exactly,
+    so with a one-dimensional factor every start reaches the same vectors
+    within two rounds; the first start, run for two rounds, then gives
+    every bit of the eight-round search over all starts.
     """
     rounds, m, n = 8, a.shape[2], b.shape[2]
     if min(m, n) == 1:
         rounds, a, b = 2, a[:, :1], b[:, :1]
-    jobs, starts = a.shape[:2]
-    t4 = blocks.reshape(jobs, m, n, m, n)
-    rows, cols = np.arange(jobs)[:, None], np.arange(starts)
-
-    def eigvec(q: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh((q + q.conj().transpose(0, 1, 3, 2)) / 2)
-        idx = (np.argmax(np.abs(w), axis=2) if mode == "absmax"
-               else np.zeros((jobs, starts), dtype=int))
-        return v[rows, cols, :, idx]
-
+    to_b, to_a = _form_maps(blocks, m, n)
     for _ in range(rounds):
-        b = eigvec(np.einsum("rsi,rikjl,rsj->rskl", a.conj(), t4, a))
-        a = eigvec(np.einsum("rsk,rikjl,rsl->rsij", b.conj(), t4, b))
+        b = _extreme_eigvecs(_product_forms(to_b, a), mode)
+        a = _extreme_eigvecs(_product_forms(to_a, b), mode)
+    jobs = len(blocks)
+    t4 = blocks.reshape(jobs, m, n, m, n)
     vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
-    best = (rows[:, 0], pick)
+    best = (np.arange(jobs), pick)
     return vals[best].tolist(), a[best], b[best]
 
 

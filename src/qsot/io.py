@@ -46,10 +46,13 @@ def _is_number(v: Any) -> bool:
 
 
 def parse_complex(v: Any) -> complex:
-    if _is_number(v):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
-        return complex(v[0], v[1])
+    try:
+        if _is_number(v):
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
+            return complex(v[0], v[1])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError(f"number out of float range: {exc}") from exc
     raise ParseError(f"expected a number or an [re, im] pair, got {v!r}")
 
 
@@ -60,7 +63,10 @@ def parse_real(v: Any, what: str, listed: bool = False) -> float | list[float]:
     if listed or not _is_number(v):
         raise ParseError(f"{what} must be {'a list of numbers' if listed else 'a number'}, "
                          f"got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise ParseError(f"{what} must be a number within float range") from exc
 
 
 def serialize_matrix(m: np.ndarray) -> list:
@@ -232,6 +238,8 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than the interpreter converts
+        raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_document(doc)
 
 

@@ -346,22 +346,17 @@ def sequential_certify(family: sot.SotFamily, prop: str,
 def full_product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
                           mode: str) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Reference for ``axioms._product_extremum``: eight rounds of
-    alternating eigensolves from every start, for every factor dimension."""
-    jobs, starts, m = a.shape
+    alternating eigensolves from every start, for every factor dimension,
+    each round's forms and eigenvectors taken from the library's round
+    functions."""
+    jobs, _, m = a.shape
     n = b.shape[2]
     t4 = blocks.reshape(jobs, m, n, m, n)
-    rows, cols = np.arange(jobs)[:, None], np.arange(starts)
-
-    def eigvec(q: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh((q + q.conj().transpose(0, 1, 3, 2)) / 2)
-        idx = (np.argmax(np.abs(w), axis=2) if mode == "absmax"
-               else np.zeros((jobs, starts), dtype=int))
-        return v[rows, cols, :, idx]
-
+    to_b, to_a = axioms._form_maps(blocks, m, n)
     for _ in range(8):
-        b = eigvec(np.einsum("rsi,rikjl,rsj->rskl", a.conj(), t4, a))
-        a = eigvec(np.einsum("rsk,rikjl,rsl->rsij", b.conj(), t4, b))
+        b = axioms._extreme_eigvecs(axioms._product_forms(to_b, a), mode)
+        a = axioms._extreme_eigvecs(axioms._product_forms(to_a, b), mode)
     vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
-    best = (rows[:, 0], pick)
+    best = (np.arange(jobs), pick)
     return vals[best].tolist(), a[best], b[best]

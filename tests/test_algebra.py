@@ -109,8 +109,12 @@ def test_public_construction_checks_and_library_blocks_are_read_only(rng):
 
 def test_this_numpy_build_gives_stacked_linalg_equal_to_per_matrix_calls(rng):
     """The premise of exact replay from stacks: numpy's stacked qr, eigh,
-    eigvalsh and @ equal per-matrix calls bit for bit, on the certification
-    table's shapes.  A numpy or LAPACK build that breaks it fails here."""
+    eigvalsh, svd and @ equal per-matrix calls bit for bit, on the
+    certification table's shapes, the product-vector search's form shapes
+    and, for svd, the square shapes of a stacked Bayes solve.  The search
+    takes stacked eigh only in factors of dimension 3 and more; its 1×1
+    and 2×2 forms are closed-form.  A numpy or LAPACK build that breaks it
+    fails here."""
     def ginibre(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -131,6 +135,18 @@ def test_this_numpy_build_gives_stacked_linalg_equal_to_per_matrix_calls(rng):
             assert np.array_equal(vals[k], vk) and np.array_equal(vecs[k], wk), d
             assert np.array_equal(only[k], np.linalg.eigvalsh(herm[k])), d
             assert np.array_equal(product[k], g[k] @ herm[k]), d
+    for rows, inner, cols in ((20, 4, 4), (1, 4, 1), (1, 1, 4), (20, 4, 9), (20, 9, 9)):
+        x, y = ginibre(16, rows, inner), ginibre(16, inner, cols)
+        product = x @ y
+        for k in range(len(x)):
+            assert np.array_equal(product[k], x[k] @ y[k]), (rows, inner, cols)
+    for n in (4, 9, 16):
+        stack = ginibre(16, n, n)
+        u, sv, vh = np.linalg.svd(stack)
+        for k, g in enumerate(stack):
+            uk, sk, vhk = np.linalg.svd(g)
+            assert (np.array_equal(u[k], uk) and np.array_equal(sv[k], sk)
+                    and np.array_equal(vh[k], vhk)), n
 
 
 def test_stacks_are_elementwise(rng):

@@ -304,6 +304,37 @@ def test_stacked_search_equals_singleton_searches():
 
 
 @pytest.mark.parametrize("mode", ["min", "absmax"])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+def test_the_2x2_eigenvector_kernel_agrees_with_lapack(scale, mode):
+    """The closed-form 2×2 eigenpair against ``np.linalg.eigh``: the same
+    eigenvalue (the lowest, or the largest in modulus with the lower one on
+    a tie), the same vector up to phase wherever the gap resolves it, and a
+    unit norm; on degenerate and diagonal forms too."""
+    rng = rng_for(f"2x2-kernel-{mode}", round(np.log10(scale)) + 12)
+    g = rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2))
+    special = np.array([np.zeros((2, 2)), np.eye(2), -3 * np.eye(2),  # degenerate
+                        np.diag([2.0, -0.5]), np.diag([-0.5, 2.0]),    # diagonal, both orders
+                        [[0, 1 - 2j], [1 + 2j, 0]],                     # off-diagonal only
+                        np.diag([1.0, -1.0])])                          # an absmax tie
+    h = scale * np.concatenate([(g + g.conj().swapaxes(1, 2)) / 2, special])
+    w, vecs = np.linalg.eigh(h)
+    pick = np.argmax(np.abs(w), axis=1) if mode == "absmax" else np.zeros(len(h), dtype=int)
+    rows = np.arange(len(h))
+    v = axioms._extreme_eigvecs(h, mode)
+    rayleigh = np.einsum("ri,rij,rj->r", v.conj(), h, v).real
+    assert np.all(np.abs(rayleigh - w[rows, pick]) <= 1e-14 * scale)
+    resolved = w[:, 1] - w[:, 0] > 1e-8 * scale
+    overlap = np.abs(np.einsum("ri,ri->r", vecs[rows, :, pick].conj(), v))
+    assert np.all(overlap[resolved] >= 1 - 1e-12) and resolved.sum() == len(h) - 3
+    assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1) <= 1e-15)
+    for k in (400, 401, 402):  # a multiple of the identity gives e1
+        assert np.array_equal(v[k], [1, 0])
+    assert rayleigh[-1] == -scale  # the tie takes the lower eigenvalue
+    one = axioms._extreme_eigvecs(scale * rng.normal(size=(5, 1, 1)) + 0j, mode)
+    assert np.array_equal(one, np.ones((5, 1))) and one.dtype == complex
+
+
+@pytest.mark.parametrize("mode", ["min", "absmax"])
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)])
 def test_a_search_with_a_one_dimensional_factor_equals_the_full_search(m, n, mode):
     """Two rounds from the first start give the values and vectors of eight

@@ -129,6 +129,23 @@ def test_a_boolean_matrix_entry_is_a_parse_error(fixtures, tmp_path, capsys):
     assert "expected a number or an [re, im] pair, got [True, False]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits, message", [
+    (401, "number out of float range"),
+    (5001, "invalid JSON: Exceeds the limit (4300 digits)")],
+    ids=["beyond-float", "beyond-the-digit-limit"])
+def test_an_integer_entry_too_large_for_a_float_is_a_parse_error(digits, message, fixtures,
+                                                                 tmp_path, capsys):
+    """Past the float range the entry does not parse; past the interpreter's
+    limit on integer digits the document does not."""
+    doc = io.serialize_element(fixtures["rho"], kind="state")
+    doc["blocks"]["a"][0][0] = ["huge", 0]
+    bad = tmp_path / "huge_state.json"
+    bad.write_text(json.dumps(doc).replace('"huge"', "1" + "0" * (digits - 1)))
+    code = run(["sot", "--family", "leifer-spekkens", fixtures["channel"], str(bad)])
+    assert code == cli.EXIT_PARSE
+    assert f"parse error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["sot", "--family", "leifer-spekkens"], ["bayes", "--family", "right-bloom", "--verify"],
     ["certify", "--families", "uncorrelated,leifer-spekkens", "--properties", "P1,P7",
@@ -430,7 +447,8 @@ def test_scenario_missing_field_is_parse_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, field, value", [
     ("pem", "p", ["x", 0.5, 0.5]), ("pem", "p", 3),
-    ("correlator", "t", "soon"), ("jeffrey", "r", ["a"])])
+    ("correlator", "t", "soon"), ("jeffrey", "r", ["a"]),
+    pytest.param("correlator", "t", 10 ** 400, id="correlator-t-beyond-float")])
 def test_scenario_bad_numbers_are_parse_errors(name, field, value, tmp_path, capsys):
     docs = {"pem": scenario_doc_pem, "correlator": scenario_doc_correlator,
             "jeffrey": scenario_doc_jeffrey}

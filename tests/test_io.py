@@ -35,6 +35,9 @@ def test_complex_wire_format():
         io.parse_complex("nope")
     with pytest.raises(ParseError):
         io.parse_complex([1.0])
+    for beyond_float in (10 ** 400, [0.5, -10 ** 400]):
+        with pytest.raises(ParseError, match="out of float range"):
+            io.parse_complex(beyond_float)
 
 
 SHAPE_SCHEMA = jsonschema.Draft202012Validator(io.load_schema("defs")["$defs"]["shape"])
@@ -69,8 +72,8 @@ def test_shape_dim_integers_parse_and_small_dims_stay_validation_errors():
 def test_parse_real_accepts_numbers_only():
     assert io.parse_real(3, "t") == 3.0
     assert io.parse_real([1, 0.5], "p", listed=True) == [1.0, 0.5]
-    for value, listed in (("soon", False), (True, False), ([1.0], False),
-                          (3, True), (["a"], True), ([None], True)):
+    for value, listed in (("soon", False), (True, False), ([1.0], False), (10 ** 400, False),
+                          (3, True), (["a"], True), ([None], True), ([0.5, 10 ** 400], True)):
         with pytest.raises(ParseError):
             io.parse_real(value, "x", listed=listed)
 
@@ -93,6 +96,9 @@ def test_matrix_roundtrip_and_shape_errors(rng):
         io.parse_matrix([[1.0, 2.0], [3.0]])
     with pytest.raises(ParseError):
         io.parse_matrix([])
+    for rows in ([[[10 ** 400, 0]]], [[[0.5, 0.0], [10 ** 400, 0.0]]], [[10 ** 400]]):
+        with pytest.raises(ParseError, match="out of float range"):
+            io.parse_matrix(rows)
 
 
 def test_matrix_serialization_keeps_every_float(rng):
