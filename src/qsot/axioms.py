@@ -29,6 +29,9 @@ TABLE_PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P7", "A")
 # exceptions that skip a trial: the instance is outside the family's domain
 SKIPS = (InapplicableError, ExtensionError, UnsupportedFamilyError)
 
+STARTS = 20        # start vectors of each product-vector search
+ASCENT_STEPS = 50  # most perturbation steps that sharpen an ambiguous candidate
+
 GLYPHS = {"holds": "✓", "fails": "✗", "holds-restricted": "∗",
           "empirical": "?", "inapplicable": "n/a", "insufficient": "n/a",
           "undecided": "?"}
@@ -59,8 +62,6 @@ class CertifyConfig:
     trials: int = 200
     dims: tuple[int, int] = (2, 2)
     seed: int = 0
-    ascent_steps: int = 50
-    starts: int = 20
 
 
 @dataclass(frozen=True)
@@ -336,10 +337,10 @@ def _draw(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
 
 
 def _finish(raws: list[dict], group: tuple = ()) -> tuple[dict, list[Exception | None]]:
-    """The stacked instance of trials of one group key, and each trial's
-    refusal (None if it has none): maps and states are stacked, raw draws
-    finished as stacks on what the key holds, and other inputs kept as
-    lists.  Only P7's classical-limit pairs can be refused."""
+    """The stacked instance of the unrefused trials of one group key, and each
+    trial's refusal (None if it has none; only P7's classical-limit pairs can
+    be refused): maps and states are stacked, raw draws finished as stacks on
+    what the key holds, and other inputs kept as lists."""
     out, refusals = {}, [None] * len(raws)
     for name in raws[0]:
         column = [raw[name] for raw in raws]
@@ -351,8 +352,10 @@ def _finish(raws: list[dict], group: tuple = ()) -> tuple[dict, list[Exception |
             draws = tuple(map(np.stack, zip(*column)))
             if name == "pair":
                 sa, sb, kind, nondegenerate = group
-                out["e"], out["rho"], refusals = sot.classical_limits(sa, sb, kind, draws,
-                                                                      nondegenerate)
+                e, rho, refusals = sot.classical_limits(sa, sb, kind, draws, nondegenerate)
+                kept = [refusal is None for refusal in refusals]
+                out["e"] = LinearMap._of(e.source, e.target, e.matrix[kept])
+                out["rho"] = AlgebraElement._of(rho.shape, (block[kept] for block in rho.data))
             elif name in ("rho", "rho2"):
                 out[name] = sampling.state(group[0], draws)
             else:
@@ -402,7 +405,7 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict,
         return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
     if prop == "P2":
         return block_positivity_violation(
-            alg.unstack(t), config.starts,
+            alg.unstack(t), STARTS,
             [np.random.default_rng(seed) for seed in instance["search_seed"]])
     if prop == "P3":
         return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
@@ -450,18 +453,6 @@ def replay_violation(family: sot.SotFamily, prop: str, counterexample: dict,
 
 
 # ----------------------------------------------------------------- certification
-def _alone(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
-           key: list[int]) -> tuple[float, dict] | Exception:
-    """(violation, witness data) of one trial drawn and evaluated alone, or
-    the exception it raised."""
-    try:
-        instance = _sample_for(family, prop, trial, config, np.random.default_rng(key))
-        value, extra = _violation(family, prop, instance, config)
-    except Exception as exc:  # settled when the sweep reaches the trial
-        return exc
-    return value, {**instance, **extra}
-
-
 def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfig,
            keys: list[list[int]]) -> list[tuple[float, dict] | Exception]:
     """The outcome of each trial of a chunk.
@@ -470,8 +461,9 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
     trial's outcome.  The trials of one group key are then finished as one
     stack, and a refused trial's refusal is its outcome.  The other trials
     of one shape pair (for P7, of every construction) are evaluated as one
-    stack.  If that raises, each of them is evaluated alone, so every trial
-    gets the outcome it has alone, exception included.
+    stack.  If that raises, each finished member is evaluated alone: it
+    equals its trial drawn alone, so every trial gets the outcome it has
+    alone, exception included.
     """
     outcomes: list = [None] * len(keys)
     groups: dict[tuple, list[tuple[int, dict]]] = {}
@@ -485,26 +477,23 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
     stacks: dict[tuple, list[tuple[list[int], dict]]] = {}
     for group, members in groups.items():
         instance, refusals = _finish([raw for _, raw in members], group)
-        indices = [index for index, _ in members]
-        if any(refusals):
-            for index, refusal in zip(indices, refusals):
-                outcomes[index] = refusal
-            kept = [k for k, refusal in enumerate(refusals) if refusal is None]
-            if not kept:
-                continue
-            trial_instances = _unstack(instance)
-            instance = _finish([trial_instances[k] for k in kept])[0]
-            indices = [indices[k] for k in kept]
-        stacks.setdefault(group[:2], []).append((indices, instance))
+        for (index, _), refusal in zip(members, refusals):
+            outcomes[index] = refusal
+        if indices := [index for index, _ in members if outcomes[index] is None]:
+            stacks.setdefault(group[:2], []).append((indices, instance))
     for parts in stacks.values():
         indices = [index for part, _ in parts for index in part]
         instance = (parts[0][1] if len(parts) == 1 else
                     _finish([trial for _, part in parts for trial in _unstack(part)])[0])
         try:
             found = _violations(family, prop, instance, config)
-        except Exception:  # some trial raises: find which, one by one
-            for index in indices:
-                outcomes[index] = _alone(family, prop, trials[index], config, keys[index])
+        except Exception:  # some trial raises: evaluate each member alone
+            for index, member in zip(indices, _unstack(instance)):
+                try:
+                    value, extra = _violation(family, prop, member, config)
+                    outcomes[index] = value, {**member, **extra}
+                except Exception as exc:  # settled when the sweep reaches the trial
+                    outcomes[index] = exc
             continue
         for index, trial_instance, (value, extra) in zip(indices, _unstack(instance), found):
             outcomes[index] = value, {**trial_instance, **extra}
@@ -574,7 +563,7 @@ def certify(family: sot.SotFamily, prop: str,
     witness, steps = {**data, "replay_seed": key}, 0
     if PASS_THRESHOLD < value <= FAIL_THRESHOLD:
         # Ambiguous: sharpen the best candidate by local perturbation ascent.
-        for step in range(config.ascent_steps):
+        for step in range(ASCENT_STEPS):
             steps, scale = step + 1, 0.3 * (0.9 ** step)
             key = [config.seed, cell, config.trials + best_trial, step]
             try:

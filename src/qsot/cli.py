@@ -173,7 +173,10 @@ def _scenario_pem(doc: dict) -> tuple[dict, bool]:
     meas = _parse_sub(doc, "meas")
     p = alg.diagonal_element(prep.source, io.parse_real(doc["p"], "p", listed=True))
     scenario = scenarios.PemScenario(p, prep, evo, meas)
-    _, residuals = scenarios.pem_reverse(scenario, strict=doc.get("strict", True))
+    strict = doc.get("strict", True)
+    if not isinstance(strict, bool):
+        raise ParseError(f"strict must be a JSON boolean, got {strict!r}")
+    _, residuals = scenarios.pem_reverse(scenario, strict=strict)
     ok = residuals["classical_inverse"] < ATOL and residuals["leifer_pairing"] < ATOL
     return {"scenario": "pem", "residuals": residuals}, ok
 

@@ -68,7 +68,8 @@ def _dagger_index(shape: AlgebraShape) -> np.ndarray:
 
 
 class LinearMap:
-    """A linear superoperator with cached classification flags.
+    """A linear superoperator, immutable; its classification flags are
+    computed on each read.
 
     Library kernels may also hold a stack of maps of one source and target:
     a matrix with leading axes, built through ``_of``.  ``tp_defect`` and
@@ -76,7 +77,7 @@ class LinearMap:
     channel state per map; other methods take a single map.
     """
 
-    __slots__ = ("source", "target", "matrix", "_cache")
+    __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: AlgebraShape, target: AlgebraShape, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -99,7 +100,6 @@ class LinearMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *_):
         raise AttributeError("LinearMap is immutable")
@@ -157,31 +157,22 @@ class LinearMap:
 
     @property
     def is_tp(self) -> bool:
-        if "tp" not in self._cache:
-            self._cache["tp"] = self.tp_defect() <= MAP_TOL
-        return self._cache["tp"]
+        return self.tp_defect() <= MAP_TOL
 
     @property
     def is_dagger_preserving(self) -> bool:
-        if "dp" not in self._cache:
-            self._cache["dp"] = bool(np.max(np.abs(self.matrix - self.tilde().matrix)) <= MAP_TOL)
-        return self._cache["dp"]
+        return bool(np.max(np.abs(self.matrix - self.tilde().matrix)) <= MAP_TOL)
 
     @property
     def is_cp(self) -> bool:
-        if "cp" not in self._cache:
-            self._cache["cp"] = bool(
-                min((np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
-                     for c in choi_blocks(self).values()), default=0.0) >= -CP_TOL
-                and self.is_dagger_preserving)
-        return self._cache["cp"]
+        return bool(min((np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
+                         for c in choi_blocks(self).values()), default=0.0) >= -CP_TOL
+                    and self.is_dagger_preserving)
 
     @property
     def is_unital(self) -> bool:
-        if "unital" not in self._cache:
-            diff = self(alg.identity(self.source)) - alg.identity(self.target)
-            self._cache["unital"] = bool(diff.norm() <= MAP_TOL)
-        return self._cache["unital"]
+        diff = self(alg.identity(self.source)) - alg.identity(self.target)
+        return bool(diff.norm() <= MAP_TOL)
 
     @property
     def is_cptp(self) -> bool:
@@ -453,9 +444,9 @@ def classical_channel(stochastic: np.ndarray, source_prefix: str = "x",
 
 
 def povm(effects: Sequence[np.ndarray] | Sequence[AlgebraElement],
-         source: AlgebraShape | None = None, target_prefix: str = "y") -> LinearMap:
+         target_prefix: str = "y") -> LinearMap:
     """A POVM {M_y} as the channel A ↦ ⊕_y tr(M_y A) into C^Y."""
-    elems = []
+    elems, source = [], None
     for m in effects:
         if isinstance(m, AlgebraElement):
             elems.append(m)

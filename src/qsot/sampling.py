@@ -134,7 +134,7 @@ def random_povm(source: AlgebraShape, outcomes: int,
         total = total + m
     s_inv = alg.power(total, -0.5)
     effects = [s_inv @ m @ s_inv for m in raw]
-    return maps.povm(effects, source)
+    return maps.povm(effects)
 
 
 def random_measure_prepare(source: AlgebraShape, target: AlgebraShape,

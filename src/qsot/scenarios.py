@@ -203,16 +203,15 @@ DEFAULT_UPDATE_FAMILIES: tuple[sot.SotFamily, ...] = (
     sot.LeiferSpekkens(), sot.SymmetricBloom(), sot.RightBloom())
 
 
-def state_update(s: InstrumentScenario, family: sot.SotFamily | None = None,
-                 independence_families: Sequence[sot.SotFamily] = DEFAULT_UPDATE_FAMILIES
-                 ) -> tuple[LinearMap, dict]:
+def state_update(s: InstrumentScenario,
+                 family: sot.SotFamily | None = None) -> tuple[LinearMap, dict]:
     """The measurement state-update map as a Bayes map of the outcome readout.
 
     Inverting the partial trace E = tr_B at ρ = F(σ) sends each outcome to
     its normalized updated state: Ψ(δ_x) = F_x(σ)/tr(F_x(σ)) ⊗ δ_x.  The
     checks report the distance to this closed formula, the recovery
     identities Ψ(E(ρ)) = ρ and E∘Ψ = id, and the maximum disagreement across
-    several families (the map is family-independent).
+    the ``DEFAULT_UPDATE_FAMILIES`` (the map is family-independent).
     """
     family = family or sot.LeiferSpekkens()
     probs = s.outcome_probabilities()
@@ -233,7 +232,7 @@ def state_update(s: InstrumentScenario, family: sot.SotFamily | None = None,
 
     recovery = (psi(e(rho)) - rho).norm()
     conditional = np.linalg.norm(e.compose(psi).matrix - maps.identity_map(outcomes).matrix)
-    others = [bayes.closed_form_bayes(fam, e, rho) for fam in independence_families]
+    others = [bayes.closed_form_bayes(fam, e, rho) for fam in DEFAULT_UPDATE_FAMILIES]
     independence = max((np.linalg.norm(a.matrix - b.matrix)
                         for i, a in enumerate(others) for b in others[i + 1:]),
                        default=0.0)

@@ -160,8 +160,13 @@ class RSFamily(_Sandwich):
         if not (0.0 <= self.r <= 1.0 and 0.0 <= self.s <= 1.0):
             raise ConstraintError("RSFamily needs r, s in [0, 1]")
 
+    @property
+    def state_linear(self) -> bool:  # at r ∈ {0, 1} the sides are ρ and the identity
+        return self.r in (0.0, 1.0)
+
     def terms(self, x):
-        a, b = alg.power(x, self.r), alg.power(x, 1.0 - self.r)
+        a, b = (None if p == 0.0 else x if p == 1.0 else alg.power(x, p)
+                for p in (self.r, 1.0 - self.r))
         return ((self.s, a, b), (1.0 - self.s, b, a))
 
     def denominator(self, qk, ql):

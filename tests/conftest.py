@@ -320,7 +320,7 @@ def sequential_certify(family: sot.SotFamily, prop: str,
 
     value, witness = best
     if PASS_THRESHOLD < value <= FAIL_THRESHOLD:
-        for step in range(config.ascent_steps):
+        for step in range(axioms.ASCENT_STEPS):
             scale = 0.3 * (0.9 ** step)
             result = attempt(lambda rng: axioms._perturb(witness, scale, rng),
                              config.trials + best_trial, step)

@@ -536,12 +536,36 @@ def test_a_draw_that_raises_is_its_trials_outcome_alone(monkeypatch):
     """Ohya's P7 prior filter refuses one draw at seed 0: that trial is
     skipped, and no trial of its chunk is evaluated one by one."""
     alone = []
-    fallback = axioms._alone
-    monkeypatch.setattr(axioms, "_alone", lambda *args: alone.append(args) or fallback(*args))
+    fallback = axioms._violation
+    monkeypatch.setattr(axioms, "_violation",
+                        lambda *args: alone.append(args) or fallback(*args))
     verdict = axioms.certify(sot.OhyaCompound(), "P7", axioms.CertifyConfig(trials=200, seed=0))
     assert verdict.status == "holds-restricted"
     assert verdict.trials == 199 and verdict.skipped == {"InapplicableError": 1}
     assert alone == []
+
+
+def test_a_stack_that_raises_draws_each_trial_once(monkeypatch):
+    """Every P1 stack of the picky family raises; each trial is then settled
+    from its finished member, not drawn again."""
+    drawn = []
+    draw = axioms._draw
+    monkeypatch.setattr(axioms, "_draw",
+                        lambda family, prop, trial, *args: drawn.append(trial)
+                        or draw(family, prop, trial, *args))
+    verdict = axioms.certify(PickyLeiferSpekkens(), "P1", FAST)
+    assert verdict.skipped["ExtensionError"] >= 1
+    assert drawn == list(range(verdict.trials + sum(verdict.skipped.values())))
+
+
+@pytest.mark.parametrize("r, s", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.3), (0.0, 0.0)])
+def test_rs_family_at_a_bloom_end_is_associative(r, s):
+    """At r ∈ {0, 1} the rs family is a mix of the two blooms, linear in the
+    state, and its A cell holds like theirs."""
+    family = sot.RSFamily(r, s)
+    assert family.state_linear
+    verdict = axioms.certify(family, "A", FAST)
+    assert verdict.status == "holds" and verdict.skipped == {}
 
 
 def drawn_alone(family, prop, trial, config, rng) -> dict:

@@ -448,7 +448,8 @@ def test_scenario_missing_field_is_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("name, field, value", [
     ("pem", "p", ["x", 0.5, 0.5]), ("pem", "p", 3),
     ("correlator", "t", "soon"), ("jeffrey", "r", ["a"]),
-    pytest.param("correlator", "t", 10 ** 400, id="correlator-t-beyond-float")])
+    pytest.param("correlator", "t", 10 ** 400, id="correlator-t-beyond-float"),
+    ("pem", "strict", "false")])
 def test_scenario_bad_numbers_are_parse_errors(name, field, value, tmp_path, capsys):
     docs = {"pem": scenario_doc_pem, "correlator": scenario_doc_correlator,
             "jeffrey": scenario_doc_jeffrey}

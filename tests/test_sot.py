@@ -157,10 +157,12 @@ def test_sandwich_families_match_dense_oracle_on_blocky_shapes(family, rng):
 
 def test_rs_family_interpolates_the_blooms(rng):
     e, rho = qubit_pair(rng)
-    right = sot.evaluate(sot.RSFamily(1.0, 1.0), e, rho).value
-    assert (right - sot.evaluate(sot.RightBloom(), e, rho).value).norm() < ATOL
-    left = sot.evaluate(sot.RSFamily(1.0, 0.0), e, rho).value
-    assert (left - sot.evaluate(sot.LeftBloom(), e, rho).value).norm() < ATOL
+    pure = AlgebraElement(rho.shape, (np.diag([1.0, 0.0]),))
+    for prior in (rho, pure):  # a faithful prior and a rank-deficient one
+        for (r, s), bloom in [((1.0, 1.0), sot.RightBloom()), ((1.0, 0.0), sot.LeftBloom()),
+                              ((0.0, 1.0), sot.LeftBloom()), ((0.0, 0.0), sot.RightBloom())]:
+            got = sot.evaluate(sot.RSFamily(r, s), e, prior).value
+            assert (got - sot.evaluate(bloom, e, prior).value).norm() < ATOL, (r, s)
     half = sot.evaluate(sot.RSFamily(0.5, 0.5), e, rho).value
     ls = sot.evaluate(sot.LeiferSpekkens(), e, rho).value
     assert (half - ls).norm() < ATOL
