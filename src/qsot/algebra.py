@@ -378,7 +378,8 @@ def reassociate_left_to_right(t: AlgebraElement) -> AlgebraElement:
 # -------------------------------------------------------------------- spectral
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Grouped eigenvalues with orthogonal projector elements."""
+    """Grouped eigenvalues with orthogonal projector elements; of a stack,
+    one array over the stack per eigenvalue and one stack per projector."""
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[AlgebraElement, ...]
@@ -386,38 +387,53 @@ class SpectralDecomposition:
     def reconstruct(self) -> AlgebraElement:
         out = zero(self.projectors[0].shape)
         for lam, proj in zip(self.eigenvalues, self.projectors):
-            out = out + lam * proj
+            out = out + np.asarray(lam)[..., None, None] * proj
         return out
 
 
 def spectral_decompose(a: AlgebraElement, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
     """Eigendecomposition with eigenvalues grouped across all blocks.
 
-    Eigenvalues closer than ``group_tol`` share one projector, so degenerate
-    spectra yield the coarse projectors the compound constructions need.
+    In ascending order, an eigenvalue within ``group_tol`` of the one before
+    shares its projector, so degenerate spectra yield the coarse projectors
+    the compound constructions need.  A group's eigenvalue is the mean of its
+    members, and its projector the sum of their eigenvector outer products
+    in that order.  A stack is grouped member by member from one stacked
+    ``eigh`` per block; group g of a member with fewer groups has eigenvalue
+    0 and projector 0.
     """
-    if not a.is_hermitian():
+    if not _every(a.is_hermitian()):
         raise NotHermitianError("spectral_decompose requires a hermitian element")
-    entries = []  # (eigenvalue, block index, eigenvector)
-    for bi, mat in enumerate(a.data):
-        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-        for k, lam in enumerate(vals):
-            entries.append((float(lam), bi, vecs[:, k]))
-    entries.sort(key=lambda e: e[0])
-    groups: list[list] = []
-    for entry in entries:
-        if groups and entry[0] - groups[-1][-1][0] <= group_tol:
-            groups[-1].append(entry)
-        else:
-            groups.append([entry])
-    eigenvalues, projectors = [], []
-    for group in groups:
-        eigenvalues.append(float(np.mean([e[0] for e in group])))
-        mats = [np.zeros((d, d), dtype=complex) for d in a.shape.dims]
-        for _, bi, vec in group:
-            mats[bi] += np.outer(vec, vec.conj())
-        projectors.append(AlgebraElement._of(a.shape, mats))
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
+    lead, dims = a.data[0].shape[:-2], a.shape.dims
+    vals, vecs = zip(*(np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2) for m in a.data))
+    # each member's eigen-entries in ascending order, ties in block order as
+    # sorted() keeps them, with the block and eigenvector column of each
+    vals = np.concatenate(vals, axis=-1).reshape(-1, sum(dims))
+    order = np.argsort(vals, axis=-1, kind="stable")
+    lam = np.take_along_axis(vals, order, axis=-1)
+    block = np.repeat(np.arange(len(dims)), dims)[order]
+    column = np.concatenate([np.arange(d) for d in dims])[order]
+    joins = np.diff(lam, axis=-1) <= group_tol  # entry s + 1 joins the group of entry s
+    group = np.concatenate([np.zeros((len(lam), 1), int), np.cumsum(~joins, axis=-1)], axis=-1)
+    groups = int(group.max()) + 1
+    means = np.zeros((len(lam), groups))
+    means[np.arange(len(lam))[:, None], group] = lam  # a one-entry group's mean is its entry
+    for k, g in {(k, group[k, s + 1]) for k, s in zip(*np.nonzero(joins))}:
+        means[k, g] = np.mean(lam[k, group[k] == g])
+    mats = []
+    for b, (d, v) in enumerate(zip(dims, vecs)):
+        v = v.reshape(len(lam), d, d).swapaxes(-1, -2)  # row j: eigenvector j
+        acc = np.zeros((len(lam), groups, d, d), dtype=complex)
+        for s in range(sum(dims)):  # a group sums its outer products in ascending order
+            hit = np.nonzero(block[:, s] == b)[0]
+            u = v[hit, column[hit, s]]
+            acc[hit, group[hit, s]] += u[:, :, None] * u.conj()[:, None, :]
+        mats.append(acc.reshape(*lead, groups, d, d))
+    eigenvalues = tuple(means[:, g].reshape(lead) for g in range(groups))
+    return SpectralDecomposition(
+        eigenvalues if lead else tuple(map(float, eigenvalues)),
+        tuple(AlgebraElement._of(a.shape, (m[..., g, :, :] for m in mats))
+              for g in range(groups)))
 
 
 def apply_function(a: AlgebraElement, fn) -> AlgebraElement:

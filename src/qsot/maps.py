@@ -49,8 +49,10 @@ def vec(a: AlgebraElement) -> np.ndarray:
 
 
 def unvec(shape: AlgebraShape, v: np.ndarray) -> AlgebraElement:
+    """The element with coordinates ``v``; rows of ``v`` give a stack."""
     v = np.asarray(v, dtype=complex)
-    return AlgebraElement._of(shape, (v[off:off + d * d].reshape(d, d).copy()
+    lead = v.shape[:-1]
+    return AlgebraElement._of(shape, (v[..., off:off + d * d].reshape(*lead, d, d).copy()
                                       for off, d in zip(_offsets(shape), shape.dims)))
 
 
@@ -73,8 +75,9 @@ class LinearMap:
 
     Library kernels may also hold a stack of maps of one source and target:
     a matrix with leading axes, built through ``_of``.  ``tp_defect`` and
-    ``is_tp`` then give one value per map, and ``channel_state`` one
-    channel state per map; other methods take a single map.
+    ``is_tp`` then give one value per map, and a call and ``channel_state``
+    one element per map; other methods take a single map.  A call also
+    takes a stack of elements, for one map or a stack of the same length.
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -111,7 +114,8 @@ class LinearMap:
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         if a.shape != self.source:
             raise ShapeMismatchError("element shape does not match map source")
-        return unvec(self.target, self.matrix @ vec(a))
+        # a matvec over a column, so that stacks broadcast member by member
+        return unvec(self.target, (self.matrix @ vec(a)[..., None])[..., 0])
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self ∘ inner."""

@@ -64,12 +64,21 @@ class OhyaCompound(SotFamily):
     tag: ClassVar[str] = "ohya"
     compound: ClassVar[bool] = True
 
+    def __post_init__(self):
+        # a negative tolerance would split equal eigenvalues by LAPACK's basis
+        if not self.group_tol >= 0.0:
+            raise ConstraintError("OhyaCompound needs group_tol >= 0")
+
     def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
+        """Σ_λ λ P_λ ⊗ E(P_λ / tr P_λ); on a stack, group by group, where a
+        member's padded groups (P = 0) add exact zeros."""
         sd = alg.spectral_decompose(rho, group_tol=self.group_tol)
         out = alg.zero(e.source.tensor(e.target))
         for lam, proj in zip(sd.eigenvalues, sd.projectors):
-            tr_p = proj.trace().real
-            out = out + lam * alg.tensor(proj, e((1.0 / tr_p) * proj))
+            tr_p = np.asarray(proj.trace().real)
+            scale = np.divide(1.0, tr_p, out=np.zeros_like(tr_p), where=tr_p > 0.0)
+            out = out + np.asarray(lam)[..., None, None] * alg.tensor(
+                proj, e(scale[..., None, None] * proj))
         return out
 
 
@@ -246,10 +255,14 @@ def _sandwich(terms, e: LinearMap) -> AlgebraElement:
     return AlgebraElement._of(d.shape, blocks)
 
 
+# Every ``value`` the library defines evaluates a stack in one pass.
+_STACKED_VALUES = (_Sandwich.value, Uncorrelated.value, OhyaCompound.value)
+
+
 def _value(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
-    """``family.value``, on a stack: in one pass when it is the sandwich
-    kernel, pair by pair for any other value."""
-    if e.matrix.ndim == 2 or type(family).value is _Sandwich.value:
+    """``family.value``, on a stack: in one pass for a library family, pair
+    by pair for a ``value`` defined outside the library."""
+    if e.matrix.ndim == 2 or type(family).value in _STACKED_VALUES:
         return family.value(e, rho)
     return alg.stack([family.value(*pair) for pair in zip(maps.unstack(e), alg.unstack(rho))])
 

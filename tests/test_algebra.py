@@ -1,12 +1,15 @@
 """Block-diagonal algebra elements: construction, arithmetic, tensor
 products, partial traces, and spectral calculus, cross-checked against plain
 numpy on dense single blocks."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsot import algebra as alg, sampling
-from qsot.algebra import AlgebraElement, AlgebraShape
+from qsot.algebra import AlgebraElement, AlgebraShape, SpectralDecomposition
+from qsot.config import GROUP_TOL
 from qsot.errors import (ConstraintError, FaithfulnessError, NotAStateError,
                          NotHermitianError, ShapeMismatchError)
 
@@ -109,12 +112,12 @@ def test_public_construction_checks_and_library_blocks_are_read_only(rng):
 
 def test_this_numpy_build_gives_stacked_linalg_equal_to_per_matrix_calls(rng):
     """The premise of exact replay from stacks: numpy's stacked qr, eigh,
-    eigvalsh, svd and @ equal per-matrix calls bit for bit, on the
-    certification table's shapes, the product-vector search's form shapes
-    and, for svd, the square shapes of a stacked Bayes solve.  The search
-    takes stacked eigh only in factors of dimension 3 and more; its 1×1
-    and 2×2 forms are closed-form.  A numpy or LAPACK build that breaks it
-    fails here."""
+    eigvalsh, svd, @ and matvec equal per-matrix calls bit for bit, on the
+    certification table's shapes, the product-vector search's form shapes,
+    the map shapes of a stacked map call and, for svd, the square shapes of
+    a stacked Bayes solve.  The search takes stacked eigh only in factors of
+    dimension 3 and more; its 1×1 and 2×2 forms are closed-form.  A numpy or
+    LAPACK build that breaks it fails here."""
     def ginibre(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -140,6 +143,14 @@ def test_this_numpy_build_gives_stacked_linalg_equal_to_per_matrix_calls(rng):
         product = x @ y
         for k in range(len(x)):
             assert np.array_equal(product[k], x[k] @ y[k]), (rows, inner, cols)
+    # the stacked matvec of a map call, on the table's map shapes Σd²
+    for rows, cols in itertools.product((4, 5, 9, 16), repeat=2):
+        m, v = ginibre(64, rows, cols), ginibre(64, cols)
+        product, broadcast = (m @ v[..., None])[..., 0], (m[0] @ v[..., None])[..., 0]
+        for k in range(len(m)):
+            assert np.array_equal(product[k], m[k] @ v[k]), (rows, cols)
+            assert np.array_equal(broadcast[k], m[0] @ v[k]), (rows, cols)
+        assert np.array_equal((m[0] @ v[0][:, None])[:, 0], m[0] @ v[0]), (rows, cols)
     for n in (4, 9, 16):
         stack = ginibre(16, n, n)
         u, sv, vh = np.linalg.svd(stack)
@@ -307,6 +318,59 @@ def test_spectral_decompose_groups_degenerate_eigenvalues():
     x = alg.diagonal_element(shape, [0.4, 0.4, 0.2])
     sd = alg.spectral_decompose(x)
     assert len(sd.eigenvalues) == 2
+    # a gap just within GROUP_TOL joins a group, one just beyond does not
+    close = alg.diagonal_element(shape, [0.2, 0.4, 0.4 + 0.5 * GROUP_TOL])
+    apart = alg.diagonal_element(shape, [0.2, 0.4, 0.4 + 2.0 * GROUP_TOL])
+    assert len(alg.spectral_decompose(close).eigenvalues) == 2
+    assert len(alg.spectral_decompose(apart).eigenvalues) == 3
+    assert len(alg.spectral_decompose(apart, group_tol=1e-3).eigenvalues) == 2
+
+
+def assert_same_decomposition(got, want):
+    assert len(got.eigenvalues) == len(want.eigenvalues)
+    for lam, mu in zip(got.eigenvalues, want.eigenvalues):
+        assert np.array_equal(lam, mu)
+    for p, q in zip(got.projectors, want.projectors):
+        assert all(np.array_equal(a, b) for a, b in zip(p.data, q.data))
+
+
+def test_spectral_decompose_of_a_stack_of_one_is_the_element_s(rng):
+    shape = AlgebraShape([("a", 3), ("b", 2)])
+    for x in (sampling.random_hermitian(shape, rng), alg.identity(shape),
+              alg.diagonal_element(shape, [0.4, 0.2, 0.4, 0.2, 0.1])):
+        alone = alg.spectral_decompose(x)
+        assert all(type(lam) is float for lam in alone.eigenvalues)
+        one = alg.spectral_decompose(alg.stack([x]))
+        assert_same_decomposition(
+            SpectralDecomposition(tuple(lam[0] for lam in one.eigenvalues),
+                                  tuple(alg.unstack(p)[0] for p in one.projectors)), alone)
+
+
+def test_spectral_decompose_groups_each_member_of_a_stack(rng):
+    """Each member keeps its own groups; a member with fewer groups has
+    eigenvalue 0 and projector 0 in the groups past its own."""
+    shape = AlgebraShape([("a", 3), ("b", 1)])
+    xs = [sampling.random_hermitian(shape, rng), alg.identity(shape),
+          alg.diagonal_element(shape, [0.3, 0.3, 0.1, 0.3])]
+    stacked = alg.spectral_decompose(alg.stack(xs))
+    assert len(stacked.eigenvalues) == 4
+    for k, x in enumerate(xs):
+        alone = alg.spectral_decompose(x)
+        groups = len(alone.eigenvalues)
+        member = SpectralDecomposition(
+            tuple(lam[k] for lam in stacked.eigenvalues[:groups]),
+            tuple(alg.unstack(p)[k] for p in stacked.projectors[:groups]))
+        assert_same_decomposition(member, alone)
+        for lam, p in zip(stacked.eigenvalues[groups:], stacked.projectors[groups:]):
+            assert lam[k] == 0.0 and alg.unstack(p)[k].norm() == 0.0
+        assert (alg.unstack(stacked.reconstruct())[k] - x).norm() < 1e-10
+
+
+def test_spectral_decompose_refuses_a_stack_with_one_non_hermitian_member(rng):
+    shape = alg.matrix_algebra(2)
+    x = sampling.random_hermitian(shape, rng)
+    with pytest.raises(NotHermitianError):
+        alg.spectral_decompose(alg.stack([x, x + 1j * alg.identity(shape)]))
 
 
 def test_power_square_root(rng):

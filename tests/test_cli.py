@@ -504,6 +504,15 @@ def test_scenario_malformed_fields_are_parse_errors(name, field, value, tmp_path
     assert "parse error: " in capsys.readouterr().err
 
 
+def test_scenario_family_with_a_negative_group_tol_is_validation(tmp_path, capsys):
+    doc = dict(scenario_doc_state_update(rng_for("cli-ohya-group-tol")),
+               family={"tag": "ohya", "group_tol": -1})
+    path = tmp_path / "update.json"
+    path.write_text(json.dumps(doc))
+    assert run(["scenario", "state-update", str(path)]) == cli.EXIT_VALIDATION
+    assert "validation error: OhyaCompound needs group_tol >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("psi", [1.0], "psi has 1 entries"), ("psi", [1.0, 0.0, 0.0], "psi has 3 entries"),
     ("u10", np.eye(3).tolist(), "u10 is (3, 3)"), ("psi", [0.0, 0.0], "psi must be nonzero")])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsot import algebra as alg, axioms, bayes, io, maps, sampling, sot
 from qsot.algebra import AlgebraShape
-from qsot.errors import ParseError, ShapeMismatchError, ValidationError
+from qsot.errors import ConstraintError, ParseError, ShapeMismatchError, ValidationError
 
 from conftest import rng_for
 
@@ -314,6 +314,13 @@ def test_family_parse_errors():
                 {"kind": "sot_family", "tag": "uncorrelated", "params": {}}):
         with pytest.raises(ParseError, match="has no parameter"):
             io.parse_family(bad)
+
+
+def test_ohya_group_tol_below_zero_or_nan_is_a_constraint_error():
+    for bad in (-1, -1e-12, float("nan")):
+        with pytest.raises(ConstraintError, match="group_tol"):
+            io.parse_family({"tag": "ohya", "group_tol": bad})
+    assert io.parse_family({"tag": "ohya", "group_tol": 0}) == sot.OhyaCompound(0.0)
 
 
 def test_family_string_shorthand():

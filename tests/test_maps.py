@@ -45,6 +45,23 @@ def test_linear_map_call_matches_matrix_action(rng):
     np.testing.assert_allclose(maps.vec(e(x)), e.matrix @ maps.vec(x), atol=ATOL)
 
 
+def test_stacked_call_equals_the_members_calls(rng):
+    """A stack of maps on a stack of elements, and one map on a stack,
+    equal the members' own calls, bit for bit."""
+    source = AlgebraShape([("a", 2), ("b", 1)])
+    target = alg.matrix_algebra(3, "c")
+    es = [sampling.random_cptp(source, target, rng) for _ in range(4)]
+    xs = [sampling.random_hermitian(source, rng) for _ in range(4)]
+    for got, e, x in zip(alg.unstack(maps.stack(es)(alg.stack(xs))), es, xs, strict=True):
+        assert np.array_equal(got.data[0], e(x).data[0])
+    for got, x in zip(alg.unstack(es[0](alg.stack(xs))), xs, strict=True):
+        assert np.array_equal(got.data[0], es[0](x).data[0])
+    assert np.array_equal(maps.vec(es[0](xs[0])), es[0].matrix @ maps.vec(xs[0]))
+    back = maps.unvec(source, np.stack([maps.vec(x) for x in xs]))
+    for got, x in zip(alg.unstack(back), xs, strict=True):
+        assert all(np.array_equal(g, w) for g, w in zip(got.data, x.data))
+
+
 def test_compose_is_matrix_product(rng):
     a = alg.matrix_algebra(2, "a")
     b = alg.matrix_algebra(3, "b")

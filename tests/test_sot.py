@@ -5,6 +5,7 @@ import pytest
 
 from qsot import algebra as alg, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
+from qsot.config import GROUP_TOL
 from qsot.errors import (ConstraintError, ExtensionError,
                          UnsupportedFamilyError)
 
@@ -181,6 +182,63 @@ def test_ohya_matches_spectral_formula(rng):
                alg.zero(e.source.tensor(e.target)))
     got = sot.evaluate(sot.OhyaCompound(), e, rho).value
     assert (got - want).norm() < ATOL
+
+
+def rotated_prior(shape: AlgebraShape, spectrum, rng) -> AlgebraElement:
+    """U diag(spectrum) U† for a random unitary U, exactly hermitian."""
+    u = sampling.random_isometry(rng, shape.dims[0], shape.dims[0])
+    rho = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+    return AlgebraElement(shape, ((rho + rho.conj().T) / 2,))
+
+
+def stack_priors(shape: AlgebraShape, rng) -> list[AlgebraElement]:
+    """Random, maximally mixed, pure and two-fold degenerate priors, and
+    priors with two eigenvalues just inside and just outside GROUP_TOL."""
+    m = shape.dims[0]
+    spectra = [np.full(m, 1.0 / m), np.eye(m)[0]]
+    if m > 2:
+        spectra.append(np.r_[0.3, 0.3, np.full(m - 2, 0.4 / (m - 2))])
+    for gap in (0.5 * GROUP_TOL, 2.0 * GROUP_TOL):
+        w = rng.dirichlet(np.ones(m))
+        pair = w[0] + w[1]
+        w[0], w[1] = (pair - gap) / 2, (pair + gap) / 2
+        spectra.append(w)
+    return ([sampling.random_state(shape, rng) for _ in range(3)]
+            + [rotated_prior(shape, spectrum, rng) for spectrum in spectra])
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (4, 3)])
+@pytest.mark.parametrize("family", [sot.Uncorrelated(), sot.OhyaCompound(),
+                                    sot.OhyaCompound(group_tol=1e-3)],
+                         ids=["uncorrelated", "ohya", "ohya-1e-3"])
+def test_stacked_ohya_and_uncorrelated_equal_their_pairs(family, m, n):
+    """One stacked evaluation equals the pairs' own, bit for bit, on
+    degenerate priors and on eigenvalue gaps either side of group_tol."""
+    rng = rng_for(f"stacked-{family.tag}-{m}-{n}")
+    shape_a, shape_b = alg.matrix_algebra(m, "a"), alg.matrix_algebra(n, "b")
+    rhos = stack_priors(shape_a, rng)
+    es = [sampling.random_cptp(shape_a, shape_b, rng) for _ in rhos]
+    stacked = sot.evaluate(family, maps.stack(es), alg.stack(rhos)).value
+    for got, e, rho in zip(alg.unstack(stacked), es, rhos, strict=True):
+        assert np.array_equal(got.data[0], sot.evaluate(family, e, rho).value.data[0])
+
+
+def test_library_families_evaluate_stacks_in_one_pass(monkeypatch):
+    """No library family takes the pair-by-pair path: with unstacking
+    disabled, every family still evaluates a stack."""
+    rng = rng_for("stacks-in-one-pass")
+    shape_a, shape_b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(3, "b")
+    rhos = [sampling.random_state(shape_a, rng) for _ in range(4)]
+    es = maps.stack([sampling.random_cptp(shape_a, shape_b, rng) for _ in rhos])
+
+    def refuse(_):
+        raise AssertionError("a library family was evaluated pair by pair")
+
+    monkeypatch.setattr(maps, "unstack", refuse)
+    monkeypatch.setattr(alg, "unstack", refuse)
+    for family in ALL_FAMILIES + (sot.OhyaCompound(group_tol=1e-3),):
+        value = sot.evaluate(family, es, alg.stack(rhos)).value
+        assert value.data[0].shape == (4, 6, 6), family.tag
 
 
 def test_ohya_refuses_blocky_sources(rng):
