@@ -336,7 +336,8 @@ def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def partial_trace(t: AlgebraElement, side: str) -> AlgebraElement:
     """Trace out one tensor factor; ``side`` names the factor being removed.
 
-    ``side='B'`` removes the right factor (tr_B), ``side='A'`` the left.
+    ``side='B'`` removes the right factor (tr_B), ``side='A'`` the left.  A
+    stack gives the stack of its members' partial traces.
     """
     tshape = t.shape
     if tshape.factors is None:
@@ -345,13 +346,14 @@ def partial_trace(t: AlgebraElement, side: str) -> AlgebraElement:
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     out_shape = left if side == "B" else right
-    mats = [np.zeros((d, d), dtype=complex) for d in out_shape.dims]
+    lead = t.data[0].shape[:-2]
+    mats = [np.zeros((*lead, d, d), dtype=complex) for d in out_shape.dims]
     for (i, j), mat in zip(tshape.pairs, t.data):
-        four = mat.reshape(left.dims[i], right.dims[j], left.dims[i], right.dims[j])
+        four = mat.reshape(*lead, left.dims[i], right.dims[j], left.dims[i], right.dims[j])
         if side == "B":
-            mats[i] += np.einsum("ibjb->ij", four)
+            mats[i] += np.einsum("...ibjb->...ij", four)
         else:
-            mats[j] += np.einsum("aiaj->ij", four)
+            mats[j] += np.einsum("...aiaj->...ij", four)
     return AlgebraElement._of(out_shape, mats)
 
 

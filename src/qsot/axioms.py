@@ -29,8 +29,9 @@ TABLE_PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P7", "A")
 # exceptions that skip a trial: the instance is outside the family's domain
 SKIPS = (InapplicableError, ExtensionError, UnsupportedFamilyError)
 
-STARTS = 20        # start vectors of each product-vector search
-ASCENT_STEPS = 50  # most perturbation steps that sharpen an ambiguous candidate
+STARTS = 20         # start vectors of each product-vector search
+ASCENT_STEPS = 50   # most perturbation steps that sharpen an ambiguous candidate
+CHUNK_TRIALS = 256  # most trials of one stack after a cell's first trial
 
 GLYPHS = {"holds": "✓", "fails": "✗", "holds-restricted": "∗",
           "empirical": "?", "inapplicable": "n/a", "insufficient": "n/a",
@@ -130,12 +131,11 @@ def _shapes(family: sot.SotFamily, trial: int,
 # -------------------------------------------------------- product-vector search
 def _unit_starts(rng: np.random.Generator, starts: int, m: int,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start vectors a (starts, m) and b (starts, n), not yet normalised."""
     # one draw: the real, then imaginary parts of a, then those of b
     z = rng.normal(size=2 * starts * (m + n))
     a, b = z[:2 * starts * m].reshape(2, starts, m), z[2 * starts * m:].reshape(2, starts, n)
-    a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
-    return (a / np.linalg.norm(a, axis=1, keepdims=True),
-            b / np.linalg.norm(b, axis=1, keepdims=True))
+    return a[0] + 1j * a[1], b[0] + 1j * b[1]
 
 
 def _form_maps(blocks: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +231,9 @@ def block_positivity_violation(ts: Sequence[AlgebraElement], starts: int,
     pairing first; the hermitian part is then minimized over product
     vectors.  Each element draws its start vectors from its own generator,
     block by block; the searches of all elements run as stacks, one per
-    (mode, m, n), and every stacked entry is computed as it would be alone,
-    so an element's result does not depend on the others in the call.
+    (mode, m, n), each stack's start vectors normalised at once, and every
+    stacked entry is computed as it would be alone, so an element's result
+    does not depend on the others in the call.
     """
     jobs = []  # (element, block label, mode, block, start vectors a, b)
     for k, (t, rng) in enumerate(zip(ts, rngs)):
@@ -249,8 +250,9 @@ def block_positivity_violation(ts: Sequence[AlgebraElement], starts: int,
         groups.setdefault((mode, a.shape[1], b.shape[1]), []).append(index)
     found = [None] * len(jobs)
     for (mode, _, _), indices in groups.items():
-        stacks = [np.stack([jobs[i][f] for i in indices]) for f in (3, 4, 5)]
-        for i, result in zip(indices, zip(*_product_extremum(*stacks, mode))):
+        blocks, a, b = (np.stack([jobs[i][f] for i in indices]) for f in (3, 4, 5))
+        a, b = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (a, b))
+        for i, result in zip(indices, zip(*_product_extremum(blocks, a, b, mode))):
             found[i] = result
     out = [(0.0, {}) for _ in ts]
     for (k, label, mode, *_), (val, a, b) in zip(jobs, found):
@@ -271,12 +273,14 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
     direct evaluation of (F∘tr_A) on E⋆ρ, after reassociating both to
     A⊗(B⊗C).  Raises InapplicableError when the family cannot evaluate the
     intermediate arguments (a non-PSD normalized channel state, say).
+    Stacks of E, F and ρ of one length give one residual per member, each
+    as that member gives alone; one that raises fails the stack.
     """
     if e.target != f.source:
         raise ConstraintError("maps do not compose: need E: A→B, F: B→C")
     shape_a, shape_b, shape_c = e.source, e.target, f.target
     tr_a = maps.partial_trace_channel(shape_a.tensor(shape_b), "A")
-    lifted_f = f.compose(tr_a)  # A⊗B → C
+    lifted_f = LinearMap._of(tr_a.source, shape_c, f.matrix @ tr_a.matrix)  # A⊗B → C
     dim_a = float(shape_a.total_dim)
     d_state = (1.0 / dim_a) * maps.channel_state(e)
 
@@ -284,9 +288,9 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
         # State-linear families extend linearly to arbitrary second
         # arguments; the others must pass full domain validation.
         if family.state_linear:
-            if not channel.is_tp:
+            if not alg._every(channel.is_tp):
                 raise InapplicableError("intermediate map is not trace-preserving")
-            return family.value(channel, arg)
+            return sot._value(family, channel, arg)
         return sot.evaluate(family, channel, arg).value
 
     try:
@@ -376,16 +380,15 @@ def _unstack(instance: dict) -> list[dict]:
 def _violations(family: sot.SotFamily, prop: str, instance: dict,
                 config: CertifyConfig) -> list[tuple[float, dict]]:
     """(violation, extra witness data) of each trial of a stacked instance;
-    a pure function of the instance, which holds every random input.  A and
-    M evaluate member by member, the others as stacks.  Raises if any trial
-    does."""
-    if prop == "A":
-        return [(check_associativity(family, m["e"], m["f"], m["rho"]), {})
-                for m in _unstack(instance)]
-    if prop == "M":
-        return [(max(sot.evaluate(family, m["e"], m["rho"]).marginal_residuals()), {})
-                for m in _unstack(instance)]
+    a pure function of the instance, which holds every random input.  Every
+    property evaluates the whole stack at once.  Raises if any trial does."""
     e, rho = instance["e"], instance["rho"]
+    if prop == "A":
+        return [(value, {}) for value in
+                check_associativity(family, e, instance["f"], rho).tolist()]
+    if prop == "M":
+        res_a, res_b = sot.evaluate(family, e, rho).marginal_residuals()
+        return [(max(pair), {}) for pair in zip(res_a.tolist(), res_b.tolist())]
     if prop in MIXED:
         lam, residuals = np.array(instance["lambda"])[:, None, None], []
         for key in MIXED[prop]:
@@ -507,8 +510,9 @@ def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
 
     ``outcome`` is (violation, witness data holding the instance), or the
     exception class name of a skipped trial; any other exception of a trial
-    is raised when the sweep reaches that trial.  Trials come in chunks of
-    1, 2, 4, … trials, each drawn and evaluated as a whole.
+    is raised when the sweep reaches that trial.  Trial 0 comes alone, so a
+    cell that fails at once draws one trial; the rest come in chunks of
+    ``CHUNK_TRIALS``, each drawn and evaluated as a whole.
     """
     start, size = 0, 1
     while start < config.trials:
@@ -520,7 +524,7 @@ def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
             elif isinstance(outcome, Exception):
                 raise outcome
             yield trial, key, outcome
-        start, size = start + size, 2 * size
+        start, size = start + size, CHUNK_TRIALS
 
 
 def certify(family: sot.SotFamily, prop: str,

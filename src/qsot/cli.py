@@ -131,6 +131,8 @@ def cmd_certify(args) -> int:
     unknown = [p for p in properties if p not in axioms.PROPERTIES]
     if unknown:
         raise ValidationError(f"unknown properties: {', '.join(unknown)}")
+    if args.trials < 0:  # 0 stays valid: every cell is "insufficient"
+        raise ValidationError(f"--trials must be a non-negative integer, got {args.trials}")
     families = {t: sot.TABLE_FAMILIES[t] for t in family_tags}
     config = axioms.CertifyConfig(trials=args.trials, seed=_seed(args.seed))
     report = axioms.table_report(config, families=families, properties=properties)

@@ -326,17 +326,23 @@ def unstack(e: LinearMap) -> list[LinearMap]:
 
 def channel_from_state(j: AlgebraElement, source: AlgebraShape,
                        target: AlgebraShape) -> LinearMap:
-    """Inverse of channel_state: D is a linear isomorphism."""
+    """Inverse of channel_state: D is a linear isomorphism.  For a stack of
+    channel states, the stack of their maps; either way a rearrangement of
+    entries, with no arithmetic."""
     tshape = source.tensor(target)
     if j.shape != tshape:
         raise ShapeMismatchError("element does not live on source⊗target")
-    chois = {}
+    lead = j.data[0].shape[:-2]
+    k = len(lead)
+    matrix = np.empty((*lead, target.vector_dim, source.vector_dim), dtype=complex)
+    so, to = _offsets(source), _offsets(target)
     for (xi, yi), block in zip(tshape.pairs, j.data):
         mx, ny = source.dims[xi], target.dims[yi]
-        # D[E] is the Choi matrix with its two source indices swapped
-        chois[(xi, yi)] = (block.reshape(mx, ny, mx, ny).transpose(2, 1, 0, 3)
-                           .reshape(mx * ny, mx * ny))
-    return map_from_choi(chois, source, target)
+        # block[(i,k),(j,l)] = E(E_ji)[k,l] = comp[k,l,j,i], as in channel_state
+        comp = block.reshape(*lead, mx, ny, mx, ny).transpose(*range(k), k + 1, k + 3, k + 2, k)
+        rows, cols = slice(to[yi], to[yi] + ny * ny), slice(so[xi], so[xi] + mx * mx)
+        matrix[..., rows, cols] = comp.reshape(*lead, ny * ny, mx * mx)
+    return LinearMap._of(source, target, matrix)
 
 
 def choi_blocks(e: LinearMap) -> dict:

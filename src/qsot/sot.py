@@ -235,6 +235,7 @@ class StateOverTime:
     family: SotFamily
 
     def marginal_residuals(self) -> tuple[float, float]:
+        """‖tr_B(E⋆ρ) − ρ‖ and ‖tr_A(E⋆ρ) − E(ρ)‖; one value per pair of a stack."""
         res_a = (alg.partial_trace(self.value, "B") - self.state).norm()
         res_b = (alg.partial_trace(self.value, "A") - self.channel(self.state)).norm()
         return res_a, res_b

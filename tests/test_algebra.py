@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsot import algebra as alg, sampling
+from qsot import algebra as alg, axioms, sampling
 from qsot.algebra import AlgebraElement, AlgebraShape, SpectralDecomposition
 from qsot.config import GROUP_TOL
 from qsot.errors import (ConstraintError, FaithfulnessError, NotAStateError,
@@ -114,21 +114,24 @@ def test_this_numpy_build_gives_stacked_linalg_equal_to_per_matrix_calls(rng):
     """The premise of exact replay from stacks: numpy's stacked qr, eigh,
     eigvalsh, svd, @ and matvec equal per-matrix calls bit for bit, on the
     certification table's shapes, the product-vector search's form shapes,
-    the map shapes of a stacked map call and, for svd, the square shapes of
-    a stacked Bayes solve.  The search takes stacked eigh only in factors of
-    dimension 3 and more; its 1×1 and 2×2 forms are closed-form.  A numpy or
-    LAPACK build that breaks it fails here."""
+    the map shapes of a stacked map call and of the lifted F of a stacked
+    associativity check (a stack times one matrix) and, for svd, the square
+    shapes of a stacked Bayes solve, on stacks as long as the sweep's
+    chunks.  The search takes stacked eigh only in factors of dimension 3
+    and more; its 1×1 and 2×2 forms are closed-form.  A numpy or LAPACK
+    build that breaks it fails here."""
     def ginibre(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
+    chunk = axioms.CHUNK_TRIALS
     for rows, cols in ((4, 2), (6, 2), (6, 1)):
-        stack = ginibre(64, rows, cols)
+        stack = ginibre(chunk, rows, cols)
         q, r = np.linalg.qr(stack)
         for k, g in enumerate(stack):
             qk, rk = np.linalg.qr(g)
             assert np.array_equal(q[k], qk) and np.array_equal(r[k], rk), (rows, cols)
     for d in (1, 2, 3, 4, 9):
-        g = ginibre(64, d, d)
+        g = ginibre(chunk, d, d)
         herm = (g + g.conj().swapaxes(-1, -2)) / 2
         vals, vecs = np.linalg.eigh(herm)
         only = np.linalg.eigvalsh(herm)
@@ -139,13 +142,19 @@ def test_this_numpy_build_gives_stacked_linalg_equal_to_per_matrix_calls(rng):
             assert np.array_equal(only[k], np.linalg.eigvalsh(herm[k])), d
             assert np.array_equal(product[k], g[k] @ herm[k]), d
     for rows, inner, cols in ((20, 4, 4), (1, 4, 1), (1, 1, 4), (20, 4, 9), (20, 9, 9)):
-        x, y = ginibre(16, rows, inner), ginibre(16, inner, cols)
+        x, y = ginibre(chunk, rows, inner), ginibre(chunk, inner, cols)
         product = x @ y
         for k in range(len(x)):
             assert np.array_equal(product[k], x[k] @ y[k]), (rows, inner, cols)
+    # F∘tr_A for a stack of F: B→C and the one tr_A, at dims (2, 2) and (2, 3)
+    for rows, cols in ((4, 16), (9, 36)):
+        x, y = ginibre(chunk, rows, rows), ginibre(rows, cols)
+        product = x @ y
+        for k in range(len(x)):
+            assert np.array_equal(product[k], x[k] @ y), (rows, cols)
     # the stacked matvec of a map call, on the table's map shapes Σd²
     for rows, cols in itertools.product((4, 5, 9, 16), repeat=2):
-        m, v = ginibre(64, rows, cols), ginibre(64, cols)
+        m, v = ginibre(chunk, rows, cols), ginibre(chunk, cols)
         product, broadcast = (m @ v[..., None])[..., 0], (m[0] @ v[..., None])[..., 0]
         for k in range(len(m)):
             assert np.array_equal(product[k], m[k] @ v[k]), (rows, cols)
@@ -283,6 +292,20 @@ def test_partial_trace_of_product_recovers_factors(rng):
     t = alg.tensor(rho, sig)
     assert (alg.partial_trace(t, "B") - rho).norm() < 1e-10
     assert (alg.partial_trace(t, "A") - sig).norm() < 1e-10
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_stacked_partial_trace_equals_each_members(side, rng):
+    """A stack's partial trace is its members', bit for bit, with factor
+    blocks of dimension 1 to 4 summed over."""
+    left = AlgebraShape([("a", 3), ("c", 1)])
+    right = AlgebraShape([("b", 4), ("d", 2)])
+    members = [sampling.random_hermitian(left.tensor(right), rng) for _ in range(7)]
+    stacked = alg.partial_trace(alg.stack(members), side)
+    assert stacked.shape == (right if side == "A" else left)
+    for got, member in zip(alg.unstack(stacked), members, strict=True):
+        want = alg.partial_trace(member, side)
+        assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
 
 
 def test_reassociate_left_to_right_on_kron(rng):

@@ -255,18 +255,29 @@ def test_the_ascent_sharpens_an_ambiguous_candidate(monkeypatch):
 
 def test_each_p7_trial_draws_and_checks_one_pair(monkeypatch):
     """The pairs of a chunk's construction are checked as one stack: each
-    trial's pair is one member of one call."""
-    checks = []
-    residual = sot.commutation_residual
+    drawn pair is one member of one call.  A cell that holds walks every
+    trial it draws; one that fails may have drawn the rest of its chunk."""
+    checks, draws = [], []
+    residual, draw = sot.commutation_residual, axioms._draw
 
     def counted(e, rho):
         values = residual(e, rho)
         checks.extend(np.atleast_1d(values))
         return values
     monkeypatch.setattr(sot, "commutation_residual", counted)
-    report = axioms.table_report(FAST, properties=("P7",))
-    evaluated = sum(row["P7"].trials for row in report.verdicts.values())
-    assert len(checks) == evaluated
+    monkeypatch.setattr(axioms, "_draw", lambda *args: draws.append(args) or draw(*args))
+    outcomes = set()
+    for tag, family in sot.TABLE_FAMILIES.items():
+        before = len(checks)
+        verdict = axioms.certify(family, "P7", FAST)
+        assert len(checks) == len(draws), tag
+        walked = verdict.trials + sum(verdict.skipped.values())
+        if verdict.holds:
+            assert len(checks) - before == walked, tag
+        else:
+            assert len(checks) - before >= walked, tag
+        outcomes.add(verdict.holds)
+    assert outcomes == {True, False}
 
 
 # ------------------------------------------------------- stacked P2 search
@@ -364,7 +375,8 @@ def test_p2_at_dims_2_3_equals_the_sequential_full_search(monkeypatch):
 
 # ---------------------------------------------- chunks against the reference
 NEW_KEYS = ("skipped", "ascent_steps")
-CHUNK_STARTS = (0, 1, 3, 7, 15, 31, 63, 127)
+# the sweep's schedule: trial 0 alone, then chunks of CHUNK_TRIALS
+CHUNK_STARTS = (0, *range(1, 1000, axioms.CHUNK_TRIALS))
 
 
 def without_new_keys(doc: dict) -> dict:
@@ -496,9 +508,9 @@ def assert_same(got, want):
 @pytest.mark.parametrize("prop", axioms.PROPERTIES)
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
 def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop):
-    """Twelve trials walk the chunks [0], [1, 2], [3..6] and part of
-    [7..14], on both shape parities; each trial's outcome in its chunk
-    equals _sample_for and _violation on that trial alone."""
+    """Twelve trials walk the chunks [0] and [1..11], on both shape
+    parities; each trial's outcome in its chunk equals _sample_for and
+    _violation on that trial alone."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
     swept = list(axioms._sweep(family, prop, config, axioms._cell_index(tag, prop)))
     assert [trial for trial, _, _ in swept] == list(range(config.trials))
@@ -558,6 +570,96 @@ def test_a_stack_that_raises_draws_each_trial_once(monkeypatch):
     assert drawn == list(range(verdict.trials + sum(verdict.skipped.values())))
 
 
+def test_a_cell_is_a_one_trial_probe_then_stacks_of_chunk_trials(monkeypatch):
+    """A 200-trial cell that holds is two chunks, [0] and [1..199]; a cell
+    that fails at trial 0 draws that trial only."""
+    chunks, drawn = [], []
+    chunk, draw = axioms._chunk, axioms._draw
+    monkeypatch.setattr(axioms, "_chunk", lambda family, prop, trials, *args: (
+        chunks.append(trials) or chunk(family, prop, trials, *args)))
+    monkeypatch.setattr(axioms, "_draw", lambda family, prop, trial, *args: (
+        drawn.append(trial) or draw(family, prop, trial, *args)))
+    config = axioms.CertifyConfig(trials=200, seed=0)
+    verdict = axioms.certify(sot.LeiferSpekkens(), "P1", config)
+    assert verdict.status == "holds" and verdict.trials == 200
+    assert chunks == [range(0, 1), range(1, 200)] and drawn == list(range(200))
+    chunks.clear(), drawn.clear()
+    verdict = axioms.certify(sot.RightBloom(), "P1", config)
+    assert verdict.status == "fails" and verdict.trials == 1
+    assert chunks == [range(0, 1)] and drawn == [0]
+
+
+def test_capped_chunks_equal_the_sequential_reference(monkeypatch):
+    """With CHUNK_TRIALS = 4, twelve trials walk [0], [1..4], [5..8] and
+    [9..11]; every cell of all nine properties equals the trial-by-trial
+    reference."""
+    monkeypatch.setattr(axioms, "CHUNK_TRIALS", 4)
+    sizes = Counter()
+    chunk = axioms._chunk
+    monkeypatch.setattr(axioms, "_chunk", lambda family, prop, trials, *args: (
+        sizes.update([len(trials)]) or chunk(family, prop, trials, *args)))
+    config = axioms.CertifyConfig(trials=12, seed=3)
+    report = axioms.table_report(config, properties=axioms.PROPERTIES)
+    for tag, row in report.verdicts.items():
+        for prop, verdict in row.items():
+            want = sequential_certify(sot.TABLE_FAMILIES[tag], prop, config)
+            assert without_new_keys(verdict.to_json()) == without_new_keys(want.to_json()), \
+                (tag, prop)
+    assert set(sizes) == {1, 3, 4}  # trial 0 alone, full chunks and the tail [9..11]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("tag", ["symmetric-bloom", "leifer-spekkens"])
+def test_a_stacked_associativity_check_equals_per_member_checks(tag, dims):
+    """One residual per member, bit for bit the member's own float, for a
+    state-linear family and for one that validates every argument."""
+    family = sot.TABLE_FAMILIES[tag]
+    config = axioms.CertifyConfig(trials=8, seed=4, dims=dims)
+    cell = axioms._cell_index(tag, "A")
+    drawn = [axioms._draw(family, "A", trial, config,
+                          np.random.default_rng([config.seed, cell, trial]))
+             for trial in range(config.trials)]
+    instance, _ = axioms._finish([raw for _, raw in drawn], drawn[0][0])
+    stacked = axioms.check_associativity(family, instance["e"], instance["f"], instance["rho"])
+    assert stacked.shape == (config.trials,)
+    for value, member in zip(stacked.tolist(), axioms._unstack(instance), strict=True):
+        alone = axioms.check_associativity(family, member["e"], member["f"], member["rho"])
+        assert type(alone) is float and value == alone
+    assert (stacked.max() > 1e-6) == (tag == "leifer-spekkens")  # LS is not associative
+
+
+def test_an_inapplicable_member_settles_an_a_stack_member_by_member(monkeypatch):
+    """Trial 3's first leg is a general channel, whose normalised channel
+    state Leifer–Spekkens refuses: the stack raises, each member is then
+    evaluated alone, and every trial keeps the outcome it has alone."""
+    family, config = sot.LeiferSpekkens(), axioms.CertifyConfig(trials=8, seed=4)
+    draw, violation = axioms._draw, axioms._violation
+
+    def general_third(family, prop, trial, config, rng):
+        group, raw = draw(family, prop, trial, config, rng)
+        return group, ({**raw, "e": sampling.random_cptp(*group[:2], rng)} if trial == 3 else raw)
+    alone = []
+    monkeypatch.setattr(axioms, "_draw", general_third)
+    monkeypatch.setattr(axioms, "_violation", lambda *args: alone.append(args) or violation(*args))
+    cell = axioms._cell_index(family.tag, "A")
+    trials = range(1, config.trials)
+    keys = [[config.seed, cell, trial] for trial in trials]
+    outcomes = axioms._chunk(family, "A", trials, config, keys)
+    assert len(alone) == len(trials)  # the stack raised, so the fallback ran
+    for trial, key, outcome in zip(trials, keys, outcomes):
+        member = axioms._sample_for(family, "A", trial, config, np.random.default_rng(key))
+        if trial == 3:
+            assert isinstance(outcome, InapplicableError)
+            with pytest.raises(InapplicableError, match="not linear in the state"):
+                axioms.check_associativity(family, member["e"], member["f"], member["rho"])
+            continue
+        value, data = outcome
+        assert value == axioms.check_associativity(family, member["e"], member["f"],
+                                                   member["rho"])
+        for name, want in member.items():
+            assert_same(data[name], want)
+
+
 @pytest.mark.parametrize("r, s", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.3), (0.0, 0.0)])
 def test_rs_family_at_a_bloom_end_is_associative(r, s):
     """At r ∈ {0, 1} the rs family is a mix of the two blooms, linear in the
@@ -612,7 +714,8 @@ def test_stacked_p7_and_a_draws_equal_the_per_trial_samplers(tag, prop):
 
 def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
     """At seed 0 Ohya's prior filter refuses trial 13, which shares its
-    stack in chunk [7..14] with trial 9; trial 13 alone is skipped."""
+    stack in a chunk of trials 7..14 with trial 9; trial 13 alone is
+    skipped."""
     family, config = sot.OhyaCompound(), axioms.CertifyConfig(trials=16, seed=0)
     cell = axioms._cell_index(family.tag, "P7")
     trials = range(7, 15)
@@ -634,9 +737,9 @@ def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
 
 @pytest.mark.parametrize("tag", ["uncorrelated", "ohya"])
 def test_a_p7_chunk_evaluates_one_stack_per_shape_pair(tag, monkeypatch):
-    """Chunk [7..14] holds every construction on both shape parities; the
-    finished pairs of one shape pair are evaluated together, and each trial
-    keeps the violation it has alone."""
+    """A chunk of trials 7..14 holds every construction on both shape
+    parities; the finished pairs of one shape pair are evaluated together,
+    and each trial keeps the violation it has alone."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=16, seed=0)
     cell = axioms._cell_index(tag, "P7")
     trials = range(7, 15)

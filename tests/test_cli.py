@@ -304,6 +304,25 @@ def test_certify_malformed_seed_env_var_is_validation(fixtures, monkeypatch,
                 fixtures["channel"], fixtures["state"]]) == cli.EXIT_OK
 
 
+def test_certify_negative_trials_is_validation(capsys):
+    """A negative --trials is refused like a negative --seed, and the
+    report schema agrees; zero trials is an "insufficient" table."""
+    args = ["certify", "--families", "uncorrelated", "--properties", "P1", "--format", "json"]
+    assert run(args + ["--trials", "-5"]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: --trials") and "-5" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert run(args + ["--trials", "0"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trials"] == 0 and doc["cells"][0]["status"] == "insufficient"
+    import jsonschema
+    schema = io.load_schema("certify_report")
+    jsonschema.Draft202012Validator(schema).validate(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.Draft202012Validator(schema).validate({**doc, "trials": -5})
+
+
 @pytest.mark.parametrize("command", ["sot", "bayes", "certify"])
 def test_an_unwritable_output_is_a_validation_error(command, fixtures, capsys):
     out = str(fixtures["dir"] / "missing" / "out.json")

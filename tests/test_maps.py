@@ -134,6 +134,24 @@ def test_channel_state_roundtrip(rng):
     assert np.max(np.abs(back.matrix - e.matrix)) < ATOL
 
 
+@pytest.mark.parametrize("source, target", [
+    (alg.matrix_algebra(2, "a"), alg.matrix_algebra(3, "b")),
+    (AlgebraShape([("a", 2), ("x", 1)]), AlgebraShape([("b", 2), ("y", 3)]))])
+def test_stacked_channel_from_state_inverts_each_member(source, target):
+    """A stack of channel states gives the stack of their maps: each member
+    is the map itself and what a single channel state gives, bit for bit."""
+    rng = rng_for("stacked-channel-from-state", source.vector_dim)
+    es = [sampling.random_cptp(source, target, rng) for _ in range(6)]
+    states = maps.channel_state(maps.stack(es))
+    back = maps.channel_from_state(states, source, target)
+    assert (back.source, back.target) == (source, target)
+    assert back.matrix.shape == (6, target.vector_dim, source.vector_dim)
+    assert not back.matrix.flags.writeable
+    for got, e, state in zip(maps.unstack(back), es, alg.unstack(states), strict=True):
+        assert np.array_equal(got.matrix, e.matrix)
+        assert np.array_equal(got.matrix, maps.channel_from_state(state, source, target).matrix)
+
+
 def test_channel_state_marginal_is_output_state(rng):
     shape = alg.matrix_algebra(3, "a")
     e = sampling.random_cptp(shape, alg.matrix_algebra(2, "b"), rng)

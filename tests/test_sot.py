@@ -223,6 +223,24 @@ def test_stacked_ohya_and_uncorrelated_equal_their_pairs(family, m, n):
         assert np.array_equal(got.data[0], sot.evaluate(family, e, rho).value.data[0])
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
+def test_stacked_marginal_residuals_equal_the_pairs(family):
+    """A stacked evaluation's marginal residuals are one per pair, each the
+    pair's own bit for bit, on single-block and block-sum sources."""
+    rng = rng_for(f"stacked-marginals-{family.tag}")
+    sources = [alg.matrix_algebra(2, "a")]
+    if not family.compound:
+        sources.append(AlgebraShape([("a", 2), ("x", 1)]))
+    for source in sources:
+        target = AlgebraShape([("b", 3), ("y", 1)])
+        es = [sampling.random_cptp(source, target, rng) for _ in range(5)]
+        rhos = [sampling.random_state(source, rng) for _ in es]
+        res_a, res_b = sot.evaluate(family, maps.stack(es), alg.stack(rhos)).marginal_residuals()
+        assert res_a.shape == res_b.shape == (5,)
+        alone = [sot.evaluate(family, e, rho).marginal_residuals() for e, rho in zip(es, rhos)]
+        assert list(zip(res_a.tolist(), res_b.tolist())) == alone
+
+
 def test_library_families_evaluate_stacks_in_one_pass(monkeypatch):
     """No library family takes the pair-by-pair path: with unstacking
     disabled, every family still evaluates a stack."""
