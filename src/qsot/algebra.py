@@ -156,16 +156,6 @@ def _per_element(value, kind):
     return kind(value) if np.ndim(value) == 0 else value
 
 
-def _every(flags) -> bool:
-    """Whether a per-element flag holds, for every element of a stack."""
-    return bool(flags.all()) if isinstance(flags, np.ndarray) else flags
-
-
-def _some(flags) -> bool:
-    """Whether a per-element flag holds, for some element of a stack."""
-    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
-
-
 @dataclass(frozen=True)
 class AlgebraElement:
     """A block-diagonal complex matrix: one dense block per shape block.
@@ -386,12 +376,6 @@ class SpectralDecomposition:
     eigenvalues: tuple[float, ...]
     projectors: tuple[AlgebraElement, ...]
 
-    def reconstruct(self) -> AlgebraElement:
-        out = zero(self.projectors[0].shape)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out = out + np.asarray(lam)[..., None, None] * proj
-        return out
-
 
 def spectral_decompose(a: AlgebraElement, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
     """Eigendecomposition with eigenvalues grouped across all blocks.
@@ -404,7 +388,7 @@ def spectral_decompose(a: AlgebraElement, group_tol: float = GROUP_TOL) -> Spect
     ``eigh`` per block; group g of a member with fewer groups has eigenvalue
     0 and projector 0.
     """
-    if not _every(a.is_hermitian()):
+    if not np.all(a.is_hermitian()):
         raise NotHermitianError("spectral_decompose requires a hermitian element")
     lead, dims = a.data[0].shape[:-2], a.shape.dims
     vals, vecs = zip(*(np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2) for m in a.data))
@@ -461,7 +445,7 @@ def power(a: AlgebraElement, r: complex, strict: bool = False) -> AlgebraElement
     In strict mode any eigenvalue below ``FAITHFULNESS_TOL`` is an error.
     On a stack, any element that fails a check fails the call.
     """
-    if not _every(a.is_hermitian(POWER_HERM_TOL)):
+    if not np.all(a.is_hermitian(POWER_HERM_TOL)):
         raise NotHermitianError("power requires a hermitian element")
 
     def powered(vals: np.ndarray) -> np.ndarray:
@@ -503,12 +487,12 @@ def assert_state(a: AlgebraElement) -> AlgebraElement:
     """Validate the density-matrix requirements and return the element.  A
     stack passes when every member does; a message quotes the first member
     that does not."""
-    if not _every(a.is_hermitian(STATE_HERM_TOL)):
+    if not np.all(a.is_hermitian(STATE_HERM_TOL)):
         raise NotAStateError("state is not hermitian")
     trace = a.trace()
-    if _some(bad := abs(trace - 1.0) > STATE_TOL):
+    if np.any(bad := abs(trace - 1.0) > STATE_TOL):
         raise NotAStateError(f"state trace {np.extract(bad, trace)[0]:.6f} != 1")
     low = a.min_eigenvalue()
-    if _some(bad := low < -STATE_TOL):
+    if np.any(bad := low < -STATE_TOL):
         raise NotAStateError(f"state has eigenvalue {np.extract(bad, low)[0]:.3e} < 0")
     return a

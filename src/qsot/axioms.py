@@ -288,9 +288,9 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
         # State-linear families extend linearly to arbitrary second
         # arguments; the others must pass full domain validation.
         if family.state_linear:
-            if not alg._every(channel.is_tp):
+            if not np.all(channel.is_tp):
                 raise InapplicableError("intermediate map is not trace-preserving")
-            return sot._value(family, channel, arg)
+            return family.value(channel, arg)
         return sot.evaluate(family, channel, arg).value
 
     try:
@@ -423,16 +423,6 @@ def _violation(family: sot.SotFamily, prop: str, instance: dict,
     """Return (violation, extra-witness-data) for one instance: the
     violations of its stack of one."""
     return _violations(family, prop, _finish([instance])[0], config)[0]
-
-
-def _sample_for(family: sot.SotFamily, prop: str, trial: int,
-                config: CertifyConfig, rng: np.random.Generator) -> dict:
-    """Every random input of one trial, drawn from ``rng`` in a fixed order."""
-    group, raw = _draw(family, prop, trial, config, rng)
-    instance, [refusal] = _finish([raw], group)
-    if refusal is not None:
-        raise refusal
-    return _unstack(instance)[0]
 
 
 def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:

@@ -54,18 +54,19 @@ def _family_from_args(args) -> sot.SotFamily:
     return io.parse_family(doc)
 
 
-def _load(path: str, kind: type, what: str):
-    obj = io.load(path)
+def _typed(obj, kind: type, where: str):
+    """``obj`` if it is a ``kind``, a map or an element; else a ValidationError."""
     if not isinstance(obj, kind):
-        raise ValidationError(f"{path} does not contain {what} document")
+        what = "a channel" if kind is LinearMap else "an element"
+        raise ValidationError(f"{where} does not contain {what} document")
     return obj
 
 
 def _sot_inputs(args) -> tuple[sot.SotFamily, LinearMap, AlgebraElement]:
     """The family, channel and state that `sot` and `bayes` act on."""
     return (_family_from_args(args),
-            _load(args.channel_file, LinearMap, "a channel"),
-            _load(args.state_file, AlgebraElement, "an element"))
+            _typed(io.load(args.channel_file), LinearMap, args.channel_file),
+            _typed(io.load(args.state_file), AlgebraElement, args.state_file))
 
 
 def _emit(doc: dict, out_file: str | None) -> None:
@@ -163,16 +164,17 @@ def cmd_certify(args) -> int:
 
 
 # ------------------------------------------------------------- scenario runs
-def _parse_sub(doc: dict, key: str):
+def _parse_sub(doc: dict, key: str, kind: type = AlgebraElement):
+    """The nested document at ``key``, which must parse to a ``kind``."""
     if key not in doc:
         raise ParseError(f"scenario document is missing {key!r}")
-    return io.parse_document(doc[key])
+    return _typed(io.parse_document(doc[key]), kind, f"scenario field {key!r}")
 
 
 def _scenario_pem(doc: dict) -> tuple[dict, bool]:
-    prep = _parse_sub(doc, "prep")
-    evo = _parse_sub(doc, "evo")
-    meas = _parse_sub(doc, "meas")
+    prep = _parse_sub(doc, "prep", LinearMap)
+    evo = _parse_sub(doc, "evo", LinearMap)
+    meas = _parse_sub(doc, "meas", LinearMap)
     p = alg.diagonal_element(prep.source, io.parse_real(doc["p"], "p", listed=True))
     scenario = scenarios.PemScenario(p, prep, evo, meas)
     strict = doc.get("strict", True)
@@ -191,7 +193,8 @@ def _listed(doc: dict, key: str) -> list:
 
 def _instrument_from_doc(doc: dict) -> scenarios.InstrumentScenario:
     sigma = _parse_sub(doc, "sigma")
-    parts = tuple(io.parse_document(part) for part in _listed(doc, "cp_parts"))
+    parts = tuple(_typed(io.parse_document(part), LinearMap, f"scenario field 'cp_parts[{i}]'")
+                  for i, part in enumerate(_listed(doc, "cp_parts")))
     return scenarios.InstrumentScenario(sigma, parts)
 
 
@@ -258,7 +261,7 @@ def _scenario_correlator(doc: dict) -> tuple[dict, bool]:
 
 
 def _scenario_linearization(doc: dict) -> tuple[dict, bool]:
-    channel = _parse_sub(doc, "channel")
+    channel = _parse_sub(doc, "channel", LinearMap)
     direction = _parse_sub(doc, "direction")
     epsilons = (io.parse_real(_listed(doc, "epsilons"), "epsilons", listed=True)
                 if "epsilons" in doc else [1e-2, 5e-3, 2.5e-3])

@@ -224,7 +224,7 @@ def parse_document(doc: dict):
     kind = doc.get("kind")
     if kind == "scenario":
         return doc  # interpreted by the scenario runner
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise ParseError(f"unknown document kind {kind!r}")
     value = _PARSERS[kind](doc)
     if kind == "state":

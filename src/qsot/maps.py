@@ -170,8 +170,8 @@ class LinearMap:
     @property
     def is_cp(self) -> bool:
         return bool(min((np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
-                         for c in choi_blocks(self).values()), default=0.0) >= -CP_TOL
-                    and self.is_dagger_preserving)
+                         for c in _source_transpose(channel_state(self)).data),
+                        default=0.0) >= -CP_TOL and self.is_dagger_preserving)
 
     @property
     def is_unital(self) -> bool:
@@ -345,29 +345,17 @@ def channel_from_state(j: AlgebraElement, source: AlgebraShape,
     return LinearMap._of(source, target, matrix)
 
 
-def choi_blocks(e: LinearMap) -> dict:
-    """Blockwise (unnormalized) Choi matrices Σ_ij E_ij ⊗ E(E_ij), keyed by
-    (source block index, target block index)."""
-    out = {}
-    for xi, mx in enumerate(e.source.dims):
-        for yi, ny in enumerate(e.target.dims):
-            comp = _component(e, xi, yi).reshape(ny, ny, mx, mx)
-            # choi[(a,k),(b,l)] = E(E_ab)[k,l] = comp[k,l,a,b]
-            out[(xi, yi)] = (np.ascontiguousarray(comp.transpose(2, 0, 3, 1))
-                             .reshape(mx * ny, mx * ny))
-    return out
-
-
-def map_from_choi(chois: dict, source: AlgebraShape, target: AlgebraShape) -> LinearMap:
-    """Inverse of choi_blocks; missing (source index, target index) keys are zero."""
-    matrix = np.zeros((target.vector_dim, source.vector_dim), dtype=complex)
-    so, to = _offsets(source), _offsets(target)
-    for (xi, yi), choi in chois.items():
-        mx, ny = source.dims[xi], target.dims[yi]
-        block = np.asarray(choi, dtype=complex).reshape(mx, ny, mx, ny)
-        comp = np.ascontiguousarray(block.transpose(1, 3, 0, 2)).reshape(ny * ny, mx * mx)
-        matrix[to[yi]:to[yi] + ny * ny, so[xi]:so[xi] + mx * mx] = comp
-    return LinearMap(source, target, matrix)
+def _source_transpose(t: AlgebraElement) -> AlgebraElement:
+    """The partial transpose on the left factor of an element on A⊗B, block
+    by block: entry ((a,k),(b,l)) ↦ ((b,k),(a,l)).  It takes D[E] to the
+    blockwise (unnormalized) Choi matrices Σ_ij E_ij ⊗ E(E_ij) and back."""
+    left, right = t.shape.factors
+    mats = []
+    for (i, j), mat in zip(t.shape.pairs, t.data):
+        m, n = left.dims[i], right.dims[j]
+        mats.append(np.ascontiguousarray(mat.reshape(m, n, m, n).transpose(2, 1, 0, 3))
+                    .reshape(m * n, m * n))
+    return AlgebraElement._of(t.shape, mats)
 
 
 def cp_decompose(e: LinearMap) -> tuple[LinearMap, LinearMap, LinearMap, LinearMap]:
@@ -376,17 +364,17 @@ def cp_decompose(e: LinearMap) -> tuple[LinearMap, LinearMap, LinearMap, LinearM
     The split happens on the blockwise Choi matrices: hermitian/antihermitian
     parts, then positive/negative spectral parts of each.
     """
-    parts: list[dict] = [{}, {}, {}, {}]
-    for key, choi in choi_blocks(e).items():
+    chois = _source_transpose(channel_state(e))
+    parts: list[list] = [[], [], [], []]
+    for choi in chois.data:
         herm = (choi + choi.conj().T) / 2
         skew = (choi - choi.conj().T) / (2j)
         for slot, mat in ((0, herm), (2, skew)):
             vals, vecs = np.linalg.eigh(mat)
-            pos = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
-            neg = (vecs * np.clip(-vals, 0, None)) @ vecs.conj().T
-            parts[slot][key] = pos
-            parts[slot + 1][key] = neg
-    return tuple(map_from_choi(p, e.source, e.target) for p in parts)
+            parts[slot].append((vecs * np.clip(vals, 0, None)) @ vecs.conj().T)
+            parts[slot + 1].append((vecs * np.clip(-vals, 0, None)) @ vecs.conj().T)
+    return tuple(channel_from_state(_source_transpose(AlgebraElement._of(chois.shape, p)),
+                                    e.source, e.target) for p in parts)
 
 
 # ------------------------------------------------------------------- swap and τ

@@ -340,6 +340,8 @@ def _weak_value_functional(state: AlgebraElement) -> Callable[[np.ndarray], comp
 
     def weak_value(a: np.ndarray | AlgebraElement) -> complex:
         arr = a.data[0] if isinstance(a, AlgebraElement) else np.asarray(a, dtype=complex)
+        if arr.shape != mat.shape:
+            raise ShapeMismatchError(f"observable is {arr.shape}, expected {mat.shape}")
         return complex(np.trace(mat.conj().T @ arr))
 
     return weak_value

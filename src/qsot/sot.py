@@ -15,7 +15,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import algebra as alg, maps, sampling
-from .algebra import AlgebraElement, AlgebraShape, _every, _some
+from .algebra import AlgebraElement, AlgebraShape
 from .config import COMM_TOL, FAITHFULNESS_TOL, GROUP_TOL, SOT_ARG_TOL, SPECTRAL_GAP, STATE_TOL
 from .errors import (ConstraintError, ExtensionError, InapplicableError,
                      UnsupportedFamilyError)
@@ -25,7 +25,9 @@ from .maps import LinearMap
 # -------------------------------------------------------------------- families
 class SotFamily:
     """Base of every family: ``value(e, ρ)`` is its formula for E⋆ρ, and the
-    class attributes below say where that formula applies."""
+    class attributes below say where that formula applies.  ``value`` takes
+    stacks: for a stack of maps and a stack of states of one length it returns
+    the stack of the pairs' values, each equal to its pair's value alone."""
     tag: ClassVar[str]
     # Linear in the state: evaluates any hermitian unit-trace argument.
     state_linear: ClassVar[bool] = False
@@ -256,18 +258,6 @@ def _sandwich(terms, e: LinearMap) -> AlgebraElement:
     return AlgebraElement._of(d.shape, blocks)
 
 
-# Every ``value`` the library defines evaluates a stack in one pass.
-_STACKED_VALUES = (_Sandwich.value, Uncorrelated.value, OhyaCompound.value)
-
-
-def _value(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
-    """``family.value``, on a stack: in one pass for a library family, pair
-    by pair for a ``value`` defined outside the library."""
-    if e.matrix.ndim == 2 or type(family).value in _STACKED_VALUES:
-        return family.value(e, rho)
-    return alg.stack([family.value(*pair) for pair in zip(maps.unstack(e), alg.unstack(rho))])
-
-
 def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverTime:
     """E⋆ρ for the given family.
 
@@ -276,22 +266,22 @@ def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverT
     ``rho`` may also be stacks of one length: every pair must pass the
     checks, and the value is the stack of the pairs' values.
     """
-    if not _every(e.is_tp):
+    if not np.all(e.is_tp):
         raise ConstraintError("state over time requires a trace-preserving map")
     if rho.shape != e.source:
         raise ConstraintError("state does not live on the channel's source")
-    if not _every(rho.is_hermitian(SOT_ARG_TOL)):
+    if not np.all(rho.is_hermitian(SOT_ARG_TOL)):
         raise ConstraintError("second argument must be hermitian")
-    if _some(abs(rho.trace() - 1.0) > SOT_ARG_TOL):
+    if np.any(abs(rho.trace() - 1.0) > SOT_ARG_TOL):
         raise ConstraintError("second argument must have unit trace")
-    if not family.state_linear and _some(rho.min_eigenvalue() < -STATE_TOL):
+    if not family.state_linear and np.any(rho.min_eigenvalue() < -STATE_TOL):
         raise ExtensionError(
             f"family {family.tag} is not linear in the state "
             "and only evaluates density matrices")
     if family.compound and len(e.source.blocks) != 1:
         raise UnsupportedFamilyError(
             "the compound construction is only defined on single-block algebras")
-    return StateOverTime(_value(family, e, rho), e, rho, family)
+    return StateOverTime(family.value(e, rho), e, rho, family)
 
 
 def reverse_orientation(family: SotFamily, e: LinearMap,
@@ -325,9 +315,19 @@ def draw_classical_limit(shape_a: AlgebraShape, shape_b: AlgebraShape,
                          rng: np.random.Generator, index: int,
                          nondegenerate_prior: bool = False
                          ) -> tuple[str, tuple[np.ndarray, ...]]:
-    """The construction ``index`` picks, modulo the constructions that apply
-    (see ``classical_limit_pair``), and its raw draws from ``rng``: the
-    channel's, then the prior's."""
+    """The classical-limit construction ``index`` picks, modulo the
+    constructions that apply, and its raw draws from ``rng``: the channel's,
+    then the prior's.  ``classical_limits`` finishes them into pairs (E, ρ)
+    with [D[E], ρ⊗1] = 0.
+
+    The constructions: (a) replacement channels with arbitrary priors,
+    (b) diagonal priors with diagonal-reading (decohering) channels,
+    (c) central priors with arbitrary channels (covers every bistochastic
+    instance since ρ = 1/m is central), and (d) arbitrary pairs when both
+    algebras are commutative.  With ``nondegenerate_prior`` the prior must
+    have a simple, strictly positive spectrum, and (c) applies only when the
+    source blocks are one-dimensional.
+    """
     kinds = ["replacement", "decohering"]
     if not nondegenerate_prior or max(shape_a.dims) == 1:
         kinds.append("central")
@@ -371,27 +371,3 @@ def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,
                     else InapplicableError("the drawn pair is not a classical-limit pair") if c
                     else None for d, c in zip(degenerate, noncommuting)]
 
-
-def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
-                         rng: np.random.Generator, index: int,
-                         nondegenerate_prior: bool = False
-                         ) -> tuple[LinearMap, AlgebraElement]:
-    """One (E, ρ) with [D[E], ρ⊗1] = 0, from construction ``index`` modulo
-    the constructions that apply.
-
-    The constructions: (a) replacement channels with arbitrary priors,
-    (b) diagonal priors with diagonal-reading (decohering) channels,
-    (c) central priors with arbitrary channels (covers every bistochastic
-    instance since ρ = 1/m is central), and (d) arbitrary pairs when both
-    algebras are commutative.  With ``nondegenerate_prior`` the prior must
-    have a simple, strictly positive spectrum, and (c) applies only when the
-    source blocks are one-dimensional.  A pair that fails that filter or the
-    ``COMM_TOL`` check raises InapplicableError.  This is the one-pair case
-    of ``draw_classical_limit`` and ``classical_limits``.
-    """
-    kind, draws = draw_classical_limit(shape_a, shape_b, rng, index, nondegenerate_prior)
-    e, rho, [refusal] = classical_limits(shape_a, shape_b, kind,
-                                         tuple(d[None] for d in draws), nondegenerate_prior)
-    if refusal is not None:
-        raise refusal
-    return maps.unstack(e)[0], alg.unstack(rho)[0]

@@ -11,7 +11,9 @@ are the exceptions: the probe-loop generic Bayes solver the structured
 ``bayes.generic_bayes`` replaced, the one-trial-at-a-time certification loop
 the chunked ``axioms.certify`` replaced, and the product-vector search that
 runs eight rounds over every start whatever the factor dimensions, each kept
-as its reference.
+as its reference.  ``sample_alone`` and ``classical_limit_pair`` draw one
+trial or one classical-limit pair through the library's samplers, as a stack
+of one.
 """
 import zlib
 from dataclasses import dataclass
@@ -117,6 +119,21 @@ def dense_channel_state(e: LinearMap) -> np.ndarray:
                 unit[i, j] = 1.0
                 image = e(element_from_dense(e.source, unit.T.copy()))  # E(E_ji)
                 out = out + np.kron(unit, dense_embedding(image))
+    return out
+
+
+def dense_choi(e: LinearMap) -> np.ndarray:
+    """Kron-sum oracle for the Choi matrix Σ_ij E_ij ⊗ E(E_ij) on H_A⊗H_B,
+    built entry by entry, with i, j running over the index pairs inside each
+    block of A."""
+    n = e.source.total_dim
+    out = 0
+    for rows in hilbert_indices(e.source):
+        for i in rows:
+            for j in rows:
+                unit = np.zeros((n, n), dtype=complex)
+                unit[i, j] = 1.0
+                out = out + np.kron(unit, dense_embedding(e(element_from_dense(e.source, unit))))
     return out
 
 
@@ -274,7 +291,8 @@ class TransposedTarget(sot.SotFamily):
     """Leifer–Spekkens followed by the transpose on the target factor.
 
     (id⊗T)∘(Φ⊗id) is not of the form Φ'⊗id, so this family is not local in
-    the source factor and the generic Bayes solver must refuse it."""
+    the source factor and the generic Bayes solver must refuse it.  Its
+    ``value`` takes single pairs only; it is never certified."""
     tag: ClassVar[str] = "transposed-target"
 
     def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
@@ -284,6 +302,30 @@ class TransposedTarget(sot.SotFamily):
 
 
 # ------------------------------------------------ sequential certification
+def sample_alone(family: sot.SotFamily, prop: str, trial: int,
+                 config: axioms.CertifyConfig, rng: np.random.Generator) -> dict:
+    """Every random input of one trial, drawn from ``rng`` and finished as a
+    stack of one; raises the trial's refusal, if it has one."""
+    group, raw = axioms._draw(family, prop, trial, config, rng)
+    instance, [refusal] = axioms._finish([raw], group)
+    if refusal is not None:
+        raise refusal
+    return axioms._unstack(instance)[0]
+
+
+def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
+                         rng: np.random.Generator, index: int,
+                         nondegenerate_prior: bool = False) -> tuple[LinearMap, AlgebraElement]:
+    """One classical-limit pair (E, ρ) of construction ``index``: the
+    library's draws finished as a stack of one; raises its refusal."""
+    kind, draws = sot.draw_classical_limit(shape_a, shape_b, rng, index, nondegenerate_prior)
+    e, rho, [refusal] = sot.classical_limits(shape_a, shape_b, kind,
+                                             tuple(d[None] for d in draws), nondegenerate_prior)
+    if refusal is not None:
+        raise refusal
+    return maps.unstack(e)[0], alg.unstack(rho)[0]
+
+
 def sequential_certify(family: sot.SotFamily, prop: str,
                        config: axioms.CertifyConfig) -> axioms.PropertyVerdict:
     """Reference for ``axioms.certify``: each trial drawn, evaluated (a P2
@@ -305,7 +347,7 @@ def sequential_certify(family: sot.SotFamily, prop: str,
 
     max_residual, best, evaluated = 0.0, None, 0
     for trial in range(config.trials):
-        result = attempt(lambda rng: axioms._sample_for(family, prop, trial, config, rng),
+        result = attempt(lambda rng: sample_alone(family, prop, trial, config, rng),
                          trial)
         if result is None:
             continue

@@ -14,7 +14,8 @@ from qsot.maps import LinearMap
 from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
                          UnsupportedFamilyError)
 
-from conftest import full_product_extremum, rng_for, sequential_certify
+from conftest import (classical_limit_pair, full_product_extremum, rng_for, sample_alone,
+                      sequential_certify)
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
 
@@ -231,8 +232,8 @@ class SkewedLeiferSpekkens(sot.LeiferSpekkens):
 
     def value(self, e, rho):
         t = super().value(e, rho)
-        mixedness = 1.0 - (rho @ rho).trace().real
-        return t + (2.55e-7j * mixedness) * alg.identity(t.shape)
+        mixedness = 1.0 - np.asarray((rho @ rho).trace().real)
+        return t + (2.55e-7j * mixedness[..., None, None]) * alg.identity(t.shape)
 
 
 def test_the_ascent_sharpens_an_ambiguous_candidate(monkeypatch):
@@ -402,7 +403,8 @@ class TiltedLeiferSpekkens(sot.LeiferSpekkens):
 
     def value(self, e, rho):
         t = super().value(e, rho)
-        return t - alg.identity(t.shape) if rho.data[0][0, 0].real > 0.8 else t
+        tilted = rho.data[0][..., 0, 0].real > 0.8
+        return t - tilted[..., None, None] * alg.identity(t.shape)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -429,7 +431,7 @@ class PickyLeiferSpekkens(sot.LeiferSpekkens):
     def value(self, e, rho):
         if len(e.source.blocks) > 1:
             raise UnsupportedFamilyError("single-block sources only")
-        if rho.data[0][0, 0].real > 0.7:
+        if np.any(rho.data[0][..., 0, 0].real > 0.7):
             raise ExtensionError("priors near |0⟩ refused")
         return super().value(e, rho)
 
@@ -463,10 +465,10 @@ def test_dims_give_the_source_and_target_shapes():
     config = axioms.CertifyConfig(trials=2, dims=(2, 3))
     family = sot.LeiferSpekkens()
     for trial, (source, target) in enumerate([((2,), (3,)), ((2, 1), (3, 1))]):
-        instance = axioms._sample_for(family, "P1", trial, config, rng_for("dims", trial))
+        instance = sample_alone(family, "P1", trial, config, rng_for("dims", trial))
         assert (instance["e"].source.dims, instance["e"].target.dims) == (source, target)
         assert instance["rho"].shape.dims == source
-    instance = axioms._sample_for(family, "A", 0, config, rng_for("dims"))
+    instance = sample_alone(family, "A", 0, config, rng_for("dims"))
     assert [m.dims for m in (instance["e"].source, instance["e"].target,
                              instance["f"].target)] == [(2,), (3,), (3,)]
 
@@ -509,13 +511,13 @@ def assert_same(got, want):
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
 def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop):
     """Twelve trials walk the chunks [0] and [1..11], on both shape
-    parities; each trial's outcome in its chunk equals _sample_for and
+    parities; each trial's outcome in its chunk equals sample_alone and
     _violation on that trial alone."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
     swept = list(axioms._sweep(family, prop, config, axioms._cell_index(tag, prop)))
     assert [trial for trial, _, _ in swept] == list(range(config.trials))
     for trial, key, (violation, data) in swept:
-        instance = axioms._sample_for(family, prop, trial, config, np.random.default_rng(key))
+        instance = sample_alone(family, prop, trial, config, np.random.default_rng(key))
         alone, extra = axioms._violation(family, prop, instance, config)
         assert violation == alone, trial
         want = {**instance, **extra}
@@ -533,7 +535,7 @@ def test_skips_are_counted_trial_by_trial_on_every_stacked_property(prop):
     for trial in range(verdict.trials + sum(verdict.skipped.values())):
         rng = np.random.default_rng([FAST.seed, cell, trial])
         try:
-            axioms._violation(family, prop, axioms._sample_for(family, prop, trial, FAST, rng),
+            axioms._violation(family, prop, sample_alone(family, prop, trial, FAST, rng),
                               FAST)
         except axioms.SKIPS as exc:
             want[type(exc).__name__] += 1
@@ -647,7 +649,7 @@ def test_an_inapplicable_member_settles_an_a_stack_member_by_member(monkeypatch)
     outcomes = axioms._chunk(family, "A", trials, config, keys)
     assert len(alone) == len(trials)  # the stack raised, so the fallback ran
     for trial, key, outcome in zip(trials, keys, outcomes):
-        member = axioms._sample_for(family, "A", trial, config, np.random.default_rng(key))
+        member = sample_alone(family, "A", trial, config, np.random.default_rng(key))
         if trial == 3:
             assert isinstance(outcome, InapplicableError)
             with pytest.raises(InapplicableError, match="not linear in the state"):
@@ -674,8 +676,8 @@ def drawn_alone(family, prop, trial, config, rng) -> dict:
     """The maps and states of one P7 or A trial from the per-trial samplers."""
     if prop == "P7":
         shape_a, shape_b = axioms._shapes(family, trial, config.dims)
-        e, rho = sot.classical_limit_pair(shape_a, shape_b, rng, trial // 2,
-                                          nondegenerate_prior=family.compound)
+        e, rho = classical_limit_pair(shape_a, shape_b, rng, trial // 2,
+                                      nondegenerate_prior=family.compound)
         return {"e": e, "rho": rho}
     a, b, c = (alg.matrix_algebra(d, label) for d, label in zip(
         (config.dims[0], config.dims[1], config.dims[1]), "abc"))
@@ -754,8 +756,7 @@ def test_a_p7_chunk_evaluates_one_stack_per_shape_pair(tag, monkeypatch):
     assert len(stacks) == 2 and sum(stacks) == len(evaluated)
     for trial, key, outcome in zip(trials, keys, outcomes):
         if not isinstance(outcome, Exception):
-            instance = axioms._sample_for(family, "P7", trial, config,
-                                          np.random.default_rng(key))
+            instance = sample_alone(family, "P7", trial, config, np.random.default_rng(key))
             assert outcome[0] == axioms._violation(family, "P7", instance, config)[0]
 
 
@@ -780,11 +781,11 @@ class BrittleLeiferSpekkens(sot.LeiferSpekkens):
     tag: ClassVar[str] = "brittle-leifer-spekkens"
 
     def value(self, e, rho):
-        weight = rho.data[0][0, 0].real
-        if weight < 0.15:
+        weight = rho.data[0][..., 0, 0].real
+        if np.any(weight < 0.15):
             raise ConstraintError("priors far from |0⟩ refused")
         t = super().value(e, rho)
-        return t + 1j * alg.identity(t.shape) if weight > 0.8 else t
+        return t + (1j * (weight > 0.8))[..., None, None] * alg.identity(t.shape)
 
 
 def test_an_error_after_the_first_failure_of_a_chunk_does_not_escape():
@@ -798,7 +799,7 @@ def test_an_error_after_the_first_failure_of_a_chunk_does_not_escape():
         events = []
         for trial in range(40):
             rng = np.random.default_rng([seed, cell, trial])
-            weight = axioms._sample_for(family, "P1", trial, config, rng)["rho"].data[0][0, 0].real
+            weight = sample_alone(family, "P1", trial, config, rng)["rho"].data[0][0, 0].real
             if weight < 0.15 or weight > 0.8:
                 events.append((trial, "raise" if weight < 0.15 else "fail"))
         return events

@@ -560,6 +560,44 @@ def test_scenario_name_mismatch_is_validation(tmp_path, capsys):
     assert run(["scenario", "correlator", str(path)]) == cli.EXIT_VALIDATION
 
 
+QUBIT = alg.matrix_algebra(2)
+A_STATE = io.serialize_element(0.5 * alg.identity(QUBIT), "state")
+A_CHANNEL = io.serialize_map(maps.identity_map(QUBIT))
+
+
+@pytest.mark.parametrize("name, field, value, code, message", [
+    ("correlator", "h", {"kind": []}, cli.EXIT_PARSE, "unknown document kind []"),
+    ("pem", "kind", {}, cli.EXIT_PARSE, "unknown document kind {}"),
+    ("correlator", "h", A_CHANNEL, cli.EXIT_VALIDATION,
+     "scenario field 'h' does not contain an element document"),
+    ("correlator", "a", {"kind": "scenario", "name": "pem"}, cli.EXIT_VALIDATION,
+     "scenario field 'a' does not contain an element document"),
+    ("pem", "prep", A_STATE, cli.EXIT_VALIDATION,
+     "scenario field 'prep' does not contain a channel document"),
+    ("state-update", "sigma", A_CHANNEL, cli.EXIT_VALIDATION,
+     "scenario field 'sigma' does not contain an element document"),
+    ("jeffrey", "cp_parts", [A_CHANNEL, A_STATE], cli.EXIT_VALIDATION,
+     "scenario field 'cp_parts[1]' does not contain a channel document"),
+    ("two-state", "observable", [[[1.0, 0.0]]], cli.EXIT_VALIDATION,
+     "observable is (1, 1), expected (2, 2)")])
+def test_a_nested_document_of_the_wrong_kind_or_size_is_one_error(name, field, value, code,
+                                                                   message, tmp_path, capsys):
+    """Each of these ended in an internal error (exit 5) with a traceback."""
+    docs = {"pem": scenario_doc_pem, "correlator": scenario_doc_correlator,
+            "state-update": scenario_doc_state_update, "jeffrey": scenario_doc_jeffrey,
+            "two-state": scenario_doc_two_state}
+    doc = docs[name](rng_for(f"cli-wrong-kind-{name}"))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(doc, observable=[[0.0, 1.0], [1.0, 0.0]])
+                               if name == "two-state" else doc))
+    assert run(["scenario", name, str(path)]) == cli.EXIT_OK  # the document is sound
+    capsys.readouterr()
+    path.write_text(json.dumps(dict(doc, **{field: value})))
+    assert run(["scenario", name, str(path)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+
+
 # ------------------------------------------------------------ console script
 def _console_script_target(name: str) -> str:
     """The `module:attr` target that `[project.scripts]` declares for name."""

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from qsot import algebra as alg, maps, sampling
 from qsot.algebra import AlgebraElement, AlgebraShape
+from qsot.config import CP_TOL
 from qsot.errors import ConstraintError, ShapeMismatchError
 from qsot.maps import LinearMap
 
 from conftest import (apply_dense, dense_ad, dense_apply_to_factor, dense_channel_state,
-                      dense_embedding, dense_hs_adjoint_check, dense_multiplier,
+                      dense_choi, dense_embedding, dense_hs_adjoint_check, dense_multiplier,
                       dense_partial_trace, dense_swap, rng_for)
 
 ATOL = 1e-11
@@ -177,6 +178,37 @@ def test_cp_decompose_recombines_and_parts_are_cp(rng):
     recombined = c1.matrix - c2.matrix + 1j * (c3.matrix - c4.matrix)
     assert np.max(np.abs(recombined - e.matrix)) < ATOL
     assert all(c.is_cp for c in (c1, c2, c3, c4))
+
+
+def positive_part(mat: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("kind", ["cptp", "not-cp", "general", "transpose"])
+def test_is_cp_and_cp_decompose_agree_with_the_dense_choi_oracle(kind, rng):
+    """On block-sum shapes, is_cp reads the oracle Choi matrix Σ E_ij ⊗ E(E_ij),
+    and cp_decompose's parts have the positive and negative parts of its
+    hermitian and skew parts as their Choi matrices."""
+    source, target = AlgebraShape([("a", 2), ("x", 1)]), AlgebraShape([("b", 3), ("y", 1)])
+    if kind == "cptp":
+        e = sampling.random_cptp(source, target, rng)
+    elif kind == "not-cp":
+        e = 1.5 * sampling.random_cptp(source, target, rng) - 0.5 * sampling.random_cptp(
+            source, target, rng)
+    elif kind == "general":
+        e = LinearMap(source, target, rng.normal(size=(10, 5)) + 1j * rng.normal(size=(10, 5)))
+    else:
+        e = maps.from_action(source, source, lambda x: AlgebraElement(
+            source, tuple(m.T for m in x.data)))
+    choi = dense_choi(e)
+    herm, skew = (choi + choi.conj().T) / 2, (choi - choi.conj().T) / 2j
+    assert e.is_cp == bool(np.linalg.eigvalsh(herm)[0] >= -CP_TOL and e.is_dagger_preserving)
+    assert e.is_cp == (kind == "cptp")
+    parts = [dense_choi(c) for c in maps.cp_decompose(e)]
+    for got, want in zip(parts, (positive_part(herm), positive_part(-herm),
+                                 positive_part(skew), positive_part(-skew)), strict=True):
+        assert np.max(np.abs(got - want)) < ATOL
 
 
 # --------------------------------------------------------------- swap and tau

@@ -9,7 +9,8 @@ from qsot.config import GROUP_TOL
 from qsot.errors import (ConstraintError, ExtensionError,
                          UnsupportedFamilyError)
 
-from conftest import dense_channel_state, random_traceless_direction, rng_for
+from conftest import (classical_limit_pair, dense_channel_state, random_traceless_direction,
+                      rng_for)
 
 ATOL = 1e-10
 
@@ -207,20 +208,36 @@ def stack_priors(shape: AlgebraShape, rng) -> list[AlgebraElement]:
             + [rotated_prior(shape, spectrum, rng) for spectrum in spectra])
 
 
+# Every library family and parameter kind: the table, Ohya at a coarse
+# group_tol, the rs family inside and at the ends of r, and every Θ recipe.
+STACKED_FAMILIES = {
+    **sot.TABLE_FAMILIES,
+    "ohya-1e-3": sot.OhyaCompound(group_tol=1e-3),
+    "rs": sot.RSFamily(0.3, 0.7), "rs-r0": sot.RSFamily(0.0, 0.3),
+    "rs-r1": sot.RSFamily(1.0, 0.3),
+    **{f"theta-{name}": sot.ThetaDerived(cls()) for name, cls in sot.THETA_RECIPES.items()}}
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (4, 3)])
-@pytest.mark.parametrize("family", [sot.Uncorrelated(), sot.OhyaCompound(),
-                                    sot.OhyaCompound(group_tol=1e-3)],
-                         ids=["uncorrelated", "ohya", "ohya-1e-3"])
+@pytest.mark.parametrize("family", STACKED_FAMILIES.values(), ids=STACKED_FAMILIES.keys())
 def test_stacked_ohya_and_uncorrelated_equal_their_pairs(family, m, n):
-    """One stacked evaluation equals the pairs' own, bit for bit, on
-    degenerate priors and on eigenvalue gaps either side of group_tol."""
+    """``value`` takes stacks: one stacked evaluation equals the pairs' own,
+    bit for bit, for every library family.  On M_m → M_n the priors are
+    degenerate, pure and with eigenvalue gaps either side of group_tol; on
+    M_m ⊕ M_1 → M_n ⊕ M_1 (not for Ohya, single-block only) random."""
     rng = rng_for(f"stacked-{family.tag}-{m}-{n}")
     shape_a, shape_b = alg.matrix_algebra(m, "a"), alg.matrix_algebra(n, "b")
-    rhos = stack_priors(shape_a, rng)
-    es = [sampling.random_cptp(shape_a, shape_b, rng) for _ in rhos]
-    stacked = sot.evaluate(family, maps.stack(es), alg.stack(rhos)).value
-    for got, e, rho in zip(alg.unstack(stacked), es, rhos, strict=True):
-        assert np.array_equal(got.data[0], sot.evaluate(family, e, rho).value.data[0])
+    cases = [(shape_a, shape_b, stack_priors(shape_a, rng))]
+    if not family.compound:
+        blocky = AlgebraShape([("a", m), ("x", 1)])
+        cases.append((blocky, AlgebraShape([("b", n), ("y", 1)]),
+                      [sampling.random_state(blocky, rng) for _ in range(5)]))
+    for source, target, rhos in cases:
+        es = [sampling.random_cptp(source, target, rng) for _ in rhos]
+        stacked = sot.evaluate(family, maps.stack(es), alg.stack(rhos)).value
+        for got, e, rho in zip(alg.unstack(stacked), es, rhos, strict=True):
+            want = sot.evaluate(family, e, rho).value
+            assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data, strict=True))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
@@ -242,8 +259,8 @@ def test_stacked_marginal_residuals_equal_the_pairs(family):
 
 
 def test_library_families_evaluate_stacks_in_one_pass(monkeypatch):
-    """No library family takes the pair-by-pair path: with unstacking
-    disabled, every family still evaluates a stack."""
+    """Every library family evaluates a stack in one pass: with unstacking
+    disabled, each still evaluates one."""
     rng = rng_for("stacks-in-one-pass")
     shape_a, shape_b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(3, "b")
     rhos = [sampling.random_state(shape_a, rng) for _ in range(4)]
@@ -346,7 +363,7 @@ def test_right_and_left_bloom_are_mutual_reverses(rng):
 def test_classical_limit_pairs_commute_and_agree_across_families(rng):
     shape_a, shape_b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")
     for index in range(6):
-        e, rho = sot.classical_limit_pair(shape_a, shape_b, rng, index)
+        e, rho = classical_limit_pair(shape_a, shape_b, rng, index)
         assert sot.commutation_residual(e, rho) < 1e-12
         target = maps.channel_state(e) @ alg.tensor(rho, alg.identity(e.target))
         for family in ALL_FAMILIES:
@@ -359,8 +376,8 @@ def test_classical_limit_pairs_commute_and_agree_across_families(rng):
 def test_classical_limit_pairs_nondegenerate_prior_filter(rng):
     shape_a, shape_b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")
     for index in range(4):
-        e, rho = sot.classical_limit_pair(shape_a, shape_b, rng, index,
-                                          nondegenerate_prior=True)
+        e, rho = classical_limit_pair(shape_a, shape_b, rng, index,
+                                      nondegenerate_prior=True)
         vals = np.linalg.eigvalsh(rho.data[0])
         assert vals[0] > 1e-3 and np.min(np.diff(vals)) > 1e-3
         value = sot.evaluate(sot.OhyaCompound(), e, rho).value
@@ -384,7 +401,7 @@ def _construction(e, rho) -> str:
 def test_classical_limit_pair_cycles_through_the_applicable_constructions(
         rng, nondegenerate_prior, kinds):
     shape_a, shape_b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")
-    drawn = [_construction(*sot.classical_limit_pair(
+    drawn = [_construction(*classical_limit_pair(
         shape_a, shape_b, rng, index, nondegenerate_prior=nondegenerate_prior))
         for index in range(6)]
     assert drawn == [kinds[i % len(kinds)] for i in range(6)]
@@ -411,7 +428,7 @@ def pair_from_samplers(shape_a, shape_b, rng, kind):
 def test_classical_limit_pair_equals_the_finished_samplers(shape_a, shape_b):
     kinds = ["replacement", "decohering", "central"]
     for index in range(6):
-        e, rho = sot.classical_limit_pair(shape_a, shape_b, rng_for("limit", index), index)
+        e, rho = classical_limit_pair(shape_a, shape_b, rng_for("limit", index), index)
         want_e, want_rho = pair_from_samplers(shape_a, shape_b, rng_for("limit", index),
                                               kinds[index % 3])
         assert np.array_equal(e.matrix, want_e.matrix)
