@@ -303,10 +303,10 @@ def diagonal_element(shape: AlgebraShape, values: Sequence[float]) -> AlgebraEle
     return AlgebraElement._of(shape, mats)
 
 
-def classical_state(probs: Sequence[float], prefix: str = "x") -> AlgebraElement:
+def classical_state(probs: Sequence[float]) -> AlgebraElement:
     """A probability vector as a state on C^n."""
     probs = np.asarray(probs, dtype=float)
-    return diagonal_element(classical_algebra(len(probs), prefix), probs)
+    return diagonal_element(classical_algebra(len(probs)), probs)
 
 
 # ---------------------------------------------------------------------- tensor

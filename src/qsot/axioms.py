@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import algebra as alg, maps, sampling, sot
+from . import algebra as alg, io, maps, sampling, sot
 from .algebra import AlgebraElement, AlgebraShape
 from .config import FAIL_THRESHOLD, HERM_TOL, PASS_THRESHOLD
 from .errors import (ConstraintError, ExtensionError, InapplicableError,
@@ -39,8 +39,7 @@ GLYPHS = {"holds": "✓", "fails": "✗", "holds-restricted": "∗",
 
 
 def _witness_json(value):
-    """JSON form of one witness entry; None for values with no wire form."""
-    from . import io  # deferred: io itself imports the model modules
+    """JSON form of one witness entry."""
     if isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, float, np.integer, np.floating)):
@@ -55,7 +54,7 @@ def _witness_json(value):
         return io.serialize_element(value)
     if isinstance(value, LinearMap):
         return io.serialize_map(value)
-    return None
+    raise TypeError(f"a witness entry of type {type(value).__name__} has no wire form")
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ class PropertyVerdict:
         if self.violation is not None:
             out["violation"] = self.violation
         if self.counterexample is not None:
-            witness = {k: _witness_json(v) for k, v in self.counterexample.items()}
-            out["witness"] = {k: v for k, v in witness.items() if v is not None}
+            out["witness"] = {k: _witness_json(v) for k, v in self.counterexample.items()}
         if self.note:
             out["note"] = self.note
         return out
@@ -377,8 +375,7 @@ def _unstack(instance: dict) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def _violations(family: sot.SotFamily, prop: str, instance: dict,
-                config: CertifyConfig) -> list[tuple[float, dict]]:
+def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[float, dict]]:
     """(violation, extra witness data) of each trial of a stacked instance;
     a pure function of the instance, which holds every random input.  Every
     property evaluates the whole stack at once.  Raises if any trial does."""
@@ -418,11 +415,10 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict,
     return [(value, {}) for value in (t - target).norm().tolist()]
 
 
-def _violation(family: sot.SotFamily, prop: str, instance: dict,
-               config: CertifyConfig) -> tuple[float, dict]:
+def _violation(family: sot.SotFamily, prop: str, instance: dict) -> tuple[float, dict]:
     """Return (violation, extra-witness-data) for one instance: the
     violations of its stack of one."""
-    return _violations(family, prop, _finish([instance])[0], config)[0]
+    return _violations(family, prop, _finish([instance])[0])[0]
 
 
 def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
@@ -441,8 +437,9 @@ def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
 
 def replay_violation(family: sot.SotFamily, prop: str, counterexample: dict,
                      config: CertifyConfig | None = None) -> float:
-    """Recompute the violation of a stored counterexample."""
-    return _violation(family, prop, counterexample, config or CertifyConfig())[0]
+    """Recompute the violation of a stored counterexample.  The witness holds
+    every input of the trial, so ``config`` is not read."""
+    return _violation(family, prop, counterexample)[0]
 
 
 # ----------------------------------------------------------------- certification
@@ -479,11 +476,11 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
         instance = (parts[0][1] if len(parts) == 1 else
                     _finish([trial for _, part in parts for trial in _unstack(part)])[0])
         try:
-            found = _violations(family, prop, instance, config)
+            found = _violations(family, prop, instance)
         except Exception:  # some trial raises: evaluate each member alone
             for index, member in zip(indices, _unstack(instance)):
                 try:
-                    value, extra = _violation(family, prop, member, config)
+                    value, extra = _violation(family, prop, member)
                     outcomes[index] = value, {**member, **extra}
                 except Exception as exc:  # settled when the sweep reaches the trial
                     outcomes[index] = exc
@@ -562,7 +559,7 @@ def certify(family: sot.SotFamily, prop: str,
             key = [config.seed, cell, config.trials + best_trial, step]
             try:
                 instance = _perturb(witness, scale, np.random.default_rng(key))
-                result, extra = _violation(family, prop, instance, config)
+                result, extra = _violation(family, prop, instance)
             except SKIPS:
                 continue
             if result > value:

@@ -52,7 +52,7 @@ class BayesSolution:
 
 # ---------------------------------------------------------------- closed forms
 def _product_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
-                   strict: bool) -> LinearMap:
+                   strict: bool = False) -> LinearMap:
     """L_{f(ρ)}R_{g(ρ)} ∘ E* ∘ L_{f(σ)^{−†}}R_{g(σ)^{−†}} for a one-term family.
 
     With σ = E(ρ), this is the unique solution of the Bayes condition for
@@ -67,7 +67,7 @@ def _product_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
 
 
 def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
-                    strict: bool) -> LinearMap:
+                    strict: bool = False) -> LinearMap:
     """X(e_kl) = Σ w f(ρ) E*(e_kl) g(ρ) / Γ_kl on the eigen-units e_kl = |w_k⟩⟨w_l|
     of σ = E(ρ), with Γ_kl = ``family.denominator(q_k, q_l)``.
 
@@ -98,50 +98,45 @@ def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))
 
 
-def petz(e: LinearMap, rho: AlgebraElement, strict: bool = False) -> LinearMap:
+def petz(e: LinearMap, rho: AlgebraElement) -> LinearMap:
     """Ad_{ρ^{1/2}} ∘ E* ∘ Ad_{E(ρ)^{−1/2}}."""
-    return _product_bayes(sot.LeiferSpekkens(), e, rho, strict)
+    return _product_bayes(sot.LeiferSpekkens(), e, rho)
 
 
-def rotated_petz(e: LinearMap, rho: AlgebraElement, t: float,
-                 strict: bool = False) -> LinearMap:
+def rotated_petz(e: LinearMap, rho: AlgebraElement, t: float) -> LinearMap:
     """Rotated recovery map Ad_{ρ^{1/2−it}} ∘ E* ∘ Ad_{E(ρ)^{−1/2−it}}.
 
     This is the unique solution of the Bayes condition for the rotated
     family (ρ^{1/2−it}⊗1)D[E](ρ^{1/2+it}⊗1); at t=0 it is the Petz map.
     """
-    return _product_bayes(sot.TRotated(t), e, rho, strict)
+    return _product_bayes(sot.TRotated(t), e, rho)
 
 
-def sth_inverse(e: LinearMap, rho: AlgebraElement,
-                family: sot.STH | None = None, strict: bool = False) -> LinearMap:
-    """Ad_{U_ρ†ρ^{1/2}} ∘ E* ∘ Ad_{U_{E(ρ)}†E(ρ)^{−1/2}} for the chooser's unitaries.
+def sth_inverse(e: LinearMap, rho: AlgebraElement) -> LinearMap:
+    """Ad_{U_ρ†ρ^{1/2}} ∘ E* ∘ Ad_{U_{E(ρ)}†E(ρ)^{−1/2}} with U_ρ = ρ^{it}, t = 0.3.
 
     Solves the Bayes condition for the family
-    (U_ρ†ρ^{1/2}⊗1)D[E](ρ^{1/2}U_ρ⊗1); with the trivial chooser it is Petz.
+    (U_ρ†ρ^{1/2}⊗1)D[E](ρ^{1/2}U_ρ⊗1).
     """
-    return _product_bayes(family or sot.STH(), e, rho, strict)
+    return _product_bayes(sot.STH(), e, rho)
 
 
-def bloom_bayes(side: str, e: LinearMap, rho: AlgebraElement,
-                strict: bool = False) -> LinearMap:
+def bloom_bayes(side: str, e: LinearMap, rho: AlgebraElement) -> LinearMap:
     """Right: B ↦ ρE*(E(ρ)^{−1}B); left: B ↦ E*(BE(ρ)^{−1})ρ."""
     families = {"right": sot.RightBloom(), "left": sot.LeftBloom()}
     if side not in families:
         raise ValueError("side must be 'left' or 'right'")
-    return _product_bayes(families[side], e, rho, strict)
+    return _product_bayes(families[side], e, rho)
 
 
-def symmetric_bloom_bayes(e: LinearMap, rho: AlgebraElement,
-                          strict: bool = False) -> LinearMap:
+def symmetric_bloom_bayes(e: LinearMap, rho: AlgebraElement) -> LinearMap:
     """X(e_kl) = (q_k+q_l)^{−1} {ρ, E*(e_kl)} in the eigenbasis of E(ρ)."""
-    return _spectral_bayes(sot.SymmetricBloom(), e, rho, strict)
+    return _spectral_bayes(sot.SymmetricBloom(), e, rho)
 
 
-def rs_bayes(r: float, s: float, e: LinearMap, rho: AlgebraElement,
-             strict: bool = False) -> LinearMap:
+def rs_bayes(r: float, s: float, e: LinearMap, rho: AlgebraElement) -> LinearMap:
     """Spectral-basis Bayes map for the (r,s) family."""
-    return _spectral_bayes(sot.RSFamily(r, s), e, rho, strict)
+    return _spectral_bayes(sot.RSFamily(r, s), e, rho)
 
 
 def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
@@ -180,7 +175,8 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement) -> B
         """The matrix of the map B → target whose channel state is γ(value)."""
         return maps.channel_from_state(maps.swap_gamma(value), b_shape, target).matrix
 
-    y = reversed_map(sot.evaluate(family, e, rho).value, a_shape)
+    forward = sot.evaluate(family, e, rho).value
+    y = reversed_map(forward, a_shape)
     phi_adj = reversed_map(family.value(maps.identity_map(b_shape), sigma),
                            b_shape).conj().T
 
@@ -204,7 +200,9 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement) -> B
     x = x + (rhs @ vh[keep].conj().T / svals[keep]) @ u[:, keep].conj().T
     x_map = LinearMap(b_shape, a_shape, x)
 
-    residual = bayes_residual(family, x_map, e, rho)
+    # bayes_residual, with the forward side y was built from
+    backward = sot.evaluate(family, x_map.tilde(), sigma).value
+    residual = (forward - maps.time_reversal_tau(backward)).norm()
     nullity = (n_a - 1) * int(np.sum(svals <= RANK_TOL * max(1.0, svals[0])))
     if residual > FAIL_THRESHOLD:
         uniqueness, witnesses = "none-found", ()

@@ -112,12 +112,11 @@ def cmd_bayes(args) -> int:
     if uniqueness is not None:
         doc["uniqueness"] = uniqueness
     _emit(doc, args.out_file)
-    print(f"Bayes map: residual {residual:.3e}, {classification}",
-          file=sys.stderr)
-    if args.verify and residual >= PASS_THRESHOLD:
-        print(f"verification failed: residual {residual:.3e} >= "
-              f"{PASS_THRESHOLD:.0e}", file=sys.stderr)
+    if args.verify and not residual < PASS_THRESHOLD:
+        print(f"verification failed: Bayes map residual {residual:.3e} >= "
+              f"{PASS_THRESHOLD:.0e}, {classification}", file=sys.stderr)
         return EXIT_NUMERICAL
+    print(f"Bayes map: residual {residual:.3e}, {classification}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -355,8 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A document's numbers may overflow: the inf or NaN that results fails a
+    # NaN-safe check with one stderr line, and numpy adds none.  certify reads
+    # no document and keeps numpy's warnings, which -W error turns into failures.
+    quiet = {} if args.func is cmd_certify else {"all": "ignore"}
     try:
-        return args.func(args)
+        with np.errstate(**quiet):
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -41,8 +41,10 @@ def serialize_complex(z: complex) -> list[float]:
 
 
 def _is_number(v: Any) -> bool:
-    """A JSON number: an int or a float, not a boolean."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number: an int or a finite float, not a boolean (``json``
+    reads NaN and ±Infinity, which JSON does not have)."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
 
 
 def parse_complex(v: Any) -> complex:
@@ -92,7 +94,9 @@ def parse_matrix(rows: Any) -> np.ndarray:
         raise ParseError("matrix rows have inconsistent lengths")
     floats = _float_pairs(rows)
     if floats is not None:  # one conversion; the view keeps the sign of a zero
-        return np.array(floats, dtype=np.float64).view(complex).reshape(len(rows), width)
+        flat = np.array(floats, dtype=np.float64)
+        if np.isfinite(flat).all():  # else parse_complex names the bad entry
+            return flat.view(complex).reshape(len(rows), width)
     return np.array([[parse_complex(v) for v in row] for row in rows], dtype=complex)
 
 
@@ -164,16 +168,10 @@ def parse_map(doc: dict) -> LinearMap:
 
 
 # ------------------------------------------------------------------- families
-def _parameters(family) -> list[dataclasses.Field]:
-    """The constructor fields that travel on the wire (callables such as the
-    STH chooser are compare=False and stay behind)."""
-    return [f for f in dataclasses.fields(family) if f.init and f.compare]
-
-
 def serialize_family(family: sot.SotFamily) -> dict:
     doc: dict = {"kind": "sot_family", "schema_version": SCHEMA_VERSION,
                  "tag": family.tag}
-    for f in _parameters(family):
+    for f in dataclasses.fields(family):
         doc[f.name] = getattr(family, f.name)
     if "theta" in doc:
         recipes = {cls(): name for name, cls in sot.THETA_RECIPES.items()}
@@ -193,7 +191,7 @@ def parse_family(doc: dict | str) -> sot.SotFamily:
     cls = sot.FAMILIES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ParseError(f"unknown family tag {tag!r}")
-    params = _parameters(cls)
+    params = dataclasses.fields(cls)
     unknown = sorted(set(doc) - {"kind", "schema_version", "tag"} - {f.name for f in params})
     if unknown:
         raise ParseError(f"{tag} family has no parameter {', '.join(unknown)}")

@@ -138,9 +138,6 @@ class LinearMap:
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
     # ------------------------------------------------------------------ adjoint
     def hs_adjoint(self) -> "LinearMap":
         """Hilbert–Schmidt adjoint: tr(E(A)† B) = tr(A† E*(B))."""
@@ -184,17 +181,6 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap({self.source!r} -> {self.target!r})"
-
-
-def classify(e: LinearMap) -> dict:
-    """Classification flags used by reports and the Bayes solvers."""
-    return {
-        "TP": e.is_tp,
-        "HPTP": e.is_tp and e.is_dagger_preserving,
-        "CP": e.is_cp,
-        "CPTP": e.is_cptp,
-        "unital": e.is_unital,
-    }
 
 
 def from_action(source: AlgebraShape, target: AlgebraShape,
@@ -441,8 +427,7 @@ def classical_channel(stochastic: np.ndarray, source_prefix: str = "x",
     return LinearMap(source, target, matrix)
 
 
-def povm(effects: Sequence[np.ndarray] | Sequence[AlgebraElement],
-         target_prefix: str = "y") -> LinearMap:
+def povm(effects: Sequence[np.ndarray] | Sequence[AlgebraElement]) -> LinearMap:
     """A POVM {M_y} as the channel A ↦ ⊕_y tr(M_y A) into C^Y."""
     elems, source = [], None
     for m in effects:
@@ -453,12 +438,11 @@ def povm(effects: Sequence[np.ndarray] | Sequence[AlgebraElement],
                 source = alg.matrix_algebra(np.asarray(m).shape[0])
             elems.append(AlgebraElement(source, (np.asarray(m, dtype=complex),)))
     source = elems[0].shape
-    total = elems[0]
-    for m in elems[1:]:
-        total = total + m
-    if (total - alg.identity(source)).norm() > CHANNEL_TOL:
+    with np.errstate(all="ignore"):  # an overflow is a defect above tolerance
+        defect = (sum(elems[1:], elems[0]) - alg.identity(source)).norm()
+    if not defect <= CHANNEL_TOL:
         raise ConstraintError("POVM effects must sum to the identity")
-    target = alg.classical_algebra(len(elems), target_prefix)
+    target = alg.classical_algebra(len(elems), "y")
     rows = [vec(m.dagger()).conj() for m in elems]  # tr(M_y A) row functionals
     return LinearMap(source, target, np.array(rows))
 
@@ -469,21 +453,21 @@ def povm_effects(e: LinearMap) -> list[AlgebraElement]:
     return [adj(alg.basis_vector(e.target, label)) for label in e.target.labels]
 
 
-def ensemble(states: Sequence[AlgebraElement], source_prefix: str = "x") -> LinearMap:
+def ensemble(states: Sequence[AlgebraElement]) -> LinearMap:
     """An ensemble {ρ_x} as the preparation channel C^X → A, δ_x ↦ ρ_x."""
     for rho in states:
         alg.assert_state(rho)
-    source = alg.classical_algebra(len(states), source_prefix)
+    source = alg.classical_algebra(len(states))
     cols = [vec(rho) for rho in states]
     return LinearMap(source, states[0].shape, np.column_stack(cols))
 
 
-def instrument(cp_parts: Sequence[LinearMap], outcome_prefix: str = "x") -> LinearMap:
+def instrument(cp_parts: Sequence[LinearMap]) -> LinearMap:
     """A quantum instrument {F_x} as the channel A → B⊗C^X, A ↦ Σ_x F_x(A)⊗δ_x."""
     source, b_shape = cp_parts[0].source, cp_parts[0].target
     if not sum(cp_parts[1:], cp_parts[0]).is_tp:
         raise ConstraintError("the sum of instrument parts must be trace-preserving")
-    outcomes = alg.classical_algebra(len(cp_parts), outcome_prefix)
+    outcomes = alg.classical_algebra(len(cp_parts))
     target = b_shape.tensor(outcomes)
     # block (i, x) of B⊗C^X holds F_x(A)'s block i: F_x's rows for that block
     offs = _offsets(b_shape)
@@ -494,7 +478,9 @@ def instrument(cp_parts: Sequence[LinearMap], outcome_prefix: str = "x") -> Line
 def unitary_channel(u: AlgebraElement) -> LinearMap:
     """Ad_U for a blockwise unitary U."""
     for mat, d in zip(u.data, u.shape.dims):
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(d))) > CHANNEL_TOL:
+        with np.errstate(all="ignore"):  # an overflow is a defect above tolerance
+            defect = np.max(np.abs(mat @ mat.conj().T - np.eye(d)))
+        if not defect <= CHANNEL_TOL:
             raise ConstraintError("unitary_channel needs unitary blocks")
     return ad_map(u)
 

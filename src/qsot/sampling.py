@@ -43,13 +43,9 @@ def random_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElemen
     return state(shape, draw_state(shape, rng))
 
 
-def random_hermitian(shape: AlgebraShape, rng: np.random.Generator,
-                     traceless: bool = False) -> AlgebraElement:
+def random_hermitian(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
     mats = [((g := ginibre(rng, d)) + g.conj().T) / 2 for d in shape.dims]
-    el = AlgebraElement._of(shape, mats)
-    if traceless:
-        el = el - (el.trace() / shape.total_dim) * alg.identity(shape)
-    return el
+    return AlgebraElement._of(shape, mats)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -119,8 +119,8 @@ def eigenbasis_pem(evo: LinearMap, rho: AlgebraElement) -> PemScenario:
     σ = evo(ρ); requires a non-degenerate spectrum on a single-block source."""
     p_vals, prep_states = _rank_one_basis(rho)
     q_vals, meas_states = _rank_one_basis(evo(rho))
-    prep = maps.ensemble(prep_states, source_prefix="x")
-    meas = maps.povm(meas_states, target_prefix="y")
+    prep = maps.ensemble(prep_states)
+    meas = maps.povm(meas_states)
     p = alg.diagonal_element(prep.source, p_vals)
     return PemScenario(p, prep, evo, meas)
 
@@ -295,9 +295,10 @@ def two_state(psi: np.ndarray, povm: LinearMap,
     psi = np.asarray(psi, dtype=complex)
     if psi.size != dim:
         raise ShapeMismatchError(f"psi has {psi.size} entries, expected {dim}")
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ConstraintError("psi must be nonzero")
+    with np.errstate(over="ignore"):  # a norm beyond float range is refused below
+        norm = np.linalg.norm(psi)
+    if not 0.0 < norm < np.inf:
+        raise ConstraintError("psi must be nonzero, with a norm within float range")
     psi = psi.reshape(dim) / norm
     if unitaries is None:
         u10 = u21 = np.eye(dim, dtype=complex)
@@ -393,7 +394,7 @@ def ls_linearization_check(e: LinearMap, a: AlgebraElement,
     shrink it by ≈ 4.
     """
     if not a.is_hermitian() or abs(a.trace()) > STATE_TOL:
-        raise ConstraintError("direction must be hermitian and traceless")
+        raise ConstraintError("direction must be hermitian with zero trace")
     if a.shape != e.source:
         raise ConstraintError("direction does not live on the channel's source")
     dim = e.source.total_dim

@@ -9,8 +9,8 @@ anything that is not PSD.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -106,19 +106,12 @@ class TRotated(_Sandwich):
 
 @dataclass(frozen=True)
 class STH(_Sandwich):
-    """Sutter–Tomamichel–Harrow style family.
-
-    ``chooser`` maps a state to a commuting unitary U_ρ; the default is
-    ρ^{it} on the support and the identity off it, with ``t`` the parameter.
-    """
+    """Sutter–Tomamichel–Harrow style family, with the commuting unitary
+    U_ρ = ρ^{it} on the support and the identity off it."""
     t: float = 0.3
-    chooser: Callable[[AlgebraElement], AlgebraElement] | None = field(
-        default=None, compare=False)
     tag: ClassVar[str] = "sth"
 
     def unitary_for(self, state: AlgebraElement) -> AlgebraElement:
-        if self.chooser is not None:
-            return self.chooser(state)
         return alg.support_unitary(state, self.t)
 
     def terms(self, x, inverse=False, strict=False):
@@ -322,27 +315,22 @@ def draw_classical_limit(shape_a: AlgebraShape, shape_b: AlgebraShape,
 
     The constructions: (a) replacement channels with arbitrary priors,
     (b) diagonal priors with diagonal-reading (decohering) channels,
-    (c) central priors with arbitrary channels (covers every bistochastic
-    instance since ρ = 1/m is central), and (d) arbitrary pairs when both
-    algebras are commutative.  With ``nondegenerate_prior`` the prior must
-    have a simple, strictly positive spectrum, and (c) applies only when the
-    source blocks are one-dimensional.
+    and (c) central priors with arbitrary channels (covers every bistochastic
+    instance since ρ = 1/m is central).  With ``nondegenerate_prior`` the
+    prior must have a simple, strictly positive spectrum, and (c) applies
+    only when the source blocks are one-dimensional.
     """
     kinds = ["replacement", "decohering"]
     if not nondegenerate_prior or max(shape_a.dims) == 1:
         kinds.append("central")
-    if all(d == 1 for d in shape_a.dims + shape_b.dims):
-        kinds.append("any")
     kind = kinds[index % len(kinds)]
     if kind == "replacement":
         return kind, (*sampling.draw_state(shape_b, rng), *sampling.draw_state(shape_a, rng))
     if kind == "decohering":
         return kind, (rng.dirichlet(np.ones(shape_b.total_dim), size=shape_a.total_dim),
                       rng.dirichlet(np.ones(shape_a.total_dim)))
-    channel = sampling.draw_cptp(shape_a, shape_b, rng)
-    if kind == "central":
-        return kind, (*channel, rng.dirichlet(np.ones(len(shape_a.blocks))))
-    return kind, (*channel, *sampling.draw_state(shape_a, rng))
+    return kind, (*sampling.draw_cptp(shape_a, shape_b, rng),
+                  rng.dirichlet(np.ones(len(shape_a.blocks))))
 
 
 def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,
@@ -362,8 +350,7 @@ def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,
     else:
         k = len(shape_a.dims)
         e = sampling.cptp(shape_a, shape_b, draws[:k])
-        rho = (_central_state(shape_a, draws[k]) if kind == "central"
-               else sampling.state(shape_a, draws[k:]))
+        rho = _central_state(shape_a, draws[k])
     noncommuting = commutation_residual(e, rho) > COMM_TOL
     degenerate = (~_has_nondegenerate_spectrum(rho) if nondegenerate_prior
                   else np.zeros_like(noncommuting))

@@ -340,7 +340,7 @@ def sequential_certify(family: sot.SotFamily, prop: str,
         key = [config.seed, cell, *index]
         try:
             instance = draw(np.random.default_rng(key))
-            value, extra = axioms._violation(family, prop, instance, config)
+            value, extra = axioms._violation(family, prop, instance)
         except axioms.SKIPS:
             return None
         return value, {**instance, **extra, "replay_seed": key}

@@ -10,7 +10,7 @@ from qsot import algebra as alg, axioms, bayes, maps, sampling, scenarios, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.maps import LinearMap
 
-from conftest import dense_gce, dense_multiplier
+from conftest import dense_gce, dense_multiplier, random_traceless_direction
 
 SEED = 0
 
@@ -285,8 +285,7 @@ def test_10_ls_linearization():
     for trial in range(20):
         shape = alg.matrix_algebra(3)
         e = sampling.random_cptp(shape, alg.matrix_algebra(3, "b"), rng)
-        a = sampling.random_hermitian(shape, rng, traceless=True)
-        a = (1.0 / a.norm()) * a
+        a = random_traceless_direction(shape, rng)
         report = scenarios.ls_linearization_check(e, a, epsilons)
         ratios.extend(report.ratios)
         for ratio in report.ratios:

@@ -453,6 +453,28 @@ def test_skipped_trials_are_counted_by_exception_class(prop):
         sequential_certify(family, prop, FAST).to_json())
 
 
+def test_a_witness_entry_without_a_wire_form_is_an_error():
+    verdict = axioms.PropertyVerdict("f", "P1", "fails", 1, 0, counterexample={"x": object()})
+    with pytest.raises(TypeError, match="no wire form"):
+        verdict.to_json()
+
+
+class Refusing(sot.SotFamily):
+    """A family outside whose domain every instance lies."""
+    tag: ClassVar[str] = "refusing"
+
+    def value(self, e, rho):
+        raise InapplicableError("no instance is in the domain")
+
+
+@pytest.mark.parametrize("prop", ["P1", "P7", "A"])
+def test_a_cell_whose_every_trial_is_skipped_is_inapplicable(prop):
+    verdict = axioms.certify(Refusing(), prop, FAST)
+    assert (verdict.status, verdict.glyph, verdict.trials) == ("inapplicable", "n/a", 0)
+    assert verdict.skipped == {"InapplicableError": FAST.trials}
+    assert verdict.to_json()["skipped"] == {"InapplicableError": FAST.trials}
+
+
 def test_a_sweep_that_stops_early_counts_only_the_trials_it_walked():
     verdict = axioms.certify(TiltedLeiferSpekkens(), "P2", FAST)
     assert verdict.status == "fails" and verdict.trials < FAST.trials
@@ -518,7 +540,7 @@ def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop):
     assert [trial for trial, _, _ in swept] == list(range(config.trials))
     for trial, key, (violation, data) in swept:
         instance = sample_alone(family, prop, trial, config, np.random.default_rng(key))
-        alone, extra = axioms._violation(family, prop, instance, config)
+        alone, extra = axioms._violation(family, prop, instance)
         assert violation == alone, trial
         want = {**instance, **extra}
         assert list(data) == list(want)
@@ -535,8 +557,7 @@ def test_skips_are_counted_trial_by_trial_on_every_stacked_property(prop):
     for trial in range(verdict.trials + sum(verdict.skipped.values())):
         rng = np.random.default_rng([FAST.seed, cell, trial])
         try:
-            axioms._violation(family, prop, sample_alone(family, prop, trial, FAST, rng),
-                              FAST)
+            axioms._violation(family, prop, sample_alone(family, prop, trial, FAST, rng))
         except axioms.SKIPS as exc:
             want[type(exc).__name__] += 1
     assert verdict.skipped == dict(want)
@@ -748,16 +769,15 @@ def test_a_p7_chunk_evaluates_one_stack_per_shape_pair(tag, monkeypatch):
     keys = [[config.seed, cell, trial] for trial in trials]
     stacks = []
     violations = axioms._violations
-    monkeypatch.setattr(axioms, "_violations", lambda family, prop, instance, config: (
-        stacks.append(instance["e"].matrix.shape[0]) or violations(family, prop, instance,
-                                                                   config)))
+    monkeypatch.setattr(axioms, "_violations", lambda family, prop, instance: (
+        stacks.append(instance["e"].matrix.shape[0]) or violations(family, prop, instance)))
     outcomes = axioms._chunk(family, "P7", trials, config, keys)
     evaluated = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
     assert len(stacks) == 2 and sum(stacks) == len(evaluated)
     for trial, key, outcome in zip(trials, keys, outcomes):
         if not isinstance(outcome, Exception):
             instance = sample_alone(family, "P7", trial, config, np.random.default_rng(key))
-            assert outcome[0] == axioms._violation(family, "P7", instance, config)[0]
+            assert outcome[0] == axioms._violation(family, "P7", instance)[0]
 
 
 @pytest.mark.parametrize("props", [("P6", "M", "P1"), ("M",)])

@@ -201,13 +201,6 @@ def test_rotated_petz_reduces_to_petz_at_zero(rng):
                          - bayes.petz(e, rho).matrix)) < RESIDUAL_TOL
 
 
-def test_sth_inverse_with_trivial_chooser_is_petz(rng):
-    e, rho = qubit_pair(rng)
-    trivial = sot.STH(chooser=lambda state: alg.identity(state.shape))
-    assert np.max(np.abs(bayes.sth_inverse(e, rho, trivial).matrix
-                         - bayes.petz(e, rho).matrix)) < RESIDUAL_TOL
-
-
 def test_bloom_bayes_formulas(rng):
     e, rho = qubit_pair(rng)
     inv = alg.power(e(rho), -1.0)
@@ -284,6 +277,20 @@ def test_generic_solver_matches_closed_form_at_larger_sizes(family, shapes, rng)
     assert generic.uniqueness == "unique"
     closed = bayes.closed_form_bayes(family, e, rho)
     assert np.max(np.abs(generic.map.matrix - closed.matrix)) < MATCH_TOL
+
+
+@pytest.mark.parametrize("family", [sot.LeiferSpekkens(), sot.Uncorrelated()],
+                         ids=lambda f: f.tag)
+def test_generic_solver_evaluates_the_forward_side_once(family, rng, monkeypatch):
+    """E⋆ρ gives both y and the residual's forward side: two evaluations per
+    solve, and the residual is bayes_residual's to the bit."""
+    e, rho = qubit_pair(rng)
+    calls, evaluate = [], sot.evaluate
+    monkeypatch.setattr(sot, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    solution = bayes.generic_bayes(family, e, rho)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert solution.residual == bayes.bayes_residual(family, solution.map, e, rho)
 
 
 def test_generic_solver_refuses_a_family_that_is_not_local(rng):

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsot import algebra as alg, cli, io, maps, sampling, sot
+from qsot import algebra as alg, axioms, cli, io, maps, sampling, sot
+from qsot.algebra import AlgebraElement
 from qsot.errors import ValidationError
 
 from conftest import TransposedTarget, random_traceless_direction, rng_for
@@ -204,6 +205,27 @@ def test_bayes_generic_fallback_refuses_non_local_family(fixtures, monkeypatch, 
     assert "not local" in capsys.readouterr().err
 
 
+def test_bayes_verify_refuses_a_residual_above_the_pass_threshold(fixtures, capsys):
+    # Ohya's generic solve finds no solution: its residual fails verification
+    code = run(["bayes", "--family", "ohya", "--verify", fixtures["channel"], fixtures["state"]])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("verification failed: Bayes map residual")
+
+
+@pytest.mark.parametrize("scale, message", [
+    ([[1.0, 1.0], [0.0, 0.0]], "second argument must be hermitian"),
+    ([[0.3, 0.0], [0.0, 0.3]], "second argument must have unit trace")])
+def test_sot_refuses_an_element_that_is_not_a_unit_trace_hermitian(scale, message, fixtures,
+                                                                   capsys):
+    path = fixtures["dir"] / "element.json"
+    io.dump(io.serialize_element(AlgebraElement(alg.matrix_algebra(2, "a"),
+                                                (np.array(scale, dtype=complex),))), str(path))
+    assert run(["sot", "--family", "symmetric-bloom", fixtures["channel"], str(path)]) == (
+        cli.EXIT_VALIDATION)
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
 def test_bayes_rs_family_requires_parameters(fixtures, capsys):
     code = run(["bayes", "--family", "rs",
                 fixtures["channel"], fixtures["state"]])
@@ -254,6 +276,23 @@ def test_certify_single_cell_table_and_json(fixtures, capsys):
     cell = doc["cells"][0]
     assert cell["status"] == "fails" and cell["violation"] > 1e-6
     assert "witness" in cell
+
+
+def test_certify_expect_paper_matches_the_default_table(tmp_path, capsys):
+    out = str(tmp_path / "table.json")
+    assert run(["certify", "--expect-paper", "--format", "json", "-o", out]) == cli.EXIT_OK
+    assert json.loads(open(out).read())["matches_expected"] is True
+    assert capsys.readouterr().err == "verdict matrix matches the expected pattern\n"
+
+
+def test_certify_expect_paper_names_each_mismatch(monkeypatch, capsys):
+    expected = {fam: dict(row) for fam, row in axioms.EXPECTED_TABLE.items()}
+    expected["uncorrelated"]["P1"] = "✗"
+    monkeypatch.setattr(axioms, "EXPECTED_TABLE", expected)
+    code = run(["certify", "--families", "uncorrelated", "--properties", "P1,P4",
+                "--trials", "20", "--expect-paper"])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "mismatch: uncorrelated P1 expected ✗ got ✓\n"
 
 
 def test_certify_unknown_family_or_property(capsys):
@@ -541,6 +580,48 @@ def test_scenario_two_state_bad_sizes_are_validation(field, value, message, tmp_
     path.write_text(json.dumps(doc))
     assert run(["scenario", "two-state", str(path)]) == cli.EXIT_VALIDATION
     assert f"validation error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("u10", [[float("nan"), 0.0], [0.0, 1.0]]), ("u21", [[1.0, 0.0], [0.0, float("inf")]]),
+    ("effects", [[[float("nan"), 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]),
+    ("psi", [float("nan"), 0.0]), ("psi", [[float("-inf"), 0.0], 0.0])])
+def test_scenario_two_state_non_finite_numbers_are_parse_errors(field, value, tmp_path, capsys):
+    """JSON has no NaN or Infinity, though Python's reader takes them; these
+    exited 2 with a message about trace preservation or hermiticity."""
+    path = tmp_path / "ts.json"
+    path.write_text(json.dumps(dict(scenario_doc_two_state(None), **{field: value})))
+    assert run(["scenario", "two-state", str(path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("u10", [[1e308, 0.0], [0.0, 1.0]], "unitary_channel needs unitary blocks"),
+    ("u21", [[[1e308, 1e308], 0.0], [0.0, 1.0]], "unitary_channel needs unitary blocks"),
+    ("effects", [[[1e308, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],
+     "POVM effects must sum to the identity"),
+    ("psi", [1e308, 1e308], "psi must be nonzero, with a norm within float range")])
+def test_scenario_two_state_overflowing_numbers_are_one_validation_error(field, value, message,
+                                                                         tmp_path, capsys):
+    """Numbers near the float range's edge overflow the input checks: each
+    is refused with one line, and numpy's warnings add none."""
+    path = tmp_path / "ts.json"
+    path.write_text(json.dumps(dict(scenario_doc_two_state(None), **{field: value})))
+    assert run(["scenario", "two-state", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_non_finite_matrix_entry_is_a_parse_error(text, fixtures, capsys):
+    doc = io.serialize_element(fixtures["rho"], "state")
+    doc["blocks"]["a"][0][0][1] = "NUMBER"
+    path = fixtures["dir"] / "state.json"
+    path.write_text(json.dumps(doc).replace('"NUMBER"', text))
+    assert run(["sot", "--family", "symmetric-bloom", fixtures["channel"], str(path)]) == (
+        cli.EXIT_PARSE)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("parse error: expected a number")
 
 
 def test_scenario_correlator_operator_on_another_shape_is_validation(tmp_path, capsys):

@@ -108,8 +108,11 @@ def test_matrix_serialization_keeps_every_float(rng):
     got = io.serialize_matrix(m)
     assert json.dumps(got) == json.dumps(want)
     assert all(type(x) is float for row in got for pair in row for x in pair)
-    back = io.parse_matrix(got)
-    assert np.array_equal(back.view(float), m.view(float), equal_nan=True)
+    with pytest.raises(ParseError, match="got \\[nan, inf\\]"):  # JSON has neither
+        io.parse_matrix(got)
+    m[1, 1] = 0.0
+    back = io.parse_matrix(io.serialize_matrix(m))
+    assert np.array_equal(back.view(float), m.view(float))
     assert json.dumps(io.serialize_matrix(np.eye(2))) == json.dumps(
         [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
 
@@ -307,7 +310,7 @@ def test_family_parse_errors():
                 {"tag": ["rs"]}):
         with pytest.raises(ParseError):
             io.parse_family(bad)
-    # a key that is not a wire parameter of the family (STH's chooser is not)
+    # a key that is not a parameter of the family
     for bad in ({"tag": "rs", "r": 0.3, "s": 0.5, "t": 1},
                 {"tag": "leifer-spekkens", "theta": "right"},
                 {"tag": "sth", "t": 0.3, "chooser": "support"},
@@ -317,9 +320,13 @@ def test_family_parse_errors():
 
 
 def test_ohya_group_tol_below_zero_or_nan_is_a_constraint_error():
-    for bad in (-1, -1e-12, float("nan")):
+    for bad in (-1, -1e-12):
         with pytest.raises(ConstraintError, match="group_tol"):
             io.parse_family({"tag": "ohya", "group_tol": bad})
+    with pytest.raises(ConstraintError, match="group_tol"):
+        sot.OhyaCompound(float("nan"))
+    with pytest.raises(ParseError, match="group_tol must be a number"):  # not a JSON number
+        io.parse_family({"tag": "ohya", "group_tol": float("nan")})
     assert io.parse_family({"tag": "ohya", "group_tol": 0}) == sot.OhyaCompound(0.0)
 
 

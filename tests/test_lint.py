@@ -157,3 +157,47 @@ def test_every_library_name_the_benchmark_uses_resolves():
                          ids=lambda p: p.name)
 def test_library_modules_do_not_dispatch_on_family_classes(path):
     assert "isinstance(family" not in path.read_text(encoding="utf-8")
+
+
+# A module-level function or class that nothing refers to is dead code.  The
+# benchmark's tracer binds library names by string, so its strings count.
+def references(source: str, strings: bool = False) -> set[str]:
+    """Names that Name and Attribute nodes (and with ``strings`` the dotted
+    parts of string constants) refer to, less a top-level definition's
+    references to itself."""
+    found = set()
+    for top in ast.parse(source).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and strings and isinstance(node.value, str):
+                found.update(node.value.split("."))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name != own:
+                    found.add(name)
+    return found
+
+
+def dead_names(modules: dict[str, str], referenced: set[str]) -> list[str]:
+    """``module.name`` of each module-level function or class of ``modules``
+    (name → source) that ``referenced`` lacks."""
+    return [f"{module}.{node.name}" for module, source in sorted(modules.items())
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced]
+
+
+def test_the_dead_name_scan_skips_self_references_and_reads_bench_strings():
+    source = "def f(n):\n    return f(n - 1) + g(n)\ndef g(n):\n    return n\nclass C: pass\n"
+    assert dead_names({"m": source}, references(source)) == ["m.f", "m.C"]
+    assert dead_names({"m": source}, references(source) | references(
+        'TARGETS = (("m", "C.method"),)\nf.x\n', strings=True)) == []
+    assert "C" not in references('"C"\n')
+
+
+def test_every_library_function_and_class_has_a_reference():
+    files = [*(ROOT / "src" / "qsot").glob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    referenced = set().union(*(references(p.read_text(encoding="utf-8")) for p in files),
+                             *(references(p.read_text(encoding="utf-8"), strings=True)
+                               for p in (ROOT / "bench").rglob("*.py")))
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert dead_names(modules, referenced) == []

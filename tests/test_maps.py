@@ -296,6 +296,8 @@ def test_povm_channel_and_effects_roundtrip(rng):
                                        for m in effects], atol=ATOL)
     with pytest.raises(ConstraintError):
         maps.povm([m0, np.eye(2)])  # not complete
+    with pytest.raises(ConstraintError):  # a NaN defect is not within tolerance
+        maps.povm([m0, np.eye(2) - m0 + np.diag([np.nan, 0.0])])
 
 
 def test_ensemble_prepares_the_listed_states(rng):
@@ -335,6 +337,8 @@ def test_unitary_channel_requires_unitary(rng):
                                atol=ATOL)
     with pytest.raises(ConstraintError):
         maps.unitary_channel(2.0 * u)
+    with pytest.raises(ConstraintError):  # a NaN defect is not within tolerance
+        maps.unitary_channel(AlgebraElement(shape, (np.diag([np.nan, 1.0]).astype(complex),)))
 
 
 def test_ad_map_matches_left_and_right_multiplication(rng):
