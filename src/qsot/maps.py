@@ -166,9 +166,8 @@ class LinearMap:
 
     @property
     def is_cp(self) -> bool:
-        return bool(min((np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
-                         for c in _source_transpose(channel_state(self)).data),
-                        default=0.0) >= -CP_TOL and self.is_dagger_preserving)
+        return bool(_source_transpose(channel_state(self)).min_eigenvalue() >= -CP_TOL
+                    and self.is_dagger_preserving)
 
     @property
     def is_unital(self) -> bool:
@@ -277,23 +276,19 @@ def mu_adjoint_unit(shape: AlgebraShape) -> AlgebraElement:
     return channel_state(identity_map(shape))
 
 
-def _component(e: LinearMap, xi: int, yi: int) -> np.ndarray:
-    """Submatrix of e.matrix mapping source block xi into target block yi."""
-    so, to = _offsets(e.source), _offsets(e.target)
-    mx, ny = e.source.dims[xi], e.target.dims[yi]
-    return e.matrix[..., to[yi]:to[yi] + ny * ny, so[xi]:so[xi] + mx * mx]
-
-
 def channel_state(e: LinearMap) -> AlgebraElement:
     """D[E] = (id⊗E)(μ*(1)) = Σ_{ij} E_ij ⊗ E(E_ji), blockwise; for a stack
     of maps, the stack of their channel states."""
     tshape = e.source.tensor(e.target)
     lead = e.matrix.shape[:-2]
     k = len(lead)
+    so, to = _offsets(e.source), _offsets(e.target)
     mats = []
     for xi, yi in tshape.pairs:
         mx, ny = e.source.dims[xi], e.target.dims[yi]
-        comp = _component(e, xi, yi).reshape(*lead, ny, ny, mx, mx)
+        # the component of the matrix mapping source block xi into target block yi
+        comp = e.matrix[..., to[yi]:to[yi] + ny * ny, so[xi]:so[xi] + mx * mx] \
+            .reshape(*lead, ny, ny, mx, mx)
         # block[(i,k),(j,l)] = E(E_ji)[k,l] = comp[k,l,j,i]
         mats.append(np.ascontiguousarray(comp.transpose(*range(k), k + 3, k, k + 2, k + 1))
                     .reshape(*lead, mx * ny, mx * ny))
@@ -347,20 +342,14 @@ def _source_transpose(t: AlgebraElement) -> AlgebraElement:
 def cp_decompose(e: LinearMap) -> tuple[LinearMap, LinearMap, LinearMap, LinearMap]:
     """Write E = C1 − C2 + iC3 − iC4 with each Ck completely positive.
 
-    The split happens on the blockwise Choi matrices: hermitian/antihermitian
-    parts, then positive/negative spectral parts of each.
+    The split happens on the blockwise Choi matrices C: the positive and
+    negative spectral parts of the hermitian part of C, then of −iC, whose
+    hermitian part is C's antihermitian part (C − C†)/2i.
     """
     chois = _source_transpose(channel_state(e))
-    parts: list[list] = [[], [], [], []]
-    for choi in chois.data:
-        herm = (choi + choi.conj().T) / 2
-        skew = (choi - choi.conj().T) / (2j)
-        for slot, mat in ((0, herm), (2, skew)):
-            vals, vecs = np.linalg.eigh(mat)
-            parts[slot].append((vecs * np.clip(vals, 0, None)) @ vecs.conj().T)
-            parts[slot + 1].append((vecs * np.clip(-vals, 0, None)) @ vecs.conj().T)
-    return tuple(channel_from_state(_source_transpose(AlgebraElement._of(chois.shape, p)),
-                                    e.source, e.target) for p in parts)
+    parts = [alg.apply_function(c, lambda vals, sign=sign: np.clip(sign * vals, 0, None))
+             for c in (chois, -1j * chois) for sign in (1, -1)]
+    return tuple(channel_from_state(_source_transpose(p), e.source, e.target) for p in parts)
 
 
 # ------------------------------------------------------------------- swap and τ
@@ -401,16 +390,8 @@ def apply_to_factor(m: LinearMap, t: AlgebraElement, which: str) -> AlgebraEleme
     left, right = tshape.factors
     if right != m.source:
         raise ShapeMismatchError("the factor acted on does not match map source")
-    target = left.tensor(m.target)
-    acc = [np.zeros((d, d), dtype=complex) for d in target.dims]
-    for (i, j), mat in zip(tshape.pairs, t.data):
-        da, db = left.dims[i], right.dims[j]
-        four = mat.reshape(da, db, da, db)
-        for yi, ny in enumerate(m.target.dims):
-            comp = _component(m, j, yi).reshape(ny, ny, db, db)
-            out = np.einsum("iajb,klab->ikjl", four, comp)
-            acc[target.block_of(i, yi)] += out.reshape(da * ny, da * ny)
-    return AlgebraElement._of(target, acc)
+    # t is the channel state D[F] of some F: left → right, and (id⊗m)(D[F]) = D[m∘F]
+    return channel_state(m.compose(channel_from_state(t, left, right)))
 
 
 # ---------------------------------------------------------- channel constructors
@@ -494,19 +475,20 @@ def replace_channel(sigma: AlgebraElement, source: AlgebraShape) -> LinearMap:
 
 @lru_cache(maxsize=256)
 def partial_trace_channel(tshape: AlgebraShape, side: str) -> LinearMap:
-    """tr_A or tr_B as a channel from a tensor shape onto the kept factor, with
-    Kraus operators 1⊗⟨b| (tr_B) or ⟨a|⊗1 (tr_A) on each block; built once
-    per shape and side, with a read-only matrix."""
+    """tr_A or tr_B as a channel from a tensor shape onto the kept factor;
+    built once per shape and side, with a read-only matrix.
+
+    tr_B is the Hilbert–Schmidt adjoint of the embedding X ↦ X⊗1, so its
+    rows are the coordinates of the kept factor's matrix units lifted by
+    that embedding (mirrored for tr_A).
+    """
     if tshape.factors is None:
         raise ShapeMismatchError("partial_trace_channel needs a tensor shape")
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     left, right = tshape.factors
-    kraus = []
-    for k, (i, j) in enumerate(tshape.pairs):
-        da, db = left.dims[i], right.dims[j]
-        if side == "B":
-            kraus += [(k, i, np.kron(np.eye(da), bra)) for bra in np.eye(db)]
-        else:
-            kraus += [(k, j, np.kron(bra, np.eye(db))) for bra in np.eye(da)]
-    return from_kraus(tshape, left if side == "B" else right, kraus)
+    kept = left if side == "B" else right
+    units = unvec(kept, np.eye(kept.vector_dim))  # a stack of the matrix units
+    lifted = (alg.tensor(units, alg.identity(right)) if side == "B"
+              else alg.tensor(alg.identity(left), units))
+    return LinearMap._of(tshape, kept, vec(lifted))

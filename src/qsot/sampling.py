@@ -109,26 +109,17 @@ def random_cptp(source: AlgebraShape, target: AlgebraShape,
 def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator) -> LinearMap:
     """Random mixed-unitary (hence unital and CPTP) channel on a shape: four
     random unitary channels with Dirichlet weights."""
-    weights = rng.dirichlet(np.ones(4))
-    total = None
-    for w in weights:
-        u = random_unitary_element(shape, rng)
-        term = w * maps.unitary_channel(u)
-        total = term if total is None else total + term
-    return total
+    terms = [w * maps.unitary_channel(random_unitary_element(shape, rng))
+             for w in rng.dirichlet(np.ones(4))]
+    return sum(terms[1:], terms[0])
 
 
 def random_povm(source: AlgebraShape, outcomes: int,
                 rng: np.random.Generator) -> LinearMap:
     """Random POVM channel A → C^outcomes (normalized Ginibre effects)."""
-    raw = []
-    for _ in range(outcomes):
-        mats = [(g := ginibre(rng, d)) @ g.conj().T for d in source.dims]
-        raw.append(AlgebraElement._of(source, mats))
-    total = raw[0]
-    for m in raw[1:]:
-        total = total + m
-    s_inv = alg.power(total, -0.5)
+    raw = [AlgebraElement._of(source, [(g := ginibre(rng, d)) @ g.conj().T for d in source.dims])
+           for _ in range(outcomes)]
+    s_inv = alg.power(sum(raw[1:], raw[0]), -0.5)
     effects = [s_inv @ m @ s_inv for m in raw]
     return maps.povm(effects)
 

@@ -90,22 +90,15 @@ def pem_reverse(s: PemScenario, strict: bool = True) -> tuple[PemScenario, dict]
     f = s.classical_dynamics().matrix.real
     composed = prep_rev.compose(evo_rev).compose(meas_rev).matrix.real
     live = [y for y in range(len(q)) if y not in dead]
-    g = np.zeros_like(f.T)
-    for y in live:
-        g[:, y] = f[y, :] * p / q[y]
-    classical_residual = float(np.max(np.abs(g[:, live] - composed[:, live]))) \
-        if live else 0.0
+    g = f[live].T * p[:, None] / q[live]
+    classical_residual = float(np.max(np.abs(g - composed[:, live]))) if live else 0.0
 
-    # The classical joint read off the quantum state over time.
+    # The classical joint read off the quantum state over time: block (x, y)
+    # of (P⋆⊗M)(E⋆ρ) is tr((N_x⊗M_y)·E⋆ρ), with N_x the effects of P⋆.
     joint = sot.evaluate(sot.LeiferSpekkens(), s.evo, rho).value
-    n_eff = maps.povm_effects(prep_rev)
-    m_eff = maps.povm_effects(s.meas)
-    pairing_residual = 0.0
-    for x, n_x in enumerate(n_eff):
-        for y, m_y in enumerate(m_eff):
-            lhs = f[y, x] * p[x]
-            rhs = (alg.tensor(n_x, m_y) @ joint).trace()
-            pairing_residual = max(pairing_residual, abs(lhs - rhs))
+    joint = maps.apply_to_factor(s.meas, maps.apply_to_factor(prep_rev, joint, "left"), "right")
+    x, y = np.array(joint.shape.pairs).T
+    pairing_residual = np.max(np.abs(f[y, x] * p[x] - maps.vec(joint)))
 
     reverse = PemScenario(s.q, meas_rev, evo_rev, prep_rev)
     residuals = {"classical_inverse": classical_residual,
@@ -146,14 +139,9 @@ def eigenbasis_identities(s: PemScenario) -> dict:
     adjoint_prep = float(np.max(np.abs(prep_rev.matrix - s.prep.hs_adjoint().matrix)))
 
     evo_rev = bayes.petz(s.evo, rho)
-    preps = [s.prep(alg.basis_vector(s.prep.source, lab)) for lab in s.prep.source.labels]
-    meff = maps.povm_effects(s.meas)
-    bayes_identity = 0.0
-    for i, p_i in enumerate(preps):
-        for k, m_k in enumerate(meff):
-            lhs = (m_k @ s.evo(p_i)).trace().real * p[i]
-            rhs = (p_i @ evo_rev(m_k)).trace().real * q[k]
-            bayes_identity = max(bayes_identity, abs(lhs - rhs))
+    lhs = s.classical_dynamics().matrix.real * p  # [k, i] = tr(M_k E(P_i)) p_i
+    rhs = s.prep.hs_adjoint().compose(evo_rev).compose(s.meas.hs_adjoint()).matrix.real * q
+    bayes_identity = np.max(np.abs(lhs - rhs.T))  # rhs[i, k] = tr(P_i E⋆_ρ(M_k)) q_k
     return {"adjoint_meas": adjoint_meas, "adjoint_prep": adjoint_prep,
             "bayes_identity": float(bayes_identity)}
 
@@ -180,12 +168,14 @@ def fuchs_rule(meas: LinearMap, rho: AlgebraElement
 # ------------------------------------------------------------- state update
 @dataclass(frozen=True)
 class InstrumentScenario:
-    """An initial state together with the CP parts of an instrument."""
+    """An initial state together with the CP parts of an instrument, whose
+    sum must be trace-preserving."""
     sigma: AlgebraElement
     cp_parts: tuple[LinearMap, ...]
 
     def __post_init__(self):
         alg.assert_state(self.sigma)
+        self.instrument  # refuses parts that do not form an instrument
 
     @property
     def instrument(self) -> LinearMap:
@@ -397,6 +387,8 @@ def ls_linearization_check(e: LinearMap, a: AlgebraElement,
         raise ConstraintError("direction must be hermitian with zero trace")
     if a.shape != e.source:
         raise ConstraintError("direction does not live on the channel's source")
+    if any(eps / 2.0 == 0.0 for eps in epsilons):  # also when ε is so small its half is 0
+        raise ConstraintError("each step and its half must be nonzero")
     dim = e.source.total_dim
     rho0 = (1.0 / dim) * alg.identity(e.source)
     target = sot.SymmetricBloom().value(e, a)

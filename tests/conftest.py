@@ -6,14 +6,15 @@ matrix blocks or on the dense embedding of a multi-block element (each block
 placed at its Hilbert-space indices, found from labels rather than from the
 library's tensor bookkeeping), so any agreement with the library is a
 genuine cross-check.
-``dense_generic_bayes``, ``sequential_certify`` and ``full_product_extremum``
-are the exceptions: the probe-loop generic Bayes solver the structured
-``bayes.generic_bayes`` replaced, the one-trial-at-a-time certification loop
-the chunked ``axioms.certify`` replaced, and the product-vector search that
-runs eight rounds over every start whatever the factor dimensions, each kept
-as its reference.  ``sample_alone`` and ``classical_limit_pair`` draw one
-trial or one classical-limit pair through the library's samplers, as a stack
-of one.
+``dense_generic_bayes``, ``sequential_certify``, ``full_product_extremum``
+and ``kraus_partial_trace_channel`` are the exceptions: the probe-loop
+generic Bayes solver the structured ``bayes.generic_bayes`` replaced, the
+one-trial-at-a-time certification loop the chunked ``axioms.certify``
+replaced, the product-vector search that runs eight rounds over every start
+whatever the factor dimensions, and the Kraus construction of the partial
+trace that its lifted matrix units replaced, each kept as its reference.
+``sample_alone`` and ``classical_limit_pair`` draw one trial or one
+classical-limit pair through the library's samplers, as a stack of one.
 """
 import zlib
 from dataclasses import dataclass
@@ -142,6 +143,20 @@ def dense_partial_trace(mat: np.ndarray, da: int, db: int, side: str) -> np.ndar
     if side == "B":
         return np.einsum("ikjk->ij", four)
     return np.einsum("kikj->ij", four)
+
+
+def kraus_partial_trace_channel(tshape: AlgebraShape, side: str) -> LinearMap:
+    """Reference for ``maps.partial_trace_channel``: tr_B or tr_A from the
+    Kraus operators 1⊗⟨b| or ⟨a|⊗1 on each block of the tensor shape."""
+    left, right = tshape.factors
+    kraus = []
+    for k, (i, j) in enumerate(tshape.pairs):
+        da, db = left.dims[i], right.dims[j]
+        if side == "B":
+            kraus += [(k, i, np.kron(np.eye(da), bra)) for bra in np.eye(db)]
+        else:
+            kraus += [(k, j, np.kron(bra, np.eye(db))) for bra in np.eye(da)]
+    return maps.from_kraus(tshape, left if side == "B" else right, kraus)
 
 
 def dense_hs_adjoint_check(e: LinearMap, rng: np.random.Generator) -> float:

@@ -679,6 +679,22 @@ def test_a_nested_document_of_the_wrong_kind_or_size_is_one_error(name, field, v
     assert len(err.splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize("name", ["jeffrey", "state-update"])
+def test_scenario_parts_that_are_not_an_instrument_are_validation(name, tmp_path, capsys):
+    """0.5·id and 0.7·id sum to 1.2·id; jeffrey reported "all checks
+    passed" on them (exit 0)."""
+    doc = scenario_doc_jeffrey(rng_for("cli-not-an-instrument"))
+    doc["cp_parts"] = [io.serialize_map(w * maps.identity_map(QUBIT)) for w in (0.5, 0.7)]
+    if name == "state-update":
+        doc = dict(doc, name=name)
+        del doc["r"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert run(["scenario", name, str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: the sum of instrument parts must be trace-preserving\n")
+
+
 # ------------------------------------------------------------ console script
 def _console_script_target(name: str) -> str:
     """The `module:attr` target that `[project.scripts]` declares for name."""

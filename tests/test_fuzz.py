@@ -138,3 +138,15 @@ def test_a_mutated_document_exits_with_a_documented_code_and_one_line(run, direc
     code, err, caught = run_mutated(directory, name, doc, argv)
     assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_PARSE, cli.EXIT_NUMERICAL), err
     assert len(err.splitlines()) == 1 and not caught, (err, caught)
+
+
+@pytest.mark.parametrize("epsilons", [[0.0], [1e-2, 0.0], [5e-324]])
+def test_a_zero_step_is_one_validation_error(epsilons, directory):
+    """Steps the mutations above never reach: a zero step, and 5e-324,
+    whose half rounds to 0.  Each ended in "internal error: float division
+    by zero" (exit 5)."""
+    doc = dict(DOCUMENTS["ls-linearization"], epsilons=epsilons)
+    code, err, caught = run_mutated(directory, "ls-linearization", doc,
+                                    ["scenario", "ls-linearization", "LS-LINEARIZATION"])
+    assert code == cli.EXIT_VALIDATION and not caught
+    assert err == "validation error: each step and its half must be nonzero\n"

@@ -14,7 +14,7 @@ from qsot.maps import LinearMap
 
 from conftest import (apply_dense, dense_ad, dense_apply_to_factor, dense_channel_state,
                       dense_choi, dense_embedding, dense_hs_adjoint_check, dense_multiplier,
-                      dense_partial_trace, dense_swap, rng_for)
+                      dense_partial_trace, dense_swap, kraus_partial_trace_channel, rng_for)
 
 ATOL = 1e-11
 
@@ -486,6 +486,19 @@ def test_instrument_with_two_block_outputs_matches_probed_form(rng):
     assert np.max(np.abs(got.matrix - want.matrix)) < ATOL
 
 
+@pytest.mark.parametrize("left, right", [
+    (SHAPE_A, SHAPE_C), (SHAPE_C, SHAPE_A), (SHAPE_A, SHAPE_B),
+    (alg.matrix_algebra(3, "m"), SHAPE_C), (SHAPE_B, alg.classical_algebra(3)),
+    (alg.matrix_algebra(2, "m"), alg.matrix_algebra(3, "n"))])
+def test_partial_trace_channel_equals_its_kraus_construction(left, right):
+    tshape = left.tensor(right)
+    for side in ("A", "B"):
+        got = maps.partial_trace_channel.__wrapped__(tshape, side)
+        want = kraus_partial_trace_channel(tshape, side)
+        assert got.source == want.source and got.target == want.target
+        assert np.array_equal(got.matrix, want.matrix)
+
+
 def test_partial_trace_channel_on_unsorted_shapes(rng):
     tshape = SHAPE_A.tensor(SHAPE_B)
     t = sampling.random_hermitian(tshape, rng)
@@ -542,8 +555,8 @@ def test_partial_trace_channel_is_built_once_per_shape_and_side(monkeypatch):
     twin = AlgebraShape(tshape.blocks, tshape.factors)  # equal, not the same object
     maps.partial_trace_channel.cache_clear()
     built = []
-    from_kraus = maps.from_kraus
-    monkeypatch.setattr(maps, "from_kraus", lambda *args: built.append(args) or from_kraus(*args))
+    tensor = alg.tensor  # one lift of the kept factor's matrix units per build
+    monkeypatch.setattr(alg, "tensor", lambda *args: built.append(args) or tensor(*args))
     for side in ("A", "B"):
         kept = maps.partial_trace_channel(tshape, side)
         assert maps.partial_trace_channel(tshape, side) is kept

@@ -42,6 +42,20 @@ def test_pem_reverse_residuals(rng):
     assert reverse.meas.target == s.prep.source
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_pem_joint_read_through_the_factor_maps_is_the_effect_pairing(dim, rng):
+    """Block (x, y) of (P⋆⊗M)(E⋆ρ) is tr((N_x⊗M_y)·E⋆ρ), with N_x the
+    effects of the reverse preparation P⋆ and M_y those of the measurement."""
+    s = random_pem(rng, dim=dim)
+    prep_rev = bayes.petz(s.prep, s.p)
+    joint = sot.evaluate(sot.LeiferSpekkens(), s.evo, s.rho).value
+    read = maps.apply_to_factor(s.meas, maps.apply_to_factor(prep_rev, joint, "left"), "right")
+    for x, n_x in enumerate(maps.povm_effects(prep_rev)):
+        for y, m_y in enumerate(maps.povm_effects(s.meas)):
+            want = (alg.tensor(n_x, m_y) @ joint).trace()
+            assert abs(read.data[read.shape.block_of(x, y)][0, 0] - want) < 1e-12
+
+
 def test_pem_reverse_strict_rejects_dead_outcomes(rng):
     shape = alg.matrix_algebra(2)
     prep = maps.ensemble([sampling.random_state(shape, rng) for _ in range(2)])
@@ -139,6 +153,13 @@ def test_jeffrey_update_interpolates_posteriors(rng):
     assert (hard0 - (1.0 / f0.trace().real) * f0).norm() < TOL
     with pytest.raises(ConstraintError):
         scenarios.jeffrey_update(s, [0.5, 0.6])
+
+
+def test_instrument_scenario_refuses_parts_that_are_not_trace_preserving(rng):
+    shape = alg.matrix_algebra(2)
+    parts = (0.5 * maps.identity_map(shape), 0.7 * maps.identity_map(shape))
+    with pytest.raises(ConstraintError, match="must be trace-preserving"):
+        scenarios.InstrumentScenario(sampling.random_state(shape, rng), parts)
 
 
 # ----------------------------------------------------------- two-state vector
