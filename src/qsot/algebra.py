@@ -234,8 +234,8 @@ class AlgebraElement:
         return _per_element(sum(a.trace(axis1=-2, axis2=-1) for a in self.data), complex)
 
     def norm(self) -> float:
-        """Hilbert–Schmidt (Frobenius) norm across all blocks."""
-        return _per_element(np.sqrt(sum((np.abs(a) ** 2).sum(axis=(-2, -1))
+        """Hilbert–Schmidt (Frobenius) norm across all blocks; |a| is squared in place."""
+        return _per_element(np.sqrt(sum(np.square(m := np.abs(a), out=m).sum(axis=(-2, -1))
                                         for a in self.data)), float)
 
     def block(self, label: Label) -> np.ndarray:

@@ -29,8 +29,8 @@ def bayes_residual(family: sot.SotFamily, x: LinearMap, e: LinearMap,
                    rho: AlgebraElement) -> float:
     """‖E⋆ρ − τ(~X ⋆ E(ρ))‖ with the same family on both sides."""
     forward = sot.evaluate(family, e, rho).value
-    backward = sot.evaluate(family, x.tilde(), e(rho)).value
-    return (forward - maps.time_reversal_tau(backward)).norm()
+    backward = maps.time_reversal_tau(sot.evaluate(family, x.tilde(), e(rho)).value)
+    return (forward - backward).norm()
 
 
 def classify_solution(x: LinearMap) -> str:
@@ -61,8 +61,9 @@ def _product_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     which are the rows of the transpose.
     """
     inner = family.terms(e(rho), inverse=True, strict=strict)
-    image = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
-    rows = maps.sandwich_rows(inner, image.T, e.target, transpose=True)
+    rows = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
+    rows = np.ascontiguousarray(rows.T)  # copied before the kernel, to free the rows
+    rows = maps.sandwich_rows(inner, rows, e.target, transpose=True)
     return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))
 
 
@@ -90,9 +91,10 @@ def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                 f"of block {alg.label_text(label)}")
         gammas.append(gamma.reshape(-1))
     w = AlgebraElement._of(e.target, (vecs for _, vecs in eigen))
-    image = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
+    rows = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
     # ∘Ad_W, ÷Γ and ∘Ad_{W†} act on the columns: the rows of the transpose
-    rows = maps.sandwich_rows(((1.0, w, w.dagger()),), image.T, e.target, transpose=True)
+    rows = np.ascontiguousarray(rows.T)
+    rows = maps.sandwich_rows(((1.0, w, w.dagger()),), rows, e.target, transpose=True)
     rows /= np.concatenate(gammas)[:, None]
     rows = maps.sandwich_rows(((1.0, w.dagger(), w),), rows, e.target, transpose=True)
     return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))

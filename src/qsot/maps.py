@@ -62,13 +62,6 @@ def trace_row(shape: AlgebraShape) -> np.ndarray:
     return _frozen(np.concatenate([np.eye(d).reshape(-1) for d in shape.dims]))
 
 
-@lru_cache(maxsize=256)
-def _dagger_index(shape: AlgebraShape) -> np.ndarray:
-    """Index permutation p with vec(A†) = conj(vec(A))[p]."""
-    return _frozen(np.concatenate([off + np.arange(d * d).reshape(d, d).T.reshape(-1)
-                                   for off, d in zip(_offsets(shape), shape.dims)]))
-
-
 class LinearMap:
     """A linear superoperator, immutable; its classification flags are
     computed on each read.
@@ -140,14 +133,21 @@ class LinearMap:
 
     # ------------------------------------------------------------------ adjoint
     def hs_adjoint(self) -> "LinearMap":
-        """Hilbert–Schmidt adjoint: tr(E(A)† B) = tr(A† E*(B))."""
-        return LinearMap(self.target, self.source, self.matrix.conj().T)
+        """Hilbert–Schmidt adjoint, tr(E(A)† B) = tr(A† E*(B)); one C-ordered pass."""
+        return LinearMap(self.target, self.source, np.conjugate(self.matrix.T, order="C"))
 
     def tilde(self) -> "LinearMap":
-        """†∘E∘†, the conjugated map appearing in the Bayes condition."""
-        rows, cols = _dagger_index(self.target), _dagger_index(self.source)
-        return LinearMap(self.source, self.target,
-                         self.matrix.conj()[np.ix_(rows, cols)])
+        """†∘E∘†, the conjugated map in the Bayes condition: each (n, n, m, m)
+        block of the matrix, conjugated and transposed (1, 0, 3, 2) into place."""
+        if self.matrix.ndim != 2:
+            raise ShapeMismatchError("tilde takes a single map")
+        out = np.empty_like(self.matrix)
+        for n, t0 in zip(self.target.dims, _offsets(self.target)):
+            for m, s0 in zip(self.source.dims, _offsets(self.source)):
+                block = (slice(t0, t0 + n * n), slice(s0, s0 + m * m))
+                np.conjugate(self.matrix[block].reshape(n, n, m, m).transpose(1, 0, 3, 2),
+                             out=out[block].reshape(n, n, m, m))
+        return LinearMap._of(self.source, self.target, out)
 
     # ------------------------------------------------------------ classification
     def tp_defect(self) -> float:
@@ -222,7 +222,7 @@ def ad_map(x: AlgebraElement) -> LinearMap:
 
 
 # ------------------------------------------------------------------- sandwiches
-def sandwich(terms, x: np.ndarray, d: int, p: int = 1) -> np.ndarray:
+def sandwich(terms, x: np.ndarray, d: int, p: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """Σ w f·X·g over the d×d matrices X of ``x`` read as a (d, p, d, q) array:
     f multiplies its (d, p·d·q) view from the left and gᵀ its (d·p, d, q)
     view.  ``terms`` holds (w, f, g) with d×d arrays, None for an identity
@@ -230,18 +230,24 @@ def sandwich(terms, x: np.ndarray, d: int, p: int = 1) -> np.ndarray:
     p = 1; a block of a channel state has p = q = the target block's dimension.
     Sides with leading axes (..., d, d) act on an ``x`` with the same leading
     axes: a stack, each member on its own.
+
+    The sum goes into ``out`` (C-ordered, x's shape; a new array if None): the
+    first term straight, later ones through one shared term buffer.
     """
-    def one(w, f, g):
+    def one(w, f, g, dest):
         lead = (g if f is None else f).shape[:-2]
         if g is None:
-            return ((w * f) @ x.reshape(*lead, d, -1)).reshape(x.shape)
-        out = x if f is None else f @ x.reshape(*lead, d, -1)
+            return np.matmul(w * f, x.reshape(*lead, d, -1), out=dest.reshape(*lead, d, -1))
+        mid = (x if f is None else f @ x.reshape(*lead, d, -1)).reshape(*lead, d * p, d, -1)
         g_t = (w * g).swapaxes(-1, -2)[..., None, :, :]
-        return (g_t @ out.reshape(*lead, d * p, d, -1)).reshape(x.shape)
+        return np.matmul(g_t, mid, out=dest.reshape(*lead, d * p, d, -1))
+    out = np.empty(x.shape, dtype=complex) if out is None else out
     first, *rest = terms
-    out = one(*first)
+    one(*first, out)
+    buffer = np.empty_like(out) if rest else None
     for term in rest:
-        out += one(*term)
+        one(*term, buffer)
+        out += buffer
     return out
 
 
@@ -256,7 +262,7 @@ def block_terms(terms, i: int, transpose: bool = False) -> list:
 def sandwich_rows(terms, matrix: np.ndarray, shape: AlgebraShape,
                   transpose: bool = False) -> np.ndarray:
     """(Σ w L_f∘R_g)·matrix for a matrix whose rows hold the coordinates of
-    ``shape``: the kernel on each block of rows, as a new C-ordered array.
+    ``shape``: the kernel on each block of rows, written into a new C-ordered array.
 
     With ``transpose`` the sides are fᵀ and gᵀ, which acts on columns:
     M∘L_f∘R_g takes each row functional R of M to fᵀ·R·gᵀ, so its transpose
@@ -266,7 +272,7 @@ def sandwich_rows(terms, matrix: np.ndarray, shape: AlgebraShape,
     out = np.empty(matrix.shape, dtype=complex)
     for i, (off, d) in enumerate(zip(_offsets(shape), shape.dims)):
         rows = slice(off, off + d * d)
-        out[rows] = sandwich(block_terms(terms, i, transpose), matrix[rows], d)
+        sandwich(block_terms(terms, i, transpose), matrix[rows], d, out=out[rows])
     return out
 
 
@@ -353,25 +359,32 @@ def cp_decompose(e: LinearMap) -> tuple[LinearMap, LinearMap, LinearMap, LinearM
 
 
 # ------------------------------------------------------------------- swap and τ
-def swap_gamma(t: AlgebraElement) -> AlgebraElement:
-    """γ: element on A⊗B ↦ element on B⊗A (linear, †-preserving)."""
-    tshape = t.shape
-    if tshape.factors is None:
+def _swap(t: AlgebraElement, conjugate: bool) -> AlgebraElement:
+    """γ(t), or τ(t) = γ(t)† if ``conjugate``: block (i, j) of A⊗B, read as
+    (da, db, da, db), permuted into a new C-ordered block (j, i) of B⊗A."""
+    if t.shape.factors is None:
         raise ShapeMismatchError("swap_gamma needs a tensor-shaped element")
-    left, right = tshape.factors
+    left, right = t.shape.factors
     target = right.tensor(left)
     mats = [None] * len(target.dims)
-    for (i, j), mat in zip(tshape.pairs, t.data):
+    for (i, j), mat in zip(t.shape.pairs, t.data):
         da, db = left.dims[i], right.dims[j]
         four = mat.reshape(da, db, da, db)
-        mats[target.block_of(j, i)] = (np.ascontiguousarray(four.transpose(1, 0, 3, 2))
-                                       .reshape(db * da, db * da))
+        # τ(t)[b,a,b',a'] = conj(t[a',b',a,b]) and γ(t)[b,a,b',a'] = t[a,b,a',b']
+        block = (np.conjugate(four.T, order="C") if conjugate
+                 else np.ascontiguousarray(four.transpose(1, 0, 3, 2)))
+        mats[target.block_of(j, i)] = block.reshape(db * da, db * da)
     return AlgebraElement._of(target, mats)
 
 
+def swap_gamma(t: AlgebraElement) -> AlgebraElement:
+    """γ: element on A⊗B ↦ element on B⊗A (linear, †-preserving)."""
+    return _swap(t, conjugate=False)
+
+
 def time_reversal_tau(t: AlgebraElement) -> AlgebraElement:
-    """τ: conjugate-linear, τ(b⊗a) = a†⊗b†; an involution."""
-    return swap_gamma(t).dagger()
+    """τ = †∘γ: conjugate-linear, τ(b⊗a) = a†⊗b†; an involution."""
+    return _swap(t, conjugate=True)
 
 
 def apply_to_factor(m: LinearMap, t: AlgebraElement, which: str) -> AlgebraElement:

@@ -15,8 +15,12 @@ whatever the factor dimensions, and the Kraus construction of the partial
 trace that its lifted matrix units replaced, each kept as its reference.
 ``sample_alone`` and ``classical_limit_pair`` draw one trial or one
 classical-limit pair through the library's samplers, as a stack of one.
+The ``copying_*`` kernels, ``gather_tilde`` and ``swap_dagger_tau`` are the
+kernels that the write-into-the-output ones in ``maps`` and ``algebra``
+replaced, each kept as its bit-for-bit reference.
 """
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -417,3 +421,88 @@ def full_product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
     best = (np.arange(jobs), pick)
     return vals[best].tolist(), a[best], b[best]
+
+
+# ------------------------------------------------- the copying kernels
+def copying_hs_adjoint(e: LinearMap) -> LinearMap:
+    """E* as the transposed view of conj(E), copied C-ordered by whoever
+    needs it so."""
+    return LinearMap(e.target, e.source, e.matrix.conj().T)
+
+
+def _dagger_index(shape: AlgebraShape) -> np.ndarray:
+    """Index permutation p with vec(A†) = conj(vec(A))[p]."""
+    offs = np.cumsum([0] + [d * d for d in shape.dims[:-1]])
+    return np.concatenate([off + np.arange(d * d).reshape(d, d).T.reshape(-1)
+                           for off, d in zip(offs, shape.dims)])
+
+
+def gather_tilde(e: LinearMap) -> LinearMap:
+    """†∘E∘† as conj(E) gathered at the dagger index of target and source."""
+    rows, cols = _dagger_index(e.target), _dagger_index(e.source)
+    return LinearMap(e.source, e.target, e.matrix.conj()[np.ix_(rows, cols)])
+
+
+def copying_swap_gamma(t: AlgebraElement) -> AlgebraElement:
+    """γ with each permuted block copied C-ordered."""
+    left, right = t.shape.factors
+    target = right.tensor(left)
+    mats = [None] * len(target.dims)
+    for (i, j), mat in zip(t.shape.pairs, t.data):
+        da, db = left.dims[i], right.dims[j]
+        four = mat.reshape(da, db, da, db)
+        mats[target.block_of(j, i)] = (np.ascontiguousarray(four.transpose(1, 0, 3, 2))
+                                       .reshape(db * da, db * da))
+    return AlgebraElement._of(target, mats)
+
+
+def swap_dagger_tau(t: AlgebraElement) -> AlgebraElement:
+    """τ as γ followed by the blockwise dagger view."""
+    return copying_swap_gamma(t).dagger()
+
+
+def copying_sandwich(terms, x: np.ndarray, d: int, p: int = 1) -> np.ndarray:
+    """``maps.sandwich`` with every term's product in a new array."""
+    def one(w, f, g):
+        lead = (g if f is None else f).shape[:-2]
+        if g is None:
+            return ((w * f) @ x.reshape(*lead, d, -1)).reshape(x.shape)
+        out = x if f is None else f @ x.reshape(*lead, d, -1)
+        g_t = (w * g).swapaxes(-1, -2)[..., None, :, :]
+        return (g_t @ out.reshape(*lead, d * p, d, -1)).reshape(x.shape)
+    first, *rest = terms
+    out = one(*first)
+    for term in rest:
+        out += one(*term)
+    return out
+
+
+def copying_sandwich_rows(terms, matrix: np.ndarray, shape: AlgebraShape,
+                          transpose: bool = False) -> np.ndarray:
+    """``maps.sandwich_rows`` copying each block's result into place."""
+    matrix = np.ascontiguousarray(matrix)
+    out = np.empty(matrix.shape, dtype=complex)
+    for i, (off, d) in enumerate(zip(maps._offsets(shape), shape.dims)):
+        rows = slice(off, off + d * d)
+        out[rows] = copying_sandwich(maps.block_terms(terms, i, transpose), matrix[rows], d)
+    return out
+
+
+def copying_norm(a: AlgebraElement):
+    """The Hilbert–Schmidt norm through a separate |a|² temporary."""
+    return alg._per_element(np.sqrt(sum((np.abs(m) ** 2).sum(axis=(-2, -1))
+                                        for m in a.data)), float)
+
+
+@contextmanager
+def copying_kernels():
+    """The library with the copying kernels in place of the ones that write
+    into their outputs, for the span of a ``with`` block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "sandwich", copying_sandwich)
+        patch.setattr(maps, "sandwich_rows", copying_sandwich_rows)
+        patch.setattr(maps, "time_reversal_tau", swap_dagger_tau)
+        patch.setattr(LinearMap, "hs_adjoint", copying_hs_adjoint)
+        patch.setattr(LinearMap, "tilde", gather_tilde)
+        patch.setattr(AlgebraElement, "norm", copying_norm)
+        yield

@@ -11,8 +11,8 @@ from qsot.errors import (ConstraintError, FaithfulnessError, QsotError,
                          SingularityError, UnsupportedFamilyError)
 from qsot.maps import LinearMap
 
-from conftest import (TransposedTarget, dense_gce, dense_generic_bayes, dense_multiplier,
-                      dense_product_bayes, dense_spectral_bayes, rng_for)
+from conftest import (TransposedTarget, copying_kernels, dense_gce, dense_generic_bayes,
+                      dense_multiplier, dense_product_bayes, dense_spectral_bayes, rng_for)
 
 RESIDUAL_TOL = 1e-10
 MATCH_TOL = 1e-8
@@ -38,6 +38,25 @@ def test_closed_form_solves_the_bayes_condition(family, rng):
     x = bayes.closed_form_bayes(family, e, rho)
     assert x.is_tp
     assert bayes.bayes_residual(family, x, e, rho) < RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=lambda f: f.tag)
+def test_closed_form_and_residual_give_the_bits_of_the_copying_kernels(family, rng):
+    """The kernels that write into their outputs make the same products and
+    sums in the same order as the copying ones they replaced."""
+    cases = [(alg.matrix_algebra(5, "a"), alg.matrix_algebra(4, "b")),
+             (AlgebraShape([("a", 3), ("x", 2)]), AlgebraShape([("b", 2), ("y", 1), ("z", 2)])),
+             (AlgebraShape([("b", 2), ("a", 1), ("c", 2)]), AlgebraShape([("q", 1), ("p", 2)]))]
+    for source, target in cases:
+        e = sampling.random_cptp(source, target, rng)
+        rho = sampling.random_state(source, rng)
+        x = bayes.closed_form_bayes(family, e, rho)
+        residual = bayes.bayes_residual(family, x, e, rho)
+        with copying_kernels():
+            want = bayes.closed_form_bayes(family, e, rho)
+            want_residual = bayes.bayes_residual(family, want, e, rho)
+        assert np.array_equal(x.matrix, want.matrix)
+        assert residual == want_residual < RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=lambda f: f.tag)

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsot import algebra as alg, maps, sampling
+from qsot import algebra as alg, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.config import CP_TOL
 from qsot.errors import ConstraintError, ShapeMismatchError
 from qsot.maps import LinearMap
 
-from conftest import (apply_dense, dense_ad, dense_apply_to_factor, dense_channel_state,
-                      dense_choi, dense_embedding, dense_hs_adjoint_check, dense_multiplier,
-                      dense_partial_trace, dense_swap, kraus_partial_trace_channel, rng_for)
+from conftest import (apply_dense, copying_hs_adjoint, copying_kernels, copying_norm,
+                      copying_sandwich, copying_sandwich_rows, copying_swap_gamma,
+                      dense_ad, dense_apply_to_factor, dense_channel_state, dense_choi,
+                      dense_embedding, dense_hs_adjoint_check, dense_multiplier,
+                      dense_partial_trace, dense_swap, gather_tilde,
+                      kraus_partial_trace_channel, rng_for, swap_dagger_tau)
 
 ATOL = 1e-11
 
@@ -539,7 +542,7 @@ def test_random_cptp_matches_probed_twin(source, target):
                                    alg.classical_algebra(3)])
 def test_per_shape_constants_are_built_once_and_read_only(shape):
     twin = AlgebraShape(shape.blocks, shape.factors)  # equal, not the same object
-    for constant in (maps._offsets, maps.trace_row, maps._dagger_index):
+    for constant in (maps._offsets, maps.trace_row):
         kept = constant(shape)
         assert constant(shape) is kept and constant(twin) is kept
         fresh = constant.__wrapped__(twin)
@@ -618,3 +621,101 @@ def test_random_decohering_channel_matches_probed_twin():
     want = maps.from_action(SHAPE_A, SHAPE_C, act)
     assert np.max(np.abs(got.matrix - want.matrix)) == 0.0
     assert got.is_cptp
+
+
+# ------------------------------------- kernels that write into their outputs
+# Each must give the bits of the copying kernel it replaced (tests/conftest.py):
+# the same products and sums in the same order, only into other buffers.
+KERNEL_SHAPES = {
+    "single": (alg.matrix_algebra(4, "a"), alg.matrix_algebra(3, "b")),
+    "hybrid": (AlgebraShape([("a", 3), ("x", 2)]),
+               AlgebraShape([("b", 2), ("y", 1), ("z", 2)])),
+    "unsorted": (SHAPE_A, SHAPE_C),
+}
+
+
+def random_map(source: AlgebraShape, target: AlgebraShape, rng) -> LinearMap:
+    """A map with no structure: complex Gaussian entries."""
+    size = (target.vector_dim, source.vector_dim)
+    return LinearMap(source, target, rng.normal(size=size) + 1j * rng.normal(size=size))
+
+
+def same_element(got: AlgebraElement, want: AlgebraElement) -> bool:
+    return got.shape == want.shape and all(
+        np.array_equal(a, b) for a, b in zip(got.data, want.data))
+
+
+@pytest.mark.parametrize("case", KERNEL_SHAPES)
+def test_tilde_and_hs_adjoint_give_the_bits_of_the_copying_kernels(case):
+    source, target = KERNEL_SHAPES[case]
+    rng = rng_for("tilde-adjoint-bits", list(KERNEL_SHAPES).index(case))
+    for e in (random_map(source, target, rng), sampling.random_cptp(source, target, rng)):
+        assert np.array_equal(e.tilde().matrix, gather_tilde(e).matrix)
+        adj = e.hs_adjoint()
+        assert adj.matrix.flags.c_contiguous
+        assert np.array_equal(adj.matrix, copying_hs_adjoint(e).matrix)
+
+
+def test_tilde_takes_a_single_map(rng):
+    e = sampling.random_cptp(SHAPE_A, SHAPE_C, rng)
+    with pytest.raises(ShapeMismatchError):
+        maps.stack([e, e]).tilde()
+
+
+@pytest.mark.parametrize("case", KERNEL_SHAPES)
+def test_tau_and_gamma_give_the_bits_of_the_copying_kernels(case):
+    source, target = KERNEL_SHAPES[case]
+    rng = rng_for("tau-gamma-bits", list(KERNEL_SHAPES).index(case))
+    tshape = source.tensor(target)
+    t = maps.unvec(tshape, rng.normal(size=tshape.vector_dim)
+                   + 1j * rng.normal(size=tshape.vector_dim))
+    assert same_element(maps.time_reversal_tau(t), swap_dagger_tau(t))
+    assert same_element(maps.swap_gamma(t), copying_swap_gamma(t))
+    assert copying_norm(t) == t.norm()
+    with pytest.raises(ShapeMismatchError, match="swap_gamma needs a tensor-shaped element"):
+        maps.time_reversal_tau(sampling.random_hermitian(source, rng))
+
+
+def test_norm_gives_the_bits_of_the_copying_kernel_on_a_stack(rng):
+    t = sampling.state(SHAPE_A, tuple(rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+                                      for d in SHAPE_A.dims))
+    assert np.array_equal(t.norm(), copying_norm(t))
+
+
+@pytest.mark.parametrize("case", KERNEL_SHAPES)
+def test_sandwich_rows_give_the_bits_of_the_copying_kernel(case):
+    source, target = KERNEL_SHAPES[case]
+    rng = rng_for("sandwich-rows-bits", list(KERNEL_SHAPES).index(case))
+    matrix = random_map(target, source, rng).matrix  # rows in source coordinates
+    f, g = (sampling.random_hermitian(source, rng) for _ in range(2))
+    for terms in (((1.0, f, g),), ((0.5, f, None), (0.5, None, g)),
+                  ((0.3, f, g), (0.7, g, f)), ((1.0, None, g),)):
+        for transpose in (False, True):
+            want = copying_sandwich_rows(terms, matrix, source, transpose)
+            got = maps.sandwich_rows(terms, matrix, source, transpose)
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+    fortran = np.asfortranarray(matrix)  # copied C-ordered before the kernel
+    terms = ((1.0, f, None),)
+    assert np.array_equal(maps.sandwich_rows(terms, fortran, source),
+                          copying_sandwich_rows(terms, fortran, source))
+
+
+@pytest.mark.parametrize("family", [sot.LeiferSpekkens(), sot.TRotated(0.3),
+                                    sot.SymmetricBloom(), sot.RightBloom(),
+                                    sot.RSFamily(0.3, 0.7)], ids=lambda f: f.tag)
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_sandwich_on_stacks_of_256_gives_the_bits_of_the_copying_kernel(family, hybrid):
+    """sot._sandwich, the certification table's path, at d = 2."""
+    source = AlgebraShape([("a", 2), ("x", 1)]) if hybrid else alg.matrix_algebra(2, "a")
+    target = alg.matrix_algebra(2, "b")
+    rng = rng_for(f"sandwich-stack-bits-{family.tag}", int(hybrid))
+    e = maps.stack([sampling.random_cptp(source, target, rng) for _ in range(256)])
+    rho = alg.stack([sampling.random_state(source, rng) for _ in range(256)])
+    got = sot._sandwich(family.terms(rho), e)
+    with copying_kernels():
+        want = sot._sandwich(family.terms(rho), e)
+    assert same_element(got, want)
+    x = rng.normal(size=(256, 2, 4)) + 1j * rng.normal(size=(256, 2, 4))
+    side = rho.data[0]
+    terms = ((0.4, side, None), (0.6, None, side))
+    assert np.array_equal(maps.sandwich(terms, x, 2), copying_sandwich(terms, x, 2))
