@@ -1,10 +1,10 @@
 """Bayes maps: solutions X of  E⋆ρ = τ(~X ⋆ E(ρ)).
 
-Closed forms come from the family's own terms: one product formula for the
-one-term families (Petz and its rotated/STH variants, the one-sided blooms),
-one spectral-basis formula for the two-term families (symmetric bloom and
-(r,s)).  A Θ-derived family solves as its sandwich family, which gives its
-generalized conditional expectation.
+Closed forms come from a sandwich family's ``sides``, by their count: the
+product formula for one term (Petz, its rotated/STH variants, the one-sided
+blooms), the spectral-basis formula over the family's ``denominator`` for
+more (symmetric bloom and (r,s)).  A Θ-derived family solves as its sandwich
+family, which gives its generalized conditional expectation.
 ``generic_bayes`` solves the defining condition directly and measures
 uniqueness, which is the cross-check oracle for everything else.  It uses
 only that every family is local in the source factor, ~X⋆σ = (Φ_σ⊗id)(D[~X]):
@@ -118,7 +118,7 @@ def sth_inverse(e: LinearMap, rho: AlgebraElement) -> LinearMap:
     """Ad_{U_ρ†ρ^{1/2}} ∘ E* ∘ Ad_{U_{E(ρ)}†E(ρ)^{−1/2}} with U_ρ = ρ^{it}, t = 0.3.
 
     Solves the Bayes condition for the family
-    (U_ρ†ρ^{1/2}⊗1)D[E](ρ^{1/2}U_ρ⊗1).
+    (U_ρ†ρ^{1/2}⊗1)D[E](ρ^{1/2}U_ρ⊗1): it is ``rotated_petz`` at t = 0.3.
     """
     return _product_bayes(sot.STH(), e, rho)
 
@@ -143,15 +143,14 @@ def rs_bayes(r: float, s: float, e: LinearMap, rho: AlgebraElement) -> LinearMap
 
 def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                       strict: bool = False) -> LinearMap:
-    """The closed-form Bayes map of the family: the product formula for
-    one-term sandwich families (Θ-derived ones included) and the spectral
-    formula for the two-term ones."""
-    if hasattr(family, "denominator"):
-        return _spectral_bayes(family, e, rho, strict)
-    if hasattr(family, "terms"):
-        return _product_bayes(family, e, rho, strict)
-    raise UnsupportedFamilyError(
-        f"no closed-form Bayes map for family {family.tag}")
+    """The closed-form Bayes map of a sandwich family (Θ-derived ones
+    included): the product formula for one term, the spectral formula for
+    more."""
+    sides = getattr(family, "sides", None)
+    if sides is None:
+        raise UnsupportedFamilyError(
+            f"no closed-form Bayes map for family {family.tag}")
+    return (_spectral_bayes if len(sides) > 1 else _product_bayes)(family, e, rho, strict)
 
 
 # --------------------------------------------------------------- generic solve

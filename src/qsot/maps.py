@@ -166,8 +166,8 @@ class LinearMap:
 
     @property
     def is_cp(self) -> bool:
-        return bool(_source_transpose(channel_state(self)).min_eigenvalue() >= -CP_TOL
-                    and self.is_dagger_preserving)
+        return bool(self.is_dagger_preserving
+                    and _source_transpose(channel_state(self)).min_eigenvalue() >= -CP_TOL)
 
     @property
     def is_unital(self) -> bool:

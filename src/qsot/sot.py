@@ -5,7 +5,9 @@ matrix ρ on A and produces an element of A⊗B whose marginals are ρ and E(ρ)
 Families that are linear in the state (the blooms and the symmetric bloom,
 plus Θ-derived recipes with a state-linear Θ) extend to arbitrary hermitian
 unit-trace second arguments by the same formula; the other families refuse
-anything that is not PSD.
+anything that is not PSD.  All but the uncorrelated and Ohya families are
+sandwiches given as exponent data (``_Sandwich.sides``); STH is the t-rotated
+family under its own tag.
 """
 from __future__ import annotations
 
@@ -38,15 +40,39 @@ class SotFamily:
 
 
 class _Sandwich(SotFamily):
-    """Σₖ wₖ (fₖ(ρ)⊗1) D[E] (gₖ(ρ)⊗1) for the weighted sides of ``terms``.
-
-    ``terms(x)`` returns ``((w, f, g), ...)`` with ``None`` for an identity
-    side.  One-term families also give ``terms(σ, inverse=True, strict=...)``:
-    the sides f(σ)^{−†} and g(σ)^{−†} (support pseudo-inverses) that their
-    Bayes map puts behind E*.  Two-term families instead give
-    ``denominator(q_k, q_l)`` = Σ w f(q_k) g(q_l) and the ``spectral_tol`` at
-    or below which their spectral Bayes map is singular.
+    """Σ w (ρ^a⊗1) D[E] (ρ^b⊗1) over ``sides`` = ((w, a, b), ...) with
+    complex exponents: the whole contract, from which the terms, the spectral
+    Bayes denominator and state-linearity derive here.  Exponent 0 is the
+    identity side and exponent 1 is ρ itself (no ``alg.power``, so any
+    hermitian ρ).  Families of more than one term also give the
+    ``spectral_tol`` at or below which their spectral Bayes map is singular.
     """
+    sides: ClassVar[tuple[tuple[float, complex, complex], ...]]
+
+    @property
+    def state_linear(self) -> bool:
+        return all(p in (0, 1) for _, a, b in self.sides for p in (a, b))
+
+    def terms(self, x: AlgebraElement, inverse: bool = False, strict: bool = False):
+        """``((w, x^a, x^b), ...)`` with None for x^0, from one ``alg.power``
+        per distinct exponent.  With ``inverse`` the sides are
+        (x^a)^{−†} = x^{−ā}: pseudo-inverses on the support of x, or a
+        ``FaithfulnessError`` if ``strict``."""
+        powers = {0: None, 1: x}
+
+        def side(p):
+            p = -p.conjugate() if inverse else p
+            if p not in powers:
+                powers[p] = alg.power(x, p, strict=strict)
+            return powers[p]
+        return tuple((w, side(a), side(b)) for w, a, b in self.sides)
+
+    def denominator(self, qk, ql):
+        """Γ_kl = Σ w q_k^ā q_l^b̄ on eigenvalues q of σ, clamped at 0: the
+        spectral Bayes map divides E*(e_kl) by it, as the product formula's
+        inner sides σ^{−ā}·σ^{−b̄} do for one term."""
+        qk, ql = np.maximum(qk, 0.0), np.maximum(ql, 0.0)
+        return sum(w * qk ** a.conjugate() * ql ** b.conjugate() for w, a, b in self.sides)
 
     def value(self, e: LinearMap, rho: AlgebraElement) -> AlgebraElement:
         return _sandwich(self.terms(rho), e)
@@ -87,10 +113,7 @@ class OhyaCompound(SotFamily):
 @dataclass(frozen=True)
 class LeiferSpekkens(_Sandwich):
     tag: ClassVar[str] = "leifer-spekkens"
-
-    def terms(self, x, inverse=False, strict=False):
-        root = alg.power(x, -0.5 if inverse else 0.5, strict=strict)
-        return ((1.0, root, root),)
+    sides: ClassVar = ((1.0, 0.5, 0.5),)
 
 
 @dataclass(frozen=True)
@@ -98,59 +121,37 @@ class TRotated(_Sandwich):
     t: float = 0.3
     tag: ClassVar[str] = "t-rotated"
 
-    def terms(self, x, inverse=False, strict=False):
-        sign = -1.0 if inverse else 1.0
-        return ((1.0, alg.power(x, sign * 0.5 - 1j * self.t, strict=strict),
-                 alg.power(x, sign * 0.5 + 1j * self.t, strict=strict)),)
+    @property
+    def sides(self):
+        return ((1.0, 0.5 - 1j * self.t, 0.5 + 1j * self.t),)
 
 
-@dataclass(frozen=True)
-class STH(_Sandwich):
-    """Sutter–Tomamichel–Harrow style family, with the commuting unitary
-    U_ρ = ρ^{it} on the support and the identity off it."""
-    t: float = 0.3
+class STH(TRotated):
+    """Sutter–Tomamichel–Harrow style family (U_ρ†ρ^{1/2}⊗1)D[E](ρ^{1/2}U_ρ⊗1)
+    with the commuting unitary U_ρ = ρ^{it} on the support and the identity
+    off it.  Its sides are ρ^{1/2∓it}: the t-rotated family under its own tag."""
     tag: ClassVar[str] = "sth"
-
-    def unitary_for(self, state: AlgebraElement) -> AlgebraElement:
-        return alg.support_unitary(state, self.t)
-
-    def terms(self, x, inverse=False, strict=False):
-        u = self.unitary_for(x)
-        root = alg.power(x, -0.5 if inverse else 0.5, strict=strict)
-        return ((1.0, u.dagger() @ root, root @ u),)
 
 
 @dataclass(frozen=True)
 class SymmetricBloom(_Sandwich):
     tag: ClassVar[str] = "symmetric-bloom"
-    state_linear: ClassVar[bool] = True
+    sides: ClassVar = ((0.5, 1.0, 0.0), (0.5, 0.0, 1.0))
     # The spectral Bayes map divides by ½(q_k+q_l): singular exactly where
     # q_k+q_l is at most FAITHFULNESS_TOL.
     spectral_tol: ClassVar[float] = 0.5 * FAITHFULNESS_TOL
-
-    def terms(self, x):
-        return ((0.5, x, None), (0.5, None, x))
-
-    def denominator(self, qk, ql):
-        return 0.5 * (qk + ql)
 
 
 @dataclass(frozen=True)
 class RightBloom(_Sandwich):
     tag: ClassVar[str] = "right-bloom"
-    state_linear: ClassVar[bool] = True
-
-    def terms(self, x, inverse=False, strict=False):
-        return ((1.0, alg.power(x, -1.0, strict=strict) if inverse else x, None),)
+    sides: ClassVar = ((1.0, 1.0, 0.0),)
 
 
 @dataclass(frozen=True)
 class LeftBloom(_Sandwich):
     tag: ClassVar[str] = "left-bloom"
-    state_linear: ClassVar[bool] = True
-
-    def terms(self, x, inverse=False, strict=False):
-        return ((1.0, None, alg.power(x, -1.0, strict=strict) if inverse else x),)
+    sides: ClassVar = ((1.0, 0.0, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -165,43 +166,25 @@ class RSFamily(_Sandwich):
             raise ConstraintError("RSFamily needs r, s in [0, 1]")
 
     @property
-    def state_linear(self) -> bool:  # at r ∈ {0, 1} the sides are ρ and the identity
-        return self.r in (0.0, 1.0)
-
-    def terms(self, x):
-        a, b = (None if p == 0.0 else x if p == 1.0 else alg.power(x, p)
-                for p in (self.r, 1.0 - self.r))
-        return ((self.s, a, b), (1.0 - self.s, b, a))
-
-    def denominator(self, qk, ql):
-        qk, ql = np.maximum(qk, 0.0), np.maximum(ql, 0.0)
-        return (self.s * qk ** self.r * ql ** (1.0 - self.r)
-                + (1.0 - self.s) * qk ** (1.0 - self.r) * ql ** self.r)
+    def sides(self):
+        return ((self.s, self.r, 1.0 - self.r), (1.0 - self.s, 1.0 - self.r, self.r))
 
 
 @dataclass(frozen=True)
 class ThetaDerived(_Sandwich):
     """SOT generated by the state-rendering map of a sandwich family:
-    (Θ_ρ ⊗ id)(D[E]) with Θ_ρ = Σ w L_{f(ρ)}∘R_{g(ρ)} over ``theta``'s terms.
+    (Θ_ρ ⊗ id)(D[E]) with Θ_ρ = Σ w L_{ρ^a}∘R_{ρ^b} over ``theta``'s sides.
 
     Term by term that is ``theta``'s own sandwich, so the family evaluates
-    and solves as ``theta`` under its own tag: its terms, denominator and
-    spectral_tol are theta's, and exist only where theta's do.
+    and solves as ``theta`` under its own tag: its sides and spectral_tol are
+    theta's, and the latter exists only where theta's does.
     """
     theta: _Sandwich
     tag: ClassVar[str] = "theta"
 
     @property
-    def state_linear(self) -> bool:
-        return self.theta.state_linear
-
-    @property
-    def terms(self):
-        return self.theta.terms
-
-    @property
-    def denominator(self):
-        return self.theta.denominator
+    def sides(self):
+        return self.theta.sides
 
     @property
     def spectral_tol(self) -> float:

@@ -102,14 +102,31 @@ def test_product_bayes_matches_dense_oracle(family, shapes, strict, rng):
 
 @pytest.mark.parametrize("strict", (False, True))
 @pytest.mark.parametrize("shapes", CLOSED_FORM_SHAPES, ids=shapes_id)
-@pytest.mark.parametrize("family", TWO_TERM_FAMILIES, ids=family_id)
+@pytest.mark.parametrize("family", ONE_TERM_FAMILIES + TWO_TERM_FAMILIES, ids=family_id)
 def test_spectral_bayes_matches_dense_oracle(family, shapes, strict, rng):
+    """For one term the spectral oracle, built from the generic denominator
+    Σ w q_k^ā q_l^b̄, checks the product formula: the conjugates are needed."""
     e = sampling.random_cptp(*shapes, rng)
     rho = sampling.random_state(shapes[0], rng)
     x = bayes.closed_form_bayes(family, e, rho, strict=strict)
     want = dense_spectral_bayes(family, e, rho)
     assert np.max(np.abs(x.matrix - want)) < ORACLE_TOL * max(1.0, np.linalg.norm(want))
     assert x.matrix.flags.c_contiguous
+
+
+@pytest.mark.parametrize("t", (0.3, 0.45, -0.2))
+@pytest.mark.parametrize("shapes", ((alg.matrix_algebra(3, "a"), alg.matrix_algebra(2, "b")),)
+                         + CLOSED_FORM_SHAPES, ids=shapes_id)
+def test_sth_is_the_t_rotated_family_under_its_own_tag(shapes, t, rng):
+    """U_ρ†ρ^{1/2} = ρ^{1/2−it} and ρ^{1/2}U_ρ = ρ^{1/2+it} for U_ρ = ρ^{it}."""
+    e = sampling.random_cptp(*shapes, rng)
+    rho = sampling.random_state(shapes[0], rng)
+    sth, rotated = sot.STH(t), sot.TRotated(t)
+    assert sth.tag == "sth" and sth != rotated
+    got, want = sot.evaluate(sth, e, rho).value, sot.evaluate(rotated, e, rho).value
+    assert (got - want).norm() < 1e-14
+    got, want = (bayes.closed_form_bayes(f, e, rho).matrix for f in (sth, rotated))
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 THETA_FAMILIES = (sot.LeiferSpekkens(), sot.RightBloom(), sot.LeftBloom(),
@@ -492,7 +509,7 @@ def test_one_term_maps_on_rank_deficient_outputs_use_pseudo_inverses(rng):
     e, rho = rank_deficient_pair(rng)
     sigma, adj, t = e(rho), e.hs_adjoint(), 0.3
     p, q = (lambda r: alg.power(rho, r)), (lambda r: alg.power(sigma, r))
-    u_rho, u_sig = sot.STH(t).unitary_for(rho), sot.STH(t).unitary_for(sigma)
+    u_rho, u_sig = alg.support_unitary(rho, t), alg.support_unitary(sigma, t)
     formulas = {
         sot.LeiferSpekkens(): lambda b: p(0.5) @ adj(q(-0.5) @ b @ q(-0.5)) @ p(0.5),
         sot.TRotated(t): lambda b: (p(0.5 - 1j * t) @ adj(q(-0.5 - 1j * t) @ b

@@ -151,12 +151,46 @@ def test_every_library_name_the_benchmark_uses_resolves():
     assert unresolved(names) == []
 
 
-# A family says what it computes through its attributes (terms, denominator,
-# value); no library code dispatches on a family's class.
+# A family says what it computes through its attributes (a sandwich family's
+# sides, any family's value); no library code dispatches on a family's class.
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "qsot").glob("*.py")),
                          ids=lambda p: p.name)
 def test_library_modules_do_not_dispatch_on_family_classes(path):
     assert "isinstance(family" not in path.read_text(encoding="utf-8")
+
+
+def class_members(source: str, names: set[str]) -> dict[str, set[str]]:
+    """For each class of ``source`` that defines some of ``names`` in its
+    body (a method, property or class attribute), those it defines."""
+    found = {}
+    for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
+        defined = set()
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        if defined & names:
+            found[cls.name] = defined & names
+    return found
+
+
+def test_the_member_scan_reads_methods_properties_and_class_attributes():
+    source = ("class A:\n    x: int = 1\n    def y(self): pass\n"
+              "class B(A):\n    @property\n    def x(self): return 2\n    z = 3\n"
+              "class C:\n    w = 0\n")
+    assert class_members(source, {"x", "y", "z"}) == {"A": {"x", "y"}, "B": {"x", "z"}}
+
+
+# A sandwich family is its sides: only _Sandwich turns them into terms, the
+# spectral denominator and state-linearity (SotFamily holds the default
+# state_linear = False of the other families).
+def test_only_the_sandwich_base_derives_terms_denominator_and_state_linearity():
+    source = (ROOT / "src" / "qsot" / "sot.py").read_text(encoding="utf-8")
+    assert class_members(source, {"terms", "denominator", "state_linear"}) == {
+        "SotFamily": {"state_linear"},
+        "_Sandwich": {"terms", "denominator", "state_linear"}}
 
 
 # A module-level function or class that nothing refers to is dead code.  The

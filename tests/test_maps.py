@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsot import algebra as alg, maps, sampling, sot
+from qsot import algebra as alg, bayes, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.config import CP_TOL
 from qsot.errors import ConstraintError, ShapeMismatchError
@@ -609,6 +609,17 @@ def test_stacked_maps_equal_their_members(rng):
         assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
     with pytest.raises(ShapeMismatchError):
         maps.from_kraus(SHAPE_A, SHAPE_C, [(0, 0, np.ones((2, 3, 2)))])
+
+
+def test_single_map_classifications_refuse_a_stack_with_a_library_error(rng):
+    """is_dagger_preserving, is_cp, is_cptp and classify_solution take a
+    single map; on a stack each raises ShapeMismatchError, not numpy's."""
+    e = sampling.random_cptp(SHAPE_A, SHAPE_A, rng)
+    stacked = maps.stack([e, e])
+    for check in (lambda m: m.is_dagger_preserving, lambda m: m.is_cp,
+                  lambda m: m.is_cptp, bayes.classify_solution):
+        with pytest.raises(ShapeMismatchError, match="tilde takes a single map"):
+            check(stacked)
 
 
 def test_random_decohering_channel_matches_probed_twin():

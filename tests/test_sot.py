@@ -93,7 +93,7 @@ def test_t_rotated_matches_dense_oracle_and_t0_is_ls(rng):
 def test_sth_matches_dense_oracle(rng):
     e, rho = qubit_pair(rng)
     family = sot.STH(t=0.3)
-    u = family.unitary_for(rho).data[0]
+    u = alg.support_unitary(rho, family.t).data[0]
     root = alg.power(rho, 0.5).data[0]
     d = dense_channel_state(e)
     want = (np.kron(u.conj().T @ root, np.eye(2)) @ d
@@ -123,7 +123,7 @@ def dense_sides(family, rho, xi):
     p = lambda r: alg.power(rho, r).data[xi]
     rx, eye = rho.data[xi], np.eye(rho.shape.dims[xi])
     if family.tag == "sth":
-        u = family.unitary_for(rho).data[xi]
+        u = alg.support_unitary(rho, family.t).data[xi]
         return [(1.0, u.conj().T @ p(0.5), p(0.5) @ u)]
     return {
         "leifer-spekkens": lambda: [(1.0, p(0.5), p(0.5))],
