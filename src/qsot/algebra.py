@@ -198,8 +198,8 @@ class AlgebraElement:
         object.__setattr__(element, "data", data)
         return element
 
-    def __reduce__(self):  # rebuilt through __init__, which freezes the copied blocks
-        return AlgebraElement, (self.shape, self.data)
+    def __reduce__(self):  # rebuilt through _of, which freezes the copied blocks
+        return AlgebraElement._of, (self.shape, self.data)
 
     # ------------------------------------------------------------------ algebra
     def _check_same_shape(self, other: "AlgebraElement"):

@@ -278,7 +278,7 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
         raise ConstraintError("maps do not compose: need E: A→B, F: B→C")
     shape_a, shape_b, shape_c = e.source, e.target, f.target
     tr_a = maps.partial_trace_channel(shape_a.tensor(shape_b), "A")
-    lifted_f = LinearMap._of(tr_a.source, shape_c, f.matrix @ tr_a.matrix)  # A⊗B → C
+    lifted_f = f.compose(tr_a)  # A⊗B → C
     dim_a = float(shape_a.total_dim)
     d_state = (1.0 / dim_a) * maps.channel_state(e)
 
@@ -393,8 +393,7 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
             if key == "rho2":
                 mixed, alt = (e, lam * rho + (1.0 - lam) * other), (e, other)
             else:
-                mixed = (LinearMap._of(e.source, e.target,
-                                       lam * e.matrix + (1.0 - lam) * other.matrix), rho)
+                mixed = (lam * e + (1.0 - lam) * other, rho)
                 alt = (other, rho)
             residuals.append((sot.evaluate(family, *mixed).value
                               - lam * sot.evaluate(family, e, rho).value
@@ -430,8 +429,7 @@ def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
         if key in instance:
             m = instance[key]
             other = sampling.random_cptp(m.source, m.target, rng)
-            out[key] = LinearMap(m.source, m.target,
-                                 (1.0 - scale) * m.matrix + scale * other.matrix)
+            out[key] = (1.0 - scale) * m + scale * other
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg, maps, sot
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraElement, AlgebraShape, _per_element
 from .config import FAIL_THRESHOLD, LOCALITY_TOL, RANK_TOL
 from .errors import SingularityError, UnsupportedFamilyError
 from .maps import LinearMap
@@ -27,18 +27,17 @@ from .maps import LinearMap
 # -------------------------------------------------------------- Bayes residual
 def bayes_residual(family: sot.SotFamily, x: LinearMap, e: LinearMap,
                    rho: AlgebraElement) -> float:
-    """‖E⋆ρ − τ(~X ⋆ E(ρ))‖ with the same family on both sides."""
+    """‖E⋆ρ − τ(~X ⋆ E(ρ))‖ with the same family on both sides; one per pair of stacks."""
     forward = sot.evaluate(family, e, rho).value
     backward = maps.time_reversal_tau(sot.evaluate(family, x.tilde(), e(rho)).value)
     return (forward - backward).norm()
 
 
 def classify_solution(x: LinearMap) -> str:
-    if x.is_cptp:
-        return "CPTP"
-    if x.is_tp and x.is_dagger_preserving:
-        return "HPTP-only"
-    return "TP-only"
+    """CPTP, HPTP-only or TP-only; one per map of a stack."""
+    tp = x.is_tp
+    return _per_element(np.where(tp & x.is_cp, "CPTP", np.where(
+        tp & x.is_dagger_preserving, "HPTP-only", "TP-only")), str)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ hence the adjoint of a map is literally the conjugate transpose of its matrix.
 
 The channel state ``D[E] = (id⊗E)(μ*(1))`` and its inverse are pure
 reshape/transpose operations on that matrix, which keeps the certification
-loops cheap.
+loops cheap.  A stack of maps or elements has leading axes; the permuting
+kernels reshape a block to ``(-1, …)``, so their first axis runs over the
+members (one for a single map) and a fixed permutation serves both.
 """
 from __future__ import annotations
 
@@ -67,13 +69,15 @@ class LinearMap:
     computed on each read.
 
     Library kernels may also hold a stack of maps of one source and target:
-    a matrix with leading axes, built through ``_of``.  ``tp_defect`` and
-    ``is_tp`` then give one value per map, and a call and ``channel_state``
-    one element per map; other methods take a single map.  A call also
-    takes a stack of elements, for one map or a stack of the same length.
+    a matrix with leading axes, built through ``_of``.  Every method and
+    operator acts on each map of a stack bit for bit as on that map alone; a
+    scalar factor may be an array over the leading axes padded by two unit
+    axes.  A call takes a stack of elements too, for one map or a stack.
     """
 
     __slots__ = ("source", "target", "matrix")
+    # numpy defers arithmetic with a map to the map's own operators
+    __array_ufunc__ = None
 
     def __init__(self, source: AlgebraShape, target: AlgebraShape, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -100,8 +104,8 @@ class LinearMap:
     def __setattr__(self, *_):
         raise AttributeError("LinearMap is immutable")
 
-    def __reduce__(self):  # rebuilt through __init__, as slots cannot be set
-        return LinearMap, (self.source, self.target, self.matrix)
+    def __reduce__(self):  # rebuilt through _of, which freezes the copied matrix
+        return LinearMap._of, (self.source, self.target, self.matrix)
 
     # ------------------------------------------------------------------- action
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
@@ -114,39 +118,38 @@ class LinearMap:
         """self ∘ inner."""
         if inner.target != self.source:
             raise ShapeMismatchError("composition shapes do not align")
-        return LinearMap(inner.source, self.target, self.matrix @ inner.matrix)
+        return LinearMap._of(inner.source, self.target, self.matrix @ inner.matrix)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if self.source != other.source or self.target != other.target:
             raise ShapeMismatchError("map sum shapes do not align")
-        return LinearMap(self.source, self.target, self.matrix + other.matrix)
+        return LinearMap._of(self.source, self.target, self.matrix + other.matrix)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         if self.source != other.source or self.target != other.target:
             raise ShapeMismatchError("map difference shapes do not align")
-        return LinearMap(self.source, self.target, self.matrix - other.matrix)
+        return LinearMap._of(self.source, self.target, self.matrix - other.matrix)
 
     def __mul__(self, scalar: complex) -> "LinearMap":
-        return LinearMap(self.source, self.target, scalar * self.matrix)
+        return LinearMap._of(self.source, self.target, scalar * self.matrix)
 
     __rmul__ = __mul__
 
     # ------------------------------------------------------------------ adjoint
     def hs_adjoint(self) -> "LinearMap":
         """Hilbert–Schmidt adjoint, tr(E(A)† B) = tr(A† E*(B)); one C-ordered pass."""
-        return LinearMap(self.target, self.source, np.conjugate(self.matrix.T, order="C"))
+        return LinearMap._of(self.target, self.source,
+                             np.conjugate(self.matrix.swapaxes(-1, -2), order="C"))
 
     def tilde(self) -> "LinearMap":
         """†∘E∘†, the conjugated map in the Bayes condition: each (n, n, m, m)
         block of the matrix, conjugated and transposed (1, 0, 3, 2) into place."""
-        if self.matrix.ndim != 2:
-            raise ShapeMismatchError("tilde takes a single map")
-        out = np.empty_like(self.matrix)
+        out = np.empty(self.matrix.shape, dtype=complex)  # C-ordered: block reshapes are views
         for n, t0 in zip(self.target.dims, _offsets(self.target)):
             for m, s0 in zip(self.source.dims, _offsets(self.source)):
-                block = (slice(t0, t0 + n * n), slice(s0, s0 + m * m))
-                np.conjugate(self.matrix[block].reshape(n, n, m, m).transpose(1, 0, 3, 2),
-                             out=out[block].reshape(n, n, m, m))
+                block = (..., slice(t0, t0 + n * n), slice(s0, s0 + m * m))
+                np.conjugate(self.matrix[block].reshape(-1, n, n, m, m).transpose(0, 2, 1, 4, 3),
+                             out=out[block].reshape(-1, n, n, m, m))
         return LinearMap._of(self.source, self.target, out)
 
     # ------------------------------------------------------------ classification
@@ -162,21 +165,22 @@ class LinearMap:
 
     @property
     def is_dagger_preserving(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.tilde().matrix)) <= MAP_TOL)
+        return _per_element(np.max(np.abs(self.matrix - self.tilde().matrix), axis=(-2, -1))
+                            <= MAP_TOL, bool)
 
     @property
     def is_cp(self) -> bool:
-        return bool(self.is_dagger_preserving
-                    and _source_transpose(channel_state(self)).min_eigenvalue() >= -CP_TOL)
+        return _per_element(self.is_dagger_preserving & (
+            _source_transpose(channel_state(self)).min_eigenvalue() >= -CP_TOL), bool)
 
     @property
     def is_unital(self) -> bool:
         diff = self(alg.identity(self.source)) - alg.identity(self.target)
-        return bool(diff.norm() <= MAP_TOL)
+        return _per_element(diff.norm() <= MAP_TOL, bool)
 
     @property
     def is_cptp(self) -> bool:
-        return self.is_cp and self.is_tp
+        return _per_element(self.is_cp & self.is_tp, bool)
 
     def __repr__(self):
         return f"LinearMap({self.source!r} -> {self.target!r})"
@@ -286,18 +290,16 @@ def channel_state(e: LinearMap) -> AlgebraElement:
     """D[E] = (id⊗E)(μ*(1)) = Σ_{ij} E_ij ⊗ E(E_ji), blockwise; for a stack
     of maps, the stack of their channel states."""
     tshape = e.source.tensor(e.target)
-    lead = e.matrix.shape[:-2]
-    k = len(lead)
     so, to = _offsets(e.source), _offsets(e.target)
     mats = []
     for xi, yi in tshape.pairs:
         mx, ny = e.source.dims[xi], e.target.dims[yi]
         # the component of the matrix mapping source block xi into target block yi
         comp = e.matrix[..., to[yi]:to[yi] + ny * ny, so[xi]:so[xi] + mx * mx] \
-            .reshape(*lead, ny, ny, mx, mx)
+            .reshape(-1, ny, ny, mx, mx)
         # block[(i,k),(j,l)] = E(E_ji)[k,l] = comp[k,l,j,i]
-        mats.append(np.ascontiguousarray(comp.transpose(*range(k), k + 3, k, k + 2, k + 1))
-                    .reshape(*lead, mx * ny, mx * ny))
+        mats.append(np.ascontiguousarray(comp.transpose(0, 4, 1, 3, 2))
+                    .reshape(*e.matrix.shape[:-2], mx * ny, mx * ny))
     return AlgebraElement._of(tshape, mats)
 
 
@@ -320,13 +322,12 @@ def channel_from_state(j: AlgebraElement, source: AlgebraShape,
     if j.shape != tshape:
         raise ShapeMismatchError("element does not live on source⊗target")
     lead = j.data[0].shape[:-2]
-    k = len(lead)
     matrix = np.empty((*lead, target.vector_dim, source.vector_dim), dtype=complex)
     so, to = _offsets(source), _offsets(target)
     for (xi, yi), block in zip(tshape.pairs, j.data):
         mx, ny = source.dims[xi], target.dims[yi]
         # block[(i,k),(j,l)] = E(E_ji)[k,l] = comp[k,l,j,i], as in channel_state
-        comp = block.reshape(*lead, mx, ny, mx, ny).transpose(*range(k), k + 1, k + 3, k + 2, k)
+        comp = block.reshape(-1, mx, ny, mx, ny).transpose(0, 2, 4, 3, 1)
         rows, cols = slice(to[yi], to[yi] + ny * ny), slice(so[xi], so[xi] + mx * mx)
         matrix[..., rows, cols] = comp.reshape(*lead, ny * ny, mx * mx)
     return LinearMap._of(source, target, matrix)
@@ -340,8 +341,8 @@ def _source_transpose(t: AlgebraElement) -> AlgebraElement:
     mats = []
     for (i, j), mat in zip(t.shape.pairs, t.data):
         m, n = left.dims[i], right.dims[j]
-        mats.append(np.ascontiguousarray(mat.reshape(m, n, m, n).transpose(2, 1, 0, 3))
-                    .reshape(m * n, m * n))
+        block = mat.reshape(-1, m, n, m, n).transpose(0, 3, 2, 1, 4)
+        mats.append(np.ascontiguousarray(block).reshape(mat.shape))
     return AlgebraElement._of(t.shape, mats)
 
 
@@ -369,11 +370,11 @@ def _swap(t: AlgebraElement, conjugate: bool) -> AlgebraElement:
     mats = [None] * len(target.dims)
     for (i, j), mat in zip(t.shape.pairs, t.data):
         da, db = left.dims[i], right.dims[j]
-        four = mat.reshape(da, db, da, db)
+        four = mat.reshape(-1, da, db, da, db)
         # τ(t)[b,a,b',a'] = conj(t[a',b',a,b]) and γ(t)[b,a,b',a'] = t[a,b,a',b']
-        block = (np.conjugate(four.T, order="C") if conjugate
-                 else np.ascontiguousarray(four.transpose(1, 0, 3, 2)))
-        mats[target.block_of(j, i)] = block.reshape(db * da, db * da)
+        block = (np.conjugate(four.transpose(0, 4, 3, 2, 1), order="C") if conjugate
+                 else np.ascontiguousarray(four.transpose(0, 2, 1, 4, 3)))
+        mats[target.block_of(j, i)] = block.reshape(mat.shape)
     return AlgebraElement._of(target, mats)
 
 

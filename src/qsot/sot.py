@@ -262,7 +262,7 @@ def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverT
 
 def reverse_orientation(family: SotFamily, e: LinearMap,
                         rho: AlgebraElement) -> AlgebraElement:
-    """E⋆†ρ := ((†∘E∘†)⋆ρ)†, the reverse-orientation state over time."""
+    """E⋆†ρ := ((†∘E∘†)⋆ρ)†, the reverse-orientation state over time, pair by pair."""
     return evaluate(family, e.tilde(), rho).value.dagger()
 
 

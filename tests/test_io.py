@@ -360,20 +360,26 @@ def test_dump_load_roundtrip(tmp_path, rng):
 @pytest.mark.parametrize("copy_of", (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy),
                          ids=("pickle", "deepcopy"))
 def test_library_objects_survive_pickle_and_deepcopy(copy_of, rng):
-    # shapes and maps are rebuilt through their constructors, elements keep
-    # read-only blocks, and a Θ-derived family's delegation survives the copy
+    # shapes are rebuilt through their constructor; elements and maps, single
+    # or stacked, keep read-only arrays; a Θ-derived family's delegation
+    # survives the copy
     source = AlgebraShape([("a", 2), ("x", 1)])
     target = alg.matrix_algebra(2, "b")
     element = sampling.random_state(source.tensor(target), rng)
-    back = copy_of(element)
-    assert back.shape == element.shape and back.shape.pairs == element.shape.pairs
-    assert all(map(np.array_equal, back.data, element.data))
-    assert not any(block.flags.writeable for block in back.data)
+    for a in (element, alg.stack([element, 0.5 * element])):
+        back = copy_of(a)
+        assert back.shape == a.shape and back.shape.pairs == a.shape.pairs
+        assert all(map(np.array_equal, back.data, a.data))
+        assert not any(block.flags.writeable for block in back.data)
 
     e = sampling.random_cptp(source, target, rng)
-    back = copy_of(e)
-    assert (back.source, back.target) == (e.source, e.target)
-    assert np.array_equal(back.matrix, e.matrix) and back.is_cptp
+    for m in (e, maps.stack([e, 0.5 * e])):
+        back = copy_of(m)
+        assert (back.source, back.target) == (m.source, m.target)
+        assert np.array_equal(back.matrix, m.matrix) and not back.matrix.flags.writeable
+        assert np.array_equal(back.is_cptp, m.is_cptp)
+    with pytest.raises(ShapeMismatchError):  # the checking constructor io builds through
+        maps.LinearMap(source, target, maps.stack([e, e]).matrix)
 
     verdict = axioms.certify(sot.RightBloom(), "P1", axioms.CertifyConfig(trials=20))
     assert verdict.status == "fails"

@@ -611,17 +611,6 @@ def test_stacked_maps_equal_their_members(rng):
         maps.from_kraus(SHAPE_A, SHAPE_C, [(0, 0, np.ones((2, 3, 2)))])
 
 
-def test_single_map_classifications_refuse_a_stack_with_a_library_error(rng):
-    """is_dagger_preserving, is_cp, is_cptp and classify_solution take a
-    single map; on a stack each raises ShapeMismatchError, not numpy's."""
-    e = sampling.random_cptp(SHAPE_A, SHAPE_A, rng)
-    stacked = maps.stack([e, e])
-    for check in (lambda m: m.is_dagger_preserving, lambda m: m.is_cp,
-                  lambda m: m.is_cptp, bayes.classify_solution):
-        with pytest.raises(ShapeMismatchError, match="tilde takes a single map"):
-            check(stacked)
-
-
 def test_random_decohering_channel_matches_probed_twin():
     got = sampling.random_decohering_channel(SHAPE_A, SHAPE_C, rng_for("deco-twin"))
     f = rng_for("deco-twin").dirichlet(np.ones(3), size=5).T
@@ -667,10 +656,77 @@ def test_tilde_and_hs_adjoint_give_the_bits_of_the_copying_kernels(case):
         assert np.array_equal(adj.matrix, copying_hs_adjoint(e).matrix)
 
 
-def test_tilde_takes_a_single_map(rng):
+def stacked(members: list):
+    """Maps, elements or scalars of one kind as one stack; scalars padded by
+    two unit axes, as a factor of a stack of maps."""
+    if isinstance(members[0], LinearMap):
+        return maps.stack(members)
+    if isinstance(members[0], AlgebraElement):
+        return alg.stack(members)
+    return np.array(members)[:, None, None]
+
+
+@pytest.mark.parametrize("case", KERNEL_SHAPES)
+def test_every_map_method_acts_on_a_stack_member_by_member(case):
+    """Each map method, property and operator, γ, τ, the source transpose,
+    the Bayes residual, classify_solution and reverse_orientation: on stacks
+    of three they give the bits of the three calls on the members, and on
+    one member they keep their Python type."""
+    source, target = KERNEL_SHAPES[case]
+    rng = rng_for("stack-contract", list(KERNEL_SHAPES).index(case))
+    tshape = source.tensor(target)
+    channels = [sampling.random_cptp(source, target, rng) for _ in range(3)]
+    es = [channels[0], random_map(source, target, rng), channels[2]]
+    others = [random_map(source, target, rng) for _ in range(3)]
+    backs = [random_map(target, source, rng) for _ in range(3)]
+    rhos = [sampling.random_state(source, rng) for _ in range(3)]
+    ts = [maps.unvec(tshape, rng.normal(size=tshape.vector_dim)
+                     + 1j * rng.normal(size=tshape.vector_dim)) for _ in range(3)]
+    family = sot.LeiferSpekkens()
+    xs = [bayes.closed_form_bayes(family, e, rho) for e, rho in zip(channels, rhos)]
+    calls = {
+        "compose": (LinearMap.compose, backs, es),
+        "+": (LinearMap.__add__, es, others),
+        "-": (LinearMap.__sub__, es, others),
+        "scalar *": (lambda e: (0.3 - 0.2j) * e, es),
+        "array *": (lambda w, e: w * e, list(rng.normal(size=3)), es),
+        "hs_adjoint": (LinearMap.hs_adjoint, es),
+        "tilde": (LinearMap.tilde, es),
+        "tp_defect": (LinearMap.tp_defect, es),
+        "is_tp": (lambda e: e.is_tp, es),
+        "is_dagger_preserving": (lambda e: e.is_dagger_preserving, es),
+        "is_cp": (lambda e: e.is_cp, es),
+        "is_unital": (lambda e: e.is_unital, es),
+        "is_cptp": (lambda e: e.is_cptp, es),
+        "classify_solution": (bayes.classify_solution, es),
+        "gamma": (maps.swap_gamma, ts),
+        "tau": (maps.time_reversal_tau, ts),
+        "source transpose": (maps._source_transpose, ts),
+        "bayes_residual": (lambda *args: bayes.bayes_residual(family, *args),
+                           xs, channels, rhos),
+        "reverse_orientation": (lambda *args: sot.reverse_orientation(family, *args),
+                                channels, rhos),
+    }
+    for name, (call, *members) in calls.items():
+        singles = [call(*args) for args in zip(*members)]
+        got = call(*map(stacked, members))
+        if isinstance(got, LinearMap):
+            assert (got.source, got.target) == (singles[0].source, singles[0].target), name
+            assert np.array_equal(got.matrix, [m.matrix for m in singles]), name
+        elif isinstance(got, AlgebraElement):
+            assert all(map(same_element, alg.unstack(got), singles)), name
+        else:
+            assert type(singles[0]) in (bool, float, str), name
+            assert got.shape == (3,) and np.array_equal(got, singles), name
+    assert {bayes.classify_solution(e) for e in es} == {"CPTP", "TP-only"}
+
+
+def test_an_array_scalar_times_a_map_is_the_stack_of_scaled_maps(rng):
     e = sampling.random_cptp(SHAPE_A, SHAPE_C, rng)
-    with pytest.raises(ShapeMismatchError):
-        maps.stack([e, e]).tilde()
+    weights = np.array([0.5, -0.25j])[:, None, None]
+    for scaled in (weights * e, e * weights):
+        assert isinstance(scaled, LinearMap) and scaled.matrix.shape == (2, *e.matrix.shape)
+        assert np.array_equal(scaled.matrix, [0.5 * e.matrix, -0.25j * e.matrix])
 
 
 @pytest.mark.parametrize("case", KERNEL_SHAPES)
