@@ -156,6 +156,13 @@ def _per_element(value, kind):
     return kind(value) if np.ndim(value) == 0 else value
 
 
+def _weight(scalar):
+    """A scalar factor: a number, or an array padded by two unit axes."""
+    if np.ndim(scalar) and np.shape(scalar)[-2:] != (1, 1):
+        raise ShapeMismatchError("a weight array needs two trailing unit axes (..., 1, 1)")
+    return scalar
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """A block-diagonal complex matrix: one dense block per shape block.
@@ -218,6 +225,7 @@ class AlgebraElement:
         return AlgebraElement._of(self.shape, (-a for a in self.data))
 
     def __mul__(self, scalar: complex) -> "AlgebraElement":
+        scalar = _weight(scalar)
         return AlgebraElement._of(self.shape, (scalar * a for a in self.data))
 
     __rmul__ = __mul__

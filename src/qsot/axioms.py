@@ -116,14 +116,11 @@ def _interned_shapes(d_a: int, d_b: int) -> tuple[AlgebraShape, ...]:
             AlgebraShape((("b0", d_b), ("b1", 1))))
 
 
-def _shapes(family: sot.SotFamily, trial: int,
-            dims: tuple[int, int]) -> tuple[AlgebraShape, AlgebraShape]:
-    """Alternate single-block and block-sum shapes; compound-family sources
-    stay single-block."""
+def _shapes(trial: int, dims: tuple[int, int]) -> tuple[AlgebraShape, AlgebraShape]:
+    """The source and target of a trial, for every family alike: M_{d_a} →
+    M_{d_b} on even trials, M_{d_a} ⊕ M_1 → M_{d_b} ⊕ M_1 on odd ones."""
     a, b, _, blocky_a, blocky_b = _interned_shapes(*dims)
-    if trial % 2 == 0:
-        return a, b
-    return (a if family.compound else blocky_a), blocky_b
+    return (a, b) if trial % 2 == 0 else (blocky_a, blocky_b)
 
 
 # -------------------------------------------------------- product-vector search
@@ -322,7 +319,7 @@ def _draw(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
              else sampling.random_measure_prepare(a, b, config.dims[0] ** 2, rng))
         return (a, b, c), {"e": e, "f": sampling.draw_cptp(b, c, rng),
                            "rho": sampling.draw_state(a, rng)}
-    sa, sb = _shapes(family, trial, config.dims)
+    sa, sb = _shapes(trial, config.dims)
     if prop == "P7":
         kind, draws = sot.draw_classical_limit(sa, sb, rng, trial // 2,
                                                nondegenerate_prior=family.compound)

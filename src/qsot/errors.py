@@ -31,7 +31,7 @@ class SingularityError(QsotError):
 
 
 class UnsupportedFamilyError(QsotError):
-    """The requested operation is not defined for this family (or shape)."""
+    """The requested operation is not defined for this family."""
 
 
 class ExtensionError(QsotError):

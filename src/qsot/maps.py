@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraElement, AlgebraShape, _per_element
+from .algebra import AlgebraElement, AlgebraShape, _per_element, _weight
 from .config import CHANNEL_TOL, CP_TOL, MAP_TOL
 from .errors import ConstraintError, ShapeMismatchError
 
@@ -131,7 +131,7 @@ class LinearMap:
         return LinearMap._of(self.source, self.target, self.matrix - other.matrix)
 
     def __mul__(self, scalar: complex) -> "LinearMap":
-        return LinearMap._of(self.source, self.target, scalar * self.matrix)
+        return LinearMap._of(self.source, self.target, _weight(scalar) * self.matrix)
 
     __rmul__ = __mul__
 

@@ -19,8 +19,7 @@ import numpy as np
 from . import algebra as alg, maps, sampling
 from .algebra import AlgebraElement, AlgebraShape
 from .config import COMM_TOL, FAITHFULNESS_TOL, GROUP_TOL, SOT_ARG_TOL, SPECTRAL_GAP, STATE_TOL
-from .errors import (ConstraintError, ExtensionError, InapplicableError,
-                     UnsupportedFamilyError)
+from .errors import ConstraintError, ExtensionError, InapplicableError
 from .maps import LinearMap
 
 
@@ -33,9 +32,8 @@ class SotFamily:
     tag: ClassVar[str]
     # Linear in the state: evaluates any hermitian unit-trace argument.
     state_linear: ClassVar[bool] = False
-    # Built from ρ's spectral projectors: defined on single-block sources
-    # only, its classical limit holds on non-degenerate faithful priors only,
-    # and its associativity is an open question.
+    # Built from ρ's spectral projectors: P7 is certified on non-degenerate
+    # priors only, and associativity is an open question.
     compound: ClassVar[bool] = False
 
 
@@ -254,9 +252,6 @@ def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverT
         raise ExtensionError(
             f"family {family.tag} is not linear in the state "
             "and only evaluates density matrices")
-    if family.compound and len(e.source.blocks) != 1:
-        raise UnsupportedFamilyError(
-            "the compound construction is only defined on single-block algebras")
     return StateOverTime(family.value(e, rho), e, rho, family)
 
 

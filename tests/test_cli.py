@@ -197,6 +197,33 @@ def test_bayes_generic_fallback_for_ohya(fixtures, capsys):
     assert json.loads(open(out).read())["uniqueness"] == "none-found"
 
 
+def write_pair(tmp_path, source, target, name) -> list[str]:
+    """A seeded channel and state on the given shapes, written to disk."""
+    rng = rng_for(name)
+    e, rho = sampling.random_cptp(source, target, rng), sampling.random_state(source, rng)
+    paths = [str(tmp_path / "channel.json"), str(tmp_path / "state.json")]
+    io.dump(io.serialize_map(e), paths[0])
+    io.dump(io.serialize_element(rho, kind="state"), paths[1])
+    return paths
+
+
+def test_ohya_evaluates_and_solves_on_block_sums(tmp_path, capsys):
+    """Ohya takes block-sum sources: ``sot`` on M2⊕M1 → M2 exits 0, and
+    ``bayes`` on M2 → M2⊕M1 (Ohya on the block sum B) finds no solution,
+    exiting 0, or 4 with --verify, as on M2 → M2."""
+    m2, m2_m1 = alg.matrix_algebra(2, "a"), alg.AlgebraShape([("b", 2), ("y", 1)])
+    out = str(tmp_path / "out.json")
+    assert run(["sot", "--family", "ohya", *write_pair(tmp_path, m2_m1, m2, "cli-ohya-sot"),
+                out]) == cli.EXIT_OK
+    assert max(json.loads(open(out).read())["marginal_residuals"]) < 1e-12
+    pair = write_pair(tmp_path, m2, m2_m1, "cli-ohya-bayes")
+    assert run(["bayes", "--family", "ohya", *pair, out]) == cli.EXIT_OK
+    assert json.loads(open(out).read())["uniqueness"] == "none-found"
+    capsys.readouterr()
+    assert run(["bayes", "--family", "ohya", "--verify", *pair]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("verification failed: Bayes map residual")
+
+
 def test_bayes_generic_fallback_refuses_non_local_family(fixtures, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_family_from_args", lambda args: TransposedTarget())
     code = run(["bayes", "--family", "leifer-spekkens",

@@ -729,6 +729,32 @@ def test_an_array_scalar_times_a_map_is_the_stack_of_scaled_maps(rng):
         assert np.array_equal(scaled.matrix, [0.5 * e.matrix, -0.25j * e.matrix])
 
 
+@pytest.mark.parametrize("weights", [np.array([0.5, 2.0]), np.array([0.5, 2.0, 1.0])],
+                         ids=["len-2", "len-3"])
+def test_a_weight_array_without_its_unit_axes_is_refused(weights):
+    """A per-member weight array needs its two unit axes: without them it
+    would scale the columns of one map or element (length 2 on 2×2
+    blocks), or fail in numpy's broadcasting (length 3)."""
+    e = maps.identity_map(alg.classical_algebra(2))
+    rho = alg.identity(alg.matrix_algebra(2, "a"))
+    for operand in (e, rho):
+        for product in (lambda: weights * operand, lambda: operand * weights):
+            with pytest.raises(ShapeMismatchError, match="two trailing unit axes"):
+                product()
+
+
+def test_scalar_and_padded_weights_keep_their_bits(rng):
+    """Numbers, 0-d arrays and weights padded by two unit axes scale as
+    numpy does: the factors the library itself multiplies by."""
+    e = sampling.random_cptp(SHAPE_A, SHAPE_C, rng)
+    rho = sampling.random_state(SHAPE_A, rng)
+    lam = np.array([0.3, 0.8])[:, None, None]
+    for w in (0.5, 1.0 - 0.25, -0.25j, np.float64(0.7), np.array(0.7), lam):
+        assert np.array_equal((w * e).matrix, w * e.matrix)
+        assert np.array_equal((e * w).matrix, w * e.matrix)
+        assert all(np.array_equal(got, w * block) for got, block in zip((w * rho).data, rho.data))
+
+
 @pytest.mark.parametrize("case", KERNEL_SHAPES)
 def test_tau_and_gamma_give_the_bits_of_the_copying_kernels(case):
     source, target = KERNEL_SHAPES[case]

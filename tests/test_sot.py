@@ -6,11 +6,10 @@ import pytest
 from qsot import algebra as alg, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.config import GROUP_TOL
-from qsot.errors import (ConstraintError, ExtensionError,
-                         UnsupportedFamilyError)
+from qsot.errors import ConstraintError, ExtensionError
 
-from conftest import (classical_limit_pair, dense_channel_state, random_traceless_direction,
-                      rng_for)
+from conftest import (classical_limit_pair, dense_channel_state, dense_embedding,
+                      element_from_dense, random_traceless_direction, rng_for)
 
 ATOL = 1e-10
 
@@ -38,8 +37,6 @@ def test_marginals_are_rho_and_e_rho(family, rng):
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
 def test_blocky_shapes_supported(family, rng):
-    if isinstance(family, sot.OhyaCompound):
-        pytest.skip("single-block sources only")
     source = AlgebraShape([("a", 2), ("x", 1)])
     target = AlgebraShape([("b", 2), ("y", 1)])
     e = sampling.random_cptp(source, target, rng)
@@ -185,11 +182,15 @@ def test_ohya_matches_spectral_formula(rng):
     assert (got - want).norm() < ATOL
 
 
-def rotated_prior(shape: AlgebraShape, spectrum, rng) -> AlgebraElement:
-    """U diag(spectrum) U† for a random unitary U, exactly hermitian."""
-    u = sampling.random_isometry(rng, shape.dims[0], shape.dims[0])
-    rho = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
-    return AlgebraElement(shape, ((rho + rho.conj().T) / 2,))
+def rotated_prior(shape: AlgebraShape, spectra, rng) -> AlgebraElement:
+    """⊕ U_x diag(spectrum_x) U_x† for random unitaries U_x, one spectrum
+    per block, exactly hermitian."""
+    blocks = []
+    for d, spectrum in zip(shape.dims, spectra, strict=True):
+        u = sampling.random_isometry(rng, d, d)
+        rho = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+        blocks.append((rho + rho.conj().T) / 2)
+    return AlgebraElement(shape, tuple(blocks))
 
 
 def stack_priors(shape: AlgebraShape, rng) -> list[AlgebraElement]:
@@ -205,7 +206,7 @@ def stack_priors(shape: AlgebraShape, rng) -> list[AlgebraElement]:
         w[0], w[1] = (pair - gap) / 2, (pair + gap) / 2
         spectra.append(w)
     return ([sampling.random_state(shape, rng) for _ in range(3)]
-            + [rotated_prior(shape, spectrum, rng) for spectrum in spectra])
+            + [rotated_prior(shape, [spectrum], rng) for spectrum in spectra])
 
 
 # Every library family and parameter kind: the table, Ohya at a coarse
@@ -224,14 +225,13 @@ def test_stacked_ohya_and_uncorrelated_equal_their_pairs(family, m, n):
     """``value`` takes stacks: one stacked evaluation equals the pairs' own,
     bit for bit, for every library family.  On M_m → M_n the priors are
     degenerate, pure and with eigenvalue gaps either side of group_tol; on
-    M_m ⊕ M_1 → M_n ⊕ M_1 (not for Ohya, single-block only) random."""
+    M_m ⊕ M_1 → M_n ⊕ M_1 random."""
     rng = rng_for(f"stacked-{family.tag}-{m}-{n}")
     shape_a, shape_b = alg.matrix_algebra(m, "a"), alg.matrix_algebra(n, "b")
-    cases = [(shape_a, shape_b, stack_priors(shape_a, rng))]
-    if not family.compound:
-        blocky = AlgebraShape([("a", m), ("x", 1)])
-        cases.append((blocky, AlgebraShape([("b", n), ("y", 1)]),
-                      [sampling.random_state(blocky, rng) for _ in range(5)]))
+    blocky = AlgebraShape([("a", m), ("x", 1)])
+    cases = [(shape_a, shape_b, stack_priors(shape_a, rng)),
+             (blocky, AlgebraShape([("b", n), ("y", 1)]),
+              [sampling.random_state(blocky, rng) for _ in range(5)])]
     for source, target, rhos in cases:
         es = [sampling.random_cptp(source, target, rng) for _ in rhos]
         stacked = sot.evaluate(family, maps.stack(es), alg.stack(rhos)).value
@@ -245,10 +245,7 @@ def test_stacked_marginal_residuals_equal_the_pairs(family):
     """A stacked evaluation's marginal residuals are one per pair, each the
     pair's own bit for bit, on single-block and block-sum sources."""
     rng = rng_for(f"stacked-marginals-{family.tag}")
-    sources = [alg.matrix_algebra(2, "a")]
-    if not family.compound:
-        sources.append(AlgebraShape([("a", 2), ("x", 1)]))
-    for source in sources:
+    for source in (alg.matrix_algebra(2, "a"), AlgebraShape([("a", 2), ("x", 1)])):
         target = AlgebraShape([("b", 3), ("y", 1)])
         es = [sampling.random_cptp(source, target, rng) for _ in range(5)]
         rhos = [sampling.random_state(source, rng) for _ in es]
@@ -276,12 +273,43 @@ def test_library_families_evaluate_stacks_in_one_pass(monkeypatch):
         assert value.data[0].shape == (4, 6, 6), family.tag
 
 
-def test_ohya_refuses_blocky_sources(rng):
-    source = AlgebraShape([("a", 2), ("x", 1)])
-    e = sampling.random_cptp(source, alg.matrix_algebra(2, "b"), rng)
-    rho = sampling.random_state(source, rng)
-    with pytest.raises(UnsupportedFamilyError):
-        sot.evaluate(sot.OhyaCompound(), e, rho)
+def dense_ohya(e, rho) -> np.ndarray:
+    """Σ λ P_λ ⊗ E(P_λ / tr P_λ) with ρ embedded in M_n: one ``eigh`` there,
+    ascending eigenvalues within GROUP_TOL of the one before sharing their
+    projector, wherever their eigenvectors lie.  Each P_λ must lie in the
+    source algebra."""
+    vals, vecs = np.linalg.eigh(dense_embedding(rho))
+    cuts = np.r_[0, np.nonzero(np.diff(vals) > GROUP_TOL)[0] + 1, len(vals)]
+    out = 0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        proj = vecs[:, lo:hi] @ vecs[:, lo:hi].conj().T
+        p = element_from_dense(e.source, proj)
+        np.testing.assert_allclose(dense_embedding(p), proj, atol=1e-14)
+        image = dense_embedding(e((1.0 / (hi - lo)) * p))
+        out = out + np.mean(vals[lo:hi]) * np.kron(proj, image)
+    return out
+
+
+@pytest.mark.parametrize("dims, spectra", [
+    ((2, 1), None), ((2, 1), [(2, 1), (2,)]),  # 2/5 in both blocks
+    ((3, 2, 1), None), ((3, 2, 1), [(3, 2, 1), (3, 1), (1,)]),  # 3/11 in two, 1/11 in three
+    ((2, 2), None), ((2, 2), [(1, 2), (2, 1)]),  # a doubly degenerate pair across blocks
+], ids=["m2+m1", "m2+m1-shared", "m3+m2+m1", "m3+m2+m1-shared", "m2+m2", "m2+m2-shared"])
+def test_ohya_on_block_sums_matches_the_dense_grouped_oracle(dims, spectra):
+    """Ohya on a multi-matrix source is the M_n formula restricted to it:
+    equal eigenvalues are grouped across blocks, as in ρ's spectral
+    decomposition in M_n, on random priors and on priors whose repeated
+    eigenvalue spans two or three blocks."""
+    rng = rng_for(f"ohya-dense-{dims}-{spectra is None}")
+    source = AlgebraShape([(f"a{x}", d) for x, d in enumerate(dims)])
+    target = AlgebraShape([("b", 2), ("y", 1)])
+    e = sampling.random_cptp(source, target, rng)
+    total = sum(map(sum, spectra or ()))
+    rho = (sampling.random_state(source, rng) if spectra is None
+           else rotated_prior(source, [np.divide(s, total) for s in spectra], rng))
+    result = sot.evaluate(sot.OhyaCompound(), e, rho)
+    assert max(result.marginal_residuals()) < 1e-12
+    np.testing.assert_allclose(dense_embedding(result.value), dense_ohya(e, rho), atol=1e-12)
 
 
 def test_theta_derived_recovers_named_families(rng):
