@@ -10,6 +10,9 @@ uniqueness, which is the cross-check oracle for everything else.  It uses
 only that every family is local in the source factor, ~X⋆σ = (Φ_σ⊗id)(D[~X]):
 the condition becomes X·Φ_σ* = Y, with Φ_σ read off one evaluation of the
 family on the identity channel, and a dense probe checks that premise.
+The channel-state isomorphism, γ and τ only permute entries, so the residual
+‖E⋆ρ − τ(~X⋆σ)‖ is ‖X·Φ_σ* − Y‖_F, which ``bayes_residual`` computes for a
+sandwich family with no channel state, ~X or τ.
 """
 from __future__ import annotations
 
@@ -20,17 +23,48 @@ import numpy as np
 from . import algebra as alg, maps, sot
 from .algebra import AlgebraElement, AlgebraShape, _per_element
 from .config import FAIL_THRESHOLD, LOCALITY_TOL, RANK_TOL
-from .errors import SingularityError, UnsupportedFamilyError
+from .errors import ShapeMismatchError, SingularityError, UnsupportedFamilyError
 from .maps import LinearMap
 
 
 # -------------------------------------------------------------- Bayes residual
 def bayes_residual(family: sot.SotFamily, x: LinearMap, e: LinearMap,
                    rho: AlgebraElement) -> float:
-    """‖E⋆ρ − τ(~X ⋆ E(ρ))‖ with the same family on both sides; one per pair of stacks."""
-    forward = sot.evaluate(family, e, rho).value
-    backward = maps.time_reversal_tau(sot.evaluate(family, x.tilde(), e(rho)).value)
+    """‖E⋆ρ − τ(~X ⋆ E(ρ))‖ with the same family on both sides; one per pair of stacks.
+
+    For a sandwich family, with Φ_x = Σ w L_{x^a}R_{x^b} and σ = E(ρ), it is
+    ‖Y − X·Φ_σ*‖_F: Y = Φ_ρ∘E* is one kernel pass over the rows of E*, and
+    X∘Φ_σ* one over the rows of Xᵀ.  The arguments pass the checks
+    ``sot.evaluate`` makes on (E, ρ) and on (~X, σ); ~X is trace-preserving
+    exactly when X is.  Families without ``sides`` take the defining form.
+    """
+    if getattr(family, "sides", None) is None:
+        return _defining_residual(family, x, sot.evaluate(family, e, rho).value, e(rho))
+    sot.check_arguments(family, e, rho)
+    sigma = e(rho)
+    sot.check_arguments(family, x, sigma)
+    if x.target != e.source:
+        raise ShapeMismatchError("elements live on different shapes")
+    # Φ_σ* = Σ w̄ L_{f†}R_{g†} over Φ_σ's terms (w, f, g): the sides σ^ā, σ^b̄
+    phi_adjoint = [(np.conj(w), *(None if a is None else a.dagger() for a in sides))
+                   for w, *sides in family.terms(sigma)]
+    diff = _y_matrix(family, e, rho)
+    diff -= maps.sandwich_rows(phi_adjoint, x.matrix.swapaxes(-1, -2), e.target,
+                               transpose=True).swapaxes(-1, -2)
+    return _per_element(np.sqrt(np.square(m := np.abs(diff), out=m).sum(axis=(-2, -1))), float)
+
+
+def _defining_residual(family: sot.SotFamily, x: LinearMap, forward: AlgebraElement,
+                       sigma: AlgebraElement) -> float:
+    """‖E⋆ρ − τ(~X⋆σ)‖ as the condition reads, from its forward side E⋆ρ."""
+    backward = maps.time_reversal_tau(sot.evaluate(family, x.tilde(), sigma).value)
     return (forward - backward).norm()
+
+
+def _y_matrix(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement) -> np.ndarray:
+    """The matrix of Y = (Σ w L_{ρ^a}R_{ρ^b})∘E*, the map whose channel state
+    is γ(E⋆ρ): the sandwich family's terms on the rows of E*."""
+    return maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
 
 
 def classify_solution(x: LinearMap) -> str:
@@ -60,8 +94,8 @@ def _product_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     which are the rows of the transpose.
     """
     inner = family.terms(e(rho), inverse=True, strict=strict)
-    rows = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
-    rows = np.ascontiguousarray(rows.T)  # copied before the kernel, to free the rows
+    # Y's rows, transposed into a copy before the kernel, so that Y is freed
+    rows = np.ascontiguousarray(_y_matrix(family, e, rho).T)
     rows = maps.sandwich_rows(inner, rows, e.target, transpose=True)
     return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))
 
@@ -90,9 +124,8 @@ def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                 f"of block {alg.label_text(label)}")
         gammas.append(gamma.reshape(-1))
     w = AlgebraElement._of(e.target, (vecs for _, vecs in eigen))
-    rows = maps.sandwich_rows(family.terms(rho), e.hs_adjoint().matrix, e.source)
-    # ∘Ad_W, ÷Γ and ∘Ad_{W†} act on the columns: the rows of the transpose
-    rows = np.ascontiguousarray(rows.T)
+    # ∘Ad_W, ÷Γ and ∘Ad_{W†} act on the columns of Y: the rows of the transpose
+    rows = np.ascontiguousarray(_y_matrix(family, e, rho).T)
     rows = maps.sandwich_rows(((1.0, w, w.dagger()),), rows, e.target, transpose=True)
     rows /= np.concatenate(gammas)[:, None]
     rows = maps.sandwich_rows(((1.0, w.dagger(), w),), rows, e.target, transpose=True)
@@ -200,9 +233,8 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement) -> B
     x = x + (rhs @ vh[keep].conj().T / svals[keep]) @ u[:, keep].conj().T
     x_map = LinearMap(b_shape, a_shape, x)
 
-    # bayes_residual, with the forward side y was built from
-    backward = sot.evaluate(family, x_map.tilde(), sigma).value
-    residual = (forward - maps.time_reversal_tau(backward)).norm()
+    # the defining residual, with the forward side y was built from
+    residual = _defining_residual(family, x_map, forward, sigma)
     nullity = (n_a - 1) * int(np.sum(svals <= RANK_TOL * max(1.0, svals[0])))
     if residual > FAIL_THRESHOLD:
         uniqueness, witnesses = "none-found", ()

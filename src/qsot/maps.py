@@ -266,7 +266,8 @@ def block_terms(terms, i: int, transpose: bool = False) -> list:
 def sandwich_rows(terms, matrix: np.ndarray, shape: AlgebraShape,
                   transpose: bool = False) -> np.ndarray:
     """(Σ w L_f∘R_g)·matrix for a matrix whose rows hold the coordinates of
-    ``shape``: the kernel on each block of rows, written into a new C-ordered array.
+    ``shape``: the kernel on each block of rows, written into a new C-ordered
+    array.  A matrix with leading axes is a stack, and so are the sides.
 
     With ``transpose`` the sides are fᵀ and gᵀ, which acts on columns:
     M∘L_f∘R_g takes each row functional R of M to fᵀ·R·gᵀ, so its transpose
@@ -275,7 +276,7 @@ def sandwich_rows(terms, matrix: np.ndarray, shape: AlgebraShape,
     matrix = np.ascontiguousarray(matrix)
     out = np.empty(matrix.shape, dtype=complex)
     for i, (off, d) in enumerate(zip(_offsets(shape), shape.dims)):
-        rows = slice(off, off + d * d)
+        rows = (..., slice(off, off + d * d), slice(None))
         sandwich(block_terms(terms, i, transpose), matrix[rows], d, out=out[rows])
     return out
 

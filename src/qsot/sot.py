@@ -232,14 +232,10 @@ def _sandwich(terms, e: LinearMap) -> AlgebraElement:
     return AlgebraElement._of(d.shape, blocks)
 
 
-def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverTime:
-    """E⋆ρ for the given family.
-
-    ``rho`` may be any hermitian unit-trace element when the family is linear
-    in the state; otherwise it must be PSD (a density matrix).  ``e`` and
-    ``rho`` may also be stacks of one length: every pair must pass the
-    checks, and the value is the stack of the pairs' values.
-    """
+def check_arguments(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> None:
+    """Raise unless the family evaluates E⋆ρ: E trace-preserving, and ρ a
+    hermitian unit-trace element on E's source, PSD unless the family is
+    linear in the state.  On stacks, every pair must pass."""
     if not np.all(e.is_tp):
         raise ConstraintError("state over time requires a trace-preserving map")
     if rho.shape != e.source:
@@ -252,6 +248,17 @@ def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverT
         raise ExtensionError(
             f"family {family.tag} is not linear in the state "
             "and only evaluates density matrices")
+
+
+def evaluate(family: SotFamily, e: LinearMap, rho: AlgebraElement) -> StateOverTime:
+    """E⋆ρ for the given family.
+
+    ``rho`` may be any hermitian unit-trace element when the family is linear
+    in the state; otherwise it must be PSD (a density matrix).  ``e`` and
+    ``rho`` may also be stacks of one length: every pair must pass
+    ``check_arguments``, and the value is the stack of the pairs' values.
+    """
+    check_arguments(family, e, rho)
     return StateOverTime(family.value(e, rho), e, rho, family)
 
 

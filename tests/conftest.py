@@ -13,6 +13,9 @@ one-trial-at-a-time certification loop the chunked ``axioms.certify``
 replaced, the product-vector search that runs eight rounds over every start
 whatever the factor dimensions, and the Kraus construction of the partial
 trace that its lifted matrix units replaced, each kept as its reference.
+``defining_bayes_residual`` is the Bayes residual as the condition reads,
+‖E⋆ρ − τ(~X⋆E(ρ))‖ through two SOT evaluations and τ, which
+``bayes.bayes_residual`` replaced by ‖X·Φ_σ* − Y‖ for sandwich families.
 ``sample_alone`` and ``classical_limit_pair`` draw one trial or one
 classical-limit pair through the library's samplers, as a stack of one.
 The ``copying_*`` kernels, ``gather_tilde`` and ``swap_dagger_tau`` are the
@@ -183,6 +186,14 @@ def random_traceless_direction(shape: AlgebraShape, rng: np.random.Generator,
     return (norm / a.norm()) * a
 
 
+def defining_bayes_residual(family: sot.SotFamily, x: LinearMap, e: LinearMap,
+                            rho: AlgebraElement) -> float:
+    """‖E⋆ρ − τ(~X ⋆ E(ρ))‖ with the same family on both sides; one per pair of stacks."""
+    forward = sot.evaluate(family, e, rho).value
+    backward = maps.time_reversal_tau(sot.evaluate(family, x.tilde(), e(rho)).value)
+    return (forward - backward).norm()
+
+
 def dense_generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
                         rank_tol: float = 1e-8) -> bayes.BayesSolution:
     """Oracle for ``bayes.generic_bayes``: the probe-loop least-squares solver.
@@ -228,7 +239,7 @@ def dense_generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement
     x_vec = x_part + null_basis @ z
     x_map = LinearMap(b_shape, a_shape, x_vec.reshape(n_a, n_b))
 
-    residual = bayes.bayes_residual(family, x_map, e, rho)
+    residual = defining_bayes_residual(family, x_map, e, rho)
     if residual > 1e-6:
         uniqueness, witnesses = "none-found", ()
     else:
