@@ -12,7 +12,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import algebra as alg, io, maps, sampling, sot
 from .algebra import AlgebraElement, AlgebraShape
 from .config import FAIL_THRESHOLD, HERM_TOL, PASS_THRESHOLD
 from .errors import (ConstraintError, ExtensionError, InapplicableError,
-                     UnsupportedFamilyError)
+                     UnsupportedFamilyError, ValidationError)
 from .maps import LinearMap
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "A", "M")
@@ -63,6 +63,11 @@ class CertifyConfig:
     dims: tuple[int, int] = (2, 2)
     seed: int = 0
 
+    def __post_init__(self):
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+
 
 @dataclass(frozen=True)
 class PropertyVerdict:
@@ -103,6 +108,93 @@ class PropertyVerdict:
 
 def _cell_index(family_tag: str, prop: str) -> int:
     return zlib.crc32(f"{family_tag}:{prop}".encode())
+
+
+# -------------------------------------------------------------------- seeding
+# numpy's SeedSequence, with its pool of four 32-bit words, and the PCG64
+# seeding step (NumPy NEP 19; O'Neill, "PCG", 2014), on uint32 arrays that
+# hold one key per column.
+_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@cache
+def _hash_constants(init: int, multiplier: int, count: int) -> np.ndarray:
+    """init·multiplier^k mod 2³² for k < count, as a read-only uint32
+    column (the cache hands the same array to every caller)."""
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * multiplier & _MASK32)
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row: row i xors constants[i]
+    and multiplies by constants[i + 1], the constant the call before it
+    advanced to (a single row of ``values`` broadcasts over the calls)."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    out = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return out ^ (out >> 16)
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: its 32-bit words, least
+    significant first; 0 is one word."""
+    out = [n & _MASK32]
+    while (n := n >> 32) > 0:
+        out.append(n & _MASK32)
+    return out
+
+
+def _pcg64_states(keys: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.default_rng(key)`` for each key, a
+    sequence of non-negative ints: the keys of one entropy length are mixed
+    as one uint32 array."""
+    # a part of one word is its own entropy; ``_words`` splits the others
+    entropy = [[word for part in key for word in ((part,) if part <= _MASK32 else _words(part))]
+               for key in keys]
+    by_length: dict[int, list[int]] = {}
+    for index, key_words in enumerate(entropy):
+        by_length.setdefault(len(key_words), []).append(index)
+    out = [(0, 0)] * len(keys)
+    for length, indices in by_length.items():
+        words = np.array([entropy[i] for i in indices], dtype=np.uint32).T  # (length, keys)
+        c = _hash_constants(0x43B0D7E5, 0x931E8875, 17 + 4 * max(0, length - 4))
+        pool = np.zeros((4, len(indices)), dtype=np.uint32)
+        pool[:min(length, 4)] = words[:4]
+        pool = _hashmix(pool, c[:5])
+        for row in range(4):  # pool word ``row`` into each other one, in order
+            others, k = [r for r in range(4) if r != row], 4 + 3 * row
+            pool[others] = _mix(pool[others], _hashmix(pool[row], c[k:k + 4]))
+        for k, word in zip(range(16, len(c), 4), words[4:]):  # later words into all four
+            pool = _mix(pool, _hashmix(word, c[k:k + 5]))
+        # generate_state(4, uint64): little-endian word pairs (seed hi, lo, inc hi, lo)
+        seeds = _hashmix(np.concatenate([pool, pool]), _hash_constants(0x8B51F9DD, 0x58F38DED, 9))
+        halves = np.ascontiguousarray(seeds.T, dtype="<u4").view("<u8").tolist()
+        for index, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(indices, halves):
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            state = (inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc
+            out[index] = state & _MASK128, inc
+    return out
+
+
+def _generators(keys: Sequence[Sequence[int]]) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(key)`` for each key in turn, bit for bit, all
+    seeded in one pass: one generator, set to the next key's state as the
+    iteration reaches it, so each must be drawn from before the next is
+    taken."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in _pcg64_states(keys):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 # ------------------------------------------------------------------- sampling
@@ -217,7 +309,7 @@ def _factors(t: AlgebraElement) -> tuple[AlgebraShape, AlgebraShape]:
 
 
 def block_positivity_violation(ts: Sequence[AlgebraElement], starts: int,
-                               rngs: Sequence[np.random.Generator]
+                               rngs: Iterable[np.random.Generator]
                                ) -> list[tuple[float, dict]]:
     """For each element, the largest found violation of ⟨a⊗b|T|a⊗b⟩ being
     real and non-negative, with its witness.
@@ -225,10 +317,10 @@ def block_positivity_violation(ts: Sequence[AlgebraElement], starts: int,
     A non-hermitian block is probed for product vectors with a non-real
     pairing first; the hermitian part is then minimized over product
     vectors.  Each element draws its start vectors from its own generator,
-    block by block; the searches of all elements run as stacks, one per
-    (mode, m, n), each stack's start vectors normalised at once, and every
-    stacked entry is computed as it would be alone, so an element's result
-    does not depend on the others in the call.
+    block by block, before the next generator is taken; the searches of all
+    elements run as stacks, one per (mode, m, n), each stack's start vectors
+    normalised at once, and every stacked entry is computed as it would be
+    alone, so an element's result does not depend on the others in the call.
     """
     jobs = []  # (element, block label, mode, block, start vectors a, b)
     for k, (t, rng) in enumerate(zip(ts, rngs)):
@@ -364,12 +456,14 @@ def _finish(raws: list[dict], group: tuple = ()) -> tuple[dict, list[Exception |
     return out, refusals
 
 
-def _unstack(instance: dict) -> list[dict]:
-    """The instances of a stacked instance, their arrays views of its stacks."""
-    columns = {key: (maps.unstack(value) if isinstance(value, LinearMap)
-                     else alg.unstack(value) if isinstance(value, AlgebraElement) else value)
-               for key, value in instance.items()}
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+def _member(instance: dict, position: int) -> dict:
+    """The instance at ``position`` of a stacked instance, its arrays views
+    of the stacks."""
+    return {key: (LinearMap._of(value.source, value.target, value.matrix[position])
+                  if isinstance(value, LinearMap) else
+                  AlgebraElement._of(value.shape, (block[position] for block in value.data))
+                  if isinstance(value, AlgebraElement) else value[position])
+            for key, value in instance.items()}
 
 
 def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[float, dict]]:
@@ -401,8 +495,7 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
         return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
     if prop == "P2":
         return block_positivity_violation(
-            alg.unstack(t), STARTS,
-            [np.random.default_rng(seed) for seed in instance["search_seed"]])
+            alg.unstack(t), STARTS, _generators([[seed] for seed in instance["search_seed"]]))
     if prop == "P3":
         return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
     if prop != "P7":
@@ -439,22 +532,24 @@ def replay_violation(family: sot.SotFamily, prop: str, counterexample: dict,
 
 # ----------------------------------------------------------------- certification
 def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfig,
-           keys: list[list[int]]) -> list[tuple[float, dict] | Exception]:
-    """The outcome of each trial of a chunk.
+           keys: list[list[int]]) -> list[tuple[float, dict, dict, int] | Exception]:
+    """The outcome of each trial of a chunk: (violation, extra witness data,
+    the stacked instance that holds the trial, its position there), or an
+    exception.
 
-    Each trial draws from its own generator; a draw that raises is that
-    trial's outcome.  The trials of one group key are then finished as one
-    stack, and a refused trial's refusal is its outcome.  The other trials
-    of one shape pair (for P7, of every construction) are evaluated as one
-    stack.  If that raises, each finished member is evaluated alone: it
-    equals its trial drawn alone, so every trial gets the outcome it has
-    alone, exception included.
+    Each trial draws from its own generator, all of them seeded in one
+    pass; a draw that raises is that trial's outcome.  The trials of one
+    group key are then finished as one stack, and a refused trial's refusal
+    is its outcome.  The other trials of one shape pair (for P7, of every
+    construction) are evaluated as one stack.  If that raises, each finished
+    member is evaluated alone: it equals its trial drawn alone, so every
+    trial gets the outcome it has alone, exception included.
     """
     outcomes: list = [None] * len(keys)
     groups: dict[tuple, list[tuple[int, dict]]] = {}
-    for index, (trial, key) in enumerate(zip(trials, keys)):
+    for index, (trial, rng) in enumerate(zip(trials, _generators(keys))):
         try:
-            group, raw = _draw(family, prop, trial, config, np.random.default_rng(key))
+            group, raw = _draw(family, prop, trial, config, rng)
         except Exception as exc:  # settled when the sweep reaches the trial
             outcomes[index] = exc
             continue
@@ -469,30 +564,32 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
     for parts in stacks.values():
         indices = [index for part, _ in parts for index in part]
         instance = (parts[0][1] if len(parts) == 1 else
-                    _finish([trial for _, part in parts for trial in _unstack(part)])[0])
+                    _finish([_member(part, position) for members, part in parts
+                             for position in range(len(members))])[0])
         try:
             found = _violations(family, prop, instance)
         except Exception:  # some trial raises: evaluate each member alone
-            for index, member in zip(indices, _unstack(instance)):
+            for position, index in enumerate(indices):
                 try:
-                    value, extra = _violation(family, prop, member)
-                    outcomes[index] = value, {**member, **extra}
+                    outcomes[index] = (*_violation(family, prop, _member(instance, position)),
+                                       instance, position)
                 except Exception as exc:  # settled when the sweep reaches the trial
                     outcomes[index] = exc
             continue
-        for index, trial_instance, (value, extra) in zip(indices, _unstack(instance), found):
-            outcomes[index] = value, {**trial_instance, **extra}
+        for position, (index, (value, extra)) in enumerate(zip(indices, found)):
+            outcomes[index] = value, extra, instance, position
     return outcomes
 
 
 def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
-           cell: int) -> Iterator[tuple[int, list[int], tuple[float, dict] | str]]:
+           cell: int) -> Iterator[tuple[int, list[int], tuple[float, dict, dict, int] | str]]:
     """(trial, key, outcome) for every sweep trial in trial order, each
     drawn from the generator keyed ``key`` = [seed, cell, trial].
 
-    ``outcome`` is (violation, witness data holding the instance), or the
-    exception class name of a skipped trial; any other exception of a trial
-    is raised when the sweep reaches that trial.  Trial 0 comes alone, so a
+    ``outcome`` is ``_chunk``'s (violation, extra witness data, stacked
+    instance, position), or the exception class name of a skipped trial;
+    any other exception of a trial is raised when the sweep reaches that
+    trial.  Trial 0 comes alone, so a
     cell that fails at once draws one trial; the rest come in chunks of
     ``CHUNK_TRIALS``, each drawn and evaluated as a whole.
     """
@@ -537,23 +634,24 @@ def certify(family: sot.SotFamily, prop: str,
             continue
         evaluated += 1
         max_residual = max(max_residual, outcome[0])
-        if best is None or outcome[0] > best[0]:
-            best = (outcome[0], trial, key, outcome[1])
+        if best is None or outcome[0] > best[2][0]:
+            best = trial, key, outcome
         if outcome[0] > FAIL_THRESHOLD:
             break
     if best is None:
         return PropertyVerdict(tag, prop, "inapplicable", 0, config.seed,
                                skipped=dict(skipped))
 
-    value, best_trial, key, data = best
-    witness, steps = {**data, "replay_seed": key}, 0
+    best_trial, key, (value, extra, instance, position) = best
+    witness, steps = {**_member(instance, position), **extra, "replay_seed": key}, 0
     if PASS_THRESHOLD < value <= FAIL_THRESHOLD:
         # Ambiguous: sharpen the best candidate by local perturbation ascent.
-        for step in range(ASCENT_STEPS):
+        keys = [[config.seed, cell, config.trials + best_trial, step]
+                for step in range(ASCENT_STEPS)]
+        for step, (key, rng) in enumerate(zip(keys, _generators(keys))):
             steps, scale = step + 1, 0.3 * (0.9 ** step)
-            key = [config.seed, cell, config.trials + best_trial, step]
             try:
-                instance = _perturb(witness, scale, np.random.default_rng(key))
+                instance = _perturb(witness, scale, rng)
                 result, extra = _violation(family, prop, instance)
             except SKIPS:
                 continue

@@ -6,10 +6,13 @@ random isometry and environment dimension twice the output dimension.  All
 functions take an explicit numpy Generator so every trial is replayable.
 
 States and channels come in two steps: ``draw_*`` takes the raw Gaussians
-from the generator, and ``state``/``cptp`` finish them.  The finishing steps
-take draws with common leading axes and return the stack of their results,
-each computed as it would be alone, so ``random_state`` and ``random_cptp``
-are the one-draw case.
+from the generator, and ``state``/``cptp`` finish them.  A raw Ginibre
+matrix is its real and imaginary planes (2, rows, cols), drawn in one call;
+``Generator.normal`` fills values in order, so these are the values of a
+real-part draw followed by an imaginary-part one.  The finishing steps take
+draws with common leading axes, form the complex matrices once per stack and
+return the stack of their results, each computed as it would be alone, so
+``random_state`` and ``random_cptp`` are the one-draw case.
 """
 from __future__ import annotations
 
@@ -20,19 +23,25 @@ from .algebra import AlgebraElement, AlgebraShape
 from .maps import LinearMap
 
 
+def _complex(planes: np.ndarray) -> np.ndarray:
+    """The complex matrices of real and imaginary planes (..., 2, rows, cols)."""
+    return planes[..., 0, :, :] + 1j * planes[..., 1, :, :]
+
+
 def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
     cols = rows if cols is None else cols
-    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return _complex(rng.normal(size=(2, rows, cols)))
 
 
 def draw_state(shape: AlgebraShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The Gaussians of a random state: one square Ginibre matrix per block."""
-    return tuple(ginibre(rng, d) for d in shape.dims)
+    """The Gaussians of a random state: the planes of one square Ginibre
+    matrix per block."""
+    return tuple(rng.normal(size=(2, d, d)) for d in shape.dims)
 
 
 def state(shape: AlgebraShape, draws: tuple[np.ndarray, ...]) -> AlgebraElement:
     """The density matrix ⊕ GG†/tr of ``draw_state``'s matrices."""
-    mats = [g @ g.conj().swapaxes(-1, -2) for g in draws]
+    mats = [g @ g.conj().swapaxes(-1, -2) for g in map(_complex, draws)]
     total = sum(np.trace(m, axis1=-2, axis2=-1).real for m in mats)
     total = np.asarray(total)[..., None, None]
     return AlgebraElement._of(shape, (m / total for m in mats))
@@ -71,12 +80,12 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
 
 def draw_cptp(source: AlgebraShape, target: AlgebraShape,
               rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The Gaussians of a random channel: one Ginibre matrix per source
-    block x, with (⊕_y n_y)·env_x rows and m_x columns, env_x = 2 unless
-    the block needs more."""
+    """The Gaussians of a random channel: the planes of one Ginibre matrix
+    per source block x, with (⊕_y n_y)·env_x rows and m_x columns, env_x = 2
+    unless the block needs more."""
     d_out = target.total_dim
     # an isometry needs at least as many rows as columns
-    return tuple(ginibre(rng, d_out * max(2, -(-mx // d_out)), mx) for mx in source.dims)
+    return tuple(rng.normal(size=(2, d_out * max(2, -(-mx // d_out)), mx)) for mx in source.dims)
 
 
 def cptp(source: AlgebraShape, target: AlgebraShape,
@@ -85,7 +94,7 @@ def cptp(source: AlgebraShape, target: AlgebraShape,
     V_x : C^{m_x} → (⊕_y C^{n_y})⊗C^env_x, whose row-blocks are Kraus
     operators into every target block."""
     kraus = []
-    for xi, g in enumerate(draws):
+    for xi, g in enumerate(map(_complex, draws)):
         v = isometry(g)
         row = 0
         for _ in range(g.shape[-2] // target.total_dim):

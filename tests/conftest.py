@@ -20,7 +20,10 @@ trace that its lifted matrix units replaced, each kept as its reference.
 classical-limit pair through the library's samplers, as a stack of one.
 The ``copying_*`` kernels, ``gather_tilde`` and ``swap_dagger_tau`` are the
 kernels that the write-into-the-output ones in ``maps`` and ``algebra``
-replaced, each kept as its bit-for-bit reference.
+replaced, each kept as its bit-for-bit reference.  ``two_call_ginibre``
+draws a complex Ginibre matrix as two ``normal`` calls, the real part's then
+the imaginary part's, which ``sampling``'s one-call (2, rows, cols) planes
+replaced; ``two_call_draws`` puts it under the library's samplers.
 """
 import zlib
 from contextlib import contextmanager
@@ -340,7 +343,7 @@ def sample_alone(family: sot.SotFamily, prop: str, trial: int,
     instance, [refusal] = axioms._finish([raw], group)
     if refusal is not None:
         raise refusal
-    return axioms._unstack(instance)[0]
+    return axioms._member(instance, 0)
 
 
 def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
@@ -516,4 +519,40 @@ def copying_kernels():
         patch.setattr(LinearMap, "hs_adjoint", copying_hs_adjoint)
         patch.setattr(LinearMap, "tilde", gather_tilde)
         patch.setattr(AlgebraElement, "norm", copying_norm)
+        yield
+
+
+# ------------------------------------------------------ two-call Ginibre draws
+def two_call_ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
+    cols = rows if cols is None else cols
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def two_call_draw_state(shape: AlgebraShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    return tuple(two_call_ginibre(rng, d) for d in shape.dims)
+
+
+def two_call_draw_cptp(source: AlgebraShape, target: AlgebraShape,
+                       rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    d_out = target.total_dim
+    return tuple(two_call_ginibre(rng, d_out * max(2, -(-mx // d_out)), mx)
+                 for mx in source.dims)
+
+
+def planes(g: np.ndarray) -> np.ndarray:
+    """The real and imaginary planes (2, rows, cols) of a complex matrix."""
+    return np.stack([g.real, g.imag])
+
+
+@contextmanager
+def two_call_draws():
+    """The library with every Ginibre matrix drawn by ``two_call_ginibre``,
+    handed to the finishing steps as planes, for the span of a ``with``
+    block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "ginibre", two_call_ginibre)
+        patch.setattr(sampling, "draw_state",
+                      lambda shape, rng: tuple(map(planes, two_call_draw_state(shape, rng))))
+        patch.setattr(sampling, "draw_cptp", lambda source, target, rng: tuple(
+            map(planes, two_call_draw_cptp(source, target, rng))))
         yield

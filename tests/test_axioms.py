@@ -12,10 +12,10 @@ from qsot import algebra as alg, axioms, cli, io, maps, sampling, sot
 from qsot.algebra import AlgebraElement
 from qsot.maps import LinearMap
 from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
-                         UnsupportedFamilyError)
+                         UnsupportedFamilyError, ValidationError)
 
 from conftest import (classical_limit_pair, full_product_extremum, rng_for, sample_alone,
-                      sequential_certify)
+                      sequential_certify, two_call_draws)
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
 
@@ -75,6 +75,17 @@ def test_certify_seed_changes_the_stream():
     v2 = axioms.certify(sot.RightBloom(), "P1", other)
     assert v1.status == v2.status == "fails"
     assert v1.violation != v2.violation
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+def test_a_bad_seed_is_refused_when_the_config_is_built(seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        axioms.CertifyConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(3), 2 ** 64 + 7])
+def test_a_non_negative_integer_seed_is_kept(seed):
+    assert axioms.CertifyConfig(seed=seed).seed == seed
 
 
 def test_certify_unknown_property_rejected():
@@ -538,7 +549,8 @@ def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop):
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
     swept = list(axioms._sweep(family, prop, config, axioms._cell_index(tag, prop)))
     assert [trial for trial, _, _ in swept] == list(range(config.trials))
-    for trial, key, (violation, data) in swept:
+    for trial, key, (violation, extra, stacked, position) in swept:
+        data = {**axioms._member(stacked, position), **extra}
         instance = sample_alone(family, prop, trial, config, np.random.default_rng(key))
         alone, extra = axioms._violation(family, prop, instance)
         assert violation == alone, trial
@@ -645,7 +657,8 @@ def test_a_stacked_associativity_check_equals_per_member_checks(tag, dims):
     instance, _ = axioms._finish([raw for _, raw in drawn], drawn[0][0])
     stacked = axioms.check_associativity(family, instance["e"], instance["f"], instance["rho"])
     assert stacked.shape == (config.trials,)
-    for value, member in zip(stacked.tolist(), axioms._unstack(instance), strict=True):
+    for position, value in enumerate(stacked.tolist()):
+        member = axioms._member(instance, position)
         alone = axioms.check_associativity(family, member["e"], member["f"], member["rho"])
         assert type(alone) is float and value == alone
     assert (stacked.max() > 1e-6) == (tag == "leifer-spekkens")  # LS is not associative
@@ -676,7 +689,8 @@ def test_an_inapplicable_member_settles_an_a_stack_member_by_member(monkeypatch)
             with pytest.raises(InapplicableError, match="not linear in the state"):
                 axioms.check_associativity(family, member["e"], member["f"], member["rho"])
             continue
-        value, data = outcome
+        value, extra, stacked, position = outcome
+        data = {**axioms._member(stacked, position), **extra}
         assert value == axioms.check_associativity(family, member["e"], member["f"],
                                                    member["rho"])
         for name, want in member.items():
@@ -723,7 +737,8 @@ def test_stacked_p7_and_a_draws_equal_the_per_trial_samplers(tag, prop):
     for key, members in groups.items():
         instance, refusals = axioms._finish([raw for _, raw in members], key)
         assert len(members) >= 2 and refusals == [None] * len(members)
-        for (trial, _), member in zip(members, axioms._unstack(instance)):
+        for position, (trial, _) in enumerate(members):
+            member = axioms._member(instance, position)
             want = drawn_alone(family, prop, trial, config,
                                np.random.default_rng([config.seed, cell, trial]))
             assert list(member) == list(want)
@@ -750,7 +765,8 @@ def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
         drawn_alone(family, "P7", 13, config, np.random.default_rng(keys[13 - 7]))
     for trial, key in zip(trials, keys):
         if trial != 13:
-            _, data = outcomes[trial]
+            _, extra, stacked, position = outcomes[trial]
+            data = {**axioms._member(stacked, position), **extra}
             for name, value in drawn_alone(family, "P7", trial, config,
                                            np.random.default_rng(key)).items():
                 assert_same(data[name], value)
@@ -847,3 +863,73 @@ def test_an_error_after_the_first_failure_of_a_chunk_does_not_escape():
     seed, _ = seeds["raise"]
     with pytest.raises(ConstraintError, match="far from"):
         axioms.certify(family, "P1", axioms.CertifyConfig(trials=40, seed=seed))
+
+
+# ---------------------------------------------------------------- seeding
+def first_draws(rng: np.random.Generator) -> tuple:
+    return rng.normal(), rng.uniform(), int(rng.integers(2 ** 32))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7])
+def test_bulk_seeded_generators_equal_default_rng(seed):
+    """The keys [seed, cell, trial] of every family's cells, trials 0–300,
+    seeded in one pass: each generator has default_rng(key)'s state and
+    first draws."""
+    keys = [[seed, axioms._cell_index(tag, prop), trial] for tag in sot.FAMILIES
+            for prop in axioms.PROPERTIES for trial in range(301)]
+    for key, rng in zip(keys, axioms._generators(keys), strict=True):
+        want = np.random.default_rng(key)
+        assert rng.bit_generator.state == want.bit_generator.state, key
+        assert first_draws(rng) == first_draws(want), key
+
+
+def test_bulk_seeded_search_generators_equal_default_rng():
+    """P2's single-int search seeds, then keys of mixed lengths in one call."""
+    seeds = [0, 1, 2 ** 32 - 1, *rng_for("search-seeds").integers(2 ** 32, size=200).tolist()]
+    keys = [[seed] for seed in seeds] + [[2 ** 32], [2 ** 64 + 7, 1, 2], [0] * 5 + [9]]
+    for key, rng in zip(keys, axioms._generators(keys), strict=True):
+        want = np.random.default_rng(key[0] if len(key) == 1 else key)
+        assert rng.bit_generator.state == want.bit_generator.state, key
+        assert first_draws(rng) == first_draws(want), key
+
+
+@pytest.mark.parametrize("prop", axioms.PROPERTIES)
+@pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
+def test_every_drawn_instance_has_the_bits_of_two_call_ginibre_draws(tag, prop):
+    """Twelve trials, both shape parities and (for a family without a prior
+    filter) all three classical-limit constructions: each group's finished
+    instance equals the one drawn with the two-call Ginibre matrices."""
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
+    cell = axioms._cell_index(tag, prop)
+
+    def finished() -> dict:
+        groups = {}
+        for trial in range(config.trials):
+            group, raw = axioms._draw(family, prop, trial, config,
+                                      np.random.default_rng([config.seed, cell, trial]))
+            groups.setdefault(group, []).append(raw)
+        return {group: axioms._finish(raws, group) for group, raws in groups.items()}
+    got = finished()
+    with two_call_draws():
+        want = finished()
+    assert list(got) == list(want)
+    for group, (instance, refusals) in want.items():
+        assert [str(r) for r in got[group][1]] == [str(r) for r in refusals]
+        assert list(got[group][0]) == list(instance)
+        for name, value in instance.items():
+            assert_same(got[group][0][name], value)
+    if prop == "P7":
+        kinds = {"replacement", "decohering"} | (set() if family.compound else {"central"})
+        assert {group[2] for group in got} == kinds
+    assert len({group[0] for group in got}) == (1 if prop == "A" else 2)
+
+
+def test_a_cell_gives_the_same_verdict_alone_and_inside_the_table():
+    """All nine properties of the eight families, certified inside one
+    table and then each alone in reverse order: the same JSON."""
+    config = axioms.CertifyConfig(trials=40, seed=11)
+    report = axioms.table_report(config, properties=axioms.PROPERTIES)
+    for tag, family in reversed(sot.TABLE_FAMILIES.items()):
+        for prop in reversed(axioms.PROPERTIES):
+            alone = axioms.certify(family, prop, config).to_json()
+            assert alone == report.verdicts[tag][prop].to_json(), (tag, prop)

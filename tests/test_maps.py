@@ -17,7 +17,7 @@ from conftest import (apply_dense, copying_hs_adjoint, copying_kernels, copying_
                       dense_ad, dense_apply_to_factor, dense_channel_state, dense_choi,
                       dense_embedding, dense_hs_adjoint_check, dense_multiplier,
                       dense_partial_trace, dense_swap, gather_tilde,
-                      kraus_partial_trace_channel, rng_for, swap_dagger_tau)
+                      kraus_partial_trace_channel, rng_for, swap_dagger_tau, two_call_draws)
 
 ATOL = 1e-11
 
@@ -611,6 +611,27 @@ def test_stacked_maps_equal_their_members(rng):
         maps.from_kraus(SHAPE_A, SHAPE_C, [(0, 0, np.ones((2, 3, 2)))])
 
 
+@pytest.mark.parametrize("source, target", [(SHAPE_A, SHAPE_C), (SHAPE_C, SHAPE_B),
+                                            (alg.matrix_algebra(3, "a"), alg.classical_algebra(2))])
+def test_one_call_ginibre_planes_give_the_bits_of_two_call_draws(source, target):
+    """Each sampler drawn from one seed gives the arrays it gives on the
+    two-call Ginibre draws, and leaves the generator at the same point."""
+    samplers = {"random_state": lambda rng: sampling.random_state(source, rng),
+                "random_cptp": lambda rng: sampling.random_cptp(source, target, rng),
+                "random_unitary": lambda rng: sampling.random_unitary(rng, source.total_dim),
+                "random_hermitian": lambda rng: sampling.random_hermitian(source, rng)}
+    for index, (name, sample) in enumerate(samplers.items()):
+        rng = rng_for("one-call-planes", index)
+        got, got_next = sample(rng), rng.normal()
+        rng = rng_for("one-call-planes", index)
+        with two_call_draws():
+            want, want_next = sample(rng), rng.normal()
+        assert got_next == want_next, name
+        pairs = ([(got.matrix, want.matrix)] if isinstance(want, LinearMap) else
+                 zip(got.data, want.data) if isinstance(want, AlgebraElement) else [(got, want)])
+        assert all(np.array_equal(g, w) for g, w in pairs), name
+
+
 def test_random_decohering_channel_matches_probed_twin():
     got = sampling.random_decohering_channel(SHAPE_A, SHAPE_C, rng_for("deco-twin"))
     f = rng_for("deco-twin").dirichlet(np.ones(3), size=5).T
@@ -770,7 +791,8 @@ def test_tau_and_gamma_give_the_bits_of_the_copying_kernels(case):
 
 
 def test_norm_gives_the_bits_of_the_copying_kernel_on_a_stack(rng):
-    t = sampling.state(SHAPE_A, tuple(rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    t = sampling.state(SHAPE_A, tuple(np.stack([rng.normal(size=(5, d, d)),
+                                                rng.normal(size=(5, d, d))], axis=1)
                                       for d in SHAPE_A.dims))
     assert np.array_equal(t.norm(), copying_norm(t))
 
