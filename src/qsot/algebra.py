@@ -463,23 +463,22 @@ def power(a: AlgebraElement, r: complex, strict: bool = False) -> AlgebraElement
         if strict and lowest < FAITHFULNESS_TOL:
             raise FaithfulnessError(
                 f"eigenvalue {lowest:.3e} below faithfulness tolerance")
-        out = np.zeros(vals.shape, dtype=complex)
-        support = vals > FAITHFULNESS_TOL
-        out[support] = vals[support].astype(complex) ** r
-        return out
+        return _on_support(vals, r, 0.0)
 
     return apply_function(a, powered)
 
 
 def support_unitary(a: AlgebraElement, t: float) -> AlgebraElement:
     """a^{it} on the support, identity off the support (a commuting unitary)."""
-    def phases(vals: np.ndarray) -> np.ndarray:
-        out = np.ones(vals.shape, dtype=complex)
-        support = vals > FAITHFULNESS_TOL
-        out[support] = vals[support].astype(complex) ** (1j * t)
-        return out
+    return apply_function(a, lambda vals: _on_support(vals, 1j * t, 1.0))
 
-    return apply_function(a, phases)
+
+def _on_support(vals: np.ndarray, r: complex, off: float) -> np.ndarray:
+    """``vals ** r`` on the eigenvalues above ``FAITHFULNESS_TOL``, ``off`` elsewhere."""
+    out = np.full(vals.shape, off, dtype=complex)
+    support = vals > FAITHFULNESS_TOL
+    out[support] = vals[support].astype(complex) ** r
+    return out
 
 
 def jordan(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -1,10 +1,12 @@
 """Bayes maps: solutions X of  E⋆ρ = τ(~X ⋆ E(ρ)).
 
-Closed forms come from a sandwich family's ``sides``, by their count: the
-product formula for one term (Petz, its rotated/STH variants, the one-sided
-blooms), the spectral-basis formula over the family's ``denominator`` for
-more (symmetric bloom and (r,s)).  A Θ-derived family solves as its sandwich
-family, which gives its generalized conditional expectation.
+``closed_form_bayes`` is the one closed-form solver.  It reads a sandwich
+family's ``sides`` and picks σ's side by their count: the product formula
+for one term (Petz, its rotated/STH variants, the one-sided blooms), the
+spectral-basis formula over the family's ``denominator`` for more
+(symmetric bloom and (r,s)); the named maps call it.  A Θ-derived family
+solves as its sandwich family, which gives its generalized conditional
+expectation.
 ``generic_bayes`` solves the defining condition directly and measures
 uniqueness, which is the cross-check oracle for everything else.  It uses
 only that every family is local in the source factor, ~X⋆σ = (Φ_σ⊗id)(D[~X]):
@@ -84,57 +86,55 @@ class BayesSolution:
 
 
 # ---------------------------------------------------------------- closed forms
-def _product_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
-                   strict: bool = False) -> LinearMap:
-    """L_{f(ρ)}R_{g(ρ)} ∘ E* ∘ L_{f(σ)^{−†}}R_{g(σ)^{−†}} for a one-term family.
+def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
+                      strict: bool = False) -> LinearMap:
+    """The closed-form Bayes map of a sandwich family (Θ-derived ones
+    included): Y = (Σ w L_{ρ^a}R_{ρ^b})∘E* composed with σ's side, σ = E(ρ).
 
-    With σ = E(ρ), this is the unique solution of the Bayes condition for
-    (f(ρ)⊗1)D[E](g(ρ)⊗1); inverses act on the support of σ unless ``strict``.
-    The outer terms act on the rows of E*, then the inner ones on its columns,
-    which are the rows of the transpose.
+    For one term σ's side is L_{σ^{−ā}}R_{σ^{−b̄}} with inverses on the
+    support of σ, the product formula.  For more it is the spectral formula:
+    with W the eigenvectors of σ block by block, Ad_W, division by
+    Γ_kl = ``family.denominator(q_k, q_l)`` on the eigen-units
+    e_kl = |w_k⟩⟨w_l|, and Ad_{W†}.  ``strict`` first refuses a σ with an
+    eigenvalue below the faithfulness tolerance.  σ's side is computed
+    before Y, then acts on Y's columns, which are the rows of the transpose.
     """
-    inner = family.terms(e(rho), inverse=True, strict=strict)
-    # Y's rows, transposed into a copy before the kernel, so that Y is freed
-    rows = np.ascontiguousarray(_y_matrix(family, e, rho).T)
-    rows = maps.sandwich_rows(inner, rows, e.target, transpose=True)
-    return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))
-
-
-def _spectral_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
-                    strict: bool = False) -> LinearMap:
-    """X(e_kl) = Σ w f(ρ) E*(e_kl) g(ρ) / Γ_kl on the eigen-units e_kl = |w_k⟩⟨w_l|
-    of σ = E(ρ), with Γ_kl = ``family.denominator(q_k, q_l)``.
-
-    The outer terms act on the rows of E*; then, with W the eigenvectors of
-    σ block by block, its columns are composed with Ad_W, divided by Γ and
-    composed with Ad_{W†}.
-    """
+    sides = getattr(family, "sides", None)
+    if sides is None:
+        raise UnsupportedFamilyError(
+            f"no closed-form Bayes map for family {family.tag}")
     sigma = e(rho)
     if strict:
-        alg.power(sigma, 1.0, strict=True)  # trigger the faithfulness check
-    eigen = [np.linalg.eigh(mat) for mat in sigma.data]
-    gammas = []
-    for (label, _), (vals, _) in zip(e.target.blocks, eigen):
-        gamma = family.denominator(vals[:, None], vals[None, :])
-        singular = np.argwhere(np.abs(gamma) <= family.spectral_tol)
-        if singular.size:
-            k, l = singular[0]
-            raise SingularityError(
-                f"vanishing denominator at spectral unit ({k},{l}) "
-                f"of block {alg.label_text(label)}")
-        gammas.append(gamma.reshape(-1))
-    w = AlgebraElement._of(e.target, (vecs for _, vecs in eigen))
-    # ∘Ad_W, ÷Γ and ∘Ad_{W†} act on the columns of Y: the rows of the transpose
+        alg.power(sigma, 1.0, strict=True)  # the faithfulness check
+    if len(sides) == 1:
+        passes = ((family.terms(sigma, inverse=True), None),)
+    else:
+        eigen = [np.linalg.eigh(mat) for mat in sigma.data]
+        gammas = []
+        for (label, _), (vals, _) in zip(e.target.blocks, eigen):
+            gamma = family.denominator(vals[:, None], vals[None, :])
+            singular = np.argwhere(np.abs(gamma) <= family.spectral_tol)
+            if singular.size:
+                k, l = singular[0]
+                raise SingularityError(
+                    f"vanishing denominator at spectral unit ({k},{l}) "
+                    f"of block {alg.label_text(label)}")
+            gammas.append(gamma.reshape(-1))
+        w = AlgebraElement._of(e.target, (vecs for _, vecs in eigen))
+        passes = ((((1.0, w, w.dagger()),), np.concatenate(gammas)[:, None]),
+                  (((1.0, w.dagger(), w),), None))
+    # Y's rows, transposed into a copy before the kernel, so that Y is freed
     rows = np.ascontiguousarray(_y_matrix(family, e, rho).T)
-    rows = maps.sandwich_rows(((1.0, w, w.dagger()),), rows, e.target, transpose=True)
-    rows /= np.concatenate(gammas)[:, None]
-    rows = maps.sandwich_rows(((1.0, w.dagger(), w),), rows, e.target, transpose=True)
+    for terms, gamma in passes:
+        rows = maps.sandwich_rows(terms, rows, e.target, transpose=True)
+        if gamma is not None:
+            rows /= gamma
     return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))
 
 
 def petz(e: LinearMap, rho: AlgebraElement) -> LinearMap:
     """Ad_{ρ^{1/2}} ∘ E* ∘ Ad_{E(ρ)^{−1/2}}."""
-    return _product_bayes(sot.LeiferSpekkens(), e, rho)
+    return closed_form_bayes(sot.LeiferSpekkens(), e, rho)
 
 
 def rotated_petz(e: LinearMap, rho: AlgebraElement, t: float) -> LinearMap:
@@ -143,7 +143,7 @@ def rotated_petz(e: LinearMap, rho: AlgebraElement, t: float) -> LinearMap:
     This is the unique solution of the Bayes condition for the rotated
     family (ρ^{1/2−it}⊗1)D[E](ρ^{1/2+it}⊗1); at t=0 it is the Petz map.
     """
-    return _product_bayes(sot.TRotated(t), e, rho)
+    return closed_form_bayes(sot.TRotated(t), e, rho)
 
 
 def sth_inverse(e: LinearMap, rho: AlgebraElement) -> LinearMap:
@@ -152,7 +152,7 @@ def sth_inverse(e: LinearMap, rho: AlgebraElement) -> LinearMap:
     Solves the Bayes condition for the family
     (U_ρ†ρ^{1/2}⊗1)D[E](ρ^{1/2}U_ρ⊗1): it is ``rotated_petz`` at t = 0.3.
     """
-    return _product_bayes(sot.STH(), e, rho)
+    return closed_form_bayes(sot.STH(), e, rho)
 
 
 def bloom_bayes(side: str, e: LinearMap, rho: AlgebraElement) -> LinearMap:
@@ -160,29 +160,17 @@ def bloom_bayes(side: str, e: LinearMap, rho: AlgebraElement) -> LinearMap:
     families = {"right": sot.RightBloom(), "left": sot.LeftBloom()}
     if side not in families:
         raise ValueError("side must be 'left' or 'right'")
-    return _product_bayes(families[side], e, rho)
+    return closed_form_bayes(families[side], e, rho)
 
 
 def symmetric_bloom_bayes(e: LinearMap, rho: AlgebraElement) -> LinearMap:
     """X(e_kl) = (q_k+q_l)^{−1} {ρ, E*(e_kl)} in the eigenbasis of E(ρ)."""
-    return _spectral_bayes(sot.SymmetricBloom(), e, rho)
+    return closed_form_bayes(sot.SymmetricBloom(), e, rho)
 
 
 def rs_bayes(r: float, s: float, e: LinearMap, rho: AlgebraElement) -> LinearMap:
     """Spectral-basis Bayes map for the (r,s) family."""
-    return _spectral_bayes(sot.RSFamily(r, s), e, rho)
-
-
-def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
-                      strict: bool = False) -> LinearMap:
-    """The closed-form Bayes map of a sandwich family (Θ-derived ones
-    included): the product formula for one term, the spectral formula for
-    more."""
-    sides = getattr(family, "sides", None)
-    if sides is None:
-        raise UnsupportedFamilyError(
-            f"no closed-form Bayes map for family {family.tag}")
-    return (_spectral_bayes if len(sides) > 1 else _product_bayes)(family, e, rho, strict)
+    return closed_form_bayes(sot.RSFamily(r, s), e, rho)
 
 
 # --------------------------------------------------------------- generic solve

@@ -3,6 +3,7 @@ the certification table, and replay scenario documents.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 numerical
 failure (singularities, faithfulness, verification misses), 5 internal error.
+Each ``QsotError`` class carries its code and stderr label (``qsot.errors``).
 """
 from __future__ import annotations
 
@@ -15,22 +16,12 @@ import numpy as np
 from . import algebra as alg, axioms, bayes, io, maps, scenarios, sot
 from .algebra import AlgebraElement
 from .config import ATOL, PASS_THRESHOLD, SCENARIO_TOL
-from .errors import (ConstraintError, ExtensionError, FaithfulnessError,
-                     InapplicableError, NotAStateError, NotHermitianError,
-                     ParseError, QsotError, ShapeMismatchError,
-                     SingularityError, UnsupportedFamilyError, ValidationError)
+from .errors import (EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                     ParseError, QsotError, SingularityError,
+                     UnsupportedFamilyError, ValidationError)
 from .maps import LinearMap
 
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_PARSE = 3
-EXIT_NUMERICAL = 4
-EXIT_INTERNAL = 5
-
-_VALIDATION_ERRORS = (ValidationError, ConstraintError, ShapeMismatchError,
-                      NotAStateError, NotHermitianError, ExtensionError,
-                      UnsupportedFamilyError, InapplicableError)
-_NUMERICAL_ERRORS = (SingularityError, FaithfulnessError)
+EXIT_PARSE = ParseError.exit_code  # so that cli.EXIT_* names every exit code
 
 
 def _seed(arg: int | None) -> int:
@@ -277,8 +268,6 @@ _SCENARIOS = {"pem": _scenario_pem, "state-update": _scenario_state_update,
 
 
 def cmd_scenario(args) -> int:
-    if args.name not in _SCENARIOS:
-        raise ValidationError(f"unknown scenario {args.name!r}")
     doc = io.load(args.input_file)
     if not isinstance(doc, dict) or doc.get("name") != args.name:
         raise ValidationError(
@@ -361,18 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(**quiet):
             return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _VALIDATION_ERRORS as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except QsotError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except QsotError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

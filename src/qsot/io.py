@@ -12,7 +12,8 @@ Matrices convert as wholes: ``serialize_matrix`` reads the real and imaginary
 planes out with ``tolist``, ``parse_matrix`` turns a matrix of float pairs
 into one float64 array viewed as complex, and ``write_json`` streams a
 document with the bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)``,
-writing each matrix row from its floats' reprs.
+writing each matrix row from its floats' reprs; a value ``json`` cannot
+write, or a key that is not a str, raises a TypeError.
 """
 from __future__ import annotations
 
@@ -269,27 +270,6 @@ def _is_matrix(rows: list) -> bool:
             and set(map(len, rows)) == {len(rows[0])} and _float_pairs(rows) is not None)
 
 
-def _plain(value: Any, matrices: set[int], path: set[int]) -> bool:
-    """Whether ``value`` holds only what ``json`` writes with no ``default``
-    and str keys: dicts, lists, tuples, str, int, float, bool and None, with
-    no container inside itself.  Adds the id of each matrix to ``matrices``."""
-    if value is None or isinstance(value, (str, int, float)):
-        return True
-    if not isinstance(value, (list, tuple, dict)) or id(value) in path:
-        return False
-    if type(value) is list and _is_matrix(value):
-        matrices.add(id(value))
-        return True
-    path.add(id(value))
-    if isinstance(value, dict):
-        plain = (all(isinstance(key, str) for key in value)
-                 and all(_plain(item, matrices, path) for item in value.values()))
-    else:
-        plain = all(_plain(item, matrices, path) for item in value)
-    path.discard(id(value))
-    return plain
-
-
 def _float_text(x: float) -> str:
     """A float as ``json`` writes it: NaN and ±Infinity for the non-finite."""
     if x != x:
@@ -314,10 +294,11 @@ def _matrix_chunks(rows: list, newline: str) -> Iterator[str]:
     yield newline + "]"
 
 
-def _chunks(value: Any, newline: str, matrices: set[int]) -> Iterator[str]:
+def _chunks(value: Any, newline: str) -> Iterator[str]:
     """``value`` as ``json`` writes it with indent=2 and sorted keys, where
     ``newline`` is the line break and indentation of the line it starts on.
-    ``matrices`` holds the ids of the lists to write as matrices."""
+    A list that is a matrix goes row by row; a value ``json`` cannot write
+    raises its TypeError, and so does a key that is not a str."""
     if isinstance(value, str):
         yield encode_basestring_ascii(value)
     elif value is None:
@@ -330,13 +311,17 @@ def _chunks(value: Any, newline: str, matrices: set[int]) -> Iterator[str]:
         yield int.__repr__(value)
     elif isinstance(value, float):
         yield _float_text(value)
+    elif not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not value:
         yield "{}" if isinstance(value, dict) else "[]"
-    elif id(value) in matrices:
+    elif type(value) is list and _is_matrix(value):
         yield from _matrix_chunks(value, newline)
     else:
         inner = newline + "  "
         if isinstance(value, dict):
+            if not all(isinstance(key, str) for key in value):
+                raise TypeError("keys must be str")
             opening, closing = "{", "}"
             items = [(encode_basestring_ascii(key) + ": ", item)
                      for key, item in sorted(value.items())]
@@ -345,22 +330,18 @@ def _chunks(value: Any, newline: str, matrices: set[int]) -> Iterator[str]:
             items = [("", item) for item in value]
         for k, (key, item) in enumerate(items):
             yield ("," if k else opening) + inner + key
-            yield from _chunks(item, inner, matrices)
+            yield from _chunks(item, inner)
         yield newline + closing
 
 
 def write_json(doc: Any, fh: TextIO) -> None:
     """Write ``doc`` and a newline to ``fh``, the bytes of
     ``json.dump(doc, fh, indent=2, sort_keys=True)`` then ``"\n"``, streamed
-    chunk by chunk.  A document holding anything else than dicts with str
-    keys, lists, tuples, str, int, float, bool and None goes to ``json.dump``
-    whole, which writes it or raises as it does."""
-    matrices: set[int] = set()
-    if _plain(doc, matrices, set()):
-        for chunk in _chunks(doc, "\n", matrices):
-            fh.write(chunk)
-    else:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    chunk by chunk.  A document may hold dicts with str keys, lists, tuples,
+    str, int, float, bool and None; anything else raises a TypeError, as
+    ``json`` does, after the chunks before it."""
+    for chunk in _chunks(doc, "\n"):
+        fh.write(chunk)
     fh.write("\n")
 
 

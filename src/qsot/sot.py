@@ -51,17 +51,16 @@ class _Sandwich(SotFamily):
     def state_linear(self) -> bool:
         return all(p in (0, 1) for _, a, b in self.sides for p in (a, b))
 
-    def terms(self, x: AlgebraElement, inverse: bool = False, strict: bool = False):
+    def terms(self, x: AlgebraElement, inverse: bool = False):
         """``((w, x^a, x^b), ...)`` with None for x^0, from one ``alg.power``
         per distinct exponent.  With ``inverse`` the sides are
-        (x^a)^{−†} = x^{−ā}: pseudo-inverses on the support of x, or a
-        ``FaithfulnessError`` if ``strict``."""
+        (x^a)^{−†} = x^{−ā}: pseudo-inverses on the support of x."""
         powers = {0: None, 1: x}
 
         def side(p):
             p = -p.conjugate() if inverse else p
             if p not in powers:
-                powers[p] = alg.power(x, p, strict=strict)
+                powers[p] = alg.power(x, p)
             return powers[p]
         return tuple((w, side(a), side(b)) for w, a, b in self.sides)
 

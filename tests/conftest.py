@@ -294,8 +294,10 @@ def dense_ad(x: AlgebraElement) -> np.ndarray:
 
 def dense_product_bayes(family, e: LinearMap, rho: AlgebraElement, strict: bool) -> np.ndarray:
     """Oracle for the one-term closed form: outer multiplier · E* · inner multiplier."""
+    if strict:
+        alg.power(e(rho), 1.0, strict=True)  # the faithfulness check
     outer = dense_multiplier(family.terms(rho), e.source)
-    inner = dense_multiplier(family.terms(e(rho), inverse=True, strict=strict), e.target)
+    inner = dense_multiplier(family.terms(e(rho), inverse=True), e.target)
     return outer @ e.matrix.conj().T @ inner
 
 

@@ -7,8 +7,9 @@ import pytest
 from qsot import algebra as alg, bayes, cli, io, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.config import PASS_THRESHOLD
-from qsot.errors import (ConstraintError, FaithfulnessError, QsotError,
-                         SingularityError, UnsupportedFamilyError)
+from qsot.errors import (ConstraintError, FaithfulnessError, NotAStateError,
+                         NotHermitianError, QsotError, SingularityError,
+                         UnsupportedFamilyError)
 from qsot.maps import LinearMap
 
 from conftest import (TransposedTarget, copying_kernels, defining_bayes_residual, dense_gce,
@@ -613,6 +614,28 @@ def test_one_term_maps_on_rank_deficient_outputs_use_pseudo_inverses(rng):
             assert (x(b) - formula(b)).norm() < RESIDUAL_TOL, family.tag
         with pytest.raises(FaithfulnessError):
             bayes.closed_form_bayes(family, e, rho, strict=True)
+
+
+# Strict mode checks σ = E(ρ) once, before either formula: a non-hermitian σ,
+# one with an eigenvalue below −ATOL and a non-faithful one each raise
+# alg.power's error, for one term as for two.
+@pytest.mark.parametrize("family", [sot.LeiferSpekkens(), sot.SymmetricBloom()],
+                         ids=lambda f: f.tag)
+@pytest.mark.parametrize("sigma, error, message", [
+    ([[0.5, 1.0], [0.0, 0.5]], NotHermitianError, "power requires a hermitian element"),
+    ([[1.5, 0.0], [0.0, -0.5]], NotAStateError, "negative eigenvalue -5.000e-01 in power()"),
+    ([[1.0, 0.0], [0.0, 0.0]], FaithfulnessError,
+     "eigenvalue 0.000e+00 below faithfulness tolerance"),
+], ids=["non-hermitian", "negative", "non-faithful"])
+def test_strict_mode_refuses_sigma_before_either_formula(family, sigma, error, message):
+    shape = alg.matrix_algebra(2)
+    # E(x) = tr(x)·σ, so that E(ρ) = σ for every state ρ
+    e = LinearMap(shape, shape, np.outer(np.asarray(sigma, complex).reshape(-1),
+                                         maps.trace_row(shape)))
+    with pytest.raises(error) as raised:
+        bayes.closed_form_bayes(family, e, alg.diagonal_element(shape, [0.7, 0.3]),
+                                strict=True)
+    assert str(raised.value) == message
 
 
 def test_spectral_maps_on_rank_deficient_outputs_are_singular(rng):
