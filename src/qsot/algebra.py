@@ -453,8 +453,7 @@ def power(a: AlgebraElement, r: complex, strict: bool = False) -> AlgebraElement
     In strict mode any eigenvalue below ``FAITHFULNESS_TOL`` is an error.
     On a stack, any element that fails a check fails the call.
     """
-    if not np.all(a.is_hermitian(POWER_HERM_TOL)):
-        raise NotHermitianError("power requires a hermitian element")
+    check_hermitian(a)
 
     def powered(vals: np.ndarray) -> np.ndarray:
         lowest = vals[..., 0].min()
@@ -466,6 +465,12 @@ def power(a: AlgebraElement, r: complex, strict: bool = False) -> AlgebraElement
         return _on_support(vals, r, 0.0)
 
     return apply_function(a, powered)
+
+
+def check_hermitian(a: AlgebraElement) -> None:
+    """``power``'s first check: every element of ``a`` is hermitian."""
+    if not np.all(a.is_hermitian(POWER_HERM_TOL)):
+        raise NotHermitianError("power requires a hermitian element")
 
 
 def support_unitary(a: AlgebraElement, t: float) -> AlgebraElement:

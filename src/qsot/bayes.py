@@ -14,7 +14,10 @@ the condition becomes X·Φ_σ* = Y, with Φ_σ read off one evaluation of the
 family on the identity channel, and a dense probe checks that premise.
 The channel-state isomorphism, γ and τ only permute entries, so the residual
 ‖E⋆ρ − τ(~X⋆σ)‖ is ‖X·Φ_σ* − Y‖_F, which ``bayes_residual`` computes for a
-sandwich family with no channel state, ~X or τ.
+sandwich family with no channel state, ~X or τ.  A solve and its check share
+one Y: ``closed_form_bayes`` leaves the Y it computed in a one-slot handoff,
+which the next sandwich residual empties and uses when it checks the same
+family on the same E and ρ objects.
 """
 from __future__ import annotations
 
@@ -28,6 +31,11 @@ from .config import FAIL_THRESHOLD, LOCALITY_TOL, RANK_TOL
 from .errors import ShapeMismatchError, SingularityError, UnsupportedFamilyError
 from .maps import LinearMap
 
+# (family, E, ρ, Y) of the last closed-form solve, Y read-only, or None.  The
+# slot holds E and ρ, so no other object can take their identities while it
+# is full; two threads that both take it share a read-only Y for one key.
+_handoff = None
+
 
 # -------------------------------------------------------------- Bayes residual
 def bayes_residual(family: sot.SotFamily, x: LinearMap, e: LinearMap,
@@ -39,9 +47,13 @@ def bayes_residual(family: sot.SotFamily, x: LinearMap, e: LinearMap,
     X∘Φ_σ* one over the rows of Xᵀ.  The arguments pass the checks
     ``sot.evaluate`` makes on (E, ρ) and on (~X, σ); ~X is trace-preserving
     exactly when X is.  Families without ``sides`` take the defining form.
+    Y is the one ``closed_form_bayes`` left for this family and these very E
+    and ρ objects, if it did; every sandwich residual empties that slot.
     """
+    global _handoff
     if getattr(family, "sides", None) is None:
         return _defining_residual(family, x, sot.evaluate(family, e, rho).value, e(rho))
+    handoff, _handoff = _handoff, None
     sot.check_arguments(family, e, rho)
     sigma = e(rho)
     sot.check_arguments(family, x, sigma)
@@ -50,9 +62,12 @@ def bayes_residual(family: sot.SotFamily, x: LinearMap, e: LinearMap,
     # Φ_σ* = Σ w̄ L_{f†}R_{g†} over Φ_σ's terms (w, f, g): the sides σ^ā, σ^b̄
     phi_adjoint = [(np.conj(w), *(None if a is None else a.dagger() for a in sides))
                    for w, *sides in family.terms(sigma)]
-    diff = _y_matrix(family, e, rho)
-    diff -= maps.sandwich_rows(phi_adjoint, x.matrix.swapaxes(-1, -2), e.target,
-                               transpose=True).swapaxes(-1, -2)
+    if handoff is not None and handoff[1] is e and handoff[2] is rho and handoff[0] == family:
+        y = handoff[3]
+    else:
+        y = _y_matrix(family, e, rho)
+    diff = y - maps.sandwich_rows(phi_adjoint, x.matrix.swapaxes(-1, -2), e.target,
+                                  transpose=True).swapaxes(-1, -2)
     return _per_element(np.sqrt(np.square(m := np.abs(diff), out=m).sum(axis=(-2, -1))), float)
 
 
@@ -95,41 +110,52 @@ def closed_form_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement,
     support of σ, the product formula.  For more it is the spectral formula:
     with W the eigenvectors of σ block by block, Ad_W, division by
     Γ_kl = ``family.denominator(q_k, q_l)`` on the eigen-units
-    e_kl = |w_k⟩⟨w_l|, and Ad_{W†}.  ``strict`` first refuses a σ with an
-    eigenvalue below the faithfulness tolerance.  σ's side is computed
-    before Y, then acts on Y's columns, which are the rows of the transpose.
+    e_kl = |w_k⟩⟨w_l|, and Ad_{W†}.  (E, ρ) must pass ``sot.check_arguments``
+    and σ must be hermitian, as ``alg.power`` requires of the product
+    formula's σ; ``strict`` also refuses a σ with an eigenvalue below the
+    faithfulness tolerance.  σ's side is computed before Y, then acts on Y's
+    columns, which are the rows of the transpose.  Stacks of E and ρ of one
+    length solve pair by pair, each with its solo solve's bits; a vanishing
+    denominator names its spectral unit, its block and, in a stack, its
+    member.  Y is left for ``bayes_residual``.
     """
+    global _handoff
     sides = getattr(family, "sides", None)
     if sides is None:
         raise UnsupportedFamilyError(
             f"no closed-form Bayes map for family {family.tag}")
+    sot.check_arguments(family, e, rho)
     sigma = e(rho)
     if strict:
         alg.power(sigma, 1.0, strict=True)  # the faithfulness check
     if len(sides) == 1:
         passes = ((family.terms(sigma, inverse=True), None),)
     else:
+        alg.check_hermitian(sigma)
         eigen = [np.linalg.eigh(mat) for mat in sigma.data]
         gammas = []
         for (label, _), (vals, _) in zip(e.target.blocks, eigen):
-            gamma = family.denominator(vals[:, None], vals[None, :])
+            gamma = family.denominator(vals[..., :, None], vals[..., None, :])
             singular = np.argwhere(np.abs(gamma) <= family.spectral_tol)
             if singular.size:
-                k, l = singular[0]
+                *member, k, l = singular[0]
                 raise SingularityError(
                     f"vanishing denominator at spectral unit ({k},{l}) "
-                    f"of block {alg.label_text(label)}")
-            gammas.append(gamma.reshape(-1))
+                    f"of block {alg.label_text(label)}"
+                    + (f" in stack member {','.join(map(str, member))}" if member else ""))
+            gammas.append(gamma.reshape(*gamma.shape[:-2], -1))
         w = AlgebraElement._of(e.target, (vecs for _, vecs in eigen))
-        passes = ((((1.0, w, w.dagger()),), np.concatenate(gammas)[:, None]),
+        passes = ((((1.0, w, w.dagger()),), np.concatenate(gammas, axis=-1)[..., :, None]),
                   (((1.0, w.dagger(), w),), None))
-    # Y's rows, transposed into a copy before the kernel, so that Y is freed
-    rows = np.ascontiguousarray(_y_matrix(family, e, rho).T)
+    y = _y_matrix(family, e, rho)
+    y.flags.writeable = False
+    rows = np.ascontiguousarray(y.swapaxes(-1, -2))
     for terms, gamma in passes:
         rows = maps.sandwich_rows(terms, rows, e.target, transpose=True)
         if gamma is not None:
             rows /= gamma
-    return LinearMap(e.target, e.source, np.ascontiguousarray(rows.T))
+    _handoff = (family, e, rho, y)
+    return LinearMap._of(e.target, e.source, np.ascontiguousarray(rows.swapaxes(-1, -2)))
 
 
 def petz(e: LinearMap, rho: AlgebraElement) -> LinearMap:
@@ -186,8 +212,11 @@ def generic_bayes(family: sot.SotFamily, e: LinearMap, rho: AlgebraElement) -> B
     ``UnsupportedFamilyError``.  Trace preservation t_A·X = t_B fixes the
     t_A-component of X; the rest is the least-squares solution truncated at
     lstsq's default cutoff, and each null direction of Φ_σ* gives n_A − 1
-    null directions of X, which measures uniqueness.
+    null directions of X, which measures uniqueness.  It solves one pair:
+    stacks are refused.
     """
+    if e.matrix.ndim > 2 or rho.data[0].ndim > 2:
+        raise ShapeMismatchError("generic_bayes solves one pair (E, ρ), not a stack")
     sigma = e(rho)
     a_shape, b_shape = e.source, e.target
     n_a, n_b = a_shape.vector_dim, b_shape.vector_dim

@@ -1,6 +1,8 @@
 """Bayes maps: closed forms solve the defining condition, match independent
 dense oracles, agree with the generic least-squares solver, and classify as
 expected."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from qsot import algebra as alg, bayes, cli, io, maps, sampling, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.config import PASS_THRESHOLD
 from qsot.errors import (ConstraintError, FaithfulnessError, NotAStateError,
-                         NotHermitianError, QsotError, SingularityError,
+                         NotHermitianError, QsotError, ShapeMismatchError, SingularityError,
                          UnsupportedFamilyError)
 from qsot.maps import LinearMap
 
@@ -616,6 +618,13 @@ def test_one_term_maps_on_rank_deficient_outputs_use_pseudo_inverses(rng):
             bayes.closed_form_bayes(family, e, rho, strict=True)
 
 
+def trace_times(sigma):
+    """E(x) = tr(x)·σ on M2, so that E(ρ) = σ for every state ρ."""
+    shape = alg.matrix_algebra(2)
+    return LinearMap(shape, shape, np.outer(np.asarray(sigma, complex).reshape(-1),
+                                            maps.trace_row(shape)))
+
+
 # Strict mode checks σ = E(ρ) once, before either formula: a non-hermitian σ,
 # one with an eigenvalue below −ATOL and a non-faithful one each raise
 # alg.power's error, for one term as for two.
@@ -628,12 +637,9 @@ def test_one_term_maps_on_rank_deficient_outputs_use_pseudo_inverses(rng):
      "eigenvalue 0.000e+00 below faithfulness tolerance"),
 ], ids=["non-hermitian", "negative", "non-faithful"])
 def test_strict_mode_refuses_sigma_before_either_formula(family, sigma, error, message):
-    shape = alg.matrix_algebra(2)
-    # E(x) = tr(x)·σ, so that E(ρ) = σ for every state ρ
-    e = LinearMap(shape, shape, np.outer(np.asarray(sigma, complex).reshape(-1),
-                                         maps.trace_row(shape)))
     with pytest.raises(error) as raised:
-        bayes.closed_form_bayes(family, e, alg.diagonal_element(shape, [0.7, 0.3]),
+        bayes.closed_form_bayes(family, trace_times(sigma),
+                                alg.diagonal_element(alg.matrix_algebra(2), [0.7, 0.3]),
                                 strict=True)
     assert str(raised.value) == message
 
@@ -662,3 +668,210 @@ def test_strict_mode_refuses_unfaithful_outputs_for_theta_families(rng):
             bayes.closed_form_bayes(family, e, rho)
         with pytest.raises(FaithfulnessError):
             bayes.closed_form_bayes(family, e, rho, strict=True)
+
+
+# ------------------------------------------------------------ stacked solves
+STACK_SHAPES = {
+    "M3-M2+M1": (alg.matrix_algebra(3, "a"), AlgebraShape([("b", 2), ("y", 1)])),
+    "M2+M1-M2+M2": (AlgebraShape([("a", 2), ("x", 1)]), AlgebraShape([("b", 2), ("c", 2)])),
+}
+STACK_SIZE = 16
+BAD_MEMBER = 5
+
+
+def stacked_pairs(case, n=STACK_SIZE):
+    """n random pairs (E, ρ) on one shape pair, and the stacks of both."""
+    source, target = STACK_SHAPES[case]
+    rng = rng_for(f"stacked-{case}")
+    pairs = [(sampling.random_cptp(source, target, rng), sampling.random_state(source, rng))
+             for _ in range(n)]
+    return pairs, maps.stack([e for e, _ in pairs]), alg.stack([rho for _, rho in pairs])
+
+
+@pytest.mark.parametrize("case", STACK_SHAPES)
+@pytest.mark.parametrize("family", SANDWICH_FAMILIES, ids=lambda f: f.tag)
+def test_a_stacked_solve_gives_each_member_its_solo_bits(family, case):
+    pairs, es, rhos = stacked_pairs(case)
+    stacked = bayes.closed_form_bayes(family, es, rhos)
+    assert stacked.matrix.shape == (STACK_SIZE, *pairs[0][0].matrix.shape[::-1])
+    for member, (e, rho) in zip(stacked.matrix, pairs):
+        assert np.array_equal(member, bayes.closed_form_bayes(family, e, rho).matrix)
+
+
+def with_a_rank_deficient_member(case):
+    """The stacked pairs with member ``BAD_MEMBER``'s channel replaced by one
+    onto a pure state, so that its E(ρ) has rank one."""
+    pairs, _, _ = stacked_pairs(case)
+    source, target = STACK_SHAPES[case]
+    pure = alg.diagonal_element(target, [1.0] + [0.0] * (target.total_dim - 1))
+    pairs[BAD_MEMBER] = (maps.replace_channel(pure, source), pairs[BAD_MEMBER][1])
+    return pairs, maps.stack([e for e, _ in pairs]), alg.stack([rho for _, rho in pairs])
+
+
+@pytest.mark.parametrize("case", STACK_SHAPES)
+@pytest.mark.parametrize("family", SANDWICH_FAMILIES, ids=lambda f: f.tag)
+def test_strict_mode_refuses_a_stack_with_one_unfaithful_member(family, case):
+    pairs, es, rhos = with_a_rank_deficient_member(case)
+    with pytest.raises(FaithfulnessError):
+        bayes.closed_form_bayes(family, es, rhos, strict=True)
+    good = [i for i in range(STACK_SIZE) if i != BAD_MEMBER]
+    bayes.closed_form_bayes(family, maps.stack([pairs[i][0] for i in good]),
+                            alg.stack([pairs[i][1] for i in good]), strict=True)
+
+
+@pytest.mark.parametrize("case", STACK_SHAPES)
+@pytest.mark.parametrize("family", [f for f in SANDWICH_FAMILIES if len(f.sides) > 1],
+                         ids=lambda f: f.tag)
+def test_a_singular_denominator_in_a_stack_names_its_unit_block_and_member(family, case):
+    pairs, es, rhos = with_a_rank_deficient_member(case)
+    with pytest.raises(SingularityError) as solo:
+        bayes.closed_form_bayes(family, *pairs[BAD_MEMBER])
+    with pytest.raises(SingularityError) as stacked:
+        bayes.closed_form_bayes(family, es, rhos)
+    assert str(stacked.value) == f"{solo.value} in stack member {BAD_MEMBER}"
+
+
+def test_generic_solver_refuses_a_stack_by_name():
+    pairs, es, rhos = stacked_pairs("M3-M2+M1", 2)
+    for args in ((es, rhos), (es, pairs[0][1]), (pairs[0][0], rhos)):
+        with pytest.raises(ShapeMismatchError) as raised:
+            bayes.generic_bayes(sot.LeiferSpekkens(), *args)
+        assert str(raised.value) == "generic_bayes solves one pair (E, ρ), not a stack"
+
+
+# ---------------------------------------------------------- argument contract
+STATE = alg.diagonal_element(alg.matrix_algebra(2), [0.7, 0.3])
+# (E, ρ, error class, message).  E(x) = tr(x)·diag(1.1, 0) is not TP and has
+# a rank-one E(ρ): before the entry check the product formula returned a
+# non-TP map for it.
+CONTRACT_CASES = {
+    "non-TP E": (trace_times([[1.1, 0.0], [0.0, 0.0]]), STATE,
+                 ConstraintError, "state over time requires a trace-preserving map"),
+    "non-HP E": (trace_times([[0.5, 1.0], [0.0, 0.5]]), STATE,
+                 NotHermitianError, "power requires a hermitian element"),
+    "non-hermitian ρ": (maps.identity_map(alg.matrix_algebra(2)),
+                        AlgebraElement(alg.matrix_algebra(2), ([[0.7, 0.1], [0.0, 0.3]],)),
+                        ConstraintError, "second argument must be hermitian"),
+}
+
+
+@pytest.mark.parametrize("strict", (False, True))
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+@pytest.mark.parametrize("family", SANDWICH_FAMILIES, ids=lambda f: f.tag)
+def test_every_closed_form_refuses_bad_arguments_alike(family, case, strict):
+    e, rho, error, message = CONTRACT_CASES[case]
+    with pytest.raises(QsotError) as raised:
+        bayes.closed_form_bayes(family, e, rho, strict=strict)
+    assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+# ------------------------------------------------------------------ handoff
+def handoff_cases():
+    """(E, ρ) on a single-block, a blocky and a stacked shape pair."""
+    rng = rng_for("handoff")
+    single = (alg.matrix_algebra(3, "a"), alg.matrix_algebra(2, "b"))
+    blocky = STACK_SHAPES["M2+M1-M2+M2"]
+    cases = {name: (sampling.random_cptp(*shapes, rng), sampling.random_state(shapes[0], rng))
+             for name, shapes in (("single", single), ("blocky", blocky))}
+    _, es, rhos = stacked_pairs("M3-M2+M1", 4)
+    cases["stacked"] = (es, rhos)
+    return cases
+
+
+HANDOFF_CASES = handoff_cases()
+
+
+def y_matrix_calls(monkeypatch):
+    """The arguments of every ``bayes._y_matrix`` call from now on."""
+    calls, y_matrix = [], bayes._y_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return y_matrix(*args)
+    monkeypatch.setattr(bayes, "_y_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", HANDOFF_CASES)
+@pytest.mark.parametrize("family", SANDWICH_FAMILIES, ids=lambda f: f.tag)
+def test_a_residual_after_its_solve_takes_the_solved_y_with_the_same_bits(
+        family, case, monkeypatch):
+    e, rho = HANDOFF_CASES[case]
+    calls = y_matrix_calls(monkeypatch)
+    x = bayes.closed_form_bayes(family, e, rho)
+    handed = bayes.bayes_residual(family, x, e, rho)
+    assert len(calls) == 1  # Y once per solve-and-verify
+    assert bayes._handoff is None
+    fresh = bayes.bayes_residual(family, *map(copy.deepcopy, (x, e, rho)))
+    assert len(calls) == 2
+    assert np.array_equal(handed, fresh) and np.all(np.asarray(handed) < RESIDUAL_TOL)
+
+
+def test_a_solve_leaves_one_read_only_y_for_its_own_family_and_objects():
+    family = sot.TRotated(0.3)
+    e, rho = HANDOFF_CASES["single"]
+    bayes.closed_form_bayes(family, e, rho)
+    kept_family, kept_e, kept_rho, y = bayes._handoff
+    assert kept_family == family and kept_e is e and kept_rho is rho
+    assert not y.flags.writeable
+    assert np.array_equal(y, bayes._y_matrix(family, e, rho))
+    bayes.closed_form_bayes(family, e, rho)
+    assert bayes._handoff[3] is not y  # one slot: the next solve replaces it
+
+
+def test_a_residual_on_other_arguments_is_not_served_the_stale_y():
+    """Solve (F, E, ρ₁), then check another ρ, another E or another family:
+    each residual is its fresh value, and the slot is empty after it."""
+    family = sot.TRotated(0.3)
+    e, rho = HANDOFF_CASES["single"]
+    rng = rng_for("stale-handoff")
+    other_e = sampling.random_cptp(e.source, e.target, rng)
+    other_rho = sampling.random_state(e.source, rng)
+    x = bayes.closed_form_bayes(family, e, rho)
+    for checked, args in {"ρ₂": (family, x, e, other_rho), "E₂": (family, x, other_e, rho),
+                          "t = 0.4": (sot.TRotated(0.4), x, e, rho),
+                          "STH": (sot.STH(0.3), x, e, rho),
+                          "equal copies": (family, x, copy.deepcopy(e), copy.deepcopy(rho))
+                          }.items():
+        bayes.closed_form_bayes(family, e, rho)
+        got = bayes.bayes_residual(*args)
+        assert bayes._handoff is None, checked
+        assert got == bayes.bayes_residual(*args), checked
+    assert bayes.bayes_residual(family, x, e, other_rho) > 1e-3
+    assert bayes.bayes_residual(sot.TRotated(0.4), x, e, rho) > 1e-3
+
+
+def test_a_refused_residual_empties_the_slot(rng):
+    e, rho = qubit_pair(rng)
+    x = bayes.closed_form_bayes(sot.LeiferSpekkens(), e, rho)
+    with pytest.raises(ConstraintError):
+        bayes.bayes_residual(sot.LeiferSpekkens(), 1.1 * x, e, rho)
+    assert bayes._handoff is None
+
+
+CLI_FAMILIES = (["leifer-spekkens"], ["t-rotated", "--t", "0.3"], ["sth"], ["symmetric-bloom"],
+                ["right-bloom"], ["left-bloom"], ["rs", "--r", "0.3", "--s", "0.7"],
+                ["theta", "--theta", "jordan"])
+
+
+@pytest.mark.parametrize("family", CLI_FAMILIES, ids=lambda f: f[0])
+def test_cli_verify_output_is_the_bytes_of_the_miss_path(family, tmp_path, capsys, monkeypatch):
+    rng = rng_for(f"cli-handoff-{family[0]}")
+    e, rho = qubit_pair(rng)
+    files = [str(tmp_path / "channel.json"), str(tmp_path / "state.json")]
+    io.dump(io.serialize_map(e), files[0])
+    io.dump(io.serialize_element(rho, kind="state"), files[1])
+
+    def run():
+        code = cli.main(["bayes", "--family", *family, "--verify", *files])
+        return code, *capsys.readouterr()
+    handed = run()
+    solve = bayes.closed_form_bayes
+
+    def solve_and_drop(*args, **kwargs):
+        x = solve(*args, **kwargs)
+        bayes._handoff = None
+        return x
+    monkeypatch.setattr(bayes, "closed_form_bayes", solve_and_drop)
+    assert handed == run()
+    assert handed[0] == cli.EXIT_OK
