@@ -540,10 +540,10 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
     Each trial draws from its own generator, all of them seeded in one
     pass; a draw that raises is that trial's outcome.  The trials of one
     group key are then finished as one stack, and a refused trial's refusal
-    is its outcome.  The other trials of one shape pair (for P7, of every
-    construction) are evaluated as one stack.  If that raises, each finished
-    member is evaluated alone: it equals its trial drawn alone, so every
-    trial gets the outcome it has alone, exception included.
+    is its outcome.  The other trials of that stack are evaluated as it is.
+    If that raises, each finished member is evaluated alone: it equals its
+    trial drawn alone, so every trial gets the outcome it has alone,
+    exception included.
     """
     outcomes: list = [None] * len(keys)
     groups: dict[tuple, list[tuple[int, dict]]] = {}
@@ -554,18 +554,12 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
             outcomes[index] = exc
             continue
         groups.setdefault(group, []).append((index, raw))
-    stacks: dict[tuple, list[tuple[list[int], dict]]] = {}
     for group, members in groups.items():
         instance, refusals = _finish([raw for _, raw in members], group)
         for (index, _), refusal in zip(members, refusals):
             outcomes[index] = refusal
-        if indices := [index for index, _ in members if outcomes[index] is None]:
-            stacks.setdefault(group[:2], []).append((indices, instance))
-    for parts in stacks.values():
-        indices = [index for part, _ in parts for index in part]
-        instance = (parts[0][1] if len(parts) == 1 else
-                    _finish([_member(part, position) for members, part in parts
-                             for position in range(len(members))])[0])
+        if not (indices := [index for index, _ in members if outcomes[index] is None]):
+            continue
         try:
             found = _violations(family, prop, instance)
         except Exception:  # some trial raises: evaluate each member alone

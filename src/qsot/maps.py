@@ -24,7 +24,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import AlgebraElement, AlgebraShape, _per_element, _weight
-from .config import CHANNEL_TOL, CP_TOL, MAP_TOL
+from .config import CP_TOL, MAP_TOL
 from .errors import ConstraintError, ShapeMismatchError
 
 
@@ -410,17 +410,25 @@ def apply_to_factor(m: LinearMap, t: AlgebraElement, which: str) -> AlgebraEleme
 
 
 # ---------------------------------------------------------- channel constructors
+def _channel(m: LinearMap, message: str) -> LinearMap:
+    """``m`` if it is trace-preserving, the one test of every constructor;
+    else ConstraintError(message).  An overflow is a defect above tolerance."""
+    with np.errstate(all="ignore"):
+        if m.is_tp:
+            return m
+    raise ConstraintError(message)
+
+
 def classical_channel(stochastic: np.ndarray, source_prefix: str = "x",
                       target_prefix: str = "y") -> LinearMap:
     """A column-stochastic matrix f_yx as a channel C^X → C^Y."""
     f = np.asarray(stochastic, dtype=float)
-    if np.max(np.abs(f.sum(axis=0) - 1.0)) > CHANNEL_TOL:
-        raise ConstraintError("columns of a stochastic matrix must sum to 1")
     n_y, n_x = f.shape
     source = alg.classical_algebra(n_x, source_prefix)
     target = alg.classical_algebra(n_y, target_prefix)
     matrix = f.astype(complex)  # vector_dim == n for commutative algebras
-    return LinearMap(source, target, matrix)
+    return _channel(LinearMap(source, target, matrix),
+                    "columns of a stochastic matrix must sum to 1")
 
 
 def povm(effects: Sequence[np.ndarray] | Sequence[AlgebraElement]) -> LinearMap:
@@ -433,14 +441,12 @@ def povm(effects: Sequence[np.ndarray] | Sequence[AlgebraElement]) -> LinearMap:
             if source is None:
                 source = alg.matrix_algebra(np.asarray(m).shape[0])
             elems.append(AlgebraElement(source, (np.asarray(m, dtype=complex),)))
-    source = elems[0].shape
-    with np.errstate(all="ignore"):  # an overflow is a defect above tolerance
-        defect = (sum(elems[1:], elems[0]) - alg.identity(source)).norm()
-    if not defect <= CHANNEL_TOL:
-        raise ConstraintError("POVM effects must sum to the identity")
+    for m in elems[1:]:
+        elems[0]._check_same_shape(m)
     target = alg.classical_algebra(len(elems), "y")
     rows = [vec(m.dagger()).conj() for m in elems]  # tr(M_y A) row functionals
-    return LinearMap(source, target, np.array(rows))
+    return _channel(LinearMap(elems[0].shape, target, np.array(rows)),
+                    "POVM effects must sum to the identity")
 
 
 def povm_effects(e: LinearMap) -> list[AlgebraElement]:
@@ -461,8 +467,8 @@ def ensemble(states: Sequence[AlgebraElement]) -> LinearMap:
 def instrument(cp_parts: Sequence[LinearMap]) -> LinearMap:
     """A quantum instrument {F_x} as the channel A → B⊗C^X, A ↦ Σ_x F_x(A)⊗δ_x."""
     source, b_shape = cp_parts[0].source, cp_parts[0].target
-    if not sum(cp_parts[1:], cp_parts[0]).is_tp:
-        raise ConstraintError("the sum of instrument parts must be trace-preserving")
+    _channel(sum(cp_parts[1:], cp_parts[0]),
+             "the sum of instrument parts must be trace-preserving")
     outcomes = alg.classical_algebra(len(cp_parts))
     target = b_shape.tensor(outcomes)
     # block (i, x) of B⊗C^X holds F_x(A)'s block i: F_x's rows for that block
@@ -472,13 +478,10 @@ def instrument(cp_parts: Sequence[LinearMap]) -> LinearMap:
 
 
 def unitary_channel(u: AlgebraElement) -> LinearMap:
-    """Ad_U for a blockwise unitary U."""
-    for mat, d in zip(u.data, u.shape.dims):
-        with np.errstate(all="ignore"):  # an overflow is a defect above tolerance
-            defect = np.max(np.abs(mat @ mat.conj().T - np.eye(d)))
-        if not defect <= CHANNEL_TOL:
-            raise ConstraintError("unitary_channel needs unitary blocks")
-    return ad_map(u)
+    """Ad_U for a blockwise unitary U: Ad_U is trace-preserving exactly when
+    U†U = 1, which for square blocks makes U unitary."""
+    with np.errstate(all="ignore"):  # an overflow is a defect above tolerance
+        return _channel(ad_map(u), "unitary_channel needs unitary blocks")
 
 
 def replace_channel(sigma: AlgebraElement, source: AlgebraShape) -> LinearMap:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra as alg, bayes, maps, sot
 from .algebra import AlgebraElement
-from .config import ATOL, OVERLAP_TOL, PROB_TOL, RANK_ONE_TOL, STATE_TOL, STEP_TOL
+from .config import ATOL, FAITHFULNESS_TOL, OVERLAP_TOL, RANK_ONE_TOL, STATE_TOL, STEP_TOL
 from .errors import ConstraintError, FaithfulnessError, ShapeMismatchError, SingularityError
 from .maps import LinearMap
 
@@ -75,10 +75,10 @@ def pem_reverse(s: PemScenario, strict: bool = True) -> tuple[PemScenario, dict]
     rho, sigma = s.rho, s.sigma
     q = _distribution(s.q)
     notices: list[str] = []
-    dead = [i for i, qy in enumerate(q) if qy < PROB_TOL]
+    dead = [i for i, qy in enumerate(q) if qy <= FAITHFULNESS_TOL]  # off σ's support
     if strict and dead:
         label = s.meas.target.labels[dead[0]]
-        raise FaithfulnessError(f"outcome {label} has probability below {PROB_TOL}")
+        raise FaithfulnessError(f"outcome {label} has probability at or below {FAITHFULNESS_TOL}")
     for i in dead:
         notices.append(f"outcome {s.meas.target.labels[i]} excluded "
                        f"(probability {q[i]:.2e})")
@@ -149,19 +149,19 @@ def eigenbasis_identities(s: PemScenario) -> dict:
 # ---------------------------------------------------------------- Fuchs rule
 def fuchs_rule(meas: LinearMap, rho: AlgebraElement
                ) -> tuple[list[tuple[object, float, AlgebraElement]], list[str]]:
-    """Posterior states ρ_x = √ρ M_x √ρ / p_x for a POVM measurement.
+    """Posterior states ρ_x = √ρ M_x √ρ / p_x for a POVM measurement: the
+    Petz map of the POVM at ρ on the outcome unit δ_x, with p = meas(ρ).
 
-    Returns (entries, notices); outcomes with vanishing probability are
-    omitted and reported in the notices.
+    Returns (entries, notices); outcomes off the support of p are omitted
+    and reported in the notices.
     """
-    root = alg.power(rho, 0.5)
+    recovery = bayes.petz(meas, rho)
     entries, notices = [], []
-    for label, m_x in zip(meas.target.labels, maps.povm_effects(meas)):
-        p_x = (m_x @ rho).trace().real
-        if p_x < PROB_TOL:
+    for label, p_x in zip(meas.target.labels, _distribution(meas(rho))):
+        if p_x <= FAITHFULNESS_TOL:
             notices.append(f"outcome {label} omitted (probability {p_x:.2e})")
             continue
-        entries.append((label, p_x, (1.0 / p_x) * (root @ m_x @ root)))
+        entries.append((label, p_x, recovery(alg.basis_vector(meas.target, label))))
     return entries, notices
 
 
@@ -206,7 +206,7 @@ def state_update(s: InstrumentScenario,
     family = family or sot.LeiferSpekkens()
     probs = s.outcome_probabilities()
     for x, p_x in enumerate(probs):
-        if p_x < PROB_TOL:
+        if p_x <= FAITHFULNESS_TOL:
             raise SingularityError(f"outcome {x} has vanishing probability {p_x:.2e}")
     rho = s.rho
     e = maps.partial_trace_channel(rho.shape, "A")  # traces out B, keeps outcomes
@@ -243,7 +243,7 @@ def jeffrey_update(s: InstrumentScenario, r: Sequence[float]) -> AlgebraElement:
     for x, (f_x, p_x) in enumerate(zip(s.cp_parts, probs)):
         if r[x] == 0.0:
             continue
-        if p_x < PROB_TOL:
+        if p_x <= FAITHFULNESS_TOL:
             raise SingularityError(f"outcome {x} has vanishing probability {p_x:.2e}")
         out = out + (r[x] / p_x) * f_x(s.sigma)
     return out

@@ -275,13 +275,6 @@ def commutation_residual(e: LinearMap, rho: AlgebraElement) -> float:
     return alg.commutator(maps.channel_state(e), lifted).norm()
 
 
-def _central_state(shape: AlgebraShape, weights: np.ndarray) -> AlgebraElement:
-    """⊕ w_x·1/d_x for block weights w (a stack for weights with leading axes)."""
-    return AlgebraElement._of(shape, ((weights[..., x] / d)[..., None, None]
-                                      * np.eye(d, dtype=complex)
-                                      for x, d in enumerate(shape.dims)))
-
-
 def _has_nondegenerate_spectrum(rho: AlgebraElement) -> np.ndarray:
     """Per state of a stack: a simple, strictly positive spectrum."""
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in rho.data], axis=-1), axis=-1)
@@ -334,7 +327,8 @@ def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,
     else:
         k = len(shape_a.dims)
         e = sampling.cptp(shape_a, shape_b, draws[:k])
-        rho = _central_state(shape_a, draws[k])
+        dims = np.array(shape_a.dims)  # ⊕ w_x·1/d_x for block weights w
+        rho = alg.diagonal_element(shape_a, np.repeat(draws[k] / dims, dims, axis=-1))
     noncommuting = commutation_residual(e, rho) > COMM_TOL
     degenerate = (~_has_nondegenerate_spectrum(rho) if nondegenerate_prior
                   else np.zeros_like(noncommuting))

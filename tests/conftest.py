@@ -24,6 +24,10 @@ replaced, each kept as its bit-for-bit reference.  ``two_call_ginibre``
 draws a complex Ginibre matrix as two ``normal`` calls, the real part's then
 the imaginary part's, which ``sampling``'s one-call (2, rows, cols) planes
 replaced; ``two_call_draws`` puts it under the library's samplers.
+The literature's Bayes rules (``petz_rule`` to ``classical_rule``) are
+textbook formulas on dense operators; ``textbook`` reads E* through the
+library's adjoint and lays each image out with ``maps.vec``, so that a rule
+compares with ``closed_form_bayes``'s matrix.
 """
 import zlib
 from contextlib import contextmanager
@@ -319,6 +323,120 @@ def dense_gce(family: sot.ThetaDerived, e: LinearMap, rho: AlgebraElement) -> Li
     theta_sigma = dense_multiplier(family.theta.terms(e(rho)), e.target)
     x = np.linalg.solve(theta_sigma, e.matrix @ theta_rho)
     return LinearMap(e.source, e.target, x).hs_adjoint()
+
+
+# ------------------------------------------------ the literature's Bayes rules
+# Each rule in its textbook form, on dense Hilbert-space operators: ρ and
+# σ = E(ρ) as dense block-diagonal matrices, E* as a function on them, and
+# powers from numpy's eigh.  ``textbook`` turns a rule into its matrix.
+def dense_power(a: np.ndarray, r: complex) -> np.ndarray:
+    """a^r for a positive definite hermitian operator."""
+    vals, vecs = np.linalg.eigh(a)
+    return (vecs * vals.astype(complex) ** r) @ vecs.conj().T
+
+
+def textbook(rule):
+    """The rule (E, ρ) ↦ the matrix of b ↦ rule(ρ, σ, E*, b) on E's target,
+    one column per matrix unit of each block, in the library's order."""
+    def matrix(e: LinearMap, rho: AlgebraElement) -> np.ndarray:
+        adj = e.hs_adjoint()
+        def adjoint(b):
+            return dense_embedding(adj(element_from_dense(e.target, b)))
+        rho_d, sigma_d, n = dense_embedding(rho), dense_embedding(e(rho)), e.target.total_dim
+        cols = []
+        for rows in hilbert_indices(e.target):
+            for i in rows:
+                for j in rows:
+                    unit = np.zeros((n, n), dtype=complex)
+                    unit[i, j] = 1.0
+                    image = rule(rho_d, sigma_d, adjoint, unit)
+                    cols.append(maps.vec(element_from_dense(e.source, image)))
+        return np.column_stack(cols)
+    return matrix
+
+
+@textbook
+def petz_rule(rho, sigma, adjoint, b):
+    """√ρ E*(σ^{−1/2} b σ^{−1/2}) √ρ: Petz's recovery map, Leifer and
+    Spekkens's quantum conditional."""
+    root, inverse_root = dense_power(rho, 0.5), dense_power(sigma, -0.5)
+    return root @ adjoint(inverse_root @ b @ inverse_root) @ root
+
+
+def rotated_petz_rule(t: float):
+    """ρ^{1/2−it} E*(σ^{−1/2−it} b σ^{−1/2+it}) ρ^{1/2+it}: the rotated Petz map."""
+    @textbook
+    def rule(rho, sigma, adjoint, b):
+        inner = dense_power(sigma, -0.5 - 1j * t) @ b @ dense_power(sigma, -0.5 + 1j * t)
+        return dense_power(rho, 0.5 - 1j * t) @ adjoint(inner) @ dense_power(rho, 0.5 + 1j * t)
+    return rule
+
+
+def sth_rule(t: float):
+    """U_ρ†ρ^{1/2} E*(U_σ†σ^{−1/2} b σ^{−1/2}U_σ) ρ^{1/2}U_ρ with U_x = x^{it}:
+    the Petz map conjugated by commuting unitaries."""
+    @textbook
+    def rule(rho, sigma, adjoint, b):
+        u_rho, u_sigma = dense_power(rho, 1j * t), dense_power(sigma, 1j * t)
+        outer, inner = dense_power(rho, 0.5) @ u_rho, dense_power(sigma, -0.5) @ u_sigma
+        return outer.conj().T @ adjoint(inner.conj().T @ b @ inner) @ outer
+    return rule
+
+
+@textbook
+def right_bloom_rule(rho, sigma, adjoint, b):
+    """ρ E*(σ^{−1} b)."""
+    return rho @ adjoint(np.linalg.inv(sigma) @ b)
+
+
+@textbook
+def left_bloom_rule(rho, sigma, adjoint, b):
+    """E*(b σ^{−1}) ρ."""
+    return adjoint(b @ np.linalg.inv(sigma)) @ rho
+
+
+@textbook
+def jordan_rule(rho, sigma, adjoint, b):
+    """½{ρ, E*(Y)} with ½{σ, Y} = b: the generalized conditional expectation
+    of the Jordan product, Y from the dense Lyapunov system (vec row-major)."""
+    one = np.eye(len(sigma))
+    lyapunov = 0.5 * (np.kron(sigma, one) + np.kron(one, sigma.T))
+    y = adjoint(np.linalg.solve(lyapunov, b.reshape(-1)).reshape(b.shape))
+    return 0.5 * (rho @ y + y @ rho)
+
+
+def fuchs_posterior(rho: np.ndarray, effect: np.ndarray) -> np.ndarray:
+    """Fuchs's posterior √ρ M √ρ / p, with p = tr(Mρ)."""
+    root = dense_power(rho, 0.5)
+    return root @ effect @ root / np.trace(effect @ rho).real
+
+
+def outcome_units(n: int) -> list[np.ndarray]:
+    """The outcome units δ_x of C^n as dense diagonal matrices."""
+    return [np.diag(unit) for unit in np.eye(n, dtype=complex)]
+
+
+@textbook
+def fuchs_rule(rho, sigma, adjoint, b):
+    """Σ_x b_x √ρ M_x √ρ / p_x on C^X, with M_x = E*(δ_x) the effects."""
+    return sum(b[x, x] * fuchs_posterior(rho, adjoint(unit))
+               for x, unit in enumerate(outcome_units(len(b))))
+
+
+@textbook
+def two_state_rule(rho, sigma, adjoint, b):
+    """Σ_x b_x ρM_x / p_x on C^X: the two-state update of each outcome."""
+    return sum(b[x, x] * (rho @ (m := adjoint(unit))) / np.trace(rho @ m).real
+               for x, unit in enumerate(outcome_units(len(b))))
+
+
+@textbook
+def classical_rule(rho, sigma, adjoint, b):
+    """Σ_b b_b p(·|b) with p(a|b) = f(b|a) p(a) / q(b), for the classical
+    channel f(b|a) = E*(δ_b)_aa, prior p and q = f p."""
+    p, q = np.diag(rho).real, np.diag(sigma).real
+    f = np.array([np.diag(adjoint(unit)).real for unit in outcome_units(len(q))])  # f[b, a]
+    return np.diag((np.diag(b) / q) @ f * p)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from qsot import algebra as alg, axioms, bayes, maps, sampling, scenarios, sot
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.maps import LinearMap
 
-from conftest import dense_gce, dense_multiplier, random_traceless_direction
+from conftest import (dense_embedding, dense_gce, dense_multiplier, fuchs_posterior,
+                      random_traceless_direction)
 
 SEED = 0
 
@@ -381,10 +382,10 @@ def test_12_pipeline_reversal_suite():
         worst["eigenbasis"] = max(worst["eigenbasis"], max(res.values()))
 
         entries, _ = scenarios.fuchs_rule(meas, s.sigma)
-        recovery = bayes.petz(meas, s.sigma)
+        effects = {label: m for label, m in zip(meas.target.labels, maps.povm_effects(meas))}
         for label, _, rho_x in entries:
-            via_bayes = recovery(alg.basis_vector(meas.target, label))
-            worst["fuchs"] = max(worst["fuchs"], (rho_x - via_bayes).norm())
+            want = fuchs_posterior(dense_embedding(s.sigma), dense_embedding(effects[label]))
+            worst["fuchs"] = max(worst["fuchs"], np.linalg.norm(dense_embedding(rho_x) - want))
     assert worst["diagram"] < 1e-9, worst
     assert worst["pairing"] < 1e-9, worst
     assert worst["eigenbasis"] < 1e-10, worst

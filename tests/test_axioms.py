@@ -775,10 +775,10 @@ def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
 
 
 @pytest.mark.parametrize("tag", ["uncorrelated", "ohya"])
-def test_a_p7_chunk_evaluates_one_stack_per_shape_pair(tag, monkeypatch):
+def test_a_p7_chunk_evaluates_one_stack_per_construction(tag, monkeypatch):
     """A chunk of trials 7..14 holds every construction on both shape
-    parities; the finished pairs of one shape pair are evaluated together,
-    and each trial keeps the violation it has alone."""
+    parities; the finished pairs of one (shape pair, construction) group are
+    evaluated together, and each trial keeps the violation it has alone."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=16, seed=0)
     cell = axioms._cell_index(tag, "P7")
     trials = range(7, 15)
@@ -789,7 +789,10 @@ def test_a_p7_chunk_evaluates_one_stack_per_shape_pair(tag, monkeypatch):
         stacks.append(instance["e"].matrix.shape[0]) or violations(family, prop, instance)))
     outcomes = axioms._chunk(family, "P7", trials, config, keys)
     evaluated = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
-    assert len(stacks) == 2 and sum(stacks) == len(evaluated)
+    groups = {axioms._draw(family, "P7", trial, config, np.random.default_rng(key))[0]
+              for trial, key, outcome in zip(trials, keys, outcomes)
+              if not isinstance(outcome, Exception)}
+    assert len(stacks) == len(groups) > 2 and sum(stacks) == len(evaluated)
     for trial, key, outcome in zip(trials, keys, outcomes):
         if not isinstance(outcome, Exception):
             instance = sample_alone(family, "P7", trial, config, np.random.default_rng(key))

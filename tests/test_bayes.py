@@ -14,9 +14,10 @@ from qsot.errors import (ConstraintError, FaithfulnessError, NotAStateError,
                          UnsupportedFamilyError)
 from qsot.maps import LinearMap
 
-from conftest import (TransposedTarget, copying_kernels, defining_bayes_residual, dense_gce,
-                      dense_generic_bayes, dense_multiplier, dense_product_bayes,
-                      dense_spectral_bayes, rng_for)
+from conftest import (TransposedTarget, classical_rule, copying_kernels, defining_bayes_residual,
+                      dense_gce, dense_generic_bayes, dense_multiplier, dense_product_bayes,
+                      dense_spectral_bayes, fuchs_rule, jordan_rule, left_bloom_rule, petz_rule,
+                      right_bloom_rule, rng_for, rotated_petz_rule, sth_rule, two_state_rule)
 
 RESIDUAL_TOL = 1e-10
 MATCH_TOL = 1e-8
@@ -302,6 +303,53 @@ def test_petz_matches_dense_textbook_formula(rng):
         b = sampling.random_hermitian(e.target, rng)
         want = root_rho @ adj(inv_root_sig @ b @ inv_root_sig) @ root_rho
         assert (x(b) - want).norm() < RESIDUAL_TOL
+
+
+# The literature's Bayes rules as instances of the one definition: each row
+# names a rule, its reference, the paper's family that gives it, and what the
+# rule reads (a channel, a POVM, or a classical channel on a classical prior).
+LITERATURE_RULES = [
+    ("petz", "Petz 1988; Leifer & Spekkens, PRA 88, 052130 (2013)",
+     sot.LeiferSpekkens(), "channel", petz_rule),
+    ("rotated-petz", "Junge, Renner, Sutter, Wilde & Winter, AHP 19, 2955 (2018)",
+     sot.TRotated(0.3), "channel", rotated_petz_rule(0.3)),
+    ("sth", "the commuting-unitary Petz variant (Parzygnat & Fullwood 2023)",
+     sot.STH(0.3), "channel", sth_rule(0.3)),
+    ("right-bloom", "Parzygnat & Fullwood 2023", sot.RightBloom(), "channel", right_bloom_rule),
+    ("left-bloom", "Parzygnat & Fullwood 2023", sot.LeftBloom(), "channel", left_bloom_rule),
+    ("jordan-gce", "Tsang, generalized conditional expectation (2022)",
+     sot.SymmetricBloom(), "channel", jordan_rule),
+    ("fuchs", "Fuchs, quant-ph/0205039 (2002): √ρ M_x √ρ / p_x",
+     sot.LeiferSpekkens(), "povm", fuchs_rule),
+    ("two-state", "Aharonov, Bergmann & Lebowitz 1964: ρM_x / p_x",
+     sot.RightBloom(), "povm", two_state_rule),
+    ("classical", "Bayes 1763: p(a|b) = f(b|a) p(a) / q(b)",
+     sot.LeiferSpekkens(), "classical", classical_rule),
+]
+LITERATURE_SHAPES = ((alg.matrix_algebra(3, "a"), AlgebraShape([("b", 2), ("c", 1)])),
+                     (AlgebraShape([("a", 2), ("b", 1)]), AlgebraShape([("c", 2), ("d", 2)])))
+
+
+@pytest.mark.parametrize("shapes", LITERATURE_SHAPES, ids=shapes_id)
+@pytest.mark.parametrize("name, reference, family, reads, rule", LITERATURE_RULES,
+                         ids=[row[0] for row in LITERATURE_RULES])
+def test_the_literatures_bayes_rules_are_closed_form_bayes_maps(name, reference, family,
+                                                               reads, rule, shapes, rng):
+    """A rule on outcome units reads a POVM from the source into one outcome
+    per Hilbert dimension of the target; the classical rule reads a channel
+    between classical algebras of the two Hilbert dimensions."""
+    source, target = shapes
+    if reads == "channel":
+        e = sampling.random_cptp(source, target, rng)
+    elif reads == "povm":
+        e = sampling.random_povm(source, target.total_dim, rng)
+    else:
+        source = alg.classical_algebra(source.total_dim)
+        e = maps.classical_channel(rng.dirichlet(np.ones(target.total_dim), source.total_dim).T)
+    rho = sampling.random_state(source, rng)
+    want = rule(e, rho)
+    got = bayes.closed_form_bayes(family, e, rho).matrix
+    assert np.max(np.abs(got - want)) < ORACLE_TOL * max(1.0, np.linalg.norm(want)), reference
 
 
 def test_petz_recovers_the_prior(rng):

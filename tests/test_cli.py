@@ -11,6 +11,7 @@ import pytest
 
 from qsot import algebra as alg, axioms, cli, io, maps, sampling, sot
 from qsot.algebra import AlgebraElement
+from qsot.config import ATOL
 from qsot.errors import ValidationError
 
 from conftest import TransposedTarget, random_traceless_direction, rng_for
@@ -479,6 +480,37 @@ def test_scenario_pem_passes(tmp_path, capsys):
     report = json.loads(open(out).read())
     assert report["passed"]
     assert report["residuals"]["classical_inverse"] < 1e-9
+
+
+def scenario_doc_pem_rare_outcome(strict: bool) -> dict:
+    """p = (½, ½), evo the identity on M2 and effects {1 − εP, εP} with
+    ε = 1e-11 and P = |0⟩⟨0|: the second outcome has q = ε·0.552 = 5.52e-12."""
+    shape = alg.matrix_algebra(2)
+    states = [np.array([[0.7, 0.1], [0.1, 0.3]]), np.diag([0.404, 0.596])]
+    prep = maps.ensemble([AlgebraElement(shape, (m,)) for m in states])
+    rare = np.diag([1e-11, 0.0])
+    return {"kind": "scenario", "name": "pem", "schema_version": 1, "p": [0.5, 0.5],
+            "prep": io.serialize_map(prep), "evo": io.serialize_map(maps.identity_map(shape)),
+            "meas": io.serialize_map(maps.povm([np.eye(2) - rare, rare])), "strict": strict}
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_scenario_pem_outcome_off_sigmas_support_is_dead(strict, tmp_path, capsys):
+    """The reverse measurement drops an outcome off the support of q, so the
+    scenario does too: strict refuses it with one line, and without strict
+    it is excluded with a notice and the checks pass."""
+    path, out = tmp_path / "pem.json", str(tmp_path / "report.json")
+    path.write_text(json.dumps(scenario_doc_pem_rare_outcome(strict)))
+    code = run(["scenario", "pem", str(path), "-o", out])
+    err = capsys.readouterr().err
+    if strict:
+        assert code == cli.EXIT_NUMERICAL
+        assert err == "numerical error: outcome y1 has probability at or below 1e-10\n"
+        return
+    assert code == cli.EXIT_OK
+    residuals = json.loads(open(out).read())["residuals"]
+    assert residuals["notices"] == ["outcome y1 excluded (probability 5.52e-12)"]
+    assert residuals["classical_inverse"] < ATOL
 
 
 def test_scenario_two_state_weak_value(tmp_path, capsys):

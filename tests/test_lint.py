@@ -235,3 +235,31 @@ def test_every_library_function_and_class_has_a_reference():
                                for p in (ROOT / "bench").rglob("*.py")))
     modules = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert dead_names(modules, referenced) == []
+
+
+# A constant of qsot.config that no library module reads is a knob that
+# turns nothing.
+def constants(source: str) -> list[str]:
+    """The upper-case names a module assigns at its top level."""
+    return [target.id for node in ast.parse(source).body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name) and target.id.isupper()]
+
+
+def unread_constants(config: str, modules: list[str]) -> list[str]:
+    """The constants of ``config`` that no source of ``modules`` refers to by
+    a name or an attribute."""
+    read = set().union(*(references(source) for source in modules))
+    return [name for name in constants(config) if name not in read]
+
+
+def test_the_constant_scan_counts_reads_in_other_modules_only():
+    config = "A = 1\nB = 2 * A\nc = 3\n"
+    assert constants(config) == ["A", "B"]
+    assert unread_constants(config, ["from .config import A\nprint(A)\n"]) == ["B"]
+    assert unread_constants(config, ["from .config import A\n", "config.B + A\n"]) == []
+
+
+def test_every_config_constant_is_read_by_a_library_module():
+    config = ROOT / "src" / "qsot" / "config.py"
+    modules = [p.read_text(encoding="utf-8") for p in SOURCES if p != config]
+    assert unread_constants(config.read_text(encoding="utf-8"), modules) == []

@@ -303,6 +303,29 @@ def test_povm_channel_and_effects_roundtrip(rng):
         maps.povm([m0, np.eye(2) - m0 + np.diag([np.nan, 0.0])])
 
 
+CONSTRUCTORS = {
+    "povm": (lambda d: maps.povm([np.diag([0.7, 0.2]), np.diag([0.3 + d, 0.8 + d])]),
+             "POVM effects must sum to the identity"),
+    "classical_channel": (lambda d: maps.classical_channel([[0.6 + d, 0.1], [0.4, 0.9]]),
+                          "columns of a stochastic matrix must sum to 1"),
+    "unitary_channel": (lambda d: maps.unitary_channel(AlgebraElement(
+        alg.matrix_algebra(2), (np.diag([np.sqrt(1.0 + d), 1.0]),))),
+                        "unitary_channel needs unitary blocks"),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_channel_constructors_refuse_what_a_state_over_time_refuses(name, rng):
+    """A TP defect of 5e-7 is refused where the map is built, with the
+    constructor's message; one of 5e-8 builds, and ``sot.evaluate`` takes it."""
+    build, message = CONSTRUCTORS[name]
+    with pytest.raises(ConstraintError, match=f"^{message}$"):
+        build(5e-7)
+    e = build(5e-8)
+    assert 1e-8 < e.tp_defect() <= 1e-7
+    sot.evaluate(sot.LeiferSpekkens(), e, sampling.random_state(e.source, rng))
+
+
 def test_ensemble_prepares_the_listed_states(rng):
     shape = alg.matrix_algebra(2)
     states = [sampling.random_state(shape, rng) for _ in range(3)]

@@ -7,7 +7,7 @@ from qsot import algebra as alg, bayes, maps, sampling, scenarios, sot
 from qsot.algebra import AlgebraElement
 from qsot.errors import ConstraintError, FaithfulnessError, SingularityError
 
-from conftest import random_traceless_direction
+from conftest import dense_embedding, fuchs_posterior, random_traceless_direction
 
 TOL = 1e-10
 
@@ -88,11 +88,27 @@ def test_fuchs_rule_matches_petz_of_the_povm(rng):
     rho = sampling.random_state(shape, rng)
     entries, notices = scenarios.fuchs_rule(meas, rho)
     assert notices == []
-    recovery = bayes.petz(meas, rho)
-    for label, p_x, rho_x in entries:
+    for (label, p_x, rho_x), m_x in zip(entries, maps.povm_effects(meas)):
         assert abs(rho_x.trace() - 1.0) < TOL
-        via_bayes = recovery(alg.basis_vector(meas.target, label))
-        assert (rho_x - via_bayes).norm() < TOL
+        assert abs(p_x - (m_x @ rho).trace().real) < TOL
+        want = fuchs_posterior(dense_embedding(rho), dense_embedding(m_x))
+        assert np.max(np.abs(dense_embedding(rho_x) - want)) < TOL
+
+
+# An outcome of probability ε·⟨0|σ|0⟩ ≈ 5.5e-12 (effects 1 − εP and εP, ε =
+# 1e-11) is off σ's support, where the Petz maps the scenarios call drop it:
+# each scenario treats it as dead.
+RARE = 1e-11
+P0 = np.diag([1.0, 0.0])
+
+
+def test_fuchs_rule_omits_an_outcome_off_the_support():
+    shape = alg.matrix_algebra(2)
+    meas = maps.povm([np.eye(2) - RARE * P0, RARE * P0])
+    rho = AlgebraElement(shape, (np.array([[0.552, 0.1], [0.1, 0.448]]),))
+    entries, notices = scenarios.fuchs_rule(meas, rho)
+    assert [label for label, _, _ in entries] == ["y0"]
+    assert notices == ["outcome y1 omitted (probability 5.52e-12)"]
 
 
 # ------------------------------------------------------------- state update
@@ -153,6 +169,32 @@ def test_jeffrey_update_interpolates_posteriors(rng):
     assert (hard0 - (1.0 / f0.trace().real) * f0).norm() < TOL
     with pytest.raises(ConstraintError):
         scenarios.jeffrey_update(s, [0.5, 0.6])
+
+
+def rare_outcome_instrument() -> scenarios.InstrumentScenario:
+    """Kraus √(1 − εP) and √ε·P on M2, at σ with ⟨0|σ|0⟩ = 0.585."""
+    shape = alg.matrix_algebra(2)
+    parts = tuple(maps.from_kraus(shape, shape, [(0, 0, k)])
+                  for k in (np.diag([np.sqrt(1 - RARE), 1.0]), np.sqrt(RARE) * P0))
+    sigma = AlgebraElement(shape, (np.array([[0.585, 0.2], [0.2, 0.415]]),))
+    return scenarios.InstrumentScenario(sigma, parts)
+
+
+def test_state_update_refuses_an_outcome_off_the_support():
+    """The scenario's own error, not a vanishing spectral denominator from
+    the symmetric-bloom solve of its family-independence check."""
+    s = rare_outcome_instrument()
+    assert 1e-12 < s.outcome_probabilities()[1] < 1e-11
+    with pytest.raises(SingularityError, match="^outcome 1 has vanishing probability 5.85e-12$"):
+        scenarios.state_update(s)
+
+
+def test_jeffrey_update_refuses_weight_on_an_outcome_off_the_support():
+    s = rare_outcome_instrument()
+    with pytest.raises(SingularityError, match="^outcome 1 has vanishing probability"):
+        scenarios.jeffrey_update(s, [0.5, 0.5])
+    f0 = s.cp_parts[0](s.sigma)
+    assert (scenarios.jeffrey_update(s, [1.0, 0.0]) - (1.0 / f0.trace().real) * f0).norm() < TOL
 
 
 def test_instrument_scenario_refuses_parts_that_are_not_trace_preserving(rng):
