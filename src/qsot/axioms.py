@@ -216,15 +216,6 @@ def _shapes(trial: int, dims: tuple[int, int]) -> tuple[AlgebraShape, AlgebraSha
 
 
 # -------------------------------------------------------- product-vector search
-def _unit_starts(rng: np.random.Generator, starts: int, m: int,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start vectors a (starts, m) and b (starts, n), not yet normalised."""
-    # one draw: the real, then imaginary parts of a, then those of b
-    z = rng.normal(size=2 * starts * (m + n))
-    a, b = z[:2 * starts * m].reshape(2, starts, m), z[2 * starts * m:].reshape(2, starts, n)
-    return a[0] + 1j * a[1], b[0] + 1j * b[1]
-
-
 def _form_maps(blocks: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (m·n)×(m·n) blocks as the maps from v̄⊗v in one factor to the
     form ⟨v|block|v⟩ in the other: (jobs, m², n, n) and (jobs, n², m, m)."""
@@ -308,46 +299,82 @@ def _factors(t: AlgebraElement) -> tuple[AlgebraShape, AlgebraShape]:
     return t.shape.factors
 
 
-def block_positivity_violation(ts: Sequence[AlgebraElement], starts: int,
+def _start_vectors(z: np.ndarray, starts: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start vectors a (rows, starts, m) and b (rows, starts, n), not yet
+    normalised, from draws z (rows, 2·starts·(m + n)): the real, then
+    imaginary parts of a, then those of b."""
+    a = z[:, :2 * starts * m].reshape(-1, 2, starts, m)
+    b = z[:, 2 * starts * m:].reshape(-1, 2, starts, n)
+    return a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1]
+
+
+def block_positivity_violation(t: AlgebraElement, starts: int,
                                rngs: Iterable[np.random.Generator]
                                ) -> list[tuple[float, dict]]:
-    """For each element, the largest found violation of ⟨a⊗b|T|a⊗b⟩ being
-    real and non-negative, with its witness.
+    """For each member of the stack t, the largest found violation of
+    ⟨a⊗b|T|a⊗b⟩ being real and non-negative, with its witness.
 
     A non-hermitian block is probed for product vectors with a non-real
     pairing first; the hermitian part is then minimized over product
-    vectors.  Each element draws its start vectors from its own generator,
-    block by block, before the next generator is taken; the searches of all
-    elements run as stacks, one per (mode, m, n), each stack's start vectors
-    normalised at once, and every stacked entry is computed as it would be
-    alone, so an element's result does not depend on the others in the call.
+    vectors.  ``rngs`` holds one generator per member, or the call raises.
+    Member k draws the start vectors of all its searches from the k-th in
+    one ``normal`` call, before the next generator is taken: block by
+    block, the skew part's before the hermitian part's.  Members with one
+    pattern of non-hermitian blocks slice their draws alike, so the
+    searches of all members run as stacks, one per (mode, m, n), each
+    stack's start vectors normalised at once; every stacked entry is
+    computed as it would be alone, so a member's result does not depend on
+    the others in the stack.
     """
-    jobs = []  # (element, block label, mode, block, start vectors a, b)
-    for k, (t, rng) in enumerate(zip(ts, rngs)):
-        factor_a, factor_b = _factors(t)
-        for label, (i, j), mat in zip(t.shape.labels, t.shape.pairs, t.data):
-            m, n = factor_a.dims[i], factor_b.dims[j]
-            skew = (mat - mat.conj().T) / 2j
-            if np.linalg.norm(skew) > HERM_TOL:
-                jobs.append((k, label, "absmax", skew, *_unit_starts(rng, starts, m, n)))
-            herm = (mat + mat.conj().T) / 2
-            jobs.append((k, label, "min", herm, *_unit_starts(rng, starts, m, n)))
-    groups: dict[tuple, list[int]] = {}
-    for index, (_, _, mode, _, a, b) in enumerate(jobs):
-        groups.setdefault((mode, a.shape[1], b.shape[1]), []).append(index)
-    found = [None] * len(jobs)
-    for (mode, _, _), indices in groups.items():
-        blocks, a, b = (np.stack([jobs[i][f] for i in indices]) for f in (3, 4, 5))
+    factor_a, factor_b = _factors(t)
+    dims = [(factor_a.dims[i], factor_b.dims[j]) for i, j in t.shape.pairs]
+    herms = [(mat + mat.conj().swapaxes(-1, -2)) / 2 for mat in t.data]
+    skews = [(mat - mat.conj().swapaxes(-1, -2)) / 2j for mat in t.data]
+    skewed = np.stack([np.linalg.norm(skew, axis=(-2, -1)) > HERM_TOL for skew in skews], axis=1)
+    lengths = np.array([2 * starts * (m + n) for m, n in dims])  # of one search's draws
+    draws = [rng.normal(size=length) for rng, length in
+             zip(rngs, (lengths.sum() + skewed @ lengths).tolist(), strict=True)]
+    groups: dict[tuple, list[int]] = {}  # the members of each pattern of skewed blocks
+    rows = []  # each member's row among them
+    for k, pattern in enumerate(map(tuple, skewed.tolist())):
+        rows.append(len(members := groups.setdefault(pattern, [])))
+        members.append(k)
+    searches = []  # (members, block label, mode, blocks, start vectors a, b)
+    for pattern, members in groups.items():
+        z, offset = np.stack([draws[k] for k in members]), 0
+        for (m, n), label, on, length, skew, herm in zip(dims, t.shape.labels, pattern,
+                                                        lengths.tolist(), skews, herms):
+            for mode, block in [("absmax", skew)] * on + [("min", herm)]:
+                searches.append((members, label, mode, block[members],
+                                 *_start_vectors(z[:, offset:offset + length], starts, m, n)))
+                offset += length
+    stacks: dict[tuple, list[int]] = {}
+    for index, (_, _, mode, _, a, b) in enumerate(searches):
+        stacks.setdefault((mode, a.shape[2], b.shape[2]), []).append(index)
+    found = [None] * len(searches)
+    for (mode, _, _), indices in stacks.items():
+        blocks, a, b = (np.concatenate([searches[i][f] for i in indices]) for f in (3, 4, 5))
         a, b = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (a, b))
-        for i, result in zip(indices, zip(*_product_extremum(blocks, a, b, mode))):
+        values, a, b = _product_extremum(blocks, a, b, mode)
+        bounds = np.cumsum([len(searches[i][0]) for i in indices])[:-1]
+        for i, *result in zip(indices, *(np.split(np.asarray(v), bounds) for v in (values, a, b))):
             found[i] = result
-    out = [(0.0, {}) for _ in ts]
-    for (k, label, mode, *_), (val, a, b) in zip(jobs, found):
-        size, kind = ((abs(val), "non-real pairing") if mode == "absmax"
-                      else (-val, "negative pairing"))
-        if size > out[k][0]:
-            out[k] = (size, {"block": str(label), "kind": kind, "value": val,
-                             "vector_a": a, "vector_b": b})
+    # each member's first search of the largest violation, if it is positive
+    best, pick = np.zeros(len(draws)), np.full(len(draws), -1)
+    for index, ((members, _, mode, *_), (values, _, _)) in enumerate(zip(searches, found)):
+        size = np.abs(values) if mode == "absmax" else -values
+        better = size > best[members]
+        best[members] = np.where(better, size, best[members])
+        pick[members] = np.where(better, index, pick[members])
+    out = []
+    for size, index, row in zip(best.tolist(), pick.tolist(), rows):
+        if index < 0:
+            out.append((0.0, {}))
+            continue
+        (_, label, mode, *_), (values, a, b) = searches[index], found[index]
+        kind = "non-real pairing" if mode == "absmax" else "negative pairing"
+        out.append((size, {"block": str(label), "kind": kind, "value": values[row].item(),
+                           "vector_a": a[row], "vector_b": b[row]}))
     return out
 
 
@@ -495,7 +522,7 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
         return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
     if prop == "P2":
         return block_positivity_violation(
-            alg.unstack(t), STARTS, _generators([[seed] for seed in instance["search_seed"]]))
+            t, STARTS, _generators([[seed] for seed in instance["search_seed"]]))
     if prop == "P3":
         return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
     if prop != "P7":

@@ -6,13 +6,16 @@ matrix blocks or on the dense embedding of a multi-block element (each block
 placed at its Hilbert-space indices, found from labels rather than from the
 library's tensor bookkeeping), so any agreement with the library is a
 genuine cross-check.
-``dense_generic_bayes``, ``sequential_certify``, ``full_product_extremum``
-and ``kraus_partial_trace_channel`` are the exceptions: the probe-loop
-generic Bayes solver the structured ``bayes.generic_bayes`` replaced, the
-one-trial-at-a-time certification loop the chunked ``axioms.certify``
-replaced, the product-vector search that runs eight rounds over every start
-whatever the factor dimensions, and the Kraus construction of the partial
-trace that its lifted matrix units replaced, each kept as its reference.
+``dense_generic_bayes``, ``sequential_certify``, ``full_product_extremum``,
+``looped_block_positivity_violation`` and ``kraus_partial_trace_channel``
+are the exceptions: the probe-loop generic Bayes solver the structured
+``bayes.generic_bayes`` replaced, the one-trial-at-a-time certification
+loop the chunked ``axioms.certify`` replaced, the product-vector search that
+runs eight rounds over every start whatever the factor dimensions, the P2
+search set up element by element with one start-vector draw per search
+(``unit_starts``) that the stacked set-up replaced, and the Kraus
+construction of the partial trace that its lifted matrix units replaced,
+each kept as its reference.
 ``defining_bayes_residual`` is the Bayes residual as the condition reads,
 ‖E⋆ρ − τ(~X⋆E(ρ))‖ through two SOT evaluations and τ, which
 ``bayes.bayes_residual`` replaced by ‖X·Φ_σ* − Y‖ for sandwich families.
@@ -38,7 +41,7 @@ import numpy as np
 import pytest
 
 from qsot import algebra as alg, axioms, bayes, maps, sampling, sot
-from qsot.config import FAIL_THRESHOLD, PASS_THRESHOLD
+from qsot.config import FAIL_THRESHOLD, HERM_TOL, PASS_THRESHOLD
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.maps import LinearMap
 
@@ -555,6 +558,51 @@ def full_product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
     best = (np.arange(jobs), pick)
     return vals[best].tolist(), a[best], b[best]
+
+
+def unit_starts(rng: np.random.Generator, starts: int, m: int,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start vectors a (starts, m) and b (starts, n), not yet normalised, as
+    one search drew them alone: the real, then imaginary parts of a, then
+    those of b, in one ``normal`` call."""
+    z = rng.normal(size=2 * starts * (m + n))
+    a, b = z[:2 * starts * m].reshape(2, starts, m), z[2 * starts * m:].reshape(2, starts, n)
+    return a[0] + 1j * a[1], b[0] + 1j * b[1]
+
+
+def looped_block_positivity_violation(ts: list[AlgebraElement], starts: int,
+                                      rngs) -> list[tuple[float, dict]]:
+    """Reference for ``axioms.block_positivity_violation``: a list of
+    elements, set up element by element and block by block, each search
+    drawing its start vectors in its own ``normal`` call, and the searches
+    stacked per (mode, m, n) in job order."""
+    jobs = []  # (element, block label, mode, block, start vectors a, b)
+    for k, (t, rng) in enumerate(zip(ts, rngs, strict=True)):
+        factor_a, factor_b = t.shape.factors
+        for label, (i, j), mat in zip(t.shape.labels, t.shape.pairs, t.data):
+            m, n = factor_a.dims[i], factor_b.dims[j]
+            skew = (mat - mat.conj().T) / 2j
+            if np.linalg.norm(skew) > HERM_TOL:
+                jobs.append((k, label, "absmax", skew, *unit_starts(rng, starts, m, n)))
+            herm = (mat + mat.conj().T) / 2
+            jobs.append((k, label, "min", herm, *unit_starts(rng, starts, m, n)))
+    groups: dict[tuple, list[int]] = {}
+    for index, (_, _, mode, _, a, b) in enumerate(jobs):
+        groups.setdefault((mode, a.shape[1], b.shape[1]), []).append(index)
+    found = [None] * len(jobs)
+    for (mode, _, _), indices in groups.items():
+        blocks, a, b = (np.stack([jobs[i][f] for i in indices]) for f in (3, 4, 5))
+        a, b = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (a, b))
+        for i, result in zip(indices, zip(*axioms._product_extremum(blocks, a, b, mode))):
+            found[i] = result
+    out = [(0.0, {}) for _ in ts]
+    for (k, label, mode, *_), (val, a, b) in zip(jobs, found):
+        size, kind = ((abs(val), "non-real pairing") if mode == "absmax"
+                      else (-val, "negative pairing"))
+        if size > out[k][0]:
+            out[k] = (size, {"block": str(label), "kind": kind, "value": val,
+                             "vector_a": a, "vector_b": b})
+    return out
 
 
 # ------------------------------------------------- the copying kernels

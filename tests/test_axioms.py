@@ -14,8 +14,9 @@ from qsot.maps import LinearMap
 from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
                          UnsupportedFamilyError, ValidationError)
 
-from conftest import (classical_limit_pair, full_product_extremum, rng_for, sample_alone,
-                      sequential_certify, two_call_draws)
+from conftest import (classical_limit_pair, full_product_extremum,
+                      looped_block_positivity_violation, rng_for, sample_alone, sequential_certify,
+                      two_call_draws, unit_starts)
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
 
@@ -157,7 +158,7 @@ def test_block_positivity_violation_finds_planted_negative_pair(rng):
     # sigma_x (x) sigma_x has product eigenvector pairs at eigenvalue -1
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     t = alg.AlgebraElement(shape, (np.kron(sx, sx),))
-    [(violation, witness)] = axioms.block_positivity_violation([t], 20, [rng])
+    [(violation, witness)] = axioms.block_positivity_violation(alg.stack([t]), 20, [rng])
     assert violation > 0.99
     assert witness["kind"] == "negative pairing"
 
@@ -165,8 +166,20 @@ def test_block_positivity_violation_finds_planted_negative_pair(rng):
 def test_block_positivity_violation_zero_on_separable_states(rng):
     a = sampling.random_state(alg.matrix_algebra(2, "a"), rng)
     b = sampling.random_state(alg.matrix_algebra(2, "b"), rng)
-    [(violation, _)] = axioms.block_positivity_violation([alg.tensor(a, b)], 20, [rng])
+    [(violation, _)] = axioms.block_positivity_violation(alg.stack([alg.tensor(a, b)]), 20,
+                                                         [rng])
     assert violation < 1e-12
+
+
+@pytest.mark.parametrize("generators", [1, 3])
+def test_block_positivity_violation_needs_one_generator_per_member(rng, generators):
+    """A member without a generator would go unsearched and read as no
+    violation; the search refuses the call instead, and a surplus too."""
+    shape = alg.matrix_algebra(2, "a").tensor(alg.matrix_algebra(2, "b"))
+    t = alg.stack([sampling.random_state(shape, rng)] * 2)
+    with pytest.raises(ValueError):
+        axioms.block_positivity_violation(
+            t, 20, [np.random.default_rng(k) for k in range(generators)])
 
 
 # ------------------------------------------------------------------ the table
@@ -295,35 +308,111 @@ def test_each_p7_trial_draws_and_checks_one_pair(monkeypatch):
 # ------------------------------------------------------- stacked P2 search
 def test_stacked_search_equals_singleton_searches():
     """Each entry of one stacked call equals a call on that element alone,
-    bit for bit, over single-block and blocky shapes and non-hermitian T."""
+    bit for bit, over single-block and blocky shapes and non-hermitian T:
+    one stacked call per shape."""
     families = (sot.LeiferSpekkens(), sot.RightBloom(), sot.SymmetricBloom(), sot.TRotated(0.3))
-    ts, seeds = [], []
+    by_shape: dict = {}
     for k in range(120):
         rng = rng_for("stacked-search", k)
         shape_a, shape_b = axioms._shapes(k, ((2, 3), (2, 2))[k % 3 == 0])
         e = sampling.random_cptp(shape_a, shape_b, rng)
         rho = sampling.random_state(shape_a, rng)
-        ts.append(families[k % len(families)].value(e, rho))
-        seeds.append(int(rng.integers(2 ** 32)))
-    stacked = axioms.block_positivity_violation(
-        ts, 20, [np.random.default_rng(seed) for seed in seeds])
-    assert len(stacked) == len(ts)
+        t = families[k % len(families)].value(e, rho)
+        by_shape.setdefault(t.shape, []).append((t, int(rng.integers(2 ** 32))))
+    assert len(by_shape) == 4
     kinds = set()
-    for t, seed, (violation, witness) in zip(ts, seeds, stacked):
-        [(alone, alone_witness)] = axioms.block_positivity_violation(
-            [t], 20, [np.random.default_rng(seed)])
-        assert violation == alone
-        assert witness.keys() == alone_witness.keys()
-        if witness:
-            kinds.add(witness["kind"])
-            assert (witness["block"], witness["value"]) == (alone_witness["block"],
-                                                            alone_witness["value"])
-            assert np.array_equal(witness["vector_a"], alone_witness["vector_a"])
-            assert np.array_equal(witness["vector_b"], alone_witness["vector_b"])
-    assert any(len(t.data) > 1 for t in ts) and any(len(t.data) == 1 for t in ts)
+    for members in by_shape.values():
+        ts, seeds = zip(*members)
+        stacked = axioms.block_positivity_violation(
+            alg.stack(ts), 20, [np.random.default_rng(seed) for seed in seeds])
+        assert len(stacked) == len(ts)
+        for t, seed, (violation, witness) in zip(ts, seeds, stacked):
+            [(alone, alone_witness)] = axioms.block_positivity_violation(
+                alg.stack([t]), 20, [np.random.default_rng(seed)])
+            assert violation == alone
+            assert witness.keys() == alone_witness.keys()
+            if witness:
+                kinds.add(witness["kind"])
+                assert (witness["block"], witness["value"]) == (alone_witness["block"],
+                                                                alone_witness["value"])
+                assert np.array_equal(witness["vector_a"], alone_witness["vector_a"])
+                assert np.array_equal(witness["vector_b"], alone_witness["vector_b"])
+    assert {len(shape.dims) for shape in by_shape} == {1, 4}
     # right bloom's T is not hermitian, so the non-real-pairing search ran
     assert kinds == {"non-real pairing", "negative pairing"}
-    assert axioms.block_positivity_violation([], 20, []) == []
+
+
+def oracle_stack(shape: alg.AlgebraShape, rng: np.random.Generator) -> list[AlgebraElement]:
+    """Members of one shape whose blocks are, each on its own, positive,
+    indefinite hermitian, or either plus a skew part: hermitian,
+    non-hermitian and mixed members; every fourth one is positive."""
+    members = []
+    for k in range(24):
+        mats = []
+        for d in shape.dims:
+            g, s = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+            h = g @ g.conj().T if k % 4 == 0 or rng.random() < 0.5 else (g + g.conj().T) / 2
+            skewed = k % 4 == 2 or k % 4 != 0 and rng.random() < 0.3
+            mats.append(h + 0.5j * (s + s.conj().T) * skewed)
+        members.append(AlgebraElement(shape, mats))
+    return members
+
+
+def assert_same_search(got: list, want: list):
+    """Equal violations and witnesses, bit for bit and of the same types."""
+    assert len(got) == len(want)
+    for (violation, witness), (want_violation, want_witness) in zip(got, want):
+        assert type(violation) is float and violation == want_violation
+        assert witness.keys() == want_witness.keys()
+        for key in witness.keys() & {"block", "kind", "value"}:
+            assert witness[key] == want_witness[key]
+            assert type(witness[key]) is type(want_witness[key])
+        for key in witness.keys() & {"vector_a", "vector_b"}:
+            assert np.array_equal(witness[key], want_witness[key])
+
+
+@pytest.mark.parametrize("dims, blocky", [((2, 2), False), ((2, 2), True), ((2, 3), False),
+                                          ((2, 3), True)])
+def test_stacked_search_equals_the_looped_search(dims, blocky):
+    """The stacked set-up, one draw per member and its skew-flag groups,
+    against the element-by-element search with one draw per search: the
+    same values, witnesses and vectors bit for bit, and each generator left
+    at the same next draw; with ``_generators``' one reused generator too.
+    A zero member's pairings are 0 exactly, which is no violation."""
+    shape_a, shape_b = axioms._shapes(int(blocky), dims)
+    rng = rng_for("looped-search", 10 * dims[1] + blocky)
+    ts = [*oracle_stack(shape_a.tensor(shape_b), rng), alg.zero(shape_a.tensor(shape_b))]
+    for family in (sot.LeiferSpekkens(), sot.RightBloom()):
+        e = sampling.random_cptp(shape_a, shape_b, rng)
+        ts.append(family.value(e, sampling.random_state(shape_a, rng)))
+    keys = [[17, k] for k in range(len(ts))]
+    rngs = [np.random.default_rng(key) for key in keys]
+    want_rngs = [np.random.default_rng(key) for key in keys]
+    want = looped_block_positivity_violation(ts, 20, want_rngs)
+    assert_same_search(axioms.block_positivity_violation(alg.stack(ts), 20, rngs), want)
+    assert [r.random() for r in rngs] == [r.random() for r in want_rngs]
+    assert_same_search(axioms.block_positivity_violation(alg.stack(ts), 20,
+                                                         axioms._generators(keys)), want)
+    kinds = Counter(witness.get("kind") for _, witness in want)
+    patterns = {tuple(np.linalg.norm(mat - mat.conj().T) > 1e-10 for mat in t.data) for t in ts}
+    # hermitian, non-hermitian and (on blocky shapes) mixed members, every outcome
+    assert {all(p) for p in patterns} == {True, False}
+    assert any(any(p) and not all(p) for p in patterns) == blocky
+    assert set(kinds) == {None, "negative pairing", "non-real pairing"}
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_p2_column_equals_the_looped_search(monkeypatch, seed):
+    """The P2 column of the table, its verdicts in JSON, with the search
+    swapped for the element-by-element reference."""
+    config = axioms.CertifyConfig(trials=40, seed=seed)
+    got = axioms.table_report(config, properties=("P2",)).to_json()
+    monkeypatch.setattr(axioms, "block_positivity_violation",
+                        lambda t, starts, rngs: looped_block_positivity_violation(
+                            alg.unstack(t), starts, rngs))
+    want = axioms.table_report(config, properties=("P2",)).to_json()
+    assert json.dumps(got) == json.dumps(want)
+    assert {cell["status"] for cell in got["cells"]} == {"holds", "fails"}
 
 
 @pytest.mark.parametrize("mode", ["min", "absmax"])
@@ -365,7 +454,7 @@ def test_a_search_with_a_one_dimensional_factor_equals_the_full_search(m, n, mod
     rng = rng_for("one-dimensional-factor", 10 * m + n)
     g = rng.normal(size=(9, m * n, m * n)) + 1j * rng.normal(size=(9, m * n, m * n))
     blocks = (g + g.conj().swapaxes(1, 2)) / 2
-    a, b = map(np.stack, zip(*(axioms._unit_starts(rng, 20, m, n) for _ in blocks)))
+    a, b = map(np.stack, zip(*(unit_starts(rng, 20, m, n) for _ in blocks)))
     values, vectors_a, vectors_b = axioms._product_extremum(blocks, a, b, mode)
     want_values, want_a, want_b = full_product_extremum(blocks, a, b, mode)
     assert values == want_values
