@@ -306,42 +306,6 @@ def test_each_p7_trial_draws_and_checks_one_pair(monkeypatch):
 
 
 # ------------------------------------------------------- stacked P2 search
-def test_stacked_search_equals_singleton_searches():
-    """Each entry of one stacked call equals a call on that element alone,
-    bit for bit, over single-block and blocky shapes and non-hermitian T:
-    one stacked call per shape."""
-    families = (sot.LeiferSpekkens(), sot.RightBloom(), sot.SymmetricBloom(), sot.TRotated(0.3))
-    by_shape: dict = {}
-    for k in range(120):
-        rng = rng_for("stacked-search", k)
-        shape_a, shape_b = axioms._shapes(k, ((2, 3), (2, 2))[k % 3 == 0])
-        e = sampling.random_cptp(shape_a, shape_b, rng)
-        rho = sampling.random_state(shape_a, rng)
-        t = families[k % len(families)].value(e, rho)
-        by_shape.setdefault(t.shape, []).append((t, int(rng.integers(2 ** 32))))
-    assert len(by_shape) == 4
-    kinds = set()
-    for members in by_shape.values():
-        ts, seeds = zip(*members)
-        stacked = axioms.block_positivity_violation(
-            alg.stack(ts), 20, [np.random.default_rng(seed) for seed in seeds])
-        assert len(stacked) == len(ts)
-        for t, seed, (violation, witness) in zip(ts, seeds, stacked):
-            [(alone, alone_witness)] = axioms.block_positivity_violation(
-                alg.stack([t]), 20, [np.random.default_rng(seed)])
-            assert violation == alone
-            assert witness.keys() == alone_witness.keys()
-            if witness:
-                kinds.add(witness["kind"])
-                assert (witness["block"], witness["value"]) == (alone_witness["block"],
-                                                                alone_witness["value"])
-                assert np.array_equal(witness["vector_a"], alone_witness["vector_a"])
-                assert np.array_equal(witness["vector_b"], alone_witness["vector_b"])
-    assert {len(shape.dims) for shape in by_shape} == {1, 4}
-    # right bloom's T is not hermitian, so the non-real-pairing search ran
-    assert kinds == {"non-real pairing", "negative pairing"}
-
-
 def oracle_stack(shape: alg.AlgebraShape, rng: np.random.Generator) -> list[AlgebraElement]:
     """Members of one shape whose blocks are, each on its own, positive,
     indefinite hermitian, or either plus a skew part: hermitian,
@@ -371,6 +335,33 @@ def assert_same_search(got: list, want: list):
             assert np.array_equal(witness[key], want_witness[key])
 
 
+def test_stacked_search_equals_singleton_searches():
+    """Each entry of one stacked call equals a call on that element alone,
+    bit for bit, over single-block and blocky shapes and non-hermitian T:
+    one stacked call per shape."""
+    families = (sot.LeiferSpekkens(), sot.RightBloom(), sot.SymmetricBloom(), sot.TRotated(0.3))
+    by_shape: dict = {}
+    for k in range(120):
+        rng = rng_for("stacked-search", k)
+        shape_a, shape_b = axioms._shapes(k, ((2, 3), (2, 2))[k % 3 == 0])
+        e = sampling.random_cptp(shape_a, shape_b, rng)
+        rho = sampling.random_state(shape_a, rng)
+        t = families[k % len(families)].value(e, rho)
+        by_shape.setdefault(t.shape, []).append((t, int(rng.integers(2 ** 32))))
+    assert len(by_shape) == 4
+    kinds = set()
+    for members in by_shape.values():
+        ts, seeds = zip(*members)
+        stacked = axioms.block_positivity_violation(
+            alg.stack(ts), 20, [np.random.default_rng(seed) for seed in seeds])
+        assert_same_search(stacked, [axioms.block_positivity_violation(
+            alg.stack([t]), 20, [np.random.default_rng(seed)])[0] for t, seed in members])
+        kinds.update(witness["kind"] for _, witness in stacked if witness)
+    assert {len(shape.dims) for shape in by_shape} == {1, 4}
+    # right bloom's T is not hermitian, so the non-real-pairing search ran
+    assert kinds == {"non-real pairing", "negative pairing"}
+
+
 @pytest.mark.parametrize("dims, blocky", [((2, 2), False), ((2, 2), True), ((2, 3), False),
                                           ((2, 3), True)])
 def test_stacked_search_equals_the_looped_search(dims, blocky):
@@ -393,12 +384,12 @@ def test_stacked_search_equals_the_looped_search(dims, blocky):
     assert [r.random() for r in rngs] == [r.random() for r in want_rngs]
     assert_same_search(axioms.block_positivity_violation(alg.stack(ts), 20,
                                                          axioms._generators(keys)), want)
-    kinds = Counter(witness.get("kind") for _, witness in want)
+    kinds = {witness.get("kind") for _, witness in want}
     patterns = {tuple(np.linalg.norm(mat - mat.conj().T) > 1e-10 for mat in t.data) for t in ts}
     # hermitian, non-hermitian and (on blocky shapes) mixed members, every outcome
     assert {all(p) for p in patterns} == {True, False}
     assert any(any(p) and not all(p) for p in patterns) == blocky
-    assert set(kinds) == {None, "negative pairing", "non-real pairing"}
+    assert kinds == {None, "negative pairing", "non-real pairing"}
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
