@@ -64,9 +64,16 @@ class CertifyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, value in (("trials", self.trials), ("seed", self.seed)):
+            if not _is_count(value, 0):
+                raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+        if not (isinstance(self.dims, (tuple, list)) and len(self.dims) == 2
+                and all(_is_count(d, 1) for d in self.dims)):
+            raise ValidationError(f"dims must be a pair of positive integers, got {self.dims!r}")
+
+
+def _is_count(value, least: int) -> bool:  # an integer, not a bool, of at least ``least``
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -263,12 +270,12 @@ def _extreme_eigvecs(q: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      mode: str) -> tuple[list[float], np.ndarray, np.ndarray]:
+                      mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimize ⟨a⊗b|block|a⊗b⟩ over unit product vectors by eight rounds of
     alternating eigensolves (fixing one factor leaves a hermitian form in
     the other), for a stack of (m·n)×(m·n) blocks from start vectors a
     (jobs, starts, m) and b (jobs, starts, n).  Returns each block's best
-    value and vectors.
+    value (jobs,) and vectors (jobs, m) and (jobs, n).
 
     ``mode`` 'min' minimizes the (real) pairing of a hermitian block;
     'absmax' maximizes |pairing| of a hermitian block.
@@ -290,22 +297,7 @@ def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
     vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
     best = (np.arange(jobs), pick)
-    return vals[best].tolist(), a[best], b[best]
-
-
-def _factors(t: AlgebraElement) -> tuple[AlgebraShape, AlgebraShape]:
-    if t.shape.factors is None:
-        raise InapplicableError("local positivity needs a tensor-shaped element")
-    return t.shape.factors
-
-
-def _start_vectors(z: np.ndarray, starts: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start vectors a (rows, starts, m) and b (rows, starts, n), not yet
-    normalised, from draws z (rows, 2·starts·(m + n)): the real, then
-    imaginary parts of a, then those of b."""
-    a = z[:, :2 * starts * m].reshape(-1, 2, starts, m)
-    b = z[:, 2 * starts * m:].reshape(-1, 2, starts, n)
-    return a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1]
+    return vals[best], a[best], b[best]
 
 
 def block_positivity_violation(t: AlgebraElement, starts: int,
@@ -314,65 +306,55 @@ def block_positivity_violation(t: AlgebraElement, starts: int,
     """For each member of the stack t, the largest found violation of
     ⟨a⊗b|T|a⊗b⟩ being real and non-negative, with its witness.
 
-    A non-hermitian block is probed for product vectors with a non-real
-    pairing first; the hermitian part is then minimized over product
-    vectors.  ``rngs`` holds one generator per member, or the call raises.
-    Member k draws the start vectors of all its searches from the k-th in
-    one ``normal`` call, before the next generator is taken: block by
-    block, the skew part's before the hermitian part's.  Members with one
-    pattern of non-hermitian blocks slice their draws alike, so the
-    searches of all members run as stacks, one per (mode, m, n), each
-    stack's start vectors normalised at once; every stacked entry is
-    computed as it would be alone, so a member's result does not depend on
-    the others in the stack.
+    Each block has two searches, in draw order: its skew part is probed for
+    product vectors with a non-real pairing, then its hermitian part is
+    minimized.  A table of members × searches says which run: a skew search
+    where the skew part is nonzero, a hermitian one always.  ``rngs`` holds
+    one generator per member, or the call raises; member k draws the start
+    vectors of its running searches from the k-th in one ``normal`` call,
+    before the next generator is taken.  The searches run as stacks, one
+    per (mode, m, n); every stacked entry is computed as it would be alone.
+    A member's witness is its first search of the largest positive size.
     """
-    factor_a, factor_b = _factors(t)
-    dims = [(factor_a.dims[i], factor_b.dims[j]) for i, j in t.shape.pairs]
-    herms = [(mat + mat.conj().swapaxes(-1, -2)) / 2 for mat in t.data]
-    skews = [(mat - mat.conj().swapaxes(-1, -2)) / 2j for mat in t.data]
-    skewed = np.stack([np.linalg.norm(skew, axis=(-2, -1)) > HERM_TOL for skew in skews], axis=1)
-    lengths = np.array([2 * starts * (m + n) for m, n in dims])  # of one search's draws
-    draws = [rng.normal(size=length) for rng, length in
-             zip(rngs, (lengths.sum() + skewed @ lengths).tolist(), strict=True)]
-    groups: dict[tuple, list[int]] = {}  # the members of each pattern of skewed blocks
-    rows = []  # each member's row among them
-    for k, pattern in enumerate(map(tuple, skewed.tolist())):
-        rows.append(len(members := groups.setdefault(pattern, [])))
-        members.append(k)
-    searches = []  # (members, block label, mode, blocks, start vectors a, b)
-    for pattern, members in groups.items():
-        z, offset = np.stack([draws[k] for k in members]), 0
-        for (m, n), label, on, length, skew, herm in zip(dims, t.shape.labels, pattern,
-                                                        lengths.tolist(), skews, herms):
-            for mode, block in [("absmax", skew)] * on + [("min", herm)]:
-                searches.append((members, label, mode, block[members],
-                                 *_start_vectors(z[:, offset:offset + length], starts, m, n)))
-                offset += length
-    stacks: dict[tuple, list[int]] = {}
-    for index, (_, _, mode, _, a, b) in enumerate(searches):
-        stacks.setdefault((mode, a.shape[2], b.shape[2]), []).append(index)
-    found = [None] * len(searches)
-    for (mode, _, _), indices in stacks.items():
-        blocks, a, b = (np.concatenate([searches[i][f] for i in indices]) for f in (3, 4, 5))
+    if t.shape.factors is None:
+        raise InapplicableError("local positivity needs a tensor-shaped element")
+    factor_a, factor_b = t.shape.factors
+    searches = [((mode, factor_a.dims[i], factor_b.dims[j]), label, part)
+                for label, (i, j), mat in zip(t.shape.labels, t.shape.pairs, t.data)
+                for mode, part in (("absmax", (mat - mat.conj().swapaxes(-1, -2)) / 2j),
+                                   ("min", (mat + mat.conj().swapaxes(-1, -2)) / 2))]
+    runs = np.stack([np.linalg.norm(part, axis=(-2, -1)) > HERM_TOL if mode == "absmax"
+                     else np.ones(len(part), bool) for (mode, *_), _, part in searches], axis=1)
+    lengths = np.array([2 * starts * (m + n) for (_, m, n), *_ in searches])  # of one's draws
+    ends = np.cumsum(runs * lengths, axis=1)  # of each search's draws within its member's
+    draws = [rng.normal(size=end) for rng, end in zip(rngs, ends[:, -1].tolist(), strict=True)]
+    z = np.concatenate(draws)
+    firsts = (np.cumsum(ends[:, -1]) - ends[:, -1])[:, None] + ends - lengths  # of each in z
+    stacks: dict[tuple, list[int]] = {}  # the searches that run anywhere, by (mode, m, n)
+    for s in np.flatnonzero(runs.any(axis=0)).tolist():
+        stacks.setdefault(searches[s][0], []).append(s)
+    sizes, at, found = np.zeros(runs.shape), np.zeros(runs.shape, dtype=int), {}
+    for (mode, m, n), columns in stacks.items():
+        local, rows = np.nonzero(runs[:, columns].T)  # search by search, members in order
+        cols = np.array(columns)[local]
+        blocks = np.stack([searches[s][2] for s in columns], axis=1)[rows, local]
+        draw = z[firsts[rows, cols, None] + np.arange(2 * starts * (m + n))]
+        a = draw[:, :2 * starts * m].reshape(-1, 2, starts, m)  # real, then imaginary parts
+        b = draw[:, 2 * starts * m:].reshape(-1, 2, starts, n)
+        a, b = (w[:, 0] + 1j * w[:, 1] for w in (a, b))
         a, b = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (a, b))
-        values, a, b = _product_extremum(blocks, a, b, mode)
-        bounds = np.cumsum([len(searches[i][0]) for i in indices])[:-1]
-        for i, *result in zip(indices, *(np.split(np.asarray(v), bounds) for v in (values, a, b))):
-            found[i] = result
-    # each member's first search of the largest violation, if it is positive
-    best, pick = np.zeros(len(draws)), np.full(len(draws), -1)
-    for index, ((members, _, mode, *_), (values, _, _)) in enumerate(zip(searches, found)):
-        size = np.abs(values) if mode == "absmax" else -values
-        better = size > best[members]
-        best[members] = np.where(better, size, best[members])
-        pick[members] = np.where(better, index, pick[members])
-    out = []
-    for size, index, row in zip(best.tolist(), pick.tolist(), rows):
-        if index < 0:
+        found[mode, m, n] = values, a, b = _product_extremum(blocks, a, b, mode)
+        sizes[rows, cols] = np.abs(values) if mode == "absmax" else -values
+        at[rows, cols] = np.arange(len(rows))
+    out = []  # argmax takes the first largest, as the sizes are finite
+    for k, (s, size) in enumerate(zip(np.argmax(sizes, axis=1).tolist(),
+                                      sizes.max(axis=1).tolist())):
+        if not size > 0:
             out.append((0.0, {}))
             continue
-        (_, label, mode, *_), (values, a, b) = searches[index], found[index]
-        kind = "non-real pairing" if mode == "absmax" else "negative pairing"
+        key, label, _ = searches[s]
+        (values, a, b), row = found[key], at[k, s]
+        kind = "non-real pairing" if key[0] == "absmax" else "negative pairing"
         out.append((size, {"block": str(label), "kind": kind, "value": values[row].item(),
                            "vector_a": a[row], "vector_b": b[row]}))
     return out

@@ -542,7 +542,7 @@ def sequential_certify(family: sot.SotFamily, prop: str,
 
 
 def full_product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
-                          mode: str) -> tuple[list[float], np.ndarray, np.ndarray]:
+                          mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference for ``axioms._product_extremum``: eight rounds of
     alternating eigensolves from every start, for every factor dimension,
     each round's forms and eigenvectors taken from the library's round
@@ -557,7 +557,7 @@ def full_product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
     vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
     best = (np.arange(jobs), pick)
-    return vals[best].tolist(), a[best], b[best]
+    return vals[best], a[best], b[best]
 
 
 def unit_starts(rng: np.random.Generator, starts: int, m: int,
@@ -593,7 +593,8 @@ def looped_block_positivity_violation(ts: list[AlgebraElement], starts: int,
     for (mode, _, _), indices in groups.items():
         blocks, a, b = (np.stack([jobs[i][f] for i in indices]) for f in (3, 4, 5))
         a, b = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (a, b))
-        for i, result in zip(indices, zip(*axioms._product_extremum(blocks, a, b, mode))):
+        values, a, b = axioms._product_extremum(blocks, a, b, mode)
+        for i, result in zip(indices, zip(values.tolist(), a, b)):
             found[i] = result
     out = [(0.0, {}) for _ in ts]
     for (k, label, mode, *_), (val, a, b) in zip(jobs, found):

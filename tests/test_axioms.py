@@ -89,6 +89,29 @@ def test_a_non_negative_integer_seed_is_kept(seed):
     assert axioms.CertifyConfig(seed=seed).seed == seed
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("trials", 2.5, "trials must be a non-negative integer"),
+    ("trials", True, "trials must be a non-negative integer"),
+    ("trials", "3", "trials must be a non-negative integer"),
+    ("trials", -1, "trials must be a non-negative integer"),
+    ("dims", (2,), "dims must be a pair of positive integers"),
+    ("dims", (2, 0), "dims must be a pair of positive integers"),
+    ("dims", (2, True), "dims must be a pair of positive integers"),
+    ("dims", (2, 2.0), "dims must be a pair of positive integers"),
+    ("dims", (2, 2, 2), "dims must be a pair of positive integers"),
+    ("dims", 2, "dims must be a pair of positive integers"),
+])
+def test_bad_trials_or_dims_are_refused_when_the_config_is_built(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        axioms.CertifyConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("trials", 0), ("trials", np.int64(3)),
+                                          ("dims", (2, 3)), ("dims", (np.int64(3), 1))])
+def test_integer_trials_and_dims_are_kept(field, value):
+    assert getattr(axioms.CertifyConfig(**{field: value}), field) == value
+
+
 def test_certify_unknown_property_rejected():
     with pytest.raises(InapplicableError):
         axioms.certify(sot.LeiferSpekkens(), "P99", FAST)
@@ -169,6 +192,20 @@ def test_block_positivity_violation_zero_on_separable_states(rng):
     [(violation, _)] = axioms.block_positivity_violation(alg.stack([alg.tensor(a, b)]), 20,
                                                          [rng])
     assert violation < 1e-12
+
+
+def test_block_positivity_violation_takes_the_first_search_of_a_tie():
+    """On C²⊗C² every block is 1×1, so each search finds the block's entry
+    exactly.  A tie goes to the first search in draw order: block by block,
+    the skew part's before the hermitian part's; no positive size is no
+    violation."""
+    shape = alg.classical_algebra(2, "a").tensor(alg.classical_algebra(2, "b"))
+    t = alg.diagonal_element(shape, [[-1, -1, -1, -1], [1j, -1, 2, 3], [1, 2, 3, 4]])
+    found = axioms.block_positivity_violation(t, 20, [np.random.default_rng(k) for k in range(3)])
+    assert [(size, witness.get("block"), witness.get("kind"), witness.get("value"))
+            for size, witness in found] == [(1.0, "('a0', 'b0')", "negative pairing", -1.0),
+                                            (1.0, "('a0', 'b0')", "non-real pairing", 1.0),
+                                            (0.0, None, None, None)]
 
 
 @pytest.mark.parametrize("generators", [1, 3])
@@ -365,10 +402,10 @@ def test_stacked_search_equals_singleton_searches():
 @pytest.mark.parametrize("dims, blocky", [((2, 2), False), ((2, 2), True), ((2, 3), False),
                                           ((2, 3), True)])
 def test_stacked_search_equals_the_looped_search(dims, blocky):
-    """The stacked set-up, one draw per member and its skew-flag groups,
-    against the element-by-element search with one draw per search: the
-    same values, witnesses and vectors bit for bit, and each generator left
-    at the same next draw; with ``_generators``' one reused generator too.
+    """The stacked set-up, one draw per member and its members × searches
+    table, against the element-by-element search with one draw per search:
+    the same values, witnesses and vectors bit for bit, and each generator
+    left at the same next draw; with ``_generators``' one reused generator too.
     A zero member's pairings are 0 exactly, which is no violation."""
     shape_a, shape_b = axioms._shapes(int(blocky), dims)
     rng = rng_for("looped-search", 10 * dims[1] + blocky)
@@ -448,7 +485,7 @@ def test_a_search_with_a_one_dimensional_factor_equals_the_full_search(m, n, mod
     a, b = map(np.stack, zip(*(unit_starts(rng, 20, m, n) for _ in blocks)))
     values, vectors_a, vectors_b = axioms._product_extremum(blocks, a, b, mode)
     want_values, want_a, want_b = full_product_extremum(blocks, a, b, mode)
-    assert values == want_values
+    assert np.array_equal(values, want_values)
     assert np.array_equal(vectors_a, want_a) and np.array_equal(vectors_b, want_b)
 
 

@@ -378,7 +378,7 @@ def test_certify_negative_trials_is_validation(capsys):
     assert run(args + ["--trials", "-5"]) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("validation error: --trials") and "-5" in captured.err
+    assert captured.err.startswith("validation error: trials must be") and "-5" in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert run(args + ["--trials", "0"]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -388,6 +388,14 @@ def test_certify_negative_trials_is_validation(capsys):
     jsonschema.Draft202012Validator(schema).validate(doc)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.Draft202012Validator(schema).validate({**doc, "trials": -5})
+
+
+@pytest.mark.parametrize("option, names", [("--families", "uncorrelated,"),
+                                           ("--properties", "P1,")])
+def test_an_empty_certify_name_is_quoted(option, names, capsys):
+    """A trailing comma names the empty string, which the message shows."""
+    assert run(["certify", option, names, "--trials", "1"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: unknown {option[2:]}: ''\n"
 
 
 @pytest.mark.parametrize("command", ["sot", "bayes", "certify"])
