@@ -266,6 +266,8 @@ class AlgebraElement:
 
 def stack(elements: Sequence[AlgebraElement]) -> AlgebraElement:
     """Elements of one shape as one stack, along a new first axis."""
+    if not elements or any(a.shape != elements[0].shape for a in elements):
+        raise ShapeMismatchError("a stack needs one or more elements of one shape")
     return AlgebraElement._of(elements[0].shape,
                               (np.stack(blocks) for blocks in zip(*(a.data for a in elements))))
 

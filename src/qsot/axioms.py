@@ -137,6 +137,17 @@ def _hash_constants(init: int, multiplier: int, count: int) -> np.ndarray:
     return column
 
 
+@cache
+def _pass_constants() -> np.ndarray:
+    """The chains (4, 5, 1) of the row passes, read-only: pass r hashes its
+    word with constants 4 + 3r on, one per other row, and repeats one at its
+    own row, whose result it puts back."""
+    chains = _hash_constants(0x43B0D7E5, 0x931E8875, 17)[
+        [[*range(4 + 3 * r, 5 + 4 * r), *range(4 + 4 * r, 8 + 3 * r)] for r in range(4)]]
+    chains.flags.writeable = False
+    return chains
+
+
 def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
     """SeedSequence's hashmix, one call per row: row i xors constants[i]
     and multiplies by constants[i + 1], the constant the call before it
@@ -177,9 +188,10 @@ def _pcg64_states(keys: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
         pool = np.zeros((4, len(indices)), dtype=np.uint32)
         pool[:min(length, 4)] = words[:4]
         pool = _hashmix(pool, c[:5])
-        for row in range(4):  # pool word ``row`` into each other one, in order
-            others, k = [r for r in range(4) if r != row], 4 + 3 * row
-            pool[others] = _mix(pool[others], _hashmix(pool[row], c[k:k + 4]))
+        for row, constants in enumerate(_pass_constants()):  # word ``row`` into the others
+            mixed = _mix(pool, _hashmix(pool[row], constants))
+            mixed[row] = pool[row]
+            pool = mixed
         for k, word in zip(range(16, len(c), 4), words[4:]):  # later words into all four
             pool = _mix(pool, _hashmix(word, c[k:k + 5]))
         # generate_state(4, uint64): little-endian word pairs (seed hi, lo, inc hi, lo)
@@ -215,11 +227,18 @@ def _interned_shapes(d_a: int, d_b: int) -> tuple[AlgebraShape, ...]:
             AlgebraShape((("b0", d_b), ("b1", 1))))
 
 
-def _shapes(trial: int, dims: tuple[int, int]) -> tuple[AlgebraShape, AlgebraShape]:
-    """The source and target of a trial, for every family alike: M_{d_a} →
-    M_{d_b} on even trials, M_{d_a} ⊕ M_1 → M_{d_b} ⊕ M_1 on odd ones."""
-    a, b, _, blocky_a, blocky_b = _interned_shapes(*dims)
-    return (a, b) if trial % 2 == 0 else (blocky_a, blocky_b)
+def _group(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig) -> tuple:
+    """A trial's group key, from its index alone: its source and target, for
+    every family alike M_{d_a} → M_{d_b} on even trials and M_{d_a} ⊕ M_1 →
+    M_{d_b} ⊕ M_1 on odd ones (A's legs A → B → C on single blocks), and for
+    P7 the construction and the prior filter."""
+    a, b, c, blocky_a, blocky_b = _interned_shapes(*config.dims)
+    if prop == "A":
+        return a, b, c
+    sa, sb = (a, b) if trial % 2 == 0 else (blocky_a, blocky_b)
+    if prop == "P7":
+        return sa, sb, sot.classical_limit_kind(sa, trial // 2, family.compound), family.compound
+    return sa, sb
 
 
 # -------------------------------------------------------- product-vector search
@@ -405,63 +424,67 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
 MIXED = {"P4": ("rho2",), "P5": ("e2",), "P6": ("rho2", "e2")}
 
 
-def _draw(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig,
-          rng: np.random.Generator) -> tuple[tuple, dict]:
-    """The group key and raw inputs of one trial, drawn from ``rng`` in a
-    fixed order: the raw Gaussians and Dirichlet weights of its maps and
-    states.  The key holds what they are finished on: the shapes A, B (and
-    C for A's second map) and, for P7, the construction and the prior
-    filter.  Raises if the trial has no instance."""
+def _plan(family: sot.SotFamily, prop: str, group: tuple, config: CertifyConfig) -> list:
+    """Each input of a group's trials in draw order: (name, its ``sampling.draw``
+    plan, the step that finishes its draws stacked along a first axis)."""
+    sa, sb = group[:2]
+    if prop == "P7":
+        return [("pair", sot.classical_limit_plan(*group[:3]),
+                 lambda draws: sot.classical_limits(*group[:3], draws, group[3]))]
+    state = sampling.state_planes(sa), lambda draws: sampling.state(sa, draws)
+    channel = sampling.cptp_planes(sa, sb), lambda draws: sampling.cptp(sa, sb, draws)
     if prop == "A":
-        a, b, c = _interned_shapes(*config.dims)[:3]
+        c = group[2]
         # Entanglement-breaking first legs keep every intermediate second
         # argument PSD, so non-state-linear families stay evaluable.
-        e = (sampling.draw_cptp(a, b, rng) if family.state_linear
-             else sampling.random_measure_prepare(a, b, config.dims[0] ** 2, rng))
-        return (a, b, c), {"e": e, "f": sampling.draw_cptp(b, c, rng),
-                           "rho": sampling.draw_state(a, rng)}
-    sa, sb = _shapes(trial, config.dims)
-    if prop == "P7":
-        kind, draws = sot.draw_classical_limit(sa, sb, rng, trial // 2,
-                                               nondegenerate_prior=family.compound)
-        return (sa, sb, kind, family.compound), {"pair": draws}
-    raw = {"e": sampling.draw_cptp(sa, sb, rng), "rho": sampling.draw_state(sa, rng)}
-    if prop in MIXED:
-        raw["lambda"] = rng.uniform(0.2, 0.8)
-        for key in MIXED[prop]:
-            raw[key] = (sampling.draw_state(sa, rng) if key == "rho2"
-                        else sampling.draw_cptp(sa, sb, rng))
-    if prop == "P2":
-        raw["search_seed"] = int(rng.integers(2 ** 32))
-    return (sa, sb), raw
+        e = channel if family.state_linear else (
+            sampling.measure_prepare_planes(sa, sb, config.dims[0] ** 2),
+            lambda draws: maps.stack([sampling.measure_prepare(sa, sb, m) for m in zip(*draws)]))
+        f = sampling.cptp_planes(sb, c), lambda draws: sampling.cptp(sb, c, draws)
+        return [("e", *e), ("f", *f), ("rho", *state)]
+    column = lambda draws: draws[0].tolist()
+    return [("e", *channel), ("rho", *state),
+            *([("lambda", (("uniform", 0.2, 0.8),), column)] if prop in MIXED else []),
+            *((key, *(state if key == "rho2" else channel)) for key in MIXED.get(prop, ())),
+            *([("search_seed", (("integers", 2 ** 32),), column)] if prop == "P2" else [])]
 
 
-def _finish(raws: list[dict], group: tuple = ()) -> tuple[dict, list[Exception | None]]:
-    """The stacked instance of the unrefused trials of one group key, and each
-    trial's refusal (None if it has none; only P7's classical-limit pairs can
-    be refused): maps and states are stacked, raw draws finished as stacks on
-    what the key holds, and other inputs kept as lists."""
-    out, refusals = {}, [None] * len(raws)
-    for name in raws[0]:
-        column = [raw[name] for raw in raws]
-        if isinstance(column[0], LinearMap):
-            out[name] = maps.stack(column)
-        elif isinstance(column[0], AlgebraElement):
-            out[name] = alg.stack(column)
-        elif name in ("e", "e2", "f", "rho", "rho2", "pair"):
-            draws = tuple(map(np.stack, zip(*column)))
-            if name == "pair":
-                sa, sb, kind, nondegenerate = group
-                e, rho, refusals = sot.classical_limits(sa, sb, kind, draws, nondegenerate)
-                kept = [refusal is None for refusal in refusals]
-                out["e"] = LinearMap._of(e.source, e.target, e.matrix[kept])
-                out["rho"] = AlgebraElement._of(rho.shape, (block[kept] for block in rho.data))
-            elif name in ("rho", "rho2"):
-                out[name] = sampling.state(group[0], draws)
-            else:
-                out[name] = sampling.cptp(*(group[1:3] if name == "f" else group[:2]), draws)
-        else:
-            out[name] = column
+def _draw(family: sot.SotFamily, prop: str, group: tuple, config: CertifyConfig,
+          rngs: Iterator[np.random.Generator], members: int) -> tuple[dict, list]:
+    """The stacked instance of ``members`` trials of one group key, each
+    drawn from the next generator of ``rngs``, and each trial's refusal
+    (None if it has none; only P7's classical-limit pairs can be refused).
+
+    The trials draw one plan, so by column: each generator call of the plan
+    (a run of Gaussian planes is one ``normal`` call) fills the trial's row of
+    its own (members, ...) array, and each input is finished as one stack
+    from column views of those arrays.
+    """
+    inputs = _plan(family, prop, group, config)
+    entries = [entry for _, plan, _ in inputs for entry in plan]
+    calls, at = [], []  # (method, args) of each generator call; each entry's call, offset
+    for entry in entries:
+        gaussian = not isinstance(entry[0], str)
+        if not (gaussian and calls and calls[-1][0] == "normal"):
+            calls.append(("normal", [0.0, 1.0, 0]) if gaussian else (entry[0], entry[1:]))
+        at.append((len(calls) - 1, calls[-1][1][2] if gaussian else None))
+        if gaussian:
+            calls[-1][1][2] += int(np.prod(entry))
+    arrays = [None] * len(calls)
+    for row, rng in zip(range(members), rngs):
+        for k, (method, args) in enumerate(calls):
+            value = getattr(rng, method)(*args)
+            if row == 0:
+                arrays[k] = np.empty_like(value, shape=(members, *np.shape(value)))
+            arrays[k][row] = value
+    columns = iter([arrays[k] if offset is None else
+                    arrays[k][:, offset:offset + int(np.prod(entry))].reshape(members, *entry)
+                    for entry, (k, offset) in zip(entries, at)])
+    out, refusals = {}, [None] * members
+    for name, plan, finish in inputs:
+        out[name] = finish(tuple(next(columns) for _ in plan))
+    if "pair" in out:  # P7: the kept pairs' stacks, and every pair's refusal
+        out["e"], out["rho"], refusals = out.pop("pair")
     return out, refusals
 
 
@@ -514,9 +537,12 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
 
 
 def _violation(family: sot.SotFamily, prop: str, instance: dict) -> tuple[float, dict]:
-    """Return (violation, extra-witness-data) for one instance: the
-    violations of its stack of one."""
-    return _violations(family, prop, _finish([instance])[0])[0]
+    """Return (violation, extra-witness-data) for one finished instance: the
+    violations of its stack of one, its other inputs as lists."""
+    return _violations(family, prop, {
+        name: maps.stack([value]) if isinstance(value, LinearMap) else
+        alg.stack([value]) if isinstance(value, AlgebraElement) else [value]
+        for name, value in instance.items()})[0]
 
 
 def _perturb(instance: dict, scale: float, rng: np.random.Generator) -> dict:
@@ -546,28 +572,24 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
     the stacked instance that holds the trial, its position there), or an
     exception.
 
-    Each trial draws from its own generator, all of them seeded in one
-    pass; a draw that raises is that trial's outcome.  The trials of one
-    group key are then finished as one stack, and a refused trial's refusal
-    is its outcome.  The other trials of that stack are evaluated as it is.
-    If that raises, each finished member is evaluated alone: it equals its
+    The trials are grouped by key before anything is drawn; all their
+    generators are seeded in one pass, and each group is drawn by column
+    and finished as one stack (``_draw``).  A refused trial's refusal is its
+    outcome; the other trials of that stack are evaluated as it is.  If
+    that raises, each finished member is evaluated alone: it equals its
     trial drawn alone, so every trial gets the outcome it has alone,
     exception included.
     """
     outcomes: list = [None] * len(keys)
-    groups: dict[tuple, list[tuple[int, dict]]] = {}
-    for index, (trial, rng) in enumerate(zip(trials, _generators(keys))):
-        try:
-            group, raw = _draw(family, prop, trial, config, rng)
-        except Exception as exc:  # settled when the sweep reaches the trial
-            outcomes[index] = exc
-            continue
-        groups.setdefault(group, []).append((index, raw))
-    for group, members in groups.items():
-        instance, refusals = _finish([raw for _, raw in members], group)
-        for (index, _), refusal in zip(members, refusals):
+    groups: dict[tuple, list[int]] = {}
+    for index, trial in enumerate(trials):
+        groups.setdefault(_group(family, prop, trial, config), []).append(index)
+    rngs = _generators([keys[index] for indices in groups.values() for index in indices])
+    for group, indices in groups.items():
+        instance, refusals = _draw(family, prop, group, config, rngs, len(indices))
+        for index, refusal in zip(indices, refusals):
             outcomes[index] = refusal
-        if not (indices := [index for index, _ in members if outcomes[index] is None]):
+        if not (indices := [index for index in indices if outcomes[index] is None]):
             continue
         try:
             found = _violations(family, prop, instance)

@@ -306,6 +306,8 @@ def channel_state(e: LinearMap) -> AlgebraElement:
 
 def stack(es: Sequence[LinearMap]) -> LinearMap:
     """Maps of one source and target as one stack, along a new first axis."""
+    if not es or any((e.source, e.target) != (es[0].source, es[0].target) for e in es):
+        raise ShapeMismatchError("a stack needs one or more maps of one source and target")
     return LinearMap._of(es[0].source, es[0].target, np.stack([e.matrix for e in es]))
 
 

@@ -5,14 +5,15 @@ weights come out random); channels are sampled by Stinespring dilation with a
 random isometry and environment dimension twice the output dimension.  All
 functions take an explicit numpy Generator so every trial is replayable.
 
-States and channels come in two steps: ``draw_*`` takes the raw Gaussians
-from the generator, and ``state``/``cptp`` finish them.  A raw Ginibre
-matrix is its real and imaginary planes (2, rows, cols), drawn in one call;
-``Generator.normal`` fills values in order, so these are the values of a
-real-part draw followed by an imaginary-part one.  The finishing steps take
-draws with common leading axes, form the complex matrices once per stack and
-return the stack of their results, each computed as it would be alone, so
-``random_state`` and ``random_cptp`` are the one-draw case.
+An instance is drawn, then finished.  A raw Ginibre matrix is its real and
+imaginary planes (2, rows, cols); ``*_planes`` give their shapes.  As
+``Generator.normal`` fills values in order, a run of planes is one call of
+their total size: ``draw`` makes a call per plane, a caller with many trials
+one per run, into the trial's row of a (trials, width) array.  The finishing
+steps take draws with common leading axes (such an array's column views),
+form the complex matrices once per stack and return the stack of results,
+each as it would be alone: ``random_state`` and ``random_cptp`` are the
+one-draw case.
 """
 from __future__ import annotations
 
@@ -33,14 +34,28 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
     return _complex(rng.normal(size=(2, rows, cols)))
 
 
-def draw_state(shape: AlgebraShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The Gaussians of a random state: the planes of one square Ginibre
-    matrix per block."""
-    return tuple(rng.normal(size=(2, d, d)) for d in shape.dims)
+def state_planes(shape: AlgebraShape) -> tuple[tuple[int, int, int], ...]:
+    """The plane shapes of a random state: one square Ginibre matrix per block."""
+    return tuple((2, d, d) for d in shape.dims)
+
+
+def cptp_planes(source: AlgebraShape, target: AlgebraShape) -> tuple[tuple[int, int, int], ...]:
+    """The plane shapes of a random channel: per source block x, (⊕_y n_y)·env_x
+    rows and m_x columns, env_x = 2 unless the block needs more."""
+    d_out = target.total_dim
+    # an isometry needs at least as many rows as columns
+    return tuple((2, d_out * max(2, -(-mx // d_out)), mx) for mx in source.dims)
+
+
+def draw(plan: tuple, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The draws of ``plan`` from ``rng`` in order: a shape is one ``normal``
+    call of that size, an entry (method, *args) that generator call."""
+    return tuple(getattr(rng, entry[0])(*entry[1:]) if isinstance(entry[0], str)
+                 else rng.normal(size=entry) for entry in plan)
 
 
 def state(shape: AlgebraShape, draws: tuple[np.ndarray, ...]) -> AlgebraElement:
-    """The density matrix ⊕ GG†/tr of ``draw_state``'s matrices."""
+    """The density matrix ⊕ GG†/tr of ``state_planes``' matrices."""
     mats = [g @ g.conj().swapaxes(-1, -2) for g in map(_complex, draws)]
     total = sum(np.trace(m, axis1=-2, axis2=-1).real for m in mats)
     total = np.asarray(total)[..., None, None]
@@ -49,7 +64,7 @@ def state(shape: AlgebraShape, draws: tuple[np.ndarray, ...]) -> AlgebraElement:
 
 def random_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
     """Ginibre random density matrix, full rank (faithful)."""
-    return state(shape, draw_state(shape, rng))
+    return state(shape, draw(state_planes(shape), rng))
 
 
 def random_hermitian(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
@@ -78,19 +93,9 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return isometry(ginibre(rng, rows, cols))
 
 
-def draw_cptp(source: AlgebraShape, target: AlgebraShape,
-              rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The Gaussians of a random channel: the planes of one Ginibre matrix
-    per source block x, with (⊕_y n_y)·env_x rows and m_x columns, env_x = 2
-    unless the block needs more."""
-    d_out = target.total_dim
-    # an isometry needs at least as many rows as columns
-    return tuple(rng.normal(size=(2, d_out * max(2, -(-mx // d_out)), mx)) for mx in source.dims)
-
-
 def cptp(source: AlgebraShape, target: AlgebraShape,
          draws: tuple[np.ndarray, ...]) -> LinearMap:
-    """The channel of ``draw_cptp``'s matrices: each becomes an isometry
+    """The channel of ``cptp_planes``' matrices: each becomes an isometry
     V_x : C^{m_x} → (⊕_y C^{n_y})⊗C^env_x, whose row-blocks are Kraus
     operators into every target block."""
     kraus = []
@@ -106,13 +111,9 @@ def cptp(source: AlgebraShape, target: AlgebraShape,
 
 def random_cptp(source: AlgebraShape, target: AlgebraShape,
                 rng: np.random.Generator) -> LinearMap:
-    """Random CPTP map via isometry dilation, one Stinespring per source block.
-
-    For each source block x an isometry V_x : C^{m_x} → (⊕_y C^{n_y})⊗C^env_x
-    is drawn; its row-blocks give Kraus operators into every target block, so
-    the sampled channel has generically full support across all components.
-    """
-    return cptp(source, target, draw_cptp(source, target, rng))
+    """Random CPTP map via isometry dilation, one Stinespring per source
+    block, with generically full support across all components."""
+    return cptp(source, target, draw(cptp_planes(source, target), rng))
 
 
 def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator) -> LinearMap:
@@ -123,14 +124,37 @@ def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator) -> Line
     return sum(terms[1:], terms[0])
 
 
+def povm(source: AlgebraShape, draws: tuple[np.ndarray, ...]) -> LinearMap:
+    """The POVM of ``state_planes(source)`` draws per outcome: normalized effects."""
+    n = len(source.dims)
+    raw = [AlgebraElement._of(source, [g @ g.conj().T for g in map(_complex, draws[k:k + n])])
+           for k in range(0, len(draws), n)]
+    s_inv = alg.power(sum(raw[1:], raw[0]), -0.5)
+    return maps.povm([s_inv @ m @ s_inv for m in raw])
+
+
 def random_povm(source: AlgebraShape, outcomes: int,
                 rng: np.random.Generator) -> LinearMap:
     """Random POVM channel A → C^outcomes (normalized Ginibre effects)."""
-    raw = [AlgebraElement._of(source, [(g := ginibre(rng, d)) @ g.conj().T for d in source.dims])
-           for _ in range(outcomes)]
-    s_inv = alg.power(sum(raw[1:], raw[0]), -0.5)
-    effects = [s_inv @ m @ s_inv for m in raw]
-    return maps.povm(effects)
+    return povm(source, draw(outcomes * state_planes(source), rng))
+
+
+def measure_prepare_planes(source: AlgebraShape, target: AlgebraShape,
+                           outcomes: int) -> tuple[tuple[int, int, int], ...]:
+    """The plane shapes of a measure-prepare channel: its POVM's, its states'."""
+    return outcomes * state_planes(source) + outcomes * state_planes(target)
+
+
+def measure_prepare(source: AlgebraShape, target: AlgebraShape,
+                    draws: tuple[np.ndarray, ...]) -> LinearMap:
+    """The channel A ↦ Σ_k tr(A P_k) σ_k of one ``measure_prepare_planes``
+    draw: the POVM (P_k), then the states σ_k."""
+    m = len(target.dims)
+    k = len(draws) // (len(source.dims) + m) * len(source.dims)
+    effects = maps.povm_effects(povm(source, draws[:k]))
+    return LinearMap(source, target, sum(
+        np.outer(maps.vec(state(target, draws[j:j + m])), maps.vec(p.dagger()).conj())
+        for j, p in zip(range(k, len(draws), m), effects)))
 
 
 def random_measure_prepare(source: AlgebraShape, target: AlgebraShape,
@@ -141,12 +165,8 @@ def random_measure_prepare(source: AlgebraShape, target: AlgebraShape,
     admissible instances for associativity checks of families that need a
     genuine density matrix as second argument.
     """
-    measurement = random_povm(source, outcomes, rng)
-    effects = maps.povm_effects(measurement)
-    states = [random_state(target, rng) for _ in range(outcomes)]
-    matrix = sum(np.outer(maps.vec(s), maps.vec(p.dagger()).conj())
-                 for s, p in zip(states, effects))
-    return LinearMap(source, target, matrix)
+    return measure_prepare(source, target,
+                           draw(measure_prepare_planes(source, target, outcomes), rng))
 
 
 def decohering_channel(source: AlgebraShape, target: AlgebraShape,
@@ -165,10 +185,3 @@ def decohering_channel(source: AlgebraShape, target: AlgebraShape,
     matrix = np.zeros((*weights.shape[:-2], target.vector_dim, source.vector_dim), dtype=complex)
     matrix[..., rows[:, None], cols] = weights.swapaxes(-1, -2)
     return LinearMap._of(source, target, matrix)
-
-
-def random_decohering_channel(source: AlgebraShape, target: AlgebraShape,
-                              rng: np.random.Generator) -> LinearMap:
-    """``decohering_channel`` with Dirichlet-distributed output distributions."""
-    return decohering_channel(
-        source, target, rng.dirichlet(np.ones(target.total_dim), size=source.total_dim))

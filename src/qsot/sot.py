@@ -281,14 +281,11 @@ def _has_nondegenerate_spectrum(rho: AlgebraElement) -> np.ndarray:
     return np.all(np.diff(vals, axis=-1) > SPECTRAL_GAP, axis=-1) & (vals[..., 0] > SPECTRAL_GAP)
 
 
-def draw_classical_limit(shape_a: AlgebraShape, shape_b: AlgebraShape,
-                         rng: np.random.Generator, index: int,
-                         nondegenerate_prior: bool = False
-                         ) -> tuple[str, tuple[np.ndarray, ...]]:
+def classical_limit_kind(shape_a: AlgebraShape, index: int,
+                         nondegenerate_prior: bool = False) -> str:
     """The classical-limit construction ``index`` picks, modulo the
-    constructions that apply, and its raw draws from ``rng``: the channel's,
-    then the prior's.  ``classical_limits`` finishes them into pairs (E, ρ)
-    with [D[E], ρ⊗1] = 0.
+    constructions that apply.  ``classical_limit_plan`` gives its draws,
+    which ``classical_limits`` finishes into pairs (E, ρ) with [D[E], ρ⊗1] = 0.
 
     The constructions: (a) replacement channels with arbitrary priors,
     (b) diagonal priors with diagonal-reading (decohering) channels,
@@ -300,23 +297,26 @@ def draw_classical_limit(shape_a: AlgebraShape, shape_b: AlgebraShape,
     kinds = ["replacement", "decohering"]
     if not nondegenerate_prior or max(shape_a.dims) == 1:
         kinds.append("central")
-    kind = kinds[index % len(kinds)]
+    return kinds[index % len(kinds)]
+
+
+def classical_limit_plan(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str) -> tuple:
+    """The ``sampling.draw`` plan of a construction's pair: the channel's, the prior's."""
     if kind == "replacement":
-        return kind, (*sampling.draw_state(shape_b, rng), *sampling.draw_state(shape_a, rng))
+        return sampling.state_planes(shape_b) + sampling.state_planes(shape_a)
     if kind == "decohering":
-        return kind, (rng.dirichlet(np.ones(shape_b.total_dim), size=shape_a.total_dim),
-                      rng.dirichlet(np.ones(shape_a.total_dim)))
-    return kind, (*sampling.draw_cptp(shape_a, shape_b, rng),
-                  rng.dirichlet(np.ones(len(shape_a.blocks))))
+        return (("dirichlet", np.ones(shape_b.total_dim), shape_a.total_dim),
+                ("dirichlet", np.ones(shape_a.total_dim)))
+    return (*sampling.cptp_planes(shape_a, shape_b), ("dirichlet", np.ones(len(shape_a.blocks))))
 
 
 def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,
                      draws: tuple[np.ndarray, ...], nondegenerate_prior: bool = False
                      ) -> tuple[LinearMap, AlgebraElement, list[InapplicableError | None]]:
-    """The pairs (E, ρ) of one construction from ``draw_classical_limit``'s
-    draws stacked along a first axis: the stack of channels, the stack of
-    priors, and for each pair the InapplicableError that refuses it (the
-    prior filter, then the ``COMM_TOL`` check), or None."""
+    """The pairs (E, ρ) of one construction from its plan's draws stacked
+    along a first axis: the stacks of the channels and priors of the pairs
+    kept, and for each pair the InapplicableError that refuses it (the prior
+    filter, then the ``COMM_TOL`` check), or None."""
     if kind == "replacement":
         k = len(shape_b.dims)
         e = maps.replace_channel(sampling.state(shape_b, draws[:k]), shape_a)
@@ -332,7 +332,10 @@ def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,
     noncommuting = commutation_residual(e, rho) > COMM_TOL
     degenerate = (~_has_nondegenerate_spectrum(rho) if nondegenerate_prior
                   else np.zeros_like(noncommuting))
-    return e, rho, [InapplicableError("the drawn prior has a degenerate spectrum") if d
-                    else InapplicableError("the drawn pair is not a classical-limit pair") if c
-                    else None for d, c in zip(degenerate, noncommuting)]
+    kept = ~(degenerate | noncommuting)
+    return (LinearMap._of(e.source, e.target, e.matrix[kept]),
+            AlgebraElement._of(rho.shape, (block[kept] for block in rho.data)),
+            [InapplicableError("the drawn prior has a degenerate spectrum") if d
+             else InapplicableError("the drawn pair is not a classical-limit pair") if c
+             else None for d, c in zip(degenerate, noncommuting)])
 

@@ -20,13 +20,15 @@ each kept as its reference.
 ‖E⋆ρ − τ(~X⋆E(ρ))‖ through two SOT evaluations and τ, which
 ``bayes.bayes_residual`` replaced by ‖X·Φ_σ* − Y‖ for sandwich families.
 ``sample_alone`` and ``classical_limit_pair`` draw one trial or one
-classical-limit pair through the library's samplers, as a stack of one.
+classical-limit pair through the library's one-trial samplers, in the
+trial's draw order: the reference for ``drawn_by_column``, which draws
+trials through the chunk drawer.
 The ``copying_*`` kernels, ``gather_tilde`` and ``swap_dagger_tau`` are the
 kernels that the write-into-the-output ones in ``maps`` and ``algebra``
 replaced, each kept as its bit-for-bit reference.  ``two_call_ginibre``
 draws a complex Ginibre matrix as two ``normal`` calls, the real part's then
 the imaginary part's, which ``sampling``'s one-call (2, rows, cols) planes
-replaced; ``two_call_draws`` puts it under the library's samplers.
+replaced; ``two_call_draws`` puts it under the library's one-trial samplers.
 The literature's Bayes rules (``petz_rule`` to ``classical_rule``) are
 textbook formulas on dense operators; ``textbook`` reads E* through the
 library's adjoint and lays each image out with ``maps.vec``, so that a rule
@@ -460,13 +462,52 @@ class TransposedTarget(sot.SotFamily):
 # ------------------------------------------------ sequential certification
 def sample_alone(family: sot.SotFamily, prop: str, trial: int,
                  config: axioms.CertifyConfig, rng: np.random.Generator) -> dict:
-    """Every random input of one trial, drawn from ``rng`` and finished as a
-    stack of one; raises the trial's refusal, if it has one."""
-    group, raw = axioms._draw(family, prop, trial, config, rng)
-    instance, [refusal] = axioms._finish([raw], group)
-    if refusal is not None:
-        raise refusal
-    return axioms._member(instance, 0)
+    """Every random input of one trial, drawn from ``rng`` by the one-trial
+    samplers in the trial's draw order and finished alone; raises the
+    trial's refusal, if it has one."""
+    shape_a, shape_b = axioms._group(family, "P1", trial, config)  # the trial's shape pair
+    if prop == "P7":
+        e, rho = classical_limit_pair(shape_a, shape_b, rng, trial // 2,
+                                      nondegenerate_prior=family.compound)
+        return {"e": e, "rho": rho}
+    if prop == "A":
+        a, b, c = (alg.matrix_algebra(d, label) for d, label in zip(
+            (config.dims[0], config.dims[1], config.dims[1]), "abc"))
+        e = (sampling.random_cptp(a, b, rng) if family.state_linear
+             else sampling.random_measure_prepare(a, b, config.dims[0] ** 2, rng))
+        return {"e": e, "f": sampling.random_cptp(b, c, rng),
+                "rho": sampling.random_state(a, rng)}
+    out = {"e": sampling.random_cptp(shape_a, shape_b, rng),
+           "rho": sampling.random_state(shape_a, rng)}
+    if prop in axioms.MIXED:
+        out["lambda"] = rng.uniform(0.2, 0.8)
+        for key in axioms.MIXED[prop]:
+            out[key] = (sampling.random_state(shape_a, rng) if key == "rho2"
+                        else sampling.random_cptp(shape_a, shape_b, rng))
+    if prop == "P2":
+        out["search_seed"] = int(rng.integers(2 ** 32))
+    return out
+
+
+def drawn_by_column(family: sot.SotFamily, prop: str, config: axioms.CertifyConfig,
+                    trials: range) -> tuple[dict, dict]:
+    """Each trial's inputs from the chunk drawer, each group of ``trials``
+    drawn as one stack from the generators keyed [seed, cell, trial]: the
+    finished member of a trial, or its refusal; and the trials of each
+    group key."""
+    cell = axioms._cell_index(family.tag, prop)
+    groups, out = {}, {}
+    for trial in trials:
+        groups.setdefault(axioms._group(family, prop, trial, config), []).append(trial)
+    for group, members in groups.items():
+        rngs = (np.random.default_rng([config.seed, cell, trial]) for trial in members)
+        instance, refusals = axioms._draw(family, prop, group, config, rngs, len(members))
+        out.update((trial, refusal) for trial, refusal in zip(members, refusals)
+                   if refusal is not None)
+        kept = [trial for trial, refusal in zip(members, refusals) if refusal is None]
+        out.update((trial, axioms._member(instance, position))
+                   for position, trial in enumerate(kept))
+    return out, groups
 
 
 def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
@@ -474,7 +515,8 @@ def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
                          nondegenerate_prior: bool = False) -> tuple[LinearMap, AlgebraElement]:
     """One classical-limit pair (E, ρ) of construction ``index``: the
     library's draws finished as a stack of one; raises its refusal."""
-    kind, draws = sot.draw_classical_limit(shape_a, shape_b, rng, index, nondegenerate_prior)
+    kind = sot.classical_limit_kind(shape_a, index, nondegenerate_prior)
+    draws = sampling.draw(sot.classical_limit_plan(shape_a, shape_b, kind), rng)
     e, rho, [refusal] = sot.classical_limits(shape_a, shape_b, kind,
                                              tuple(d[None] for d in draws), nondegenerate_prior)
     if refusal is not None:
@@ -697,31 +739,24 @@ def two_call_ginibre(rng: np.random.Generator, rows: int, cols: int | None = Non
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
-def two_call_draw_state(shape: AlgebraShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    return tuple(two_call_ginibre(rng, d) for d in shape.dims)
-
-
-def two_call_draw_cptp(source: AlgebraShape, target: AlgebraShape,
-                       rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    d_out = target.total_dim
-    return tuple(two_call_ginibre(rng, d_out * max(2, -(-mx // d_out)), mx)
-                 for mx in source.dims)
-
-
 def planes(g: np.ndarray) -> np.ndarray:
     """The real and imaginary planes (2, rows, cols) of a complex matrix."""
     return np.stack([g.real, g.imag])
 
 
+def two_call_draw(plan: tuple, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """``sampling.draw`` with each plane shape (2, rows, cols) drawn as a
+    two-call Ginibre matrix."""
+    return tuple(getattr(rng, entry[0])(*entry[1:]) if isinstance(entry[0], str)
+                 else planes(two_call_ginibre(rng, *entry[1:])) for entry in plan)
+
+
 @contextmanager
 def two_call_draws():
-    """The library with every Ginibre matrix drawn by ``two_call_ginibre``,
-    handed to the finishing steps as planes, for the span of a ``with``
-    block."""
+    """The library's one-trial samplers with every Ginibre matrix drawn by
+    ``two_call_ginibre``, handed to the finishing steps as planes, for the
+    span of a ``with`` block."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "ginibre", two_call_ginibre)
-        patch.setattr(sampling, "draw_state",
-                      lambda shape, rng: tuple(map(planes, two_call_draw_state(shape, rng))))
-        patch.setattr(sampling, "draw_cptp", lambda source, target, rng: tuple(
-            map(planes, two_call_draw_cptp(source, target, rng))))
+        patch.setattr(sampling, "draw", two_call_draw)
         yield

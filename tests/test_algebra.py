@@ -193,6 +193,18 @@ def test_stacks_are_elementwise(rng):
         alg.power(alg.stack([xs[0], -xs[1]]), 0.5)  # one bad member fails the stack
 
 
+def test_a_stack_of_none_or_of_mixed_shapes_is_refused():
+    """An empty list has no shape to stack on, and elements of two shapes,
+    even of one block size, are no stack."""
+    a, b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")
+    with pytest.raises(ShapeMismatchError):
+        alg.stack([])
+    for mixed in ([alg.identity(a), alg.identity(b)], [alg.identity(a), alg.identity(a.tensor(b))]):
+        with pytest.raises(ShapeMismatchError):
+            alg.stack(mixed)
+    assert alg.stack([alg.identity(a)] * 3).shape == a
+
+
 def test_stacked_tensor_equals_per_element_tensors(rng):
     """tensor on stacks broadcasts over the leading axes, and each member
     equals the tensor of its factors, bit for bit."""

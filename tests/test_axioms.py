@@ -14,7 +14,7 @@ from qsot.maps import LinearMap
 from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
                          UnsupportedFamilyError, ValidationError)
 
-from conftest import (classical_limit_pair, full_product_extremum,
+from conftest import (drawn_by_column, full_product_extremum,
                       looped_block_positivity_violation, rng_for, sample_alone, sequential_certify,
                       two_call_draws, unit_starts)
 
@@ -316,9 +316,10 @@ def test_the_ascent_sharpens_an_ambiguous_candidate(monkeypatch):
 
 
 def test_each_p7_trial_draws_and_checks_one_pair(monkeypatch):
-    """The pairs of a chunk's construction are checked as one stack: each
-    drawn pair is one member of one call.  A cell that holds walks every
-    trial it draws; one that fails may have drawn the rest of its chunk."""
+    """The pairs of a chunk's construction are drawn and checked as one
+    stack: each drawn pair is one member of one call.  A cell that holds
+    walks every trial it draws; one that fails may have drawn the rest of
+    its chunk."""
     checks, draws = [], []
     residual, draw = sot.commutation_residual, axioms._draw
 
@@ -327,12 +328,12 @@ def test_each_p7_trial_draws_and_checks_one_pair(monkeypatch):
         checks.extend(np.atleast_1d(values))
         return values
     monkeypatch.setattr(sot, "commutation_residual", counted)
-    monkeypatch.setattr(axioms, "_draw", lambda *args: draws.append(args) or draw(*args))
+    monkeypatch.setattr(axioms, "_draw", lambda *args: draws.append(args[-1]) or draw(*args))
     outcomes = set()
     for tag, family in sot.TABLE_FAMILIES.items():
         before = len(checks)
         verdict = axioms.certify(family, "P7", FAST)
-        assert len(checks) == len(draws), tag
+        assert len(checks) == sum(draws), tag
         walked = verdict.trials + sum(verdict.skipped.values())
         if verdict.holds:
             assert len(checks) - before == walked, tag
@@ -380,7 +381,8 @@ def test_stacked_search_equals_singleton_searches():
     by_shape: dict = {}
     for k in range(120):
         rng = rng_for("stacked-search", k)
-        shape_a, shape_b = axioms._shapes(k, ((2, 3), (2, 2))[k % 3 == 0])
+        config = axioms.CertifyConfig(dims=((2, 3), (2, 2))[k % 3 == 0])
+        shape_a, shape_b = axioms._group(families[0], "P2", k, config)
         e = sampling.random_cptp(shape_a, shape_b, rng)
         rho = sampling.random_state(shape_a, rng)
         t = families[k % len(families)].value(e, rho)
@@ -407,7 +409,8 @@ def test_stacked_search_equals_the_looped_search(dims, blocky):
     the same values, witnesses and vectors bit for bit, and each generator
     left at the same next draw; with ``_generators``' one reused generator too.
     A zero member's pairings are 0 exactly, which is no violation."""
-    shape_a, shape_b = axioms._shapes(int(blocky), dims)
+    shape_a, shape_b = axioms._group(sot.LeiferSpekkens(), "P2", int(blocky),
+                                     axioms.CertifyConfig(dims=dims))
     rng = rng_for("looped-search", 10 * dims[1] + blocky)
     ts = [*oracle_stack(shape_a.tensor(shape_b), rng), alg.zero(shape_a.tensor(shape_b))]
     for family in (sot.LeiferSpekkens(), sot.RightBloom()):
@@ -657,18 +660,29 @@ def assert_same(got, want):
         assert got == want
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("prop", axioms.PROPERTIES)
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
-def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop):
+def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop, dims):
     """Twelve trials walk the chunks [0] and [1..11], on both shape
-    parities; each trial's outcome in its chunk equals sample_alone and
-    _violation on that trial alone."""
-    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
+    parities and on targets larger and smaller than the source; each
+    trial's outcome in its chunk equals sample_alone, the trial drawn by
+    the one-trial samplers, and _violation on that trial alone: a skipped
+    trial raises alone what it was skipped for."""
+    family = sot.TABLE_FAMILIES[tag]
+    config = axioms.CertifyConfig(trials=12, seed=3, dims=dims)
     swept = list(axioms._sweep(family, prop, config, axioms._cell_index(tag, prop)))
     assert [trial for trial, _, _ in swept] == list(range(config.trials))
-    for trial, key, (violation, extra, stacked, position) in swept:
+    for trial, key, outcome in swept:
+        rng = np.random.default_rng(key)
+        if isinstance(outcome, str):
+            with pytest.raises(axioms.SKIPS) as raised:
+                axioms._violation(family, prop, sample_alone(family, prop, trial, config, rng))
+            assert type(raised.value).__name__ == outcome, trial
+            continue
+        violation, extra, stacked, position = outcome
         data = {**axioms._member(stacked, position), **extra}
-        instance = sample_alone(family, prop, trial, config, np.random.default_rng(key))
+        instance = sample_alone(family, prop, trial, config, rng)
         alone, extra = axioms._violation(family, prop, instance)
         assert violation == alone, trial
         want = {**instance, **extra}
@@ -714,31 +728,29 @@ def test_a_stack_that_raises_draws_each_trial_once(monkeypatch):
     from its finished member, not drawn again."""
     drawn = []
     draw = axioms._draw
-    monkeypatch.setattr(axioms, "_draw",
-                        lambda family, prop, trial, *args: drawn.append(trial)
-                        or draw(family, prop, trial, *args))
+    monkeypatch.setattr(axioms, "_draw", lambda *args: drawn.append(args[-1]) or draw(*args))
     verdict = axioms.certify(PickyLeiferSpekkens(), "P1", FAST)
     assert verdict.skipped["ExtensionError"] >= 1
-    assert drawn == list(range(verdict.trials + sum(verdict.skipped.values())))
+    assert sum(drawn) == verdict.trials + sum(verdict.skipped.values()) == FAST.trials
 
 
 def test_a_cell_is_a_one_trial_probe_then_stacks_of_chunk_trials(monkeypatch):
-    """A 200-trial cell that holds is two chunks, [0] and [1..199]; a cell
-    that fails at trial 0 draws that trial only."""
+    """A 200-trial cell that holds is two chunks, [0] and [1..199], each
+    drawn as one stack per shape pair; a cell that fails at trial 0 draws
+    that trial only."""
     chunks, drawn = [], []
     chunk, draw = axioms._chunk, axioms._draw
     monkeypatch.setattr(axioms, "_chunk", lambda family, prop, trials, *args: (
         chunks.append(trials) or chunk(family, prop, trials, *args)))
-    monkeypatch.setattr(axioms, "_draw", lambda family, prop, trial, *args: (
-        drawn.append(trial) or draw(family, prop, trial, *args)))
+    monkeypatch.setattr(axioms, "_draw", lambda *args: drawn.append(args[-1]) or draw(*args))
     config = axioms.CertifyConfig(trials=200, seed=0)
     verdict = axioms.certify(sot.LeiferSpekkens(), "P1", config)
     assert verdict.status == "holds" and verdict.trials == 200
-    assert chunks == [range(0, 1), range(1, 200)] and drawn == list(range(200))
+    assert chunks == [range(0, 1), range(1, 200)] and drawn == [1, 100, 99]
     chunks.clear(), drawn.clear()
     verdict = axioms.certify(sot.RightBloom(), "P1", config)
     assert verdict.status == "fails" and verdict.trials == 1
-    assert chunks == [range(0, 1)] and drawn == [0]
+    assert chunks == [range(0, 1)] and drawn == [1]
 
 
 def test_capped_chunks_equal_the_sequential_reference(monkeypatch):
@@ -768,10 +780,9 @@ def test_a_stacked_associativity_check_equals_per_member_checks(tag, dims):
     family = sot.TABLE_FAMILIES[tag]
     config = axioms.CertifyConfig(trials=8, seed=4, dims=dims)
     cell = axioms._cell_index(tag, "A")
-    drawn = [axioms._draw(family, "A", trial, config,
-                          np.random.default_rng([config.seed, cell, trial]))
-             for trial in range(config.trials)]
-    instance, _ = axioms._finish([raw for _, raw in drawn], drawn[0][0])
+    rngs = (np.random.default_rng([config.seed, cell, trial]) for trial in range(config.trials))
+    instance, _ = axioms._draw(family, "A", axioms._group(family, "A", 0, config), config,
+                               rngs, config.trials)
     stacked = axioms.check_associativity(family, instance["e"], instance["f"], instance["rho"])
     assert stacked.shape == (config.trials,)
     for position, value in enumerate(stacked.tolist()):
@@ -786,15 +797,17 @@ def test_an_inapplicable_member_settles_an_a_stack_member_by_member(monkeypatch)
     state Leifer–Spekkens refuses: the stack raises, each member is then
     evaluated alone, and every trial keeps the outcome it has alone."""
     family, config = sot.LeiferSpekkens(), axioms.CertifyConfig(trials=8, seed=4)
-    draw, violation = axioms._draw, axioms._violation
-
-    def general_third(family, prop, trial, config, rng):
-        group, raw = draw(family, prop, trial, config, rng)
-        return group, ({**raw, "e": sampling.random_cptp(*group[:2], rng)} if trial == 3 else raw)
-    alone = []
-    monkeypatch.setattr(axioms, "_draw", general_third)
-    monkeypatch.setattr(axioms, "_violation", lambda *args: alone.append(args) or violation(*args))
+    measure_prepare, violation = sampling.measure_prepare, axioms._violation
     cell = axioms._cell_index(family.tag, "A")
+    third = np.random.default_rng([config.seed, cell, 3]).normal()  # trial 3's first draw
+
+    def general_third(source, target, draws):
+        if draws[0].flat[0] == third:
+            return sampling.random_cptp(source, target, rng_for("general-third"))
+        return measure_prepare(source, target, draws)
+    alone = []
+    monkeypatch.setattr(sampling, "measure_prepare", general_third)
+    monkeypatch.setattr(axioms, "_violation", lambda *args: alone.append(args) or violation(*args))
     trials = range(1, config.trials)
     keys = [[config.seed, cell, trial] for trial in trials]
     outcomes = axioms._chunk(family, "A", trials, config, keys)
@@ -824,20 +837,6 @@ def test_rs_family_at_a_bloom_end_is_associative(r, s):
     assert verdict.status == "holds" and verdict.skipped == {}
 
 
-def drawn_alone(family, prop, trial, config, rng) -> dict:
-    """The maps and states of one P7 or A trial from the per-trial samplers."""
-    if prop == "P7":
-        shape_a, shape_b = axioms._shapes(trial, config.dims)
-        e, rho = classical_limit_pair(shape_a, shape_b, rng, trial // 2,
-                                      nondegenerate_prior=family.compound)
-        return {"e": e, "rho": rho}
-    a, b, c = (alg.matrix_algebra(d, label) for d, label in zip(
-        (config.dims[0], config.dims[1], config.dims[1]), "abc"))
-    e = (sampling.random_cptp(a, b, rng) if family.state_linear
-         else sampling.random_measure_prepare(a, b, config.dims[0] ** 2, rng))
-    return {"e": e, "f": sampling.random_cptp(b, c, rng), "rho": sampling.random_state(a, rng)}
-
-
 @pytest.mark.parametrize("prop", ["P7", "A"])
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
 def test_stacked_p7_and_a_draws_equal_the_per_trial_samplers(tag, prop):
@@ -846,21 +845,15 @@ def test_stacked_p7_and_a_draws_equal_the_per_trial_samplers(tag, prop):
     each finished member equals the trial drawn alone (==)."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
     cell = axioms._cell_index(tag, prop)
-    groups = {}
-    for trial in range(config.trials):
-        key, raw = axioms._draw(family, prop, trial, config,
-                                np.random.default_rng([config.seed, cell, trial]))
-        groups.setdefault(key, []).append((trial, raw))
-    for key, members in groups.items():
-        instance, refusals = axioms._finish([raw for _, raw in members], key)
-        assert len(members) >= 2 and refusals == [None] * len(members)
-        for position, (trial, _) in enumerate(members):
-            member = axioms._member(instance, position)
-            want = drawn_alone(family, prop, trial, config,
-                               np.random.default_rng([config.seed, cell, trial]))
-            assert list(member) == list(want)
-            for name, value in want.items():
-                assert_same(member[name], value)
+    drawn, groups = drawn_by_column(family, prop, config, range(config.trials))
+    for trial, member in drawn.items():
+        assert not isinstance(member, Exception), trial  # no pair of these is refused
+        want = sample_alone(family, prop, trial, config,
+                            np.random.default_rng([config.seed, cell, trial]))
+        assert list(member) == list(want)
+        for name, value in want.items():
+            assert_same(member[name], value)
+    assert all(len(members) >= 2 for members in groups.values())
     if prop == "P7":
         kinds = {"replacement", "decohering"} | (set() if family.compound else {"central"})
         shapes = {(a.dims, b.dims) for a, b, *_ in groups}
@@ -879,13 +872,13 @@ def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
     assert isinstance(outcomes[13], InapplicableError)
     assert "degenerate" in str(outcomes[13])
     with pytest.raises(InapplicableError, match="degenerate"):
-        drawn_alone(family, "P7", 13, config, np.random.default_rng(keys[13 - 7]))
+        sample_alone(family, "P7", 13, config, np.random.default_rng(keys[13 - 7]))
     for trial, key in zip(trials, keys):
         if trial != 13:
             _, extra, stacked, position = outcomes[trial]
             data = {**axioms._member(stacked, position), **extra}
-            for name, value in drawn_alone(family, "P7", trial, config,
-                                           np.random.default_rng(key)).items():
+            for name, value in sample_alone(family, "P7", trial, config,
+                                            np.random.default_rng(key)).items():
                 assert_same(data[name], value)
     verdict = axioms.certify(family, "P7", config)
     assert verdict.trials == 15 and verdict.skipped == {"InapplicableError": 1}
@@ -906,9 +899,8 @@ def test_a_p7_chunk_evaluates_one_stack_per_construction(tag, monkeypatch):
         stacks.append(instance["e"].matrix.shape[0]) or violations(family, prop, instance)))
     outcomes = axioms._chunk(family, "P7", trials, config, keys)
     evaluated = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
-    groups = {axioms._draw(family, "P7", trial, config, np.random.default_rng(key))[0]
-              for trial, key, outcome in zip(trials, keys, outcomes)
-              if not isinstance(outcome, Exception)}
+    groups = {axioms._group(family, "P7", trial, config)
+              for trial, outcome in zip(trials, outcomes) if not isinstance(outcome, Exception)}
     assert len(stacks) == len(groups) > 2 and sum(stacks) == len(evaluated)
     for trial, key, outcome in zip(trials, keys, outcomes):
         if not isinstance(outcome, Exception):
@@ -1017,31 +1009,27 @@ def test_bulk_seeded_search_generators_equal_default_rng():
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
 def test_every_drawn_instance_has_the_bits_of_two_call_ginibre_draws(tag, prop):
     """Twelve trials, both shape parities and (for a family without a prior
-    filter) all three classical-limit constructions: each group's finished
-    instance equals the one drawn with the two-call Ginibre matrices."""
+    filter) all three classical-limit constructions: each trial drawn by
+    column equals the trial drawn alone with two-call Ginibre matrices, and
+    is refused where that trial is."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
     cell = axioms._cell_index(tag, prop)
-
-    def finished() -> dict:
-        groups = {}
-        for trial in range(config.trials):
-            group, raw = axioms._draw(family, prop, trial, config,
-                                      np.random.default_rng([config.seed, cell, trial]))
-            groups.setdefault(group, []).append(raw)
-        return {group: axioms._finish(raws, group) for group, raws in groups.items()}
-    got = finished()
+    drawn, groups = drawn_by_column(family, prop, config, range(config.trials))
     with two_call_draws():
-        want = finished()
-    assert list(got) == list(want)
-    for group, (instance, refusals) in want.items():
-        assert [str(r) for r in got[group][1]] == [str(r) for r in refusals]
-        assert list(got[group][0]) == list(instance)
-        for name, value in instance.items():
-            assert_same(got[group][0][name], value)
+        for trial in range(config.trials):
+            rng = np.random.default_rng([config.seed, cell, trial])
+            if isinstance(drawn[trial], Exception):
+                with pytest.raises(type(drawn[trial]), match=str(drawn[trial])):
+                    sample_alone(family, prop, trial, config, rng)
+                continue
+            want = sample_alone(family, prop, trial, config, rng)
+            assert list(drawn[trial]) == list(want)
+            for name, value in want.items():
+                assert_same(drawn[trial][name], value)
     if prop == "P7":
         kinds = {"replacement", "decohering"} | (set() if family.compound else {"central"})
-        assert {group[2] for group in got} == kinds
-    assert len({group[0] for group in got}) == (1 if prop == "A" else 2)
+        assert {group[2] for group in groups} == kinds
+    assert len({group[0] for group in groups}) == (1 if prop == "A" else 2)
 
 
 def test_a_cell_gives_the_same_verdict_alone_and_inside_the_table():

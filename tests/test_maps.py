@@ -614,7 +614,7 @@ def test_stacked_classical_limit_constructors_equal_their_members(rng):
 def test_stacked_maps_equal_their_members(rng):
     """from_kraus, channel_state, tp_defect and the sampling steps on a
     stack equal the same calls on each member, bit for bit."""
-    draws = [sampling.draw_cptp(SHAPE_A, SHAPE_C, rng) for _ in range(4)]
+    draws = [sampling.draw(sampling.cptp_planes(SHAPE_A, SHAPE_C), rng) for _ in range(4)]
     stacked = sampling.cptp(SHAPE_A, SHAPE_C, tuple(map(np.stack, zip(*draws))))
     members = [sampling.cptp(SHAPE_A, SHAPE_C, draw) for draw in draws]
     assert all(np.array_equal(m.matrix, s.matrix)
@@ -625,13 +625,64 @@ def test_stacked_maps_equal_their_members(rng):
     for got, member in zip(alg.unstack(maps.channel_state(stacked)), members):
         want = maps.channel_state(member)
         assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
-    states = [sampling.draw_state(SHAPE_A, rng) for _ in range(4)]
+    states = [sampling.draw(sampling.state_planes(SHAPE_A), rng) for _ in range(4)]
     stacked_state = sampling.state(SHAPE_A, tuple(map(np.stack, zip(*states))))
     for got, draw in zip(alg.unstack(stacked_state), states):
         want = sampling.state(SHAPE_A, draw)
         assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
     with pytest.raises(ShapeMismatchError):
         maps.from_kraus(SHAPE_A, SHAPE_C, [(0, 0, np.ones((2, 3, 2)))])
+
+
+def test_a_stack_of_none_or_of_mixed_maps_is_refused():
+    """An empty list, and maps of one matrix size but another source or
+    target, are no stack."""
+    a, b = alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")
+    with pytest.raises(ShapeMismatchError):
+        maps.stack([])
+    for other in (maps.identity_map(b), maps.replace_channel(0.5 * alg.identity(b), a)):
+        with pytest.raises(ShapeMismatchError):
+            maps.stack([maps.identity_map(a), other])
+    assert maps.stack([maps.identity_map(a)] * 2).matrix.shape == (2, 4, 4)
+
+
+@pytest.mark.parametrize("source, target, rows", [((2,), (2,), [4]), ((2,), (3,), [6]),
+                                                  ((3,), (2,), [4]), ((5,), (2,), [6]),
+                                                  ((2, 1), (3, 1), [8, 8])])
+def test_channel_planes_have_twice_the_output_rows_or_enough_for_an_isometry(source, target,
+                                                                              rows):
+    """Each source block m_x draws d_out·max(2, ⌈m_x/d_out⌉) rows and m_x
+    columns, d_out the target's total dimension."""
+    shape = lambda dims, label: AlgebraShape([(f"{label}{i}", d) for i, d in enumerate(dims)])
+    planes = sampling.cptp_planes(shape(source, "a"), shape(target, "b"))
+    assert planes == tuple((2, r, m) for r, m in zip(rows, source))
+
+
+def per_outcome_measure_prepare(source: AlgebraShape, target: AlgebraShape, outcomes: int,
+                                rng: np.random.Generator) -> LinearMap:
+    """A random measure-prepare channel drawn as one Ginibre matrix per
+    effect block, then one state per outcome, and built effect by effect."""
+    raw = [AlgebraElement(source, [(g := sampling.ginibre(rng, d)) @ g.conj().T
+                                   for d in source.dims]) for _ in range(outcomes)]
+    s_inv = alg.power(sum(raw[1:], raw[0]), -0.5)
+    effects = maps.povm_effects(maps.povm([s_inv @ m @ s_inv for m in raw]))
+    states = [sampling.random_state(target, rng) for _ in range(outcomes)]
+    return LinearMap(source, target, sum(np.outer(maps.vec(s), maps.vec(p.dagger()).conj())
+                                         for s, p in zip(states, effects)))
+
+
+@pytest.mark.parametrize("source, target", [(SHAPE_A, SHAPE_C), (SHAPE_C, SHAPE_B)])
+def test_a_measure_prepare_channel_from_planes_equals_it_drawn_per_outcome(source, target):
+    """The channel finished from ``measure_prepare_planes``' draws equals the
+    one drawn and built per outcome, and leaves the generator at the same
+    point."""
+    for index in range(4):
+        rng = rng_for("measure-prepare", index)
+        got, got_next = sampling.random_measure_prepare(source, target, 3, rng), rng.normal()
+        rng = rng_for("measure-prepare", index)
+        want = per_outcome_measure_prepare(source, target, 3, rng)
+        assert got_next == rng.normal()
+        assert np.array_equal(got.matrix, want.matrix)
 
 
 @pytest.mark.parametrize("source, target", [(SHAPE_A, SHAPE_C), (SHAPE_C, SHAPE_B),
@@ -642,7 +693,9 @@ def test_one_call_ginibre_planes_give_the_bits_of_two_call_draws(source, target)
     samplers = {"random_state": lambda rng: sampling.random_state(source, rng),
                 "random_cptp": lambda rng: sampling.random_cptp(source, target, rng),
                 "random_unitary": lambda rng: sampling.random_unitary(rng, source.total_dim),
-                "random_hermitian": lambda rng: sampling.random_hermitian(source, rng)}
+                "random_hermitian": lambda rng: sampling.random_hermitian(source, rng),
+                "random_measure_prepare": lambda rng: sampling.random_measure_prepare(
+                    source, target, 3, rng)}
     for index, (name, sample) in enumerate(samplers.items()):
         rng = rng_for("one-call-planes", index)
         got, got_next = sample(rng), rng.normal()
@@ -655,9 +708,9 @@ def test_one_call_ginibre_planes_give_the_bits_of_two_call_draws(source, target)
         assert all(np.array_equal(g, w) for g, w in pairs), name
 
 
-def test_random_decohering_channel_matches_probed_twin():
-    got = sampling.random_decohering_channel(SHAPE_A, SHAPE_C, rng_for("deco-twin"))
-    f = rng_for("deco-twin").dirichlet(np.ones(3), size=5).T
+def test_decohering_channel_matches_probed_twin():
+    weights = rng_for("deco-twin").dirichlet(np.ones(3), size=5)
+    got, f = sampling.decohering_channel(SHAPE_A, SHAPE_C, weights), weights.T
 
     def act(a):
         return alg.diagonal_element(SHAPE_C, f @ np.concatenate([np.diag(m) for m in a.data]))

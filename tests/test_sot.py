@@ -442,7 +442,8 @@ def pair_from_samplers(shape_a, shape_b, rng, kind):
         e = maps.replace_channel(sampling.random_state(shape_b, rng), shape_a)
         return e, sampling.random_state(shape_a, rng)
     if kind == "decohering":
-        e = sampling.random_decohering_channel(shape_a, shape_b, rng)
+        e = sampling.decohering_channel(shape_a, shape_b, rng.dirichlet(
+            np.ones(shape_b.total_dim), size=shape_a.total_dim))
         return e, alg.diagonal_element(shape_a, rng.dirichlet(np.ones(shape_a.total_dim)))
     e = sampling.random_cptp(shape_a, shape_b, rng)
     weights = rng.dirichlet(np.ones(len(shape_a.blocks)))
