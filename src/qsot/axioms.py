@@ -12,7 +12,8 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -117,105 +118,6 @@ def _cell_index(family_tag: str, prop: str) -> int:
     return zlib.crc32(f"{family_tag}:{prop}".encode())
 
 
-# -------------------------------------------------------------------- seeding
-# numpy's SeedSequence, with its pool of four 32-bit words, and the PCG64
-# seeding step (NumPy NEP 19; O'Neill, "PCG", 2014), on uint32 arrays that
-# hold one key per column.
-_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-@cache
-def _hash_constants(init: int, multiplier: int, count: int) -> np.ndarray:
-    """init·multiplier^k mod 2³² for k < count, as a read-only uint32
-    column (the cache hands the same array to every caller)."""
-    out = [init]
-    while len(out) < count:
-        out.append(out[-1] * multiplier & _MASK32)
-    column = np.array(out, dtype=np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
-
-
-@cache
-def _pass_constants() -> np.ndarray:
-    """The chains (4, 5, 1) of the row passes, read-only: pass r hashes its
-    word with constants 4 + 3r on, one per other row, and repeats one at its
-    own row, whose result it puts back."""
-    chains = _hash_constants(0x43B0D7E5, 0x931E8875, 17)[
-        [[*range(4 + 3 * r, 5 + 4 * r), *range(4 + 4 * r, 8 + 3 * r)] for r in range(4)]]
-    chains.flags.writeable = False
-    return chains
-
-
-def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix, one call per row: row i xors constants[i]
-    and multiplies by constants[i + 1], the constant the call before it
-    advanced to (a single row of ``values`` broadcasts over the calls)."""
-    values = (values ^ constants[:-1]) * constants[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words x with hashed words y."""
-    out = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return out ^ (out >> 16)
-
-
-def _words(n: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: its 32-bit words, least
-    significant first; 0 is one word."""
-    out = [n & _MASK32]
-    while (n := n >> 32) > 0:
-        out.append(n & _MASK32)
-    return out
-
-
-def _pcg64_states(keys: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """(state, inc) of ``np.random.default_rng(key)`` for each key, a
-    sequence of non-negative ints: the keys of one entropy length are mixed
-    as one uint32 array."""
-    # a part of one word is its own entropy; ``_words`` splits the others
-    entropy = [[word for part in key for word in ((part,) if part <= _MASK32 else _words(part))]
-               for key in keys]
-    by_length: dict[int, list[int]] = {}
-    for index, key_words in enumerate(entropy):
-        by_length.setdefault(len(key_words), []).append(index)
-    out = [(0, 0)] * len(keys)
-    for length, indices in by_length.items():
-        words = np.array([entropy[i] for i in indices], dtype=np.uint32).T  # (length, keys)
-        c = _hash_constants(0x43B0D7E5, 0x931E8875, 17 + 4 * max(0, length - 4))
-        pool = np.zeros((4, len(indices)), dtype=np.uint32)
-        pool[:min(length, 4)] = words[:4]
-        pool = _hashmix(pool, c[:5])
-        for row, constants in enumerate(_pass_constants()):  # word ``row`` into the others
-            mixed = _mix(pool, _hashmix(pool[row], constants))
-            mixed[row] = pool[row]
-            pool = mixed
-        for k, word in zip(range(16, len(c), 4), words[4:]):  # later words into all four
-            pool = _mix(pool, _hashmix(word, c[k:k + 5]))
-        # generate_state(4, uint64): little-endian word pairs (seed hi, lo, inc hi, lo)
-        seeds = _hashmix(np.concatenate([pool, pool]), _hash_constants(0x8B51F9DD, 0x58F38DED, 9))
-        halves = np.ascontiguousarray(seeds.T, dtype="<u4").view("<u8").tolist()
-        for index, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(indices, halves):
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = (inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc
-            out[index] = state & _MASK128, inc
-    return out
-
-
-def _generators(keys: Sequence[Sequence[int]]) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng(key)`` for each key in turn, bit for bit, all
-    seeded in one pass: one generator, set to the next key's state as the
-    iteration reaches it, so each must be drawn from before the next is
-    taken."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _pcg64_states(keys):
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
 # ------------------------------------------------------------------- sampling
 @cache
 def _interned_shapes(d_a: int, d_b: int) -> tuple[AlgebraShape, ...]:
@@ -288,6 +190,16 @@ def _extreme_eigvecs(q: np.ndarray, mode: str) -> np.ndarray:
                      np.where(first_row, pivot, other.conj())], axis=-1) / norm[..., None]
 
 
+def _pairings(blocks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re ⟨a⊗b|block|a⊗b⟩ (jobs, starts) for blocks (jobs, m·n, m·n) and
+    vectors a (jobs, starts, m), b (jobs, starts, n), summed term by term in
+    a fixed order, so each entry's bits do not depend on how many jobs or
+    starts share the call (a reduction's order can follow the shapes)."""
+    v = (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], -1)  # a⊗b
+    tv = sum(blocks[:, None, :, q] * v[..., q, None] for q in range(v.shape[-1]))
+    return sum((v[..., p].conj() * tv[..., p]).real for p in range(v.shape[-1]))
+
+
 def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
                       mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimize ⟨a⊗b|block|a⊗b⟩ over unit product vectors by eight rounds of
@@ -311,11 +223,9 @@ def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
     for _ in range(rounds):
         b = _extreme_eigvecs(_product_forms(to_b, a), mode)
         a = _extreme_eigvecs(_product_forms(to_a, b), mode)
-    jobs = len(blocks)
-    t4 = blocks.reshape(jobs, m, n, m, n)
-    vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
+    vals = _pairings(blocks, a, b)
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
-    best = (np.arange(jobs), pick)
+    best = (np.arange(len(blocks)), pick)
     return vals[best], a[best], b[best]
 
 
@@ -444,42 +354,37 @@ def _plan(family: sot.SotFamily, prop: str, group: tuple, config: CertifyConfig)
         return [("e", *e), ("f", *f), ("rho", *state)]
     column = lambda draws: draws[0].tolist()
     return [("e", *channel), ("rho", *state),
-            *([("lambda", (("uniform", 0.2, 0.8),), column)] if prop in MIXED else []),
+            *([("lambda", (("uniform", 0.2, 0.8, ()),), column)] if prop in MIXED else []),
             *((key, *(state if key == "rho2" else channel)) for key in MIXED.get(prop, ())),
-            *([("search_seed", (("integers", 2 ** 32),), column)] if prop == "P2" else [])]
+            *([("search_seed", (("integers", 2 ** 32, ()),), column)] if prop == "P2" else [])]
 
 
 def _draw(family: sot.SotFamily, prop: str, group: tuple, config: CertifyConfig,
-          rngs: Iterator[np.random.Generator], members: int) -> tuple[dict, list]:
-    """The stacked instance of ``members`` trials of one group key, each
-    drawn from the next generator of ``rngs``, and each trial's refusal
-    (None if it has none; only P7's classical-limit pairs can be refused).
+          rng: np.random.Generator, members: int) -> tuple[dict, list]:
+    """The stacked instance of ``members`` trials of one group key, all
+    drawn from ``rng``, and each trial's refusal (None if it has none; only
+    P7's classical-limit pairs can be refused).
 
-    The trials draw one plan, so by column: each generator call of the plan
-    (a run of Gaussian planes is one ``normal`` call) fills the trial's row of
-    its own (members, ...) array, and each input is finished as one stack
-    from column views of those arrays.
+    Each generator call of the plan draws for the whole group, row k for
+    member k: an unbroken run of Gaussian planes is one ``normal`` call of
+    size (members, run width), any other entry (method, *args, size) one
+    call of size (members, *size).  Each input is finished as one stack from
+    column views of those arrays.
     """
     inputs = _plan(family, prop, group, config)
     entries = [entry for _, plan, _ in inputs for entry in plan]
-    calls, at = [], []  # (method, args) of each generator call; each entry's call, offset
-    for entry in entries:
-        gaussian = not isinstance(entry[0], str)
-        if not (gaussian and calls and calls[-1][0] == "normal"):
-            calls.append(("normal", [0.0, 1.0, 0]) if gaussian else (entry[0], entry[1:]))
-        at.append((len(calls) - 1, calls[-1][1][2] if gaussian else None))
-        if gaussian:
-            calls[-1][1][2] += int(np.prod(entry))
-    arrays = [None] * len(calls)
-    for row, rng in zip(range(members), rngs):
-        for k, (method, args) in enumerate(calls):
-            value = getattr(rng, method)(*args)
-            if row == 0:
-                arrays[k] = np.empty_like(value, shape=(members, *np.shape(value)))
-            arrays[k][row] = value
-    columns = iter([arrays[k] if offset is None else
-                    arrays[k][:, offset:offset + int(np.prod(entry))].reshape(members, *entry)
-                    for entry, (k, offset) in zip(entries, at)])
+    columns = []
+    for gaussian, run in groupby(entries, key=lambda entry: not isinstance(entry[0], str)):
+        if not gaussian:
+            columns += [getattr(rng, method)(*args, size=(members, *size))
+                        for method, *args, size in run]
+            continue
+        run = list(run)
+        ends = np.cumsum([int(np.prod(shape)) for shape in run]).tolist()
+        z = rng.normal(size=(members, ends[-1]))
+        columns += [z[:, end - int(np.prod(shape)):end].reshape(members, *shape)
+                    for shape, end in zip(run, ends)]
+    columns = iter(columns)
     out, refusals = {}, [None] * members
     for name, plan, finish in inputs:
         out[name] = finish(tuple(next(columns) for _ in plan))
@@ -527,7 +432,7 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
         return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
     if prop == "P2":
         return block_positivity_violation(
-            t, STARTS, _generators([[seed] for seed in instance["search_seed"]]))
+            t, STARTS, map(np.random.default_rng, instance["search_seed"]))
     if prop == "P3":
         return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
     if prop != "P7":
@@ -567,28 +472,32 @@ def replay_violation(family: sot.SotFamily, prop: str, counterexample: dict,
 
 # ----------------------------------------------------------------- certification
 def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfig,
-           keys: list[list[int]]) -> list[tuple[float, dict, dict, int] | Exception]:
-    """The outcome of each trial of a chunk: (violation, extra witness data,
-    the stacked instance that holds the trial, its position there), or an
-    exception.
+           cell: int) -> list[tuple[list[int], tuple[float, dict, dict, int] | Exception]]:
+    """The replay key and the outcome of each trial of a chunk.  An outcome
+    is (violation, extra witness data, the stacked instance that holds the
+    trial, its position there), or an exception.
 
-    The trials are grouped by key before anything is drawn; all their
-    generators are seeded in one pass, and each group is drawn by column
-    and finished as one stack (``_draw``).  A refused trial's refusal is its
-    outcome; the other trials of that stack are evaluated as it is.  If
-    that raises, each finished member is evaluated alone: it equals its
-    trial drawn alone, so every trial gets the outcome it has alone,
-    exception included.
+    The trials are grouped by key before anything is drawn, the groups in
+    the order of their first trials.  Group g of the chunk that starts at
+    trial s draws from ``np.random.default_rng([seed, cell, s, g])``, one
+    call per plan call for all its members (``_draw``), and is finished as
+    one stack; a trial's replay key is the group's key and its row in the
+    group's draws.  Both are functions of the trial indices alone.  A
+    refused trial's refusal is its outcome; the other trials of that stack
+    are evaluated as it is.  If that raises, each finished member is
+    evaluated alone: it equals its trial finished alone from its row, so
+    every trial gets the outcome it has alone, exception included.
     """
-    outcomes: list = [None] * len(keys)
+    keys, outcomes = [None] * len(trials), [None] * len(trials)
     groups: dict[tuple, list[int]] = {}
     for index, trial in enumerate(trials):
         groups.setdefault(_group(family, prop, trial, config), []).append(index)
-    rngs = _generators([keys[index] for indices in groups.values() for index in indices])
-    for group, indices in groups.items():
-        instance, refusals = _draw(family, prop, group, config, rngs, len(indices))
-        for index, refusal in zip(indices, refusals):
-            outcomes[index] = refusal
+    for ordinal, (group, indices) in enumerate(groups.items()):
+        key = [config.seed, cell, trials.start, ordinal]
+        instance, refusals = _draw(family, prop, group, config, np.random.default_rng(key),
+                                   len(indices))
+        for row, (index, refusal) in enumerate(zip(indices, refusals)):
+            keys[index], outcomes[index] = [*key, row], refusal
         if not (indices := [index for index in indices if outcomes[index] is None]):
             continue
         try:
@@ -603,26 +512,24 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
             continue
         for position, (index, (value, extra)) in enumerate(zip(indices, found)):
             outcomes[index] = value, extra, instance, position
-    return outcomes
+    return list(zip(keys, outcomes))
 
 
 def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
            cell: int) -> Iterator[tuple[int, list[int], tuple[float, dict, dict, int] | str]]:
-    """(trial, key, outcome) for every sweep trial in trial order, each
-    drawn from the generator keyed ``key`` = [seed, cell, trial].
+    """(trial, replay key, outcome) for every sweep trial in trial order.
 
     ``outcome`` is ``_chunk``'s (violation, extra witness data, stacked
     instance, position), or the exception class name of a skipped trial;
     any other exception of a trial is raised when the sweep reaches that
-    trial.  Trial 0 comes alone, so a
-    cell that fails at once draws one trial; the rest come in chunks of
-    ``CHUNK_TRIALS``, each drawn and evaluated as a whole.
+    trial.  Trial 0 comes alone, so a cell that fails at once draws one
+    trial; the rest come in chunks of ``CHUNK_TRIALS``, each drawn and
+    evaluated as a whole.
     """
     start, size = 0, 1
     while start < config.trials:
         trials = range(start, min(start + size, config.trials))
-        keys = [[config.seed, cell, trial] for trial in trials]
-        for trial, key, outcome in zip(trials, keys, _chunk(family, prop, trials, config, keys)):
+        for trial, (key, outcome) in zip(trials, _chunk(family, prop, trials, config, cell)):
             if isinstance(outcome, SKIPS):
                 outcome = type(outcome).__name__
             elif isinstance(outcome, Exception):
@@ -670,10 +577,11 @@ def certify(family: sot.SotFamily, prop: str,
     best_trial, key, (value, extra, instance, position) = best
     witness, steps = {**_member(instance, position), **extra, "replay_seed": key}, 0
     if PASS_THRESHOLD < value <= FAIL_THRESHOLD:
-        # Ambiguous: sharpen the best candidate by local perturbation ascent.
-        keys = [[config.seed, cell, config.trials + best_trial, step]
-                for step in range(ASCENT_STEPS)]
-        for step, (key, rng) in enumerate(zip(keys, _generators(keys))):
+        # Ambiguous: sharpen the best candidate by local perturbation ascent,
+        # every step drawn from one generator; a witness names its step.
+        key = [config.seed, cell, config.trials + best_trial]
+        rng = np.random.default_rng(key)
+        for step in range(ASCENT_STEPS):
             steps, scale = step + 1, 0.3 * (0.9 ** step)
             try:
                 instance = _perturb(witness, scale, rng)
@@ -681,7 +589,7 @@ def certify(family: sot.SotFamily, prop: str,
             except SKIPS:
                 continue
             if result > value:
-                value, witness = result, {**instance, **extra, "replay_seed": key}
+                value, witness = result, {**instance, **extra, "replay_seed": [*key, step]}
                 if value > FAIL_THRESHOLD:
                     break
         max_residual = max(max_residual, value)

@@ -9,7 +9,7 @@ An instance is drawn, then finished.  A raw Ginibre matrix is its real and
 imaginary planes (2, rows, cols); ``*_planes`` give their shapes.  As
 ``Generator.normal`` fills values in order, a run of planes is one call of
 their total size: ``draw`` makes a call per plane, a caller with many trials
-one per run, into the trial's row of a (trials, width) array.  The finishing
+one (trials, width) call per run, a row per trial.  The finishing
 steps take draws with common leading axes (such an array's column views),
 form the complex matrices once per stack and return the stack of results,
 each as it would be alone: ``random_state`` and ``random_cptp`` are the
@@ -49,9 +49,10 @@ def cptp_planes(source: AlgebraShape, target: AlgebraShape) -> tuple[tuple[int, 
 
 def draw(plan: tuple, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """The draws of ``plan`` from ``rng`` in order: a shape is one ``normal``
-    call of that size, an entry (method, *args) that generator call."""
-    return tuple(getattr(rng, entry[0])(*entry[1:]) if isinstance(entry[0], str)
-                 else rng.normal(size=entry) for entry in plan)
+    call of that size, an entry (method, *args, size) that generator call,
+    a scalar for the size ()."""
+    return tuple(getattr(rng, entry[0])(*entry[1:-1], size=entry[-1] or None)
+                 if isinstance(entry[0], str) else rng.normal(size=entry) for entry in plan)
 
 
 def state(shape: AlgebraShape, draws: tuple[np.ndarray, ...]) -> AlgebraElement:

@@ -305,9 +305,10 @@ def classical_limit_plan(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str
     if kind == "replacement":
         return sampling.state_planes(shape_b) + sampling.state_planes(shape_a)
     if kind == "decohering":
-        return (("dirichlet", np.ones(shape_b.total_dim), shape_a.total_dim),
-                ("dirichlet", np.ones(shape_a.total_dim)))
-    return (*sampling.cptp_planes(shape_a, shape_b), ("dirichlet", np.ones(len(shape_a.blocks))))
+        return (("dirichlet", np.ones(shape_b.total_dim), (shape_a.total_dim,)),
+                ("dirichlet", np.ones(shape_a.total_dim), ()))
+    return (*sampling.cptp_planes(shape_a, shape_b),
+            ("dirichlet", np.ones(len(shape_a.blocks)), ()))
 
 
 def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,

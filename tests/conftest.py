@@ -19,10 +19,11 @@ each kept as its reference.
 ``defining_bayes_residual`` is the Bayes residual as the condition reads,
 ‖E⋆ρ − τ(~X⋆E(ρ))‖ through two SOT evaluations and τ, which
 ``bayes.bayes_residual`` replaced by ‖X·Φ_σ* − Y‖ for sandwich families.
-``sample_alone`` and ``classical_limit_pair`` draw one trial or one
-classical-limit pair through the library's one-trial samplers, in the
-trial's draw order: the reference for ``drawn_by_column``, which draws
-trials through the chunk drawer.
+``group_draws`` draws a group's plan call by call from its generator, and
+``sample_alone`` and ``classical_limit_pair`` finish one trial or one
+classical-limit pair from its row of those draws (``MemberDraws``) through
+the library's one-trial samplers, in the trial's draw order: the reference
+for ``drawn_by_column``, which draws trials through the chunk drawer.
 The ``copying_*`` kernels, ``gather_tilde`` and ``swap_dagger_tau`` are the
 kernels that the write-into-the-output ones in ``maps`` and ``algebra``
 replaced, each kept as its bit-for-bit reference.  ``two_call_ginibre``
@@ -32,7 +33,9 @@ replaced; ``two_call_draws`` puts it under the library's one-trial samplers.
 The literature's Bayes rules (``petz_rule`` to ``classical_rule``) are
 textbook formulas on dense operators; ``textbook`` reads E* through the
 library's adjoint and lays each image out with ``maps.vec``, so that a rule
-compares with ``closed_form_bayes``'s matrix.
+compares with ``closed_form_bayes``'s matrix.  ``closed_form_witnesses``
+are certification instances written down rather than drawn, on which the
+table's ✗ cells fail whatever the random streams.
 """
 import zlib
 from contextlib import contextmanager
@@ -460,11 +463,95 @@ class TransposedTarget(sot.SotFamily):
 
 
 # ------------------------------------------------ sequential certification
+def chunk_of(trial: int, config: axioms.CertifyConfig) -> range:
+    """The sweep's chunk that holds ``trial``: trial 0 alone, then blocks of
+    ``axioms.CHUNK_TRIALS`` trials, the last one cut at ``config.trials``."""
+    if trial == 0:
+        return range(0, 1)
+    start = 1 + (trial - 1) // axioms.CHUNK_TRIALS * axioms.CHUNK_TRIALS
+    return range(start, min(start + axioms.CHUNK_TRIALS, config.trials))
+
+
+def group_of(family: sot.SotFamily, prop: str, trial: int,
+             config: axioms.CertifyConfig) -> tuple[tuple, list[int], list[int]]:
+    """A trial's group key, its generator's key [seed, cell, chunk start,
+    group ordinal] and the group's trials in order: the chunk's trials are
+    grouped by key, the groups numbered in the order of their first trials."""
+    chunk, groups = chunk_of(trial, config), {}
+    for other in chunk:
+        groups.setdefault(axioms._group(family, prop, other, config), []).append(other)
+    group = axioms._group(family, prop, trial, config)
+    key = [config.seed, axioms._cell_index(family.tag, prop), chunk.start, list(groups).index(group)]
+    return group, key, groups[group]
+
+
+def group_draws(family: sot.SotFamily, prop: str, group: tuple, config: axioms.CertifyConfig,
+                key: list[int], members: int) -> list[tuple[str, np.ndarray]]:
+    """A group's plan drawn call by call from ``np.random.default_rng(key)``:
+    (method, its (members, ...) array) for one ``normal`` call per unbroken
+    run of Gaussian planes and one call of size (members, *size) per other
+    entry (method, *args, size)."""
+    rng = np.random.default_rng(key)
+    entries = [entry for _, plan, _ in axioms._plan(family, prop, group, config)
+               for entry in plan]
+    calls, width = [], 0
+    for k, entry in enumerate(entries):
+        if not isinstance(entry[0], str):
+            width += int(np.prod(entry))
+            if k + 1 < len(entries) and not isinstance(entries[k + 1][0], str):
+                continue  # the run goes on
+            calls.append(("normal", rng.normal(size=(members, width))))
+            width = 0
+        else:
+            method, *args, size = entry
+            calls.append((method, getattr(rng, method)(*args, size=(members, *size))))
+    return calls
+
+
+class MemberDraws:
+    """One member's row of each of its group's generator calls, handed out
+    in draw order as a generator would hand them to the one-trial samplers:
+    ``normal`` takes the next values of the current Gaussian row, another
+    method the member's whole value of its call."""
+
+    def __init__(self, calls: list[tuple[str, np.ndarray]], row: int):
+        self.rows, self.at = [(method, values[row]) for method, values in calls], 0
+
+    def normal(self, size):
+        method, values = self.rows[0]
+        assert method == "normal"
+        n = int(np.prod(size))
+        out, self.at = values[self.at:self.at + n].reshape(size), self.at + n
+        if self.at == len(values):
+            self.rows, self.at = self.rows[1:], 0
+        return out
+
+    def __getattr__(self, name: str):
+        def call(*args, size=None):
+            (method, value), *self.rows = self.rows
+            size = () if size is None else tuple(size)
+            assert method == name and np.shape(value)[:len(size)] == size
+            return value
+        return call
+
+
+def member_draws(family: sot.SotFamily, prop: str, trial: int,
+                 config: axioms.CertifyConfig) -> tuple[MemberDraws, list[int]]:
+    """A trial's row of its group's draws, and its replay key: the group's
+    generator key and the trial's row."""
+    group, key, members = group_of(family, prop, trial, config)
+    row = members.index(trial)
+    calls = group_draws(family, prop, group, config, key, len(members))
+    return MemberDraws(calls, row), [*key, row]
+
+
 def sample_alone(family: sot.SotFamily, prop: str, trial: int,
-                 config: axioms.CertifyConfig, rng: np.random.Generator) -> dict:
-    """Every random input of one trial, drawn from ``rng`` by the one-trial
-    samplers in the trial's draw order and finished alone; raises the
-    trial's refusal, if it has one."""
+                 config: axioms.CertifyConfig, rng=None) -> dict:
+    """Every random input of one trial, finished alone by the one-trial
+    samplers in the trial's draw order, from ``rng`` or else from the
+    trial's row of its group's draws (``member_draws``); raises the trial's
+    refusal, if it has one."""
+    rng = member_draws(family, prop, trial, config)[0] if rng is None else rng
     shape_a, shape_b = axioms._group(family, "P1", trial, config)  # the trial's shape pair
     if prop == "P7":
         e, rho = classical_limit_pair(shape_a, shape_b, rng, trial // 2,
@@ -480,7 +567,7 @@ def sample_alone(family: sot.SotFamily, prop: str, trial: int,
     out = {"e": sampling.random_cptp(shape_a, shape_b, rng),
            "rho": sampling.random_state(shape_a, rng)}
     if prop in axioms.MIXED:
-        out["lambda"] = rng.uniform(0.2, 0.8)
+        out["lambda"] = float(rng.uniform(0.2, 0.8))
         for key in axioms.MIXED[prop]:
             out[key] = (sampling.random_state(shape_a, rng) if key == "rho2"
                         else sampling.random_cptp(shape_a, shape_b, rng))
@@ -489,19 +576,18 @@ def sample_alone(family: sot.SotFamily, prop: str, trial: int,
     return out
 
 
-def drawn_by_column(family: sot.SotFamily, prop: str, config: axioms.CertifyConfig,
-                    trials: range) -> tuple[dict, dict]:
-    """Each trial's inputs from the chunk drawer, each group of ``trials``
-    drawn as one stack from the generators keyed [seed, cell, trial]: the
-    finished member of a trial, or its refusal; and the trials of each
-    group key."""
-    cell = axioms._cell_index(family.tag, prop)
+def drawn_by_column(family: sot.SotFamily, prop: str,
+                    config: axioms.CertifyConfig) -> tuple[dict, dict]:
+    """Each sweep trial's inputs from the chunk drawer, each group drawn as
+    one stack from the generator of its key: the finished member of a
+    trial, or its refusal; and (group key, trials) of each generator key."""
     groups, out = {}, {}
-    for trial in trials:
-        groups.setdefault(axioms._group(family, prop, trial, config), []).append(trial)
-    for group, members in groups.items():
-        rngs = (np.random.default_rng([config.seed, cell, trial]) for trial in members)
-        instance, refusals = axioms._draw(family, prop, group, config, rngs, len(members))
+    for trial in range(config.trials):
+        group, key, members = group_of(family, prop, trial, config)
+        groups[tuple(key)] = group, members
+    for key, (group, members) in groups.items():
+        instance, refusals = axioms._draw(family, prop, group, config,
+                                          np.random.default_rng(list(key)), len(members))
         out.update((trial, refusal) for trial, refusal in zip(members, refusals)
                    if refusal is not None)
         kept = [trial for trial, refusal in zip(members, refusals) if refusal is None]
@@ -526,18 +612,19 @@ def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
 
 def sequential_certify(family: sot.SotFamily, prop: str,
                        config: axioms.CertifyConfig) -> axioms.PropertyVerdict:
-    """Reference for ``axioms.certify``: each trial drawn, evaluated (a P2
-    search on its own) and folded before the next, keeping every candidate's
-    full witness.  Reports no skip counts or ascent steps."""
+    """Reference for ``axioms.certify``: each trial drawn from its row of its
+    group's draws, evaluated alone (a P2 search on its own) and folded
+    before the next, keeping every candidate's full witness; the ascent's
+    steps drawn in turn from one generator.  Reports no skip counts or
+    ascent steps."""
     tag = family.tag
     if config.trials <= 0:
         return axioms.PropertyVerdict(tag, prop, "insufficient", 0, config.seed)
     cell = axioms._cell_index(tag, prop)
 
-    def attempt(draw, *index: int):
-        key = [config.seed, cell, *index]
+    def attempt(draw, key):
         try:
-            instance = draw(np.random.default_rng(key))
+            instance = draw()
             value, extra = axioms._violation(family, prop, instance)
         except axioms.SKIPS:
             return None
@@ -545,8 +632,8 @@ def sequential_certify(family: sot.SotFamily, prop: str,
 
     max_residual, best, evaluated = 0.0, None, 0
     for trial in range(config.trials):
-        result = attempt(lambda rng: sample_alone(family, prop, trial, config, rng),
-                         trial)
+        rng, key = member_draws(family, prop, trial, config)
+        result = attempt(lambda: sample_alone(family, prop, trial, config, rng), key)
         if result is None:
             continue
         evaluated += 1
@@ -560,10 +647,11 @@ def sequential_certify(family: sot.SotFamily, prop: str,
 
     value, witness = best
     if PASS_THRESHOLD < value <= FAIL_THRESHOLD:
+        key = [config.seed, cell, config.trials + best_trial]
+        rng = np.random.default_rng(key)
         for step in range(axioms.ASCENT_STEPS):
             scale = 0.3 * (0.9 ** step)
-            result = attempt(lambda rng: axioms._perturb(witness, scale, rng),
-                             config.trials + best_trial, step)
+            result = attempt(lambda: axioms._perturb(witness, scale, rng), [*key, step])
             if result is not None and result[0] > value:
                 value, witness = result
                 if value > FAIL_THRESHOLD:
@@ -583,20 +671,44 @@ def sequential_certify(family: sot.SotFamily, prop: str,
                                   counterexample=witness if failed else None, note=note)
 
 
+# ---------------------------------------------------- analytic ✗ witnesses
+def closed_form_witnesses() -> dict[str, dict]:
+    """Instances on M2 → M2 (→ M2) written down, not drawn, by name: E the
+    identity or the dephasing channel, F the identity, ρ the stated matrix."""
+    a, b, c = (alg.matrix_algebra(2, label) for label in "abc")
+    identity = LinearMap(a, b, np.eye(a.vector_dim, dtype=complex))
+    dephasing = sampling.decohering_channel(a, b, np.eye(2))
+
+    def density(matrix) -> AlgebraElement:
+        return AlgebraElement(a, [np.array(matrix, dtype=complex)])
+    return {
+        # E = id and ρ = ½·1: every sandwich family gives ½·SWAP
+        "maximally-mixed": {"e": identity, "rho": density(np.eye(2) / 2)},
+        "diagonal-prior": {"e": identity, "rho": density(np.diag([0.7, 0.3]))},
+        # P4's two pure priors |0⟩⟨0| and |1⟩⟨1| mixed at λ = ½
+        "pure-priors": {"e": identity, "rho": density(np.diag([1.0, 0.0])), "lambda": 0.5,
+                        "rho2": density(np.diag([0.0, 1.0]))},
+        "dephased-prior": {"e": dephasing, "rho": density(np.diag([0.7, 0.3]))},
+        "dephased-chain": {"e": dephasing, "f": LinearMap(b, c, np.eye(4, dtype=complex)),
+                           "rho": density([[0.7, 0.2], [0.2, 0.3]])},
+        # P2's product-vector search seeded by 0
+        "biased-prior": {"e": identity, "rho": density(np.diag([0.9, 0.1])), "search_seed": 0},
+    }
+
+
 def full_product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
                           mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference for ``axioms._product_extremum``: eight rounds of
     alternating eigensolves from every start, for every factor dimension,
-    each round's forms and eigenvectors taken from the library's round
-    functions."""
+    each round's forms and eigenvectors, and the pairings, taken from the
+    library's functions."""
     jobs, _, m = a.shape
     n = b.shape[2]
-    t4 = blocks.reshape(jobs, m, n, m, n)
     to_b, to_a = axioms._form_maps(blocks, m, n)
     for _ in range(8):
         b = axioms._extreme_eigvecs(axioms._product_forms(to_b, a), mode)
         a = axioms._extreme_eigvecs(axioms._product_forms(to_a, b), mode)
-    vals = np.einsum("rsi,rsk,rikjl,rsj,rsl->rs", a.conj(), b.conj(), t4, a, b).real
+    vals = axioms._pairings(blocks, a, b)
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
     best = (np.arange(jobs), pick)
     return vals[best], a[best], b[best]
@@ -747,8 +859,9 @@ def planes(g: np.ndarray) -> np.ndarray:
 def two_call_draw(plan: tuple, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """``sampling.draw`` with each plane shape (2, rows, cols) drawn as a
     two-call Ginibre matrix."""
-    return tuple(getattr(rng, entry[0])(*entry[1:]) if isinstance(entry[0], str)
-                 else planes(two_call_ginibre(rng, *entry[1:])) for entry in plan)
+    return tuple(getattr(rng, entry[0])(*entry[1:-1], size=entry[-1] or None)
+                 if isinstance(entry[0], str) else planes(two_call_ginibre(rng, *entry[1:]))
+                 for entry in plan)
 
 
 @contextmanager

@@ -10,13 +10,14 @@ import pytest
 
 from qsot import algebra as alg, axioms, cli, io, maps, sampling, sot
 from qsot.algebra import AlgebraElement
+from qsot.config import FAIL_THRESHOLD
 from qsot.maps import LinearMap
 from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
                          UnsupportedFamilyError, ValidationError)
 
-from conftest import (drawn_by_column, full_product_extremum,
-                      looped_block_positivity_violation, rng_for, sample_alone, sequential_certify,
-                      two_call_draws, unit_starts)
+from conftest import (closed_form_witnesses, drawn_by_column, full_product_extremum, group_of,
+                      looped_block_positivity_violation, member_draws, rng_for, sample_alone,
+                      sequential_certify, two_call_draws, unit_starts)
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
 
@@ -407,8 +408,8 @@ def test_stacked_search_equals_the_looped_search(dims, blocky):
     """The stacked set-up, one draw per member and its members × searches
     table, against the element-by-element search with one draw per search:
     the same values, witnesses and vectors bit for bit, and each generator
-    left at the same next draw; with ``_generators``' one reused generator too.
-    A zero member's pairings are 0 exactly, which is no violation."""
+    left at the same next draw.  A zero member's pairings are 0 exactly,
+    which is no violation."""
     shape_a, shape_b = axioms._group(sot.LeiferSpekkens(), "P2", int(blocky),
                                      axioms.CertifyConfig(dims=dims))
     rng = rng_for("looped-search", 10 * dims[1] + blocky)
@@ -422,8 +423,6 @@ def test_stacked_search_equals_the_looped_search(dims, blocky):
     want = looped_block_positivity_violation(ts, 20, want_rngs)
     assert_same_search(axioms.block_positivity_violation(alg.stack(ts), 20, rngs), want)
     assert [r.random() for r in rngs] == [r.random() for r in want_rngs]
-    assert_same_search(axioms.block_positivity_violation(alg.stack(ts), 20,
-                                                         axioms._generators(keys)), want)
     kinds = {witness.get("kind") for _, witness in want}
     patterns = {tuple(np.linalg.norm(mat - mat.conj().T) > 1e-10 for mat in t.data) for t in ts}
     # hermitian, non-hermitian and (on blocky shapes) mixed members, every outcome
@@ -492,6 +491,24 @@ def test_a_search_with_a_one_dimensional_factor_equals_the_full_search(m, n, mod
     assert np.array_equal(vectors_a, want_a) and np.array_equal(vectors_b, want_b)
 
 
+@pytest.mark.parametrize("mode", ["min", "absmax"])
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+def test_each_job_of_a_stacked_search_equals_the_job_searched_alone(m, n, mode):
+    """Values and vectors bit for bit, whatever the number of jobs sharing
+    the call: a job's pairings are its own (a one-dimensional factor makes
+    axes of length one, whose reductions may run in another order)."""
+    rng = rng_for("stacked-jobs", 10 * m + n)
+    g = rng.normal(size=(40, m * n, m * n)) + 1j * rng.normal(size=(40, m * n, m * n))
+    blocks = (g + g.conj().swapaxes(1, 2)) / 2
+    a, b = map(np.stack, zip(*(unit_starts(rng, 20, m, n) for _ in blocks)))
+    stacked = axioms._product_extremum(blocks, a, b, mode)
+    for job in range(len(blocks)):
+        alone = axioms._product_extremum(blocks[job:job + 1], a[job:job + 1], b[job:job + 1],
+                                         mode)
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[job], want[0]), job
+
+
 def test_p2_at_dims_2_3_equals_the_sequential_full_search(monkeypatch):
     """Blocky shapes at dims (2, 3) have factor blocks of dimension 1 on
     both sides; the P2 cells equal the trial-by-trial reference run with
@@ -546,8 +563,10 @@ def test_a_failure_inside_a_chunk_matches_the_reference(seed):
     assert verdict.status == "fails" and verdict.skipped == {}
     first_failure = verdict.trials - 1
     assert first_failure not in CHUNK_STARTS  # later trials of its chunk were searched
-    assert verdict.counterexample["replay_seed"] == [seed, axioms._cell_index(family.tag, "P2"),
-                                                     first_failure]
+    # the group's generator key [seed, cell, chunk start, group] and the trial's row
+    _, key, members = group_of(family, "P2", first_failure, config)
+    assert key[:3] == [seed, axioms._cell_index(family.tag, "P2"), 1]
+    assert verdict.counterexample["replay_seed"] == [*key, members.index(first_failure)]
     assert without_new_keys(verdict.to_json()) == without_new_keys(want.to_json())
     assert_replays_exactly(family, verdict, config)
 
@@ -666,23 +685,24 @@ def assert_same(got, want):
 def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop, dims):
     """Twelve trials walk the chunks [0] and [1..11], on both shape
     parities and on targets larger and smaller than the source; each
-    trial's outcome in its chunk equals sample_alone, the trial drawn by
-    the one-trial samplers, and _violation on that trial alone: a skipped
-    trial raises alone what it was skipped for."""
+    trial's outcome in its chunk equals sample_alone, the trial finished by
+    the one-trial samplers from its row of its group's draws, and
+    _violation on that trial alone: a skipped trial raises alone what it
+    was skipped for.  Its replay key names its group's generator and row."""
     family = sot.TABLE_FAMILIES[tag]
     config = axioms.CertifyConfig(trials=12, seed=3, dims=dims)
     swept = list(axioms._sweep(family, prop, config, axioms._cell_index(tag, prop)))
     assert [trial for trial, _, _ in swept] == list(range(config.trials))
     for trial, key, outcome in swept:
-        rng = np.random.default_rng(key)
+        assert key == member_draws(family, prop, trial, config)[1], trial
         if isinstance(outcome, str):
             with pytest.raises(axioms.SKIPS) as raised:
-                axioms._violation(family, prop, sample_alone(family, prop, trial, config, rng))
+                axioms._violation(family, prop, sample_alone(family, prop, trial, config))
             assert type(raised.value).__name__ == outcome, trial
             continue
         violation, extra, stacked, position = outcome
         data = {**axioms._member(stacked, position), **extra}
-        instance = sample_alone(family, prop, trial, config, rng)
+        instance = sample_alone(family, prop, trial, config)
         alone, extra = axioms._violation(family, prop, instance)
         assert violation == alone, trial
         want = {**instance, **extra}
@@ -695,12 +715,10 @@ def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop, dims):
 def test_skips_are_counted_trial_by_trial_on_every_stacked_property(prop):
     family = PickyLeiferSpekkens()
     verdict = axioms.certify(family, prop, FAST)
-    cell = axioms._cell_index(family.tag, prop)
     want = Counter()
     for trial in range(verdict.trials + sum(verdict.skipped.values())):
-        rng = np.random.default_rng([FAST.seed, cell, trial])
         try:
-            axioms._violation(family, prop, sample_alone(family, prop, trial, FAST, rng))
+            axioms._violation(family, prop, sample_alone(family, prop, trial, FAST))
         except axioms.SKIPS as exc:
             want[type(exc).__name__] += 1
     assert verdict.skipped == dict(want)
@@ -711,15 +729,15 @@ def test_skips_are_counted_trial_by_trial_on_every_stacked_property(prop):
 
 
 def test_a_draw_that_raises_is_its_trials_outcome_alone(monkeypatch):
-    """Ohya's P7 prior filter refuses three draws at seed 0: those trials
+    """Ohya's P7 prior filter refuses two draws at seed 1: those trials
     are skipped, and no trial of their chunk is evaluated one by one."""
     alone = []
     fallback = axioms._violation
     monkeypatch.setattr(axioms, "_violation",
                         lambda *args: alone.append(args) or fallback(*args))
-    verdict = axioms.certify(sot.OhyaCompound(), "P7", axioms.CertifyConfig(trials=200, seed=0))
+    verdict = axioms.certify(sot.OhyaCompound(), "P7", axioms.CertifyConfig(trials=200, seed=1))
     assert verdict.status == "holds-restricted"
-    assert verdict.trials == 197 and verdict.skipped == {"InapplicableError": 3}
+    assert verdict.trials == 198 and verdict.skipped == {"InapplicableError": 2}
     assert alone == []
 
 
@@ -779,10 +797,8 @@ def test_a_stacked_associativity_check_equals_per_member_checks(tag, dims):
     state-linear family and for one that validates every argument."""
     family = sot.TABLE_FAMILIES[tag]
     config = axioms.CertifyConfig(trials=8, seed=4, dims=dims)
-    cell = axioms._cell_index(tag, "A")
-    rngs = (np.random.default_rng([config.seed, cell, trial]) for trial in range(config.trials))
     instance, _ = axioms._draw(family, "A", axioms._group(family, "A", 0, config), config,
-                               rngs, config.trials)
+                               rng_for("stacked-associativity", dims[1]), config.trials)
     stacked = axioms.check_associativity(family, instance["e"], instance["f"], instance["rho"])
     assert stacked.shape == (config.trials,)
     for position, value in enumerate(stacked.tolist()):
@@ -798,8 +814,7 @@ def test_an_inapplicable_member_settles_an_a_stack_member_by_member(monkeypatch)
     evaluated alone, and every trial keeps the outcome it has alone."""
     family, config = sot.LeiferSpekkens(), axioms.CertifyConfig(trials=8, seed=4)
     measure_prepare, violation = sampling.measure_prepare, axioms._violation
-    cell = axioms._cell_index(family.tag, "A")
-    third = np.random.default_rng([config.seed, cell, 3]).normal()  # trial 3's first draw
+    third = member_draws(family, "A", 3, config)[0].normal(1)[0]  # trial 3's first draw
 
     def general_third(source, target, draws):
         if draws[0].flat[0] == third:
@@ -808,12 +823,11 @@ def test_an_inapplicable_member_settles_an_a_stack_member_by_member(monkeypatch)
     alone = []
     monkeypatch.setattr(sampling, "measure_prepare", general_third)
     monkeypatch.setattr(axioms, "_violation", lambda *args: alone.append(args) or violation(*args))
-    trials = range(1, config.trials)
-    keys = [[config.seed, cell, trial] for trial in trials]
-    outcomes = axioms._chunk(family, "A", trials, config, keys)
+    trials = range(1, config.trials)  # the sweep's second chunk
+    outcomes = axioms._chunk(family, "A", trials, config, axioms._cell_index(family.tag, "A"))
     assert len(alone) == len(trials)  # the stack raised, so the fallback ran
-    for trial, key, outcome in zip(trials, keys, outcomes):
-        member = sample_alone(family, "A", trial, config, np.random.default_rng(key))
+    for trial, (_, outcome) in zip(trials, outcomes):
+        member = sample_alone(family, "A", trial, config)
         if trial == 3:
             assert isinstance(outcome, InapplicableError)
             with pytest.raises(InapplicableError, match="not linear in the state"):
@@ -840,71 +854,68 @@ def test_rs_family_at_a_bloom_end_is_associative(r, s):
 @pytest.mark.parametrize("prop", ["P7", "A"])
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
 def test_stacked_p7_and_a_draws_equal_the_per_trial_samplers(tag, prop):
-    """Twelve trials give stacks of at least two per group key, over both
-    shape parities and every classical-limit construction that applies;
-    each finished member equals the trial drawn alone (==)."""
-    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
-    cell = axioms._cell_index(tag, prop)
-    drawn, groups = drawn_by_column(family, prop, config, range(config.trials))
+    """Sixteen trials give stacks of at least two per group key after trial
+    0's chunk, over both shape parities and every classical-limit
+    construction that applies; each finished member equals the trial
+    finished alone from its row of its group's draws (==)."""
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=16, seed=3)
+    drawn, groups = drawn_by_column(family, prop, config)
     for trial, member in drawn.items():
         assert not isinstance(member, Exception), trial  # no pair of these is refused
-        want = sample_alone(family, prop, trial, config,
-                            np.random.default_rng([config.seed, cell, trial]))
+        want = sample_alone(family, prop, trial, config)
         assert list(member) == list(want)
         for name, value in want.items():
             assert_same(member[name], value)
-    assert all(len(members) >= 2 for members in groups.values())
+    assert all(len(members) >= 2 for key, (_, members) in groups.items() if key[2] > 0)
     if prop == "P7":
         kinds = {"replacement", "decohering"} | (set() if family.compound else {"central"})
-        shapes = {(a.dims, b.dims) for a, b, *_ in groups}
-        assert {key[2] for key in groups} == kinds and len(shapes) == 2
+        shapes = {(a.dims, b.dims) for (a, b, *_), _ in groups.values()}
+        assert {group[2] for group, _ in groups.values()} == kinds and len(shapes) == 2
 
 
 def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
-    """At seed 0 Ohya's prior filter refuses trial 13, which shares its
-    stack in a chunk of trials 7..14 with trial 9; trial 13 alone is
-    skipped."""
-    family, config = sot.OhyaCompound(), axioms.CertifyConfig(trials=16, seed=0)
-    cell = axioms._cell_index(family.tag, "P7")
-    trials = range(7, 15)
-    keys = [[config.seed, cell, trial] for trial in trials]
-    outcomes = dict(zip(trials, axioms._chunk(family, "P7", trials, config, keys)))
-    assert isinstance(outcomes[13], InapplicableError)
-    assert "degenerate" in str(outcomes[13])
+    """At seed 11 Ohya's prior filter refuses trial 5, which shares its
+    stack in the chunk of trials 1..23 with trials 1, 9, 13, 17 and 21;
+    trial 5 alone is skipped."""
+    family, config = sot.OhyaCompound(), axioms.CertifyConfig(trials=24, seed=11)
+    trials = range(1, config.trials)
+    assert group_of(family, "P7", 5, config)[2] == [1, 5, 9, 13, 17, 21]
+    outcomes = dict(zip(trials, (outcome for _, outcome in axioms._chunk(
+        family, "P7", trials, config, axioms._cell_index(family.tag, "P7")))))
+    assert isinstance(outcomes[5], InapplicableError)
+    assert "degenerate" in str(outcomes[5])
     with pytest.raises(InapplicableError, match="degenerate"):
-        sample_alone(family, "P7", 13, config, np.random.default_rng(keys[13 - 7]))
-    for trial, key in zip(trials, keys):
-        if trial != 13:
+        sample_alone(family, "P7", 5, config)
+    for trial in trials:
+        if trial != 5:
             _, extra, stacked, position = outcomes[trial]
             data = {**axioms._member(stacked, position), **extra}
-            for name, value in sample_alone(family, "P7", trial, config,
-                                            np.random.default_rng(key)).items():
+            for name, value in sample_alone(family, "P7", trial, config).items():
                 assert_same(data[name], value)
     verdict = axioms.certify(family, "P7", config)
-    assert verdict.trials == 15 and verdict.skipped == {"InapplicableError": 1}
+    assert verdict.trials == 23 and verdict.skipped == {"InapplicableError": 1}
 
 
 @pytest.mark.parametrize("tag", ["uncorrelated", "ohya"])
 def test_a_p7_chunk_evaluates_one_stack_per_construction(tag, monkeypatch):
-    """A chunk of trials 7..14 holds every construction on both shape
+    """The chunk of trials 1..15 holds every construction on both shape
     parities; the finished pairs of one (shape pair, construction) group are
     evaluated together, and each trial keeps the violation it has alone."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=16, seed=0)
-    cell = axioms._cell_index(tag, "P7")
-    trials = range(7, 15)
-    keys = [[config.seed, cell, trial] for trial in trials]
+    trials = range(1, config.trials)
     stacks = []
     violations = axioms._violations
     monkeypatch.setattr(axioms, "_violations", lambda family, prop, instance: (
         stacks.append(instance["e"].matrix.shape[0]) or violations(family, prop, instance)))
-    outcomes = axioms._chunk(family, "P7", trials, config, keys)
+    outcomes = [outcome for _, outcome in axioms._chunk(family, "P7", trials, config,
+                                                        axioms._cell_index(tag, "P7"))]
     evaluated = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
     groups = {axioms._group(family, "P7", trial, config)
               for trial, outcome in zip(trials, outcomes) if not isinstance(outcome, Exception)}
     assert len(stacks) == len(groups) > 2 and sum(stacks) == len(evaluated)
-    for trial, key, outcome in zip(trials, keys, outcomes):
+    for trial, outcome in zip(trials, outcomes):
         if not isinstance(outcome, Exception):
-            instance = sample_alone(family, "P7", trial, config, np.random.default_rng(key))
+            instance = sample_alone(family, "P7", trial, config)
             assert outcome[0] == axioms._violation(family, "P7", instance)[0]
 
 
@@ -938,7 +949,6 @@ class BrittleLeiferSpekkens(sot.LeiferSpekkens):
 
 def test_an_error_after_the_first_failure_of_a_chunk_does_not_escape():
     family = BrittleLeiferSpekkens()
-    cell = axioms._cell_index(family.tag, "P1")
     chunk_of = np.searchsorted(np.array(CHUNK_STARTS), np.arange(40), side="right")
 
     def first_events(seed: int) -> list[tuple[int, str]]:
@@ -946,8 +956,7 @@ def test_an_error_after_the_first_failure_of_a_chunk_does_not_escape():
         config = axioms.CertifyConfig(trials=40, seed=seed)
         events = []
         for trial in range(40):
-            rng = np.random.default_rng([seed, cell, trial])
-            weight = sample_alone(family, "P1", trial, config, rng)["rho"].data[0][0, 0].real
+            weight = sample_alone(family, "P1", trial, config)["rho"].data[0][0, 0].real
             if weight < 0.15 or weight > 0.8:
                 events.append((trial, "raise" if weight < 0.15 else "fail"))
         return events
@@ -977,32 +986,60 @@ def test_an_error_after_the_first_failure_of_a_chunk_does_not_escape():
         axioms.certify(family, "P1", axioms.CertifyConfig(trials=40, seed=seed))
 
 
-# ---------------------------------------------------------------- seeding
-def first_draws(rng: np.random.Generator) -> tuple:
-    return rng.normal(), rng.uniform(), int(rng.integers(2 ** 32))
+# ---------------------------------------------------------------- draw order
+class RecordingGenerator:
+    """A generator that records each call: (method, args, size, values)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name: str):
+        def call(*args, size=None):
+            values = getattr(self.rng, name)(*args, size=size)
+            self.calls.append((name, args, size, values))
+            return values
+        return call
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7])
-def test_bulk_seeded_generators_equal_default_rng(seed):
-    """The keys [seed, cell, trial] of every family's cells, trials 0–300,
-    seeded in one pass: each generator has default_rng(key)'s state and
-    first draws."""
-    keys = [[seed, axioms._cell_index(tag, prop), trial] for tag in sot.FAMILIES
-            for prop in axioms.PROPERTIES for trial in range(301)]
-    for key, rng in zip(keys, axioms._generators(keys), strict=True):
-        want = np.random.default_rng(key)
-        assert rng.bit_generator.state == want.bit_generator.state, key
-        assert first_draws(rng) == first_draws(want), key
+# At dims (2, 2) a channel's planes are (2, 4, 2), 16 values, and a state's
+# (2, 2, 2), 8; A's measure-prepare leg takes four effects' and four states'
+# planes, 64.  Each group draws its members' values call by call.
+M = 5  # members of the group
+DRAW_ORDER = {
+    "P4": ("uncorrelated", 0, [("normal", (), (M, 24)), ("uniform", (0.2, 0.8), (M,)),
+                               ("normal", (), (M, 8))]),
+    "P2": ("right-bloom", 0, [("normal", (), (M, 24)), ("integers", (2 ** 32,), (M,))]),
+    "A": ("leifer-spekkens", 0, [("normal", (), (M, 64 + 16 + 8))]),
+    "P7 replacement": ("uncorrelated", 0, [("normal", (), (M, 16))]),
+    "P7 decohering": ("uncorrelated", 2, [("dirichlet", (np.ones(2),), (M, 2)),
+                                          ("dirichlet", (np.ones(2),), (M,))]),
+    "P7 central": ("uncorrelated", 4, [("normal", (), (M, 16)),
+                                       ("dirichlet", (np.ones(1),), (M,))]),
+}
 
 
-def test_bulk_seeded_search_generators_equal_default_rng():
-    """P2's single-int search seeds, then keys of mixed lengths in one call."""
-    seeds = [0, 1, 2 ** 32 - 1, *rng_for("search-seeds").integers(2 ** 32, size=200).tolist()]
-    keys = [[seed] for seed in seeds] + [[2 ** 32], [2 ** 64 + 7, 1, 2], [0] * 5 + [9]]
-    for key, rng in zip(keys, axioms._generators(keys), strict=True):
-        want = np.random.default_rng(key[0] if len(key) == 1 else key)
-        assert rng.bit_generator.state == want.bit_generator.state, key
-        assert first_draws(rng) == first_draws(want), key
+@pytest.mark.parametrize("kind", list(DRAW_ORDER))
+def test_a_group_draws_each_plan_call_once_for_all_its_members(kind):
+    """A group's generator, ``default_rng(key)``, makes one call per plan
+    call of size (members, …), in plan order, and no other: the values
+    ``_draw`` takes equal those calls made on a fresh ``default_rng(key)``,
+    and both generators give the same next draw."""
+    prop, *construction = kind.split()
+    tag, trial, want = DRAW_ORDER[kind]
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(seed=7)
+    group = axioms._group(family, prop, trial, config)
+    if construction:
+        assert group[2] == construction[0]
+    assert prop != "A" or not family.state_linear  # A's first leg is measure-prepare
+    key = [config.seed, axioms._cell_index(tag, prop), 1, 0]
+    rng, reference = RecordingGenerator(np.random.default_rng(key)), np.random.default_rng(key)
+    axioms._draw(family, prop, group, config, rng, M)
+    assert [(name, size) for name, _, size, _ in rng.calls] == [(name, size)
+                                                               for name, _, size in want]
+    for (_, args, _, values), (name, want_args, size) in zip(rng.calls, want):
+        assert all(np.array_equal(a, b) for a, b in zip(args, want_args, strict=True))
+        assert np.array_equal(values, getattr(reference, name)(*want_args, size=size))
+    assert rng.rng.random() == reference.random()
 
 
 @pytest.mark.parametrize("prop", axioms.PROPERTIES)
@@ -1010,26 +1047,25 @@ def test_bulk_seeded_search_generators_equal_default_rng():
 def test_every_drawn_instance_has_the_bits_of_two_call_ginibre_draws(tag, prop):
     """Twelve trials, both shape parities and (for a family without a prior
     filter) all three classical-limit constructions: each trial drawn by
-    column equals the trial drawn alone with two-call Ginibre matrices, and
-    is refused where that trial is."""
+    column equals the trial finished alone from its row of its group's
+    draws, each Ginibre matrix taken as two ``normal`` calls, and is refused
+    where that trial is."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=12, seed=3)
-    cell = axioms._cell_index(tag, prop)
-    drawn, groups = drawn_by_column(family, prop, config, range(config.trials))
+    drawn, groups = drawn_by_column(family, prop, config)
     with two_call_draws():
         for trial in range(config.trials):
-            rng = np.random.default_rng([config.seed, cell, trial])
             if isinstance(drawn[trial], Exception):
                 with pytest.raises(type(drawn[trial]), match=str(drawn[trial])):
-                    sample_alone(family, prop, trial, config, rng)
+                    sample_alone(family, prop, trial, config)
                 continue
-            want = sample_alone(family, prop, trial, config, rng)
+            want = sample_alone(family, prop, trial, config)
             assert list(drawn[trial]) == list(want)
             for name, value in want.items():
                 assert_same(drawn[trial][name], value)
     if prop == "P7":
         kinds = {"replacement", "decohering"} | (set() if family.compound else {"central"})
-        assert {group[2] for group in groups} == kinds
-    assert len({group[0] for group in groups}) == (1 if prop == "A" else 2)
+        assert {group[2] for group, _ in groups.values()} == kinds
+    assert len({group[0] for group, _ in groups.values()}) == (1 if prop == "A" else 2)
 
 
 def test_a_cell_gives_the_same_verdict_alone_and_inside_the_table():
@@ -1041,3 +1077,58 @@ def test_a_cell_gives_the_same_verdict_alone_and_inside_the_table():
         for prop in reversed(axioms.PROPERTIES):
             alone = axioms.certify(family, prop, config).to_json()
             assert alone == report.verdicts[tag][prop].to_json(), (tag, prop)
+
+
+# ------------------------------------------------------ analytic ✗ witnesses
+# Each ✗ cell of EXPECTED_TABLE: (its instance in conftest's
+# closed_form_witnesses, the violation in closed form or None, why it fails).
+ANALYTIC_WITNESSES = {
+    **{(tag, "P3"): ("maximally-mixed", 0.5, "½·SWAP has the eigenvalue −½")
+       for tag in ("leifer-spekkens", "t-rotated", "sth", "symmetric-bloom", "right-bloom",
+                   "left-bloom")},
+    **{(tag, "P1"): ("diagonal-prior", np.sqrt(2) * 0.4,
+                     "T − T† = ±(ρ⊗1 − 1⊗ρ)·SWAP, of norm √2·(0.7 − 0.3)")
+       for tag in ("right-bloom", "left-bloom")},
+    **{(tag, "P2"): ("biased-prior", None,
+                     "the pairing on a⊗b is ⟨a|ρ|b⟩⟨b|a⟩ (its real part for the symmetric "
+                     "bloom), negative or non-real for some a, b; the seeded search finds them")
+       for tag in ("symmetric-bloom", "right-bloom", "left-bloom")},
+    **{(tag, "P4"): ("pure-priors", 0.5, "at ½·1 the state is ¼·1⊗1, the pure priors' mix "
+                                         "½(|00⟩⟨00| + |11⟩⟨11|)")
+       for tag in ("uncorrelated", "ohya")},
+    **{(tag, "P4"): ("pure-priors", 1 / np.sqrt(2), "at ½·1 the state is ½·SWAP, the pure "
+                                                    "priors' mix ½(|00⟩⟨00| + |11⟩⟨11|)")
+       for tag in ("leifer-spekkens", "t-rotated", "sth")},
+    ("uncorrelated", "P7"): ("dephased-prior", 2 * 0.7 * 0.3,
+                             "the product p(a)p(b) of a classical pair is not its joint "
+                             "distribution p(b|a)p(a)"),
+    ("uncorrelated", "A"): ("dephased-chain", None,
+                            "ρ⊗E(ρ) is not linear in ρ, so the two bracketings differ"),
+    **{(tag, "A"): ("dephased-chain", np.sqrt(2) * 0.2,
+                    "the two bracketings differ by √2 times ρ's coherence 0.2")
+       for tag in ("leifer-spekkens", "t-rotated", "sth")},
+}
+# ✗ cells without a closed-form witness yet (Horsman et al., Proc. R. Soc. A
+# 2017, give no-go witnesses for the rest): none at dims (2, 2).
+OPEN_FAILS: dict[tuple[str, str], str] = {}
+
+
+def test_every_fails_cell_has_a_closed_form_witness_or_is_listed_open():
+    fails = {(tag, prop) for tag, row in axioms.EXPECTED_TABLE.items()
+             for prop, glyph in row.items() if glyph == "✗"}
+    assert len(fails) == 21
+    assert fails == ANALYTIC_WITNESSES.keys() | OPEN_FAILS.keys()
+    assert not ANALYTIC_WITNESSES.keys() & OPEN_FAILS.keys()
+
+
+@pytest.mark.parametrize("tag, prop", sorted(ANALYTIC_WITNESSES))
+def test_a_fails_cell_fails_on_its_closed_form_witness(tag, prop):
+    """The library's violation of the written-down instance, through
+    ``replay_violation``, exceeds FAIL_THRESHOLD whatever the certification
+    streams, and equals its closed form where one is given."""
+    name, closed_form, _ = ANALYTIC_WITNESSES[tag, prop]
+    violation = axioms.replay_violation(sot.TABLE_FAMILIES[tag], prop,
+                                        closed_form_witnesses()[name])
+    assert violation > FAIL_THRESHOLD
+    if closed_form is not None:
+        assert violation == pytest.approx(closed_form, rel=1e-12)
