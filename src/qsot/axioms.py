@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -64,13 +64,15 @@ class CertifyConfig:
     dims: tuple[int, int] = (2, 2)
     seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self):  # stores plain ints and a tuple: the config hashes, writes as JSON
         for name, value in (("trials", self.trials), ("seed", self.seed)):
             if not _is_count(value, 0):
                 raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (isinstance(self.dims, (tuple, list)) and len(self.dims) == 2
                 and all(_is_count(d, 1) for d in self.dims)):
             raise ValidationError(f"dims must be a pair of positive integers, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
 
 
 def _is_count(value, least: int) -> bool:  # an integer, not a bool, of at least ``least``
@@ -144,50 +146,60 @@ def _group(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig) 
 
 
 # -------------------------------------------------------- product-vector search
+@cache
+def _starts(d: int, count: int) -> np.ndarray:
+    """The ``count`` unit start vectors (count, d) of every search whose first
+    factor has dimension d, built once and read-only: the real, then the
+    imaginary parts ``default_rng([d, count]).normal(size=(2, count, d))``."""
+    z = np.random.default_rng([d, count]).normal(size=(2, count, d))
+    v = z[0] + 1j * z[1]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    v.flags.writeable = False
+    return v
+
+
 def _form_maps(blocks: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (m·n)×(m·n) blocks as the maps from v̄⊗v in one factor to the
-    form ⟨v|block|v⟩ in the other: (jobs, m², n, n) and (jobs, n², m, m)."""
+    """Stacked (m·n)×(m·n) blocks as the maps from a flattened projector v̄vᵀ in
+    one factor to the form ⟨v|block|v⟩ in the other: (jobs, m², n²), (jobs, n², m²)."""
     t5 = blocks.reshape(-1, m, n, m, n)  # [job, i, k, j, l] for ⟨i k|block|j l⟩
-    return (t5.transpose(0, 1, 3, 2, 4).reshape(-1, m * m, n, n),
-            t5.transpose(0, 2, 4, 1, 3).reshape(-1, n * n, m, m))
+    return (t5.transpose(0, 1, 3, 2, 4).reshape(-1, m * m, n * n),
+            t5.transpose(0, 2, 4, 1, 3).reshape(-1, n * n, m * m))
 
 
-def _product_forms(form_map: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The forms (jobs, starts, d, d) a ``_form_maps`` map leaves in the free
-    factor for fixed vectors v (jobs, starts, e): one batched matmul."""
-    jobs, e2, d, _ = form_map.shape
-    outer = (v.conj()[..., :, None] * v[..., None, :]).reshape(jobs, -1, e2)
-    return (outer @ form_map.reshape(jobs, e2, d * d)).reshape(*outer.shape[:2], d, d)
-
-
-def _extreme_eigvecs(q: np.ndarray, mode: str) -> np.ndarray:
-    """A unit eigenvector of the hermitian part of each form q (..., d, d)
-    for its lowest eigenvalue ('min'), or for its eigenvalue of largest
-    modulus, the lower one on a tie ('absmax').  d = 1 gives 1 exactly;
-    d = 2 is closed-form and elementwise, from the row of H − λ with the
-    larger diagonal entry, and gives e₁ on a multiple of the identity;
-    larger d takes a stacked ``eigh``."""
+def _extreme_projectors(q: np.ndarray, mode: str) -> np.ndarray:
+    """The projector v̄vᵀ (..., d, d) of a unit eigenvector v of the hermitian
+    part H of each form q (..., d, d) for its lowest eigenvalue ('min'), or
+    for its eigenvalue of largest modulus, the lower one on a tie ('absmax').
+    d = 1 gives 1 exactly; d = 2 is elementwise, ½(1 ± (H − mean·1)/radius)ᵀ,
+    e₁'s projector on a multiple of 1; larger d takes a stacked ``eigh``."""
     d = q.shape[-1]
     if d == 1:
-        return np.ones(q.shape[:-1], dtype=complex)
+        return np.ones(q.shape, dtype=complex)
     if d > 2:
         w, v = np.linalg.eigh((q + q.conj().swapaxes(-1, -2)) / 2)
         idx = (np.argmax(np.abs(w), axis=-1) if mode == "absmax"
                else np.zeros(w.shape[:-1], dtype=int))
-        return np.take_along_axis(v, idx[..., None, None], axis=-1)[..., 0]
+        v = np.take_along_axis(v, idx[..., None, None], axis=-1)[..., 0]
+        return v.conj()[..., :, None] * v[..., None, :]
     top, bottom = q[..., 0, 0].real, q[..., 1, 1].real
-    off = (q[..., 1, 0] + q[..., 0, 1].conj()) / 2
-    mean, half, size = (top + bottom) / 2, (top - bottom) / 2, np.abs(off)
-    radius = np.hypot(half, size)  # λ = mean + sign·radius
-    sign = (np.where(np.abs(mean + radius) > np.abs(mean - radius), 1.0, -1.0)
-            if mode == "absmax" else -1.0)
-    pivot = radius + np.abs(half)  # the larger of |top − λ| and |bottom − λ|
-    identity = pivot == 0          # pivot and norm become 1, so v = e₁
-    pivot, norm = pivot + identity, np.hypot(pivot, size) + identity
-    first_row = sign * half < 0    # top − λ = −sign·pivot there
-    other = sign * off.conj()
-    return np.stack([np.where(first_row, other, pivot),
-                     np.where(first_row, pivot, other.conj())], axis=-1) / norm[..., None]
+    off = (q[..., 1, 0] + q[..., 0, 1].conj()) / 2  # H's lower off-diagonal entry
+    mean, half = (top + bottom) / 2, (top - bottom) / 2
+    radius = np.hypot(half, np.abs(off))  # λ = mean ± radius
+    sign = (np.where(np.abs(mean + radius) > np.abs(mean - radius), 0.5, -0.5)
+            if mode == "absmax" else -0.5)
+    identity = radius == 0  # H − mean·1 = 0: take e₁'s projector
+    scale = sign / (radius + identity)
+    first, off = 0.5 + np.where(identity, 0.5, scale * half), scale * off  # O's first row
+    return np.stack([first, off, off.conj(), 1 - first], axis=-1).reshape(q.shape)
+
+
+def _projector_vectors(o: np.ndarray) -> np.ndarray:
+    """The unit vector v (..., d) of each rank-one projector o = v̄vᵀ, read
+    from its row with the largest diagonal entry, so that v's entry of
+    largest modulus is real and positive."""
+    row = np.argmax(np.diagonal(o, axis1=-2, axis2=-1).real, axis=-1)[..., None, None]
+    at = np.take_along_axis(o, row, axis=-2)[..., 0, :]  # conj(v_i)·v for that row i
+    return at / np.sqrt(np.take_along_axis(at, row[..., 0], axis=-1).real)
 
 
 def _pairings(blocks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,50 +212,50 @@ def _pairings(blocks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum((v[..., p].conj() * tv[..., p]).real for p in range(v.shape[-1]))
 
 
-def _product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
+def _product_extremum(blocks: np.ndarray, starts: np.ndarray,
                       mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimize ⟨a⊗b|block|a⊗b⟩ over unit product vectors by eight rounds of
     alternating eigensolves (fixing one factor leaves a hermitian form in
-    the other), for a stack of (m·n)×(m·n) blocks from start vectors a
-    (jobs, starts, m) and b (jobs, starts, n).  Returns each block's best
-    value (jobs,) and vectors (jobs, m) and (jobs, n).
+    the other) on the projectors v̄vᵀ, for a stack of (m·n)×(m·n) blocks
+    from unit start vectors (starts, m) shared by every block.  Returns each
+    block's best value (jobs,) and vectors (jobs, m) and (jobs, n).
 
     ``mode`` 'min' minimizes the (real) pairing of a hermitian block;
     'absmax' maximizes |pairing| of a hermitian block.
 
-    ``_extreme_eigvecs`` returns the eigenvector 1 of a 1×1 form exactly,
-    so with a one-dimensional factor every start reaches the same vectors
-    within two rounds; the first start, run for two rounds, then gives
-    every bit of the eight-round search over all starts.
+    ``_extreme_projectors`` returns the projector 1 of a 1×1 form exactly, so
+    with a one-dimensional factor every start reaches the same projectors
+    within two rounds, and the first start run for two rounds gives every
+    bit of the eight-round search over all starts.
     """
-    rounds, m, n = 8, a.shape[2], b.shape[2]
+    rounds, jobs, m = 8, len(blocks), starts.shape[1]
+    n = blocks.shape[-1] // m
     if min(m, n) == 1:
-        rounds, a, b = 2, a[:, :1], b[:, :1]
+        rounds, starts = 2, starts[:1]
     to_b, to_a = _form_maps(blocks, m, n)
+    forms = lambda o, to, d: (o.reshape(*o.shape[:-2], -1) @ to).reshape(jobs, -1, d, d)
+    o_a = starts.conj()[:, :, None] * starts[:, None, :]
     for _ in range(rounds):
-        b = _extreme_eigvecs(_product_forms(to_b, a), mode)
-        a = _extreme_eigvecs(_product_forms(to_a, b), mode)
+        o_b = _extreme_projectors(forms(o_a, to_b, n), mode)
+        o_a = _extreme_projectors(forms(o_b, to_a, m), mode)
+    a, b = _projector_vectors(o_a), _projector_vectors(o_b)
     vals = _pairings(blocks, a, b)
-    pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
-    best = (np.arange(len(blocks)), pick)
+    best = np.arange(jobs), np.argmax(np.abs(vals) if mode == "absmax" else -vals, axis=1)
     return vals[best], a[best], b[best]
 
 
-def block_positivity_violation(t: AlgebraElement, starts: int,
-                               rngs: Iterable[np.random.Generator]
-                               ) -> list[tuple[float, dict]]:
+def block_positivity_violation(t: AlgebraElement, starts: int) -> list[tuple[float, dict]]:
     """For each member of the stack t, the largest found violation of
     ⟨a⊗b|T|a⊗b⟩ being real and non-negative, with its witness.
 
-    Each block has two searches, in draw order: its skew part is probed for
+    Each block has two searches, in order: its skew part is probed for
     product vectors with a non-real pairing, then its hermitian part is
     minimized.  A table of members × searches says which run: a skew search
-    where the skew part is nonzero, a hermitian one always.  ``rngs`` holds
-    one generator per member, or the call raises; member k draws the start
-    vectors of its running searches from the k-th in one ``normal`` call,
-    before the next generator is taken.  The searches run as stacks, one
-    per (mode, m, n); every stacked entry is computed as it would be alone.
-    A member's witness is its first search of the largest positive size.
+    where the skew part is nonzero, a hermitian one always.  A search from
+    an m-dimensional first factor starts from ``_starts(m, starts)``, so it
+    is a function of its block alone.  The searches run as stacks, one per
+    (mode, m, n), each entry computed as it would be alone.  A member's
+    witness is its first search of the largest positive size.
     """
     if t.shape.factors is None:
         raise InapplicableError("local positivity needs a tensor-shaped element")
@@ -254,11 +266,6 @@ def block_positivity_violation(t: AlgebraElement, starts: int,
                                    ("min", (mat + mat.conj().swapaxes(-1, -2)) / 2))]
     runs = np.stack([np.linalg.norm(part, axis=(-2, -1)) > HERM_TOL if mode == "absmax"
                      else np.ones(len(part), bool) for (mode, *_), _, part in searches], axis=1)
-    lengths = np.array([2 * starts * (m + n) for (_, m, n), *_ in searches])  # of one's draws
-    ends = np.cumsum(runs * lengths, axis=1)  # of each search's draws within its member's
-    draws = [rng.normal(size=end) for rng, end in zip(rngs, ends[:, -1].tolist(), strict=True)]
-    z = np.concatenate(draws)
-    firsts = (np.cumsum(ends[:, -1]) - ends[:, -1])[:, None] + ends - lengths  # of each in z
     stacks: dict[tuple, list[int]] = {}  # the searches that run anywhere, by (mode, m, n)
     for s in np.flatnonzero(runs.any(axis=0)).tolist():
         stacks.setdefault(searches[s][0], []).append(s)
@@ -267,12 +274,7 @@ def block_positivity_violation(t: AlgebraElement, starts: int,
         local, rows = np.nonzero(runs[:, columns].T)  # search by search, members in order
         cols = np.array(columns)[local]
         blocks = np.stack([searches[s][2] for s in columns], axis=1)[rows, local]
-        draw = z[firsts[rows, cols, None] + np.arange(2 * starts * (m + n))]
-        a = draw[:, :2 * starts * m].reshape(-1, 2, starts, m)  # real, then imaginary parts
-        b = draw[:, 2 * starts * m:].reshape(-1, 2, starts, n)
-        a, b = (w[:, 0] + 1j * w[:, 1] for w in (a, b))
-        a, b = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (a, b))
-        found[mode, m, n] = values, a, b = _product_extremum(blocks, a, b, mode)
+        found[mode, m, n] = values, _, _ = _product_extremum(blocks, _starts(m, starts), mode)
         sizes[rows, cols] = np.abs(values) if mode == "absmax" else -values
         at[rows, cols] = np.arange(len(rows))
     out = []  # argmax takes the first largest, as the sizes are finite
@@ -355,8 +357,7 @@ def _plan(family: sot.SotFamily, prop: str, group: tuple, config: CertifyConfig)
     column = lambda draws: draws[0].tolist()
     return [("e", *channel), ("rho", *state),
             *([("lambda", (("uniform", 0.2, 0.8, ()),), column)] if prop in MIXED else []),
-            *((key, *(state if key == "rho2" else channel)) for key in MIXED.get(prop, ())),
-            *([("search_seed", (("integers", 2 ** 32, ()),), column)] if prop == "P2" else [])]
+            *((key, *(state if key == "rho2" else channel)) for key in MIXED.get(prop, ()))]
 
 
 def _draw(family: sot.SotFamily, prop: str, group: tuple, config: CertifyConfig,
@@ -431,8 +432,7 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
     if prop == "P1":
         return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
     if prop == "P2":
-        return block_positivity_violation(
-            t, STARTS, map(np.random.default_rng, instance["search_seed"]))
+        return block_positivity_violation(t, STARTS)
     if prop == "P3":
         return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
     if prop != "P7":

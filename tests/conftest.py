@@ -12,10 +12,15 @@ are the exceptions: the probe-loop generic Bayes solver the structured
 ``bayes.generic_bayes`` replaced, the one-trial-at-a-time certification
 loop the chunked ``axioms.certify`` replaced, the product-vector search that
 runs eight rounds over every start whatever the factor dimensions, the P2
-search set up element by element with one start-vector draw per search
-(``unit_starts``) that the stacked set-up replaced, and the Kraus
-construction of the partial trace that its lifted matrix units replaced,
-each kept as its reference.
+search set up element by element, each search from the start set rebuilt
+from its documented key (``unit_starts``), that the stacked set-up
+replaced, and the Kraus construction of the partial trace that its lifted
+matrix units replaced, each kept as its reference.
+``vector_product_extremum`` runs the product-vector search's rounds on
+unit vectors, through the closed-form 2×2 eigenvector kernel
+(``extreme_eigvecs``) and the forms of v̄⊗v (``product_forms``) that the
+library's rounds on rank-one projectors replaced: their reference to
+roundoff.
 ``defining_bayes_residual`` is the Bayes residual as the condition reads,
 ‖E⋆ρ − τ(~X⋆E(ρ))‖ through two SOT evaluations and τ, which
 ``bayes.bayes_residual`` replaced by ‖X·Φ_σ* − Y‖ for sandwich families.
@@ -571,8 +576,6 @@ def sample_alone(family: sot.SotFamily, prop: str, trial: int,
         for key in axioms.MIXED[prop]:
             out[key] = (sampling.random_state(shape_a, rng) if key == "rho2"
                         else sampling.random_cptp(shape_a, shape_b, rng))
-    if prop == "P2":
-        out["search_seed"] = int(rng.integers(2 ** 32))
     return out
 
 
@@ -691,63 +694,122 @@ def closed_form_witnesses() -> dict[str, dict]:
         "dephased-prior": {"e": dephasing, "rho": density(np.diag([0.7, 0.3]))},
         "dephased-chain": {"e": dephasing, "f": LinearMap(b, c, np.eye(4, dtype=complex)),
                            "rho": density([[0.7, 0.2], [0.2, 0.3]])},
-        # P2's product-vector search seeded by 0
-        "biased-prior": {"e": identity, "rho": density(np.diag([0.9, 0.1])), "search_seed": 0},
+        "biased-prior": {"e": identity, "rho": density(np.diag([0.9, 0.1]))},
     }
 
 
-def full_product_extremum(blocks: np.ndarray, a: np.ndarray, b: np.ndarray,
+def full_product_extremum(blocks: np.ndarray, starts: np.ndarray,
                           mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference for ``axioms._product_extremum``: eight rounds of
-    alternating eigensolves from every start, for every factor dimension,
-    each round's forms and eigenvectors, and the pairings, taken from the
-    library's functions."""
-    jobs, _, m = a.shape
-    n = b.shape[2]
+    alternating eigensolves on projectors from every start, for every
+    factor dimension, each round's forms and projectors, the vectors and the
+    pairings, taken from the library's functions."""
+    jobs, m = len(blocks), starts.shape[1]
+    n = blocks.shape[-1] // m
     to_b, to_a = axioms._form_maps(blocks, m, n)
+    o_a = np.broadcast_to((starts.conj()[:, :, None] * starts[:, None, :]).reshape(-1, m * m),
+                          (jobs, len(starts), m * m))
     for _ in range(8):
-        b = axioms._extreme_eigvecs(axioms._product_forms(to_b, a), mode)
-        a = axioms._extreme_eigvecs(axioms._product_forms(to_a, b), mode)
+        o_b = axioms._extreme_projectors((o_a @ to_b).reshape(jobs, -1, n, n), mode)
+        o_a = axioms._extreme_projectors((o_b.reshape(jobs, -1, n * n) @ to_a)
+                                         .reshape(jobs, -1, m, m), mode).reshape(jobs, -1, m * m)
+    a = axioms._projector_vectors(o_a.reshape(jobs, -1, m, m))
+    b = axioms._projector_vectors(o_b)
     vals = axioms._pairings(blocks, a, b)
     pick = np.argmax(np.abs(vals), axis=1) if mode == "absmax" else np.argmin(vals, axis=1)
     best = (np.arange(jobs), pick)
     return vals[best], a[best], b[best]
 
 
-def unit_starts(rng: np.random.Generator, starts: int, m: int,
-                n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start vectors a (starts, m) and b (starts, n), not yet normalised, as
-    one search drew them alone: the real, then imaginary parts of a, then
-    those of b, in one ``normal`` call."""
-    z = rng.normal(size=2 * starts * (m + n))
-    a, b = z[:2 * starts * m].reshape(2, starts, m), z[2 * starts * m:].reshape(2, starts, n)
-    return a[0] + 1j * a[1], b[0] + 1j * b[1]
+def extreme_eigvecs(q: np.ndarray, mode: str) -> np.ndarray:
+    """A unit eigenvector of the hermitian part of each form q (..., d, d)
+    for its lowest eigenvalue ('min'), or for its eigenvalue of largest
+    modulus, the lower one on a tie ('absmax').  d = 1 gives 1 exactly;
+    d = 2 is closed-form and elementwise, from the row of H − λ with the
+    larger diagonal entry, and gives e₁ on a multiple of the identity;
+    larger d takes a stacked ``eigh``."""
+    d = q.shape[-1]
+    if d == 1:
+        return np.ones(q.shape[:-1], dtype=complex)
+    if d > 2:
+        w, v = np.linalg.eigh((q + q.conj().swapaxes(-1, -2)) / 2)
+        idx = (np.argmax(np.abs(w), axis=-1) if mode == "absmax"
+               else np.zeros(w.shape[:-1], dtype=int))
+        return np.take_along_axis(v, idx[..., None, None], axis=-1)[..., 0]
+    top, bottom = q[..., 0, 0].real, q[..., 1, 1].real
+    off = (q[..., 1, 0] + q[..., 0, 1].conj()) / 2
+    mean, half, size = (top + bottom) / 2, (top - bottom) / 2, np.abs(off)
+    radius = np.hypot(half, size)  # λ = mean + sign·radius
+    sign = (np.where(np.abs(mean + radius) > np.abs(mean - radius), 1.0, -1.0)
+            if mode == "absmax" else -1.0)
+    pivot = radius + np.abs(half)  # the larger of |top − λ| and |bottom − λ|
+    identity = pivot == 0          # pivot and norm become 1, so v = e₁
+    pivot, norm = pivot + identity, np.hypot(pivot, size) + identity
+    first_row = sign * half < 0    # top − λ = −sign·pivot there
+    other = sign * off.conj()
+    return np.stack([np.where(first_row, other, pivot),
+                     np.where(first_row, pivot, other.conj())], axis=-1) / norm[..., None]
 
 
-def looped_block_positivity_violation(ts: list[AlgebraElement], starts: int,
-                                      rngs) -> list[tuple[float, dict]]:
+def product_forms(form_map: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """The forms (jobs, starts, d, d) a ``axioms._form_maps`` map (jobs, e²,
+    d²) leaves in the free factor for fixed vectors v (jobs, starts, e)."""
+    outer = (v.conj()[..., :, None] * v[..., None, :]).reshape(*v.shape[:2], -1)
+    return (outer @ form_map).reshape(*v.shape[:2], d, d)
+
+
+def vector_product_extremum(blocks: np.ndarray, starts: np.ndarray, mode: str
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eight rounds of alternating eigensolves on unit vectors from every
+    start (starts, m), for every factor dimension: each start's pairing
+    (jobs, starts) and vectors (jobs, starts, m) and (jobs, starts, n), each
+    vector with its entry of largest modulus real and positive."""
+    jobs, m = len(blocks), starts.shape[1]
+    n = blocks.shape[-1] // m
+    to_b, to_a = axioms._form_maps(blocks, m, n)
+    a = np.broadcast_to(starts, (jobs, *starts.shape))
+    for _ in range(8):
+        b = extreme_eigvecs(product_forms(to_b, a, n), mode)
+        a = extreme_eigvecs(product_forms(to_a, b, m), mode)
+    lead = [np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+            for v in (a, b)]
+    return (axioms._pairings(blocks, a, b), a * lead[0].conj() / np.abs(lead[0]),
+            b * lead[1].conj() / np.abs(lead[1]))
+
+
+def unit_starts(d: int, count: int) -> np.ndarray:
+    """The start set of a first factor of dimension d, rebuilt from its
+    documented key: ``count`` vectors whose real, then imaginary parts are
+    one ``normal`` call of ``np.random.default_rng([d, count])``, each
+    normalised."""
+    z = np.random.default_rng([d, count]).normal(size=2 * count * d)
+    v = z[:count * d].reshape(count, d) + 1j * z[count * d:].reshape(count, d)
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def looped_block_positivity_violation(ts: list[AlgebraElement],
+                                      starts: int) -> list[tuple[float, dict]]:
     """Reference for ``axioms.block_positivity_violation``: a list of
-    elements, set up element by element and block by block, each search
-    drawing its start vectors in its own ``normal`` call, and the searches
-    stacked per (mode, m, n) in job order."""
-    jobs = []  # (element, block label, mode, block, start vectors a, b)
-    for k, (t, rng) in enumerate(zip(ts, rngs, strict=True)):
+    elements, set up element by element and block by block, and the
+    searches stacked per (mode, m, n) in job order, each from the start set
+    of its first factor's dimension."""
+    jobs = []  # (element, block label, mode, block, m)
+    for k, t in enumerate(ts):
         factor_a, factor_b = t.shape.factors
         for label, (i, j), mat in zip(t.shape.labels, t.shape.pairs, t.data):
-            m, n = factor_a.dims[i], factor_b.dims[j]
+            m = factor_a.dims[i]
             skew = (mat - mat.conj().T) / 2j
             if np.linalg.norm(skew) > HERM_TOL:
-                jobs.append((k, label, "absmax", skew, *unit_starts(rng, starts, m, n)))
+                jobs.append((k, label, "absmax", skew, m))
             herm = (mat + mat.conj().T) / 2
-            jobs.append((k, label, "min", herm, *unit_starts(rng, starts, m, n)))
+            jobs.append((k, label, "min", herm, m))
     groups: dict[tuple, list[int]] = {}
-    for index, (_, _, mode, _, a, b) in enumerate(jobs):
-        groups.setdefault((mode, a.shape[1], b.shape[1]), []).append(index)
+    for index, (_, _, mode, block, m) in enumerate(jobs):
+        groups.setdefault((mode, m, len(block) // m), []).append(index)
     found = [None] * len(jobs)
-    for (mode, _, _), indices in groups.items():
-        blocks, a, b = (np.stack([jobs[i][f] for i in indices]) for f in (3, 4, 5))
-        a, b = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (a, b))
-        values, a, b = axioms._product_extremum(blocks, a, b, mode)
+    for (mode, m, _), indices in groups.items():
+        blocks = np.stack([jobs[i][3] for i in indices])
+        values, a, b = axioms._product_extremum(blocks, unit_starts(m, starts), mode)
         for i, result in zip(indices, zip(values.tolist(), a, b)):
             found[i] = result
     out = [(0.0, {}) for _ in ts]

@@ -3,6 +3,7 @@ replay, and the expected family-by-property matrix at reduced trial counts."""
 import json
 from collections import Counter
 from dataclasses import dataclass
+from io import StringIO
 from typing import ClassVar
 
 import numpy as np
@@ -17,7 +18,7 @@ from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
 
 from conftest import (closed_form_witnesses, drawn_by_column, full_product_extremum, group_of,
                       looped_block_positivity_violation, member_draws, rng_for, sample_alone,
-                      sequential_certify, two_call_draws, unit_starts)
+                      sequential_certify, two_call_draws, unit_starts, vector_product_extremum)
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
 
@@ -113,6 +114,22 @@ def test_integer_trials_and_dims_are_kept(field, value):
     assert getattr(axioms.CertifyConfig(**{field: value}), field) == value
 
 
+def test_a_config_of_numpy_ints_and_a_list_is_stored_as_plain_ints_and_a_tuple():
+    """Its report writes as JSON, equal to the plain-int config's, and the
+    config hashes as the plain-int one."""
+    config = axioms.CertifyConfig(trials=np.int64(3), seed=np.int64(2), dims=[2, np.int64(2)])
+    plain = axioms.CertifyConfig(trials=3, seed=2, dims=(2, 2))
+    assert config == plain and hash(config) == hash(plain)
+    assert type(config.trials) is int and type(config.seed) is int
+    assert config.dims == (2, 2) and all(type(d) is int for d in config.dims)
+    written = []
+    for c in (config, plain):
+        out = StringIO()
+        io.write_json(axioms.table_report(c).to_json(), out)
+        written.append(out.getvalue())
+    assert written[0] == written[1]
+
+
 def test_certify_unknown_property_rejected():
     with pytest.raises(InapplicableError):
         axioms.certify(sot.LeiferSpekkens(), "P99", FAST)
@@ -177,12 +194,12 @@ def test_associativity_rejects_non_composable_maps(rng):
 
 
 # --------------------------------------------------------- positivity search
-def test_block_positivity_violation_finds_planted_negative_pair(rng):
+def test_block_positivity_violation_finds_planted_negative_pair():
     shape = alg.matrix_algebra(2, "a").tensor(alg.matrix_algebra(2, "b"))
     # sigma_x (x) sigma_x has product eigenvector pairs at eigenvalue -1
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     t = alg.AlgebraElement(shape, (np.kron(sx, sx),))
-    [(violation, witness)] = axioms.block_positivity_violation(alg.stack([t]), 20, [rng])
+    [(violation, witness)] = axioms.block_positivity_violation(alg.stack([t]), 20)
     assert violation > 0.99
     assert witness["kind"] == "negative pairing"
 
@@ -190,8 +207,7 @@ def test_block_positivity_violation_finds_planted_negative_pair(rng):
 def test_block_positivity_violation_zero_on_separable_states(rng):
     a = sampling.random_state(alg.matrix_algebra(2, "a"), rng)
     b = sampling.random_state(alg.matrix_algebra(2, "b"), rng)
-    [(violation, _)] = axioms.block_positivity_violation(alg.stack([alg.tensor(a, b)]), 20,
-                                                         [rng])
+    [(violation, _)] = axioms.block_positivity_violation(alg.stack([alg.tensor(a, b)]), 20)
     assert violation < 1e-12
 
 
@@ -202,22 +218,11 @@ def test_block_positivity_violation_takes_the_first_search_of_a_tie():
     violation."""
     shape = alg.classical_algebra(2, "a").tensor(alg.classical_algebra(2, "b"))
     t = alg.diagonal_element(shape, [[-1, -1, -1, -1], [1j, -1, 2, 3], [1, 2, 3, 4]])
-    found = axioms.block_positivity_violation(t, 20, [np.random.default_rng(k) for k in range(3)])
+    found = axioms.block_positivity_violation(t, 20)
     assert [(size, witness.get("block"), witness.get("kind"), witness.get("value"))
             for size, witness in found] == [(1.0, "('a0', 'b0')", "negative pairing", -1.0),
                                             (1.0, "('a0', 'b0')", "non-real pairing", 1.0),
                                             (0.0, None, None, None)]
-
-
-@pytest.mark.parametrize("generators", [1, 3])
-def test_block_positivity_violation_needs_one_generator_per_member(rng, generators):
-    """A member without a generator would go unsearched and read as no
-    violation; the search refuses the call instead, and a surplus too."""
-    shape = alg.matrix_algebra(2, "a").tensor(alg.matrix_algebra(2, "b"))
-    t = alg.stack([sampling.random_state(shape, rng)] * 2)
-    with pytest.raises(ValueError):
-        axioms.block_positivity_violation(
-            t, 20, [np.random.default_rng(k) for k in range(generators)])
 
 
 # ------------------------------------------------------------------ the table
@@ -271,6 +276,25 @@ def test_every_table_witness_replays_exactly_from_its_json(tmp_path):
                                        config) == cell["violation"], cell["family"]
         replayed += 1
     assert replayed >= 20
+
+
+def test_a_p2_witness_from_certify_json_has_no_search_seed_and_replays(tmp_path):
+    """The P2 witnesses of ``certify --format json`` hold the instance and
+    the search's result, no seed: the search starts from one read-only start
+    set per factor dimension, the same object before and after the calls,
+    so the parsed witness replays to the recorded violation exactly."""
+    starts = axioms._starts(2, axioms.STARTS)
+    out = tmp_path / "p2.json"
+    assert cli.main(["certify", "--format", "json", "--seed", "5", "--trials", "40",
+                     "--properties", "P2", "-o", str(out)]) == cli.EXIT_OK
+    cells = [cell for cell in json.loads(out.read_text())["cells"] if "witness" in cell]
+    assert {cell["family"] for cell in cells} == {"symmetric-bloom", "right-bloom", "left-bloom"}
+    for cell in cells:
+        assert set(cell["witness"]) == {"e", "rho", "block", "kind", "value", "vector_a",
+                                        "vector_b", "replay_seed"}
+        assert axioms.replay_violation(sot.TABLE_FAMILIES[cell["family"]], "P2",
+                                       from_wire(cell["witness"])) == cell["violation"]
+    assert axioms._starts(2, axioms.STARTS) is starts and not starts.flags.writeable
 
 
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
@@ -387,15 +411,13 @@ def test_stacked_search_equals_singleton_searches():
         e = sampling.random_cptp(shape_a, shape_b, rng)
         rho = sampling.random_state(shape_a, rng)
         t = families[k % len(families)].value(e, rho)
-        by_shape.setdefault(t.shape, []).append((t, int(rng.integers(2 ** 32))))
+        by_shape.setdefault(t.shape, []).append(t)
     assert len(by_shape) == 4
     kinds = set()
-    for members in by_shape.values():
-        ts, seeds = zip(*members)
-        stacked = axioms.block_positivity_violation(
-            alg.stack(ts), 20, [np.random.default_rng(seed) for seed in seeds])
-        assert_same_search(stacked, [axioms.block_positivity_violation(
-            alg.stack([t]), 20, [np.random.default_rng(seed)])[0] for t, seed in members])
+    for ts in by_shape.values():
+        stacked = axioms.block_positivity_violation(alg.stack(ts), 20)
+        assert_same_search(stacked, [axioms.block_positivity_violation(alg.stack([t]), 20)[0]
+                                     for t in ts])
         kinds.update(witness["kind"] for _, witness in stacked if witness)
     assert {len(shape.dims) for shape in by_shape} == {1, 4}
     # right bloom's T is not hermitian, so the non-real-pairing search ran
@@ -405,11 +427,11 @@ def test_stacked_search_equals_singleton_searches():
 @pytest.mark.parametrize("dims, blocky", [((2, 2), False), ((2, 2), True), ((2, 3), False),
                                           ((2, 3), True)])
 def test_stacked_search_equals_the_looped_search(dims, blocky):
-    """The stacked set-up, one draw per member and its members × searches
-    table, against the element-by-element search with one draw per search:
-    the same values, witnesses and vectors bit for bit, and each generator
-    left at the same next draw.  A zero member's pairings are 0 exactly,
-    which is no violation."""
+    """The stacked set-up, its members × searches table and one start set
+    per factor dimension, against the element-by-element search with the
+    start set rebuilt from its key: the same values, witnesses and vectors
+    bit for bit.  A zero member's pairings are 0 exactly, which is no
+    violation."""
     shape_a, shape_b = axioms._group(sot.LeiferSpekkens(), "P2", int(blocky),
                                      axioms.CertifyConfig(dims=dims))
     rng = rng_for("looped-search", 10 * dims[1] + blocky)
@@ -417,12 +439,8 @@ def test_stacked_search_equals_the_looped_search(dims, blocky):
     for family in (sot.LeiferSpekkens(), sot.RightBloom()):
         e = sampling.random_cptp(shape_a, shape_b, rng)
         ts.append(family.value(e, sampling.random_state(shape_a, rng)))
-    keys = [[17, k] for k in range(len(ts))]
-    rngs = [np.random.default_rng(key) for key in keys]
-    want_rngs = [np.random.default_rng(key) for key in keys]
-    want = looped_block_positivity_violation(ts, 20, want_rngs)
-    assert_same_search(axioms.block_positivity_violation(alg.stack(ts), 20, rngs), want)
-    assert [r.random() for r in rngs] == [r.random() for r in want_rngs]
+    want = looped_block_positivity_violation(ts, 20)
+    assert_same_search(axioms.block_positivity_violation(alg.stack(ts), 20), want)
     kinds = {witness.get("kind") for _, witness in want}
     patterns = {tuple(np.linalg.norm(mat - mat.conj().T) > 1e-10 for mat in t.data) for t in ts}
     # hermitian, non-hermitian and (on blocky shapes) mixed members, every outcome
@@ -438,8 +456,8 @@ def test_p2_column_equals_the_looped_search(monkeypatch, seed):
     config = axioms.CertifyConfig(trials=40, seed=seed)
     got = axioms.table_report(config, properties=("P2",)).to_json()
     monkeypatch.setattr(axioms, "block_positivity_violation",
-                        lambda t, starts, rngs: looped_block_positivity_violation(
-                            alg.unstack(t), starts, rngs))
+                        lambda t, starts: looped_block_positivity_violation(
+                            alg.unstack(t), starts))
     want = axioms.table_report(config, properties=("P2",)).to_json()
     assert json.dumps(got) == json.dumps(want)
     assert {cell["status"] for cell in got["cells"]} == {"holds", "fails"}
@@ -447,11 +465,12 @@ def test_p2_column_equals_the_looped_search(monkeypatch, seed):
 
 @pytest.mark.parametrize("mode", ["min", "absmax"])
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
-def test_the_2x2_eigenvector_kernel_agrees_with_lapack(scale, mode):
-    """The closed-form 2×2 eigenpair against ``np.linalg.eigh``: the same
-    eigenvalue (the lowest, or the largest in modulus with the lower one on
-    a tie), the same vector up to phase wherever the gap resolves it, and a
-    unit norm; on degenerate and diagonal forms too."""
+def test_the_2x2_projector_kernel_agrees_with_lapack(scale, mode):
+    """The closed-form 2×2 projector against ``np.linalg.eigh``: hermitian
+    and rank one, of trace 1, with the eigenvalue picked (the lowest, or the
+    largest in modulus with the lower one on a tie) as its Rayleigh
+    quotient, and v̄vᵀ of the same eigenvector wherever the gap resolves
+    it; on degenerate and diagonal forms too."""
     rng = rng_for(f"2x2-kernel-{mode}", round(np.log10(scale)) + 12)
     g = rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2))
     special = np.array([np.zeros((2, 2)), np.eye(2), -3 * np.eye(2),  # degenerate
@@ -462,18 +481,62 @@ def test_the_2x2_eigenvector_kernel_agrees_with_lapack(scale, mode):
     w, vecs = np.linalg.eigh(h)
     pick = np.argmax(np.abs(w), axis=1) if mode == "absmax" else np.zeros(len(h), dtype=int)
     rows = np.arange(len(h))
-    v = axioms._extreme_eigvecs(h, mode)
-    rayleigh = np.einsum("ri,rij,rj->r", v.conj(), h, v).real
+    o = axioms._extreme_projectors(h, mode)
+    assert np.array_equal(o, o.conj().swapaxes(1, 2))
+    assert np.all(np.abs(np.trace(o, axis1=1, axis2=2) - 1) <= 1e-15)
+    assert np.all(np.abs(np.linalg.det(o)) <= 1e-15)  # rank one
+    rayleigh = np.einsum("rij,rji->r", o, h.swapaxes(1, 2)).real  # tr(P H), P = oᵀ
     assert np.all(np.abs(rayleigh - w[rows, pick]) <= 1e-14 * scale)
     resolved = w[:, 1] - w[:, 0] > 1e-8 * scale
-    overlap = np.abs(np.einsum("ri,ri->r", vecs[rows, :, pick].conj(), v))
-    assert np.all(overlap[resolved] >= 1 - 1e-12) and resolved.sum() == len(h) - 3
-    assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1) <= 1e-15)
-    for k in (400, 401, 402):  # a multiple of the identity gives e1
-        assert np.array_equal(v[k], [1, 0])
+    v = vecs[rows, :, pick]
+    want = v.conj()[:, :, None] * v[:, None, :]
+    assert np.all(np.abs(o - want)[resolved] <= 1e-12) and resolved.sum() == len(h) - 3
+    for k in (400, 401, 402):  # a multiple of the identity gives e1's projector
+        assert np.array_equal(o[k], [[1, 0], [0, 0]])
     assert rayleigh[-1] == -scale  # the tie takes the lower eigenvalue
-    one = axioms._extreme_eigvecs(scale * rng.normal(size=(5, 1, 1)) + 0j, mode)
-    assert np.array_equal(one, np.ones((5, 1))) and one.dtype == complex
+    vectors = axioms._projector_vectors(o)
+    assert np.all(np.abs(np.linalg.norm(vectors, axis=1) - 1) <= 1e-15)
+    assert np.all(np.abs(vectors.conj()[:, :, None] * vectors[:, None, :] - o) <= 1e-15)
+    one = axioms._extreme_projectors(scale * rng.normal(size=(5, 1, 1)) + 0j, mode)
+    assert np.array_equal(one, np.ones((5, 1, 1))) and one.dtype == complex
+    assert np.array_equal(axioms._projector_vectors(one), np.ones((5, 1)))
+
+
+def test_the_start_set_is_built_once_read_only_from_its_key():
+    """One read-only array per (dimension, count), across calls, equal to the
+    start set rebuilt from its documented key."""
+    for d in (1, 2, 3):
+        starts = axioms._starts(d, axioms.STARTS)
+        assert axioms._starts(d, axioms.STARTS) is starts and not starts.flags.writeable
+        assert np.array_equal(starts, unit_starts(d, axioms.STARTS))
+
+
+def hermitian_blocks(rng: np.random.Generator, jobs: int, size: int) -> np.ndarray:
+    g = rng.normal(size=(jobs, size, size)) + 1j * rng.normal(size=(jobs, size, size))
+    return (g + g.conj().swapaxes(1, 2)) / 2
+
+
+@pytest.mark.parametrize("mode", ["min", "absmax"])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (1, 1), (1, 2), (2, 1), (1, 3),
+                                  (3, 1)])
+def test_projector_rounds_equal_vector_rounds(m, n, mode):
+    """The search's rounds on projectors against the same rounds on unit
+    vectors through the closed-form eigenvector kernel: the same best value
+    to 1e-12 relative, and the vectors of the same picked start in the same
+    phase convention (the entry of largest modulus real and positive).  A
+    pick may differ only between starts that tie at roundoff."""
+    blocks = hermitian_blocks(rng_for("projector-rounds", 10 * m + n), 200, m * n)
+    values, a, b = axioms._product_extremum(blocks, axioms._starts(m, 20), mode)
+    want, want_a, want_b = vector_product_extremum(blocks, axioms._starts(m, 20), mode)
+    jobs = np.arange(len(blocks))
+    best = want[jobs, np.argmax(np.abs(want), axis=1) if mode == "absmax" else
+                np.argmin(want, axis=1)]
+    assert np.all(np.abs(values - best) <= 1e-12 * np.abs(best))
+    gaps = np.maximum(np.abs(a[:, None] - want_a).max(axis=2),
+                      np.abs(b[:, None] - want_b).max(axis=2))
+    picked = np.argmin(gaps, axis=1)  # the start whose vectors the search returned
+    assert np.all(gaps[jobs, picked] <= 1e-12)
+    assert np.all(np.abs(want[jobs, picked] - best) <= 1e-12 * np.abs(best))
 
 
 @pytest.mark.parametrize("mode", ["min", "absmax"])
@@ -481,12 +544,9 @@ def test_the_2x2_eigenvector_kernel_agrees_with_lapack(scale, mode):
 def test_a_search_with_a_one_dimensional_factor_equals_the_full_search(m, n, mode):
     """Two rounds from the first start give the values and vectors of eight
     rounds from every start, bit for bit."""
-    rng = rng_for("one-dimensional-factor", 10 * m + n)
-    g = rng.normal(size=(9, m * n, m * n)) + 1j * rng.normal(size=(9, m * n, m * n))
-    blocks = (g + g.conj().swapaxes(1, 2)) / 2
-    a, b = map(np.stack, zip(*(unit_starts(rng, 20, m, n) for _ in blocks)))
-    values, vectors_a, vectors_b = axioms._product_extremum(blocks, a, b, mode)
-    want_values, want_a, want_b = full_product_extremum(blocks, a, b, mode)
+    blocks = hermitian_blocks(rng_for("one-dimensional-factor", 10 * m + n), 9, m * n)
+    values, vectors_a, vectors_b = axioms._product_extremum(blocks, axioms._starts(m, 20), mode)
+    want_values, want_a, want_b = full_product_extremum(blocks, axioms._starts(m, 20), mode)
     assert np.array_equal(values, want_values)
     assert np.array_equal(vectors_a, want_a) and np.array_equal(vectors_b, want_b)
 
@@ -497,14 +557,11 @@ def test_each_job_of_a_stacked_search_equals_the_job_searched_alone(m, n, mode):
     """Values and vectors bit for bit, whatever the number of jobs sharing
     the call: a job's pairings are its own (a one-dimensional factor makes
     axes of length one, whose reductions may run in another order)."""
-    rng = rng_for("stacked-jobs", 10 * m + n)
-    g = rng.normal(size=(40, m * n, m * n)) + 1j * rng.normal(size=(40, m * n, m * n))
-    blocks = (g + g.conj().swapaxes(1, 2)) / 2
-    a, b = map(np.stack, zip(*(unit_starts(rng, 20, m, n) for _ in blocks)))
-    stacked = axioms._product_extremum(blocks, a, b, mode)
+    blocks = hermitian_blocks(rng_for("stacked-jobs", 10 * m + n), 40, m * n)
+    starts = axioms._starts(m, 20)
+    stacked = axioms._product_extremum(blocks, starts, mode)
     for job in range(len(blocks)):
-        alone = axioms._product_extremum(blocks[job:job + 1], a[job:job + 1], b[job:job + 1],
-                                         mode)
+        alone = axioms._product_extremum(blocks[job:job + 1], starts, mode)
         for got, want in zip(stacked, alone):
             assert np.array_equal(got[job], want[0]), job
 
@@ -1008,7 +1065,7 @@ M = 5  # members of the group
 DRAW_ORDER = {
     "P4": ("uncorrelated", 0, [("normal", (), (M, 24)), ("uniform", (0.2, 0.8), (M,)),
                                ("normal", (), (M, 8))]),
-    "P2": ("right-bloom", 0, [("normal", (), (M, 24)), ("integers", (2 ** 32,), (M,))]),
+    "P2": ("right-bloom", 0, [("normal", (), (M, 24))]),
     "A": ("leifer-spekkens", 0, [("normal", (), (M, 64 + 16 + 8))]),
     "P7 replacement": ("uncorrelated", 0, [("normal", (), (M, 16))]),
     "P7 decohering": ("uncorrelated", 2, [("dirichlet", (np.ones(2),), (M, 2)),
@@ -1091,7 +1148,7 @@ ANALYTIC_WITNESSES = {
        for tag in ("right-bloom", "left-bloom")},
     **{(tag, "P2"): ("biased-prior", None,
                      "the pairing on a⊗b is ⟨a|ρ|b⟩⟨b|a⟩ (its real part for the symmetric "
-                     "bloom), negative or non-real for some a, b; the seeded search finds them")
+                     "bloom), negative or non-real for some a, b; the search finds them")
        for tag in ("symmetric-bloom", "right-bloom", "left-bloom")},
     **{(tag, "P4"): ("pure-priors", 0.5, "at ½·1 the state is ¼·1⊗1, the pure priors' mix "
                                          "½(|00⟩⟨00| + |11⟩⟨11|)")
