@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -404,10 +404,27 @@ def _member(instance: dict, position: int) -> dict:
             for key, value in instance.items()}
 
 
+def _concat(stacks: Sequence):
+    """Stacks of one kind, shape and source and target (maps, elements or
+    lists) as one stack, end to end along the first axis: the inverse of
+    ``_member``'s slicing.  One stack is returned as it is."""
+    first = stacks[0]
+    if len(stacks) == 1:
+        return first
+    if isinstance(first, LinearMap):
+        return LinearMap._of(first.source, first.target,
+                             np.concatenate([s.matrix for s in stacks]))
+    if isinstance(first, AlgebraElement):
+        return AlgebraElement._of(first.shape, (np.concatenate(blocks) for blocks in
+                                                zip(*(s.data for s in stacks))))
+    return [value for s in stacks for value in s]
+
+
 def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[float, dict]]:
     """(violation, extra witness data) of each trial of a stacked instance;
     a pure function of the instance, which holds every random input.  Every
-    property evaluates the whole stack at once.  Raises if any trial does."""
+    property evaluates the whole stack at once, P4–P6 every pair of it in
+    one stack.  Raises if any trial does."""
     e, rho = instance["e"], instance["rho"]
     if prop == "A":
         return [(value, {}) for value in
@@ -416,18 +433,17 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
         res_a, res_b = sot.evaluate(family, e, rho).marginal_residuals()
         return [(max(pair), {}) for pair in zip(res_a.tolist(), res_b.tolist())]
     if prop in MIXED:
-        lam, residuals = np.array(instance["lambda"])[:, None, None], []
-        for key in MIXED[prop]:
+        lam, pairs = np.array(instance["lambda"])[:, None, None], [(e, rho)]
+        for key in MIXED[prop]:  # each key's mixed pair, then its alternative pair
             other = instance[key]
-            if key == "rho2":
-                mixed, alt = (e, lam * rho + (1.0 - lam) * other), (e, other)
-            else:
-                mixed = (lam * e + (1.0 - lam) * other, rho)
-                alt = (other, rho)
-            residuals.append((sot.evaluate(family, *mixed).value
-                              - lam * sot.evaluate(family, e, rho).value
-                              - (1.0 - lam) * sot.evaluate(family, *alt).value).norm())
-        return [(max(values), {}) for values in zip(*(r.tolist() for r in residuals))]
+            pairs += ([(e, lam * rho + (1.0 - lam) * other), (e, other)] if key == "rho2"
+                      else [(lam * e + (1.0 - lam) * other, rho), (other, rho)])
+        t = sot.evaluate(family, *map(_concat, zip(*pairs))).value  # one stack of every pair
+        plain, *others = (AlgebraElement._of(t.shape, blocks) for blocks in
+                          zip(*(np.split(block, len(pairs)) for block in t.data)))
+        residuals = [(mixed - lam * plain - (1.0 - lam) * alt).norm().tolist()
+                     for mixed, alt in zip(others[::2], others[1::2])]
+        return [(max(values), {}) for values in zip(*residuals)]
     t = sot.evaluate(family, e, rho).value
     if prop == "P1":
         return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
@@ -477,29 +493,37 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
     is (violation, extra witness data, the stacked instance that holds the
     trial, its position there), or an exception.
 
-    The trials are grouped by key before anything is drawn, the groups in
-    the order of their first trials.  Group g of the chunk that starts at
-    trial s draws from ``np.random.default_rng([seed, cell, s, g])``, one
-    call per plan call for all its members (``_draw``), and is finished as
-    one stack; a trial's replay key is the group's key and its row in the
-    group's draws.  Both are functions of the trial indices alone.  A
-    refused trial's refusal is its outcome; the other trials of that stack
-    are evaluated as it is.  If that raises, each finished member is
-    evaluated alone: it equals its trial finished alone from its row, so
-    every trial gets the outcome it has alone, exception included.
+    Groups are for drawing, shape pairs for evaluating.  The trials are
+    grouped by key before anything is drawn, the groups in the order of
+    their first trials.  Group g of the chunk that starts at trial s draws
+    from ``np.random.default_rng([seed, cell, s, g])``, one call per plan
+    call for all its members (``_draw``), and is finished as one stack; a
+    trial's replay key is the group's key and its row in the group's draws.
+    Both are functions of the trial indices alone.  A refused trial's
+    refusal is its outcome.  The finished members of every group of one
+    shape pair (P7's constructions; every other property has one group per
+    pair) are evaluated as one stack, the groups end to end in order.  If
+    that raises, each member is evaluated alone: it equals its trial
+    finished alone from its row, so every trial gets the outcome it has
+    alone, exception included.
     """
     keys, outcomes = [None] * len(trials), [None] * len(trials)
     groups: dict[tuple, list[int]] = {}
     for index, trial in enumerate(trials):
         groups.setdefault(_group(family, prop, trial, config), []).append(index)
+    stacks: dict[tuple, tuple[list, list[int]]] = {}  # by shape pair: instances, trial indices
     for ordinal, (group, indices) in enumerate(groups.items()):
         key = [config.seed, cell, trials.start, ordinal]
         instance, refusals = _draw(family, prop, group, config, np.random.default_rng(key),
                                    len(indices))
         for row, (index, refusal) in enumerate(zip(indices, refusals)):
             keys[index], outcomes[index] = [*key, row], refusal
-        if not (indices := [index for index in indices if outcomes[index] is None]):
-            continue
+        if kept := [index for index in indices if outcomes[index] is None]:
+            instances, evaluated = stacks.setdefault(group[:2], ([], []))
+            instances.append(instance)
+            evaluated += kept
+    for instances, indices in stacks.values():
+        instance = {name: _concat([part[name] for part in instances]) for name in instances[0]}
         try:
             found = _violations(family, prop, instance)
         except Exception:  # some trial raises: evaluate each member alone

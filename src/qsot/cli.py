@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -112,12 +113,12 @@ def cmd_bayes(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    family_tags = (args.families.split(",") if args.families
+    family_tags = (args.families.split(",") if args.families is not None
                    else list(sot.TABLE_FAMILIES))
     unknown = [t for t in family_tags if t not in sot.TABLE_FAMILIES]
     if unknown:
         raise ValidationError(f"unknown families: {', '.join(map(repr, unknown))}")
-    properties = (tuple(args.properties.split(",")) if args.properties
+    properties = (tuple(args.properties.split(",")) if args.properties is not None
                   else axioms.TABLE_PROPERTIES)
     unknown = [p for p in properties if p not in axioms.PROPERTIES]
     if unknown:
@@ -282,7 +283,10 @@ def cmd_scenario(args) -> int:
 
 
 # ---------------------------------------------------------------- entry point
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` picks the
+    subcommand's ``cmd_*`` function when it is called."""
     parser = argparse.ArgumentParser(
         prog="qsot",
         description="states over time, time reversal, and quantum Bayes maps")
@@ -302,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sot.add_argument("channel_file")
     p_sot.add_argument("state_file")
     p_sot.add_argument("out_file", nargs="?", default=None)
-    p_sot.set_defaults(func=cmd_sot)
 
     p_bayes = sub.add_parser("bayes", help="solve for the Bayes map")
     add_family_options(p_bayes)
@@ -314,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bayes.add_argument("--strict", action="store_true",
                          help="refuse rank-deficient outputs instead of "
                               "using support pseudo-inverses")
-    p_bayes.set_defaults(func=cmd_bayes)
 
     p_cert = sub.add_parser("certify", help="run the property certification table")
     p_cert.add_argument("--families", default=None,
@@ -329,13 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit nonzero unless the matrix matches the "
                              "reference pattern")
     p_cert.add_argument("-o", "--out-file", default=None)
-    p_cert.set_defaults(func=cmd_certify)
 
     p_scen = sub.add_parser("scenario", help="run a scenario document")
     p_scen.add_argument("name", choices=sorted(_SCENARIOS))
     p_scen.add_argument("input_file")
     p_scen.add_argument("-o", "--out-file", default=None)
-    p_scen.set_defaults(func=cmd_scenario)
     return parser
 
 
@@ -344,10 +344,13 @@ def main(argv: list[str] | None = None) -> int:
     # A document's numbers may overflow: the inf or NaN that results fails a
     # NaN-safe check with one stderr line, and numpy adds none.  certify reads
     # no document and keeps numpy's warnings, which -W error turns into failures.
-    quiet = {} if args.func is cmd_certify else {"all": "ignore"}
+    quiet = {} if args.command == "certify" else {"all": "ignore"}
+    # the cmd_* functions as the module holds them now (tests replace them)
+    command = {"sot": cmd_sot, "bayes": cmd_bayes, "certify": cmd_certify,
+               "scenario": cmd_scenario}[args.command]
     try:
         with np.errstate(**quiet):
-            return args.func(args)
+            return command(args)
     except QsotError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -21,6 +21,9 @@ unit vectors, through the closed-form 2×2 eigenvector kernel
 (``extreme_eigvecs``) and the forms of v̄⊗v (``product_forms``) that the
 library's rounds on rank-one projectors replaced: their reference to
 roundoff.
+``separate_mixing_violations`` evaluates P4–P6's mixed, plain and
+alternative pairs in separate ``sot.evaluate`` calls: the reference for
+the one stack of every pair that ``axioms._violations`` evaluates.
 ``defining_bayes_residual`` is the Bayes residual as the condition reads,
 ‖E⋆ρ − τ(~X⋆E(ρ))‖ through two SOT evaluations and τ, which
 ``bayes.bayes_residual`` replaced by ‖X·Φ_σ* − Y‖ for sandwich families.
@@ -672,6 +675,26 @@ def sequential_certify(family: sot.SotFamily, prop: str,
                                   max_residual=max_residual,
                                   violation=value if failed else None,
                                   counterexample=witness if failed else None, note=note)
+
+
+def separate_mixing_violations(family: sot.SotFamily, prop: str,
+                               instance: dict) -> list[tuple[float, dict]]:
+    """P4–P6 violations of a stacked instance, each pair of a key evaluated
+    by its own ``sot.evaluate``: the mixed pair, the plain pair, then the
+    alternative pair."""
+    e, rho = instance["e"], instance["rho"]
+    lam, residuals = np.array(instance["lambda"])[:, None, None], []
+    for key in axioms.MIXED[prop]:
+        other = instance[key]
+        if key == "rho2":
+            mixed, alt = (e, lam * rho + (1.0 - lam) * other), (e, other)
+        else:
+            mixed = (lam * e + (1.0 - lam) * other, rho)
+            alt = (other, rho)
+        residuals.append((sot.evaluate(family, *mixed).value
+                          - lam * sot.evaluate(family, e, rho).value
+                          - (1.0 - lam) * sot.evaluate(family, *alt).value).norm())
+    return [(max(values), {}) for values in zip(*(r.tolist() for r in residuals))]
 
 
 # ---------------------------------------------------- analytic ✗ witnesses

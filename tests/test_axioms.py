@@ -18,7 +18,8 @@ from qsot.errors import (ConstraintError, ExtensionError, InapplicableError,
 
 from conftest import (closed_form_witnesses, drawn_by_column, full_product_extremum, group_of,
                       looped_block_positivity_violation, member_draws, rng_for, sample_alone,
-                      sequential_certify, two_call_draws, unit_starts, vector_product_extremum)
+                      separate_mixing_violations, sequential_certify, two_call_draws,
+                      unit_starts, vector_product_extremum)
 
 FAST = axioms.CertifyConfig(trials=40, seed=7)
 
@@ -954,26 +955,80 @@ def test_a_refused_classical_limit_pair_is_its_trials_outcome_in_its_stack():
 
 
 @pytest.mark.parametrize("tag", ["uncorrelated", "ohya"])
-def test_a_p7_chunk_evaluates_one_stack_per_construction(tag, monkeypatch):
+def test_a_p7_chunk_evaluates_one_stack_per_shape_pair(tag, monkeypatch):
     """The chunk of trials 1..15 holds every construction on both shape
-    parities; the finished pairs of one (shape pair, construction) group are
-    evaluated together, and each trial keeps the violation it has alone."""
+    parities; the finished pairs of every group of one shape pair are
+    evaluated as one stack, and each trial keeps the violation it has alone."""
     family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=16, seed=0)
     trials = range(1, config.trials)
     stacks = []
     violations = axioms._violations
     monkeypatch.setattr(axioms, "_violations", lambda family, prop, instance: (
-        stacks.append(instance["e"].matrix.shape[0]) or violations(family, prop, instance)))
+        stacks.append((instance["e"].source, len(instance["e"].matrix)))
+        or violations(family, prop, instance)))
     outcomes = [outcome for _, outcome in axioms._chunk(family, "P7", trials, config,
                                                         axioms._cell_index(tag, "P7"))]
-    evaluated = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
-    groups = {axioms._group(family, "P7", trial, config)
-              for trial, outcome in zip(trials, outcomes) if not isinstance(outcome, Exception)}
-    assert len(stacks) == len(groups) > 2 and sum(stacks) == len(evaluated)
+    evaluated = [trial for trial, outcome in zip(trials, outcomes)
+                 if not isinstance(outcome, Exception)]
+    groups = {axioms._group(family, "P7", trial, config) for trial in evaluated}
+    pairs = {group[:2] for group in groups}
+    assert len(groups) > len(pairs) == 2
+    assert len(stacks) == 2 and {source for source, _ in stacks} == {a for a, _ in pairs}
+    assert sum(members for _, members in stacks) == len(evaluated)
     for trial, outcome in zip(trials, outcomes):
         if not isinstance(outcome, Exception):
             instance = sample_alone(family, "P7", trial, config)
             assert outcome[0] == axioms._violation(family, "P7", instance)[0]
+
+
+@pytest.mark.parametrize("tag", ["uncorrelated", "ohya"])
+def test_a_p7_shape_pair_stack_that_raises_settles_each_trial_alone(tag, monkeypatch):
+    """When a shape pair's stack of several constructions raises, each of
+    its trials is evaluated alone and gets the outcome it has alone."""
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=16, seed=0)
+    trials = range(1, config.trials)
+    sizes = []
+    violations = axioms._violations
+
+    def single_members_only(family, prop, instance):
+        sizes.append(len(instance["e"].matrix))
+        if sizes[-1] > 1:
+            raise ConstraintError("a stack of more than one member")
+        return violations(family, prop, instance)
+    monkeypatch.setattr(axioms, "_violations", single_members_only)
+    outcomes = [outcome for _, outcome in axioms._chunk(family, "P7", trials, config,
+                                                        axioms._cell_index(tag, "P7"))]
+    alone = []
+    for trial, outcome in zip(trials, outcomes):
+        try:
+            instance = sample_alone(family, "P7", trial, config)
+        except InapplicableError as refusal:
+            assert type(outcome) is InapplicableError and str(outcome) == str(refusal)
+            continue
+        violation, extra, stacked, position = outcome
+        assert violation == axioms._violation(family, "P7", instance)[0] and extra == {}
+        for name, value in instance.items():
+            assert_same(axioms._member(stacked, position)[name], value)
+        alone.append(trial)
+    assert len([size for size in sizes if size > 1]) == 2
+    assert sum(size for size in sizes if size > 1) == len(alone) > 2
+
+
+@pytest.mark.parametrize("blocky", [False, True])
+@pytest.mark.parametrize("prop", ["P4", "P5", "P6"])
+@pytest.mark.parametrize("tag", ["leifer-spekkens", "ohya"])
+def test_mixing_pairs_as_one_stack_equal_separate_evaluations(tag, prop, blocky):
+    """P4–P6 evaluate the plain pair and every key's mixed and alternative
+    pairs as one stack; each trial's violation equals the one of separate
+    evaluations, bit for bit."""
+    family, config = sot.TABLE_FAMILIES[tag], axioms.CertifyConfig(trials=16, seed=0)
+    group = axioms._group(family, prop, int(blocky), config)
+    instance, _ = axioms._draw(family, prop, group, config,
+                               rng_for(f"{tag}:{prop}", blocky), 12)
+    found = axioms._violations(family, prop, instance)
+    assert found == separate_mixing_violations(family, prop, instance)
+    if prop != "P5":  # neither family is linear in the state
+        assert max(value for value, _ in found) > FAIL_THRESHOLD
 
 
 @pytest.mark.parametrize("props", [("P6", "M", "P1"), ("M",)])

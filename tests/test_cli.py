@@ -391,9 +391,11 @@ def test_certify_negative_trials_is_validation(capsys):
 
 
 @pytest.mark.parametrize("option, names", [("--families", "uncorrelated,"),
-                                           ("--properties", "P1,")])
+                                           ("--properties", "P1,"),
+                                           ("--families", ""), ("--properties", "")])
 def test_an_empty_certify_name_is_quoted(option, names, capsys):
-    """A trailing comma names the empty string, which the message shows."""
+    """A trailing comma names the empty string, which the message shows; an
+    empty list is that one empty name, not the default list."""
     assert run(["certify", option, names, "--trials", "1"]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == f"validation error: unknown {option[2:]}: ''\n"
 
