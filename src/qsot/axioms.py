@@ -12,7 +12,6 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -336,62 +335,31 @@ def check_associativity(family: sot.SotFamily, e: LinearMap, f: LinearMap,
 MIXED = {"P4": ("rho2",), "P5": ("e2",), "P6": ("rho2", "e2")}
 
 
-def _plan(family: sot.SotFamily, prop: str, group: tuple, config: CertifyConfig) -> list:
-    """Each input of a group's trials in draw order: (name, its ``sampling.draw``
-    plan, the step that finishes its draws stacked along a first axis)."""
-    sa, sb = group[:2]
-    if prop == "P7":
-        return [("pair", sot.classical_limit_plan(*group[:3]),
-                 lambda draws: sot.classical_limits(*group[:3], draws, group[3]))]
-    state = sampling.state_planes(sa), lambda draws: sampling.state(sa, draws)
-    channel = sampling.cptp_planes(sa, sb), lambda draws: sampling.cptp(sa, sb, draws)
-    if prop == "A":
-        c = group[2]
-        # Entanglement-breaking first legs keep every intermediate second
-        # argument PSD, so non-state-linear families stay evaluable.
-        e = channel if family.state_linear else (
-            sampling.measure_prepare_planes(sa, sb, config.dims[0] ** 2),
-            lambda draws: maps.stack([sampling.measure_prepare(sa, sb, m) for m in zip(*draws)]))
-        f = sampling.cptp_planes(sb, c), lambda draws: sampling.cptp(sb, c, draws)
-        return [("e", *e), ("f", *f), ("rho", *state)]
-    column = lambda draws: draws[0].tolist()
-    return [("e", *channel), ("rho", *state),
-            *([("lambda", (("uniform", 0.2, 0.8, ()),), column)] if prop in MIXED else []),
-            *((key, *(state if key == "rho2" else channel)) for key in MIXED.get(prop, ()))]
-
-
 def _draw(family: sot.SotFamily, prop: str, group: tuple, config: CertifyConfig,
           rng: np.random.Generator, members: int) -> tuple[dict, list]:
-    """The stacked instance of ``members`` trials of one group key, all
-    drawn from ``rng``, and each trial's refusal (None if it has none; only
-    P7's classical-limit pairs can be refused).
-
-    Each generator call of the plan draws for the whole group, row k for
-    member k: an unbroken run of Gaussian planes is one ``normal`` call of
-    size (members, run width), any other entry (method, *args, size) one
-    call of size (members, *size).  Each input is finished as one stack from
-    column views of those arrays.
-    """
-    inputs = _plan(family, prop, group, config)
-    entries = [entry for _, plan, _ in inputs for entry in plan]
-    columns = []
-    for gaussian, run in groupby(entries, key=lambda entry: not isinstance(entry[0], str)):
-        if not gaussian:
-            columns += [getattr(rng, method)(*args, size=(members, *size))
-                        for method, *args, size in run]
-            continue
-        run = list(run)
-        ends = np.cumsum([int(np.prod(shape)) for shape in run]).tolist()
-        z = rng.normal(size=(members, ends[-1]))
-        columns += [z[:, end - int(np.prod(shape)):end].reshape(members, *shape)
-                    for shape, end in zip(run, ends)]
-    columns = iter(columns)
-    out, refusals = {}, [None] * members
-    for name, plan, finish in inputs:
-        out[name] = finish(tuple(next(columns) for _ in plan))
-    if "pair" in out:  # P7: the kept pairs' stacks, and every pair's refusal
-        out["e"], out["rho"], refusals = out.pop("pair")
-    return out, refusals
+    """The stacked instance of ``members`` trials of one group key, and each
+    trial's refusal (None if it has none; only P7's classical-limit pairs
+    can be refused).  Each input is drawn for the whole group from ``rng``
+    by its sampler, in draw order, member k from row k of each call."""
+    sa, sb = group[:2]
+    if prop == "P7":
+        e, rho, refusals = sot.classical_limits(*group[:3], rng, members, group[3])
+        return {"e": e, "rho": rho}, refusals
+    if prop == "A":
+        # Entanglement-breaking first legs keep every intermediate second
+        # argument PSD, so non-state-linear families stay evaluable.
+        e = (sampling.random_cptp(sa, sb, rng, members) if family.state_linear else
+             sampling.random_measure_prepare(sa, sb, config.dims[0] ** 2, rng, members))
+        return {"e": e, "f": sampling.random_cptp(sb, group[2], rng, members),
+                "rho": sampling.random_state(sa, rng, members)}, [None] * members
+    out = {"e": sampling.random_cptp(sa, sb, rng, members),
+           "rho": sampling.random_state(sa, rng, members)}
+    if prop in MIXED:
+        out["lambda"] = rng.uniform(0.2, 0.8, size=members).tolist()
+        for key in MIXED[prop]:
+            out[key] = (sampling.random_state(sa, rng, members) if key == "rho2"
+                        else sampling.random_cptp(sa, sb, rng, members))
+    return out, [None] * members
 
 
 def _member(instance: dict, position: int) -> dict:
@@ -458,7 +426,7 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
 
 
 def _violation(family: sot.SotFamily, prop: str, instance: dict) -> tuple[float, dict]:
-    """Return (violation, extra-witness-data) for one finished instance: the
+    """Return (violation, extra-witness-data) for one instance: the
     violations of its stack of one, its other inputs as lists."""
     return _violations(family, prop, {
         name: maps.stack([value]) if isinstance(value, LinearMap) else
@@ -496,16 +464,15 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
     Groups are for drawing, shape pairs for evaluating.  The trials are
     grouped by key before anything is drawn, the groups in the order of
     their first trials.  Group g of the chunk that starts at trial s draws
-    from ``np.random.default_rng([seed, cell, s, g])``, one call per plan
-    call for all its members (``_draw``), and is finished as one stack; a
-    trial's replay key is the group's key and its row in the group's draws.
-    Both are functions of the trial indices alone.  A refused trial's
-    refusal is its outcome.  The finished members of every group of one
-    shape pair (P7's constructions; every other property has one group per
-    pair) are evaluated as one stack, the groups end to end in order.  If
-    that raises, each member is evaluated alone: it equals its trial
-    finished alone from its row, so every trial gets the outcome it has
-    alone, exception included.
+    all its members at once (``_draw``) from ``np.random.default_rng([seed,
+    cell, s, g])``; a trial's replay key is the group's key and its row in
+    the group's draws.  Both are functions of the trial indices alone.  A
+    refused trial's refusal is its outcome.  The members of every group of
+    one shape pair (P7's constructions; every other property has one group
+    per pair) are evaluated as one stack, the groups end to end in order.
+    If that raises, each member is evaluated alone: it equals its trial
+    drawn alone from its row, so every trial gets the outcome it has alone,
+    exception included.
     """
     keys, outcomes = [None] * len(trials), [None] * len(trials)
     groups: dict[tuple, list[int]] = {}
@@ -657,7 +624,7 @@ class TableReport:
     def mismatches(self, expected: dict[str, dict[str, str]] | None = None
                    ) -> list[tuple[str, str, str, str]]:
         """Decided (✓/✗) cells whose verdict differs from the expected glyph."""
-        expected = expected or EXPECTED_TABLE
+        expected = EXPECTED_TABLE if expected is None else expected
         out = []
         for fam, row in self.verdicts.items():
             for prop, verdict in row.items():
@@ -669,8 +636,8 @@ class TableReport:
         return out
 
     def render_text(self) -> str:
-        width = max(len(f) for f in self.verdicts) + 2
-        props = list(next(iter(self.verdicts.values())))
+        width = max(map(len, self.verdicts), default=0) + 2
+        props = list(next(iter(self.verdicts.values()), ()))
         lines = ["family".ljust(width) + "  ".join(p.ljust(3) for p in props)]
         for fam, row in self.verdicts.items():
             cells = "  ".join(row[p].glyph.ljust(3) for p in props)
@@ -688,6 +655,6 @@ def table_report(config: CertifyConfig | None = None,
                  properties: tuple[str, ...] = TABLE_PROPERTIES) -> TableReport:
     """Certify every family × property cell and collect the matrix."""
     config = config or CertifyConfig()
-    families = families or sot.TABLE_FAMILIES
+    families = sot.TABLE_FAMILIES if families is None else families
     return TableReport({tag: {prop: certify(family, prop, config) for prop in properties}
                         for tag, family in families.items()}, config)

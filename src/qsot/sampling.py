@@ -5,15 +5,11 @@ weights come out random); channels are sampled by Stinespring dilation with a
 random isometry and environment dimension twice the output dimension.  All
 functions take an explicit numpy Generator so every trial is replayable.
 
-An instance is drawn, then finished.  A raw Ginibre matrix is its real and
-imaginary planes (2, rows, cols); ``*_planes`` give their shapes.  As
-``Generator.normal`` fills values in order, a run of planes is one call of
-their total size: ``draw`` makes a call per plane, a caller with many trials
-one (trials, width) call per run, a row per trial.  The finishing
-steps take draws with common leading axes (such an array's column views),
-form the complex matrices once per stack and return the stack of results,
-each as it would be alone: ``random_state`` and ``random_cptp`` are the
-one-draw case.
+A Ginibre matrix is one ``normal`` call of its real and imaginary planes
+(2, rows, cols).  Given ``members``, a sampler draws that many instances at
+once: it makes its one-instance calls in the same order, each with a leading
+(members,) axis, and returns the stack, member k equal to the instance drawn
+alone from row k of each call.
 """
 from __future__ import annotations
 
@@ -24,48 +20,30 @@ from .algebra import AlgebraElement, AlgebraShape
 from .maps import LinearMap
 
 
-def _complex(planes: np.ndarray) -> np.ndarray:
-    """The complex matrices of real and imaginary planes (..., 2, rows, cols)."""
-    return planes[..., 0, :, :] + 1j * planes[..., 1, :, :]
-
-
-def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
+def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None,
+            members: int | None = None) -> np.ndarray:
     cols = rows if cols is None else cols
-    return _complex(rng.normal(size=(2, rows, cols)))
+    z = rng.normal(size=(2, rows, cols) if members is None else (members, 2, rows, cols))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def state_planes(shape: AlgebraShape) -> tuple[tuple[int, int, int], ...]:
-    """The plane shapes of a random state: one square Ginibre matrix per block."""
-    return tuple((2, d, d) for d in shape.dims)
+def _blocks(shape: AlgebraShape, rng: np.random.Generator, members: int | None) -> list:
+    """One square Ginibre matrix per block of ``shape``."""
+    return [ginibre(rng, d, members=members) for d in shape.dims]
 
 
-def cptp_planes(source: AlgebraShape, target: AlgebraShape) -> tuple[tuple[int, int, int], ...]:
-    """The plane shapes of a random channel: per source block x, (⊕_y n_y)·env_x
-    rows and m_x columns, env_x = 2 unless the block needs more."""
-    d_out = target.total_dim
-    # an isometry needs at least as many rows as columns
-    return tuple((2, d_out * max(2, -(-mx // d_out)), mx) for mx in source.dims)
-
-
-def draw(plan: tuple, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The draws of ``plan`` from ``rng`` in order: a shape is one ``normal``
-    call of that size, an entry (method, *args, size) that generator call,
-    a scalar for the size ()."""
-    return tuple(getattr(rng, entry[0])(*entry[1:-1], size=entry[-1] or None)
-                 if isinstance(entry[0], str) else rng.normal(size=entry) for entry in plan)
-
-
-def state(shape: AlgebraShape, draws: tuple[np.ndarray, ...]) -> AlgebraElement:
-    """The density matrix ⊕ GG†/tr of ``state_planes``' matrices."""
-    mats = [g @ g.conj().swapaxes(-1, -2) for g in map(_complex, draws)]
+def _density(shape: AlgebraShape, gs: list) -> AlgebraElement:
+    """⊕ GG†/tr of one Ginibre matrix per block."""
+    mats = [g @ g.conj().swapaxes(-1, -2) for g in gs]
     total = sum(np.trace(m, axis1=-2, axis2=-1).real for m in mats)
     total = np.asarray(total)[..., None, None]
     return AlgebraElement._of(shape, (m / total for m in mats))
 
 
-def random_state(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
+def random_state(shape: AlgebraShape, rng: np.random.Generator,
+                 members: int | None = None) -> AlgebraElement:
     """Ginibre random density matrix, full rank (faithful)."""
-    return state(shape, draw(state_planes(shape), rng))
+    return _density(shape, _blocks(shape, rng, members))
 
 
 def random_hermitian(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
@@ -94,27 +72,25 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return isometry(ginibre(rng, rows, cols))
 
 
-def cptp(source: AlgebraShape, target: AlgebraShape,
-         draws: tuple[np.ndarray, ...]) -> LinearMap:
-    """The channel of ``cptp_planes``' matrices: each becomes an isometry
-    V_x : C^{m_x} → (⊕_y C^{n_y})⊗C^env_x, whose row-blocks are Kraus
-    operators into every target block."""
-    kraus = []
-    for xi, g in enumerate(map(_complex, draws)):
-        v = isometry(g)
-        row = 0
-        for _ in range(g.shape[-2] // target.total_dim):
+def random_cptp(source: AlgebraShape, target: AlgebraShape, rng: np.random.Generator,
+                members: int | None = None) -> LinearMap:
+    """Random CPTP map via isometry dilation, one Stinespring per source
+    block, with generically full support across all components.
+
+    Block x draws a Ginibre matrix of (⊕_y n_y)·env_x rows and m_x columns,
+    env_x = 2 unless the block needs more, whose orthonormal columns are an
+    isometry V_x : C^{m_x} → (⊕_y C^{n_y})⊗C^env_x; its row-blocks are Kraus
+    operators into every target block.
+    """
+    d_out, kraus = target.total_dim, []
+    for xi, mx in enumerate(source.dims):
+        env = max(2, -(-mx // d_out))  # an isometry needs at least as many rows as columns
+        v, row = isometry(ginibre(rng, d_out * env, mx, members)), 0
+        for _ in range(env):
             for yi, ny in enumerate(target.dims):
                 kraus.append((xi, yi, v[..., row:row + ny, :]))
                 row += ny
     return maps.from_kraus(source, target, kraus)
-
-
-def random_cptp(source: AlgebraShape, target: AlgebraShape,
-                rng: np.random.Generator) -> LinearMap:
-    """Random CPTP map via isometry dilation, one Stinespring per source
-    block, with generically full support across all components."""
-    return cptp(source, target, draw(cptp_planes(source, target), rng))
 
 
 def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator) -> LinearMap:
@@ -125,11 +101,11 @@ def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator) -> Line
     return sum(terms[1:], terms[0])
 
 
-def povm(source: AlgebraShape, draws: tuple[np.ndarray, ...]) -> LinearMap:
-    """The POVM of ``state_planes(source)`` draws per outcome: normalized effects."""
+def _povm(source: AlgebraShape, gs: list) -> LinearMap:
+    """The POVM of one Ginibre matrix per block per outcome: normalized effects."""
     n = len(source.dims)
-    raw = [AlgebraElement._of(source, [g @ g.conj().T for g in map(_complex, draws[k:k + n])])
-           for k in range(0, len(draws), n)]
+    raw = [AlgebraElement._of(source, [g @ g.conj().T for g in gs[k:k + n]])
+           for k in range(0, len(gs), n)]
     s_inv = alg.power(sum(raw[1:], raw[0]), -0.5)
     return maps.povm([s_inv @ m @ s_inv for m in raw])
 
@@ -137,37 +113,30 @@ def povm(source: AlgebraShape, draws: tuple[np.ndarray, ...]) -> LinearMap:
 def random_povm(source: AlgebraShape, outcomes: int,
                 rng: np.random.Generator) -> LinearMap:
     """Random POVM channel A → C^outcomes (normalized Ginibre effects)."""
-    return povm(source, draw(outcomes * state_planes(source), rng))
+    return _povm(source, [g for _ in range(outcomes) for g in _blocks(source, rng, None)])
 
 
-def measure_prepare_planes(source: AlgebraShape, target: AlgebraShape,
-                           outcomes: int) -> tuple[tuple[int, int, int], ...]:
-    """The plane shapes of a measure-prepare channel: its POVM's, its states'."""
-    return outcomes * state_planes(source) + outcomes * state_planes(target)
-
-
-def measure_prepare(source: AlgebraShape, target: AlgebraShape,
-                    draws: tuple[np.ndarray, ...]) -> LinearMap:
-    """The channel A ↦ Σ_k tr(A P_k) σ_k of one ``measure_prepare_planes``
-    draw: the POVM (P_k), then the states σ_k."""
-    m = len(target.dims)
-    k = len(draws) // (len(source.dims) + m) * len(source.dims)
-    effects = maps.povm_effects(povm(source, draws[:k]))
-    return LinearMap(source, target, sum(
-        np.outer(maps.vec(state(target, draws[j:j + m])), maps.vec(p.dagger()).conj())
-        for j, p in zip(range(k, len(draws), m), effects)))
-
-
-def random_measure_prepare(source: AlgebraShape, target: AlgebraShape,
-                           outcomes: int, rng: np.random.Generator) -> LinearMap:
-    """Random entanglement-breaking channel A ↦ Σ_k tr(A P_k) σ_k.
+def random_measure_prepare(source: AlgebraShape, target: AlgebraShape, outcomes: int,
+                           rng: np.random.Generator, members: int | None = None) -> LinearMap:
+    """Random entanglement-breaking channel A ↦ Σ_k tr(A P_k) σ_k: the POVM
+    (P_k) is drawn first, then the states σ_k.  A stack is drawn at once
+    and finished member by member.
 
     Its channel state Σ_k P_kᵀ⊗σ_k is PSD, which makes these channels the
     admissible instances for associativity checks of families that need a
     genuine density matrix as second argument.
     """
-    return measure_prepare(source, target,
-                           draw(measure_prepare_planes(source, target, outcomes), rng))
+    effects = [g for _ in range(outcomes) for g in _blocks(source, rng, members)]
+    states = [_blocks(target, rng, members) for _ in range(outcomes)]
+
+    def channel(effects, states):
+        return LinearMap(source, target, sum(
+            np.outer(maps.vec(_density(target, gs)), maps.vec(p.dagger()).conj())
+            for gs, p in zip(states, maps.povm_effects(_povm(source, effects)))))
+    if members is None:
+        return channel(effects, states)
+    return maps.stack([channel([g[k] for g in effects], [[g[k] for g in gs] for gs in states])
+                       for k in range(members)])
 
 
 def decohering_channel(source: AlgebraShape, target: AlgebraShape,

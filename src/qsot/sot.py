@@ -284,8 +284,7 @@ def _has_nondegenerate_spectrum(rho: AlgebraElement) -> np.ndarray:
 def classical_limit_kind(shape_a: AlgebraShape, index: int,
                          nondegenerate_prior: bool = False) -> str:
     """The classical-limit construction ``index`` picks, modulo the
-    constructions that apply.  ``classical_limit_plan`` gives its draws,
-    which ``classical_limits`` finishes into pairs (E, ρ) with [D[E], ρ⊗1] = 0.
+    constructions that apply, for ``classical_limits`` to draw.
 
     The constructions: (a) replacement channels with arbitrary priors,
     (b) diagonal priors with diagonal-reading (decohering) channels,
@@ -300,36 +299,25 @@ def classical_limit_kind(shape_a: AlgebraShape, index: int,
     return kinds[index % len(kinds)]
 
 
-def classical_limit_plan(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str) -> tuple:
-    """The ``sampling.draw`` plan of a construction's pair: the channel's, the prior's."""
-    if kind == "replacement":
-        return sampling.state_planes(shape_b) + sampling.state_planes(shape_a)
-    if kind == "decohering":
-        return (("dirichlet", np.ones(shape_b.total_dim), (shape_a.total_dim,)),
-                ("dirichlet", np.ones(shape_a.total_dim), ()))
-    return (*sampling.cptp_planes(shape_a, shape_b),
-            ("dirichlet", np.ones(len(shape_a.blocks)), ()))
-
-
 def classical_limits(shape_a: AlgebraShape, shape_b: AlgebraShape, kind: str,
-                     draws: tuple[np.ndarray, ...], nondegenerate_prior: bool = False
+                     rng: np.random.Generator, members: int, nondegenerate_prior: bool = False
                      ) -> tuple[LinearMap, AlgebraElement, list[InapplicableError | None]]:
-    """The pairs (E, ρ) of one construction from its plan's draws stacked
-    along a first axis: the stacks of the channels and priors of the pairs
-    kept, and for each pair the InapplicableError that refuses it (the prior
-    filter, then the ``COMM_TOL`` check), or None."""
+    """``members`` pairs (E, ρ) with [D[E], ρ⊗1] = 0 of one construction,
+    drawn from ``rng`` as stacks, the channels' then the priors': the
+    stacks of the pairs kept, and for each pair the InapplicableError that
+    refuses it (the prior filter, then the ``COMM_TOL`` check), or None."""
     if kind == "replacement":
-        k = len(shape_b.dims)
-        e = maps.replace_channel(sampling.state(shape_b, draws[:k]), shape_a)
-        rho = sampling.state(shape_a, draws[k:])
+        e = maps.replace_channel(sampling.random_state(shape_b, rng, members), shape_a)
+        rho = sampling.random_state(shape_a, rng, members)
     elif kind == "decohering":
-        e = sampling.decohering_channel(shape_a, shape_b, draws[0])
-        rho = alg.diagonal_element(shape_a, draws[1])
+        e = sampling.decohering_channel(shape_a, shape_b, rng.dirichlet(
+            np.ones(shape_b.total_dim), size=(members, shape_a.total_dim)))
+        rho = alg.diagonal_element(shape_a, rng.dirichlet(np.ones(shape_a.total_dim), size=members))
     else:
-        k = len(shape_a.dims)
-        e = sampling.cptp(shape_a, shape_b, draws[:k])
+        e = sampling.random_cptp(shape_a, shape_b, rng, members)
+        weights = rng.dirichlet(np.ones(len(shape_a.blocks)), size=members)
         dims = np.array(shape_a.dims)  # ⊕ w_x·1/d_x for block weights w
-        rho = alg.diagonal_element(shape_a, np.repeat(draws[k] / dims, dims, axis=-1))
+        rho = alg.diagonal_element(shape_a, np.repeat(weights / dims, dims, axis=-1))
     noncommuting = commutation_residual(e, rho) > COMM_TOL
     degenerate = (~_has_nondegenerate_spectrum(rho) if nondegenerate_prior
                   else np.zeros_like(noncommuting))

@@ -27,17 +27,22 @@ the one stack of every pair that ``axioms._violations`` evaluates.
 ``defining_bayes_residual`` is the Bayes residual as the condition reads,
 ‖E⋆ρ − τ(~X⋆E(ρ))‖ through two SOT evaluations and τ, which
 ``bayes.bayes_residual`` replaced by ‖X·Φ_σ* − Y‖ for sandwich families.
-``group_draws`` draws a group's plan call by call from its generator, and
-``sample_alone`` and ``classical_limit_pair`` finish one trial or one
-classical-limit pair from its row of those draws (``MemberDraws``) through
-the library's one-trial samplers, in the trial's draw order: the reference
-for ``drawn_by_column``, which draws trials through the chunk drawer.
+``group_draws`` records the generator calls of a group's draw, and
+``sample_alone`` and ``classical_limit_pair`` draw one trial or one
+classical-limit pair through the library's one-trial samplers, in the
+trial's draw order, from its row of those calls (``MemberDraws``, which
+checks that each one-trial call is its group call without the leading
+(members,) axis): the reference for ``drawn_by_group``, which draws
+trials through the chunk drawer.
 The ``copying_*`` kernels, ``gather_tilde`` and ``swap_dagger_tau`` are the
 kernels that the write-into-the-output ones in ``maps`` and ``algebra``
 replaced, each kept as its bit-for-bit reference.  ``two_call_ginibre``
 draws a complex Ginibre matrix as two ``normal`` calls, the real part's then
 the imaginary part's, which ``sampling``'s one-call (2, rows, cols) planes
 replaced; ``two_call_draws`` puts it under the library's one-trial samplers.
+The ``plane_*`` finishers build states, channels and POVMs from explicit
+(2, rows, cols) planes, as the samplers did before they drew for
+themselves: their bit-for-bit reference.
 The literature's Bayes rules (``petz_rule`` to ``classical_rule``) are
 textbook formulas on dense operators; ``textbook`` reads E* through the
 library's adjoint and lays each image out with ``maps.vec``, so that a rule
@@ -54,7 +59,8 @@ import numpy as np
 import pytest
 
 from qsot import algebra as alg, axioms, bayes, maps, sampling, sot
-from qsot.config import FAIL_THRESHOLD, HERM_TOL, PASS_THRESHOLD
+from qsot.config import COMM_TOL, FAIL_THRESHOLD, HERM_TOL, PASS_THRESHOLD
+from qsot.errors import InapplicableError
 from qsot.algebra import AlgebraElement, AlgebraShape
 from qsot.maps import LinearMap
 
@@ -493,53 +499,46 @@ def group_of(family: sot.SotFamily, prop: str, trial: int,
     return group, key, groups[group]
 
 
+class RecordingGenerator:
+    """A generator that records each call: (method, args, size, values)."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name: str):
+        def call(*args, size=None):
+            values = getattr(self.rng, name)(*args, size=size)
+            self.calls.append((name, args, size, values))
+            return values
+        return call
+
+
 def group_draws(family: sot.SotFamily, prop: str, group: tuple, config: axioms.CertifyConfig,
-                key: list[int], members: int) -> list[tuple[str, np.ndarray]]:
-    """A group's plan drawn call by call from ``np.random.default_rng(key)``:
-    (method, its (members, ...) array) for one ``normal`` call per unbroken
-    run of Gaussian planes and one call of size (members, *size) per other
-    entry (method, *args, size)."""
-    rng = np.random.default_rng(key)
-    entries = [entry for _, plan, _ in axioms._plan(family, prop, group, config)
-               for entry in plan]
-    calls, width = [], 0
-    for k, entry in enumerate(entries):
-        if not isinstance(entry[0], str):
-            width += int(np.prod(entry))
-            if k + 1 < len(entries) and not isinstance(entries[k + 1][0], str):
-                continue  # the run goes on
-            calls.append(("normal", rng.normal(size=(members, width))))
-            width = 0
-        else:
-            method, *args, size = entry
-            calls.append((method, getattr(rng, method)(*args, size=(members, *size))))
-    return calls
+                key: list[int], members: int) -> list[tuple]:
+    """The generator calls (method, args, size, values) that drawing a group
+    of ``members`` trials makes on ``np.random.default_rng(key)``."""
+    rng = RecordingGenerator(np.random.default_rng(key))
+    axioms._draw(family, prop, group, config, rng, members)
+    return rng.calls
 
 
 class MemberDraws:
     """One member's row of each of its group's generator calls, handed out
-    in draw order as a generator would hand them to the one-trial samplers:
-    ``normal`` takes the next values of the current Gaussian row, another
-    method the member's whole value of its call."""
+    in call order to the one-trial samplers.  Each one-trial call must be
+    its group call without the leading (members,) axis: the same method
+    and arguments, of the size that follows that axis."""
 
-    def __init__(self, calls: list[tuple[str, np.ndarray]], row: int):
-        self.rows, self.at = [(method, values[row]) for method, values in calls], 0
-
-    def normal(self, size):
-        method, values = self.rows[0]
-        assert method == "normal"
-        n = int(np.prod(size))
-        out, self.at = values[self.at:self.at + n].reshape(size), self.at + n
-        if self.at == len(values):
-            self.rows, self.at = self.rows[1:], 0
-        return out
+    def __init__(self, calls: list[tuple], row: int):
+        self.calls, self.row = list(calls), row
+        assert len({np.atleast_1d(size)[0] for _, _, size, _ in calls}) <= 1, "one members axis"
 
     def __getattr__(self, name: str):
         def call(*args, size=None):
-            (method, value), *self.rows = self.rows
-            size = () if size is None else tuple(size)
-            assert method == name and np.shape(value)[:len(size)] == size
-            return value
+            (method, group_args, group_size, values), *self.calls = self.calls
+            size = () if size is None else tuple(np.atleast_1d(size))
+            assert (method, tuple(np.atleast_1d(group_size))[1:]) == (name, size)
+            assert all(np.array_equal(a, b) for a, b in zip(args, group_args, strict=True))
+            return values[self.row]
         return call
 
 
@@ -555,11 +554,15 @@ def member_draws(family: sot.SotFamily, prop: str, trial: int,
 
 def sample_alone(family: sot.SotFamily, prop: str, trial: int,
                  config: axioms.CertifyConfig, rng=None) -> dict:
-    """Every random input of one trial, finished alone by the one-trial
+    """Every random input of one trial, drawn alone by the one-trial
     samplers in the trial's draw order, from ``rng`` or else from the
     trial's row of its group's draws (``member_draws``); raises the trial's
     refusal, if it has one."""
-    rng = member_draws(family, prop, trial, config)[0] if rng is None else rng
+    if rng is None:
+        rng = member_draws(family, prop, trial, config)[0]
+        instance = sample_alone(family, prop, trial, config, rng)
+        assert rng.calls == [], "the group makes calls the trial does not"
+        return instance
     shape_a, shape_b = axioms._group(family, "P1", trial, config)  # the trial's shape pair
     if prop == "P7":
         e, rho = classical_limit_pair(shape_a, shape_b, rng, trial // 2,
@@ -582,11 +585,11 @@ def sample_alone(family: sot.SotFamily, prop: str, trial: int,
     return out
 
 
-def drawn_by_column(family: sot.SotFamily, prop: str,
-                    config: axioms.CertifyConfig) -> tuple[dict, dict]:
+def drawn_by_group(family: sot.SotFamily, prop: str,
+                   config: axioms.CertifyConfig) -> tuple[dict, dict]:
     """Each sweep trial's inputs from the chunk drawer, each group drawn as
-    one stack from the generator of its key: the finished member of a
-    trial, or its refusal; and (group key, trials) of each generator key."""
+    one stack from the generator of its key: the member of a trial, or its
+    refusal; and (group key, trials) of each generator key."""
     groups, out = {}, {}
     for trial in range(config.trials):
         group, key, members = group_of(family, prop, trial, config)
@@ -605,15 +608,27 @@ def drawn_by_column(family: sot.SotFamily, prop: str,
 def classical_limit_pair(shape_a: AlgebraShape, shape_b: AlgebraShape,
                          rng: np.random.Generator, index: int,
                          nondegenerate_prior: bool = False) -> tuple[LinearMap, AlgebraElement]:
-    """One classical-limit pair (E, ρ) of construction ``index``: the
-    library's draws finished as a stack of one; raises its refusal."""
+    """One classical-limit pair (E, ρ) of construction ``index``, drawn by
+    the one-trial samplers in ``sot.classical_limits``' order, the channel's
+    draws then the prior's; raises its refusal."""
     kind = sot.classical_limit_kind(shape_a, index, nondegenerate_prior)
-    draws = sampling.draw(sot.classical_limit_plan(shape_a, shape_b, kind), rng)
-    e, rho, [refusal] = sot.classical_limits(shape_a, shape_b, kind,
-                                             tuple(d[None] for d in draws), nondegenerate_prior)
-    if refusal is not None:
-        raise refusal
-    return maps.unstack(e)[0], alg.unstack(rho)[0]
+    if kind == "replacement":
+        e = maps.replace_channel(sampling.random_state(shape_b, rng), shape_a)
+        rho = sampling.random_state(shape_a, rng)
+    elif kind == "decohering":
+        e = sampling.decohering_channel(shape_a, shape_b, rng.dirichlet(
+            np.ones(shape_b.total_dim), size=shape_a.total_dim))
+        rho = alg.diagonal_element(shape_a, rng.dirichlet(np.ones(shape_a.total_dim)))
+    else:
+        e = sampling.random_cptp(shape_a, shape_b, rng)
+        weights = rng.dirichlet(np.ones(len(shape_a.blocks)))
+        rho = AlgebraElement(shape_a, tuple(w / d * np.eye(d, dtype=complex)
+                                            for w, d in zip(weights, shape_a.dims)))
+    if nondegenerate_prior and not sot._has_nondegenerate_spectrum(rho):
+        raise InapplicableError("the drawn prior has a degenerate spectrum")
+    if sot.commutation_residual(e, rho) > COMM_TOL:
+        raise InapplicableError("the drawn pair is not a classical-limit pair")
+    return e, rho
 
 
 def sequential_certify(family: sot.SotFamily, prop: str,
@@ -931,30 +946,62 @@ def copying_kernels():
 
 
 # ------------------------------------------------------ two-call Ginibre draws
-def two_call_ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
+def two_call_ginibre(rng: np.random.Generator, rows: int, cols: int | None = None,
+                     members: None = None) -> np.ndarray:
+    assert members is None, "a one-trial draw"
     cols = rows if cols is None else cols
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-
-
-def planes(g: np.ndarray) -> np.ndarray:
-    """The real and imaginary planes (2, rows, cols) of a complex matrix."""
-    return np.stack([g.real, g.imag])
-
-
-def two_call_draw(plan: tuple, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """``sampling.draw`` with each plane shape (2, rows, cols) drawn as a
-    two-call Ginibre matrix."""
-    return tuple(getattr(rng, entry[0])(*entry[1:-1], size=entry[-1] or None)
-                 if isinstance(entry[0], str) else planes(two_call_ginibre(rng, *entry[1:]))
-                 for entry in plan)
 
 
 @contextmanager
 def two_call_draws():
     """The library's one-trial samplers with every Ginibre matrix drawn by
-    ``two_call_ginibre``, handed to the finishing steps as planes, for the
-    span of a ``with`` block."""
+    ``two_call_ginibre``, for the span of a ``with`` block."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "ginibre", two_call_ginibre)
-        patch.setattr(sampling, "draw", two_call_draw)
         yield
+
+
+# ------------------------------------------------------- plane finishers
+def plane_matrices(planes) -> list[np.ndarray]:
+    """The complex matrices of real and imaginary planes (2, rows, cols)."""
+    return [p[0] + 1j * p[1] for p in planes]
+
+
+def plane_state(shape: AlgebraShape, planes) -> AlgebraElement:
+    """The density matrix ⊕ GG†/tr of one plane pair per block."""
+    mats = [g @ g.conj().T for g in plane_matrices(planes)]
+    total = sum(np.trace(m).real for m in mats)
+    return AlgebraElement._of(shape, (m / total for m in mats))
+
+
+def plane_cptp(source: AlgebraShape, target: AlgebraShape, planes) -> LinearMap:
+    """The channel whose isometry V_x is the orthonormal columns of block
+    x's planes, its row-blocks Kraus operators into every target block."""
+    kraus = []
+    for xi, g in enumerate(plane_matrices(planes)):
+        v, row = sampling.isometry(g), 0
+        for _ in range(len(g) // target.total_dim):
+            for yi, ny in enumerate(target.dims):
+                kraus.append((xi, yi, v[row:row + ny]))
+                row += ny
+    return maps.from_kraus(source, target, kraus)
+
+
+def plane_povm(source: AlgebraShape, planes) -> LinearMap:
+    """The POVM of one plane pair per block per outcome: normalized effects."""
+    n = len(source.dims)
+    raw = [AlgebraElement._of(source, [g @ g.conj().T for g in plane_matrices(planes[k:k + n])])
+           for k in range(0, len(planes), n)]
+    s_inv = alg.power(sum(raw[1:], raw[0]), -0.5)
+    return maps.povm([s_inv @ m @ s_inv for m in raw])
+
+
+def plane_measure_prepare(source: AlgebraShape, target: AlgebraShape, planes) -> LinearMap:
+    """A ↦ Σ_k tr(A P_k) σ_k from the POVM's planes, then the states'."""
+    m = len(target.dims)
+    k = len(planes) // (len(source.dims) + m) * len(source.dims)
+    effects = maps.povm_effects(plane_povm(source, planes[:k]))
+    return LinearMap(source, target, sum(
+        np.outer(maps.vec(plane_state(target, planes[j:j + m])), maps.vec(p.dagger()).conj())
+        for j, p in zip(range(k, len(planes), m), effects)))

@@ -17,7 +17,9 @@ from conftest import (apply_dense, copying_hs_adjoint, copying_kernels, copying_
                       dense_ad, dense_apply_to_factor, dense_channel_state, dense_choi,
                       dense_embedding, dense_hs_adjoint_check, dense_multiplier,
                       dense_partial_trace, dense_swap, gather_tilde,
-                      kraus_partial_trace_channel, rng_for, swap_dagger_tau, two_call_draws)
+                      kraus_partial_trace_channel, MemberDraws, plane_cptp,
+                      plane_measure_prepare, plane_povm, plane_state, RecordingGenerator,
+                      rng_for, swap_dagger_tau, two_call_draws)
 
 ATOL = 1e-11
 
@@ -612,26 +614,88 @@ def test_stacked_classical_limit_constructors_equal_their_members(rng):
 
 
 def test_stacked_maps_equal_their_members(rng):
-    """from_kraus, channel_state, tp_defect and the sampling steps on a
-    stack equal the same calls on each member, bit for bit."""
-    draws = [sampling.draw(sampling.cptp_planes(SHAPE_A, SHAPE_C), rng) for _ in range(4)]
-    stacked = sampling.cptp(SHAPE_A, SHAPE_C, tuple(map(np.stack, zip(*draws))))
-    members = [sampling.cptp(SHAPE_A, SHAPE_C, draw) for draw in draws]
-    assert all(np.array_equal(m.matrix, s.matrix)
-               for m, s in zip(members, maps.unstack(stacked)))
+    """from_kraus, channel_state and tp_defect on a stack equal the same
+    calls on each member, bit for bit."""
+    stacked = sampling.random_cptp(SHAPE_A, SHAPE_C, rng, members=4)
+    members = maps.unstack(stacked)
     assert np.array_equal(maps.stack(members).matrix, stacked.matrix)
     assert stacked.tp_defect().tolist() == [m.tp_defect() for m in members]
     assert stacked.is_tp.tolist() == [True] * 4
     for got, member in zip(alg.unstack(maps.channel_state(stacked)), members):
         want = maps.channel_state(member)
         assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
-    states = [sampling.draw(sampling.state_planes(SHAPE_A), rng) for _ in range(4)]
-    stacked_state = sampling.state(SHAPE_A, tuple(map(np.stack, zip(*states))))
-    for got, draw in zip(alg.unstack(stacked_state), states):
-        want = sampling.state(SHAPE_A, draw)
-        assert all(np.array_equal(g, w) for g, w in zip(got.data, want.data))
     with pytest.raises(ShapeMismatchError):
         maps.from_kraus(SHAPE_A, SHAPE_C, [(0, 0, np.ones((2, 3, 2)))])
+
+
+# Each sampler that takes ``members``, by name: its one-trial call on a
+# generator, and the plane shapes (2, rows, cols) of its normal calls.
+SAMPLERS = {
+    "ginibre": (lambda rng, **kw: sampling.ginibre(rng, 3, 2, **kw), [(2, 3, 2)]),
+    "random_state": (lambda rng, **kw: sampling.random_state(SHAPE_A, rng, **kw),
+                     [(2, 2, 2), (2, 1, 1), (2, 2, 2)]),
+    # d_out = 3: each block draws 2·3 rows, enough for an isometry
+    "random_cptp": (lambda rng, **kw: sampling.random_cptp(SHAPE_A, SHAPE_C, rng, **kw),
+                    [(2, 6, 2), (2, 6, 1), (2, 6, 2)]),
+    # two effects on SHAPE_C's blocks, then two states on SHAPE_B's
+    "random_measure_prepare": (
+        lambda rng, **kw: sampling.random_measure_prepare(SHAPE_C, SHAPE_B, 2, rng, **kw),
+        [(2, 1, 1), (2, 2, 2)] * 2 + [(2, 2, 2), (2, 1, 1)] * 2),
+}
+
+
+def parts(value) -> list[np.ndarray]:
+    """The arrays of a sampler's value: a map's matrix, an element's blocks."""
+    return ([value.matrix] if isinstance(value, LinearMap) else
+            list(value.data) if isinstance(value, AlgebraElement) else [value])
+
+
+@pytest.mark.parametrize("name", list(SAMPLERS))
+def test_a_group_draw_makes_the_one_trial_calls_with_a_members_axis(name):
+    """Drawn for four members, a sampler makes its one-trial normal calls,
+    in order, each of size (4, 2, rows, cols); member k equals the sampler
+    drawn alone from row k of each call, bit for bit."""
+    sample, planes = SAMPLERS[name]
+    rng = RecordingGenerator(rng_for("group-draw", list(SAMPLERS).index(name)))
+    stacked = parts(sample(rng, members=4))
+    assert [(method, size) for method, _, size, _ in rng.calls] == [
+        ("normal", (4, *shape)) for shape in planes]
+    for row in range(4):
+        draws = MemberDraws(rng.calls, row)
+        alone = parts(sample(draws))
+        assert draws.calls == [] and len(alone) == len(stacked)
+        assert all(np.array_equal(g[row], w) for g, w in zip(stacked, alone)), row
+
+
+def test_each_one_trial_sampler_finishes_explicit_planes_as_before():
+    """Each one-trial sampler makes one ``normal`` call of size (2, rows,
+    cols) per plane, in order, and gives the bits of the plane finishers on
+    those draws."""
+    shape, target = AlgebraShape([("a0", 2), ("a1", 1)]), alg.matrix_algebra(3, "b")
+    square = [(2, d, d) for d in shape.dims]
+    cases = {
+        "ginibre": (lambda rng: sampling.ginibre(rng, 3, 2), [(2, 3, 2)],
+                    lambda planes: planes[0][0] + 1j * planes[0][1]),
+        "random_unitary": (lambda rng: sampling.random_unitary(rng, 3), [(2, 3, 3)],
+                           lambda planes: sampling.isometry(planes[0][0] + 1j * planes[0][1])),
+        "random_state": (lambda rng: sampling.random_state(shape, rng), square,
+                         lambda planes: plane_state(shape, planes)),
+        "random_cptp": (lambda rng: sampling.random_cptp(shape, target, rng),
+                        [(2, 6, 2), (2, 6, 1)], lambda planes: plane_cptp(shape, target, planes)),
+        "random_povm": (lambda rng: sampling.random_povm(shape, 3, rng), 3 * square,
+                        lambda planes: plane_povm(shape, planes)),
+        "random_measure_prepare": (
+            lambda rng: sampling.random_measure_prepare(shape, target, 3, rng),
+            3 * square + 3 * [(2, 3, 3)],
+            lambda planes: plane_measure_prepare(shape, target, planes)),
+    }
+    for index, (name, (sample, shapes, finish)) in enumerate(cases.items()):
+        rng = RecordingGenerator(rng_for("explicit-planes", index))
+        got = parts(sample(rng))
+        assert [(method, args, size) for method, args, size, _ in rng.calls] == [
+            ("normal", (), shape) for shape in shapes], name
+        want = parts(finish([values for *_, values in rng.calls]))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), name
 
 
 def test_a_stack_of_none_or_of_mixed_maps_is_refused():
@@ -649,13 +713,14 @@ def test_a_stack_of_none_or_of_mixed_maps_is_refused():
 @pytest.mark.parametrize("source, target, rows", [((2,), (2,), [4]), ((2,), (3,), [6]),
                                                   ((3,), (2,), [4]), ((5,), (2,), [6]),
                                                   ((2, 1), (3, 1), [8, 8])])
-def test_channel_planes_have_twice_the_output_rows_or_enough_for_an_isometry(source, target,
-                                                                              rows):
+def test_a_random_channel_draws_twice_the_output_rows_or_enough_for_an_isometry(source, target,
+                                                                                rows):
     """Each source block m_x draws d_out·max(2, ⌈m_x/d_out⌉) rows and m_x
     columns, d_out the target's total dimension."""
     shape = lambda dims, label: AlgebraShape([(f"{label}{i}", d) for i, d in enumerate(dims)])
-    planes = sampling.cptp_planes(shape(source, "a"), shape(target, "b"))
-    assert planes == tuple((2, r, m) for r, m in zip(rows, source))
+    rng = RecordingGenerator(rng_for("channel-rows"))
+    sampling.random_cptp(shape(source, "a"), shape(target, "b"), rng)
+    assert [size for _, _, size, _ in rng.calls] == [(2, r, m) for r, m in zip(rows, source)]
 
 
 def per_outcome_measure_prepare(source: AlgebraShape, target: AlgebraShape, outcomes: int,
@@ -672,10 +737,9 @@ def per_outcome_measure_prepare(source: AlgebraShape, target: AlgebraShape, outc
 
 
 @pytest.mark.parametrize("source, target", [(SHAPE_A, SHAPE_C), (SHAPE_C, SHAPE_B)])
-def test_a_measure_prepare_channel_from_planes_equals_it_drawn_per_outcome(source, target):
-    """The channel finished from ``measure_prepare_planes``' draws equals the
-    one drawn and built per outcome, and leaves the generator at the same
-    point."""
+def test_a_measure_prepare_channel_equals_it_drawn_per_outcome(source, target):
+    """The sampler's channel equals the one drawn and built per outcome, and
+    leaves the generator at the same point."""
     for index in range(4):
         rng = rng_for("measure-prepare", index)
         got, got_next = sampling.random_measure_prepare(source, target, 3, rng), rng.normal()
@@ -867,9 +931,7 @@ def test_tau_and_gamma_give_the_bits_of_the_copying_kernels(case):
 
 
 def test_norm_gives_the_bits_of_the_copying_kernel_on_a_stack(rng):
-    t = sampling.state(SHAPE_A, tuple(np.stack([rng.normal(size=(5, d, d)),
-                                                rng.normal(size=(5, d, d))], axis=1)
-                                      for d in SHAPE_A.dims))
+    t = sampling.random_state(SHAPE_A, rng, members=5)
     assert np.array_equal(t.norm(), copying_norm(t))
 
 

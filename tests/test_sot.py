@@ -9,7 +9,8 @@ from qsot.config import GROUP_TOL
 from qsot.errors import ConstraintError, ExtensionError
 
 from conftest import (classical_limit_pair, dense_channel_state, dense_embedding,
-                      element_from_dense, random_traceless_direction, rng_for)
+                      element_from_dense, MemberDraws, random_traceless_direction,
+                      RecordingGenerator, rng_for)
 
 ATOL = 1e-10
 
@@ -435,30 +436,20 @@ def test_classical_limit_pair_cycles_through_the_applicable_constructions(
     assert drawn == [kinds[i % len(kinds)] for i in range(6)]
 
 
-def pair_from_samplers(shape_a, shape_b, rng, kind):
-    """A classical-limit construction from the finished samplers, drawn from
-    ``rng`` in the order ``classical_limit_pair`` draws."""
-    if kind == "replacement":
-        e = maps.replace_channel(sampling.random_state(shape_b, rng), shape_a)
-        return e, sampling.random_state(shape_a, rng)
-    if kind == "decohering":
-        e = sampling.decohering_channel(shape_a, shape_b, rng.dirichlet(
-            np.ones(shape_b.total_dim), size=shape_a.total_dim))
-        return e, alg.diagonal_element(shape_a, rng.dirichlet(np.ones(shape_a.total_dim)))
-    e = sampling.random_cptp(shape_a, shape_b, rng)
-    weights = rng.dirichlet(np.ones(len(shape_a.blocks)))
-    return e, AlgebraElement(shape_a, tuple(w / d * np.eye(d, dtype=complex)
-                                            for w, d in zip(weights, shape_a.dims)))
-
-
 @pytest.mark.parametrize("shape_a, shape_b", [
     (alg.matrix_algebra(2, "a"), alg.matrix_algebra(2, "b")),
     (AlgebraShape([("a0", 2), ("a1", 1)]), AlgebraShape([("b0", 2), ("b1", 1)]))])
-def test_classical_limit_pair_equals_the_finished_samplers(shape_a, shape_b):
-    kinds = ["replacement", "decohering", "central"]
-    for index in range(6):
-        e, rho = classical_limit_pair(shape_a, shape_b, rng_for("limit", index), index)
-        want_e, want_rho = pair_from_samplers(shape_a, shape_b, rng_for("limit", index),
-                                              kinds[index % 3])
-        assert np.array_equal(e.matrix, want_e.matrix)
-        assert all(np.array_equal(g, w) for g, w in zip(rho.data, want_rho.data))
+@pytest.mark.parametrize("index, kind", enumerate(["replacement", "decohering", "central"]))
+def test_classical_limits_draw_each_pair_as_it_is_drawn_alone(shape_a, shape_b, index, kind):
+    """Four pairs of one construction make the one-trial samplers' calls
+    with a leading (4,) axis; pair k equals the pair drawn alone from row k
+    of each call, and none is refused."""
+    rng = RecordingGenerator(rng_for("limit", index))
+    e, rho, refusals = sot.classical_limits(shape_a, shape_b, kind, rng, 4)
+    assert refusals == [None] * 4
+    for row, (got_e, got_rho) in enumerate(zip(maps.unstack(e), alg.unstack(rho))):
+        draws = MemberDraws(rng.calls, row)
+        want_e, want_rho = classical_limit_pair(shape_a, shape_b, draws, index)
+        assert draws.calls == []
+        assert np.array_equal(got_e.matrix, want_e.matrix)
+        assert all(np.array_equal(g, w) for g, w in zip(got_rho.data, want_rho.data))
