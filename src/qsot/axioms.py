@@ -2,9 +2,10 @@
 
 Each property of a family (hermiticity, local positivity, positivity,
 linearity in either argument, the classical limit, associativity, marginals)
-is checked on a stream of random instances; failures are recorded as
-replayable counterexamples found by random search plus a short local-ascent
-refinement.  ``table_report`` assembles the full family × property matrix.
+is checked on a stream of random instances, walked in stacked chunks;
+failures are recorded as replayable counterexamples found by random search
+plus a short local-ascent refinement.  ``table_report`` assembles the full
+family × property matrix.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,7 +90,7 @@ class PropertyVerdict:
     violation: float | None = None
     counterexample: dict | None = None
     note: str = ""
-    skipped: dict[str, int] = field(default_factory=dict)  # sweep trials, by exception class
+    skipped: dict[str, int] = field(default_factory=dict)  # walked trials, by exception class
     ascent_steps: int = 0
 
     @property
@@ -146,11 +147,11 @@ def _group(family: sot.SotFamily, prop: str, trial: int, config: CertifyConfig) 
 
 # -------------------------------------------------------- product-vector search
 @cache
-def _starts(d: int, count: int) -> np.ndarray:
-    """The ``count`` unit start vectors (count, d) of every search whose first
-    factor has dimension d, built once and read-only: the real, then the
-    imaginary parts ``default_rng([d, count]).normal(size=(2, count, d))``."""
-    z = np.random.default_rng([d, count]).normal(size=(2, count, d))
+def _starts(d: int) -> np.ndarray:
+    """The ``STARTS`` unit start vectors (STARTS, d) of every search whose
+    first factor has dimension d, built once and read-only: the real, then
+    the imaginary parts ``default_rng([d, STARTS]).normal(size=(2, STARTS, d))``."""
+    z = np.random.default_rng([d, STARTS]).normal(size=(2, STARTS, d))
     v = z[0] + 1j * z[1]
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     v.flags.writeable = False
@@ -243,50 +244,42 @@ def _product_extremum(blocks: np.ndarray, starts: np.ndarray,
     return vals[best], a[best], b[best]
 
 
-def block_positivity_violation(t: AlgebraElement, starts: int) -> list[tuple[float, dict]]:
+def block_positivity_violation(t: AlgebraElement) -> list[tuple[float, dict]]:
     """For each member of the stack t, the largest found violation of
     ⟨a⊗b|T|a⊗b⟩ being real and non-negative, with its witness.
 
-    Each block has two searches, in order: its skew part is probed for
-    product vectors with a non-real pairing, then its hermitian part is
-    minimized.  A table of members × searches says which run: a skew search
-    where the skew part is nonzero, a hermitian one always.  A search from
-    an m-dimensional first factor starts from ``_starts(m, starts)``, so it
-    is a function of its block alone.  The searches run as stacks, one per
-    (mode, m, n), each entry computed as it would be alone.  A member's
-    witness is its first search of the largest positive size.
+    Each block has two searches, in order, each one ``_product_extremum``
+    call on the members that need it: its skew part is probed for product
+    vectors with a non-real pairing where it is nonzero, then its hermitian
+    part is minimized.  A search from an m-dimensional first factor starts
+    from ``_starts(m)``.  A member's witness is its first search of the
+    largest positive size.
     """
     if t.shape.factors is None:
         raise InapplicableError("local positivity needs a tensor-shaped element")
-    factor_a, factor_b = t.shape.factors
-    searches = [((mode, factor_a.dims[i], factor_b.dims[j]), label, part)
-                for label, (i, j), mat in zip(t.shape.labels, t.shape.pairs, t.data)
+    factor_a = t.shape.factors[0]
+    searches = [(str(label), mode, factor_a.dims[i], part)
+                for label, (i, _), mat in zip(t.shape.labels, t.shape.pairs, t.data)
                 for mode, part in (("absmax", (mat - mat.conj().swapaxes(-1, -2)) / 2j),
                                    ("min", (mat + mat.conj().swapaxes(-1, -2)) / 2))]
-    runs = np.stack([np.linalg.norm(part, axis=(-2, -1)) > HERM_TOL if mode == "absmax"
-                     else np.ones(len(part), bool) for (mode, *_), _, part in searches], axis=1)
-    stacks: dict[tuple, list[int]] = {}  # the searches that run anywhere, by (mode, m, n)
-    for s in np.flatnonzero(runs.any(axis=0)).tolist():
-        stacks.setdefault(searches[s][0], []).append(s)
-    sizes, at, found = np.zeros(runs.shape), np.zeros(runs.shape, dtype=int), {}
-    for (mode, m, n), columns in stacks.items():
-        local, rows = np.nonzero(runs[:, columns].T)  # search by search, members in order
-        cols = np.array(columns)[local]
-        blocks = np.stack([searches[s][2] for s in columns], axis=1)[rows, local]
-        found[mode, m, n] = values, _, _ = _product_extremum(blocks, _starts(m, starts), mode)
-        sizes[rows, cols] = np.abs(values) if mode == "absmax" else -values
-        at[rows, cols] = np.arange(len(rows))
+    sizes, found = np.zeros((len(t.data[0]), len(searches))), {}
+    for s, (_, mode, m, part) in enumerate(searches):
+        runs = (np.linalg.norm(part, axis=(-2, -1)) > HERM_TOL if mode == "absmax"
+                else np.ones(len(part), bool))
+        if runs.any():
+            values, a, b = _product_extremum(part[runs], _starts(m), mode)
+            sizes[runs, s] = np.abs(values) if mode == "absmax" else -values
+            found[s] = np.cumsum(runs) - 1, values, a, b  # each member's row, the result
     out = []  # argmax takes the first largest, as the sizes are finite
     for k, (s, size) in enumerate(zip(np.argmax(sizes, axis=1).tolist(),
                                       sizes.max(axis=1).tolist())):
         if not size > 0:
             out.append((0.0, {}))
             continue
-        key, label, _ = searches[s]
-        (values, a, b), row = found[key], at[k, s]
-        kind = "non-real pairing" if key[0] == "absmax" else "negative pairing"
-        out.append((size, {"block": str(label), "kind": kind, "value": values[row].item(),
-                           "vector_a": a[row], "vector_b": b[row]}))
+        (label, mode, *_), (rows, values, a, b) = searches[s], found[s]
+        kind = "non-real pairing" if mode == "absmax" else "negative pairing"
+        out.append((size, {"block": label, "kind": kind, "value": values[rows[k]].item(),
+                           "vector_a": a[rows[k]], "vector_b": b[rows[k]]}))
     return out
 
 
@@ -416,7 +409,7 @@ def _violations(family: sot.SotFamily, prop: str, instance: dict) -> list[tuple[
     if prop == "P1":
         return [(value, {}) for value in (t - t.dagger()).norm().tolist()]
     if prop == "P2":
-        return block_positivity_violation(t, STARTS)
+        return block_positivity_violation(t)
     if prop == "P3":
         return [(max(0.0, -value), {}) for value in t.min_eigenvalue().tolist()]
     if prop != "P7":
@@ -498,35 +491,12 @@ def _chunk(family: sot.SotFamily, prop: str, trials: range, config: CertifyConfi
                 try:
                     outcomes[index] = (*_violation(family, prop, _member(instance, position)),
                                        instance, position)
-                except Exception as exc:  # settled when the sweep reaches the trial
+                except Exception as exc:  # settled when certify reaches the trial
                     outcomes[index] = exc
             continue
         for position, (index, (value, extra)) in enumerate(zip(indices, found)):
             outcomes[index] = value, extra, instance, position
     return list(zip(keys, outcomes))
-
-
-def _sweep(family: sot.SotFamily, prop: str, config: CertifyConfig,
-           cell: int) -> Iterator[tuple[int, list[int], tuple[float, dict, dict, int] | str]]:
-    """(trial, replay key, outcome) for every sweep trial in trial order.
-
-    ``outcome`` is ``_chunk``'s (violation, extra witness data, stacked
-    instance, position), or the exception class name of a skipped trial;
-    any other exception of a trial is raised when the sweep reaches that
-    trial.  Trial 0 comes alone, so a cell that fails at once draws one
-    trial; the rest come in chunks of ``CHUNK_TRIALS``, each drawn and
-    evaluated as a whole.
-    """
-    start, size = 0, 1
-    while start < config.trials:
-        trials = range(start, min(start + size, config.trials))
-        for trial, (key, outcome) in zip(trials, _chunk(family, prop, trials, config, cell)):
-            if isinstance(outcome, SKIPS):
-                outcome = type(outcome).__name__
-            elif isinstance(outcome, Exception):
-                raise outcome
-            yield trial, key, outcome
-        start, size = start + size, CHUNK_TRIALS
 
 
 def certify(family: sot.SotFamily, prop: str,
@@ -535,12 +505,14 @@ def certify(family: sot.SotFamily, prop: str,
 
     Samples ``config.trials`` instances; a violation above the fail threshold
     (refined by local perturbation ascent when random search alone stays
-    below it) yields a replayable ``fails`` verdict, and a clean sweep below
+    below it) yields a replayable ``fails`` verdict, and a clean walk below
     the pass threshold yields ``holds``.  The compound family's classical
     limit holds on non-degenerate faithful priors only ("∗"), and its
     associativity is an open question reported as ``empirical`` ("?").
-    The sweep stops at the first trial above the fail threshold; trials it
-    walked and skipped are counted by exception class.
+    The walk takes trial 0 alone, so a cell that fails at once draws one
+    trial, then chunks of ``CHUNK_TRIALS`` (``_chunk``), up to the first
+    trial above the fail threshold.  Skipped trials it walked are counted by
+    exception class; any other exception is raised when it reaches its trial.
     """
     config = config or CertifyConfig()
     tag = family.tag
@@ -551,16 +523,22 @@ def certify(family: sot.SotFamily, prop: str,
     cell = _cell_index(tag, prop)
 
     max_residual, best, evaluated, skipped = 0.0, None, 0, Counter()
-    for trial, key, outcome in _sweep(family, prop, config, cell):
-        if isinstance(outcome, str):
-            skipped[outcome] += 1
-            continue
-        evaluated += 1
-        max_residual = max(max_residual, outcome[0])
-        if best is None or outcome[0] > best[2][0]:
-            best = trial, key, outcome
-        if outcome[0] > FAIL_THRESHOLD:
-            break
+    start, size, stop = 0, 1, False
+    while start < config.trials and not stop:
+        trials = range(start, min(start + size, config.trials))
+        for trial, (key, outcome) in zip(trials, _chunk(family, prop, trials, config, cell)):
+            if isinstance(outcome, SKIPS):
+                skipped[type(outcome).__name__] += 1
+                continue
+            if isinstance(outcome, Exception):
+                raise outcome
+            evaluated += 1
+            max_residual = max(max_residual, outcome[0])
+            if best is None or outcome[0] > best[2][0]:
+                best = trial, key, outcome
+            if stop := outcome[0] > FAIL_THRESHOLD:
+                break
+        start, size = start + size, CHUNK_TRIALS
     if best is None:
         return PropertyVerdict(tag, prop, "inapplicable", 0, config.seed,
                                skipped=dict(skipped))

@@ -90,6 +90,9 @@ def cmd_bayes(args) -> int:
         solution_map = bayes.closed_form_bayes(family, channel, state,
                                                strict=args.strict)
     except UnsupportedFamilyError:
+        if args.strict:  # the closed forms' checks, in their order
+            sot.check_arguments(family, channel, state)
+            alg.power(channel(state), 1.0, strict=True)
         generic = bayes.generic_bayes(family, channel, state)
         solution_map, uniqueness = generic.map, generic.uniqueness
     if not solution_map.is_tp:  # a numerical failure of the solver, not of the input

@@ -413,10 +413,10 @@ def apply_to_factor(m: LinearMap, t: AlgebraElement, which: str) -> AlgebraEleme
 
 # ---------------------------------------------------------- channel constructors
 def _channel(m: LinearMap, message: str) -> LinearMap:
-    """``m`` if it is trace-preserving, the one test of every constructor;
-    else ConstraintError(message).  An overflow is a defect above tolerance."""
+    """``m`` if it is trace-preserving (each map of a stack), the one test of
+    every constructor; else ConstraintError(message).  An overflow is a defect above tolerance."""
     with np.errstate(all="ignore"):
-        if m.is_tp:
+        if np.all(m.is_tp):
             return m
     raise ConstraintError(message)
 

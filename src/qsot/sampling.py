@@ -8,8 +8,8 @@ functions take an explicit numpy Generator so every trial is replayable.
 A Ginibre matrix is one ``normal`` call of its real and imaginary planes
 (2, rows, cols).  Given ``members``, a sampler draws that many instances at
 once: it makes its one-instance calls in the same order, each with a leading
-(members,) axis, and returns the stack, member k equal to the instance drawn
-alone from row k of each call.
+(members,) axis, finishes the stack at once and returns it, member k equal
+to the instance drawn alone from row k of each call.
 """
 from __future__ import annotations
 
@@ -101,42 +101,38 @@ def random_unital_channel(shape: AlgebraShape, rng: np.random.Generator) -> Line
     return sum(terms[1:], terms[0])
 
 
-def _povm(source: AlgebraShape, gs: list) -> LinearMap:
-    """The POVM of one Ginibre matrix per block per outcome: normalized effects."""
-    n = len(source.dims)
-    raw = [AlgebraElement._of(source, [g @ g.conj().T for g in gs[k:k + n]])
-           for k in range(0, len(gs), n)]
+def _effects(source: AlgebraShape, gs: list) -> list[AlgebraElement]:
+    """The normalized effects S^-½ G_k G_k† S^-½, S = Σ_k G_k G_k†, of one
+    Ginibre matrix per block per outcome k (a ``_blocks`` list each); for
+    stacked draws, the stacks of effects from one stacked ``power``."""
+    raw = [AlgebraElement._of(source, [g @ g.conj().swapaxes(-1, -2) for g in blocks])
+           for blocks in gs]
     s_inv = alg.power(sum(raw[1:], raw[0]), -0.5)
-    return maps.povm([s_inv @ m @ s_inv for m in raw])
+    return [s_inv @ m @ s_inv for m in raw]
 
 
 def random_povm(source: AlgebraShape, outcomes: int,
                 rng: np.random.Generator) -> LinearMap:
     """Random POVM channel A → C^outcomes (normalized Ginibre effects)."""
-    return _povm(source, [g for _ in range(outcomes) for g in _blocks(source, rng, None)])
+    return maps.povm(_effects(source, [_blocks(source, rng, None) for _ in range(outcomes)]))
 
 
 def random_measure_prepare(source: AlgebraShape, target: AlgebraShape, outcomes: int,
                            rng: np.random.Generator, members: int | None = None) -> LinearMap:
     """Random entanglement-breaking channel A ↦ Σ_k tr(A P_k) σ_k: the POVM
-    (P_k) is drawn first, then the states σ_k.  A stack is drawn at once
-    and finished member by member.
+    (P_k) is drawn first, then the states σ_k.  Its matrix is
+    Σ_k vec(σ_k)·conj(vec(P_k))ᵀ, a stack's from one product per outcome.
 
     Its channel state Σ_k P_kᵀ⊗σ_k is PSD, which makes these channels the
     admissible instances for associativity checks of families that need a
     genuine density matrix as second argument.
     """
-    effects = [g for _ in range(outcomes) for g in _blocks(source, rng, members)]
-    states = [_blocks(target, rng, members) for _ in range(outcomes)]
-
-    def channel(effects, states):
-        return LinearMap(source, target, sum(
-            np.outer(maps.vec(_density(target, gs)), maps.vec(p.dagger()).conj())
-            for gs, p in zip(states, maps.povm_effects(_povm(source, effects)))))
-    if members is None:
-        return channel(effects, states)
-    return maps.stack([channel([g[k] for g in effects], [[g[k] for g in gs] for gs in states])
-                       for k in range(members)])
+    effects = _effects(source, [_blocks(source, rng, members) for _ in range(outcomes)])
+    states = [_density(target, _blocks(target, rng, members)) for _ in range(outcomes)]
+    matrix = sum(maps.vec(sigma)[..., :, None] * maps.vec(p).conj()[..., None, :]
+                 for sigma, p in zip(states, effects))
+    return maps._channel(LinearMap._of(source, target, matrix),
+                         "measure-prepare effects must sum to the identity")
 
 
 def decohering_channel(source: AlgebraShape, target: AlgebraShape,

@@ -478,7 +478,7 @@ class TransposedTarget(sot.SotFamily):
 
 # ------------------------------------------------ sequential certification
 def chunk_of(trial: int, config: axioms.CertifyConfig) -> range:
-    """The sweep's chunk that holds ``trial``: trial 0 alone, then blocks of
+    """The chunk of certify's walk that holds ``trial``: trial 0 alone, then blocks of
     ``axioms.CHUNK_TRIALS`` trials, the last one cut at ``config.trials``."""
     if trial == 0:
         return range(0, 1)
@@ -587,7 +587,7 @@ def sample_alone(family: sot.SotFamily, prop: str, trial: int,
 
 def drawn_by_group(family: sot.SotFamily, prop: str,
                    config: axioms.CertifyConfig) -> tuple[dict, dict]:
-    """Each sweep trial's inputs from the chunk drawer, each group drawn as
+    """Each walked trial's inputs from the chunk drawer, each group drawn as
     one stack from the generator of its key: the member of a trial, or its
     refusal; and (group key, trials) of each generator key."""
     groups, out = {}, {}

@@ -200,7 +200,7 @@ def test_block_positivity_violation_finds_planted_negative_pair():
     # sigma_x (x) sigma_x has product eigenvector pairs at eigenvalue -1
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     t = alg.AlgebraElement(shape, (np.kron(sx, sx),))
-    [(violation, witness)] = axioms.block_positivity_violation(alg.stack([t]), 20)
+    [(violation, witness)] = axioms.block_positivity_violation(alg.stack([t]))
     assert violation > 0.99
     assert witness["kind"] == "negative pairing"
 
@@ -208,7 +208,7 @@ def test_block_positivity_violation_finds_planted_negative_pair():
 def test_block_positivity_violation_zero_on_separable_states(rng):
     a = sampling.random_state(alg.matrix_algebra(2, "a"), rng)
     b = sampling.random_state(alg.matrix_algebra(2, "b"), rng)
-    [(violation, _)] = axioms.block_positivity_violation(alg.stack([alg.tensor(a, b)]), 20)
+    [(violation, _)] = axioms.block_positivity_violation(alg.stack([alg.tensor(a, b)]))
     assert violation < 1e-12
 
 
@@ -219,7 +219,7 @@ def test_block_positivity_violation_takes_the_first_search_of_a_tie():
     violation."""
     shape = alg.classical_algebra(2, "a").tensor(alg.classical_algebra(2, "b"))
     t = alg.diagonal_element(shape, [[-1, -1, -1, -1], [1j, -1, 2, 3], [1, 2, 3, 4]])
-    found = axioms.block_positivity_violation(t, 20)
+    found = axioms.block_positivity_violation(t)
     assert [(size, witness.get("block"), witness.get("kind"), witness.get("value"))
             for size, witness in found] == [(1.0, "('a0', 'b0')", "negative pairing", -1.0),
                                             (1.0, "('a0', 'b0')", "non-real pairing", 1.0),
@@ -300,7 +300,7 @@ def test_a_p2_witness_from_certify_json_has_no_search_seed_and_replays(tmp_path)
     the search's result, no seed: the search starts from one read-only start
     set per factor dimension, the same object before and after the calls,
     so the parsed witness replays to the recorded violation exactly."""
-    starts = axioms._starts(2, axioms.STARTS)
+    starts = axioms._starts(2)
     out = tmp_path / "p2.json"
     assert cli.main(["certify", "--format", "json", "--seed", "5", "--trials", "40",
                      "--properties", "P2", "-o", str(out)]) == cli.EXIT_OK
@@ -311,7 +311,7 @@ def test_a_p2_witness_from_certify_json_has_no_search_seed_and_replays(tmp_path)
                                         "vector_b", "replay_seed"}
         assert axioms.replay_violation(sot.TABLE_FAMILIES[cell["family"]], "P2",
                                        from_wire(cell["witness"])) == cell["violation"]
-    assert axioms._starts(2, axioms.STARTS) is starts and not starts.flags.writeable
+    assert axioms._starts(2) is starts and not starts.flags.writeable
 
 
 @pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
@@ -432,8 +432,8 @@ def test_stacked_search_equals_singleton_searches():
     assert len(by_shape) == 4
     kinds = set()
     for ts in by_shape.values():
-        stacked = axioms.block_positivity_violation(alg.stack(ts), 20)
-        assert_same_search(stacked, [axioms.block_positivity_violation(alg.stack([t]), 20)[0]
+        stacked = axioms.block_positivity_violation(alg.stack(ts))
+        assert_same_search(stacked, [axioms.block_positivity_violation(alg.stack([t]))[0]
                                      for t in ts])
         kinds.update(witness["kind"] for _, witness in stacked if witness)
     assert {len(shape.dims) for shape in by_shape} == {1, 4}
@@ -457,13 +457,34 @@ def test_stacked_search_equals_the_looped_search(dims, blocky):
         e = sampling.random_cptp(shape_a, shape_b, rng)
         ts.append(family.value(e, sampling.random_state(shape_a, rng)))
     want = looped_block_positivity_violation(ts, 20)
-    assert_same_search(axioms.block_positivity_violation(alg.stack(ts), 20), want)
+    assert_same_search(axioms.block_positivity_violation(alg.stack(ts)), want)
     kinds = {witness.get("kind") for _, witness in want}
     patterns = {tuple(np.linalg.norm(mat - mat.conj().T) > 1e-10 for mat in t.data) for t in ts}
     # hermitian, non-hermitian and (on blocky shapes) mixed members, every outcome
     assert {all(p) for p in patterns} == {True, False}
     assert any(any(p) and not all(p) for p in patterns) == blocky
     assert kinds == {None, "negative pairing", "non-real pairing"}
+
+
+def test_blocks_of_equal_factor_dims_are_searched_as_the_looped_search():
+    """On (M2⊕M2)⊗M2 both blocks have factor dims (2, 2): the reference
+    stacks their searches together, the library searches block by block.
+    Members whose two blocks are equal tie, and the tie goes to the first
+    block, in both."""
+    shape = alg.AlgebraShape((("a0", 2), ("a1", 2))).tensor(alg.matrix_algebra(2, "b"))
+    rng = rng_for("equal-factor-dims")
+    ts = oracle_stack(shape, rng)
+    g, s = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    indefinite = (g + g.conj().T) / 2
+    ties = [AlgebraElement(shape, (mat, mat))
+            for mat in (indefinite, indefinite + 0.5j * (s + s.conj().T))]
+    want = looped_block_positivity_violation(ts + ties, axioms.STARTS)
+    assert_same_search(axioms.block_positivity_violation(alg.stack(ts + ties)), want)
+    assert [witness["block"] for _, witness in want[len(ts):]] == ["('a0', 'b')"] * 2
+    assert {witness["block"] for _, witness in want[:len(ts)] if witness} == {
+        "('a0', 'b')", "('a1', 'b')"}
+    assert {witness.get("kind") for _, witness in want} == {
+        None, "negative pairing", "non-real pairing"}
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -473,8 +494,8 @@ def test_p2_column_equals_the_looped_search(monkeypatch, seed):
     config = axioms.CertifyConfig(trials=40, seed=seed)
     got = axioms.table_report(config, properties=("P2",)).to_json()
     monkeypatch.setattr(axioms, "block_positivity_violation",
-                        lambda t, starts: looped_block_positivity_violation(
-                            alg.unstack(t), starts))
+                        lambda t: looped_block_positivity_violation(alg.unstack(t),
+                                                                    axioms.STARTS))
     want = axioms.table_report(config, properties=("P2",)).to_json()
     assert json.dumps(got) == json.dumps(want)
     assert {cell["status"] for cell in got["cells"]} == {"holds", "fails"}
@@ -520,11 +541,11 @@ def test_the_2x2_projector_kernel_agrees_with_lapack(scale, mode):
 
 
 def test_the_start_set_is_built_once_read_only_from_its_key():
-    """One read-only array per (dimension, count), across calls, equal to the
+    """One read-only array per dimension, across calls, equal to the
     start set rebuilt from its documented key."""
     for d in (1, 2, 3):
-        starts = axioms._starts(d, axioms.STARTS)
-        assert axioms._starts(d, axioms.STARTS) is starts and not starts.flags.writeable
+        starts = axioms._starts(d)
+        assert axioms._starts(d) is starts and not starts.flags.writeable
         assert np.array_equal(starts, unit_starts(d, axioms.STARTS))
 
 
@@ -543,8 +564,8 @@ def test_projector_rounds_equal_vector_rounds(m, n, mode):
     phase convention (the entry of largest modulus real and positive).  A
     pick may differ only between starts that tie at roundoff."""
     blocks = hermitian_blocks(rng_for("projector-rounds", 10 * m + n), 200, m * n)
-    values, a, b = axioms._product_extremum(blocks, axioms._starts(m, 20), mode)
-    want, want_a, want_b = vector_product_extremum(blocks, axioms._starts(m, 20), mode)
+    values, a, b = axioms._product_extremum(blocks, axioms._starts(m), mode)
+    want, want_a, want_b = vector_product_extremum(blocks, axioms._starts(m), mode)
     jobs = np.arange(len(blocks))
     best = want[jobs, np.argmax(np.abs(want), axis=1) if mode == "absmax" else
                 np.argmin(want, axis=1)]
@@ -562,8 +583,8 @@ def test_a_search_with_a_one_dimensional_factor_equals_the_full_search(m, n, mod
     """Two rounds from the first start give the values and vectors of eight
     rounds from every start, bit for bit."""
     blocks = hermitian_blocks(rng_for("one-dimensional-factor", 10 * m + n), 9, m * n)
-    values, vectors_a, vectors_b = axioms._product_extremum(blocks, axioms._starts(m, 20), mode)
-    want_values, want_a, want_b = full_product_extremum(blocks, axioms._starts(m, 20), mode)
+    values, vectors_a, vectors_b = axioms._product_extremum(blocks, axioms._starts(m), mode)
+    want_values, want_a, want_b = full_product_extremum(blocks, axioms._starts(m), mode)
     assert np.array_equal(values, want_values)
     assert np.array_equal(vectors_a, want_a) and np.array_equal(vectors_b, want_b)
 
@@ -575,7 +596,7 @@ def test_each_job_of_a_stacked_search_equals_the_job_searched_alone(m, n, mode):
     the call: a job's pairings are its own (a one-dimensional factor makes
     axes of length one, whose reductions may run in another order)."""
     blocks = hermitian_blocks(rng_for("stacked-jobs", 10 * m + n), 40, m * n)
-    starts = axioms._starts(m, 20)
+    starts = axioms._starts(m)
     stacked = axioms._product_extremum(blocks, starts, mode)
     for job in range(len(blocks)):
         alone = axioms._product_extremum(blocks[job:job + 1], starts, mode)
@@ -598,7 +619,7 @@ def test_p2_at_dims_2_3_equals_the_sequential_full_search(monkeypatch):
 
 # ---------------------------------------------- chunks against the reference
 NEW_KEYS = ("skipped", "ascent_steps")
-# the sweep's schedule: trial 0 alone, then chunks of CHUNK_TRIALS
+# certify's schedule: trial 0 alone, then chunks of CHUNK_TRIALS
 CHUNK_STARTS = (0, *range(1, 1000, axioms.CHUNK_TRIALS))
 
 
@@ -620,7 +641,7 @@ def test_chunked_table_equals_the_sequential_reference(seed):
 @dataclass(frozen=True)
 class TiltedLeiferSpekkens(sot.LeiferSpekkens):
     """Leifer–Spekkens, shifted by −1 when ⟨0|ρ|0⟩ > 0.8: its P2 fails only
-    on such priors, so the first failure comes some trials into the sweep."""
+    on such priors, so the first failure comes some trials into the walk."""
     tag: ClassVar[str] = "tilted-leifer-spekkens"
 
     def value(self, e, rho):
@@ -765,14 +786,18 @@ def test_stacked_chunks_equal_trials_drawn_and_evaluated_alone(tag, prop, dims):
     was skipped for.  Its replay key names its group's generator and row."""
     family = sot.TABLE_FAMILIES[tag]
     config = axioms.CertifyConfig(trials=12, seed=3, dims=dims)
-    swept = list(axioms._sweep(family, prop, config, axioms._cell_index(tag, prop)))
-    assert [trial for trial, _, _ in swept] == list(range(config.trials))
-    for trial, key, outcome in swept:
+    cell = axioms._cell_index(tag, prop)
+    walked = [(trial, key, outcome) for trials in (range(0, 1), range(1, config.trials))
+              for trial, (key, outcome) in zip(trials, axioms._chunk(family, prop, trials,
+                                                                      config, cell))]
+    assert [trial for trial, _, _ in walked] == list(range(config.trials))
+    for trial, key, outcome in walked:
         assert key == member_draws(family, prop, trial, config)[1], trial
-        if isinstance(outcome, str):
+        if isinstance(outcome, Exception):
+            assert isinstance(outcome, axioms.SKIPS), (trial, outcome)
             with pytest.raises(axioms.SKIPS) as raised:
                 axioms._violation(family, prop, sample_alone(family, prop, trial, config))
-            assert type(raised.value).__name__ == outcome, trial
+            assert type(raised.value) is type(outcome), trial
             continue
         violation, extra, stacked, position = outcome
         data = {**axioms._member(stacked, position), **extra}

@@ -281,6 +281,22 @@ def test_bayes_strict_mode_singular_state_is_numerical(tmp_path, capsys):
     assert code == cli.EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("tag", list(sot.TABLE_FAMILIES))
+def test_bayes_strict_refuses_a_rank_deficient_output_on_every_path(tag, tmp_path, capsys):
+    """E = id on M2 and ρ = diag(1, 0): strict mode refuses the singular E(ρ)
+    whether the family has a closed form or is solved by the generic
+    fallback (uncorrelated, Ohya); an invalid state still exits 2 first."""
+    shape = alg.matrix_algebra(2, "a")
+    paths = [str(tmp_path / name) for name in ("c.json", "s.json", "bad.json")]
+    io.dump(io.serialize_map(maps.identity_map(shape)), paths[0])
+    for path, diagonal in zip(paths[1:], ([1.0, 0.0], [2.0, 0.0])):
+        io.dump(io.serialize_element(alg.diagonal_element(shape, diagonal)), path)
+    assert run(["bayes", "--family", tag, "--strict", *paths[:2]]) == cli.EXIT_NUMERICAL
+    assert "below faithfulness tolerance" in capsys.readouterr().err
+    assert run(["bayes", "--family", tag, "--strict", paths[0], paths[2]]) == cli.EXIT_VALIDATION
+    assert "unit trace" in capsys.readouterr().err
+
+
 def test_bayes_non_trace_preserving_solution_is_numerical(tmp_path, capsys):
     # the support pseudo-inverse of the rank-one E(ρ) gives a map that is not
     # trace-preserving: a numerical failure, not an invalid input

@@ -772,6 +772,29 @@ def test_one_call_ginibre_planes_give_the_bits_of_two_call_draws(source, target)
         assert all(np.array_equal(g, w) for g, w in pairs), name
 
 
+def test_a_stack_with_one_map_that_is_not_trace_preserving_is_refused(monkeypatch):
+    """The constructors' trace-preservation check holds every map of a
+    stack to it: one member off by a factor of two fails the stack, in
+    ``_channel`` and in a stacked measure-prepare draw whose third member's
+    states are doubled."""
+    ident = maps.identity_map(SHAPE_A).matrix
+    ok = LinearMap._of(SHAPE_A, SHAPE_A, np.stack([ident] * 3))
+    assert maps._channel(ok, "refused") is ok
+    with pytest.raises(ConstraintError, match="refused"):
+        maps._channel(LinearMap._of(SHAPE_A, SHAPE_A, np.stack([ident, 2 * ident, ident])),
+                      "refused")
+    density = sampling._density
+
+    def doubling_the_third(shape, gs):
+        sigma = density(shape, gs)
+        return AlgebraElement._of(shape, (m * np.array([1, 1, 2, 1])[:, None, None]
+                                          for m in sigma.data))
+    sampling.random_measure_prepare(SHAPE_C, SHAPE_B, 2, rng_for("non-tp-stack"), 4)
+    monkeypatch.setattr(sampling, "_density", doubling_the_third)
+    with pytest.raises(ConstraintError, match="measure-prepare"):
+        sampling.random_measure_prepare(SHAPE_C, SHAPE_B, 2, rng_for("non-tp-stack"), 4)
+
+
 def test_decohering_channel_matches_probed_twin():
     weights = rng_for("deco-twin").dirichlet(np.ones(3), size=5)
     got, f = sampling.decohering_channel(SHAPE_A, SHAPE_C, weights), weights.T
